@@ -17,8 +17,9 @@
 //	           [-runs N] [-seed N] [-j N] [-out FILE] [-preselect K] [-v]
 //
 // -workload kv scores each composition as the per-shard lock of the sharded
-// serving engine (internal/store's simulator model) instead of the global
-// LevelDB lock: -shards shards, the -mix operation mix, Zipfian keys.
+// serving engine instead of the global LevelDB lock: the store's Router on
+// memsim (workload.RunKV) with -shards shards, the -mix operation mix and
+// Zipfian keys.
 package main
 
 import (

@@ -113,12 +113,13 @@ func run(pass *analysis.Pass) {
 
 // copies reports whether evaluating e produces a by-value copy of a
 // Cell-containing value that already exists elsewhere. Composite literals
-// are fresh values (no prior identity), so they are allowed; everything
-// else — variables, field selections, dereferences, index expressions,
-// call results — is a copy.
+// are fresh values (no prior identity), so they are allowed, and type
+// expressions (new(T)'s argument) are no values at all; everything else —
+// variables, field selections, dereferences, index expressions, call
+// results — is a copy.
 func copies(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil || !analysis.HasCell(tv.Type) {
+	if !ok || tv.Type == nil || tv.IsType() || !analysis.HasCell(tv.Type) {
 		return false
 	}
 	switch e := e.(type) {

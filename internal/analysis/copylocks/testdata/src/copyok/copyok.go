@@ -1,5 +1,5 @@
 // Package copyok is the copylocks clean corpus: pointers everywhere,
-// composite-literal initialization, and ranging by index.
+// composite-literal and new() initialization, and ranging by index.
 package copyok
 
 import "github.com/clof-go/clof/internal/lockapi"
@@ -11,6 +11,8 @@ type spinLock struct {
 func newSpinLock() *spinLock {
 	return &spinLock{}
 }
+
+func newSpinLockBuiltin() *spinLock { return new(spinLock) }
 
 func byPointer(l *spinLock) {}
 

@@ -23,8 +23,6 @@ const (
 	// single global lock is the bottleneck, well under either platform's
 	// hardware thread count so placement stays dense.
 	KVThreads = 32
-	// kvKeys is the synthetic keyspace size.
-	kvKeys = 4096
 )
 
 // KVShards is the shard grid — the x-axis of every kv figure. 1 shard is the
@@ -107,7 +105,7 @@ func kvFigure(o Options, mach *topo.Machine, platform, idSuffix string, mix stor
 		Threads: []int{KVThreads}, Runs: o.Runs, Quick: o.Quick,
 		Locks: KVLocks,
 		Notes: fmt.Sprintf("shard grid %v; dist=%s range=%v; horizon=%dns; keys=%d",
-			grid, dist, rangePart, horizon, kvKeys),
+			grid, dist, rangePart, horizon, workload.KVKeys),
 	}
 	var points []exp.Point
 	for _, name := range KVLocks {
@@ -131,14 +129,17 @@ func kvFigure(o Options, mach *topo.Machine, platform, idSuffix string, mix stor
 						Mix:            mix,
 						Dist:           dist,
 						RangePartition: rangePart,
-						Keys:           kvKeys,
 						Seed:           seed,
 						Observer:       func(i int) lockapi.Observer { return collectors[i] },
 					})
 					if err != nil {
 						return exp.Sample{Err: err.Error()}
 					}
-					rep := obs.CombineShards(e.Name, collectors, res.SharedPerShard, res.OCCStats())
+					occ := make([]obs.OCCOps, len(res.OCC))
+					for i, st := range res.OCC {
+						occ[i] = obs.OCCOps{Optimistic: st.Optimistic, ValidationFailures: st.ValidationFailures, Fallbacks: st.Fallbacks}
+					}
+					rep := obs.CombineShards(e.Name, collectors, res.SharedPerShard, occ)
 					raw, err := json.Marshal(rep)
 					if err != nil {
 						return exp.Sample{Err: err.Error()}
@@ -190,10 +191,10 @@ func kvMetrics(res workload.KVResult) map[string]float64 {
 		}
 	}
 	var opt, vfail, fall uint64
-	for i := range res.OptimisticPerShard {
-		opt += res.OptimisticPerShard[i]
-		vfail += res.OCCValidationFailsPerShard[i]
-		fall += res.OCCFallbacksPerShard[i]
+	for _, st := range res.OCC {
+		opt += st.Optimistic
+		vfail += st.ValidationFailures
+		fall += st.Fallbacks
 	}
 	m := map[string]float64{
 		"violations": float64(res.ExclusionViolations + res.SharedViolations + res.TornReads),

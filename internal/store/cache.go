@@ -48,9 +48,6 @@ func OpenCache(opts CacheOptions) *Cache {
 // Shards returns the shard count.
 func (c *Cache) Shards() int { return c.router.Shards() }
 
-// LockAt exposes shard i's lock for single-threaded instrumentation.
-func (c *Cache) LockAt(i int) lockapi.Lock { return c.router.LockAt(i) }
-
 // Count sums the shards' record counts (atomic point samples).
 func (c *Cache) Count() int {
 	n := 0

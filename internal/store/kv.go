@@ -49,19 +49,9 @@ func OpenKV(opts KVOptions) *KV {
 	if opts.Shards == 0 {
 		opts.Shards = 1
 	}
-	var part Partitioner
-	if opts.RangeKeys > 0 {
-		rp, err := NewRangePartitioner(UniformBounds(opts.RangeKeys, opts.Shards, kvstore.Key))
-		if err != nil {
-			panic(err) // unreachable: UniformBounds emits ascending keys
-		}
-		part = rp
-	} else {
-		part = NewHashPartitioner(opts.Shards)
-	}
 	shardOpts := opts.Shard
 	shardOpts.Lock = nil // router-owned locking; Open defaults to Noop
-	return &KV{router: NewRouter(part, opts.NewLock,
+	return &KV{router: NewRouter(NewPartitioner(opts.Shards, opts.RangeKeys), opts.NewLock,
 		func(i int) *kvstore.DB {
 			so := shardOpts
 			so.Seed += uint64(i) // decorrelate shard skiplists
@@ -71,12 +61,6 @@ func OpenKV(opts KVOptions) *KV {
 
 // Shards returns the shard count.
 func (kv *KV) Shards() int { return kv.router.Shards() }
-
-// LockAt exposes shard i's lock for single-threaded instrumentation.
-func (kv *KV) LockAt(i int) lockapi.Lock { return kv.router.LockAt(i) }
-
-// OptimisticSupported reports whether any shard serves optimistic reads.
-func (kv *KV) OptimisticSupported() bool { return kv.router.OptimisticSupported() }
 
 // OCCStats returns the per-shard optimistic-read counters (index = shard).
 func (kv *KV) OCCStats() []OCCShardStats { return kv.router.OCCStats() }

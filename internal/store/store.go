@@ -33,6 +33,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"github.com/clof-go/clof/internal/kvstore"
 	"github.com/clof-go/clof/internal/lockapi"
 )
 
@@ -130,6 +131,22 @@ func UniformBounds(keys, shards int, keyOf func(i int) []byte) [][]byte {
 		bounds = append(bounds, keyOf(i*keys/shards))
 	}
 	return bounds
+}
+
+// NewPartitioner returns the store's routing for shards shards: a range
+// partition with UniformBounds over the canonical kvstore.Key space
+// [0, rangeKeys) when rangeKeys > 0, the FNV-1a hash partition otherwise.
+// OpenKV and the simulated serving driver (internal/workload) both route
+// through it.
+func NewPartitioner(shards, rangeKeys int) Partitioner {
+	if rangeKeys <= 0 {
+		return NewHashPartitioner(shards)
+	}
+	rp, err := NewRangePartitioner(UniformBounds(rangeKeys, shards, kvstore.Key))
+	if err != nil {
+		panic(err) // unreachable: UniformBounds emits ascending keys
+	}
+	return rp
 }
 
 // Adaptive optimistic-read bounds (DESIGN.md S33): each shard starts with
@@ -241,17 +258,6 @@ func NewRouter[S any](part Partitioner, newLock func(shard int) lockapi.Lock, ne
 	return r
 }
 
-// OptimisticSupported reports whether any shard lock offers the optimistic
-// read path (lockapi.SeqReader — the catalog's seq: family).
-func (r *Router[S]) OptimisticSupported() bool {
-	for _, sq := range r.seqs {
-		if sq != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // OCCStats returns every shard's optimistic-read counters (index = shard).
 func (r *Router[S]) OCCStats() []OCCShardStats {
 	out := make([]OCCShardStats, len(r.occ))
@@ -270,12 +276,8 @@ func (r *Router[S]) OCCStats() []OCCShardStats {
 // Shards returns the shard count.
 func (r *Router[S]) Shards() int { return len(r.shards) }
 
-// Partitioner returns the routing function (for callers that pre-shard
-// work, e.g. bulk loaders).
-func (r *Router[S]) Partitioner() Partitioner { return r.part }
-
-// LockAt returns shard i's lock, for single-threaded setup only (attaching
-// an observer via lockapi.Instrument before any session exists).
+// LockAt returns shard i's lock, for single-threaded setup only (probing
+// its capabilities before any session exists).
 func (r *Router[S]) LockAt(i int) lockapi.Lock { return r.locks[i] }
 
 // Ordered reports whether shards cover ascending key ranges (RangeInfo), in
@@ -305,14 +307,6 @@ func (s *Session[S]) Exclusive(p lockapi.Proc, key []byte, fn func(shard int, da
 	s.ExclusiveAt(p, s.r.part.Shard(key), fn)
 }
 
-// Shared routes key to its shard and runs fn under a shared acquisition
-// when the shard lock supports one, degrading to exclusive otherwise. fn
-// must be read-only on the payload (up to operations the payload documents
-// as shared-safe, like atomic counters).
-func (s *Session[S]) Shared(p lockapi.Proc, key []byte, fn func(shard int, data S)) {
-	s.SharedAt(p, s.r.part.Shard(key), fn)
-}
-
 // ExclusiveAt is Exclusive for an explicit shard index.
 func (s *Session[S]) ExclusiveAt(p lockapi.Proc, i int, fn func(shard int, data S)) {
 	r := s.r
@@ -321,7 +315,10 @@ func (s *Session[S]) ExclusiveAt(p lockapi.Proc, i int, fn func(shard int, data 
 	r.locks[i].Release(p, s.ctxs[i])
 }
 
-// SharedAt is Shared for an explicit shard index.
+// SharedAt runs fn on shard i's payload under a shared acquisition when the
+// shard lock supports one, degrading to exclusive otherwise. fn must be
+// read-only on the payload (up to operations the payload documents as
+// shared-safe, like atomic counters).
 func (s *Session[S]) SharedAt(p lockapi.Proc, i int, fn func(shard int, data S)) {
 	r := s.r
 	if rw := r.rws[i]; rw != nil {
@@ -331,11 +328,6 @@ func (s *Session[S]) SharedAt(p lockapi.Proc, i int, fn func(shard int, data S))
 		return
 	}
 	s.ExclusiveAt(p, i, fn)
-}
-
-// Optimistic routes key to its shard and runs fn through OptimisticAt.
-func (s *Session[S]) Optimistic(p lockapi.Proc, key []byte, fn func(shard int, data S)) bool {
-	return s.OptimisticAt(p, s.r.part.Shard(key), fn)
 }
 
 // OptimisticAt runs fn against shard i's payload on the optimistic read

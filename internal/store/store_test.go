@@ -61,23 +61,23 @@ func TestRangePartitionerRejectsUnsortedBounds(t *testing.T) {
 }
 
 // TestRouterSharedDegradesToExclusive: on a lock without shared mode,
-// Shared must still exclude (it takes the exclusive path).
+// SharedAt must still exclude (it takes the exclusive path).
 func TestRouterSharedDegradesToExclusive(t *testing.T) {
 	r := NewRouter(NewHashPartitioner(2),
 		func(int) lockapi.Lock { return locks.NewTicket() },
 		func(int) *int { v := 0; return &v })
 	s := r.NewSession()
 	ran := false
-	s.Shared(p0, []byte("k"), func(shard int, data *int) {
+	s.SharedAt(p0, 0, func(shard int, data *int) {
 		ran = true
 		*data++ // legal: the degraded path is exclusive
 	})
 	if !ran {
-		t.Fatal("Shared never ran fn")
+		t.Fatal("SharedAt never ran fn")
 	}
 }
 
-// TestRouterSharedUsesRWLocker: with an rwlock shard lock, Shared takes the
+// TestRouterSharedUsesRWLocker: with an rwlock shard lock, SharedAt takes the
 // shared path (observable because the adapter emits no observer edges for
 // shared acquisitions, while the exclusive path emits both).
 func TestRouterSharedUsesRWLocker(t *testing.T) {
@@ -92,7 +92,7 @@ func TestRouterSharedUsesRWLocker(t *testing.T) {
 		},
 		func(int) struct{} { return struct{}{} })
 	s := r.NewSession()
-	s.Shared(p0, []byte("k"), func(int, struct{}) {})
+	s.SharedAt(p0, 0, func(int, struct{}) {})
 	if edges != 0 {
 		t.Errorf("shared acquisition emitted %d exclusive edges", edges)
 	}

@@ -12,11 +12,12 @@ import (
 // This file is the YCSB-style workload driver for the sharded LSM: the
 // standard serving-benchmark operation mixes (read-mostly, write-heavy,
 // read-modify-write, scan) over uniform, Zipfian, or hotspot key
-// distributions, run natively on goroutines. The simulator-side analog —
-// deterministic, per-shard-observed — is internal/workload's KV model; this
-// driver measures the real store on real hardware (with DESIGN.md §1's
-// caveat that goroutine numbers reflect the Go scheduler as much as the
-// lock).
+// distributions, run natively on goroutines. The request generator (Mix.Op,
+// KeyPicker) is shared with internal/workload's RunKV, which drives this
+// package's Router on the simulator — deterministic and per-shard observed —
+// where this driver measures the real store on real hardware (with
+// DESIGN.md §1's caveat that goroutine numbers reflect the Go scheduler as
+// much as the lock).
 
 // Mix is a YCSB-style operation mix; the percentages must sum to 100.
 type Mix struct {
@@ -26,8 +27,8 @@ type Mix struct {
 	// point writes, read-modify-writes (a read then a write of the same key,
 	// two lock acquisitions like a real serving path), and range scans.
 	ReadPct, UpdatePct, RMWPct, ScanPct int
-	// ScanLen is the maximum scan length in keys (uniformly drawn per scan,
-	// YCSB workload E style); 0 defaults to 50 when ScanPct > 0.
+	// ScanLen is the maximum scan length in keys: a scan covers
+	// 1+Intn(ScanLen) keys, YCSB workload E style. Required when ScanPct > 0.
 	ScanLen int
 }
 
@@ -47,6 +48,34 @@ var (
 
 // Mixes lists the standard mixes in sweep order.
 func Mixes() []Mix { return []Mix{ReadMostly, WriteHeavy, ReadModifyWrite, ScanHeavy} }
+
+// OpKind is one request type of a Mix.
+type OpKind int
+
+// The request types, in the order a Mix's percentages stack.
+const (
+	OpRead OpKind = iota
+	OpUpdate
+	OpRMW
+	OpScan
+)
+
+// Op maps a roll in [0, 100) to the request type the mix assigns it.
+func (m Mix) Op(roll int) OpKind {
+	switch {
+	case roll < m.ReadPct:
+		return OpRead
+	case roll < m.ReadPct+m.UpdatePct:
+		return OpUpdate
+	case roll < m.ReadPct+m.UpdatePct+m.RMWPct:
+		return OpRMW
+	default:
+		return OpScan
+	}
+}
+
+// ZipfTheta is the default Zipfian skew (YCSB's).
+const ZipfTheta = 0.99
 
 // Key distributions for YCSBOptions.Dist.
 const (
@@ -74,7 +103,7 @@ type YCSBOptions struct {
 	Mix Mix
 	// Dist is the key distribution (default DistUniform).
 	Dist string
-	// Theta is the Zipfian skew for DistZipfian (default 0.99).
+	// Theta is the Zipfian skew for DistZipfian (default ZipfTheta).
 	Theta float64
 	// ValueSize is the written value size (default 100, the db_bench value).
 	ValueSize int
@@ -107,24 +136,26 @@ func (r YCSBResult) ThroughputOpsPerUs() float64 {
 	return float64(r.Ops) / us
 }
 
-// keyPicker draws key indices for one worker.
-type keyPicker struct {
+// KeyPicker draws key indices for one worker.
+type KeyPicker struct {
 	dist string
 	keys int
 	rng  *xrand.Rand
 	zipf *xrand.Zipf
 }
 
-func newKeyPicker(dist string, keys int, theta float64, rng *xrand.Rand) *keyPicker {
-	kp := &keyPicker{dist: dist, keys: keys, rng: rng}
+// NewKeyPicker returns a picker over [0, keys) drawing from rng with the
+// named distribution (Dist* constants; theta is the Zipfian skew).
+func NewKeyPicker(dist string, keys int, theta float64, rng *xrand.Rand) *KeyPicker {
+	kp := &KeyPicker{dist: dist, keys: keys, rng: rng}
 	if dist == DistZipfian {
 		kp.zipf = xrand.NewZipf(rng, uint64(keys), theta)
 	}
 	return kp
 }
 
-// next returns the next key index in [0, keys).
-func (kp *keyPicker) next() int {
+// Next returns the next key index in [0, keys).
+func (kp *KeyPicker) Next() int {
 	switch kp.dist {
 	case DistZipfian:
 		// Scatter ranks with a multiplicative hash so the hot set is spread
@@ -163,14 +194,10 @@ func RunYCSB(kv *KV, o YCSBOptions) YCSBResult {
 		o.Dist = DistUniform
 	}
 	if o.Theta == 0 {
-		o.Theta = 0.99
+		o.Theta = ZipfTheta
 	}
 	if o.ValueSize == 0 {
 		o.ValueSize = 100
-	}
-	scanLen := o.Mix.ScanLen
-	if scanLen == 0 {
-		scanLen = 50
 	}
 
 	sessions := make([]*KVSession, o.Threads)
@@ -189,7 +216,7 @@ func RunYCSB(kv *KV, o YCSBOptions) YCSBResult {
 			defer wg.Done()
 			p := lockapi.NewNativeProc(id)
 			rng := xrand.New(o.Seed + uint64(id)*7919 + 1)
-			kp := newKeyPicker(o.Dist, o.Keys, o.Theta, rng.Split())
+			kp := NewKeyPicker(o.Dist, o.Keys, o.Theta, rng.Split())
 			s := sessions[id]
 			val := make([]byte, o.ValueSize)
 			keyBuf := make([]byte, 0, kvstore.KeyWidth)
@@ -208,26 +235,25 @@ func RunYCSB(kv *KV, o YCSBOptions) YCSBResult {
 					return
 				default:
 				}
-				k := kp.next()
+				k := kp.Next()
 				keyBuf = kvstore.AppendKey(keyBuf[:0], k)
-				roll := rng.Intn(100)
-				switch {
-				case roll < o.Mix.ReadPct:
+				switch o.Mix.Op(rng.Intn(100)) {
+				case OpRead:
 					if _, ok := s.Get(p, keyBuf); !ok {
 						misses++
 					}
 					reads++
-				case roll < o.Mix.ReadPct+o.Mix.UpdatePct:
+				case OpUpdate:
 					s.Put(p, keyBuf, val)
 					updates++
-				case roll < o.Mix.ReadPct+o.Mix.UpdatePct+o.Mix.RMWPct:
+				case OpRMW:
 					if _, ok := s.Get(p, keyBuf); !ok {
 						misses++
 					}
 					s.Put(p, keyBuf, val)
 					rmws++
-				default:
-					n := 1 + rng.Intn(scanLen)
+				case OpScan:
+					n := 1 + rng.Intn(o.Mix.ScanLen)
 					end := kvstore.Key(min(k+n, o.Keys))
 					got := 0
 					s.Scan(p, keyBuf, end, func([]byte, []byte) bool {

@@ -118,11 +118,11 @@ func TestYCSBShardedRWLockBeatsGlobalLock(t *testing.T) {
 // TestZipfPickerSpreadsHotKeys: the scattered Zipfian picker must not leave
 // whole shards idle (hot ranks are hashed across the keyspace).
 func TestZipfPickerSpreadsHotKeys(t *testing.T) {
-	kp := newKeyPicker(DistZipfian, 1000, 0.99, xrand.New(3))
+	kp := NewKeyPicker(DistZipfian, 1000, 0.99, xrand.New(3))
 	part := NewHashPartitioner(8)
 	seen := map[int]int{}
 	for i := 0; i < 5000; i++ {
-		seen[part.Shard(kvstore.Key(kp.next()))]++
+		seen[part.Shard(kvstore.Key(kp.Next()))]++
 	}
 	for sh := 0; sh < 8; sh++ {
 		if seen[sh] == 0 {

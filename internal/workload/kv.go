@@ -3,24 +3,46 @@ package workload
 import (
 	"fmt"
 
+	"github.com/clof-go/clof/internal/kvstore"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/memsim"
-	"github.com/clof-go/clof/internal/obs"
 	"github.com/clof-go/clof/internal/store"
 	"github.com/clof-go/clof/internal/topo"
-	"github.com/clof-go/clof/internal/xrand"
 )
 
-// This file is the simulator-side model of the sharded KV serving engine
-// (internal/store, DESIGN.md S32). Like the LevelDB/Kyoto presets it models
-// the lock protocol exactly and the engine work as calibrated think time:
-// N shards, each a lock plus protected data cells; threads draw keys from a
-// YCSB-style distribution, route to the owning shard, and run the mix's
-// operation under the shard's lock — shared mode for reads when the lock is
-// a lockapi.RWLocker, exclusive otherwise; scans visit consecutive shards
-// ascending, one lock at a time, exactly like the native store's merged
-// scan. Everything derives from Config.Seed, so the kv figures are
-// byte-reproducible where native goroutine runs are not (DESIGN.md §1).
+// This file drives the sharded serving engine's router (internal/store,
+// DESIGN.md S32/S33) on the simulator. Routing, the request generator, shard
+// locking and the optimistic-read path with its adaptive retry budget are
+// the store's own code: writes run through Session.ExclusiveAt, reads and
+// scan visits through Session.OptimisticAt. Only the shard payload is
+// simulated — a four-cell record per shard, with the engine's work charged
+// as calibrated think time like the LevelDB/Kyoto presets. Everything
+// derives from KVConfig.Seed, so the kv figures are byte-reproducible where
+// native goroutine runs are not (DESIGN.md §1).
+
+// KVKeys is the simulated keyspace size: keys are kvstore.Key(0..KVKeys-1).
+const KVKeys = 4096
+
+// Calibration of the simulated payload: the in-lock think times of a point
+// write, a point read, and each shard a scan visits (the LevelDB preset's
+// short critical section), and the out-of-lock think time, randomized ±50%.
+const (
+	kvWriteWork = 450
+	kvReadWork  = 300
+	kvScanWork  = 600
+	kvNCSWork   = 2400
+)
+
+// kvShard is one shard's payload: the record a writer bumps cell by cell,
+// plus the host-side oracle state the driver checks exclusion against. The
+// oracle fields are plain Go variables, not simulated memory, so they never
+// change the schedule; memsim runs one vCPU at a time, so they need no
+// synchronization.
+type kvShard struct {
+	record [4]lockapi.Cell
+	held   bool   // a writer is inside
+	epoch  uint64 // bumped by writers on entry and exit: odd while one is inside
+}
 
 // KVConfig parameterizes a simulated sharded serving run.
 type KVConfig struct {
@@ -31,7 +53,8 @@ type KVConfig struct {
 	// Shards is the shard count (default 1).
 	Shards int
 	// NewShardLock builds one shard's lock; it is called Shards times. Locks
-	// implementing lockapi.RWLocker serve reads in shared mode.
+	// implementing lockapi.RWLocker serve pessimistic reads in shared mode,
+	// lockapi.SeqReader locks serve reads optimistically first.
 	NewShardLock func() lockapi.Lock
 	// Horizon is the virtual duration in nanoseconds.
 	Horizon int64
@@ -42,92 +65,45 @@ type KVConfig struct {
 	// concentrates 80% of keys in the first fifth of the keyspace, which
 	// under RangePartition becomes a hot shard.
 	Dist string
-	// Theta is the Zipfian skew (default 0.99).
-	Theta float64
-	// Keys is the synthetic keyspace size (default 4096).
-	Keys int
-	// RangePartition routes key k to shard k*Shards/Keys (contiguous ranges,
-	// ordered shards); false routes by multiplicative hash.
+	// RangePartition routes by contiguous key ranges (store.NewPartitioner
+	// with the keyspace as rangeKeys); false routes by the store's hash.
 	RangePartition bool
-	// ReadWork / WriteWork are the in-lock think times of point ops (ns);
-	// ScanWork is charged per shard a scan visits. Defaults mirror the
-	// LevelDB preset's short critical section.
-	ReadWork, WriteWork, ScanWork int64
-	// ScanShards is how many consecutive shards a scan visits (default 2,
-	// clamped to Shards).
-	ScanShards int
-	// NCSWork is the out-of-lock think time (ns), randomized ±50%.
-	NCSWork int64
 	// Seed makes the run reproducible.
 	Seed uint64
-	// JitterNS is per-operation timing jitter (0 = off).
-	JitterNS int64
 	// Observer, when non-nil, supplies a per-shard observer: shard i's lock
-	// is wrapped via lockapi.Instrument(lock, Observer(i)) before contexts
-	// are created. Shared acquisitions emit no edges; KVResult's
-	// SharedPerShard carries those counts instead.
+	// is wrapped via lockapi.Instrument(lock, Observer(i)) before the router
+	// is built. Shared acquisitions emit no edges; KVResult's SharedPerShard
+	// carries those counts instead.
 	Observer func(shard int) lockapi.Observer
 }
 
 // KVResult reports a simulated serving run. The embedded Result's
 // HandoverLevels stay zero — per-shard handover locality lives in the obs
-// collectors attached via KVConfig.Observer.
+// collectors attached via KVConfig.Observer. Its ExclusionViolations counts
+// writers entering a held shard and exclusive-mode reads that overlapped a
+// writer.
 type KVResult struct {
 	Result
-	// PerShard counts lock acquisitions per shard (exclusive + shared,
-	// scan visits included) — the contention attribution the serving
-	// experiments report. Validated optimistic reads acquire no lock and are
-	// counted in OptimisticPerShard instead.
+	// PerShard counts lock acquisitions per shard: writes, plus reads and
+	// scan visits that ran under the shard lock. Reads served by a validated
+	// optimistic attempt acquire no lock and are not counted.
 	PerShard []uint64
 	// SharedPerShard counts the shared-mode subset of PerShard (0 for locks
 	// without a shared path).
 	SharedPerShard []uint64
-	// OptimisticPerShard counts optimistic (seqlock-validated) read attempts
-	// per shard — the seq: family's lock-free read sections, successful or
-	// not. 0 for shard locks without a lockapi.SeqReader path.
-	OptimisticPerShard []uint64
-	// OCCValidationFailsPerShard counts optimistic attempts whose snapshot a
-	// concurrent version bump invalidated (each is a retry or, once the
-	// budget is spent, a fallback) — the obs layer's per-shard retry metric.
-	OCCValidationFailsPerShard []uint64
-	// OCCFallbacksPerShard counts reads that exhausted the shard's adaptive
-	// attempt budget and fell back to the pessimistic shard lock.
-	OCCFallbacksPerShard []uint64
+	// OCC is the router's per-shard optimistic-read accounting
+	// (store.Router.OCCStats; all zero for locks without a seqlock path).
+	OCC []store.OCCShardStats
 	// Reads / Updates / RMWs / Scans split completed iterations by kind.
 	Reads, Updates, RMWs, Scans uint64
-	// SharedViolations counts shared acquisitions granted while a writer
-	// held the shard, plus exclusive grants while readers were active (must
-	// be 0 for a correct reader-writer lock).
+	// SharedViolations counts shared-mode reads that overlapped a writer
+	// (must be 0 for a correct reader-writer lock).
 	SharedViolations uint64
-	// TornReads counts validated optimistic sections whose 4-cell equality
-	// oracle observed mixed values — a read the seqlock protocol should have
-	// discarded (must be 0 for a correct seqlock).
+	// TornReads counts reads a validated optimistic attempt served although
+	// it overlapped a writer or saw unequal record cells — a read the seqlock
+	// protocol should have discarded (must be 0 for a correct seqlock).
 	TornReads uint64
 }
-
-// OCCStats folds the per-shard optimistic counters into one obs.OCCOps
-// block per shard, ready for obs.CombineShards.
-func (r *KVResult) OCCStats() []obs.OCCOps {
-	out := make([]obs.OCCOps, len(r.OptimisticPerShard))
-	for i := range out {
-		out[i] = obs.OCCOps{
-			Optimistic:         r.OptimisticPerShard[i],
-			ValidationFailures: r.OCCValidationFailsPerShard[i],
-			Fallbacks:          r.OCCFallbacksPerShard[i],
-		}
-	}
-	return out
-}
-
-// Adaptive per-shard optimistic attempt budget — the same policy as the
-// native store's occShard (internal/store): start at 4, halve on fallback,
-// grow by one after 64 consecutive first-attempt validations, clamp [1, 8].
-const (
-	occKStart    = 4
-	occKMin      = 1
-	occKMax      = 8
-	occGrowAfter = 64
-)
 
 // RunKV executes the simulated serving workload; it reports an error on
 // deadlock.
@@ -135,261 +111,129 @@ func RunKV(cfg KVConfig) (KVResult, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Keys <= 0 {
-		cfg.Keys = 4096
-	}
 	if cfg.Mix.Name == "" {
 		cfg.Mix = store.ReadMostly
 	}
-	if cfg.Dist == "" {
-		cfg.Dist = store.DistUniform
-	}
-	if cfg.Theta == 0 {
-		cfg.Theta = 0.99
-	}
-	if cfg.ReadWork == 0 {
-		cfg.ReadWork = 300
-	}
-	if cfg.WriteWork == 0 {
-		cfg.WriteWork = 450
-	}
-	if cfg.ScanWork == 0 {
-		cfg.ScanWork = 600
-	}
-	if cfg.NCSWork == 0 {
-		cfg.NCSWork = 2400
-	}
-	scanShards := cfg.ScanShards
-	if scanShards <= 0 {
-		scanShards = 2
-	}
-	if scanShards > cfg.Shards {
-		scanShards = cfg.Shards
-	}
-
 	cpus, err := topo.Placement(cfg.Machine, cfg.Threads)
 	if err != nil {
 		return KVResult{}, err
 	}
 	n := len(cpus)
-	m := memsim.New(memsim.Config{Machine: cfg.Machine, Seed: cfg.Seed, JitterNS: cfg.JitterNS})
+	m := memsim.New(memsim.Config{Machine: cfg.Machine, Seed: cfg.Seed})
 
-	// Per-shard state: lock (instrumented before contexts), RW/seqlock
-	// capability, data cells, exclusion bookkeeping, adaptive OCC budget.
-	// The SeqReader capability is taken from the raw lock: optimistic reads
-	// never touch Acquire/Release, so there is nothing for an observer to
-	// see and no reason to lose the capability behind the instrument wrapper
-	// (the workload reports them via OptimisticPerShard instead, the same
-	// split as SharedPerShard).
-	locks := make([]lockapi.Lock, cfg.Shards)
-	rws := make([]lockapi.RWLocker, cfg.Shards)
-	sqs := make([]lockapi.SeqReader, cfg.Shards)
-	data := make([][]lockapi.Cell, cfg.Shards)
-	held := make([]bool, cfg.Shards)
-	readers := make([]int, cfg.Shards)
-	occK := make([]int, cfg.Shards)
-	occClean := make([]int, cfg.Shards)
-	for i := range locks {
+	rangeKeys := 0
+	if cfg.RangePartition {
+		rangeKeys = KVKeys
+	}
+	part := store.NewPartitioner(cfg.Shards, rangeKeys)
+	router := store.NewRouter(part, func(i int) lockapi.Lock {
 		l := cfg.NewShardLock()
-		sqs[i], _ = l.(lockapi.SeqReader)
 		if cfg.Observer != nil {
 			l = lockapi.Instrument(l, cfg.Observer(i))
 		}
-		locks[i] = l
-		rws[i], _ = l.(lockapi.RWLocker)
-		data[i] = make([]lockapi.Cell, 4)
-		occK[i] = occKStart
-	}
-	ctxs := make([][]lockapi.Ctx, n)
-	for t := 0; t < n; t++ {
-		ctxs[t] = make([]lockapi.Ctx, cfg.Shards)
-		for i, l := range locks {
-			ctxs[t][i] = l.NewCtx()
-		}
+		return l
+	}, func(int) *kvShard { return new(kvShard) })
+	shared := make([]bool, cfg.Shards)
+	for i := range shared {
+		_, shared[i] = router.LockAt(i).(lockapi.RWLocker)
 	}
 
 	res := KVResult{
-		Result:                     Result{PerThread: make([]uint64, n)},
-		PerShard:                   make([]uint64, cfg.Shards),
-		SharedPerShard:             make([]uint64, cfg.Shards),
-		OptimisticPerShard:         make([]uint64, cfg.Shards),
-		OCCValidationFailsPerShard: make([]uint64, cfg.Shards),
-		OCCFallbacksPerShard:       make([]uint64, cfg.Shards),
+		Result:         Result{PerThread: make([]uint64, n)},
+		PerShard:       make([]uint64, cfg.Shards),
+		SharedPerShard: make([]uint64, cfg.Shards),
 	}
-
-	shardOf := func(key int) int {
-		if cfg.RangePartition {
-			return key * cfg.Shards / cfg.Keys
-		}
-		return int((uint64(key) * 2654435761) % uint64(cfg.Shards))
-	}
-
 	for t := 0; t < n; t++ {
-		t := t
+		s := router.NewSession()
 		m.Spawn(cpus[t], func(p *memsim.Proc) {
 			rng := p.Rand()
-			var zipf *xrand.Zipf
-			if cfg.Dist == store.DistZipfian {
-				zipf = xrand.NewZipf(rng.Split(), uint64(cfg.Keys), cfg.Theta)
-			}
-			nextKey := func() int {
-				switch cfg.Dist {
-				case store.DistZipfian:
-					return int((zipf.Next() * 2654435761) % uint64(cfg.Keys))
-				case store.DistHotspot:
-					hot := cfg.Keys / 5
-					if hot < 1 || hot == cfg.Keys {
-						return rng.Intn(cfg.Keys)
-					}
-					if rng.Intn(100) < 80 {
-						return rng.Intn(hot)
-					}
-					return hot + rng.Intn(cfg.Keys-hot)
-				default:
-					return rng.Intn(cfg.Keys)
+			kp := store.NewKeyPicker(cfg.Dist, KVKeys, store.ZipfTheta, rng.Split())
+			key := make([]byte, 0, kvstore.KeyWidth)
+
+			// write runs under the shard's exclusive lock, counted once the
+			// lock is held — like the observer's Acquired edge.
+			write := func(i int, sh *kvShard) {
+				res.PerShard[i]++
+				if sh.held {
+					res.ExclusionViolations++
 				}
+				sh.held = true
+				sh.epoch++
+				for c := range sh.record {
+					p.Add(&sh.record[c], 1, lockapi.Relaxed)
+				}
+				p.Work(kvWriteWork)
+				sh.epoch++
+				sh.held = false
 			}
-			// sharedRead acquires shard i in shared mode when available and
-			// charges work ns while reading the shard's record — the same
-			// four cells the optimistic path loads, so the two read
-			// disciplines differ only in their synchronization cost, not in
-			// the data they observe. The first load is Acquire out of
-			// discipline; the rest ride the lock's ordering.
-			// Shard counts increment after the acquisition completes: a
-			// thread can end the run parked inside Acquire (the horizon
-			// expires while it waits), and such an attempt is neither
-			// observed nor served.
-			readRecord := func(i int) {
-				p.Load(&data[i][0], lockapi.Acquire)
-				p.Load(&data[i][1], lockapi.Relaxed)
-				p.Load(&data[i][2], lockapi.Relaxed)
-				p.Load(&data[i][3], lockapi.Relaxed)
+			// readRecord is one read attempt. OptimisticAt may run it several
+			// times; each run overwrites the observations, so after it
+			// returns they describe the attempt that served the read.
+			var (
+				work   int64     // in-lock think time of the read in flight
+				v      [4]uint64 // the record as the attempt loaded it
+				e0, e1 uint64    // the shard's writer epoch at entry and exit
+			)
+			readRecord := func(_ int, sh *kvShard) {
+				e0 = sh.epoch
+				for c := range v {
+					v[c] = p.Load(&sh.record[c], lockapi.Relaxed)
+				}
+				p.Work(work)
+				e1 = sh.epoch
 			}
-			sharedRead := func(i int, work int64) {
-				if rw := rws[i]; rw != nil {
-					rw.AcquireShared(p, ctxs[t][i])
-					res.PerShard[i]++
+			read := func(i int, w int64) {
+				work = w
+				optimistic := s.OptimisticAt(p, i, readRecord)
+				overlap := e0&1 == 1 || e1 != e0
+				switch {
+				case optimistic:
+					if overlap || v[0] != v[1] || v[1] != v[2] || v[2] != v[3] {
+						res.TornReads++
+					}
+					return
+				case shared[i]:
 					res.SharedPerShard[i]++
-					if held[i] {
+					if overlap {
 						res.SharedViolations++
 					}
-					readers[i]++
-					readRecord(i)
-					p.Work(work)
-					readers[i]--
-					rw.ReleaseShared(p, ctxs[t][i])
-					return
-				}
-				locks[i].Acquire(p, ctxs[t][i])
-				res.PerShard[i]++
-				if held[i] {
+				case overlap:
 					res.ExclusionViolations++
 				}
-				held[i] = true
-				readRecord(i)
-				p.Work(work)
-				held[i] = false
-				locks[i].Release(p, ctxs[t][i])
-			}
-			// occRead mirrors the native store's optimistic read discipline
-			// (internal/store KVSession.Get): up to occK[i] unlocked attempts
-			// bracketed by ReadSeq/ReadValidate, then a pessimistic fallback
-			// through sharedRead. Each attempt reads all four shard cells
-			// Relaxed; a writer bumps them together under the lock, so a
-			// validated snapshot must see four equal values — unequal values
-			// escaping validation are torn reads (TornReads, must be 0).
-			// Optimistic attempts acquire no lock and so never touch
-			// PerShard, held, or readers.
-			occRead := func(i int, work int64) {
-				sq := sqs[i]
-				if sq == nil {
-					sharedRead(i, work)
-					return
-				}
-				k := occK[i]
-				for a := 0; a < k; a++ {
-					res.OptimisticPerShard[i]++
-					s := sq.ReadSeq(p)
-					v0 := p.Load(&data[i][0], lockapi.Relaxed)
-					v1 := p.Load(&data[i][1], lockapi.Relaxed)
-					v2 := p.Load(&data[i][2], lockapi.Relaxed)
-					v3 := p.Load(&data[i][3], lockapi.Relaxed)
-					p.Work(work)
-					if sq.ReadValidate(p, s) {
-						if v0 != v1 || v1 != v2 || v2 != v3 {
-							res.TornReads++
-						}
-						if a == 0 {
-							if occClean[i]++; occClean[i] >= occGrowAfter {
-								occClean[i] = 0
-								if occK[i] < occKMax {
-									occK[i]++
-								}
-							}
-						} else {
-							occClean[i] = 0
-						}
-						return
-					}
-					res.OCCValidationFailsPerShard[i]++
-				}
-				res.OCCFallbacksPerShard[i]++
-				occClean[i] = 0
-				if occK[i] /= 2; occK[i] < occKMin {
-					occK[i] = occKMin
-				}
-				sharedRead(i, work)
-			}
-			exclusiveWrite := func(i int, work int64) {
-				locks[i].Acquire(p, ctxs[t][i])
 				res.PerShard[i]++
-				if held[i] {
-					res.ExclusionViolations++
-				}
-				if readers[i] > 0 {
-					res.SharedViolations++
-				}
-				held[i] = true
-				for d := range data[i] {
-					p.Add(&data[i][d], 1, lockapi.Relaxed)
-				}
-				p.Work(work)
-				held[i] = false
-				locks[i].Release(p, ctxs[t][i])
 			}
 
 			p.Work(1 + rng.Int63n(1000))
 			for !p.Expired() {
-				key := nextKey()
-				sh := shardOf(key)
-				roll := rng.Intn(100)
-				switch {
-				case roll < cfg.Mix.ReadPct:
-					occRead(sh, cfg.ReadWork)
+				k := kp.Next()
+				key = kvstore.AppendKey(key[:0], k)
+				sh := part.Shard(key)
+				switch cfg.Mix.Op(rng.Intn(100)) {
+				case store.OpRead:
+					read(sh, kvReadWork)
 					res.Reads++
-				case roll < cfg.Mix.ReadPct+cfg.Mix.UpdatePct:
-					exclusiveWrite(sh, cfg.WriteWork)
+				case store.OpUpdate:
+					s.ExclusiveAt(p, sh, write)
 					res.Updates++
-				case roll < cfg.Mix.ReadPct+cfg.Mix.UpdatePct+cfg.Mix.RMWPct:
-					occRead(sh, cfg.ReadWork)
-					exclusiveWrite(sh, cfg.WriteWork)
+				case store.OpRMW:
+					read(sh, kvReadWork)
+					s.ExclusiveAt(p, sh, write)
 					res.RMWs++
-				default:
-					// Merged scan: consecutive shards ascending, one shard at
-					// a time (the native store's discipline; seqlock shards
-					// collect optimistically, exactly like scanShard).
-					last := sh + scanShards
-					if last > cfg.Shards {
-						last = cfg.Shards
+				case store.OpScan:
+					// The shards KVSession.Scan visits for a span of keys
+					// starting at k: those the span covers, ascending, under a
+					// range partition; every shard under the hash partition.
+					end := min(k+1+rng.Intn(cfg.Mix.ScanLen), KVKeys)
+					first, last := 0, cfg.Shards-1
+					if router.Ordered() {
+						first, last = sh, part.Shard(kvstore.AppendKey(key[:0], end-1))
 					}
-					for i := sh; i < last; i++ {
-						occRead(i, cfg.ScanWork)
+					for i := first; i <= last; i++ {
+						read(i, kvScanWork)
 					}
 					res.Scans++
 				}
-				if cfg.NCSWork > 0 {
-					p.Work(cfg.NCSWork/2 + rng.Int63n(cfg.NCSWork+1))
-				}
+				p.Work(kvNCSWork/2 + rng.Int63n(kvNCSWork+1))
 				res.PerThread[t]++
 			}
 		})
@@ -403,5 +247,6 @@ func RunKV(cfg KVConfig) (KVResult, error) {
 	}
 	res.Events = r.Events
 	res.Now = r.Now
+	res.OCC = router.OCCStats()
 	return res, nil
 }

@@ -82,8 +82,9 @@ func TestKVExclusionAcrossLocks(t *testing.T) {
 }
 
 // TestKVOptimisticReads: seqlock shard locks serve the read-mostly mix
-// through the lock-free validated path — reads bypass the shard lock, the
-// torn-read oracle stays clean, and the OCC counters are self-consistent.
+// through the router's lock-free validated path — reads bypass the shard
+// lock, the torn-read oracle stays clean, and the router's OCC counters are
+// self-consistent.
 func TestKVOptimisticReads(t *testing.T) {
 	m := topo.X86Server()
 	r, err := RunKV(KVConfig{
@@ -104,10 +105,10 @@ func TestKVOptimisticReads(t *testing.T) {
 		t.Errorf("violations: %d exclusion, %d shared", r.ExclusionViolations, r.SharedViolations)
 	}
 	var opt, vfails, falls, acqs uint64
-	for i := range r.OptimisticPerShard {
-		opt += r.OptimisticPerShard[i]
-		vfails += r.OCCValidationFailsPerShard[i]
-		falls += r.OCCFallbacksPerShard[i]
+	for i, st := range r.OCC {
+		opt += st.Optimistic
+		vfails += st.ValidationFailures
+		falls += st.Fallbacks
 		acqs += r.PerShard[i]
 	}
 	if opt == 0 {
@@ -131,21 +132,23 @@ func TestKVOptimisticReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range r2.OptimisticPerShard {
-		if c != 0 {
-			t.Errorf("shard %d: %d optimistic reads on a plain ticket lock", i, c)
+	for i, st := range r2.OCC {
+		if st.Optimistic != 0 {
+			t.Errorf("shard %d: %d optimistic reads on a plain ticket lock", i, st.Optimistic)
 		}
 	}
 }
 
-// TestKVScanVisitsConsecutiveShards: the scan mix attributes acquisitions
-// to multiple shards per iteration and stays deadlock-free.
+// TestKVScanVisitsConsecutiveShards: under a range partition a scan visits
+// every shard its key span covers, so some scans cross a shard boundary, and
+// the walk stays deadlock-free.
 func TestKVScanVisitsConsecutiveShards(t *testing.T) {
+	const threads = 8
 	m := topo.X86Server()
 	r, err := RunKV(KVConfig{
-		Machine: m, Threads: 8, Shards: 8, Horizon: 150_000,
+		Machine: m, Threads: threads, Shards: 32, Horizon: 1_000_000,
 		NewShardLock: func() lockapi.Lock { return locks.NewMCS() },
-		Mix:          store.ScanHeavy, ScanShards: 3, Seed: 3,
+		Mix:          store.ScanHeavy, RangePartition: true, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +160,12 @@ func TestKVScanVisitsConsecutiveShards(t *testing.T) {
 	for _, c := range r.PerShard {
 		acqs += c
 	}
-	// Point ops acquire once; scans acquire up to 3 times — total shard
-	// acquisitions must exceed completed ops (RMWs also double-acquire).
-	if acqs <= r.Total {
-		t.Errorf("acquisitions %d <= iterations %d; scans did not visit multiple shards", acqs, r.Total)
+	// MCS has neither a shared nor an optimistic path, so every read, write
+	// and scan visit is one acquisition. Were every scan confined to one
+	// shard, acquisitions would be Reads+Updates+2*RMWs+Scans, plus at most
+	// two per thread for the operation the horizon cut short.
+	if single := r.Reads + r.Updates + 2*r.RMWs + r.Scans + 2*threads; acqs <= single {
+		t.Errorf("acquisitions %d <= %d; no scan crossed a shard boundary", acqs, single)
 	}
 }
 
@@ -170,8 +175,8 @@ func TestKVHotspotRangeSkew(t *testing.T) {
 	m := topo.X86Server()
 	r, err := RunKV(KVConfig{
 		Machine: m, Threads: 8, Shards: 4, Horizon: 150_000,
-		NewShardLock:   func() lockapi.Lock { return locks.NewTicket() },
-		Mix:            store.WriteHeavy, Dist: store.DistHotspot,
+		NewShardLock: func() lockapi.Lock { return locks.NewTicket() },
+		Mix:          store.WriteHeavy, Dist: store.DistHotspot,
 		RangePartition: true, Seed: 11,
 	})
 	if err != nil {
@@ -187,41 +192,84 @@ func TestKVHotspotRangeSkew(t *testing.T) {
 }
 
 // TestKVObserverPerShard: per-shard obs collectors see the exclusive
-// acquisitions; CombineShards' block matches the workload's own counts for
-// exclusive-only locks.
+// acquisitions the driver counts for exclusive-only locks, and
+// CombineShards' shard block sums to its aggregate.
 func TestKVObserverPerShard(t *testing.T) {
+	const threads, shards = 8, 4
 	m := topo.X86Server()
-	const shards = 4
 	collectors := make([]*obs.Collector, shards)
 	for i := range collectors {
 		collectors[i] = obs.NewCollector(m, obs.Options{})
 	}
 	r, err := RunKV(KVConfig{
-		Machine: m, Threads: 8, Shards: shards, Horizon: 150_000,
+		Machine: m, Threads: threads, Shards: shards, Horizon: 150_000,
 		NewShardLock: func() lockapi.Lock { return locks.NewTicket() },
 		Mix:          store.WriteHeavy, Seed: 13,
-		Observer:     func(i int) lockapi.Observer { return collectors[i] },
+		Observer: func(i int) lockapi.Observer { return collectors[i] },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := obs.CombineShards("tkt", collectors, r.SharedPerShard, r.OCCStats())
+	rep := obs.CombineShards("tkt", collectors, r.SharedPerShard, nil)
 	if len(rep.Shards) != shards {
 		t.Fatalf("report shards = %d", len(rep.Shards))
 	}
-	var fromObs uint64
+	var fromObs, unserved uint64
 	for i, s := range rep.Shards {
-		// A ticket lock has no shared mode: the observer saw every
-		// acquisition the workload routed to the shard.
-		if s.Acquisitions != r.PerShard[i] {
-			t.Errorf("shard %d: obs %d acquisitions, workload %d", i, s.Acquisitions, r.PerShard[i])
+		// A ticket lock has no shared mode, so the observer sees every
+		// acquisition the driver counts. A read counts once it returns, so
+		// a read the horizon stopped inside the lock is observed but not
+		// counted: at most one per thread.
+		if s.Acquisitions < r.PerShard[i] {
+			t.Errorf("shard %d: obs %d acquisitions < driver %d", i, s.Acquisitions, r.PerShard[i])
 		}
+		unserved += s.Acquisitions - r.PerShard[i]
 		if s.SharedOps != 0 {
 			t.Errorf("shard %d: shared ops %d on an exclusive-only lock", i, s.SharedOps)
 		}
 		fromObs += s.Acquisitions
 	}
+	if unserved > threads {
+		t.Errorf("obs saw %d acquisitions the driver did not count, want <= %d", unserved, threads)
+	}
 	if fromObs != rep.Acquisitions {
 		t.Errorf("shard block sums to %d, aggregate says %d", fromObs, rep.Acquisitions)
+	}
+}
+
+// blindSeq is a ticket lock whose optimistic read path belongs to a seqlock
+// no writer ever takes, so every snapshot validates: the seeded seqlock bug
+// the torn-read oracle must catch.
+type blindSeq struct {
+	lockapi.Lock      // writers: a plain ticket lock
+	lockapi.SeqReader // readers: a version word that never moves
+}
+
+// TestKVOraclesCatchSeededBugs: the host-side oracles fire on broken shard
+// locks — a lock that excludes nothing yields exclusion violations, and a
+// seqlock that certifies every snapshot yields torn reads.
+func TestKVOraclesCatchSeededBugs(t *testing.T) {
+	m := topo.X86Server()
+	run := func(mk func() lockapi.Lock) KVResult {
+		r, err := RunKV(KVConfig{
+			Machine: m, Threads: 12, Shards: 2, Horizon: 200_000,
+			NewShardLock: mk, Mix: store.WriteHeavy, Seed: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if r := run(func() lockapi.Lock { return lockapi.Noop{} }); r.ExclusionViolations == 0 {
+		t.Error("no exclusion violations with a no-op shard lock")
+	}
+	r := run(func() lockapi.Lock {
+		return blindSeq{locks.NewTicket(), seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}).(lockapi.SeqReader)}
+	})
+	if r.TornReads == 0 {
+		t.Error("no torn reads with a seqlock whose validation always passes")
+	}
+	if r.ExclusionViolations != 0 {
+		t.Errorf("%d exclusion violations: the writers' lock is intact", r.ExclusionViolations)
 	}
 }
