@@ -36,9 +36,9 @@ type benchJSONEntry struct {
 }
 
 // lockScenario runs one fixed-horizon contended-lock simulation and returns
-// the number of simulated operations (the same shape as benchLock).
-func lockScenario(mach *topo.Machine, lockName string, n int, disableRA bool) uint64 {
-	m := New(Config{Machine: mach, DisableRunAhead: disableRA})
+// the number of simulated operations.
+func lockScenario(mach *topo.Machine, lockName string, n int) uint64 {
+	m := New(Config{Machine: mach})
 	l := locks.MustType(lockName).New()
 	var shared lockapi.Cell
 	step := mach.NumCPUs() / n
@@ -83,11 +83,10 @@ func TestWriteBenchArtifact(t *testing.T) {
 		run  func() uint64
 	}{
 		{"machine_pingpong", func() uint64 { return pingPongOps(300_000) }},
-		{"machine_mcs8", func() uint64 { return lockScenario(topo.X86Server(), "mcs", 8, false) }},
-		{"machine_mcs32", func() uint64 { return lockScenario(topo.X86Server(), "mcs", 32, false) }},
-		{"machine_tkt8", func() uint64 { return lockScenario(topo.X86Server(), "tkt", 8, false) }},
-		{"machine_hemctr8_armv8", func() uint64 { return lockScenario(topo.Armv8Server(), "hem-ctr", 8, false) }},
-		{"machine_mcs8_scheduler_only", func() uint64 { return lockScenario(topo.X86Server(), "mcs", 8, true) }},
+		{"machine_mcs8", func() uint64 { return lockScenario(topo.X86Server(), "mcs", 8) }},
+		{"machine_mcs32", func() uint64 { return lockScenario(topo.X86Server(), "mcs", 32) }},
+		{"machine_tkt8", func() uint64 { return lockScenario(topo.X86Server(), "tkt", 8) }},
+		{"machine_hemctr8_armv8", func() uint64 { return lockScenario(topo.Armv8Server(), "hem-ctr", 8) }},
 	}
 
 	art := benchArtifact{

@@ -13,38 +13,38 @@
 // operations in virtual-time order, so results are exactly reproducible for
 // a given seed.
 //
-// Virtual CPUs are goroutines in a strict turn-taking protocol with the
+// Virtual CPUs are coroutines in a strict turn-taking protocol with the
 // scheduler: at any instant at most one simulated operation executes, so
 // the machine state needs no locking and the simulation is deterministic.
 //
-// # Execution core: the run-ahead fast path
+// # Execution core: coroutines and the run-ahead fast path
 //
-// The turn-taking protocol alone would cost two channel handoffs (four
-// goroutine context switches on one OS thread) per simulated memory
-// operation. The execution core avoids almost all of them: after charging
-// an operation, the running virtual CPU checks the event queue's cached
-// minimum inline, and if it is still strictly the globally earliest thread
-// — and inside the horizon — it simply keeps executing, advancing the
-// machine clock itself. Spin loops and uncontended critical sections, the
+// Each virtual CPU is a runtime coroutine (iter.Pull), and Machine.Run is
+// the only scheduler: it pops the earliest (time, seq) event, advances the
+// machine clock and resumes that thread, which runs until it yields the
+// turn back. A coroutine switch is a direct goroutine switch that bypasses
+// the Go scheduler's run queues, so a park or wake costs two switches and
+// no channel operation.
+//
+// Most operations do not switch at all. After charging an operation, the
+// running virtual CPU checks the event queue's cached minimum inline, and
+// if it is still strictly the globally earliest thread — and inside the
+// horizon — it simply keeps executing, advancing the machine clock itself
+// (Proc.yieldAt). Spin loops and uncontended critical sections, the
 // dominant operation streams of every lock benchmark, therefore run
-// handoff-free. When a thread does lose eligibility (or parks), it hands
-// the turn directly to the next-earliest thread with a single channel send
-// (Proc.handoff) instead of detouring through the scheduler goroutine,
-// which is left only termination, deadlock and thread-exit duty.
+// switch-free.
 //
 // The fast path is semantically invisible. A thread may run ahead only
-// under exactly the condition that would make the scheduler re-grant it the
-// very next event (queue empty, or its time strictly below the queue
-// minimum — ties go to the queued entry, which was pushed earlier and holds
-// the smaller sequence number), so the (time, seq) grant order — and with
-// it every simulated result, including Result.Events — is bit-identical to
-// the scheduler-only protocol. Config.DisableRunAhead forces the old
-// protocol for benchmarks and equivalence tests.
+// under exactly the condition that would make Run grant it the very next
+// event (queue empty, or its time strictly below the queue minimum — ties
+// go to the queued entry, which was pushed earlier and holds the smaller
+// sequence number), so the (time, seq) grant order — and with it every
+// simulated result, including Result.Events — is the queue's pop order.
+// TestRunAheadEquivalence pins that schedule bit for bit.
 package memsim
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/clof-go/clof/internal/eventq"
 	"github.com/clof-go/clof/internal/lockapi"
@@ -136,11 +136,6 @@ type Config struct {
 	// Trace, when non-nil, receives one event per memory operation (after
 	// its effects commit). For debugging lock protocols; adds overhead.
 	Trace func(ev TraceEvent)
-	// DisableRunAhead routes every operation through the scheduler channel
-	// handoff (the pre-fast-path protocol). Results are bit-identical
-	// either way; the flag exists for benchmarks quantifying the run-ahead
-	// fast path and for the equivalence tests that prove the claim.
-	DisableRunAhead bool
 }
 
 // TraceEvent describes one committed simulated memory operation.
@@ -213,21 +208,13 @@ type line struct {
 	stormers int
 }
 
-// Thread run states.
-const (
-	stReady int32 = iota
-	stParked
-	stDone
-)
-
 // Result summarizes a completed run.
 type Result struct {
 	// Now is the virtual time at which the run stopped.
 	Now int64
 	// Events is the number of simulation events granted: one per simulated
-	// operation slot, whether the grant went through the scheduler channel
-	// or the run-ahead fast path. The count is bit-identical under both
-	// protocols (and to the pre-fast-path simulator).
+	// operation slot, whether Run resumed the thread or the run-ahead fast
+	// path granted it inline.
 	Events uint64
 	// Deadlock reports that the event queue drained with threads still
 	// parked before the horizon was reached.
@@ -254,20 +241,15 @@ type Machine struct {
 	lines    map[any]*line
 	cellLine map[*lockapi.Cell]*line
 	lineSeq  int
-	q        eventq.Queue[*Proc]
-	yield    chan struct{}
-	threads  []*Proc
-	horizon  int64
-	now      int64
-	events   uint64
-	started  bool
-	noRA     bool
-	// horizonHit is set by a thread whose direct handoff (Proc.handoff)
-	// found the next event past the horizon; the scheduler finalizes.
-	horizonHit bool
-	// panicked is the thread whose workload function panicked; set by the
-	// thread wrapper before its final yield so the scheduler can propagate.
-	panicked *Proc
+	// cohorts[cpu][l] is topo's CohortOf(cpu, l) for every level below
+	// System, precomputed so shareLevel compares instead of dividing.
+	cohorts [][topo.System]int32
+	q       eventq.Queue[*Proc]
+	threads []*Proc
+	horizon int64
+	now     int64
+	events  uint64
+	started bool
 }
 
 // New builds a machine from cfg. It panics on an invalid topology, since
@@ -286,20 +268,37 @@ func New(cfg Config) *Machine {
 	if cfg.CPUSpeed != nil && len(cfg.CPUSpeed) != cfg.Machine.NumCPUs() {
 		panic(fmt.Sprintf("memsim: CPUSpeed has %d entries for %d CPUs", len(cfg.CPUSpeed), cfg.Machine.NumCPUs()))
 	}
+	ncpu := cfg.Machine.NumCPUs()
+	cohorts := make([][topo.System]int32, ncpu)
+	for cpu := range cohorts {
+		for l := topo.Core; l < topo.System; l++ {
+			cohorts[cpu][l] = int32(cfg.Machine.CohortOf(cpu, l))
+		}
+	}
 	return &Machine{
 		topo:     cfg.Machine,
 		lat:      lat,
 		arch:     cfg.Machine.Arch,
-		ncpu:     cfg.Machine.NumCPUs(),
+		ncpu:     ncpu,
 		rng:      xrand.New(cfg.Seed ^ 0xC10F),
 		jitter:   cfg.JitterNS,
 		speeds:   cfg.CPUSpeed,
 		trace:    cfg.Trace,
 		lines:    make(map[any]*line),
 		cellLine: make(map[*lockapi.Cell]*line),
-		yield:    make(chan struct{}),
-		noRA:     cfg.DisableRunAhead,
+		cohorts:  cohorts,
 	}
+}
+
+// shareLevel is topo's ShareLevel(a, b) read from the cohort table.
+func (m *Machine) shareLevel(a, b int) topo.Level {
+	ca, cb := &m.cohorts[a], &m.cohorts[b]
+	for l := topo.Core; l < topo.System; l++ {
+		if ca[l] == cb[l] {
+			return l
+		}
+	}
+	return topo.System
 }
 
 // Topo returns the simulated topology.
@@ -310,99 +309,6 @@ func (m *Machine) Latency() Latency { return m.lat }
 
 // Now returns the current virtual time in nanoseconds.
 func (m *Machine) Now() int64 { return m.now }
-
-// Spawn creates a virtual CPU thread pinned to the given CPU and running fn.
-// All Spawn calls must precede Run. fn runs entirely in virtual time; it
-// must perform all shared-memory accesses through the provided Proc.
-func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
-	if m.started {
-		panic("memsim: Spawn after Run")
-	}
-	if cpu < 0 || cpu >= m.topo.NumCPUs() {
-		panic(fmt.Sprintf("memsim: cpu %d out of range [0,%d)", cpu, m.topo.NumCPUs()))
-	}
-	p := &Proc{
-		m:      m,
-		cpu:    cpu,
-		resume: make(chan struct{}),
-		rng:    m.rng.Split(),
-	}
-	m.threads = append(m.threads, p)
-	m.q.Push(0, p)
-	go p.run(fn)
-	return p
-}
-
-// Run executes the simulation until the event queue drains or virtual time
-// exceeds horizon (horizon 0 means "no horizon": run to completion). It
-// returns statistics; Deadlock is set if every remaining thread is parked
-// with no pending event before the horizon.
-//
-// The scheduler loop below is mostly idle: fast-path operations advance
-// m.now and m.events inline from the running thread (Proc.yieldAt), and
-// slow-path grants hand off thread-to-thread (Proc.handoff) without waking
-// the scheduler. The loop only runs to start threads, to re-grant after a
-// thread exits, and to finalize on horizon overrun, queue exhaustion, or a
-// workload panic. (With Config.DisableRunAhead both shortcuts are off and
-// every grant flows through this loop, as in the original protocol.)
-func (m *Machine) Run(horizon int64) Result {
-	if m.started {
-		panic("memsim: Run called twice")
-	}
-	m.started = true
-	m.horizon = horizon
-
-	horizonHit := false
-	for {
-		t, p, ok := m.q.Pop()
-		if !ok {
-			break
-		}
-		if horizon > 0 && t > horizon {
-			m.now = horizon
-			horizonHit = true
-			break
-		}
-		m.now = t
-		m.events++
-		p.resume <- struct{}{}
-		<-m.yield
-		if m.panicked != nil {
-			m.shutdown()
-			panic(m.panicked.panicVal)
-		}
-		if m.horizonHit {
-			horizonHit = true
-			break
-		}
-	}
-
-	res := Result{Now: m.now, Events: m.events}
-	for _, p := range m.threads {
-		if p.state == stParked {
-			res.ParkedCPUs = append(res.ParkedCPUs, p.cpu)
-		}
-	}
-	sort.Ints(res.ParkedCPUs)
-	if !horizonHit && len(res.ParkedCPUs) > 0 {
-		res.Deadlock = true
-	}
-	m.shutdown()
-	return res
-}
-
-// shutdown terminates all live virtual CPUs. Each is blocked waiting for its
-// turn; closing its resume channel makes waitTurn panic with the stop
-// sentinel, which the thread wrapper converts into a final yield.
-func (m *Machine) shutdown() {
-	for _, p := range m.threads {
-		if p.state == stDone {
-			continue
-		}
-		close(p.resume)
-		<-m.yield
-	}
-}
 
 // lineOf returns (creating on demand) the coherence state for a cell's
 // cache line (colocated cells share one line, see lockapi.Colocate). The

@@ -12,8 +12,8 @@ import (
 
 // lockRun executes one contended-lock simulation and returns everything
 // observable about it: the machine Result, a hash of the full trace stream,
-// per-thread op/park/spin counters, and the final shared-cell value. It is
-// the probe used to prove the run-ahead fast path is semantically invisible.
+// per-thread op/park/spin counters, and the total of completed acquires. It
+// is the probe that pins the execution core's schedule.
 func lockRun(mach *topo.Machine, mk func() lockapi.Lock, n int, dur int64, cfg Config) (Result, uint64, string, uint64) {
 	h := fnv.New64a()
 	cfg.Machine = mach
@@ -56,39 +56,49 @@ func lockRun(mach *topo.Machine, mk func() lockapi.Lock, n int, dur int64, cfg C
 	return res, h.Sum64(), stats, total
 }
 
-// TestRunAheadEquivalence proves the fast path's core claim: with
-// DisableRunAhead toggled, every observable of the simulation — final time,
-// event count, the complete (time, cpu, op, value, cost) trace stream,
-// per-thread counters — is bit-identical. Jitter is on so the RNG draw
-// order is part of what is being compared.
+// TestRunAheadEquivalence pins the execution core's schedule: with the
+// run-ahead fast path granting most events inline and coroutines granting
+// the rest, every observable of the simulation — final time, event count,
+// the complete (time, cpu, op, value, cost) trace stream, per-thread
+// counters, the acquire total — equals the values the scheduler-only
+// channel protocol produced. Jitter is on so the RNG draw order is part of
+// what is pinned.
 func TestRunAheadEquivalence(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mach *topo.Machine
-		lock string
+		name  string
+		mach  *topo.Machine
+		lock  string
+		res   string
+		hash  uint64
+		stats string
+		total uint64
 	}{
-		{"mcs/x86", topo.X86Server(), "mcs"},
-		{"tkt/x86", topo.X86Server(), "tkt"},
-		{"hem-ctr/armv8", topo.Armv8Server(), "hem-ctr"},
+		{"mcs/x86", topo.X86Server(), "mcs",
+			"{Now:150000 Events:3085 Deadlock:false ParkedCPUs:[0 12 36 48 60 84]}", 0x4483039c148d9124,
+			"[ops=347 parks=45 spins=45 preempts=1 t=149245][ops=338 parks=46 spins=46 preempts=0 t=149437][ops=338 parks=45 spins=45 preempts=0 t=150211][ops=338 parks=46 spins=46 preempts=0 t=146626][ops=338 parks=45 spins=46 preempts=0 t=147815][ops=338 parks=46 spins=46 preempts=0 t=149114][ops=348 parks=45 spins=46 preempts=0 t=150130][ops=336 parks=45 spins=45 preempts=0 t=147060]",
+			178},
+		{"tkt/x86", topo.X86Server(), "tkt",
+			"{Now:150000 Events:2925 Deadlock:false ParkedCPUs:[0]}", 0x51757b40cd1375b0,
+			"[ops=295 parks=102 spins=102 preempts=1 t=149838][ops=281 parks=98 spins=98 preempts=0 t=150211][ops=269 parks=91 spins=92 preempts=0 t=150273][ops=257 parks=85 spins=86 preempts=0 t=150020][ops=276 parks=94 spins=95 preempts=0 t=150049][ops=263 parks=88 spins=89 preempts=0 t=150082][ops=281 parks=96 spins=98 preempts=0 t=150498][ops=261 parks=87 spins=88 preempts=0 t=150198]",
+			113},
+		{"hem-ctr/armv8", topo.Armv8Server(), "hem-ctr",
+			"{Now:150000 Events:188108 Deadlock:false ParkedCPUs:[]}", 0x4aca292e663484d8,
+			"[ops=22134 parks=0 spins=11049 preempts=0 t=150006][ops=24536 parks=0 spins=12254 preempts=0 t=150005][ops=22007 parks=0 spins=10985 preempts=0 t=150003][ops=24100 parks=0 spins=12035 preempts=0 t=150743][ops=24568 parks=0 spins=12270 preempts=0 t=150004][ops=24505 parks=0 spins=12238 preempts=0 t=150002][ops=22931 parks=0 spins=11447 preempts=0 t=150006][ops=23327 parks=0 spins=11646 preempts=0 t=150746]",
+			27},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Config{Seed: 42, JitterNS: 3}
-			fast := base
-			slow := base
-			slow.DisableRunAhead = true
-			fr, fh, fs, ft := lockRun(tc.mach, locks.MustType(tc.lock).New, 8, 150_000, fast)
-			sr, sh, ss, st := lockRun(tc.mach, locks.MustType(tc.lock).New, 8, 150_000, slow)
-			if fmt.Sprintf("%+v", fr) != fmt.Sprintf("%+v", sr) {
-				t.Errorf("Result differs: fast %+v, scheduler-only %+v", fr, sr)
+			r, h, s, total := lockRun(tc.mach, locks.MustType(tc.lock).New, 8, 150_000, Config{Seed: 42, JitterNS: 3})
+			if got := fmt.Sprintf("%+v", r); got != tc.res {
+				t.Errorf("Result = %s, want %s", got, tc.res)
 			}
-			if fh != sh {
-				t.Errorf("trace stream differs: fast %x, scheduler-only %x", fh, sh)
+			if h != tc.hash {
+				t.Errorf("trace stream hash = %#x, want %#x", h, tc.hash)
 			}
-			if fs != ss {
-				t.Errorf("proc stats differ:\nfast: %s\nslow: %s", fs, ss)
+			if s != tc.stats {
+				t.Errorf("proc stats differ:\ngot:  %s\nwant: %s", s, tc.stats)
 			}
-			if ft != st {
-				t.Errorf("acquire totals differ: fast %d, scheduler-only %d", ft, st)
+			if total != tc.total {
+				t.Errorf("acquire total = %d, want %d", total, tc.total)
 			}
 		})
 	}
@@ -181,79 +191,26 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 
 // The BenchmarkMachine suite measures the simulator's real-time throughput
 // (reported as simulated memory operations per wall-clock second) on its two
-// dominant shapes. The *SchedulerOnly variants disable the run-ahead fast
-// path, so the pair quantifies exactly what the fast path buys.
+// dominant shapes.
 
-func benchLock(b *testing.B, mach *topo.Machine, lockName string, n int, disableRA bool) {
+func benchLock(b *testing.B, mach *topo.Machine, lockName string, n int) {
 	b.ReportAllocs()
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		m := New(Config{Machine: mach, DisableRunAhead: disableRA})
-		l := locks.MustType(lockName).New()
-		var shared lockapi.Cell
-		step := mach.NumCPUs() / n
-		if step == 0 {
-			step = 1
-		}
-		procs := make([]*Proc, n)
-		for j := 0; j < n; j++ {
-			ctx := l.NewCtx()
-			procs[j] = m.Spawn((j*step)%mach.NumCPUs(), func(p *Proc) {
-				for !p.Expired() {
-					l.Acquire(p, ctx)
-					p.Add(&shared, 1, lockapi.Relaxed)
-					p.Work(50)
-					l.Release(p, ctx)
-					p.Work(200)
-				}
-			})
-		}
-		m.Run(300_000)
-		for _, p := range procs {
-			ops += p.Ops
-		}
+		ops += lockScenario(mach, lockName, n)
 	}
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
 }
 
-func BenchmarkMachineMCS8(b *testing.B)  { benchLock(b, topo.X86Server(), "mcs", 8, false) }
-func BenchmarkMachineTkt8(b *testing.B)  { benchLock(b, topo.X86Server(), "tkt", 8, false) }
-func BenchmarkMachineMCS32(b *testing.B) { benchLock(b, topo.X86Server(), "mcs", 32, false) }
-
-func BenchmarkMachineMCS8SchedulerOnly(b *testing.B) {
-	benchLock(b, topo.X86Server(), "mcs", 8, true)
-}
+func BenchmarkMachineMCS8(b *testing.B)  { benchLock(b, topo.X86Server(), "mcs", 8) }
+func BenchmarkMachineTkt8(b *testing.B)  { benchLock(b, topo.X86Server(), "tkt", 8) }
+func BenchmarkMachineMCS32(b *testing.B) { benchLock(b, topo.X86Server(), "mcs", 32) }
 
 func BenchmarkMachinePingPong(b *testing.B) {
 	b.ReportAllocs()
 	var ops uint64
 	for i := 0; i < b.N; i++ {
 		ops += pingPongOps(300_000)
-	}
-	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
-}
-
-func BenchmarkMachinePingPongSchedulerOnly(b *testing.B) {
-	b.ReportAllocs()
-	var ops uint64
-	for i := 0; i < b.N; i++ {
-		m := New(Config{Machine: topo.X86Server(), DisableRunAhead: true})
-		var counter lockapi.Cell
-		turn := func(p *Proc, parity uint64) {
-			for !p.Expired() {
-				for p.Load(&counter, lockapi.Acquire)%2 != parity {
-					p.Spin()
-					if p.Expired() {
-						return
-					}
-				}
-				p.Add(&counter, 1, lockapi.AcqRel)
-			}
-		}
-		pa := m.Spawn(0, func(p *Proc) { turn(p, 0) })
-		pb := m.Spawn(5, func(p *Proc) { turn(p, 1) })
-		m.Run(300_000)
-		ops += pa.Ops + pb.Ops
 	}
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
 }

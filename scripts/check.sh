@@ -32,6 +32,18 @@
 #  12. scale smoke              (deep-topology bigmachine sweep — the
 #      256/512/1024-vCPU catalog panels — byte-compared across -j levels,
 #      then regenerated into figures-out/scale-quick/ for the CI artifact)
+#  13. bench module             (cd bench && go vet ./... && go test ./...):
+#      the repository benchmark is a nested module that go build ./...
+#      does not reach, so a root API change that breaks bench/run.sh
+#      fails here instead of in the benchmark pipeline
+#
+# The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
+# bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
+# so raising the root directive makes every bench build fail with "go:
+# updates to go.mod needed" (step 13 catches that). Code that needs a
+# newer language version carries its own constraint instead:
+# internal/memsim/core.go is `//go:build go1.23` for iter.Pull, so the
+# tree needs a go1.23+ toolchain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,8 +73,10 @@ go test ./...
 echo "== go test -race (all packages except mcheck)"
 # Derived, not hand-listed, so new packages are raced by default. mcheck is
 # excluded: its replay engine is single-goroutine, so -race finds nothing
-# there and multiplies its exhaustive-search runtime.
-go test -race $(go list ./... | grep -v '/internal/mcheck$')
+# there and multiplies its exhaustive-search runtime. internal/figures takes
+# about 14 minutes under -race on a 2-CPU host (TestBigMachineQuick's
+# 1024-vCPU panels alone about 11.5), past go test's 10-minute default.
+go test -race -timeout 30m $(go list ./... | grep -v '/internal/mcheck$')
 
 echo "== clof-chaos smoke (determinism)"
 tmp=$(mktemp -d)
@@ -119,5 +133,8 @@ for n in 256 512 1024; do
 done
 echo "scale smoke: byte-identical across -j levels"
 make scale-quick
+
+echo "== bench module (vet + tests)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "check: OK"
