@@ -26,7 +26,6 @@ package clof
 import (
 	"github.com/clof-go/clof/internal/clof"
 	"github.com/clof-go/clof/internal/cna"
-	"github.com/clof-go/clof/internal/cohort"
 	"github.com/clof-go/clof/internal/discover"
 	"github.com/clof-go/clof/internal/hmcs"
 	"github.com/clof-go/clof/internal/lockapi"
@@ -193,7 +192,13 @@ func Select(ms []Measurement) (Selection, error) { return clof.Select(ms) }
 // Baseline NUMA-aware locks.
 
 // NewHMCS builds the HMCS⟨n⟩ baseline over a hierarchy configuration.
-func NewHMCS(h *Hierarchy) (Lock, error) { return hmcs.New(h) }
+func NewHMCS(h *Hierarchy) (Lock, error) {
+	l, err := hmcs.New(h)
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
 
 // NewCNA builds the CNA baseline for a machine.
 func NewCNA(m *Machine) Lock { return cna.New(m) }
@@ -201,9 +206,18 @@ func NewCNA(m *Machine) Lock { return cna.New(m) }
 // NewShflLock builds the ShflLock baseline for a machine.
 func NewShflLock(m *Machine) Lock { return shfllock.New(m) }
 
-// NewCohortLock builds a classic two-level cohort lock C-<global>-<local>.
+// NewCohortLock builds a classic two-level cohort lock C-<global>-<local>:
+// the CLoF composition of local locks at level under a global one.
 func NewCohortLock(m *Machine, level Level, global, local LockType) (Lock, error) {
-	return cohort.New(m, level, global, local)
+	h, err := topo.NewHierarchy(m, level, topo.System)
+	if err != nil {
+		return nil, err
+	}
+	l, err := clof.New(h, clof.Composition{local, global})
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // Hierarchy discovery (§3.1; see internal/discover).

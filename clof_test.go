@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	clof "github.com/clof-go/clof"
+	"github.com/clof-go/clof/internal/locktest"
 )
 
 // TestPublicAPIQuickstart exercises the facade end to end the way the
@@ -109,5 +110,83 @@ func TestPublicAPIVerification(t *testing.T) {
 	}
 	if res.States == 0 {
 		t.Error("no states explored")
+	}
+}
+
+// mustLockType resolves a basic lock by name or fails the test.
+func mustLockType(t *testing.T, name string) clof.LockType {
+	t.Helper()
+	lt, ok := clof.LockTypeByName(name)
+	if !ok {
+		t.Fatalf("basic lock %q missing", name)
+	}
+	return lt
+}
+
+// TestCohortLockNativeMutualExclusion stresses the classic cohort locks —
+// C-BO-MCS, C-TKT-TKT and C-MCS-MCS, each a 2-level CLoF composition over
+// NUMA cohorts — natively.
+func TestCohortLockNativeMutualExclusion(t *testing.T) {
+	m := clof.X86Server()
+	for _, c := range []struct{ global, local string }{{"bo", "mcs"}, {"tkt", "tkt"}, {"mcs", "mcs"}} {
+		t.Run("C-"+c.global+"-"+c.local, func(t *testing.T) {
+			l, err := clof.NewCohortLock(m, clof.NUMA, mustLockType(t, c.global), mustLockType(t, c.local))
+			if err != nil {
+				t.Fatal(err)
+			}
+			locktest.NativeStress(t, l, m, 12, 2000)
+		})
+	}
+}
+
+// TestCohortLockNUMALocality: a cohort lock keeps handovers NUMA-local.
+func TestCohortLockNUMALocality(t *testing.T) {
+	m := clof.Armv8Server()
+	mcs := mustLockType(t, "mcs")
+	res := locktest.SimRun(t, func() clof.Lock {
+		l, err := clof.NewCohortLock(m, clof.NUMA, mcs, mcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}, locktest.SimConfig{Machine: m, Threads: 64, Horizon: 300_000, CSWork: 80, NCSWork: 120})
+	var local, total uint64
+	for lvl, c := range res.HandoverLevels {
+		total += c
+		if clof.Level(lvl) <= clof.NUMA {
+			local += c
+		}
+	}
+	if total == 0 {
+		t.Fatal("no handovers")
+	}
+	if f := float64(local) / float64(total); f < 0.8 {
+		t.Errorf("cohort numa-local handover fraction %.2f, want > 0.8", f)
+	}
+}
+
+// TestNewCohortLockRejectsBadLevel: System as the local level duplicates the
+// global level and must be rejected — with a nil Lock, not a non-nil
+// interface around a nil pointer.
+func TestNewCohortLockRejectsBadLevel(t *testing.T) {
+	tkt := mustLockType(t, "tkt")
+	l, err := clof.NewCohortLock(clof.X86Server(), clof.System, tkt, tkt)
+	if err == nil {
+		t.Fatal("System as the local level must be rejected (duplicate levels)")
+	}
+	if l != nil {
+		t.Errorf("NewCohortLock returned a non-nil Lock (%T) with error %v", l, err)
+	}
+}
+
+// TestNewHMCSRejectsBadHierarchy: an invalid hierarchy fails with a nil Lock,
+// not a non-nil interface around a nil pointer.
+func TestNewHMCSRejectsBadHierarchy(t *testing.T) {
+	l, err := clof.NewHMCS(&clof.Hierarchy{})
+	if err == nil {
+		t.Fatal("NewHMCS accepted an empty hierarchy")
+	}
+	if l != nil {
+		t.Errorf("NewHMCS returned a non-nil Lock (%T) with error %v", l, err)
 	}
 }

@@ -18,8 +18,8 @@
 // passed to an unlocked scan (store.scanShard's shape) is not an escape of
 // the enclosing optimistic attempt, and a ReadSeq inside a closure must
 // find its ReadValidate there. Methods themselves named ReadSeq are exempt
-// — they are the forwarders (cr.RestrictedSeq, seqlock.RW) whose whole body
-// is the delegation. A `return` whose expression contains the ReadValidate
+// — they are forwarders (a wrapper's ReadSeq, such as the benchmark's timing
+// shim) whose whole body is the delegation. A `return` whose expression contains the ReadValidate
 // call ("return sq.ReadValidate(p, s) && ok") counts as the validation, not
 // as an escape.
 //

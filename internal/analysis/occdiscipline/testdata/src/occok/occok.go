@@ -42,8 +42,8 @@ func validatingReturn(p lockapi.Proc, sq lockapi.SeqReader, c *lockapi.Cell) (ui
 	return v, sq.ReadValidate(p, s)
 }
 
-// forwarder is the delegation shape (cr.RestrictedSeq.ReadSeq): a method
-// named ReadSeq whose body is the forwarded call, exempt by name.
+// forwarder is the delegation shape (a wrapper's ReadSeq): a method named
+// ReadSeq whose body is the forwarded call, exempt by name.
 type forwarder struct{ sq lockapi.SeqReader }
 
 func (f forwarder) ReadSeq(p lockapi.Proc) uint64 { return f.sq.ReadSeq(p) }

@@ -19,7 +19,6 @@ import (
 
 	"github.com/clof-go/clof/internal/clof"
 	"github.com/clof-go/clof/internal/cna"
-	"github.com/clof-go/clof/internal/cohort"
 	"github.com/clof-go/clof/internal/cr"
 	"github.com/clof-go/clof/internal/hmcs"
 	"github.com/clof-go/clof/internal/lockapi"
@@ -92,11 +91,13 @@ func Locks() []Entry {
 		Entry{Name: "hmcs<4>", Family: "hmcs", New: func(m *topo.Machine) lockapi.Lock {
 			return hmcs.Must(hierFor(m))
 		}},
+		// Classic lock cohorting (PPoPP'12): a 2-level CLoF composition,
+		// local locks per NUMA node under a global lock.
 		Entry{Name: "c-bo-mcs", Family: "cohort", New: func(m *topo.Machine) lockapi.Lock {
-			return cohort.NewBOMCS(m)
+			return clof.Must(topo.MustHierarchy(m, topo.NUMA, topo.System), compFor("mcs-bo"))
 		}},
 		Entry{Name: "c-tkt-tkt", Family: "cohort", New: func(m *topo.Machine) lockapi.Lock {
-			return cohort.NewTKTTKT(m)
+			return clof.Must(topo.MustHierarchy(m, topo.NUMA, topo.System), compFor("tkt-tkt"))
 		}},
 		Entry{Name: "clof:tkt-tkt-tkt-tkt", Family: "clof", New: func(m *topo.Machine) lockapi.Lock {
 			return clof.Must(hierFor(m), compFor("tkt-tkt-tkt-tkt"))
@@ -156,24 +157,21 @@ func ByName(name string) (Entry, bool) {
 // Lookup returns the named entry, or an error that names the full catalog —
 // the one place sweep CLIs resolve user-supplied lock names. Names the
 // static list doesn't carry still resolve when they compose the wrapper
-// families over a resolvable inner lock ("seq:rwlock", "cr:seq:tkt", ...).
+// families over a resolvable inner lock ("seq:rwlock", "seq:cr:tkt", ...).
 func Lookup(name string) (Entry, error) {
 	if e, ok := ByName(name); ok {
 		return e, nil
 	}
-	if e, ok := dynamic(name); ok {
-		return e, nil
-	}
-	return Entry{}, fmt.Errorf("unknown lock %q (catalog: %s; wrapper prefixes seq:/cr: compose over any entry)",
-		name, strings.Join(Names(), ", "))
+	return dynamic(name)
 }
 
 // dynamic resolves wrapper-composed names absent from the static list: a
 // "seq:" or "cr:" prefix over any resolvable inner name, recursively, so
-// every wrapper stacking order is nameable without a catalog entry per
+// every wrapper stacking is nameable without a catalog entry per
 // combination. The static entries win first (Lookup checks ByName before
-// this), keeping the swept representatives canonical.
-func dynamic(name string) (Entry, bool) {
+// this), keeping the swept representatives canonical. cr: is rejected over
+// the reader-capable families, as cr.Restrict rejects their locks.
+func dynamic(name string) (Entry, error) {
 	wrappers := []struct {
 		prefix, family string
 		wrap           func(m *topo.Machine, inner lockapi.Lock) lockapi.Lock
@@ -190,19 +188,21 @@ func dynamic(name string) (Entry, bool) {
 		if !ok {
 			continue
 		}
-		inner, ok := ByName(rest)
-		if !ok {
-			inner, ok = dynamic(rest)
+		inner, err := Lookup(rest)
+		if err != nil {
+			return Entry{}, err
 		}
-		if !ok {
-			return Entry{}, false
+		if w.family == "cr" && (inner.Family == "seq" || inner.Family == "rwlock") {
+			return Entry{}, fmt.Errorf("lock %q: cr: restricts the exclusive path only and does not wrap the %s family's reader path; stack seq: outside instead (seq:cr:<lock>)",
+				name, inner.Family)
 		}
 		w := w
 		return Entry{Name: name, Family: w.family, New: func(m *topo.Machine) lockapi.Lock {
 			return w.wrap(m, inner.New(m))
-		}}, true
+		}}, nil
 	}
-	return Entry{}, false
+	return Entry{}, fmt.Errorf("unknown lock %q (catalog: %s; wrapper prefixes seq:/cr: compose over any entry, cr: over exclusive ones only)",
+		name, strings.Join(Names(), ", "))
 }
 
 // ByFamily returns the entries of one family tag, in catalog order.
@@ -225,7 +225,7 @@ func ByFamily(family string) []Entry {
 // The two-tier ordering is what lets the wrapper families compose with the
 // rest of a sweep: the earlier implementation filtered a want-set against
 // the static listing, which silently dropped any dynamic name ("seq:rwlock",
-// "cr:seq:tkt") that Lookup had happily resolved.
+// "seq:cr:tkt") that Lookup had happily resolved.
 func Select(selectors []string) ([]Entry, error) {
 	if len(selectors) == 0 {
 		return Locks(), nil

@@ -120,11 +120,11 @@ func TestSelect(t *testing.T) {
 }
 
 // TestLookupDynamicWrappers: wrapper-prefixed names outside the static list
-// resolve by composing seq:/cr: over any resolvable inner lock, in either
-// stacking order, and the built locks carry the right capabilities.
+// resolve by composing seq:/cr: over any resolvable inner lock (cr: over
+// exclusive ones), and the built locks carry the right capabilities.
 func TestLookupDynamicWrappers(t *testing.T) {
 	m := topo.X86Server()
-	for _, name := range []string{"seq:rwlock", "seq:mcs", "cr:seq:tkt", "seq:cr:tkt", "cr:cr:mcs"} {
+	for _, name := range []string{"seq:rwlock", "seq:mcs", "seq:cr:tkt", "seq:cr:clof:tkt-tkt-tkt-tkt", "cr:cr:mcs"} {
 		e, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("Lookup(%s): %v", name, err)
@@ -156,13 +156,47 @@ func TestLookupDynamicWrappers(t *testing.T) {
 	}
 }
 
+// TestLookupRejectsCROverReaders: cr: restricts the exclusive path only, so
+// it does not stack over the reader-capable families; the error names the
+// stacking that builds the restricted seqlock instead.
+func TestLookupRejectsCROverReaders(t *testing.T) {
+	for _, name := range []string{"cr:seq:tkt", "cr:rwlock", "cr:seq:rwlock", "seq:cr:seq:tkt", "cr:cr:seq:tkt"} {
+		_, err := Lookup(name)
+		if err == nil {
+			t.Errorf("Lookup(%s) resolved cr: over a reader-capable lock", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "seq:cr:") {
+			t.Errorf("Lookup(%s) error does not name seq:cr:: %v", name, err)
+		}
+	}
+}
+
+// TestCohortEntriesFairness: the classic cohort locks are 2-level CLoF
+// compositions, so Theorem 4.1 decides their fairness — C-BO-MCS is unfair
+// (backoff global lock, the cohorting paper's own caveat) and C-TKT-TKT is
+// fair — on both evaluation platforms.
+func TestCohortEntriesFairness(t *testing.T) {
+	for _, m := range []*topo.Machine{topo.X86Server(), topo.Armv8Server()} {
+		for name, fair := range map[string]bool{"c-bo-mcs": false, "c-tkt-tkt": true} {
+			e, ok := ByName(name)
+			if !ok {
+				t.Fatalf("%s missing from the catalog", name)
+			}
+			if got := lockapi.Fair(e.New(m)); got != fair {
+				t.Errorf("%s on %s: Fair = %v, want %v", name, m.Name, got, fair)
+			}
+		}
+	}
+}
+
 // TestSelectWrapperFamilies: satellite regression — mixing family filters
 // with dynamic wrapper-composed names must dedupe and keep every resolved
 // entry in a deterministic order (static catalog entries in catalog order,
 // then dynamic names in first-selected order). The pre-fix Select dropped
 // dynamic names on the floor.
 func TestSelectWrapperFamilies(t *testing.T) {
-	sel := []string{"seq:rwlock", "family:seq", "cr:seq:tkt", "seq:tkt", "seq:rwlock"}
+	sel := []string{"seq:rwlock", "family:seq", "seq:cr:tkt", "seq:tkt", "seq:rwlock"}
 	es, err := Select(sel)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +207,7 @@ func TestSelectWrapperFamilies(t *testing.T) {
 	}
 	// family:seq contributes the static entries; seq:tkt is one of them
 	// (deduped); the two dynamic names follow in first-selected order.
-	want := []string{"seq:tkt", "seq:clof:tkt-tkt-tkt-tkt", "seq:rwlock", "cr:seq:tkt"}
+	want := []string{"seq:tkt", "seq:clof:tkt-tkt-tkt-tkt", "seq:rwlock", "seq:cr:tkt"}
 	if strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Fatalf("Select(%v) = %v, want %v", sel, names, want)
 	}
@@ -213,7 +247,7 @@ func TestFamiliesCoverIssueMinimum(t *testing.T) {
 func TestInstrumentKeepsReadCapabilities(t *testing.T) {
 	m := topo.X86Server()
 	es := Locks()
-	for _, name := range []string{"seq:rwlock", "cr:rwlock", "cr:seq:tkt", "seq:cr:tkt", "cr:seq:rwlock"} {
+	for _, name := range []string{"seq:rwlock", "seq:cr:tkt", "seq:cr:clof:tkt-tkt-tkt-tkt", "seq:cr:cr:mcs"} {
 		e, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)

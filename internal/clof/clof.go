@@ -232,8 +232,7 @@ func New(h *topo.Hierarchy, comp Composition, opts ...Option) (*Lock, error) {
 	// (checked on one leaf-to-root chain; levels are type-homogeneous).
 	l.canTry = true
 	for n := l.leaves[0]; n != nil; n = n.parent {
-		_, isTry := n.lock.(lockapi.TryLocker)
-		if !isTry || !lockapi.SupportsTry(n.lock) {
+		if !lockapi.SupportsTry(n.lock) {
 			l.canTry = false
 			break
 		}

@@ -1,11 +1,11 @@
 // Package cr implements a concurrency-restriction combinator in the style of
 // Dice & Kogan, "Avoiding Scalability Collapse by Restricting Concurrency"
-// (PAPERS.md): Restrict wraps any lockapi.Lock and caps how many threads may
-// contend on it at once. Admitted threads (the *active set*, at most the
-// adaptive target) contend on the inner lock as usual; excess arrivals park
-// in per-cohort *passive queues* and are recirculated — granted back into the
-// active set — one per release, with seeded-jitter backoff so recirculating
-// waiters do not convoy.
+// (PAPERS.md): Restrict wraps any exclusive lockapi.Lock and caps how many
+// threads may contend on it at once. Admitted threads (the *active set*, at
+// most the adaptive target) contend on the inner lock as usual; excess
+// arrivals park in per-cohort *passive queues* and are recirculated —
+// granted back into the active set — one per release, with seeded-jitter
+// backoff so recirculating waiters do not convoy.
 //
 // The combinator is NUMA-aware: passive waiters queue per topology cohort
 // (default topo.NUMA), and a releasing holder prefers to grant a waiter from
@@ -20,12 +20,17 @@
 // behind descheduled owners — and it grows back by one after a run of
 // healthy releases.
 //
-// Restricted forwards the full capability surface (TryLocker, TryInfo,
-// WaiterDetector, FairnessInfo, Instrumented), so chaos sweeps and the obs
-// layer see through the wrapper. internal/catalog enumerates restricted
-// variants under the "cr" family; internal/mcheck verifies mutual exclusion
-// and bounded-bypass liveness, including that the deliberately broken
-// recirculation variant (Opts.BreakRecirculation) is caught as starvation.
+// Restricted restricts the exclusive path only. It forwards trylock
+// (TryLocker, with TryInfo answering for the inner lock) and the fairness
+// declaration, and carries its own observer hooks (Instrumented), so chaos
+// sweeps and the obs layer see through the wrapper. Restrict refuses inner
+// locks with a reader path (lockapi.RWLocker, lockapi.SeqReader): a
+// restricted seqlock is built the other way round, seqlock.Wrap over
+// Restrict (the catalog's seq:cr: names). internal/catalog enumerates
+// restricted variants under the "cr" family; internal/mcheck verifies mutual
+// exclusion and bounded-bypass liveness, including that the deliberately
+// broken recirculation variant (Opts.BreakRecirculation) is caught as
+// starvation.
 package cr
 
 import (
@@ -148,25 +153,18 @@ type ctx struct {
 
 // Restrict wraps inner in a concurrency-restriction combinator for machine
 // m. Only safe during single-threaded setup. Panics if the machine has more
-// than 64 cohorts at the chosen level (use a coarser Level).
-//
-// The returned lock additionally forwards inner's lockapi.RWLocker and
-// lockapi.SeqReader capabilities when inner has them (see forward.go for
-// why those paths bypass admission control), which is why the result is an
-// interface: the concrete type depends on inner's capability surface.
-func Restrict(m *topo.Machine, inner lockapi.Lock, o Opts) lockapi.Lock {
-	l := newRestricted(m, inner, o)
-	rw, _ := inner.(lockapi.RWLocker)
-	sq, _ := inner.(lockapi.SeqReader)
-	switch {
-	case rw != nil && sq != nil:
-		return &RestrictedRWSeq{RestrictedRW: RestrictedRW{Restricted: l, rw: rw}, sq: sq}
-	case rw != nil:
-		return &RestrictedRW{Restricted: l, rw: rw}
-	case sq != nil:
-		return &RestrictedSeq{Restricted: l, sq: sq}
+// than 64 cohorts at the chosen level (use a coarser Level), or if inner has
+// a reader path: seqlock.Wrap(Restrict(m, inner, o), ...) is the lock a
+// restricted seqlock should be — admission, the inner acquire and the
+// version bump happen in the same order, and optimistic readers bypass
+// admission either way.
+func Restrict(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
+	_, rw := inner.(lockapi.RWLocker)
+	_, sq := inner.(lockapi.SeqReader)
+	if rw || sq {
+		panic(fmt.Sprintf("cr: Restrict over %T, which has a reader path; cr restricts the exclusive path only — wrap the restricted lock instead (seq:cr:<lock>, not cr:seq:<lock>)", inner))
 	}
-	return l
+	return newRestricted(m, inner, o)
 }
 
 // newRestricted is the single-threaded constructor behind Restrict.
@@ -239,15 +237,11 @@ func newRestricted(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
 	return l
 }
 
-// Inner returns the wrapped lock (tests and the catalog use it to reason
-// about capability forwarding).
-func (l *Restricted) Inner() lockapi.Lock { return l.inner }
-
 // NewCtx implements lockapi.Lock. Each context gets its own deterministic
 // jitter stream, derived from BackoffSeed and the allocation order.
 func (l *Restricted) NewCtx() lockapi.Ctx {
 	l.ctxSeq++
-	seed := xrand.New(l.o.BackoffSeed + l.ctxSeq).Uint64() | 1
+	seed := xrand.New(l.o.BackoffSeed+l.ctxSeq).Uint64() | 1
 	return &ctx{
 		inner: l.inner.NewCtx(),
 		bo: lockapi.ExpBackoff{
@@ -593,8 +587,7 @@ func (l *Restricted) Release(p lockapi.Proc, c lockapi.Ctx) {
 // by the inner lock's TryAcquire, with the active slot returned on failure
 // so no residual state remains.
 func (l *Restricted) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
-	tl, isTry := l.inner.(lockapi.TryLocker)
-	if !isTry || !lockapi.SupportsTry(l.inner) {
+	if !lockapi.SupportsTry(l.inner) {
 		return false
 	}
 	cc := c.(*ctx)
@@ -612,7 +605,7 @@ func (l *Restricted) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 	if !p.CAS(&l.active, a, a+1, lockapi.AcqRel) {
 		return false
 	}
-	if !tl.TryAcquire(p, cc.inner) {
+	if !l.inner.(lockapi.TryLocker).TryAcquire(p, cc.inner) {
 		p.Add(&l.active, ^uint64(0), lockapi.AcqRel)
 		return false
 	}
@@ -630,20 +623,6 @@ func (l *Restricted) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 // exactly when the inner lock does.
 func (l *Restricted) TrySupported() bool { return lockapi.SupportsTry(l.inner) }
 
-// HasWaiters implements lockapi.WaiterDetector: waiters exist while any
-// passive queue is occupied or another thread is admitted alongside the
-// owner.
-func (l *Restricted) HasWaiters(p lockapi.Proc, _ lockapi.Ctx) bool {
-	for n := 0; n < l.nodes; n++ {
-		t := p.Load(&l.qticket[n], lockapi.Relaxed)
-		g := p.Load(&l.qgrant[n], lockapi.Relaxed)
-		if t > g {
-			return true
-		}
-	}
-	return p.Load(&l.active, lockapi.Relaxed) > 1
-}
-
 // Fair implements lockapi.FairnessInfo: recirculation is bounded-bypass
 // (per-cohort FIFO queues plus forced rotation), so the combination is
 // starvation-free exactly when the inner lock is — unless the broken
@@ -653,10 +632,9 @@ func (l *Restricted) Fair() bool {
 }
 
 var (
-	_ lockapi.Lock           = (*Restricted)(nil)
-	_ lockapi.TryLocker      = (*Restricted)(nil)
-	_ lockapi.TryInfo        = (*Restricted)(nil)
-	_ lockapi.WaiterDetector = (*Restricted)(nil)
-	_ lockapi.FairnessInfo   = (*Restricted)(nil)
-	_ lockapi.Instrumented   = (*Restricted)(nil)
+	_ lockapi.Lock         = (*Restricted)(nil)
+	_ lockapi.TryLocker    = (*Restricted)(nil)
+	_ lockapi.TryInfo      = (*Restricted)(nil)
+	_ lockapi.FairnessInfo = (*Restricted)(nil)
+	_ lockapi.Instrumented = (*Restricted)(nil)
 )

@@ -15,7 +15,7 @@ import (
 // checks: the wrapper must decline trylock when the inner lock cannot.
 type noTry struct{ inner lockapi.Lock }
 
-func (l *noTry) NewCtx() lockapi.Ctx                 { return l.inner.NewCtx() }
+func (l *noTry) NewCtx() lockapi.Ctx                   { return l.inner.NewCtx() }
 func (l *noTry) Acquire(p lockapi.Proc, c lockapi.Ctx) { l.inner.Acquire(p, c) }
 func (l *noTry) Release(p lockapi.Proc, c lockapi.Ctx) { l.inner.Release(p, c) }
 
@@ -64,18 +64,17 @@ func TestRestrictTryAcquire(t *testing.T) {
 	if !lockapi.SupportsTry(l) {
 		t.Fatal("restricted ticket lock must support trylock")
 	}
-	tl := l.(lockapi.TryLocker)
 	p0 := lockapi.NewNativeProc(0)
 	c0, c1 := l.NewCtx(), l.NewCtx()
-	if !tl.TryAcquire(p0, c0) {
+	if !l.TryAcquire(p0, c0) {
 		t.Fatal("uncontended TryAcquire failed")
 	}
 	p1 := lockapi.NewNativeProc(48)
-	if tl.TryAcquire(p1, c1) {
+	if l.TryAcquire(p1, c1) {
 		t.Fatal("TryAcquire succeeded while inner lock held")
 	}
 	l.Release(p0, c0)
-	if !tl.TryAcquire(p1, c1) {
+	if !l.TryAcquire(p1, c1) {
 		t.Fatal("TryAcquire failed on a free lock with a reused ctx")
 	}
 	l.Release(p1, c1)
@@ -87,7 +86,7 @@ func TestRestrictDeclinesTryWhenInnerCannot(t *testing.T) {
 	if lockapi.SupportsTry(l) {
 		t.Fatal("wrapper must decline trylock when the inner lock lacks it")
 	}
-	if l.(lockapi.TryLocker).TryAcquire(lockapi.NewNativeProc(0), l.NewCtx()) {
+	if l.TryAcquire(lockapi.NewNativeProc(0), l.NewCtx()) {
 		t.Fatal("TryAcquire must fail when unsupported")
 	}
 }
@@ -102,13 +101,6 @@ func TestRestrictCapabilityForwarding(t *testing.T) {
 	if lockapi.Fair(broken) {
 		t.Error("broken recirculation variant must not report fair")
 	}
-	p := lockapi.NewNativeProc(0)
-	c := l.NewCtx()
-	l.Acquire(p, c)
-	if l.(lockapi.WaiterDetector).HasWaiters(p, c) {
-		t.Error("HasWaiters true with a lone holder")
-	}
-	l.Release(p, c)
 }
 
 func TestRestrictObserverEdges(t *testing.T) {
@@ -128,7 +120,7 @@ func TestRestrictObserverEdges(t *testing.T) {
 	c := l.NewCtx()
 	l.Acquire(p, c)
 	l.Release(p, c)
-	if !l.(lockapi.TryLocker).TryAcquire(p, c) {
+	if !l.TryAcquire(p, c) {
 		t.Fatal("uncontended TryAcquire failed")
 	}
 	l.Release(p, c)

@@ -56,6 +56,11 @@ type qnode struct {
 
 // Lock is an HMCS⟨n⟩ lock over a hierarchy configuration. It implements
 // lockapi.Lock; Proc.ID() must be the caller's CPU number.
+//
+// HMCS has no TryAcquire. A failed attempt would have to withdraw from a
+// partially climbed tree, but an enqueued MCS node at any level cannot be
+// unpublished without waiting for a possible mid-enqueue successor — which
+// a trylock must never do.
 type Lock struct {
 	// Probe reports acquire/grant/release edges to an attached observer
 	// (lockapi.Instrumented); detached it is a nil check per edge.
@@ -251,14 +256,7 @@ func (l *Lock) releaseHelper(p lockapi.Proc, h *hnode, q, val uint64) {
 // local passing.
 func (l *Lock) Fair() bool { return true }
 
-// TrySupported implements lockapi.TryInfo: HMCS declines TryAcquire. A
-// failed attempt would have to withdraw from a partially climbed tree, but
-// an enqueued MCS node at any level cannot be unpublished without waiting
-// for a possible mid-enqueue successor — which a trylock must never do.
-func (l *Lock) TrySupported() bool { return false }
-
 var (
 	_ lockapi.Lock         = (*Lock)(nil)
 	_ lockapi.FairnessInfo = (*Lock)(nil)
-	_ lockapi.TryInfo      = (*Lock)(nil)
 )

@@ -179,34 +179,16 @@ type Lock interface {
 	Release(p Proc, c Ctx)
 }
 
-// WaiterDetector is implemented by locks that can cheaply detect waiters
-// (paper §4.1.2: MCS checks its next pointer, Ticketlock compares ticket and
-// grant). CLoF uses it as the custom has_waiters and then drops its own
-// inc_waiters/dec_waiters counter.
+// WaiterDetector is implemented by basic locks that can cheaply detect
+// waiters (paper §4.1.2: MCS checks its next pointer, Ticketlock compares
+// ticket and grant). CLoF uses it as the custom has_waiters and then drops
+// its own inc_waiters/dec_waiters counter. Wrappers do not forward it, so a
+// lock that has the method always detects: a type assertion is the query.
 type WaiterDetector interface {
 	// HasWaiters reports whether some other thread is currently waiting to
 	// acquire the lock. It may only be called by the lock owner, with the
 	// Ctx that holds the lock.
 	HasWaiters(p Proc, c Ctx) bool
-}
-
-// WaiterInfo is the WaiterDetector analogue of TryInfo: implemented by
-// wrappers whose HasWaiters delegates to an inner lock that may not detect
-// waiters at all. Callers consult DetectsWaiters rather than type-asserting
-// WaiterDetector directly, exactly as SupportsTry guards TryLocker.
-type WaiterInfo interface {
-	WaitersDetectable() bool
-}
-
-// DetectsWaiters reports whether HasWaiters is actually usable on l: the
-// WaiterInfo answer when the lock provides one, the presence of
-// WaiterDetector otherwise.
-func DetectsWaiters(l Lock) bool {
-	if wi, ok := l.(WaiterInfo); ok {
-		return wi.WaitersDetectable()
-	}
-	_, ok := l.(WaiterDetector)
-	return ok
 }
 
 // FairnessInfo is implemented by locks that declare whether they guarantee

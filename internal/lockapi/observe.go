@@ -91,8 +91,8 @@ func Instrument(l Lock, o Observer) Lock {
 
 // observedLock is the generic wrapper Instrument applies to locks without
 // native hooks. It forwards the optional capability interfaces the sweep
-// harnesses consult (TryLocker, TryInfo, WaiterDetector, FairnessInfo), so
-// wrapping never changes which code paths a workload takes.
+// harnesses consult (TryLocker, TryInfo, FairnessInfo), so wrapping never
+// changes which code paths a workload takes.
 type observedLock struct {
 	inner Lock
 	obs   Observer
@@ -133,17 +133,6 @@ func (w *observedLock) TryAcquire(p Proc, c Ctx) bool {
 // TrySupported implements TryInfo: the wrapper supports trylock exactly
 // when the wrapped lock does.
 func (w *observedLock) TrySupported() bool { return SupportsTry(w.inner) }
-
-// HasWaiters implements WaiterDetector by delegation; it must only be
-// called when DetectsWaiters answers true (as for TryAcquire, capability
-// consumers check first).
-func (w *observedLock) HasWaiters(p Proc, c Ctx) bool {
-	return w.inner.(WaiterDetector).HasWaiters(p, c)
-}
-
-// WaitersDetectable implements WaiterInfo: detection is usable exactly when
-// the wrapped lock's is.
-func (w *observedLock) WaitersDetectable() bool { return DetectsWaiters(w.inner) }
 
 // Fair implements FairnessInfo by delegation.
 func (w *observedLock) Fair() bool { return Fair(w.inner) }

@@ -3,9 +3,9 @@ package lockapi
 // This file extends the lock interface with the *bounded acquire* surface
 // used by the fault-injection substrate (internal/faultinject and
 // cmd/clof-chaos): a non-blocking TryAcquire capability, a runtime
-// capability flag for locks that support it only conditionally (or decline
-// it outright), and the shared bounded exponential-backoff helper that both
-// the backoff-family locks and bounded acquisition loops build on.
+// capability flag for locks that support it only conditionally, and the
+// shared bounded exponential-backoff helper that both the backoff-family
+// locks and bounded acquisition loops build on.
 
 import "github.com/clof-go/clof/internal/xrand"
 
@@ -20,30 +20,30 @@ import "github.com/clof-go/clof/internal/xrand"
 // harness relies on.
 //
 // Locks whose support is conditional (CLoF compositions: every component
-// lock must itself support trylock) additionally implement TryInfo; callers
-// must consult SupportsTry rather than type-asserting TryLocker directly.
+// lock must itself support trylock; wrappers: the inner lock must) also
+// implement TryInfo; callers must consult SupportsTry rather than
+// type-asserting TryLocker directly.
 type TryLocker interface {
 	TryAcquire(p Proc, c Ctx) bool
 }
 
-// TryInfo reports at runtime whether TryAcquire is usable on this instance.
-// Two uses: compositions whose capability depends on their components, and
-// locks that cannot support trylock at all (HMCS, whose tree acquisition
-// cannot be rolled back without waiting) and implement TryInfo alone as an
-// explicit declination flag.
+// TryInfo reports at runtime whether a TryLocker's TryAcquire is usable on
+// this instance: compositions and wrappers whose capability depends on the
+// locks they are built from. It is the one conditional capability — locks
+// that can never try (CLH, HMCS) simply have no TryAcquire.
 type TryInfo interface {
 	TrySupported() bool
 }
 
-// SupportsTry reports whether l supports non-blocking acquisition: the
-// TryInfo answer when the lock provides one, the presence of TryLocker
-// otherwise.
+// SupportsTry reports whether l supports non-blocking acquisition: false
+// unless l is a TryLocker, then the TryInfo answer when the lock provides
+// one.
 func SupportsTry(l Lock) bool {
-	if ti, ok := l.(TryInfo); ok {
-		return ti.TrySupported()
+	if _, ok := l.(TryLocker); !ok {
+		return false
 	}
-	_, ok := l.(TryLocker)
-	return ok
+	ti, ok := l.(TryInfo)
+	return !ok || ti.TrySupported()
 }
 
 // TryAcquire attempts a non-blocking acquisition of l and reports

@@ -9,6 +9,13 @@ import (
 // marks its own node free and recycles its predecessor's node for the next
 // acquisition (node stealing). Used e.g. as seL4's big kernel lock. Fair,
 // local-spinning.
+//
+// CLH has no TryAcquire. The obvious load-tail / check-released / CAS-tail
+// attempt is unsound: node stealing recycles handles, so between the check
+// and the CAS the same handle can come back as tail *re-armed* (locked=1)
+// and the stale CAS would enqueue us behind a live owner while reporting
+// success (ABA). A correct CLH trylock needs tri-state nodes (Scott's
+// CLH-try), which would pollute the hot path this repo measures.
 type CLH struct {
 	// Probe reports acquire/grant/release edges to an attached observer
 	// (lockapi.Instrumented); detached it is a nil check per edge.
@@ -66,15 +73,6 @@ func (l *CLH) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 	l.EmitAcquired(p)
 }
 
-// TrySupported implements lockapi.TryInfo: CLH declines TryAcquire. The
-// obvious load-tail / check-released / CAS-tail attempt is unsound: node
-// stealing recycles handles, so between the check and the CAS the same
-// handle can come back as tail *re-armed* (locked=1) and the stale CAS would
-// enqueue us behind a live owner while reporting success (ABA). A correct
-// CLH trylock needs tri-state nodes (Scott's CLH-try), which would pollute
-// the hot path this repo measures; we flag the capability off instead.
-func (l *CLH) TrySupported() bool { return false }
-
 // Release implements lockapi.Lock: free our node and adopt the
 // predecessor's. Thread-oblivious as long as the same Ctx is used.
 func (l *CLH) Release(p lockapi.Proc, c lockapi.Ctx) {
@@ -98,5 +96,4 @@ var (
 	_ lockapi.Lock           = (*CLH)(nil)
 	_ lockapi.WaiterDetector = (*CLH)(nil)
 	_ lockapi.FairnessInfo   = (*CLH)(nil)
-	_ lockapi.TryInfo        = (*CLH)(nil)
 )

@@ -27,9 +27,10 @@ func TestTryAcquireConformance(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			l := e.New(m)
 			if !lockapi.SupportsTry(l) {
-				// Explicit declination (CLH's ABA hazard, HMCS's
-				// non-rollbackable tree climb): the generic entry points
-				// must agree and touch nothing.
+				// No try path (CLH's ABA hazard and HMCS's
+				// non-rollbackable tree climb, see their type docs, or a
+				// composition over one): the generic entry points must
+				// agree and touch nothing.
 				if supported, acquired := lockapi.TryAcquire(l, lockapi.NewNativeProc(0), l.NewCtx()); supported || acquired {
 					t.Fatalf("SupportsTry=false but TryAcquire reported (%v,%v)", supported, acquired)
 				}

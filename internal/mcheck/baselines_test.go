@@ -3,8 +3,8 @@ package mcheck
 import (
 	"testing"
 
+	"github.com/clof-go/clof/internal/clof"
 	"github.com/clof-go/clof/internal/cna"
-	"github.com/clof-go/clof/internal/cohort"
 	"github.com/clof-go/clof/internal/hmcs"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
@@ -30,7 +30,8 @@ func TestBaselinesVerified(t *testing.T) {
 		{"cna", func() lockapi.Lock { return cna.New(mach) }},
 		{"shfllock", func() lockapi.Lock { return shfllock.New(mach) }},
 		{"cohort-tkt-mcs", func() lockapi.Lock {
-			return cohort.Must(mach, topo.CacheGroup, tkt, mcs)
+			// Local MCS per cache group under a global ticket lock.
+			return clof.Must(h, clof.Composition{mcs, tkt})
 		}},
 	}
 	for _, c := range cases {

@@ -33,9 +33,10 @@ type Opts struct {
 
 // Lock is a seqlock wrapper around an inner lock. It implements
 // lockapi.SeqReader for optimistic readers and forwards the inner lock's
-// optional capabilities (TryLocker, WaiterDetector, FairnessInfo). Use Wrap
-// to construct one: Wrap picks the RW variant when the inner lock supports
-// shared mode.
+// trylock (TryLocker, with TryInfo answering for the inner lock) and
+// fairness declaration. It has no HasWaiters: waiter detection is a
+// basic-lock capability (lockapi.WaiterDetector). Use Wrap to construct
+// one: Wrap picks the RW variant when the inner lock supports shared mode.
 type Lock struct {
 	// Probe reports the wrapper's acquire/grant/release edges to an
 	// attached observer (lockapi.Instrumented). The wrapper owns the edges:
@@ -58,9 +59,6 @@ func Wrap(inner lockapi.Lock, o Opts) lockapi.Lock {
 	}
 	return l
 }
-
-// Inner returns the wrapped lock (tests and diagnostics).
-func (l *Lock) Inner() lockapi.Lock { return l.inner }
 
 // NewCtx implements lockapi.Lock; the wrapper itself needs no per-thread
 // state, so the context is the inner lock's.
@@ -88,7 +86,7 @@ func (l *Lock) Release(p lockapi.Proc, c lockapi.Ctx) {
 
 // TryAcquire implements lockapi.TryLocker by delegation; a successful try
 // advances the version exactly as Acquire does. Callers must consult
-// TrySupported first, as for any conditional TryLocker.
+// lockapi.SupportsTry first, as for any conditional TryLocker.
 func (l *Lock) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 	tl, ok := l.inner.(lockapi.TryLocker)
 	if !ok || !tl.TryAcquire(p, c) {
@@ -104,16 +102,6 @@ func (l *Lock) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 // TrySupported implements lockapi.TryInfo: the wrapper supports trylock
 // exactly when the inner lock does.
 func (l *Lock) TrySupported() bool { return lockapi.SupportsTry(l.inner) }
-
-// HasWaiters implements lockapi.WaiterDetector by delegation; callers
-// consult lockapi.DetectsWaiters first, as for any conditional detector.
-func (l *Lock) HasWaiters(p lockapi.Proc, c lockapi.Ctx) bool {
-	return l.inner.(lockapi.WaiterDetector).HasWaiters(p, c)
-}
-
-// WaitersDetectable implements lockapi.WaiterInfo: detection is usable
-// exactly when the inner lock's is.
-func (l *Lock) WaitersDetectable() bool { return lockapi.DetectsWaiters(l.inner) }
 
 // Fair implements lockapi.FairnessInfo by delegation.
 func (l *Lock) Fair() bool { return lockapi.Fair(l.inner) }

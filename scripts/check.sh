@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the repository's full verification gate:
 #   1. go build ./...
-#   2. go vet ./...
+#   2. go vet ./... and gofmt -l (every tracked Go file outside testdata/
+#      must be gofmt-clean; the analyzer testdata corpora are exempt)
 #   3. clof-lint ./...          (static lock-discipline suite: atomic
 #      access, memory-order policy, copylocks, spin hygiene, plus the
 #      whole-program lock-graph analyzers — lockorder's cross-package
@@ -16,7 +17,10 @@
 #      single-goroutine, so -race only multiplies its minutes-long
 #      exhaustive searches without checking anything new)
 #   7. clof-chaos smoke run, twice, byte-compared — the determinism
-#      guarantee the robustness report rests on
+#      guarantee the robustness report rests on — then the full default
+#      sweep, byte-compared against the committed figures-out/chaos.csv
+#      (a lock or catalog change that moves any row fails until the CSV is
+#      regenerated with make chaos)
 #   8. make figures-quick       (experiment engine smoke: a small figure
 #      set on the parallel runner, CSVs + results.json into figures-out/)
 #   9. collapse smoke           (concurrency-restriction experiment at
@@ -53,6 +57,16 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt"
+# The analyzer testdata corpora are excluded: they are fixtures, not code
+# under maintenance.
+unformatted=$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))
+if [ -n "$unformatted" ]; then
+  echo "not gofmt-clean:"
+  echo "$unformatted"
+  exit 1
+fi
+
 echo "== clof-lint ./..."
 go run ./cmd/clof-lint ./...
 
@@ -86,6 +100,9 @@ go run ./cmd/clof-chaos "${smoke[@]}" -out "$tmp/a.csv"
 go run ./cmd/clof-chaos "${smoke[@]}" -out "$tmp/b.csv"
 cmp "$tmp/a.csv" "$tmp/b.csv"
 echo "chaos smoke: byte-identical across reruns"
+go run ./cmd/clof-chaos -out "$tmp/chaos.csv"
+cmp "$tmp/chaos.csv" figures-out/chaos.csv
+echo "chaos sweep: byte-identical to figures-out/chaos.csv"
 
 echo "== figures-quick (experiment engine smoke)"
 make figures-quick
