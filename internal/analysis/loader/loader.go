@@ -13,12 +13,16 @@
 // Test files (_test.go) are never loaded: analyzers in this repository
 // check production lock code, and fixtures live in testdata directories as
 // ordinary non-test files (which the go tool ignores, so deliberately
-// defective fixtures cannot break `go build ./...`).
+// defective fixtures cannot break `go build ./...`). Build constraints are
+// honoured as in a plain `go build` for the host, so of two files that
+// declare the same names under complementary constraints (a `race` and a
+// `!race` variant) exactly one is loaded.
 package loader
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -185,8 +189,8 @@ func (l *Loader) loadDir(pkgPath, dir string) (*Package, error) {
 	return p, nil
 }
 
-// goFilesIn lists the buildable (non-test, non-ignored) Go files in dir,
-// sorted for determinism.
+// goFilesIn lists the buildable (non-test, non-ignored, constraint-matching)
+// Go files in dir, sorted for determinism.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -197,6 +201,11 @@ func goFilesIn(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

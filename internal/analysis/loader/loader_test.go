@@ -58,6 +58,17 @@ func TestLoadPatterns(t *testing.T) {
 		t.Fatal("lockapi loaded without a type-checked Cell")
 	}
 
+	// Build constraints select files: coro declares Thread once in its
+	// iter.Pull file and once in its race-build file, and only the first
+	// matches a plain build.
+	pkgs, err = ld.Load("./internal/coro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs[0].Syntax) != 1 || pkgs[0].Types.Scope().Lookup("Thread") == nil {
+		t.Fatalf("Load(./internal/coro) parsed %d files, want coro.go alone with Thread", len(pkgs[0].Syntax))
+	}
+
 	// A tree pattern loads subpackages but never testdata.
 	pkgs, err = ld.Load("./internal/analysis/...")
 	if err != nil {

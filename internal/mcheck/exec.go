@@ -1,11 +1,9 @@
 package mcheck
 
 import (
+	"github.com/clof-go/clof/internal/coro"
 	"github.com/clof-go/clof/internal/lockapi"
 )
-
-// stopExec unwinds thread goroutines at replay teardown.
-type stopExec struct{}
 
 // mcell is the checker's committed-memory state of one cell.
 type mcell struct {
@@ -38,7 +36,7 @@ type bufEntry struct {
 	issueIdx int
 }
 
-// Pending-transition kinds: what a parked thread does when next granted.
+// Pending-transition kinds: what a suspended thread does when next granted.
 const (
 	pkOp    int = iota // a shared-memory operation (load/store/rmw/fence)
 	pkYield            // a plain yield (unarmed Spin)
@@ -97,18 +95,21 @@ type monEntry struct {
 // it offers the critical-section and fairness hooks the verification
 // programs use.
 //
-// Execution protocol: every operation *announces* itself (kind + footprint)
-// and parks before applying any effect; the grant then applies buffered
-// monitor calls and the operation's effects and runs the body to its next
-// announce. Monitor calls made between two operations are therefore applied
-// exactly when the later operation executes — the same instant they took
-// effect when operations parked after their effects — so the protocol
-// change is invisible to verdicts while giving the explorer the footprint
-// of every pending transition (the enabler for partial-order reduction).
+// Execution protocol: each thread is a coroutine (internal/coro). Every
+// operation *announces* itself (kind + footprint) and suspends before
+// applying any effect; the grant resumes it, applies buffered monitor calls
+// and the operation's effects, and runs the body to its next announce.
+// Monitor calls made between two operations are therefore applied exactly
+// when the later operation executes — the same instant they took effect
+// when operations suspended after their effects — so the protocol change is
+// invisible to verdicts while giving the explorer the footprint of every
+// pending transition (the enabler for partial-order reduction).
 type Proc struct {
-	ex     *exec
-	tid    int
-	resume chan struct{}
+	ex  *exec
+	tid int
+	// co is this thread's coroutine: apply resumes it, announce yields it,
+	// shutdown stops it.
+	co coro.Thread
 
 	done bool
 	pend pending
@@ -144,7 +145,7 @@ type Proc struct {
 	// Stale-load machinery (Config.StaleLoads, WMM only). seen caches the
 	// value this thread last observed per cell — the value a Relaxed load
 	// may still legally return after memory has moved on. A candidate stale
-	// read is announced as a scheduling fork: the thread parks with a
+	// read is announced as a scheduling fork: the thread suspends with a
 	// pkStale pending, the explorer schedules Choice{Stale: true|false},
 	// and staleTake carries the decision back.
 	seen       map[*mcell]uint64
@@ -166,7 +167,6 @@ func mix(h uint64, vs ...uint64) uint64 {
 type exec struct {
 	mode    Mode
 	threads []*Proc
-	yield   chan struct{}
 	cells   map[*lockapi.Cell]*mcell
 
 	violation string
@@ -191,16 +191,12 @@ type exec struct {
 	lastFoot    footprint
 }
 
-// newExec instantiates the program and runs every thread to its first
-// announced operation. Pre-operation body code is thread-local by
-// construction (all shared accesses go through Proc), so sequential priming
-// is schedule-neutral; monitor calls made before the first operation are
-// buffered and take effect at its grant.
+// newExec instantiates the program; no thread runs until replay. Callers
+// defer shutdown, which also covers a body that panics during the replay.
 func newExec(prog Program, cfg Config) *exec {
 	bodies := prog.Make()
 	ex := &exec{
 		mode:         cfg.Mode,
-		yield:        make(chan struct{}),
 		cells:        make(map[*lockapi.Cell]*mcell),
 		fairK:        cfg.FairnessK,
 		stale:        cfg.StaleLoads && cfg.Mode == WMM,
@@ -212,29 +208,15 @@ func newExec(prog Program, cfg Config) *exec {
 		ex.lastStepIdx[i] = -1
 	}
 	for i, body := range bodies {
-		p := &Proc{ex: ex, tid: i, resume: make(chan struct{}), hist: uint64(i) + 1}
+		p := &Proc{ex: ex, tid: i, hist: uint64(i) + 1}
 		ex.threads = append(ex.threads, p)
-		body := body
-		go func() {
-			defer func() {
-				stopped := false
-				if r := recover(); r != nil {
-					if _, s := r.(stopExec); !s {
-						panic(r)
-					}
-					stopped = true
-				}
-				if !stopped {
-					// Trailing monitor calls after the last operation take
-					// effect within that operation's grant.
-					p.drainMon()
-				}
-				p.done = true
-				ex.yield <- struct{}{}
-			}()
+		p.co.Init(func() {
 			body(p)
-		}()
-		<-ex.yield
+			// Trailing monitor calls after the last operation take effect
+			// within that operation's grant.
+			p.drainMon()
+			p.done = true
+		})
 	}
 	return ex
 }
@@ -250,28 +232,6 @@ func (ex *exec) cell(c *lockapi.Cell) *mcell {
 	return m
 }
 
-// step grants thread t its announced transition (t must be enabled). stale
-// resolves a pending stale-read fork; it is ignored (and false) otherwise.
-func (ex *exec) step(t int, stale bool) {
-	p := ex.threads[t]
-	p.staleTake = stale
-	p.resume <- struct{}{}
-	<-ex.yield
-	ex.lastFoot = p.execFoot
-	ex.lastStepIdx[t] = ex.stepCount
-	ex.stepCount++
-}
-
-// flush commits buffer entry idx of thread t to memory.
-func (ex *exec) flush(t, idx int) {
-	p := ex.threads[t]
-	e := p.buffer[idx]
-	commit(e.cell, e.value, uint64(t), e.opIdx)
-	p.buffer = append(p.buffer[:idx], p.buffer[idx+1:]...)
-	ex.lastFoot = footprint{tid: t, isFlush: true, cells: []fpCell{{e.cell.idx, true}}}
-	ex.stepCount++
-}
-
 // commit applies a write to memory. A write of the value already present is
 // unobservable — no reader can distinguish it — so it does not bump the
 // version (this keeps TAS waiters, whose Swap(1) re-writes 1, from waking
@@ -285,14 +245,49 @@ func commit(m *mcell, v, tid, opIdx uint64) {
 	m.wTag = mix(0, tid+1, opIdx)
 }
 
-// shutdown terminates all live thread goroutines.
+// apply executes one enabled scheduling decision: a flush commits buffer
+// entry ch.Flush of thread ch.TID to memory; otherwise the thread is granted
+// its announced transition, and ch.Stale resolves a pending stale-read fork
+// (it is ignored, and false, otherwise).
+func (ex *exec) apply(ch Choice) {
+	t, p := ch.TID, ex.threads[ch.TID]
+	if ch.Flush >= 0 {
+		e := p.buffer[ch.Flush]
+		commit(e.cell, e.value, uint64(t), e.opIdx)
+		p.buffer = append(p.buffer[:ch.Flush], p.buffer[ch.Flush+1:]...)
+		ex.lastFoot = footprint{tid: t, isFlush: true, cells: []fpCell{{e.cell.idx, true}}}
+	} else {
+		p.staleTake = ch.Stale
+		p.co.Resume()
+		ex.lastFoot = p.execFoot
+		ex.lastStepIdx[t] = ex.stepCount
+	}
+	ex.stepCount++
+}
+
+// replay runs every thread to its first announced operation, then applies
+// the schedule prefix in order, stopping at the first violation.
+// Pre-operation body code is thread-local by construction (all shared
+// accesses go through Proc), so sequential priming is schedule-neutral;
+// monitor calls made before the first operation are buffered and take
+// effect at its grant.
+func (ex *exec) replay(prefix []Choice) {
+	for _, p := range ex.threads {
+		p.co.Resume()
+	}
+	for _, ch := range prefix {
+		if ex.violation != "" {
+			return
+		}
+		ex.apply(ch)
+	}
+}
+
+// shutdown stops every thread: each suspended in announce is unwound from
+// there; finished and never-started threads are left as they are.
 func (ex *exec) shutdown() {
 	for _, p := range ex.threads {
-		if p.done {
-			continue
-		}
-		close(p.resume)
-		<-ex.yield
+		p.co.Stop()
 	}
 }
 
@@ -425,7 +420,7 @@ func (ex *exec) fingerprint() fingerprint {
 	return fp
 }
 
-// replayState is what the explorer needs after replaying a prefix.
+// replayState is what the explorers need after replaying a prefix.
 type replayState struct {
 	violation string
 	enabled   []Choice
@@ -434,40 +429,28 @@ type replayState struct {
 	readFinal func(c *lockapi.Cell) uint64
 }
 
+// state captures the explorers' view of the instance after a replay.
+func (ex *exec) state() replayState {
+	if ex.violation != "" {
+		return replayState{violation: ex.violation}
+	}
+	return replayState{
+		enabled:   ex.enabledChoices(),
+		allDone:   ex.allDone(),
+		fp:        ex.fingerprint(),
+		readFinal: func(cl *lockapi.Cell) uint64 { return ex.cell(cl).value },
+	}
+}
+
 // replay executes the schedule prefix on a fresh instance.
 func (c *checker) replay(prefix []Choice) replayState {
 	ex := newExec(c.prog, c.cfg)
 	defer ex.shutdown()
-	for _, ch := range prefix {
-		if ex.violation != "" {
-			break
-		}
-		if ch.Flush >= 0 {
-			ex.flush(ch.TID, ch.Flush)
-		} else {
-			ex.step(ch.TID, ch.Stale)
-		}
-	}
-	st := replayState{violation: ex.violation}
-	if st.violation != "" {
-		return st
-	}
-	st.allDone = ex.allDone()
-	if !st.allDone {
-		st.enabled = ex.enabledChoices()
-	}
-	st.fp = ex.fingerprint()
-	st.readFinal = func(cl *lockapi.Cell) uint64 { return ex.cell(cl).value }
-	return st
+	ex.replay(prefix)
+	return ex.state()
 }
 
 // ---- Proc: lockapi.Proc implementation ----
-
-func (p *Proc) waitTurn() {
-	if _, ok := <-p.resume; !ok {
-		panic(stopExec{})
-	}
-}
 
 // fpReset/fpAdd build the next announcement's footprint in the reusable
 // per-thread backing array.
@@ -484,15 +467,14 @@ func (p *Proc) fpAddBuffer() {
 	}
 }
 
-// announce parks the thread with its next transition and waits for a grant;
-// on resume it records the executed footprint and applies the buffered
+// announce suspends the thread with its next transition until a grant; on
+// resume it records the executed footprint and applies the buffered
 // monitor calls (see the Proc comment for why this preserves exact verdict
 // timing).
 func (p *Proc) announce(pd pending) {
 	pd.foot = footprint{tid: p.tid, mon: p.monPending(), cells: p.footCells}
 	p.pend = pd
-	p.ex.yield <- struct{}{}
-	p.waitTurn()
+	p.co.Yield()
 	p.execCells = append(p.execCells[:0], p.pend.foot.cells...)
 	p.execFoot = footprint{tid: p.tid, mon: p.pend.foot.mon, cells: p.execCells}
 	p.drainMon()
@@ -630,7 +612,7 @@ func (p *Proc) Load(c *lockapi.Cell, o lockapi.Order) uint64 {
 	if p.ex.stale {
 		if o == lockapi.Relaxed && !p.buffered(m) {
 			if old, ok := p.seen[m]; ok && old != v {
-				// Announce the fork and park until the explorer decides.
+				// Announce the fork and suspend until the explorer decides.
 				p.pendingOld = old
 				p.fpReset()
 				p.fpAdd(m, false)

@@ -5,7 +5,9 @@ package mcheck
 // machinery the lock-verification results rest on.
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/clof-go/clof/internal/lockapi"
 )
@@ -229,5 +231,54 @@ func TestFenceFlushes(t *testing.T) {
 	)
 	if res := Check(prog, Config{Mode: WMM}); !res.OK {
 		t.Fatalf("%s (witness %v)", res.Violation, res.Witness)
+	}
+}
+
+// TestBodyPanicReachesCaller runs programs whose thread body panics, once
+// while newExec primes the threads (thread 1, before its first operation,
+// with thread 0 already suspended and thread 2 not yet started) and once
+// mid-replay (thread 0 after three operations). The panic value must reach
+// Check's caller, and every thread of every replay must be gone afterwards.
+func TestBodyPanicReachesCaller(t *testing.T) {
+	adder := func(n int) func(p *Proc) {
+		return func(p *Proc) {
+			var c lockapi.Cell
+			for i := 0; i < n; i++ {
+				p.Add(&c, 1, lockapi.SeqCst)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		bodies []func(p *Proc)
+		want   string
+	}{
+		{"priming", []func(p *Proc){adder(2), func(*Proc) { panic("boom while priming") }, adder(2)}, "boom while priming"},
+		{"replay", []func(p *Proc){func(p *Proc) {
+			adder(3)(p)
+			panic("boom mid-replay")
+		}, adder(2)}, "boom mid-replay"},
+	} {
+		for _, cfg := range []Config{{Mode: SC}, {Mode: WMM, POR: true}} {
+			t.Run(tc.name+"/"+cfg.Mode.String(), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				prog := Program{Name: tc.name, Make: func() []func(p *Proc) { return tc.bodies }}
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					Check(prog, cfg)
+					return nil
+				}()
+				if got != tc.want {
+					t.Fatalf("Check panicked with %v, want %q", got, tc.want)
+				}
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > before {
+					t.Errorf("%d goroutines after Check, %d before: checked threads leaked", n, before)
+				}
+			})
+		}
 	}
 }

@@ -222,6 +222,7 @@ func CheckGuided(prog Program, cfg Config, pick func(step int, enabled []Choice)
 	}
 	ex := newExec(prog, cfg)
 	defer ex.shutdown()
+	ex.replay(nil) // prime every thread
 	res := Result{Executions: 1}
 	var schedule []Choice
 	for {
@@ -252,11 +253,7 @@ func CheckGuided(prog Program, cfg Config, pick func(step int, enabled []Choice)
 			return res
 		}
 		ch := pick(len(schedule), enabled)
-		if ch.Flush >= 0 {
-			ex.flush(ch.TID, ch.Flush)
-		} else {
-			ex.step(ch.TID, ch.Stale)
-		}
+		ex.apply(ch)
 		schedule = append(schedule, ch)
 		res.MaxDepthSeen = len(schedule)
 	}

@@ -1,7 +1,5 @@
 package mcheck
 
-import "github.com/clof-go/clof/internal/lockapi"
-
 // Partial-order reduction (Config.POR): dynamic partial-order reduction in
 // the style of Flanagan & Godefroid (POPL 2005) with sleep sets, over the
 // announce-before-execute executor.
@@ -92,16 +90,13 @@ func copyFoot(f footprint) footprint {
 	return f
 }
 
-// porState is what the reduced explorer needs after replaying a prefix.
+// porState is what the reduced explorer needs after replaying a prefix:
+// the exhaustive explorer's view plus the footprints backtracking needs.
 type porState struct {
-	violation string
-	enabled   []Choice
-	keys      []ckey
-	pendings  []pendInfo
-	allDone   bool
-	fp        fingerprint
-	lastFoot  footprint
-	readFinal func(c *lockapi.Cell) uint64
+	replayState
+	keys     []ckey
+	pendings []pendInfo
+	lastFoot footprint
 }
 
 // traceEv is one executed transition of the current schedule prefix.
@@ -173,52 +168,37 @@ func checkPOR(prog Program, cfg Config) Result {
 func (c *porChecker) replay() porState {
 	ex := newExec(c.prog, c.cfg)
 	defer ex.shutdown()
-	for _, ch := range c.prefix {
-		if ex.violation != "" {
-			break
-		}
-		if ch.Flush >= 0 {
-			ex.flush(ch.TID, ch.Flush)
-		} else {
-			ex.step(ch.TID, ch.Stale)
-		}
-	}
-	st := porState{violation: ex.violation}
+	ex.replay(c.prefix)
+	st := porState{replayState: ex.state()}
 	if st.violation != "" {
 		return st
 	}
 	st.lastFoot = copyFoot(ex.lastFoot)
-	st.allDone = ex.allDone()
-	if !st.allDone {
-		st.enabled = ex.enabledChoices()
-		for _, ch := range st.enabled {
-			if ch.Flush >= 0 {
-				e := ex.threads[ch.TID].buffer[ch.Flush]
-				st.keys = append(st.keys, ckey{tid: ch.TID, flush: e.opIdx + 1})
-			} else {
-				st.keys = append(st.keys, ckey{tid: ch.TID, stale: ch.Stale})
-			}
-		}
-		for t, p := range ex.threads {
-			if !p.done {
-				st.pendings = append(st.pendings, pendInfo{
-					key:   ckey{tid: t},
-					foot:  copyFoot(p.pend.foot),
-					hbRef: ex.lastStepIdx[t],
-				})
-			}
-			for i := range p.buffer {
-				e := &p.buffer[i]
-				st.pendings = append(st.pendings, pendInfo{
-					key:   ckey{tid: t, flush: e.opIdx + 1},
-					foot:  footprint{tid: t, isFlush: true, cells: []fpCell{{e.cell.idx, true}}},
-					hbRef: e.issueIdx,
-				})
-			}
+	for _, ch := range st.enabled {
+		if ch.Flush >= 0 {
+			e := ex.threads[ch.TID].buffer[ch.Flush]
+			st.keys = append(st.keys, ckey{tid: ch.TID, flush: e.opIdx + 1})
+		} else {
+			st.keys = append(st.keys, ckey{tid: ch.TID, stale: ch.Stale})
 		}
 	}
-	st.fp = ex.fingerprint()
-	st.readFinal = func(cl *lockapi.Cell) uint64 { return ex.cell(cl).value }
+	for t, p := range ex.threads {
+		if !p.done {
+			st.pendings = append(st.pendings, pendInfo{
+				key:   ckey{tid: t},
+				foot:  copyFoot(p.pend.foot),
+				hbRef: ex.lastStepIdx[t],
+			})
+		}
+		for i := range p.buffer {
+			e := &p.buffer[i]
+			st.pendings = append(st.pendings, pendInfo{
+				key:   ckey{tid: t, flush: e.opIdx + 1},
+				foot:  footprint{tid: t, isFlush: true, cells: []fpCell{{e.cell.idx, true}}},
+				hbRef: e.issueIdx,
+			})
+		}
+	}
 	return st
 }
 

@@ -1,15 +1,10 @@
-//go:build go1.23
-
-// The execution core: virtual CPUs are runtime coroutines (iter.Pull), and
-// Run is the only scheduler. The build constraint raises this file's
-// language version to the one that introduced iter while the module stays
-// at go 1.22.
+// The execution core: virtual CPUs are coroutines (internal/coro), and Run
+// is the only scheduler.
 
 package memsim
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 )
 
@@ -28,17 +23,7 @@ func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
 		cpu: cpu,
 		rng: m.rng.Split(),
 	}
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		// A shutdown unwinds the thread with simStop; any other panic
-		// is the workload's and reaches Run's caller through next.
-		defer func() {
-			if r := recover(); r != nil {
-				if _, stop := r.(simStop); !stop {
-					panic(r)
-				}
-			}
-		}()
-		p.yield = yield
+	p.co.Init(func() {
 		stackReserve()
 		fn(p)
 	})
@@ -79,7 +64,7 @@ func (m *Machine) Run(horizon int64) Result {
 		}
 		m.now = t
 		m.events++
-		p.next()
+		p.co.Resume()
 	}
 
 	res := Result{Now: m.now, Events: m.events}
@@ -95,13 +80,12 @@ func (m *Machine) Run(horizon int64) Result {
 	return res
 }
 
-// shutdown terminates all live virtual CPUs. Each is suspended in waitTurn;
-// stopping its coroutine makes the pending yield return false, and waitTurn
-// unwinds the thread with the simStop sentinel. Finished threads and
-// threads that never ran stop without executing anything.
+// shutdown terminates all live virtual CPUs: each suspended in waitTurn is
+// unwound from there. Finished threads and threads that never ran stop
+// without executing anything.
 func (m *Machine) shutdown() {
 	for _, p := range m.threads {
-		p.stop()
+		p.co.Stop()
 	}
 }
 
@@ -119,11 +103,7 @@ func stackReserve() byte {
 
 // waitTurn suspends this thread's coroutine until Run grants it its next
 // event.
-func (p *Proc) waitTurn() {
-	if !p.yield(struct{}{}) {
-		panic(simStop{})
-	}
-}
+func (p *Proc) waitTurn() { p.co.Yield() }
 
 // yieldAt schedules this thread's next event at its local time and returns
 // once the event is granted.

@@ -1,13 +1,10 @@
 package memsim
 
 import (
+	"github.com/clof-go/clof/internal/coro"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/xrand"
 )
-
-// simStop is the sentinel panic used to unwind a virtual CPU's stack when
-// the machine shuts down while the thread is still blocked or spinning.
-type simStop struct{}
 
 // plstate is a thread's private view of one line: which version it has
 // cached (if any).
@@ -28,11 +25,9 @@ type Proc struct {
 	// parked is set while the thread waits in a line's watcher list.
 	parked bool
 
-	// next resumes this thread's coroutine (Run's side); yield suspends
-	// it (the thread's side, through waitTurn); stop unwinds it.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
-	stop  func()
+	// co is this thread's coroutine: Run resumes it, waitTurn yields it,
+	// shutdown stops it.
+	co coro.Thread
 
 	// lines is this thread's private per-line state, densely indexed by
 	// line.id. Entry pointers handed out by pls stay valid across parks:

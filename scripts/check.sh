@@ -46,8 +46,8 @@
 # so raising the root directive makes every bench build fail with "go:
 # updates to go.mod needed" (step 13 catches that). Code that needs a
 # newer language version carries its own constraint instead:
-# internal/memsim/core.go is `//go:build go1.23` for iter.Pull, so the
-# tree needs a go1.23+ toolchain.
+# internal/coro (the coroutine core memsim and mcheck share) is
+# `//go:build go1.23` for iter.Pull, so the tree needs a go1.23+ toolchain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
