@@ -1,6 +1,8 @@
-// kvstore: run the LevelDB-style readrandom benchmark of internal/kvstore
-// natively with different DB locks — the Go analog of the paper's
-// LD_PRELOAD lock interposition on LevelDB (§5.1.2).
+// kvstore: run the LevelDB-style readrandom benchmark natively on a
+// one-shard store (internal/store over internal/kvstore) with different DB
+// locks — the Go analog of the paper's LD_PRELOAD lock interposition on
+// LevelDB (§5.1.2). None of these locks has a shared mode, so every read
+// takes the lock exclusively, like LevelDB's global DB mutex.
 //
 //	go run ./examples/kvstore [-threads N] [-keys N] [-ms N]
 //
@@ -16,7 +18,7 @@ import (
 	"time"
 
 	clof "github.com/clof-go/clof"
-	"github.com/clof-go/clof/internal/kvstore"
+	"github.com/clof-go/clof/internal/store"
 )
 
 func main() {
@@ -38,13 +40,15 @@ func main() {
 
 	fmt.Printf("readrandom: %d threads, %d keys, %dms per lock (GOMAXPROCS=%d)\n\n",
 		*threads, *keys, *ms, runtime.GOMAXPROCS(0))
+	readRandom := store.Mix{Name: "readrandom", ReadPct: 100}
 	for _, e := range entries {
-		db := kvstore.Open(kvstore.Options{Lock: e.mk()})
-		kvstore.Preload(db, *keys)
-		res := kvstore.ReadRandom(db, kvstore.ReadRandomOptions{
+		kv := store.OpenKV(store.KVOptions{NewLock: func(int) clof.Lock { return e.mk() }})
+		store.PreloadKV(kv, *keys)
+		res := store.RunYCSB(kv, store.YCSBOptions{
 			Keys:     *keys,
 			Threads:  *threads,
 			Duration: time.Duration(*ms) * time.Millisecond,
+			Mix:      readRandom,
 		})
 		fmt.Printf("%-22s %8.3f reads/µs  (%d reads, %d misses)\n",
 			e.name, res.ThroughputOpsPerUs(), res.Ops, res.Misses)

@@ -3,8 +3,8 @@
 // package boundaries. It is the interprocedural substrate under the
 // lockorder and heldescape analyzers — the piece PR 2's intra-package call
 // graphs could not provide, and the reason acquisition-order cycles between
-// composed locks (clof climbing its hierarchy, a kvstore shard holding its
-// DB lock, a cohort wrapper taking local then global) are visible to
+// composed locks (clof climbing its hierarchy, a store shard holding its
+// shard lock, a cr: wrapper taking its inner lock) are visible to
 // clof-lint at all.
 //
 // # Lock classes
@@ -13,8 +13,9 @@
 // class of an acquisition site is resolved from the receiver expression of
 // the Acquire/Lock call, most specific first:
 //
-//   - a package-level variable ("kvstore.globalMu"),
-//   - a struct field ("kvstore.DB.lock" — every DB shares the class),
+//   - a package-level variable ("deadlock.MuA" in clof-lint's bad module),
+//   - a struct field ("cr.Restricted.inner" — every Restricted shares the
+//     class),
 //   - otherwise the receiver's named type ("clof.Lock", "sync.Mutex").
 //
 // A class may declare its CLoF topology level with a directive comment on
@@ -88,7 +89,7 @@ type Edge struct {
 	PkgPath string
 	// Chain is the call chain from the function containing Site down to
 	// the function performing the acquisition, for cross-package
-	// diagnostics ("kvstore.Session.Put -> clof.Lock.acquireNode").
+	// diagnostics ("store.KVSession.Put -> store.Session.ExclusiveAt").
 	Chain []string
 }
 
@@ -122,8 +123,8 @@ type FieldAccess struct {
 type Unit struct {
 	// Fn is the declared function, nil for a function literal.
 	Fn *types.Func
-	// Label is the diagnostic name ("kvstore.Session.Put",
-	// "kvstore.func@readrandom.go:81").
+	// Label is the diagnostic name ("store.KVSession.Put",
+	// "store.func@kv.go:76").
 	Label string
 	pkg   *loader.Package
 	body  *ast.BlockStmt

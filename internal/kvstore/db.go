@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"sync/atomic"
-
-	"github.com/clof-go/clof/internal/lockapi"
 )
 
 // entry is one key/value pair of a sorted run. A tombstone marks a deletion
@@ -35,9 +33,6 @@ func (r *run) get(key []byte) (e entry, found bool) {
 
 // Options configures a DB.
 type Options struct {
-	// Lock guards every DB operation (LevelDB's global DB mutex). Nil
-	// defaults to an uncontended no-op lock for single-threaded use.
-	Lock lockapi.Lock
 	// MemtableBytes is the freeze threshold (default 1 MiB).
 	MemtableBytes int
 	// MaxRuns triggers a full-merge compaction when exceeded (default 8).
@@ -47,28 +42,28 @@ type Options struct {
 }
 
 // DB is a small LSM key-value store: one mutable skiplist memtable plus a
-// stack of immutable sorted runs, merged when MaxRuns is exceeded. All
-// mutating operations acquire the configured lock, making the DB the
-// contended resource the paper's readrandom benchmark measures; read-only
-// operations may additionally run unlocked under seqlock validation (the
-// package comment describes the two reader disciplines).
+// stack of immutable sorted runs, merged when MaxRuns is exceeded. It takes
+// no lock of its own; the caller serializes it (the sharded store's shard
+// lock, internal/store):
+//
+//   - writers (Put, Delete, Flush) and Stats run exclusively;
+//   - Get and Scan may overlap each other;
+//   - Get and Scan may overlap a writer only under seqlock validation: the
+//     caller brackets them in ReadSeq/ReadValidate and discards a result
+//     whose validation fails (the package comment explains why).
 type DB struct {
 	opts Options
-	lock lockapi.Lock
 
 	// mem and runs are the reader-visible layer pointers, atomically
-	// published so the unlocked read paths see a sound (if possibly mixed)
-	// layer set. Only freezeLocked/compactLocked swap them, under the lock;
-	// runs is published before mem is reset so no entry is ever absent from
-	// both layers at once.
+	// published so a reader overlapping a writer sees a sound (if possibly
+	// mixed) layer set. Only freezeLocked/compactLocked swap them; runs is
+	// published before mem is reset so no entry is ever absent from both
+	// layers at once.
 	mem  atomic.Pointer[skiplist]
 	runs atomic.Pointer[[]*run] // newest first
 
-	// Operation counters. Atomic so that read-only operations may run under
-	// a shared (reader) acquisition of the DB lock — or with no lock at all
-	// on the validated optimistic path — without racing each other;
-	// mutating operations and StatsSnapshot still require the exclusive
-	// lock.
+	// Operation counters. Atomic so that overlapping readers do not race
+	// each other on them.
 	gets, puts, deletes, scans, compactions atomic.Uint64
 }
 
@@ -80,33 +75,14 @@ func Open(opts Options) *DB {
 	if opts.MaxRuns == 0 {
 		opts.MaxRuns = 8
 	}
-	lock := opts.Lock
-	if lock == nil {
-		lock = lockapi.Noop{}
-	}
-	db := &DB{opts: opts, lock: lock}
+	db := &DB{opts: opts}
 	db.mem.Store(newSkiplist(opts.Seed))
 	db.runs.Store(&[]*run{})
 	return db
 }
 
-// Session is a per-worker handle carrying the lock context; every worker
-// (goroutine or simulated thread) must use its own.
-type Session struct {
-	db  *DB
-	ctx lockapi.Ctx
-}
-
-// NewSession allocates a worker session. Only safe during single-threaded
-// setup (lock contexts are registered with the lock).
-func (db *DB) NewSession() *Session {
-	return &Session{db: db, ctx: db.lock.NewCtx()}
-}
-
-// Put inserts or overwrites a key.
-func (s *Session) Put(p lockapi.Proc, key, value []byte) {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
+// Put inserts or overwrites a key. key and value are copied.
+func (db *DB) Put(key, value []byte) {
 	db.puts.Add(1)
 	mem := db.mem.Load()
 	mem.putEntry(entry{
@@ -116,13 +92,13 @@ func (s *Session) Put(p lockapi.Proc, key, value []byte) {
 	if mem.bytes >= db.opts.MemtableBytes {
 		db.freezeLocked()
 	}
-	db.lock.Release(p, s.ctx)
 }
 
-// getMerged is the layer-merge read: memtable first, then runs
-// newest-to-oldest, a tombstone in a newer layer shadowing older values.
-// Allocation-free; safe under the lock and on the unlocked validated path.
-func (db *DB) getMerged(key []byte) ([]byte, bool) {
+// Get fetches a key: memtable first, then runs newest-to-oldest, a
+// tombstone in a newer layer shadowing older values. Allocation-free. The
+// returned value aliases the DB's storage and must not be modified.
+func (db *DB) Get(key []byte) ([]byte, bool) {
+	db.gets.Add(1)
 	if e, found := db.mem.Load().get(key); found {
 		return e.value, !e.tombstone
 	}
@@ -134,46 +110,26 @@ func (db *DB) getMerged(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// Get fetches a key under the DB lock.
-func (s *Session) Get(p lockapi.Proc, key []byte) ([]byte, bool) {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
-	db.gets.Add(1)
-	v, ok := db.getMerged(key)
-	db.lock.Release(p, s.ctx)
-	return v, ok
-}
-
-// GetUnlocked fetches a key with no lock held — the optimistic fast path of
-// the sharded store. The read is data-race-free but unserialized: the
-// caller MUST bracket it in seqlock ReadSeq/ReadValidate and discard the
-// result when validation fails, because a concurrent writer may have left a
-// mixed layer state behind the returned value. Allocation-free.
-func (db *DB) GetUnlocked(key []byte) ([]byte, bool) {
-	db.gets.Add(1)
-	return db.getMerged(key)
-}
-
 // Delete removes a key by writing a tombstone (LSM deletion): the key
 // disappears from reads immediately and from storage at the next full
 // compaction.
-func (s *Session) Delete(p lockapi.Proc, key []byte) {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
+func (db *DB) Delete(key []byte) {
 	db.deletes.Add(1)
 	mem := db.mem.Load()
 	mem.putEntry(entry{key: append([]byte(nil), key...), tombstone: true})
 	if mem.bytes >= db.opts.MemtableBytes {
 		db.freezeLocked()
 	}
-	db.lock.Release(p, s.ctx)
 }
 
-// scanMerged visits every live key in [start, end) in key order, merged
-// across the memtable and all runs (newest value wins, tombstones skip). fn
-// returning false stops the scan. Shared by the locked and unlocked scan
-// paths.
-func (db *DB) scanMerged(start, end []byte, fn func(key, value []byte) bool) {
+// Scan visits every live key in [start, end) in key order, merged across
+// the memtable and all runs (newest value wins, tombstones skip); a nil end
+// is unbounded. fn returning false stops the scan. A scan overlapping a
+// writer learns of a failed validation only after it completes, so such a
+// caller must buffer fn's observations and publish them only once
+// validation succeeds (the sharded store's Scan does exactly that).
+func (db *DB) Scan(start, end []byte, fn func(key, value []byte) bool) {
+	db.scans.Add(1)
 	// Sources newest-first: memtable, then runs.
 	runs := *db.runs.Load()
 	sources := make([][]entry, 0, len(runs)+1)
@@ -220,29 +176,9 @@ func (db *DB) scanMerged(start, end []byte, fn func(key, value []byte) bool) {
 	}
 }
 
-// Scan visits every live key in [start, end) in key order under the DB
-// lock; see scanMerged for the merge discipline.
-func (s *Session) Scan(p lockapi.Proc, start, end []byte, fn func(key, value []byte) bool) {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
-	db.scans.Add(1)
-	db.scanMerged(start, end, fn)
-	db.lock.Release(p, s.ctx)
-}
-
-// ScanUnlocked is the optimistic counterpart of Scan: same merge, no lock.
-// Like GetUnlocked it requires seqlock validation — and because a failed
-// validation arrives only after the scan completes, callers must buffer
-// fn's observations and publish them only if validation succeeds (the
-// sharded store's Scan does exactly that).
-func (db *DB) ScanUnlocked(start, end []byte, fn func(key, value []byte) bool) {
-	db.scans.Add(1)
-	db.scanMerged(start, end, fn)
-}
-
-// freezeLocked turns the memtable into a run; caller holds the lock. The
-// new run stack is published before the memtable pointer is reset, so an
-// unlocked reader interleaving with the freeze finds every entry in at
+// freezeLocked turns the memtable into a run; the caller runs it as a
+// writer. The new run stack is published before the memtable pointer is
+// reset, so a reader interleaving with the freeze finds every entry in at
 // least one layer (possibly both — validation, not the freeze, is what
 // makes its snapshot consistent).
 func (db *DB) freezeLocked() {
@@ -283,11 +219,7 @@ func (db *DB) compactLocked() {
 }
 
 // Flush freezes the current memtable (for tests and bulk loads).
-func (s *Session) Flush(p lockapi.Proc) {
-	s.db.lock.Acquire(p, s.ctx)
-	s.db.freezeLocked()
-	s.db.lock.Release(p, s.ctx)
-}
+func (db *DB) Flush() { db.freezeLocked() }
 
 // Stats is a point-in-time snapshot of one DB's operation counters.
 type Stats struct {
@@ -309,14 +241,9 @@ func (s *Stats) Add(other Stats) {
 	s.Runs += other.Runs
 }
 
-// StatsSnapshot returns the DB's counters under the exclusive lock: the
-// snapshot is a consistent cut even while other sessions are live, so phase
-// drivers need no quiescence argument (this replaced the unlocked Stats
-// readers and their lint waivers).
-func (s *Session) StatsSnapshot(p lockapi.Proc) Stats {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
-	st := Stats{
+// Stats returns the DB's counters. Run exclusively, it is a consistent cut.
+func (db *DB) Stats() Stats {
+	return Stats{
 		Gets:        db.gets.Load(),
 		Puts:        db.puts.Load(),
 		Deletes:     db.deletes.Load(),
@@ -324,8 +251,6 @@ func (s *Session) StatsSnapshot(p lockapi.Proc) Stats {
 		Compactions: db.compactions.Load(),
 		Runs:        len(*db.runs.Load()),
 	}
-	db.lock.Release(p, s.ctx)
-	return st
 }
 
 // KeyWidth is the canonical benchmark key width (LevelDB db_bench's 16-digit

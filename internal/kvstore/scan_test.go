@@ -8,20 +8,19 @@ import (
 
 func TestDeleteBasics(t *testing.T) {
 	db := Open(Options{})
-	s := db.NewSession()
-	s.Put(p0, Key(1), []byte("v1"))
-	s.Delete(p0, Key(1))
-	if _, ok := s.Get(p0, Key(1)); ok {
+	db.Put(Key(1), []byte("v1"))
+	db.Delete(Key(1))
+	if _, ok := db.Get(Key(1)); ok {
 		t.Fatal("deleted key still readable")
 	}
 	// Re-insert after delete.
-	s.Put(p0, Key(1), []byte("v2"))
-	if v, ok := s.Get(p0, Key(1)); !ok || string(v) != "v2" {
+	db.Put(Key(1), []byte("v2"))
+	if v, ok := db.Get(Key(1)); !ok || string(v) != "v2" {
 		t.Fatalf("reinserted key = %q,%v", v, ok)
 	}
 	// Deleting an absent key is a no-op read-wise.
-	s.Delete(p0, Key(99))
-	if _, ok := s.Get(p0, Key(99)); ok {
+	db.Delete(Key(99))
+	if _, ok := db.Get(Key(99)); ok {
 		t.Fatal("phantom key after deleting absent key")
 	}
 }
@@ -30,15 +29,14 @@ func TestDeleteBasics(t *testing.T) {
 // value frozen into an older run, and survive its own freeze.
 func TestTombstoneShadowsOlderRuns(t *testing.T) {
 	db := Open(Options{})
-	s := db.NewSession()
-	s.Put(p0, Key(5), []byte("old"))
-	s.Flush(p0) // value now in a run
-	s.Delete(p0, Key(5))
-	if _, ok := s.Get(p0, Key(5)); ok {
+	db.Put(Key(5), []byte("old"))
+	db.Flush() // value now in a run
+	db.Delete(Key(5))
+	if _, ok := db.Get(Key(5)); ok {
 		t.Fatal("tombstone did not shadow the run value")
 	}
-	s.Flush(p0) // tombstone itself frozen into a newer run
-	if _, ok := s.Get(p0, Key(5)); ok {
+	db.Flush() // tombstone itself frozen into a newer run
+	if _, ok := db.Get(Key(5)); ok {
 		t.Fatal("frozen tombstone did not shadow the run value")
 	}
 }
@@ -47,20 +45,19 @@ func TestTombstoneShadowsOlderRuns(t *testing.T) {
 // gone and so are the deleted keys.
 func TestCompactionDropsTombstones(t *testing.T) {
 	db := Open(Options{MaxRuns: 1})
-	s := db.NewSession()
 	for i := 0; i < 20; i++ {
-		s.Put(p0, Key(i), []byte("v"))
+		db.Put(Key(i), []byte("v"))
 	}
-	s.Flush(p0)
+	db.Flush()
 	for i := 0; i < 20; i += 2 {
-		s.Delete(p0, Key(i))
+		db.Delete(Key(i))
 	}
-	s.Flush(p0) // exceeds MaxRuns -> compaction
-	if st := s.StatsSnapshot(p0); st.Compactions == 0 {
+	db.Flush() // exceeds MaxRuns -> compaction
+	if st := db.Stats(); st.Compactions == 0 {
 		t.Fatal("no compaction happened")
 	}
 	for i := 0; i < 20; i++ {
-		_, ok := s.Get(p0, Key(i))
+		_, ok := db.Get(Key(i))
 		if want := i%2 == 1; ok != want {
 			t.Fatalf("key %d present=%v want %v after compaction", i, ok, want)
 		}
@@ -73,9 +70,9 @@ func TestCompactionDropsTombstones(t *testing.T) {
 	}
 }
 
-func collect(s *Session, start, end []byte) []string {
+func collect(db *DB, start, end []byte) []string {
 	var out []string
-	s.Scan(p0, start, end, func(k, v []byte) bool {
+	db.Scan(start, end, func(k, v []byte) bool {
 		out = append(out, string(k)+"="+string(v))
 		return true
 	})
@@ -84,23 +81,22 @@ func collect(s *Session, start, end []byte) []string {
 
 func TestScanMergedAcrossLayers(t *testing.T) {
 	db := Open(Options{})
-	s := db.NewSession()
 	// Layer 1 (oldest run): keys 0..9 = "old".
 	for i := 0; i < 10; i++ {
-		s.Put(p0, Key(i), []byte("old"))
+		db.Put(Key(i), []byte("old"))
 	}
-	s.Flush(p0)
+	db.Flush()
 	// Layer 2 (newer run): overwrite evens, delete key 1.
 	for i := 0; i < 10; i += 2 {
-		s.Put(p0, Key(i), []byte("new"))
+		db.Put(Key(i), []byte("new"))
 	}
-	s.Delete(p0, Key(1))
-	s.Flush(p0)
+	db.Delete(Key(1))
+	db.Flush()
 	// Memtable: overwrite key 3, add key 10.
-	s.Put(p0, Key(3), []byte("mem"))
-	s.Put(p0, Key(10), []byte("mem"))
+	db.Put(Key(3), []byte("mem"))
+	db.Put(Key(10), []byte("mem"))
 
-	got := collect(s, Key(0), nil)
+	got := collect(db, Key(0), nil)
 	want := []string{}
 	for i := 0; i <= 10; i++ {
 		switch {
@@ -127,17 +123,16 @@ func TestScanMergedAcrossLayers(t *testing.T) {
 
 func TestScanRangeAndEarlyStop(t *testing.T) {
 	db := Open(Options{})
-	s := db.NewSession()
 	for i := 0; i < 20; i++ {
-		s.Put(p0, Key(i), []byte{byte(i)})
+		db.Put(Key(i), []byte{byte(i)})
 	}
-	got := collect(s, Key(5), Key(8))
+	got := collect(db, Key(5), Key(8))
 	if len(got) != 3 {
 		t.Fatalf("range scan [5,8) returned %d entries: %v", len(got), got)
 	}
 	// Early stop after 2 entries.
 	n := 0
-	s.Scan(p0, Key(0), nil, func(k, v []byte) bool {
+	db.Scan(Key(0), nil, func(k, v []byte) bool {
 		n++
 		return n < 2
 	})
@@ -151,27 +146,26 @@ func TestScanRangeAndEarlyStop(t *testing.T) {
 func TestOracleWithDeletesAndScans(t *testing.T) {
 	f := func(ops []uint16) bool {
 		db := Open(Options{MemtableBytes: 300, MaxRuns: 2, Seed: 9})
-		s := db.NewSession()
 		oracle := map[string]string{}
 		for i, op := range ops {
 			k := string(Key(int(op % 29)))
 			switch op % 4 {
 			case 0:
 				v := fmt.Sprint(i)
-				s.Put(p0, []byte(k), []byte(v))
+				db.Put([]byte(k), []byte(v))
 				oracle[k] = v
 			case 1:
-				s.Delete(p0, []byte(k))
+				db.Delete([]byte(k))
 				delete(oracle, k)
 			case 2:
-				got, ok := s.Get(p0, []byte(k))
+				got, ok := db.Get([]byte(k))
 				want, wok := oracle[k]
 				if ok != wok || (ok && string(got) != want) {
 					return false
 				}
 			case 3:
 				seen := map[string]string{}
-				s.Scan(p0, Key(0), nil, func(kk, vv []byte) bool {
+				db.Scan(Key(0), nil, func(kk, vv []byte) bool {
 					seen[string(kk)] = string(vv)
 					return true
 				})

@@ -1,20 +1,22 @@
 // Package kvstore is a miniature LevelDB-flavored key-value store: an
 // LSM-style engine with a skiplist memtable that is frozen into immutable
 // sorted runs. It exists as the repository's native substitute for the
-// paper's LevelDB benchmark substrate (DESIGN.md §1): its global mutex is a
-// pluggable lockapi.Lock, so any lock in this repository — basic, CLoF,
-// HMCS, CNA, ShflLock — can serve as the DB lock, exactly as the paper
-// swaps LevelDB's pthread mutex via LD_PRELOAD.
+// paper's LevelDB benchmark substrate (DESIGN.md §1). The engine takes no
+// lock of its own: the sharded store (internal/store) owns the lock around
+// it, so any lock in this repository — basic, CLoF, HMCS, CNA, ShflLock —
+// can serve as the DB lock, as the paper swaps LevelDB's pthread mutex via
+// LD_PRELOAD.
 //
-// Readers come in two disciplines. The locked paths (Session.Get/Scan) hold
-// the DB lock, exclusive or shared. The unlocked paths (DB.GetUnlocked,
-// DB.ScanUnlocked) support the sharded store's optimistic-read fast path
-// (DESIGN.md S33): all reader-visible state — skiplist links, value slots,
-// the memtable and run-stack pointers — is published through atomics, so an
-// unlocked reader is data-race-free and always observes structurally sound
-// memory. What it may observe is a *mixed* state (half of a concurrent
-// write); callers must certify every unlocked result through seqlock
-// validation and discard it on failure.
+// Readers come in two disciplines. A serialized reader (DB.Get/Scan) runs
+// while no writer does, exclusive or shared with other readers. An
+// optimistic reader runs the same methods concurrently with a writer, the
+// sharded store's optimistic-read fast path (DESIGN.md S33): all
+// reader-visible state — skiplist links, value slots, the memtable and
+// run-stack pointers — is published through atomics, so such a reader is
+// data-race-free and always observes structurally sound memory. What it may
+// observe is a *mixed* state (half of a concurrent write); callers must
+// certify every such result through seqlock validation and discard it on
+// failure.
 package kvstore
 
 import (
@@ -27,12 +29,12 @@ import (
 const maxHeight = 12
 
 // skiplist is a single-writer skiplist keyed by []byte. Writers require
-// external synchronization (the DB lock); readers may traverse without the
-// lock — links and value slots are atomically published, LevelDB-memtable
+// external synchronization (the caller's lock); readers may traverse
+// concurrently with the writer — links and value slots are atomically published, LevelDB-memtable
 // style — provided they validate what they read (see the package comment).
 type skiplist struct {
 	head *skipNode
-	// height is the current index height; racily read by unlocked readers
+	// height is the current index height; racily read by optimistic readers
 	// (a stale height only costs extra comparisons, never misses keys,
 	// because level 0 is always complete).
 	height atomic.Int32
@@ -42,7 +44,7 @@ type skiplist struct {
 }
 
 // valSlot is an immutable value+tombstone pair. Overwrites swap the node's
-// slot pointer instead of mutating in place, so an unlocked reader sees
+// slot pointer instead of mutating in place, so an optimistic reader sees
 // either the old pair or the new pair, never a value/tombstone mix.
 type valSlot struct {
 	value     []byte
@@ -89,9 +91,9 @@ func (s *skiplist) findGreaterOrEqual(key []byte, prev *[maxHeight]*skipNode) *s
 	return x.next[0].Load()
 }
 
-// putEntry inserts or overwrites an entry (possibly a tombstone). Caller
-// holds the DB lock (single writer); concurrent unlocked readers are
-// tolerated by publishing the node bottom-up after its fields are complete.
+// putEntry inserts or overwrites an entry (possibly a tombstone). The caller
+// is the single writer; concurrent optimistic readers are tolerated by
+// publishing the node bottom-up after its fields are complete.
 func (s *skiplist) putEntry(e entry) {
 	var prev [maxHeight]*skipNode
 	if x := s.findGreaterOrEqual(e.key, &prev); x != nil && bytes.Equal(x.key, e.key) {
@@ -118,8 +120,8 @@ func (s *skiplist) putEntry(e entry) {
 }
 
 // get returns the entry for key; found is false if the key was never
-// written (a tombstone IS found). Safe both under the DB lock and on the
-// unlocked validated-read path.
+// written (a tombstone IS found). Safe for serialized and optimistic
+// readers alike.
 func (s *skiplist) get(key []byte) (e entry, found bool) {
 	x := s.findGreaterOrEqual(key, nil)
 	if x != nil && bytes.Equal(x.key, key) {

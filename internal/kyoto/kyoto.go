@@ -1,21 +1,16 @@
 // Package kyoto is a miniature Kyoto-Cabinet-flavored cache database: an
-// in-memory hash table with separate chaining, LRU eviction at a record
-// capacity, and one global lock around every operation — the structure that
-// makes the real Kyoto Cabinet a popular lock benchmark (its CacheDB
-// serializes operations on a global rwlock). It is the repository's native
-// substitute for the paper's cross-validation benchmark (DESIGN.md §1).
+// in-memory hash table with separate chaining and LRU eviction at a record
+// capacity. The real Kyoto Cabinet is a popular lock benchmark because its
+// CacheDB serializes every operation on one global rwlock; here that lock
+// is the sharded store's shard lock (internal/store), and the engine itself
+// takes none. It is the repository's native substitute for the paper's
+// cross-validation benchmark (DESIGN.md §1).
 package kyoto
 
-import (
-	"sync/atomic"
-
-	"github.com/clof-go/clof/internal/lockapi"
-)
+import "sync/atomic"
 
 // Options configures a CacheDB.
 type Options struct {
-	// Lock guards every operation. Nil defaults to a no-op lock.
-	Lock lockapi.Lock
 	// Buckets is the hash bucket count (default 1024).
 	Buckets int
 	// Capacity bounds the record count; 0 means unbounded. At capacity the
@@ -33,19 +28,18 @@ type record struct {
 	bucketSlot int
 }
 
-// CacheDB is the hash-table store.
+// CacheDB is the hash-table store. It takes no lock of its own: the caller
+// runs every operation exclusively, Get included, because a Get refreshes
+// the record's LRU recency. Count alone may run concurrently with anything.
 type CacheDB struct {
 	opts    Options
-	lock    lockapi.Lock
 	buckets []*record
 	count   atomic.Int64
 	// LRU list: head = most recent, tail = eviction candidate.
 	lruHead, lruTail *record
 
-	// Operation counters, atomic for the same reason as kvstore.DB's: the
-	// sharded store snapshots them per shard under that shard's lock, and
-	// Count stays readable from any thread without a quiescence argument.
-	gets, sets, removes, evictions atomic.Uint64
+	// Operation counters.
+	gets, sets, removes, evictions uint64
 }
 
 // Open creates an empty CacheDB.
@@ -53,22 +47,7 @@ func Open(opts Options) *CacheDB {
 	if opts.Buckets == 0 {
 		opts.Buckets = 1024
 	}
-	lock := opts.Lock
-	if lock == nil {
-		lock = lockapi.Noop{}
-	}
-	return &CacheDB{opts: opts, lock: lock, buckets: make([]*record, opts.Buckets)}
-}
-
-// Session is a per-worker handle carrying the lock context.
-type Session struct {
-	db  *CacheDB
-	ctx lockapi.Ctx
-}
-
-// NewSession allocates a worker session (single-threaded setup only).
-func (db *CacheDB) NewSession() *Session {
-	return &Session{db: db, ctx: db.lock.NewCtx()}
+	return &CacheDB{opts: opts, buckets: make([]*record, opts.Buckets)}
 }
 
 // fnv1a hashes a key.
@@ -81,11 +60,11 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// Set inserts or overwrites a record.
-func (s *Session) Set(p lockapi.Proc, key string, value []byte) {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
-	db.sets.Add(1)
+// Set inserts or overwrites a record. value is copied, so the caller may
+// reuse its buffer.
+func (db *CacheDB) Set(key string, value []byte) {
+	db.sets++
+	value = append([]byte(nil), value...)
 	slot := int(fnv1a(key) % uint64(len(db.buckets)))
 	if r := db.findLocked(slot, key); r != nil {
 		r.value = value
@@ -99,39 +78,29 @@ func (s *Session) Set(p lockapi.Proc, key string, value []byte) {
 			db.evictLocked()
 		}
 	}
-	db.lock.Release(p, s.ctx)
 }
 
 // Get fetches a record and refreshes its recency.
-func (s *Session) Get(p lockapi.Proc, key string) ([]byte, bool) {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
-	db.gets.Add(1)
-	var v []byte
-	var ok bool
+func (db *CacheDB) Get(key string) ([]byte, bool) {
+	db.gets++
 	slot := int(fnv1a(key) % uint64(len(db.buckets)))
-	if r := db.findLocked(slot, key); r != nil {
-		v, ok = r.value, true
-		db.touchLocked(r)
+	r := db.findLocked(slot, key)
+	if r == nil {
+		return nil, false
 	}
-	db.lock.Release(p, s.ctx)
-	return v, ok
+	db.touchLocked(r)
+	return r.value, true
 }
 
 // Remove deletes a record; it reports whether the key existed.
-func (s *Session) Remove(p lockapi.Proc, key string) bool {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
-	db.removes.Add(1)
-	slot := int(fnv1a(key) % uint64(len(db.buckets)))
-	ok := db.unlinkLocked(slot, key)
-	db.lock.Release(p, s.ctx)
-	return ok
+func (db *CacheDB) Remove(key string) bool {
+	db.removes++
+	return db.unlinkLocked(int(fnv1a(key)%uint64(len(db.buckets))), key)
 }
 
 // Count returns the record count. The load is atomic, so it is safe from any
-// thread; it is a point sample, not a cut consistent with in-flight sessions
-// (use StatsSnapshot for that).
+// thread; it is a point sample, not a cut consistent with in-flight
+// operations (use Stats for that).
 func (db *CacheDB) Count() int { return int(db.count.Load()) }
 
 // Stats is a point-in-time snapshot of one CacheDB's operation counters.
@@ -153,22 +122,15 @@ func (s *Stats) Add(other Stats) {
 	s.Count += other.Count
 }
 
-// StatsSnapshot returns the CacheDB's counters under the lock: the snapshot
-// is a consistent cut even while other sessions are live, so phase drivers
-// need no quiescence argument (this replaced the unlocked Stats readers and
-// their lint waivers).
-func (s *Session) StatsSnapshot(p lockapi.Proc) Stats {
-	db := s.db
-	db.lock.Acquire(p, s.ctx)
-	st := Stats{
-		Gets:      db.gets.Load(),
-		Sets:      db.sets.Load(),
-		Removes:   db.removes.Load(),
-		Evictions: db.evictions.Load(),
+// Stats returns the CacheDB's counters, a consistent cut.
+func (db *CacheDB) Stats() Stats {
+	return Stats{
+		Gets:      db.gets,
+		Sets:      db.sets,
+		Removes:   db.removes,
+		Evictions: db.evictions,
 		Count:     int(db.count.Load()),
 	}
-	db.lock.Release(p, s.ctx)
-	return st
 }
 
 func (db *CacheDB) findLocked(slot int, key string) *record {
@@ -238,5 +200,5 @@ func (db *CacheDB) evictLocked() {
 		return
 	}
 	db.unlinkLocked(victim.bucketSlot, victim.key)
-	db.evictions.Add(1)
+	db.evictions++
 }

@@ -1,15 +1,13 @@
 package lockapi
 
-// This file holds the trivial capability surface shared by the key-value
-// stores (internal/kvstore, internal/kyoto, internal/store): the no-op
-// default lock for single-threaded use and the shared-acquisition (reader)
-// capability interface the sharded store's read paths consult.
+// This file holds the trivial capability surface of the sharded store
+// (internal/store): the no-op default shard lock and the shared-acquisition
+// (reader) capability interface the store's read paths consult.
 
 // Noop is the no-op Lock: every operation returns immediately and nothing
-// is excluded. It is the documented default wherever a component accepts an
-// optional lock (kvstore.Options.Lock, kyoto.Options.Lock) and the inner
-// lock of sharded-store backends whose real lock is held by the router.
-// The zero value is ready for use; NoopLock is the shared instance.
+// is excluded. It is the sharded store's default shard lock
+// (store.NewRouter), for single-threaded use. The zero value is ready for
+// use.
 type Noop struct{}
 
 // NewCtx implements Lock (no context needed).
@@ -20,9 +18,6 @@ func (Noop) Acquire(p Proc, _ Ctx) {}
 
 // Release implements Lock as a no-op.
 func (Noop) Release(p Proc, _ Ctx) {}
-
-// NoopLock is the canonical Noop instance (stateless, safe to share).
-var NoopLock Lock = Noop{}
 
 // RWLocker is implemented by locks that additionally support shared (read)
 // acquisitions: any number of AcquireShared holders may overlap, but they

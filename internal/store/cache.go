@@ -19,9 +19,8 @@ type CacheOptions struct {
 	Shards int
 	// NewLock supplies shard i's lock (nil function or result: lockapi.Noop).
 	NewLock func(shard int) lockapi.Lock
-	// Shard is the per-shard engine configuration; its Lock field is ignored
-	// (router-owned locking) and its Capacity applies per shard, so the total
-	// capacity is Shards × Capacity.
+	// Shard is the per-shard engine configuration; its Capacity applies per
+	// shard, so the total capacity is Shards × Capacity.
 	Shard kyoto.Options
 }
 
@@ -33,16 +32,14 @@ type Cache struct {
 	router *Router[*kyoto.CacheDB]
 }
 
-// OpenCache builds the shards. Single-shard behavior is bit-identical to an
-// unsharded kyoto.CacheDB opened with the same lock.
+// OpenCache builds the shards. Single-shard behavior is bit-identical to the
+// engine driven under the same lock.
 func OpenCache(opts CacheOptions) *Cache {
 	if opts.Shards == 0 {
 		opts.Shards = 1
 	}
-	shardOpts := opts.Shard
-	shardOpts.Lock = nil // router-owned locking; Open defaults to Noop
 	return &Cache{router: NewRouter(NewHashPartitioner(opts.Shards), opts.NewLock,
-		func(int) *kyoto.CacheDB { return kyoto.Open(shardOpts) })}
+		func(int) *kyoto.CacheDB { return kyoto.Open(opts.Shard) })}
 }
 
 // Shards returns the shard count.
@@ -57,44 +54,30 @@ func (c *Cache) Count() int {
 	return n
 }
 
-// CacheSession is a per-worker handle (router contexts plus per-shard
-// engine sessions). Create only during single-threaded setup.
+// CacheSession is a per-worker handle carrying the router's lock contexts.
+// Create only during single-threaded setup.
 type CacheSession struct {
-	s     *Session[*kyoto.CacheDB]
-	inner []*kyoto.Session
+	s *Session[*kyoto.CacheDB]
 }
 
 // NewSession allocates a worker session.
-func (c *Cache) NewSession() *CacheSession {
-	s := c.router.NewSession()
-	inner := make([]*kyoto.Session, c.router.Shards())
-	for i := range inner {
-		inner[i] = c.router.shards[i].NewSession()
-	}
-	return &CacheSession{s: s, inner: inner}
-}
+func (c *Cache) NewSession() *CacheSession { return &CacheSession{s: c.router.NewSession()} }
 
-// Set inserts or overwrites a record on its key's shard.
+// Set inserts or overwrites a record on its key's shard. value is copied.
 func (s *CacheSession) Set(p lockapi.Proc, key string, value []byte) {
-	s.s.Exclusive(p, []byte(key), func(i int, _ *kyoto.CacheDB) {
-		s.inner[i].Set(p, key, value)
-	})
+	s.s.Exclusive(p, []byte(key), func(_ int, db *kyoto.CacheDB) { db.Set(key, value) })
 }
 
 // Get fetches a record and refreshes its recency (exclusive: see the file
 // comment — kyoto reads mutate the LRU list).
 func (s *CacheSession) Get(p lockapi.Proc, key string) (v []byte, ok bool) {
-	s.s.Exclusive(p, []byte(key), func(i int, _ *kyoto.CacheDB) {
-		v, ok = s.inner[i].Get(p, key)
-	})
+	s.s.Exclusive(p, []byte(key), func(_ int, db *kyoto.CacheDB) { v, ok = db.Get(key) })
 	return v, ok
 }
 
 // Remove deletes a record; it reports whether the key existed.
 func (s *CacheSession) Remove(p lockapi.Proc, key string) (ok bool) {
-	s.s.Exclusive(p, []byte(key), func(i int, _ *kyoto.CacheDB) {
-		ok = s.inner[i].Remove(p, key)
-	})
+	s.s.Exclusive(p, []byte(key), func(_ int, db *kyoto.CacheDB) { ok = db.Remove(key) })
 	return ok
 }
 
@@ -110,8 +93,8 @@ func (s *CacheSession) StatsSnapshot(p lockapi.Proc) kyoto.Stats {
 // ShardStats returns one consistent counter snapshot per shard.
 func (s *CacheSession) ShardStats(p lockapi.Proc) []kyoto.Stats {
 	out := make([]kyoto.Stats, s.s.r.Shards())
-	s.s.Ascending(p, 0, false, func(i int, _ *kyoto.CacheDB) bool {
-		out[i] = s.inner[i].StatsSnapshot(p)
+	s.s.Ascending(p, 0, false, func(i int, db *kyoto.CacheDB) bool {
+		out[i] = db.Stats()
 		return true
 	})
 	return out

@@ -76,44 +76,82 @@ func TestCachePerShardEviction(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrent: shard locks exclude concurrent mutators (structure
-// integrity mirrors kyoto's own concurrency test, across shards).
+// TestCacheConcurrent: shard locks exclude concurrent mutators, for one
+// shard and for several, under a capacity that keeps the LRU evicting.
+// Afterwards every key is removed: a hash chain or LRU list corrupted by a
+// race would leave records behind (or crash the unlink).
 func TestCacheConcurrent(t *testing.T) {
-	c := OpenCache(CacheOptions{
-		Shards:  4,
-		NewLock: func(int) lockapi.Lock { return locks.NewMCS() },
-		Shard:   kyoto.Options{Capacity: 100},
-	})
-	const workers = 4
-	sessions := make([]*CacheSession, workers)
-	for i := range sessions {
-		sessions[i] = c.NewSession()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := lockapi.NewNativeProc(id)
-			for i := 0; i < 2000; i++ {
-				k := fmt.Sprint((id*31 + i) % 300)
-				switch i % 4 {
-				case 0:
-					sessions[id].Set(p, k, []byte(k))
-				case 3:
-					sessions[id].Remove(p, k)
-				default:
-					sessions[id].Get(p, k)
+	const workers, ops, keys, capacity = 4, 2000, 300, 100
+	for _, name := range []string{"tkt", "mcs"} {
+		for _, shards := range []int{1, 4} {
+			name, shards := name, shards
+			t.Run(fmt.Sprintf("%s-%d", name, shards), func(t *testing.T) {
+				c := OpenCache(CacheOptions{
+					Shards:  shards,
+					NewLock: func(int) lockapi.Lock { return locks.MustType(name).New() },
+					Shard:   kyoto.Options{Capacity: capacity},
+				})
+				sessions := make([]*CacheSession, workers)
+				for i := range sessions {
+					sessions[i] = c.NewSession()
 				}
-			}
-		}(w)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						p := lockapi.NewNativeProc(id)
+						for i := 0; i < ops; i++ {
+							k := fmt.Sprint((id*31 + i) % keys)
+							switch i % 4 {
+							case 0:
+								sessions[id].Set(p, k, []byte(k))
+							case 3:
+								sessions[id].Remove(p, k)
+							default:
+								sessions[id].Get(p, k)
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				if n := c.Count(); n > shards*capacity {
+					t.Errorf("count %d exceeds total capacity %d", n, shards*capacity)
+				}
+				s := c.NewSession()
+				st := s.StatsSnapshot(p0)
+				if st.Gets == 0 || st.Sets == 0 || st.Removes == 0 {
+					t.Errorf("op kinds missing: gets=%d sets=%d removes=%d", st.Gets, st.Sets, st.Removes)
+				}
+				if got := st.Gets + st.Sets + st.Removes; got != workers*ops {
+					t.Errorf("ops accounted = %d, want %d", got, workers*ops)
+				}
+				for k := 0; k < keys; k++ {
+					s.Remove(p0, fmt.Sprint(k))
+				}
+				if n := c.Count(); n != 0 {
+					t.Errorf("%d records left after removing every key", n)
+				}
+			})
+		}
 	}
-	wg.Wait()
-	if n := c.Count(); n > 400 {
-		t.Errorf("count %d exceeds total capacity 400", n)
+}
+
+// TestCacheSetCopiesValue: a caller reusing its value buffer must not
+// rewrite records already in the cache, on the insert and the overwrite
+// path alike.
+func TestCacheSetCopiesValue(t *testing.T) {
+	s := OpenCache(CacheOptions{}).NewSession()
+	buf := []byte("first")
+	s.Set(p0, "k", buf) // insert
+	copy(buf, "XXXXX")
+	if v, _ := s.Get(p0, "k"); string(v) != "first" {
+		t.Errorf("after insert and buffer reuse Get = %q, want %q", v, "first")
 	}
-	st := c.NewSession().StatsSnapshot(p0)
-	if got := st.Gets + st.Sets + st.Removes; got != workers*2000 {
-		t.Errorf("ops accounted = %d, want %d", got, workers*2000)
+	buf = []byte("second")
+	s.Set(p0, "k", buf) // overwrite
+	copy(buf, "YYYYYY")
+	if v, _ := s.Get(p0, "k"); string(v) != "second" {
+		t.Errorf("after overwrite and buffer reuse Get = %q, want %q", v, "second")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // This file runs kvstore.DB behind the shard router. Reads (Get, Scan) are
 // optimistic when the shard lock offers a seqlock read path (the catalog's
-// seq: family): they run against kvstore's unlocked read paths bracketed by
+// seq: family): they run kvstore's Get/Scan with no lock held, bracketed by
 // ReadSeq/ReadValidate, retry on version bump, and fall back to the
 // pessimistic shard lock after the shard's adaptive attempt budget is
 // exhausted (DESIGN.md S33). Without a seqlock they are shared-mode when the
@@ -32,8 +32,7 @@ type KVOptions struct {
 	// NewLock supplies shard i's lock (nil function or result: lockapi.Noop).
 	// Shard locks implementing lockapi.RWLocker serve reads in shared mode.
 	NewLock func(shard int) lockapi.Lock
-	// Shard is the per-shard engine configuration. Its Lock field is ignored:
-	// the router owns all locking and opens every shard with lockapi.Noop.
+	// Shard is the per-shard engine configuration.
 	Shard kvstore.Options
 }
 
@@ -42,18 +41,16 @@ type KV struct {
 	router *Router[*kvstore.DB]
 }
 
-// OpenKV builds the shards. Single-shard behavior is bit-identical to an
-// unsharded kvstore.DB opened with the same lock: one lock brackets the
-// same operations in the same order.
+// OpenKV builds the shards. Single-shard behavior is bit-identical to the
+// engine driven under the same lock: one lock brackets the same operations
+// in the same order.
 func OpenKV(opts KVOptions) *KV {
 	if opts.Shards == 0 {
 		opts.Shards = 1
 	}
-	shardOpts := opts.Shard
-	shardOpts.Lock = nil // router-owned locking; Open defaults to Noop
 	return &KV{router: NewRouter(NewPartitioner(opts.Shards, opts.RangeKeys), opts.NewLock,
 		func(i int) *kvstore.DB {
-			so := shardOpts
+			so := opts.Shard
 			so.Seed += uint64(i) // decorrelate shard skiplists
 			return kvstore.Open(so)
 		})}
@@ -65,29 +62,18 @@ func (kv *KV) Shards() int { return kv.router.Shards() }
 // OCCStats returns the per-shard optimistic-read counters (index = shard).
 func (kv *KV) OCCStats() []OCCShardStats { return kv.router.OCCStats() }
 
-// KVSession is a per-worker handle: router contexts plus one inner engine
-// session per shard (the inner sessions carry the shards' no-op lock
-// contexts). Create only during single-threaded setup.
+// KVSession is a per-worker handle carrying the router's lock contexts.
+// Create only during single-threaded setup.
 type KVSession struct {
-	s     *Session[*kvstore.DB]
-	inner []*kvstore.Session
+	s *Session[*kvstore.DB]
 }
 
 // NewSession allocates a worker session.
-func (kv *KV) NewSession() *KVSession {
-	s := kv.router.NewSession()
-	inner := make([]*kvstore.Session, kv.router.Shards())
-	for i := range inner {
-		inner[i] = kv.router.shards[i].NewSession()
-	}
-	return &KVSession{s: s, inner: inner}
-}
+func (kv *KV) NewSession() *KVSession { return &KVSession{s: kv.router.NewSession()} }
 
 // Put inserts or overwrites a key on its shard.
 func (s *KVSession) Put(p lockapi.Proc, key, value []byte) {
-	s.s.Exclusive(p, key, func(i int, _ *kvstore.DB) {
-		s.inner[i].Put(p, key, value)
-	})
+	s.s.Exclusive(p, key, func(_ int, db *kvstore.DB) { db.Put(key, value) })
 }
 
 // Get fetches a key from its shard: optimistically when the shard lock is a
@@ -104,7 +90,7 @@ func (s *KVSession) Get(p lockapi.Proc, key []byte) (v []byte, ok bool) {
 		for a := 0; a < k; a++ {
 			st.optimistic.Add(1)
 			seq := sq.ReadSeq(p)
-			v, ok = db.GetUnlocked(key)
+			v, ok = db.Get(key)
 			if sq.ReadValidate(p, seq) {
 				st.noteSuccess(a)
 				return v, ok
@@ -114,9 +100,7 @@ func (s *KVSession) Get(p lockapi.Proc, key []byte) (v []byte, ok bool) {
 		st.noteFallback()
 		v, ok = nil, false // discard the torn attempt before the locked read
 	}
-	s.s.SharedAt(p, i, func(i int, _ *kvstore.DB) {
-		v, ok = s.inner[i].Get(p, key)
-	})
+	s.s.SharedAt(p, i, func(_ int, db *kvstore.DB) { v, ok = db.Get(key) })
 	return v, ok
 }
 
@@ -124,15 +108,13 @@ func (s *KVSession) Get(p lockapi.Proc, key []byte) (v []byte, ok bool) {
 // shard, so its tombstone shadows its older values there; no cross-shard
 // shadowing can arise.
 func (s *KVSession) Delete(p lockapi.Proc, key []byte) {
-	s.s.Exclusive(p, key, func(i int, _ *kvstore.DB) {
-		s.inner[i].Delete(p, key)
-	})
+	s.s.Exclusive(p, key, func(_ int, db *kvstore.DB) { db.Delete(key) })
 }
 
 // Flush freezes every shard's memtable (ascending, one shard at a time).
 func (s *KVSession) Flush(p lockapi.Proc) {
-	s.s.Ascending(p, 0, false, func(i int, _ *kvstore.DB) bool {
-		s.inner[i].Flush(p)
+	s.s.Ascending(p, 0, false, func(_ int, db *kvstore.DB) bool {
+		db.Flush()
 		return true
 	})
 }
@@ -160,7 +142,7 @@ func (s *KVSession) scanShard(p lockapi.Proc, i int, start, end []byte, buf []kv
 			st.optimistic.Add(1)
 			buf = buf[:0]
 			seq := sq.ReadSeq(p)
-			db.ScanUnlocked(start, end, collect)
+			db.Scan(start, end, collect)
 			if sq.ReadValidate(p, seq) {
 				st.noteSuccess(a)
 				return buf
@@ -170,9 +152,7 @@ func (s *KVSession) scanShard(p lockapi.Proc, i int, start, end []byte, buf []kv
 		st.noteFallback()
 	}
 	buf = buf[:0]
-	s.s.SharedAt(p, i, func(i int, _ *kvstore.DB) {
-		s.inner[i].Scan(p, start, end, collect)
-	})
+	s.s.SharedAt(p, i, func(_ int, db *kvstore.DB) { db.Scan(start, end, collect) })
 	return buf
 }
 
@@ -196,8 +176,8 @@ func (s *KVSession) Scan(p lockapi.Proc, start, end []byte, fn func(key, value [
 				// Pessimistic shard: stream under the shared lock (early
 				// stop needs no buffering here).
 				cont := true
-				s.s.SharedAt(p, i, func(i int, _ *kvstore.DB) {
-					s.inner[i].Scan(p, start, end, func(k, v []byte) bool {
+				s.s.SharedAt(p, i, func(_ int, db *kvstore.DB) {
+					db.Scan(start, end, func(k, v []byte) bool {
 						cont = fn(k, v)
 						return cont
 					})
@@ -260,15 +240,15 @@ func (s *KVSession) StatsSnapshot(p lockapi.Proc) kvstore.Stats {
 // shard-resolved view the serving experiments report.
 func (s *KVSession) ShardStats(p lockapi.Proc) []kvstore.Stats {
 	out := make([]kvstore.Stats, s.s.r.Shards())
-	s.s.Ascending(p, 0, false, func(i int, _ *kvstore.DB) bool {
-		out[i] = s.inner[i].StatsSnapshot(p)
+	s.s.Ascending(p, 0, false, func(i int, db *kvstore.DB) bool {
+		out[i] = db.Stats()
 		return true
 	})
 	return out
 }
 
-// PreloadKV fills the store with keys sequential canonical keys and flushes
-// (single-threaded, mirroring kvstore.Preload).
+// PreloadKV fills the store with keys sequential canonical keys of
+// db_bench's 100-byte value size and flushes (single-threaded).
 func PreloadKV(kv *KV, keys int) {
 	p := lockapi.NewNativeProc(0)
 	s := kv.NewSession()

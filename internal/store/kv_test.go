@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/clof-go/clof/internal/kvstore"
 	"github.com/clof-go/clof/internal/lockapi"
@@ -20,6 +23,14 @@ type kvSurface interface {
 	Delete(p lockapi.Proc, key []byte)
 	Scan(p lockapi.Proc, start, end []byte, fn func(k, v []byte) bool)
 }
+
+// rawKV drives the engine directly, with no lock, through kvSurface.
+type rawKV struct{ *kvstore.DB }
+
+func (r rawKV) Put(_ lockapi.Proc, k, v []byte)                             { r.DB.Put(k, v) }
+func (r rawKV) Get(_ lockapi.Proc, k []byte) ([]byte, bool)                 { return r.DB.Get(k) }
+func (r rawKV) Delete(_ lockapi.Proc, k []byte)                             { r.DB.Delete(k) }
+func (r rawKV) Scan(_ lockapi.Proc, s, e []byte, fn func(k, v []byte) bool) { r.DB.Scan(s, e, fn) }
 
 func scanAll(s kvSurface) []string {
 	var out []string
@@ -49,7 +60,7 @@ func TestShardedMatchesSingleShardGolden(t *testing.T) {
 	}
 	raw := kvstore.Open(kvstore.Options{MemtableBytes: 400, MaxRuns: 2, Seed: 11})
 	targets := []target{
-		{"raw", raw.NewSession()},
+		{"raw", rawKV{raw}},
 		{"one-shard", openSharded(1, 0).NewSession()},
 		{"hash-4", openSharded(4, 0).NewSession()},
 		{"range-4", openSharded(4, 200).NewSession()},
@@ -83,7 +94,7 @@ func TestShardedMatchesSingleShardGolden(t *testing.T) {
 	}
 	// Operation counters aggregate identically (Runs/Compactions differ by
 	// construction: per-shard memtables freeze at different times).
-	wantStats := targets[0].s.(*kvstore.Session).StatsSnapshot(p0)
+	wantStats := raw.Stats()
 	for _, tg := range targets[1:] {
 		st := tg.s.(*KVSession).StatsSnapshot(p0)
 		if st.Gets != wantStats.Gets || st.Puts != wantStats.Puts || st.Deletes != wantStats.Deletes {
@@ -284,4 +295,76 @@ func TestShardStats(t *testing.T) {
 	if total := s.StatsSnapshot(p0); total.Puts != puts || total.Puts != 200 {
 		t.Errorf("aggregate puts = %d, want 200", total.Puts)
 	}
+}
+
+// TestConcurrentReadRandomWithLocks: LevelDB db_bench's readrandom on a
+// one-shard store. None of these locks has a shared mode, so every read takes
+// the one DB lock exclusively, like LevelDB's global mutex.
+func TestConcurrentReadRandomWithLocks(t *testing.T) {
+	for _, name := range []string{"tkt", "mcs", "clh", "hem"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			kv := OpenKV(KVOptions{NewLock: func(int) lockapi.Lock { return locks.MustType(name).New() }})
+			PreloadKV(kv, 1000)
+			// Scale workers to the host: spinning goroutines beyond
+			// 2×GOMAXPROCS mostly measure the Go scheduler, and on small
+			// hosts a worker may not even start within the window.
+			threads := min(2*runtime.GOMAXPROCS(0), 8)
+			res := RunYCSB(kv, YCSBOptions{
+				Keys: 1000, Threads: threads, Duration: 100 * time.Millisecond,
+				Mix: Mix{Name: "readrandom", ReadPct: 100},
+			})
+			if res.Ops == 0 {
+				t.Fatal("no reads completed")
+			}
+			if res.Misses != 0 {
+				t.Errorf("misses = %d on a preloaded key space", res.Misses)
+			}
+			// Per-thread starvation is not assertable natively: with
+			// GOMAXPROCS=1 a late-starting goroutine may not run within the
+			// window at all (the goroutine scheduler, not the lock, decides
+			// — exactly the distortion DESIGN.md §1 documents). Require only
+			// that a majority of workers progressed; fairness is measured on
+			// the simulator instead.
+			progressed := 0
+			for _, c := range res.PerThread {
+				if c > 0 {
+					progressed++
+				}
+			}
+			if progressed < len(res.PerThread)/2 {
+				t.Errorf("only %d/%d workers progressed", progressed, len(res.PerThread))
+			}
+		})
+	}
+}
+
+// TestConcurrentMixedWorkload: writers and readers racing through one
+// shard's lock, across memtable freezes, never lose a committed key.
+func TestConcurrentMixedWorkload(t *testing.T) {
+	kv := OpenKV(KVOptions{
+		NewLock: func(int) lockapi.Lock { return locks.NewMCS() },
+		Shard:   kvstore.Options{MemtableBytes: 4 << 10},
+	})
+	PreloadKV(kv, 200)
+	sessions := make([]*KVSession, 3)
+	for i := range sessions {
+		sessions[i] = kv.NewSession()
+	}
+	var wg sync.WaitGroup
+	for w := range sessions {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := lockapi.NewNativeProc(w + 1)
+			for i := 0; i < 3000; i++ {
+				if i%4 == 0 {
+					sessions[w].Put(p, kvstore.Key(i%200), []byte("upd"))
+				} else if _, ok := sessions[w].Get(p, kvstore.Key(i%200)); !ok {
+					t.Errorf("key %d vanished", i%200)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -12,12 +12,12 @@
 // experiment (internal/figures) sweeps exactly that product: shards × lock
 // family × workload shape.
 //
-// Locking discipline: the router owns all locking. Backends are opened with
-// lockapi.Noop and every operation runs bracketed by the owning shard's
-// lock, exclusively or — when the shard lock implements lockapi.RWLocker and
-// the operation is read-only — in shared mode. Single-shard configurations
-// therefore behave bit-identically to the unsharded engines: the same lock
-// brackets the same operations in the same order.
+// Locking discipline: the router owns all locking. The engines take no lock
+// of their own; every operation runs bracketed by the owning shard's lock,
+// exclusively or — when the shard lock implements lockapi.RWLocker and the
+// operation is read-only — in shared mode. Single-shard configurations
+// therefore behave bit-identically to the engine driven under the same
+// lock: the lock brackets the same operations in the same order.
 //
 // Multi-shard operations (cross-shard scans, stats aggregation) visit shards
 // in ascending index order and hold at most one shard lock at a time, so
@@ -285,8 +285,8 @@ func (r *Router[S]) LockAt(i int) lockapi.Lock { return r.locks[i] }
 func (r *Router[S]) Ordered() bool { return r.rinfo != nil }
 
 // Session is a per-worker router handle carrying one lock context per
-// shard. Like the engines' sessions it must only be created during
-// single-threaded setup.
+// shard. Lock contexts are registered with their lock, so it must only be
+// created during single-threaded setup.
 type Session[S any] struct {
 	r    *Router[S]
 	ctxs []lockapi.Ctx

@@ -40,6 +40,9 @@
 #      the repository benchmark is a nested module that go build ./...
 #      does not reach, so a root API change that breaks bench/run.sh
 #      fails here instead of in the benchmark pipeline
+#  14. examples                 (go run ./examples/<name> for each of the
+#      four examples; go build ./... only compiles them, so this is what
+#      catches an example that fails at run time)
 #
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
@@ -153,5 +156,11 @@ make scale-quick
 
 echo "== bench module (vet + tests)"
 (cd bench && go vet ./... && go test ./...)
+
+echo "== examples"
+for ex in kvstore quickstart hierdiscovery customlock; do
+  echo "-- examples/$ex"
+  go run "./examples/$ex" > /dev/null
+done
 
 echo "check: OK"
