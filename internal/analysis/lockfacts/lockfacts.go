@@ -124,7 +124,7 @@ type Unit struct {
 	// Fn is the declared function, nil for a function literal.
 	Fn *types.Func
 	// Label is the diagnostic name ("store.KVSession.Put",
-	// "store.func@kv.go:76").
+	// "store.func@kv.go:72").
 	Label string
 	pkg   *loader.Package
 	body  *ast.BlockStmt

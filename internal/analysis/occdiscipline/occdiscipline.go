@@ -15,8 +15,9 @@
 //
 // The check is lexical and per-function. Nested function literals are
 // analyzed as their own scopes: a `return` inside a collection closure
-// passed to an unlocked scan (store.scanShard's shape) is not an escape of
-// the enclosing optimistic attempt, and a ReadSeq inside a closure must
+// passed to an unlocked scan (the kvstore Scan callback inside the fn that
+// store.KVSession.scanShard hands to Session.OptimisticAt) is not an escape
+// of the enclosing optimistic attempt, and a ReadSeq inside a closure must
 // find its ReadValidate there. Methods themselves named ReadSeq are exempt
 // — they are forwarders (a wrapper's ReadSeq, such as the benchmark's timing
 // shim) whose whole body is the delegation. A `return` whose expression contains the ReadValidate

@@ -4,8 +4,9 @@ package occok
 
 import "github.com/clof-go/clof/internal/lockapi"
 
-// retryLoop is the canonical consumer shape (store.KVSession.Get): attempt,
-// validate, return only on a passing validation, fall back after the budget.
+// retryLoop is the canonical consumer shape (store.Session.OptimisticAt):
+// attempt, validate, return only on a passing validation, fall back after
+// the budget.
 func retryLoop(p lockapi.Proc, sq lockapi.SeqReader, c *lockapi.Cell) uint64 {
 	for a := 0; a < 4; a++ {
 		s := sq.ReadSeq(p)
@@ -17,9 +18,11 @@ func retryLoop(p lockapi.Proc, sq lockapi.SeqReader, c *lockapi.Cell) uint64 {
 	return fallback(p, c)
 }
 
-// collectClosure is store.scanShard's shape: a collection closure with its
-// own `return` runs lexically between ReadSeq and ReadValidate, but closure
-// scopes are separate — that return does not escape the optimistic attempt.
+// collectClosure is the optimistic scan's shape (the kvstore Scan callback
+// that store.KVSession.scanShard collects with inside OptimisticAt's fn,
+// here inlined): a collection closure with its own `return` runs lexically
+// between ReadSeq and ReadValidate, but closure scopes are separate — that
+// return does not escape the optimistic attempt.
 func collectClosure(p lockapi.Proc, sq lockapi.SeqReader, c *lockapi.Cell, scan func(func(uint64) bool)) []uint64 {
 	var buf []uint64
 	collect := func(v uint64) bool {

@@ -45,18 +45,24 @@ import (
 // into a uint64 bitmask.
 const maxCohorts = 64
 
-// Default tuning values, exported so tests and docs can reference them.
+// Tuning values. Only the pass limit is an option (Opts.PassLimit).
 const (
 	// DefaultPassLimit is how many consecutive grants one cohort may
 	// receive before the rotation pointer forces the next waiting cohort.
 	DefaultPassLimit = 8
-	// DefaultPreemptHoldNS is the hold time above which a release is
-	// treated as a preempted-holder event (shrink signal): ~2.5× the
-	// Kyoto-style 8µs critical section, ~67× the LevelDB-style 300ns one.
-	DefaultPreemptHoldNS = 20_000
-	// DefaultGrowEvery is how many consecutive healthy releases grow a
-	// shrunken target back by one.
-	DefaultGrowEvery = 64
+	// minTarget is the shrink floor: a lone holder with every waiter
+	// parked, the maximum restriction under heavy preemption.
+	minTarget = 1
+	// preemptHoldNS is the hold time above which a release is treated as a
+	// preempted-holder event (shrink signal): ~2.5× the Kyoto-style 8µs
+	// critical section, ~67× the LevelDB-style 300ns one.
+	preemptHoldNS = 20_000
+	// growEvery is how many consecutive healthy releases grow a shrunken
+	// target back by one.
+	growEvery = 64
+	// backoffSeed is the base seed for the per-context jittered backoff;
+	// contexts derive distinct deterministic streams from it.
+	backoffSeed = 0xC12C0F5EED
 )
 
 // Opts tunes Restrict. The zero value selects sensible defaults for every
@@ -71,26 +77,13 @@ type Opts struct {
 	// threads simultaneously holding or contending on the inner lock.
 	// 0 means max(3, NumCPUs/32). The adaptive target never exceeds it.
 	Target int
-	// MinTarget is the shrink floor (0 means 1: a lone holder with every
-	// waiter parked, the maximum restriction under heavy preemption).
-	MinTarget int
 	// PassLimit bounds consecutive grants to one cohort before rotation is
 	// forced (0 means DefaultPassLimit).
 	PassLimit int
-	// PreemptHoldNS is the pathological hold-time threshold that halves
-	// the target (0 means DefaultPreemptHoldNS).
-	PreemptHoldNS int64
-	// GrowEvery is the healthy-release run length that grows the target
-	// back by one (0 means DefaultGrowEvery).
-	GrowEvery int
 	// BackoffBase / BackoffCap tune the passive waiters' recirculation
 	// backoff (0 means 1 / lockapi.DefaultBackoffCap).
 	BackoffBase int
 	BackoffCap  int
-	// BackoffSeed is the base seed for the per-context jittered backoff;
-	// contexts derive distinct deterministic streams from it. 0 selects a
-	// fixed default, so runs are reproducible either way.
-	BackoffSeed uint64
 	// DisableAdapt pins the target at Target even on backends with virtual
 	// time.
 	DisableAdapt bool
@@ -106,7 +99,7 @@ type Opts struct {
 //
 // Shared state:
 //   - active: threads currently admitted (holding or contending inner);
-//   - tgt: the adaptive admission target, in [MinTarget, Target];
+//   - tgt: the adaptive admission target, in [minTarget, Target];
 //   - rota: packed grant-rotation state (last granted cohort, its streak
 //     length, and the rotation pointer), colocated with tgt and the
 //     grow counter as one metadata line;
@@ -185,26 +178,11 @@ func newRestricted(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
 			o.Target = 3
 		}
 	}
-	if o.MinTarget <= 0 {
-		o.MinTarget = 1
-	}
-	if o.MinTarget > o.Target {
-		o.MinTarget = o.Target
-	}
 	if o.PassLimit <= 0 {
 		o.PassLimit = DefaultPassLimit
 	}
-	if o.PreemptHoldNS <= 0 {
-		o.PreemptHoldNS = DefaultPreemptHoldNS
-	}
-	if o.GrowEvery <= 0 {
-		o.GrowEvery = DefaultGrowEvery
-	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 1
-	}
-	if o.BackoffSeed == 0 {
-		o.BackoffSeed = 0xC12C0F5EED
 	}
 	nodes := m.Cohorts(o.Level)
 	if nodes > maxCohorts {
@@ -238,10 +216,10 @@ func newRestricted(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
 }
 
 // NewCtx implements lockapi.Lock. Each context gets its own deterministic
-// jitter stream, derived from BackoffSeed and the allocation order.
+// jitter stream, derived from backoffSeed and the allocation order.
 func (l *Restricted) NewCtx() lockapi.Ctx {
 	l.ctxSeq++
-	seed := xrand.New(l.o.BackoffSeed+l.ctxSeq).Uint64() | 1
+	seed := xrand.New(backoffSeed+l.ctxSeq).Uint64() | 1
 	return &ctx{
 		inner: l.inner.NewCtx(),
 		bo: lockapi.ExpBackoff{
@@ -501,7 +479,7 @@ func (l *Restricted) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 }
 
 // adapt runs the release-side target adaptation: a pathological hold time
-// (preempted holder) halves the target; GrowEvery consecutive healthy
+// (preempted holder) halves the target; growEvery consecutive healthy
 // releases grow it back by one, up to the configured Target.
 func (l *Restricted) adapt(p lockapi.Proc, cc *ctx) {
 	if l.o.DisableAdapt || !cc.timed {
@@ -512,17 +490,17 @@ func (l *Restricted) adapt(p lockapi.Proc, cc *ctx) {
 		return
 	}
 	hold := tp.Time() - cc.acquiredAt
-	if hold > l.o.PreemptHoldNS {
+	if hold > preemptHoldNS {
 		tg := p.Load(&l.tgt, lockapi.Acquire)
-		if half := tg / 2; half >= uint64(l.o.MinTarget) && tg > uint64(l.o.MinTarget) {
+		if half := tg / 2; half >= minTarget && tg > minTarget {
 			p.CAS(&l.tgt, tg, half, lockapi.AcqRel)
-		} else if tg > uint64(l.o.MinTarget) {
-			p.CAS(&l.tgt, tg, uint64(l.o.MinTarget), lockapi.AcqRel)
+		} else if tg > minTarget {
+			p.CAS(&l.tgt, tg, minTarget, lockapi.AcqRel)
 		}
 		p.Store(&l.grow, 0, lockapi.Release)
 		return
 	}
-	if g := p.Add(&l.grow, 1, lockapi.AcqRel); g >= uint64(l.o.GrowEvery) {
+	if g := p.Add(&l.grow, 1, lockapi.AcqRel); g >= growEvery {
 		tg := p.Load(&l.tgt, lockapi.Acquire)
 		if tg < uint64(l.o.Target) {
 			p.CAS(&l.tgt, tg, tg+1, lockapi.AcqRel)

@@ -23,7 +23,7 @@ package lockapi
 //     write and a Release RMW after their last, so the odd window brackets
 //     every store.
 //
-// Consumers (internal/store's Get/Scan and Session.OptimisticAt) must
+// Consumers (internal/store's Session.OptimisticAt) must
 // treat any value read between ReadSeq and a failed ReadValidate as garbage:
 // it may be torn, and it must not escape. clof-lint's occdiscipline analyzer
 // enforces that statically.

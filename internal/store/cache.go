@@ -38,7 +38,7 @@ func OpenCache(opts CacheOptions) *Cache {
 	if opts.Shards == 0 {
 		opts.Shards = 1
 	}
-	return &Cache{router: NewRouter(NewHashPartitioner(opts.Shards), opts.NewLock,
+	return &Cache{router: NewRouter(NewPartitioner(opts.Shards, 0), opts.NewLock,
 		func(int) *kyoto.CacheDB { return kyoto.Open(opts.Shard) })}
 }
 
@@ -81,21 +81,9 @@ func (s *CacheSession) Remove(p lockapi.Proc, key string) (ok bool) {
 	return ok
 }
 
-// StatsSnapshot aggregates every shard's counters.
-func (s *CacheSession) StatsSnapshot(p lockapi.Proc) kyoto.Stats {
-	var total kyoto.Stats
-	for _, st := range s.ShardStats(p) {
-		total.Add(st)
-	}
-	return total
-}
-
 // ShardStats returns one consistent counter snapshot per shard.
 func (s *CacheSession) ShardStats(p lockapi.Proc) []kyoto.Stats {
 	out := make([]kyoto.Stats, s.s.r.Shards())
-	s.s.Ascending(p, 0, false, func(i int, db *kyoto.CacheDB) bool {
-		out[i] = db.Stats()
-		return true
-	})
+	s.s.Each(p, func(i int, db *kyoto.CacheDB) { out[i] = db.Stats() })
 	return out
 }

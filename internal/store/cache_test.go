@@ -57,14 +57,14 @@ func TestCachePerShardEviction(t *testing.T) {
 	if n := c.Count(); n > 40 {
 		t.Errorf("count %d exceeds total capacity 40", n)
 	}
-	st := s.StatsSnapshot(p0)
+	per := s.ShardStats(p0)
+	st := sumStats(per)
 	if st.Evictions == 0 {
 		t.Error("no evictions despite 10x overload")
 	}
 	if st.Sets != 400 {
 		t.Errorf("sets = %d, want 400", st.Sets)
 	}
-	per := s.ShardStats(p0)
 	active := 0
 	for _, sh := range per {
 		if sh.Evictions > 0 {
@@ -119,7 +119,7 @@ func TestCacheConcurrent(t *testing.T) {
 					t.Errorf("count %d exceeds total capacity %d", n, shards*capacity)
 				}
 				s := c.NewSession()
-				st := s.StatsSnapshot(p0)
+				st := sumStats(s.ShardStats(p0))
 				if st.Gets == 0 || st.Sets == 0 || st.Removes == 0 {
 					t.Errorf("op kinds missing: gets=%d sets=%d removes=%d", st.Gets, st.Sets, st.Removes)
 				}

@@ -7,19 +7,15 @@ import (
 	"github.com/clof-go/clof/internal/lockapi"
 )
 
-// This file runs kvstore.DB behind the shard router. Reads (Get, Scan) are
-// optimistic when the shard lock offers a seqlock read path (the catalog's
-// seq: family): they run kvstore's Get/Scan with no lock held, bracketed by
+// This file runs kvstore.DB behind the shard router. Reads (Get, Scan) go
+// through Session.OptimisticAt, the same loop the simulated serving driver
+// runs: when the shard lock offers a seqlock read path (the catalog's seq:
+// family) they run kvstore's Get/Scan with no lock held, bracketed by
 // ReadSeq/ReadValidate, retry on version bump, and fall back to the
 // pessimistic shard lock after the shard's adaptive attempt budget is
 // exhausted (DESIGN.md S33). Without a seqlock they are shared-mode when the
 // shard lock allows it — the LSM's read paths mutate nothing but its atomic
 // counters. Put/Delete/Flush always take the exclusive path.
-//
-// The optimistic Get fast path is hand-rolled rather than routed through
-// Session.OptimisticAt: keeping the hot loop closure-free is what pins it at
-// zero heap allocations (TestNoTraceZeroAllocs); the generic closure-based
-// path would cost an allocation per read.
 
 // KVOptions configures a sharded LSM store.
 type KVOptions struct {
@@ -78,29 +74,11 @@ func (s *KVSession) Put(p lockapi.Proc, key, value []byte) {
 
 // Get fetches a key from its shard: optimistically when the shard lock is a
 // lockapi.SeqReader (validated unlocked read, adaptive retry, pessimistic
-// fallback), in shared mode otherwise. The optimistic path performs zero
-// heap allocations.
+// fallback), in shared mode otherwise. Every attempt overwrites v and ok, so
+// an attempt that validation discards cannot leak. Get performs zero heap
+// allocations.
 func (s *KVSession) Get(p lockapi.Proc, key []byte) (v []byte, ok bool) {
-	r := s.s.r
-	i := r.part.Shard(key)
-	if sq := r.seqs[i]; sq != nil {
-		st := &r.occ[i]
-		db := r.shards[i]
-		k := int(st.k.Load())
-		for a := 0; a < k; a++ {
-			st.optimistic.Add(1)
-			seq := sq.ReadSeq(p)
-			v, ok = db.Get(key)
-			if sq.ReadValidate(p, seq) {
-				st.noteSuccess(a)
-				return v, ok
-			}
-			st.vfails.Add(1)
-		}
-		st.noteFallback()
-		v, ok = nil, false // discard the torn attempt before the locked read
-	}
-	s.s.SharedAt(p, i, func(_ int, db *kvstore.DB) { v, ok = db.Get(key) })
+	s.s.OptimisticAt(p, s.s.r.part.Shard(key), func(_ int, db *kvstore.DB) { v, ok = db.Get(key) })
 	return v, ok
 }
 
@@ -113,46 +91,25 @@ func (s *KVSession) Delete(p lockapi.Proc, key []byte) {
 
 // Flush freezes every shard's memtable (ascending, one shard at a time).
 func (s *KVSession) Flush(p lockapi.Proc) {
-	s.s.Ascending(p, 0, false, func(_ int, db *kvstore.DB) bool {
-		db.Flush()
-		return true
-	})
+	s.s.Each(p, func(_ int, db *kvstore.DB) { db.Flush() })
 }
 
 // kvPair is one collected scan result (keys/values copied out of the
 // engine so a later emission outlives any concurrent compaction).
 type kvPair struct{ k, v []byte }
 
-// scanShard collects shard i's live [start, end) range into buf (reset
-// first). With a seqlock shard lock the collection runs unlocked and is
-// validated — a failed validation discards the buffer and retries, then
-// falls back to the shared lock, so torn observations never escape this
-// function. Without one it is the plain shared-mode collect.
+// scanShard collects shard i's live [start, end) range into buf through
+// Session.OptimisticAt. Each attempt resets buf before collecting, so the
+// attempt that served the read is all that is returned: torn observations
+// never escape this function.
 func (s *KVSession) scanShard(p lockapi.Proc, i int, start, end []byte, buf []kvPair) []kvPair {
-	r := s.s.r
-	collect := func(k, v []byte) bool {
-		buf = append(buf, kvPair{k: append([]byte(nil), k...), v: append([]byte(nil), v...)})
-		return true
-	}
-	if sq := r.seqs[i]; sq != nil {
-		st := &r.occ[i]
-		db := r.shards[i]
-		kbudget := int(st.k.Load())
-		for a := 0; a < kbudget; a++ {
-			st.optimistic.Add(1)
-			buf = buf[:0]
-			seq := sq.ReadSeq(p)
-			db.Scan(start, end, collect)
-			if sq.ReadValidate(p, seq) {
-				st.noteSuccess(a)
-				return buf
-			}
-			st.vfails.Add(1)
-		}
-		st.noteFallback()
-	}
-	buf = buf[:0]
-	s.s.SharedAt(p, i, func(_ int, db *kvstore.DB) { db.Scan(start, end, collect) })
+	s.s.OptimisticAt(p, i, func(_ int, db *kvstore.DB) {
+		buf = buf[:0]
+		db.Scan(start, end, func(k, v []byte) bool {
+			buf = append(buf, kvPair{k: append([]byte(nil), k...), v: append([]byte(nil), v...)})
+			return true
+		})
+	})
 	return buf
 }
 
@@ -169,9 +126,8 @@ func (s *KVSession) scanShard(p lockapi.Proc, i int, start, end []byte, buf []kv
 func (s *KVSession) Scan(p lockapi.Proc, start, end []byte, fn func(key, value []byte) bool) {
 	r := s.s.r
 	if r.Ordered() {
-		from := r.rinfo.FirstShard(start)
 		var buf []kvPair
-		for i := from; i < r.Shards(); i++ {
+		for i := r.part.Shard(start); i < r.Shards(); i++ {
 			if r.seqs[i] == nil {
 				// Pessimistic shard: stream under the shared lock (early
 				// stop needs no buffering here).
@@ -226,24 +182,11 @@ func (s *KVSession) Scan(p lockapi.Proc, start, end []byte, fn func(key, value [
 	}
 }
 
-// StatsSnapshot aggregates every shard's counters (ascending shard order,
-// one consistent per-shard cut at a time).
-func (s *KVSession) StatsSnapshot(p lockapi.Proc) kvstore.Stats {
-	var total kvstore.Stats
-	for _, st := range s.ShardStats(p) {
-		total.Add(st)
-	}
-	return total
-}
-
 // ShardStats returns one consistent counter snapshot per shard — the
 // shard-resolved view the serving experiments report.
 func (s *KVSession) ShardStats(p lockapi.Proc) []kvstore.Stats {
 	out := make([]kvstore.Stats, s.s.r.Shards())
-	s.s.Ascending(p, 0, false, func(i int, db *kvstore.DB) bool {
-		out[i] = db.Stats()
-		return true
-	})
+	s.s.Each(p, func(i int, db *kvstore.DB) { out[i] = db.Stats() })
 	return out
 }
 

@@ -96,7 +96,7 @@ func TestShardedMatchesSingleShardGolden(t *testing.T) {
 	// construction: per-shard memtables freeze at different times).
 	wantStats := raw.Stats()
 	for _, tg := range targets[1:] {
-		st := tg.s.(*KVSession).StatsSnapshot(p0)
+		st := sumStats(tg.s.(*KVSession).ShardStats(p0))
 		if st.Gets != wantStats.Gets || st.Puts != wantStats.Puts || st.Deletes != wantStats.Deletes {
 			t.Errorf("%s: ops %d/%d/%d, want %d/%d/%d", tg.name,
 				st.Gets, st.Puts, st.Deletes, wantStats.Gets, wantStats.Puts, wantStats.Deletes)
@@ -292,7 +292,7 @@ func TestShardStats(t *testing.T) {
 		}
 		puts += st.Puts
 	}
-	if total := s.StatsSnapshot(p0); total.Puts != puts || total.Puts != 200 {
+	if total := sumStats(per); total.Puts != puts || total.Puts != 200 {
 		t.Errorf("aggregate puts = %d, want 200", total.Puts)
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"github.com/clof-go/clof/internal/kvstore"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
+	"github.com/clof-go/clof/internal/rwlock"
 	"github.com/clof-go/clof/internal/seqlock"
+	"github.com/clof-go/clof/internal/topo"
 )
 
 // openSeqSharded builds a KV whose shard locks are seq:tkt — every read
@@ -190,15 +192,176 @@ func TestOCCConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestNoTraceZeroAllocs pins the optimistic Get fast path at zero heap
-// allocations — the same guarantee the memsim execution core pins for its
-// uninstrumented hot loop. The budgeted loop (shard routing, ReadSeq,
-// unlocked layer-merge read, validation, counter updates) must not allocate;
-// only the pessimistic fallback may (it builds a closure for the lock-held
-// read).
+// scriptedSeq is a shard lock whose optimistic reads validate on a script:
+// each ReadValidate consumes the next verdict (true once the script is
+// empty), and a failed verdict first runs onFail — the writer whose
+// version bump the failure stands for. It counts ReadSeq calls and
+// exclusive acquisitions; it excludes nothing, so it is single-threaded
+// only.
+type scriptedSeq struct {
+	lockapi.Noop
+	script   []bool
+	onFail   func()
+	reads    int
+	acquires int
+}
+
+func (l *scriptedSeq) Acquire(lockapi.Proc, lockapi.Ctx) { l.acquires++ }
+
+func (l *scriptedSeq) ReadSeq(lockapi.Proc) uint64 {
+	l.reads++
+	return 0
+}
+
+func (l *scriptedSeq) ReadValidate(lockapi.Proc, uint64) bool {
+	ok := true
+	if len(l.script) > 0 {
+		ok, l.script = l.script[0], l.script[1:]
+	}
+	if !ok && l.onFail != nil {
+		l.onFail()
+	}
+	return ok
+}
+
+// TestOCCAdaptiveBudgetScripted pins the optimistic-read loop that Get,
+// Scan and the simulated serving driver share (Session.OptimisticAt) on a
+// scripted seqlock: reads return only the validated attempt's data (or the
+// locked fallback's), OCCStats counts every attempt, failure and fallback,
+// and the budget K starts at 4, halves per fallback down to 1, regains one
+// attempt per 64 consecutive first-try successes and caps at 8.
+func TestOCCAdaptiveBudgetScripted(t *testing.T) {
+	for _, cfg := range []struct {
+		name      string
+		rangeKeys int
+	}{{"hash", 0}, {"range", 100}} {
+		t.Run(cfg.name, func(t *testing.T) {
+			lk := &scriptedSeq{}
+			kv := OpenKV(KVOptions{
+				RangeKeys: cfg.rangeKeys,
+				NewLock:   func(int) lockapi.Lock { return lk },
+			})
+			db := kv.router.shards[0]
+			s := kv.NewSession()
+			k1, k2, k3 := kvstore.Key(1), kvstore.Key(2), kvstore.Key(3)
+			db.Put(k1, []byte("old"))
+
+			var want OCCShardStats
+			want.K = occKStart
+			wantAcquires := 0
+			// step runs one read under a script of validation verdicts
+			// (each failure playing the writer onFail), then checks the
+			// counters: attempts, failures and fallbacks it implies.
+			step := func(name string, script []bool, onFail func(), read func()) {
+				t.Helper()
+				lk.script, lk.onFail = script, onFail
+				read()
+				if len(lk.script) != 0 {
+					t.Fatalf("%s: %d scripted verdicts unused", name, len(lk.script))
+				}
+				want.Optimistic += uint64(len(script))
+				for _, ok := range script {
+					if !ok {
+						want.ValidationFailures++
+					}
+				}
+				if len(script) > 0 && !script[len(script)-1] {
+					want.Fallbacks++
+					wantAcquires++
+				}
+				if got := kv.OCCStats()[0]; got != want {
+					t.Fatalf("%s: OCCStats = %+v, want %+v", name, got, want)
+				}
+				if lk.reads != int(want.Optimistic) || lk.acquires != wantAcquires {
+					t.Fatalf("%s: ReadSeq calls %d, acquisitions %d; want %d, %d",
+						name, lk.reads, lk.acquires, want.Optimistic, wantAcquires)
+				}
+			}
+			get := func(key []byte, wantV string, wantOK bool) func() {
+				return func() {
+					t.Helper()
+					v, ok := s.Get(p0, key)
+					if ok != wantOK || string(v) != wantV {
+						t.Fatalf("Get(%s) = %q,%v want %q,%v", key, v, ok, wantV, wantOK)
+					}
+				}
+			}
+			scan := func(wantKV ...string) func() {
+				return func() {
+					t.Helper()
+					var got []string
+					s.Scan(p0, kvstore.Key(0), nil, func(k, v []byte) bool {
+						got = append(got, string(k)+"="+string(v))
+						return true
+					})
+					if fmt.Sprint(got) != fmt.Sprint(wantKV) {
+						t.Fatalf("Scan = %v, want %v", got, wantKV)
+					}
+				}
+			}
+			kv1 := func(v string) string { return string(k1) + "=" + v }
+			put := func(k []byte, v string) func() { return func() { db.Put(k, []byte(v)) } }
+
+			// A retried read serves the attempt that validated.
+			step("get retry", []bool{false, true}, put(k1, "new"), get(k1, "new", true))
+			step("get retry miss", []bool{false, true}, func() { db.Delete(k1) }, get(k1, "", false))
+			// Exhausting K=4 falls back to the lock and halves K.
+			db.Put(k1, []byte("v0"))
+			n := 0
+			bump := func() { n++; db.Put(k1, []byte(fmt.Sprint("v", n))) }
+			want.K = 2
+			step("get fallback", []bool{false, false, false, false}, bump, get(k1, "v4", true))
+			// A fallen-back scan returns the locked read, each key once.
+			want.K = 1
+			extra := [][]byte{k2, k3}
+			step("scan fallback", []bool{false, false},
+				func() { db.Put(extra[0], []byte("x")); extra = extra[1:] },
+				scan(kv1("v4"), string(k2)+"=x", string(k3)+"=x"))
+			// K stays at its floor of 1.
+			step("scan fallback at floor", []bool{false},
+				func() { db.Delete(k2) }, scan(kv1("v4"), string(k3)+"=x"))
+
+			clean := func(name string, reads int) {
+				t.Helper()
+				for i := 0; i < reads; i++ {
+					if i%2 == 0 {
+						step(name, []bool{true}, nil, get(k1, "v4", true))
+					} else {
+						step(name, []bool{true}, nil, scan(kv1("v4"), string(k3)+"=x"))
+					}
+				}
+			}
+			// 63 first-try successes earn nothing; the 64th grows K to 2.
+			clean("clean at floor", occGrowAfter-1)
+			want.K = 2
+			clean("64th clean read", 1)
+			// A retried success restarts the streak.
+			clean("clean streak", occGrowAfter-1)
+			step("retried success", []bool{false, true}, nil, get(k1, "v4", true))
+			clean("restarted streak", occGrowAfter-1)
+			want.K = 3
+			clean("restarted streak completes", 1)
+			// Growth stops at the cap of 8.
+			for k := 4; k <= occKMax; k++ {
+				clean("grow", occGrowAfter-1)
+				want.K = k
+				clean("grow step", 1)
+			}
+			clean("at cap", occGrowAfter)
+		})
+	}
+}
+
+// TestNoTraceZeroAllocs pins Get at zero heap allocations — the same
+// guarantee the memsim execution core pins for its uninstrumented hot loop.
+// On seqlock shards the optimistic loop (shard routing, ReadSeq, unlocked
+// layer-merge read, validation, counter updates) must not allocate; on
+// pessimistic shards neither may the locked read, exclusive (tkt) or shared
+// (rwlock). The read closure Get hands to Session.OptimisticAt does not
+// escape, so it lives on the stack either way.
 func TestNoTraceZeroAllocs(t *testing.T) {
-	t.Run("occ-get", func(t *testing.T) {
-		kv := openSeqSharded(4, 0)
+	zeroAllocGets := func(t *testing.T, kv *KV) {
+		t.Helper()
 		s := kv.NewSession()
 		val := bytes.Repeat([]byte("x"), 40)
 		for i := 0; i < 300; i++ {
@@ -217,7 +380,26 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 			i++
 		})
 		if allocs != 0 {
-			t.Fatalf("optimistic Get fast path allocates %.1f per op, want 0", allocs)
+			t.Fatalf("Get allocates %.1f per op, want 0", allocs)
+		}
+	}
+	t.Run("occ-get", func(t *testing.T) { zeroAllocGets(t, openSeqSharded(4, 0)) })
+	t.Run("pessimistic-get", func(t *testing.T) {
+		m := topo.Armv8Server()
+		for _, lc := range []struct {
+			name string
+			new  func() lockapi.Lock
+		}{
+			{"tkt", func() lockapi.Lock { return locks.NewTicket() }},
+			{"rwlock", func() lockapi.Lock { return rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS())) }},
+		} {
+			t.Run(lc.name, func(t *testing.T) {
+				zeroAllocGets(t, OpenKV(KVOptions{
+					Shards:  4,
+					NewLock: func(int) lockapi.Lock { return lc.new() },
+					Shard:   kvstore.Options{MemtableBytes: 400, MaxRuns: 2, Seed: 11},
+				}))
+			})
 		}
 	})
 }

@@ -29,7 +29,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -46,28 +45,11 @@ type Partitioner interface {
 	Shard(key []byte) int
 }
 
-// RangeInfo is implemented by partitioners whose shards cover contiguous,
-// ascending key ranges; cross-shard scans use it to stream shards in key
-// order instead of collect-and-merge.
-type RangeInfo interface {
-	// FirstShard returns the shard containing key (the routing shard), which
-	// under a range partition is also the first shard a scan from key visits.
-	FirstShard(key []byte) int
-}
-
 // HashPartitioner routes by FNV-1a hash modulo the shard count: keys
 // interleave across shards, so uniform workloads spread evenly regardless of
 // key locality, and range scans must merge all shards.
 type HashPartitioner struct {
 	n int
-}
-
-// NewHashPartitioner returns a hash partitioner over n shards (n >= 1).
-func NewHashPartitioner(n int) HashPartitioner {
-	if n < 1 {
-		panic("store: partitioner needs at least one shard")
-	}
-	return HashPartitioner{n: n}
 }
 
 // Shards implements Partitioner.
@@ -83,70 +65,48 @@ func (h HashPartitioner) Shard(key []byte) int {
 	return int(sum % uint64(h.n))
 }
 
-// RangePartitioner routes by explicit split points: shard i covers
+// RangePartitioner routes by split points: shard i covers
 // [bounds[i-1], bounds[i]) with the first shard open below and the last open
 // above. Contiguous key ranges stay on one shard, so range scans stream
-// shard by shard — and skewed key ranges produce hot shards, the trade-off
-// the kv experiment's hotspot workload measures.
+// shard by shard in key order — and skewed key ranges produce hot shards,
+// the trade-off the kv experiment's hotspot workload measures.
 type RangePartitioner struct {
-	// bounds are the n-1 ascending split keys.
+	// bounds are the n-1 non-descending split keys.
 	bounds [][]byte
-}
-
-// NewRangePartitioner builds a range partitioner from ascending split
-// points; len(bounds)+1 is the shard count. It rejects unsorted or
-// duplicate bounds.
-func NewRangePartitioner(bounds [][]byte) (RangePartitioner, error) {
-	for i := 1; i < len(bounds); i++ {
-		if bytes.Compare(bounds[i-1], bounds[i]) >= 0 {
-			return RangePartitioner{}, fmt.Errorf("store: range bounds not strictly ascending at %d", i)
-		}
-	}
-	return RangePartitioner{bounds: bounds}, nil
 }
 
 // Shards implements Partitioner.
 func (r RangePartitioner) Shards() int { return len(r.bounds) + 1 }
 
 // Shard implements Partitioner: binary search for the first bound above key.
+// Under a range partition the routing shard of a scan's start key is also
+// the first shard the scan visits.
 func (r RangePartitioner) Shard(key []byte) int {
 	return sort.Search(len(r.bounds), func(i int) bool {
 		return bytes.Compare(key, r.bounds[i]) < 0
 	})
 }
 
-// FirstShard implements RangeInfo.
-func (r RangePartitioner) FirstShard(key []byte) int { return r.Shard(key) }
-
-// UniformBounds returns split points dividing the canonical kvstore.Key
-// space [0, keys) into shards equal ranges — the natural range partition
-// for the benchmark keyspace (a linear byte-space split would be useless:
-// canonical keys share long "0" prefixes).
-func UniformBounds(keys, shards int, keyOf func(i int) []byte) [][]byte {
+// NewPartitioner returns the store's routing for shards shards (>= 1). With
+// rangeKeys > 0 it is a range partition dividing the canonical kvstore.Key
+// space [0, rangeKeys) into equal ranges (a linear byte-space split would be
+// useless: canonical keys share long "0" prefixes); otherwise it is the
+// FNV-1a hash partition. A range partition with rangeKeys < shards repeats
+// split keys, which leaves some shards empty but routes correctly. OpenKV,
+// OpenCache and the simulated serving driver
+// (internal/workload) all route through it.
+func NewPartitioner(shards, rangeKeys int) Partitioner {
 	if shards < 1 {
-		panic("store: UniformBounds needs at least one shard")
+		panic("store: partitioner needs at least one shard")
+	}
+	if rangeKeys <= 0 {
+		return HashPartitioner{n: shards}
 	}
 	bounds := make([][]byte, 0, shards-1)
 	for i := 1; i < shards; i++ {
-		bounds = append(bounds, keyOf(i*keys/shards))
+		bounds = append(bounds, kvstore.Key(i*rangeKeys/shards))
 	}
-	return bounds
-}
-
-// NewPartitioner returns the store's routing for shards shards: a range
-// partition with UniformBounds over the canonical kvstore.Key space
-// [0, rangeKeys) when rangeKeys > 0, the FNV-1a hash partition otherwise.
-// OpenKV and the simulated serving driver (internal/workload) both route
-// through it.
-func NewPartitioner(shards, rangeKeys int) Partitioner {
-	if rangeKeys <= 0 {
-		return NewHashPartitioner(shards)
-	}
-	rp, err := NewRangePartitioner(UniformBounds(rangeKeys, shards, kvstore.Key))
-	if err != nil {
-		panic(err) // unreachable: UniformBounds emits ascending keys
-	}
-	return rp
+	return RangePartitioner{bounds: bounds}
 }
 
 // Adaptive optimistic-read bounds (DESIGN.md S33): each shard starts with
@@ -218,7 +178,6 @@ type OCCShardStats struct {
 // shard i with its own lock. It is the generic core both store engines wrap.
 type Router[S any] struct {
 	part   Partitioner
-	rinfo  RangeInfo // non-nil when part orders shards by key range
 	locks  []lockapi.Lock
 	rws    []lockapi.RWLocker  // non-nil where locks[i] supports shared mode
 	seqs   []lockapi.SeqReader // non-nil where locks[i] supports optimistic reads
@@ -240,7 +199,6 @@ func NewRouter[S any](part Partitioner, newLock func(shard int) lockapi.Lock, ne
 		occ:    make([]occShard, n),
 		shards: make([]S, n),
 	}
-	r.rinfo, _ = part.(RangeInfo)
 	for i := 0; i < n; i++ {
 		var l lockapi.Lock
 		if newLock != nil {
@@ -280,9 +238,13 @@ func (r *Router[S]) Shards() int { return len(r.shards) }
 // its capabilities before any session exists).
 func (r *Router[S]) LockAt(i int) lockapi.Lock { return r.locks[i] }
 
-// Ordered reports whether shards cover ascending key ranges (RangeInfo), in
-// which case cross-shard scans stream in shard order.
-func (r *Router[S]) Ordered() bool { return r.rinfo != nil }
+// Ordered reports whether shards cover ascending key ranges (a
+// RangePartitioner), in which case cross-shard scans visit shards in key
+// order starting at the start key's shard.
+func (r *Router[S]) Ordered() bool {
+	_, ok := r.part.(RangePartitioner)
+	return ok
+}
 
 // Session is a per-worker router handle carrying one lock context per
 // shard. Lock contexts are registered with their lock, so it must only be
@@ -335,7 +297,9 @@ func (s *Session[S]) SharedAt(p lockapi.Proc, i int, fn func(shard int, data S))
 // seqlock's ReadSeq/ReadValidate and retried on validation failure, up to
 // the shard's adaptive attempt budget, after which it degrades to SharedAt.
 // The return value reports whether a validated optimistic attempt served
-// the read (false means the pessimistic fallback ran).
+// the read (false means the pessimistic fallback ran). This is the store's
+// only optimistic-read loop: KVSession.Get and Scan read through it natively,
+// and workload.RunKV runs it on the simulator.
 //
 // fn may therefore run several times and must be restartable: it must
 // buffer its observations privately and the caller must publish them only
@@ -367,22 +331,11 @@ func (s *Session[S]) OptimisticAt(p lockapi.Proc, i int, fn func(shard int, data
 	return false
 }
 
-// Ascending visits shards from index `from` upward, running fn on each
-// payload under its shard lock (shared mode when shared is set and the lock
-// supports it). fn returning false stops the walk. At most one shard lock
-// is held at a time — deadlock-free, not atomic across shards.
-func (s *Session[S]) Ascending(p lockapi.Proc, from int, shared bool, fn func(shard int, data S) bool) {
-	r := s.r
-	for i := from; i < len(r.shards); i++ {
-		cont := true
-		visit := func(_ int, data S) { cont = fn(i, data) }
-		if shared {
-			s.SharedAt(p, i, visit)
-		} else {
-			s.ExclusiveAt(p, i, visit)
-		}
-		if !cont {
-			return
-		}
+// Each visits every shard in ascending index order, running fn on its
+// payload under the shard's exclusive lock. At most one shard lock is held
+// at a time — deadlock-free, not atomic across shards.
+func (s *Session[S]) Each(p lockapi.Proc, fn func(shard int, data S)) {
+	for i := range s.r.shards {
+		s.ExclusiveAt(p, i, fn)
 	}
 }

@@ -12,8 +12,23 @@ import (
 
 var p0 = lockapi.NewNativeProc(0)
 
+// sumStats totals per-shard engine counters with the engine's Stats.Add.
+func sumStats[T any, PT interface {
+	*T
+	Add(T)
+}](per []T) T {
+	var total T
+	for _, st := range per {
+		PT(&total).Add(st)
+	}
+	return total
+}
+
 func TestHashPartitionerCoversAllShards(t *testing.T) {
-	part := NewHashPartitioner(8)
+	part := NewPartitioner(8, 0)
+	if _, ok := part.(HashPartitioner); !ok {
+		t.Fatalf("NewPartitioner(8, 0) = %T, want HashPartitioner", part)
+	}
 	seen := map[int]bool{}
 	for i := 0; i < 1000; i++ {
 		s := part.Shard(kvstore.Key(i))
@@ -28,9 +43,9 @@ func TestHashPartitionerCoversAllShards(t *testing.T) {
 }
 
 func TestRangePartitionerBounds(t *testing.T) {
-	part, err := NewRangePartitioner(UniformBounds(100, 4, kvstore.Key))
-	if err != nil {
-		t.Fatal(err)
+	part := NewPartitioner(4, 100)
+	if _, ok := part.(RangePartitioner); !ok {
+		t.Fatalf("NewPartitioner(4, 100) = %T, want RangePartitioner", part)
 	}
 	if part.Shards() != 4 {
 		t.Fatalf("shards = %d", part.Shards())
@@ -45,25 +60,12 @@ func TestRangePartitionerBounds(t *testing.T) {
 	if got := part.Shard(kvstore.Key(10_000)); got != 3 {
 		t.Errorf("out-of-range key routed to %d, want last shard", got)
 	}
-	// Routing must be monotone in the key for a range partition.
-	if part.FirstShard(kvstore.Key(0)) != 0 {
-		t.Error("FirstShard(first key) != 0")
-	}
-}
-
-func TestRangePartitionerRejectsUnsortedBounds(t *testing.T) {
-	if _, err := NewRangePartitioner([][]byte{kvstore.Key(5), kvstore.Key(5)}); err == nil {
-		t.Error("duplicate bounds accepted")
-	}
-	if _, err := NewRangePartitioner([][]byte{kvstore.Key(9), kvstore.Key(3)}); err == nil {
-		t.Error("descending bounds accepted")
-	}
 }
 
 // TestRouterSharedDegradesToExclusive: on a lock without shared mode,
 // SharedAt must still exclude (it takes the exclusive path).
 func TestRouterSharedDegradesToExclusive(t *testing.T) {
-	r := NewRouter(NewHashPartitioner(2),
+	r := NewRouter(NewPartitioner(2, 0),
 		func(int) lockapi.Lock { return locks.NewTicket() },
 		func(int) *int { v := 0; return &v })
 	s := r.NewSession()
@@ -84,7 +86,7 @@ func TestRouterSharedUsesRWLocker(t *testing.T) {
 	m := topo.Armv8Server()
 	edges := 0
 	o := lockapi.ObserverFromFuncs(nil, func(lockapi.Proc) { edges++ }, nil)
-	r := NewRouter(NewHashPartitioner(1),
+	r := NewRouter(NewPartitioner(1, 0),
 		func(int) lockapi.Lock {
 			a := rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS()))
 			a.Instrument(o)
@@ -102,16 +104,26 @@ func TestRouterSharedUsesRWLocker(t *testing.T) {
 	}
 }
 
-// TestAscendingEarlyStop: fn returning false stops the walk.
-func TestAscendingEarlyStop(t *testing.T) {
-	r := NewRouter[int](NewHashPartitioner(5), nil, func(i int) int { return i })
+// TestEachVisitsInOrder: Each visits every shard once, in ascending index
+// order, under the exclusive lock.
+func TestEachVisitsInOrder(t *testing.T) {
+	r := NewRouter(NewPartitioner(5, 0),
+		func(int) lockapi.Lock { return locks.NewTicket() },
+		func(i int) int { return i })
 	s := r.NewSession()
 	var visited []int
-	s.Ascending(p0, 1, false, func(shard int, _ int) bool {
+	s.Each(p0, func(shard int, data int) {
+		if data != shard {
+			t.Errorf("shard %d got payload %d", shard, data)
+		}
 		visited = append(visited, shard)
-		return shard < 3
 	})
-	if len(visited) != 3 || visited[0] != 1 || visited[2] != 3 {
-		t.Errorf("visited %v, want [1 2 3]", visited)
+	if len(visited) != 5 {
+		t.Fatalf("visited %v, want [0 1 2 3 4]", visited)
+	}
+	for i, sh := range visited {
+		if sh != i {
+			t.Fatalf("visited %v, want [0 1 2 3 4]", visited)
+		}
 	}
 }

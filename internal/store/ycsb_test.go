@@ -119,7 +119,7 @@ func TestYCSBShardedRWLockBeatsGlobalLock(t *testing.T) {
 // whole shards idle (hot ranks are hashed across the keyspace).
 func TestZipfPickerSpreadsHotKeys(t *testing.T) {
 	kp := NewKeyPicker(DistZipfian, 1000, 0.99, xrand.New(3))
-	part := NewHashPartitioner(8)
+	part := NewPartitioner(8, 0)
 	seen := map[int]int{}
 	for i := 0; i < 5000; i++ {
 		seen[part.Shard(kvstore.Key(kp.Next()))]++

@@ -28,7 +28,10 @@
 #      into figures-out/collapse-quick/ for the CI artifact)
 #  10. kv smoke                 (sharded-serving sweep at reduced scale,
 #      byte-compared across -j levels, then regenerated into
-#      figures-out/kv-quick/ for the CI artifact)
+#      figures-out/kv-quick/ for the CI artifact), then the full kv sweep,
+#      byte-compared against the five committed figures-out/kv-*.csv (a
+#      store, lock or workload change that moves any row fails until the
+#      CSVs are regenerated with clof-figures -exp kv)
 #  11. occ smoke                (optimistic-read panels — the two
 #      read-mostly sweeps the seq: acceptance criterion quantifies over —
 #      byte-compared across -j levels, then regenerated into
@@ -130,6 +133,11 @@ for mix in read-mostly write-heavy rmw scan read-mostly-armv8; do
 done
 echo "kv smoke: byte-identical across -j levels"
 make kv-quick
+go run ./cmd/clof-figures -exp kv -q -out "$tmp/kv"
+for mix in read-mostly write-heavy rmw scan read-mostly-armv8; do
+  cmp "$tmp/kv/kv-$mix.csv" "figures-out/kv-$mix.csv"
+done
+echo "kv sweep: byte-identical to figures-out/kv-*.csv"
 
 echo "== occ-quick (optimistic-read smoke + determinism)"
 # The seq: rows ride the kv sweep above; the focused occ alias must produce
