@@ -1,10 +1,11 @@
 // clof-obs runs one catalog lock under a contended workload with the
 // observability layer (internal/obs) attached and prints the contention
 // profile: the handover-distance table (how far each lock transfer traveled
-// in the memory hierarchy), acquisition-latency and hold-time quantiles, and
-// the per-CPU fairness summary. The per-level counts plus the self and
-// first rows always sum to the total acquisitions — the collector counts
-// every owner transition exactly once.
+// in the memory hierarchy, and each level's longest run of consecutive
+// acquisitions inside one cohort), acquisition-latency and hold-time
+// quantiles, and the per-CPU fairness summary. The per-level counts plus the
+// self and first rows always sum to the total acquisitions — the collector
+// counts every owner transition exactly once.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/clof-go/clof/internal/catalog"
@@ -112,23 +114,27 @@ func printReport(rep obs.Report, res workload.Result) {
 	fmt.Printf("lock=%s machine=%s  %.3f iter/µs over %dns virtual\n",
 		rep.Lock, rep.Machine, res.ThroughputOpsPerUs(), res.Now)
 	fmt.Printf("\nhandover distance (owner transitions by sharing level):\n")
-	fmt.Printf("  %-16s %10s %8s\n", "distance", "count", "share")
+	fmt.Printf("  %-16s %10s %8s %10s\n", "distance", "count", "share", "max-run")
 	total := rep.Acquisitions
-	row := func(name string, count uint64) {
+	row := func(name string, count uint64, maxRun string) {
 		share := 0.0
 		if total > 0 {
 			share = 100 * float64(count) / float64(total)
 		}
-		fmt.Printf("  %-16s %10d %7.1f%%\n", name, count, share)
+		fmt.Printf("  %-16s %10d %7.1f%%", name, count, share)
+		if maxRun != "" {
+			fmt.Printf(" %10s", maxRun)
+		}
+		fmt.Println()
 	}
 	var first uint64
 	if total > 0 {
 		first = 1
 	}
-	row("first", first)
-	row("self", rep.Handover.Self)
+	row("first", first, "")
+	row("self", rep.Handover.Self, "")
 	for _, lc := range rep.Handover.Levels {
-		row(lc.Level, lc.Count)
+		row(lc.Level, lc.Count, strconv.FormatUint(lc.MaxRun, 10))
 	}
 	fmt.Printf("  %-16s %10d\n", "total", total)
 

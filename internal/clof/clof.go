@@ -23,9 +23,16 @@ import (
 	"github.com/clof-go/clof/internal/topo"
 )
 
-// DefaultKeepLocalThreshold is H, the number of consecutive in-cohort
-// handovers after which keep_local forces the high lock to be released to
-// another cohort (§4.1.2). The paper uses 128 per level, matching HMCS.
+// DefaultKeepLocalThreshold is H, the keep_local threshold (§4.1.2),
+// matching HMCS. It bounds one tenure at every level: a cohort that has
+// been charged H acquisitions since it took the high lock gives the high
+// lock to another cohort. Every acquisition a level hands down is charged
+// to it, so a leaf tenure serves at most H acquisitions, the tenure one
+// level up at most 2H-1, and each further level adds at most H-1; under
+// saturation every level turns over every H.
+//
+// Fig. 8 instead counts H local passes per level, one per child tenure,
+// which compounds to H^(levels-1) acquisitions at the root (DESIGN.md §1).
 const DefaultKeepLocalThreshold = 128
 
 // Composition assigns one basic-lock type per hierarchy level, ordered from
@@ -93,10 +100,11 @@ type levelLock struct {
 	waiters lockapi.Cell
 	// highHeld fuses the has_high_lock flag with the keep_local counter:
 	// 0 means the high lock is not held for this cohort; v > 0 means it is
-	// held and has been passed locally v times. Carrying the count in the
-	// flag (as HMCS carries it in the status word) removes a separate
-	// counter line from the handover path; the keep_local semantics —
-	// at most H consecutive local passes — are unchanged.
+	// held and v acquisitions have been charged to the current tenure. A
+	// pass charges the releaser's whole sub-tenure, not one, so the count
+	// bounds one tenure at every level (see DefaultKeepLocalThreshold).
+	// Carrying the count in the flag (as HMCS carries it in the status
+	// word) removes a separate counter line from the handover path.
 	highHeld lockapi.Cell
 	// parent is the high lock's node; nil at the system root.
 	parent *levelLock
@@ -315,7 +323,6 @@ func (l *Lock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 		for !p.CAS(&l.fast, 0, 1, lockapi.Acquire) {
 			p.Spin()
 		}
-		p.Add(&l.slowActive, ^uint64(0), lockapi.Relaxed)
 	}
 	l.EmitAcquired(p)
 }
@@ -428,44 +435,57 @@ func (l *Lock) Release(p lockapi.Proc, c lockapi.Ctx) {
 		panic("clof: Release without matching Acquire")
 	}
 	tc.held, tc.heldCtx = nil, nil
-	l.releaseNode(p, n, ctx)
+	l.releaseNode(p, n, ctx, 1)
+	if l.fastPath {
+		// Leave the slow path only now: the decrement is off the critical
+		// path, and the fast word was held throughout, so no stealer could
+		// slip in while slowActive still counted this thread.
+		//lint:order relaxed-ok slowActive is a stealing hint, not lock state; the fast word's Release store above publishes the critical section
+		p.Add(&l.slowActive, ^uint64(0), lockapi.Relaxed)
+	}
 	l.EmitReleased(p)
 }
 
-// releaseNode is lockgen(rel(CLoF(l,L), c)) from Fig. 8. keep_local and
-// pass_high_lock are fused: the pass flag's value is the consecutive-pass
-// count (see levelLock.highHeld).
-func (l *Lock) releaseNode(p lockapi.Proc, n *levelLock, c lockapi.Ctx) {
+// releaseNode is lockgen(rel(CLoF(l,L), c)) from Fig. 8, with tenure
+// accounting in place of Fig. 8's per-level pass counter. k is the number
+// of acquisitions to charge to this level: 1 for the releasing thread at the
+// leaf, the whole sub-tenure when a child level gives its high lock away.
+// keep_local and pass_high_lock are fused: the pass flag's value is the
+// number of acquisitions charged to the current tenure (see
+// levelLock.highHeld).
+func (l *Lock) releaseNode(p lockapi.Proc, n *levelLock, c lockapi.Ctx, k uint64) {
 	if n.parent == nil {
 		n.lock.Release(p, c)
 		return
 	}
 	if l.hasWaiters(p, n, c) {
-		// keep_local: pass within the cohort unless the threshold of
-		// consecutive local passes is reached.
+		// keep_local: pass within the cohort unless the tenure has been
+		// charged H acquisitions.
 		v := p.Load(&n.highHeld, lockapi.Relaxed)
-		if v+1 < l.threshold {
+		if v+k < l.threshold {
 			//lint:order relaxed-ok pass_high_lock happens before the low lock's Release, which publishes it (§4.2.3)
-			p.Store(&n.highHeld, v+1, lockapi.Relaxed) // pass_high_lock
+			p.Store(&n.highHeld, v+k, lockapi.Relaxed) // pass_high_lock
 			n.lock.Release(p, c)
 			return
 		}
 	}
-	// Give the high lock away. The order is crucial (§4.1.3): the high lock
-	// must be released BEFORE the low lock, otherwise a successor could
-	// grab the low lock and race us on highCtx, violating the context
+	// Give the high lock away, charging the level above for every
+	// acquisition this tenure served. The order is crucial (§4.1.3): the
+	// high lock must be released BEFORE the low lock, otherwise a successor
+	// could grab the low lock and race us on highCtx, violating the context
 	// invariant and deadlocking.
-	if p.Load(&n.highHeld, lockapi.Relaxed) != 0 {
+	v := p.Load(&n.highHeld, lockapi.Relaxed)
+	if v != 0 {
 		//lint:order relaxed-ok clear_high_lock happens before the high lock's Release, which publishes it (§4.2.3)
 		p.Store(&n.highHeld, 0, lockapi.Relaxed) // clear_high_lock
 	}
 	if l.releaseOrderBug {
-		n.lock.Release(p, c)                  // ← the §4.1.3 bug:
-		l.releaseNode(p, n.parent, n.highCtx) //   low before high
+		n.lock.Release(p, c)                       // ← the §4.1.3 bug:
+		l.releaseNode(p, n.parent, n.highCtx, v+k) //   low before high
 		return
 	}
-	l.releaseNode(p, n.parent, n.highCtx) // 1: release L
-	n.lock.Release(p, c)                  // 2: then release l
+	l.releaseNode(p, n.parent, n.highCtx, v+k) // 1: release L
+	n.lock.Release(p, c)                       // 2: then release l
 }
 
 // hasWaiters is the paper's has_waiters: the custom detector when the basic

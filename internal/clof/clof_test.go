@@ -207,7 +207,7 @@ func TestLockPassingWhitebox(t *testing.T) {
 	// Simulate a waiter in our leaf cohort at the numa level.
 	numa := leaf.parent
 	p.Add(&numa.waiters, 1, lockapi.Relaxed)
-	l.releaseNode(p, numa, leaf.highCtx) // release from the numa level down
+	l.releaseNode(p, numa, leaf.highCtx, 1) // release from the numa level down
 	if got := p.Load(&numa.highHeld, lockapi.Relaxed); got == 0 {
 		t.Error("release with waiters did not pass the high lock")
 	}
@@ -221,14 +221,14 @@ func TestLockPassingWhitebox(t *testing.T) {
 	// Remove the fake waiter and release for real: flag must clear and the
 	// system lock must become free.
 	p.Add(&numa.waiters, ^uint64(0), lockapi.Relaxed)
-	l.releaseNode(p, numa, leaf.highCtx)
+	l.releaseNode(p, numa, leaf.highCtx, 1)
 	if got := p.Load(&numa.highHeld, lockapi.Relaxed); got != 0 {
 		t.Error("release without waiters left the pass flag set")
 	}
 	if !rootTkt.TryObserveUnlocked(p) {
 		t.Error("system lock still held after give-away release")
 	}
-	l.releaseNode(p, leaf, ctx.(*threadCtx).leafCtxs[0])
+	l.releaseNode(p, leaf, ctx.(*threadCtx).leafCtxs[0], 1)
 }
 
 // TestKeepLocalThreshold: with a perpetual waiter, keep_local must force a
@@ -246,7 +246,7 @@ func TestKeepLocalThreshold(t *testing.T) {
 	giveaways := 0
 	const cycles = 3 * H
 	for i := 0; i < cycles; i++ {
-		l.releaseNode(p, leaf, ctx.leafCtxs[0])
+		l.releaseNode(p, leaf, ctx.leafCtxs[0], 1)
 		if p.Load(&leaf.highHeld, lockapi.Relaxed) == 0 {
 			giveaways++
 		}
@@ -258,7 +258,43 @@ func TestKeepLocalThreshold(t *testing.T) {
 		t.Errorf("giveaways = %d over %d cycles with H=%d, want %d", giveaways, cycles, H, cycles/H)
 	}
 	p.Add(&leaf.waiters, ^uint64(0), lockapi.Relaxed)
-	l.releaseNode(p, leaf, ctx.leafCtxs[0])
+	l.releaseNode(p, leaf, ctx.leafCtxs[0], 1)
+}
+
+// TestKeepLocalTenureBound: keep_local bounds one tenure, not each level's
+// passes. With perpetual waiters at the leaf and NUMA levels, a leaf tenure
+// ends after H acquisitions and charges all H to the NUMA level, so the root
+// must be given away at least once every 2H-1 acquisitions. Counting one
+// NUMA pass per leaf tenure instead would keep the root for H*H.
+func TestKeepLocalTenureBound(t *testing.T) {
+	h := tinyHierarchy()
+	const H = 4
+	l := Must(h, mustComp(t, "tkt-tkt-tkt"), WithThreshold(H), WithoutCustomHasWaiters())
+	p := lockapi.NewNativeProc(0)
+	ctx := l.NewCtx().(*threadCtx)
+	l.Acquire(p, ctx)
+	leaf := l.leaves[0]
+	numa := leaf.parent
+	root := numa.parent.lock.(*locks.Ticket)
+	p.Add(&leaf.waiters, 1, lockapi.Relaxed)
+	p.Add(&numa.waiters, 1, lockapi.Relaxed)
+	// run counts the acquisitions of the current root tenure.
+	run, longest := 1, 0
+	for i := 0; i < 8*H; i++ {
+		l.releaseNode(p, leaf, ctx.leafCtxs[0], 1)
+		if root.TryObserveUnlocked(p) {
+			longest = max(longest, run)
+			run = 0
+		}
+		l.acquireNode(p, leaf, ctx.leafCtxs[0])
+		run++
+	}
+	if longest == 0 || longest > 2*H-1 {
+		t.Errorf("longest root tenure = %d acquisitions with H=%d, want 1..%d", longest, H, 2*H-1)
+	}
+	p.Add(&leaf.waiters, ^uint64(0), lockapi.Relaxed)
+	p.Add(&numa.waiters, ^uint64(0), lockapi.Relaxed)
+	l.releaseNode(p, leaf, ctx.leafCtxs[0], 1)
 }
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {

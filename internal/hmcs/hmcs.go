@@ -1,11 +1,14 @@
 // Package hmcs implements the HMCS lock of Chabbi, Fagan and Mellor-Crummey
 // (PPoPP'15), the paper's strongest baseline: a tree of MCS locks mirroring
-// the NUMA hierarchy, with a per-level threshold bounding consecutive local
-// handovers. HMCS⟨n⟩ denotes the n-level configuration.
+// the NUMA hierarchy, with a threshold that bounds one tenure at every
+// level. HMCS⟨n⟩ denotes the n-level configuration.
 //
 // Unlike CLoF, HMCS is level-homogeneous (MCS at every level) and passes the
 // lock within a level through the MCS queue node's status word, which
-// doubles as the local-handover counter.
+// doubles as the tenure counter. As in internal/clof, a level is charged
+// for every acquisition it hands down rather than once per child tenure, so
+// the threshold bounds tenures at every level, not consecutive passes per
+// level (which would compound to H^(n-1) acquisitions at the root).
 //
 // The memory-order annotations follow the HMCS-WMM corrections of
 // Oberhauser et al. (NETYS'21) as discussed in the CLoF paper §1/§3.3:
@@ -32,8 +35,11 @@ const (
 	statusCohortStart = 1
 )
 
-// DefaultThreshold is the per-level local-handover bound. The CLoF paper
-// uses H=128 for both CLoF and HMCS so comparisons are threshold-equal.
+// DefaultThreshold is H, the tenure bound: it bounds one tenure at every
+// level, so a leaf tenure serves at most H acquisitions, the tenure one
+// level up at most 2H-1, and each further level adds at most H-1. The CLoF
+// paper uses H=128 for both CLoF and HMCS, and both charge tenures the same
+// way, so comparisons are threshold-equal.
 const DefaultThreshold = 128
 
 // hnode is one level's MCS lock within the tree.
@@ -43,7 +49,7 @@ type hnode struct {
 	// qnode is the handle of the node this hnode uses to enqueue itself
 	// into the parent's queue.
 	qnode uint64
-	// threshold is this level's local-handover bound.
+	// threshold is H, the tenure bound (DefaultThreshold).
 	threshold uint64
 	parent    *hnode
 }
@@ -74,7 +80,7 @@ type Lock struct {
 // Option customizes New.
 type Option func(*Lock)
 
-// WithThreshold overrides the per-level local-handover bound.
+// WithThreshold overrides the tenure bound H (DefaultThreshold).
 func WithThreshold(h uint64) Option {
 	return func(l *Lock) { l.threshold = h }
 }
@@ -184,8 +190,8 @@ func (l *Lock) acquire(p lockapi.Proc, h *hnode, q uint64) {
 				continue
 			}
 			if s < statusAcquireParent {
-				// The lock was passed within this cohort; status carries
-				// the running local-handover count.
+				// The lock was passed within this cohort; status-1 is the
+				// count charged to the current tenure.
 				return
 			}
 			break // told to acquire the parent
@@ -206,14 +212,17 @@ func (l *Lock) Release(p lockapi.Proc, c lockapi.Ctx) {
 	}
 	h, q := tc.held, tc.heldQ
 	tc.held, tc.heldQ = nil, 0
-	l.release(p, h, q)
+	l.release(p, h, q, 1)
 	l.EmitReleased(p)
 }
 
 // release follows the HMCS paper's Release: pass within the cohort while
-// under the threshold, otherwise release the parent first and tell the
-// successor (if any) to acquire it.
-func (l *Lock) release(p lockapi.Proc, h *hnode, q uint64) {
+// the tenure is under the threshold, otherwise release the parent first and
+// tell the successor (if any) to acquire it. k is the number of acquisitions
+// to charge to this level: 1 at the leaf, the whole sub-tenure when a child
+// level gives its parent away. A status s ≥ statusCohortStart records that
+// s−1 acquisitions were charged before the current owner's.
+func (l *Lock) release(p lockapi.Proc, h *hnode, q, k uint64) {
 	n := l.node(q)
 	if h.parent == nil {
 		// Root: plain MCS handover. Any value below statusAcquireParent
@@ -221,16 +230,17 @@ func (l *Lock) release(p lockapi.Proc, h *hnode, q uint64) {
 		l.releaseHelper(p, h, q, statusCohortStart)
 		return
 	}
-	cur := p.Load(&n.status, lockapi.Relaxed)
+	cur := p.Load(&n.status, lockapi.Relaxed) - 1 + k
 	if cur < h.threshold {
 		if succ := p.Load(&n.next, lockapi.Acquire); succ != 0 {
 			p.Store(&l.node(succ).status, cur+1, lockapi.Release)
 			return
 		}
 	}
-	// Threshold reached or no local successor: hand the parent back, then
-	// release this level telling any (late) successor to climb itself.
-	l.release(p, h.parent, h.qnode)
+	// Threshold reached or no local successor: hand the parent back,
+	// charging it for this tenure, then release this level telling any
+	// (late) successor to climb itself.
+	l.release(p, h.parent, h.qnode, cur)
 	l.releaseHelper(p, h, q, statusAcquireParent)
 }
 

@@ -104,6 +104,7 @@ type Collector struct {
 	acquisitions  uint64
 	self          uint64
 	levels        [numLevels]uint64
+	run, maxRun   [numLevels]uint64 // consecutive same-cohort acquisitions
 	lastOwner     int
 	lastReleaseNS int64
 	seq           uint64
@@ -165,11 +166,18 @@ func (c *Collector) Acquired(p lockapi.Proc) {
 			c.spans = append(c.spans, Span{CPU: cpu, Name: "wait", StartNS: s, EndNS: now, Seq: c.seq})
 		}
 	}
+	// Owners sharing a cohort at level share also share one at every level
+	// above it; the runs below it restart. Before the first owner every run
+	// restarts.
+	share := numLevels
 	if c.lastOwner >= 0 {
 		if c.lastOwner == cpu {
 			c.self++
+			share = int(topo.Core)
 		} else {
-			c.levels[c.machine.ShareLevel(c.lastOwner, cpu)]++
+			level := c.machine.ShareLevel(c.lastOwner, cpu)
+			c.levels[level]++
+			share = int(level)
 			if c.opt.Spans && now >= 0 && c.lastReleaseNS >= 0 {
 				c.flows = append(c.flows, Flow{
 					ID:      c.seq,
@@ -178,6 +186,13 @@ func (c *Collector) Acquired(p lockapi.Proc) {
 				})
 			}
 		}
+	}
+	for l := range c.run {
+		if l < share {
+			c.run[l] = 0
+		}
+		c.run[l]++
+		c.maxRun[l] = max(c.maxRun[l], c.run[l])
 	}
 	if prev := c.lastAcqNS[cpu]; prev >= 0 && now > prev && now-prev > c.starveNS[cpu] {
 		c.starveNS[cpu] = now - prev
@@ -264,12 +279,18 @@ type Handover struct {
 	Crossings uint64 `json:"crossings"`
 }
 
-// LevelCount is one level's handover count.
+// LevelCount is one level's handover count and longest tenure.
 type LevelCount struct {
 	// Level is the topo level name ("core", "cache-group", ...).
 	Level string `json:"level"`
 	// Count is the number of handovers crossing exactly this level.
 	Count uint64 `json:"count"`
+	// MaxRun is the longest run of consecutive acquisitions whose owners
+	// share one cohort at this level: the longest tenure of any cohort of
+	// this level. It never decreases from Core to System, and for one lock
+	// System's equals Acquisitions; a CombineShards report takes the
+	// longest over its shards.
+	MaxRun uint64 `json:"max_run"`
 }
 
 // Fairness summarizes how evenly the lock served its CPUs.
@@ -321,7 +342,7 @@ func (c *Collector) Report() Report {
 	r.Handover.Self = c.self
 	r.Handover.Levels = make([]LevelCount, numLevels)
 	for i := 0; i < numLevels; i++ {
-		r.Handover.Levels[i] = LevelCount{Level: topo.Level(i).String(), Count: c.levels[i]}
+		r.Handover.Levels[i] = LevelCount{Level: topo.Level(i).String(), Count: c.levels[i], MaxRun: c.maxRun[i]}
 		r.Handover.Crossings += c.levels[i]
 	}
 	r.Fairness = c.fairness()

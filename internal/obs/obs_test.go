@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/clof-go/clof/internal/catalog"
+	"github.com/clof-go/clof/internal/clof"
+	"github.com/clof-go/clof/internal/hmcs"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/obs"
 	"github.com/clof-go/clof/internal/topo"
@@ -39,7 +41,9 @@ func observe(t *testing.T, e catalog.Entry, threads int, opt obs.Options) (obs.R
 // or a cross-CPU handover binned at exactly one level, so
 // self + crossings + 1 == acquisitions. The per-level counts must also
 // agree exactly with the workload's own independent HandoverLevels
-// accounting (both observe the same acquisition sequence).
+// accounting (both observe the same acquisition sequence). Owners sharing
+// a cohort at one level share one at every level above it, so MaxRun never
+// decreases from Core up to System, and System's is Acquisitions.
 func TestHandoverCountsSum(t *testing.T) {
 	for _, e := range catalog.Locks() {
 		e := e
@@ -63,6 +67,15 @@ func TestHandoverCountsSum(t *testing.T) {
 			if sum != rep.Acquisitions {
 				t.Errorf("self+levels+first = %d, acquisitions = %d", sum, rep.Acquisitions)
 			}
+			levels := rep.Handover.Levels
+			for i := 1; i < len(levels); i++ {
+				if levels[i].MaxRun < levels[i-1].MaxRun {
+					t.Errorf("MaxRun %s=%d < %s=%d", levels[i].Level, levels[i].MaxRun, levels[i-1].Level, levels[i-1].MaxRun)
+				}
+			}
+			if sys := levels[len(levels)-1]; sys.MaxRun != rep.Acquisitions {
+				t.Errorf("MaxRun %s=%d, acquisitions %d", sys.Level, sys.MaxRun, rep.Acquisitions)
+			}
 			if rep.AcquireLatency.Count != rep.Acquisitions {
 				t.Errorf("latency samples %d != acquisitions %d", rep.AcquireLatency.Count, rep.Acquisitions)
 			}
@@ -73,6 +86,55 @@ func TestHandoverCountsSum(t *testing.T) {
 				t.Errorf("jain out of range: %v", rep.Fairness.Jain)
 			}
 		})
+	}
+}
+
+// TestTenureBoundedAtEveryLevel saturates the 128-CPU Armv8 machine with
+// CLoF and HMCS at H=4 and reads each level's longest tenure from MaxRun:
+// a cache group holds the NUMA lock for at most H acquisitions, and a NUMA
+// node or package keeps the lock above it for at most 2H-1. A per-level
+// pass count would let them run H*H and H*H*H.
+func TestTenureBoundedAtEveryLevel(t *testing.T) {
+	const H = 4
+	h := topo.ArmHierarchy4()
+	comp, err := clof.ParseComposition("tkt-clh-tkt-tkt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		mk   func() lockapi.Lock
+	}{
+		{"clof:tkt-clh-tkt-tkt", func() lockapi.Lock { return clof.Must(h, comp, clof.WithThreshold(H)) }},
+		{"hmcs", func() lockapi.Lock { return hmcs.Must(h, hmcs.WithThreshold(H)) }},
+	} {
+		name := c.name
+		col := obs.NewCollector(h.Machine, obs.Options{Lock: name})
+		_, err := workload.Run(c.mk, workload.Config{
+			Machine: h.Machine, Threads: h.Machine.NumCPUs(), Horizon: 1_000_000,
+			CSWork: 80, NCSWork: 120, DataCells: 2, Seed: 1, Observer: col,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep := col.Report()
+		t.Logf("%s: %d acquisitions, handover levels %+v", name, rep.Acquisitions, rep.Handover.Levels)
+		if rep.Acquisitions < 50*H {
+			t.Fatalf("%s: only %d acquisitions", name, rep.Acquisitions)
+		}
+		for _, lc := range rep.Handover.Levels {
+			bound := uint64(2*H - 1)
+			switch lc.Level {
+			case topo.CacheGroup.String():
+				bound = H
+			case topo.NUMA.String(), topo.Package.String():
+			default:
+				continue
+			}
+			if lc.MaxRun > bound {
+				t.Errorf("%s: %s tenure ran %d acquisitions, want <= %d", name, lc.Level, lc.MaxRun, bound)
+			}
+		}
 	}
 }
 

@@ -85,6 +85,7 @@ func CombineShards(lock string, collectors []*Collector, sharedOps []uint64, occ
 		agg.self += c.self // per-shard self-transfers stay self-transfers
 		for l := range c.levels {
 			agg.levels[l] += c.levels[l]
+			agg.maxRun[l] = max(agg.maxRun[l], c.maxRun[l]) // the longest of any shard
 		}
 		for cpu := range c.perCPU {
 			agg.perCPU[cpu] += c.perCPU[cpu]

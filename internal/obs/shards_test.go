@@ -121,6 +121,11 @@ func TestCombineShards(t *testing.T) {
 	if r.Handover.Crossings != 1 {
 		t.Errorf("crossings = %d, want 1", r.Handover.Crossings)
 	}
+	// Runs never span shards: the fold keeps the longest shard's (2), not
+	// the total (3).
+	if sys := r.Handover.Levels[len(r.Handover.Levels)-1]; sys.MaxRun != 2 {
+		t.Errorf("system MaxRun = %d, want 2", sys.MaxRun)
+	}
 	// The block serializes under "shards".
 	raw, err := json.Marshal(r)
 	if err != nil {

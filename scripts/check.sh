@@ -28,10 +28,11 @@
 #      into figures-out/collapse-quick/ for the CI artifact)
 #  10. kv smoke                 (sharded-serving sweep at reduced scale,
 #      byte-compared across -j levels, then regenerated into
-#      figures-out/kv-quick/ for the CI artifact), then the full kv sweep,
-#      byte-compared against the five committed figures-out/kv-*.csv (a
-#      store, lock or workload change that moves any row fails until the
-#      CSVs are regenerated with clof-figures -exp kv)
+#      figures-out/kv-quick/ for the CI artifact), then every full-scale
+#      figure (clof-figures -exp all, about 2.5 minutes on a 2-CPU host),
+#      byte-compared against every committed top-level figures-out/*.csv
+#      and *.txt except chaos.csv, which step 7 covers (a change that moves
+#      any row fails until the artifacts are regenerated with make figures)
 #  11. occ smoke                (optimistic-read panels — the two
 #      read-mostly sweeps the seq: acceptance criterion quantifies over —
 #      byte-compared across -j levels, then regenerated into
@@ -133,11 +134,19 @@ for mix in read-mostly write-heavy rmw scan read-mostly-armv8; do
 done
 echo "kv smoke: byte-identical across -j levels"
 make kv-quick
-go run ./cmd/clof-figures -exp kv -q -out "$tmp/kv"
-for mix in read-mostly write-heavy rmw scan read-mostly-armv8; do
-  cmp "$tmp/kv/kv-$mix.csv" "figures-out/kv-$mix.csv"
+
+echo "== all figures (byte-compared against figures-out/)"
+# Both directions: every generated figure must be committed, and every
+# committed figure (chaos.csv aside, which clof-chaos writes) regenerated.
+go run ./cmd/clof-figures -exp all -q -out "$tmp/all"
+for f in "$tmp"/all/*.csv "$tmp"/all/*.txt; do
+  cmp "$f" "figures-out/$(basename "$f")"
 done
-echo "kv sweep: byte-identical to figures-out/kv-*.csv"
+for f in figures-out/*.csv figures-out/*.txt; do
+  [ "$(basename "$f")" = chaos.csv ] && continue
+  cmp "$f" "$tmp/all/$(basename "$f")"
+done
+echo "all figures: byte-identical to figures-out/"
 
 echo "== occ-quick (optimistic-read smoke + determinism)"
 # The seq: rows ride the kv sweep above; the focused occ alias must produce
