@@ -110,7 +110,8 @@ bench-scale:
 
 # Scripted-benchmark artifact for the sharded serving workload: every CLoF
 # composition as the per-shard lock, read-mostly mix, recorded point by
-# point into BENCH_kv.json. Regenerate and commit after lock-algorithm or
-# serving-engine changes.
+# point into BENCH_kv.json (about 40 s on a 2-CPU host). scripts/check.sh
+# step 15 reruns the sweep and compares every point except wall times, so
+# regenerate and commit after lock-algorithm or serving-engine changes.
 bench-kv:
 	$(GO) run ./cmd/clof-bench -workload kv -out $(CURDIR)/BENCH_kv.json

@@ -8,10 +8,10 @@
 // This package is the stable public facade; the implementation lives under
 // internal/. The paper's workflow (its Fig. 5) maps to:
 //
-//	h, _   := clof.DetectHierarchy(clof.Armv8Server(), 0, 0)     // §3.1
-//	comps  := clof.Generate(clof.BasicLocks(clof.ArmV8), h.Depth())
-//	...run the scripted benchmark (see cmd/clof-bench)...         // §4.3
-//	lock   := clof.MustNewLock(h, "tkt-clh-tkt-tkt")               // §4.1
+//	h, _   := clof.DetectHierarchy(clof.Armv8Server(), 0, 0)         // §3.1
+//	comps  := clof.Generate(clof.BasicLocks(clof.ArmV8), h.Depth())  // §4.1
+//	sel, _ := clof.ScriptedBenchmark(h, comps, []int{1, 8, 32, 127}) // §4.3
+//	lock   := clof.MustNewLock(h, sel.HCBest.Comp.String())
 //
 // Locks are used through per-thread contexts; a Proc identifies the
 // executing CPU (see examples/quickstart):
@@ -27,6 +27,7 @@ import (
 	"github.com/clof-go/clof/internal/clof"
 	"github.com/clof-go/clof/internal/cna"
 	"github.com/clof-go/clof/internal/discover"
+	"github.com/clof-go/clof/internal/figures"
 	"github.com/clof-go/clof/internal/hmcs"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
@@ -186,8 +187,14 @@ func Compose(h *Hierarchy, comp Composition, opts ...ComposeOption) (*CLoFLock, 
 // Generate enumerates all N^M compositions of basics over `levels` levels.
 func Generate(basics []LockType, levels int) []Composition { return clof.Generate(basics, levels) }
 
-// Select applies both selection policies to scripted-benchmark results.
-func Select(ms []Measurement) (Selection, error) { return clof.Select(ms) }
+// ScriptedBenchmark is the scripted benchmark (§4.3): it measures every
+// composition at every thread count on the simulated LevelDB workload and
+// selects the HC-best, LC-best and worst locks. It runs the sweep
+// cmd/clof-bench runs with its default -runs and -seed, so both report the
+// same selection for the same hierarchy and grid.
+func ScriptedBenchmark(h *Hierarchy, comps []Composition, threads []int) (Selection, error) {
+	return figures.ScriptedLevelDB(figures.Options{Runs: 1}, h, comps, threads, 0)
+}
 
 // Baseline NUMA-aware locks.
 

@@ -1,6 +1,7 @@
 package clof_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -63,6 +64,27 @@ func TestPublicAPIDiscoveryAndSelection(t *testing.T) {
 	sp := clof.Speedups(m, 30_000)
 	if sp[clof.CacheGroup] <= sp[clof.NUMA] {
 		t.Error("cache-group speedup not above numa speedup")
+	}
+
+	// The scripted benchmark (§4.3) over every 3-level composition.
+	h3 := clof.ArmHierarchy3()
+	comps = clof.Generate(clof.BasicLocks(clof.ArmV8), h3.Depth())
+	sel, err := clof.ScriptedBenchmark(h3, comps, []int{1, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel.All) != 64 {
+		t.Fatalf("selection ranks %d compositions, want 64", len(sel.All))
+	}
+	if !reflect.DeepEqual(sel.HCBest, sel.All[0]) {
+		t.Errorf("HC-best %s is not the head of the HC ranking (%s)", sel.HCBest.Comp, sel.All[0].Comp)
+	}
+	again, err := clof.ScriptedBenchmark(h3, comps, []int{1, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sel, again) {
+		t.Errorf("two scripted benchmarks disagree: HC-best %s vs %s", sel.HCBest.Comp, again.HCBest.Comp)
 	}
 }
 

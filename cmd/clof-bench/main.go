@@ -4,11 +4,13 @@
 // contention grid on the simulated LevelDB workload, and reports the
 // HC-best, LC-best and worst locks under both selection policies.
 //
-// The sweep runs on the experiment engine (internal/exp): every
-// (composition, threads) point is an independent job on a bounded worker
-// pool (-j), per-point seeds derive from stable hashing, and -runs > 1
-// reports the median. Output is identical at any -j level. -out records
-// every point as a results.json artifact.
+// The sweep is figures.Scripted, the one implementation of §4.3 that Fig. 9
+// and the root package's ScriptedBenchmark also run. It runs on the
+// experiment engine (internal/exp): every (composition, threads) point is
+// an independent job on a bounded worker pool (-j), per-point seeds derive
+// from stable hashing, and -runs > 1 reports the median. Output is
+// identical at any -j level. -out records every point as a results.json
+// artifact.
 //
 // Usage:
 //
@@ -109,21 +111,29 @@ func main() {
 	}
 	fmt.Printf("scripted benchmark: %s, %d compositions, grid %v\n", h, len(comps), grid)
 
-	// measure runs one (composition, threads) point under the selected
-	// workload and converts the result to an engine sample.
-	var measure func(comp clof.Composition, n int, seed uint64) exp.Sample
-	notes := "scripted benchmark (§4.3)"
+	var manifest *exp.Manifest
+	if *outFile != "" {
+		manifest = exp.NewManifest(*outFile)
+	}
+	// One line per 64 completed points. The runner serializes Progress
+	// calls, so the counter needs no lock.
+	done, total := 0, len(comps)*len(grid)
+	o := figures.Options{
+		Runs:     *runs,
+		Jobs:     *jobs,
+		Manifest: manifest,
+		Progress: func(string) {
+			done++
+			if done%64 == 0 {
+				fmt.Fprintf(os.Stderr, "  %d/%d measurements\n", done, total)
+			}
+		},
+	}
+
+	var sel clof.Selection
 	switch *workloadFlag {
 	case "leveldb":
-		measure = func(comp clof.Composition, n int, seed uint64) exp.Sample {
-			cfg := workload.LevelDB(m, n)
-			cfg.Seed = seed
-			res, err := workload.Run(func() lockapi.Lock { return clof.Must(h, comp) }, cfg)
-			if err != nil {
-				return exp.Sample{Err: err.Error()}
-			}
-			return exp.Sample{Throughput: res.ThroughputOpsPerUs(), Jain: res.Jain(), Total: res.Total}
-		}
+		sel, err = figures.ScriptedLevelDB(o, h, comps, grid, *seed)
 	case "kv":
 		var mix store.Mix
 		for _, mx := range store.Mixes() {
@@ -134,8 +144,17 @@ func main() {
 		if mix.Name == "" {
 			fatal(fmt.Errorf("unknown mix %q (known: read-mostly, write-heavy, rmw, scan)", *mixFlag))
 		}
-		notes = fmt.Sprintf("scripted benchmark, sharded serving: %d shards, mix %s, zipfian keys", *shards, mix.Name)
-		measure = func(comp clof.Composition, n int, seed uint64) exp.Sample {
+		spec := exp.Spec{
+			Name:      "bench",
+			Platform:  m.Arch.String(),
+			Hierarchy: h.String(),
+			Workload:  "kv",
+			Threads:   grid,
+			Runs:      *runs,
+			Seed:      *seed,
+			Notes:     fmt.Sprintf("scripted benchmark, sharded serving: %d shards, mix %s, zipfian keys", *shards, mix.Name),
+		}
+		sel, _, err = figures.Scripted(o, spec, comps, func(comp clof.Composition, n int, seed uint64) exp.Sample {
 			res, err := workload.RunKV(workload.KVConfig{
 				Machine: m, Threads: n, Shards: *shards,
 				NewShardLock: func() lockapi.Lock { return clof.Must(h, comp) },
@@ -147,71 +166,10 @@ func main() {
 				return exp.Sample{Err: err.Error()}
 			}
 			return exp.Sample{Throughput: res.ThroughputOpsPerUs(), Jain: res.Jain(), Total: res.Total}
-		}
+		})
 	default:
 		fatal(fmt.Errorf("unknown workload %q (known: leveldb, kv)", *workloadFlag))
 	}
-
-	spec := exp.Spec{
-		Name:      "bench",
-		Platform:  m.Arch.String(),
-		Hierarchy: h.String(),
-		Workload:  *workloadFlag,
-		Threads:   grid,
-		Runs:      *runs,
-		Seed:      *seed,
-		Notes:     notes,
-	}
-	for _, comp := range comps {
-		spec.Locks = append(spec.Locks, comp.String())
-	}
-
-	var points []exp.Point
-	for _, comp := range comps {
-		for _, n := range grid {
-			comp, n := comp, n
-			points = append(points, exp.Point{
-				Key: fmt.Sprintf("comp=%s/threads=%d", comp, n),
-				Run: func(s uint64) exp.Sample { return measure(comp, n, s) },
-			})
-		}
-	}
-
-	var manifest *exp.Manifest
-	if *outFile != "" {
-		manifest = exp.NewManifest(*outFile)
-	}
-	// One line per 64 completed points, mirroring the old cadence. The
-	// runner serializes Progress calls, so the counter needs no lock.
-	done := 0
-	runner := &exp.Runner{
-		Jobs:     *jobs,
-		Manifest: manifest,
-		Progress: func(string) {
-			done++
-			if done%64 == 0 {
-				fmt.Fprintf(os.Stderr, "  %d/%d measurements\n", done, len(points))
-			}
-		},
-	}
-	results := runner.Run(spec, points)
-
-	for _, r := range results {
-		for _, e := range r.Errors {
-			fatal(fmt.Errorf("%s: %s", r.Key, e))
-		}
-	}
-
-	ms := make([]clof.Measurement, len(comps))
-	i := 0
-	for ci, comp := range comps {
-		ms[ci] = clof.Measurement{Comp: comp}
-		for _, n := range grid {
-			ms[ci].Points = append(ms[ci].Points, clof.Point{Threads: n, Throughput: results[i].Throughput()})
-			i++
-		}
-	}
-	sel, err := clof.Select(ms)
 	if err != nil {
 		fatal(err)
 	}

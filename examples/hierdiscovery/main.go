@@ -45,33 +45,14 @@ func main() {
 		len(comps), len(basics), h.Depth())
 
 	// Step 3 (§4.3): the scripted benchmark — each composition across a
-	// contention grid on the simulated LevelDB workload.
+	// contention grid on the simulated LevelDB workload, the same sweep
+	// cmd/clof-bench runs.
 	grid := []int{1, 8, 32, 127}
 	if !*quickFlag {
 		grid = []int{1, 4, 8, 16, 24, 32, 48, 64, 95, 127}
 	}
 	fmt.Printf("\nstep 3: scripted benchmark over threads %v (%d runs)...\n", grid, len(comps)*len(grid))
-	var ms []clof.Measurement
-	for _, comp := range comps {
-		comp := comp
-		meas := clof.Measurement{Comp: comp}
-		for _, n := range grid {
-			res, err := clof.RunWorkload(func() clof.Lock {
-				l, _ := clof.Compose(h, comp)
-				return l
-			}, clof.LevelDBWorkload(m, n))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			meas.Points = append(meas.Points, clof.Point{
-				Threads:    n,
-				Throughput: res.ThroughputOpsPerUs(),
-			})
-		}
-		ms = append(ms, meas)
-	}
-	sel, err := clof.Select(ms)
+	sel, err := clof.ScriptedBenchmark(h, comps, grid)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -82,12 +63,20 @@ func main() {
 	// Step 4: sanity-check the selected lock against the HMCS baseline at
 	// full contention.
 	fmt.Println("\nstep 4: HC-best vs HMCS at full contention")
+	// must turns a constructor's error into the example's exit path.
+	must := func(l clof.Lock, err error) clof.Lock {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return l
+	}
 	for _, e := range []struct {
 		name string
 		mk   func() clof.Lock
 	}{
-		{"clof " + sel.HCBest.Comp.String(), func() clof.Lock { l, _ := clof.Compose(h, sel.HCBest.Comp); return l }},
-		{"hmcs", func() clof.Lock { l, _ := clof.NewHMCS(h); return l }},
+		{"clof " + sel.HCBest.Comp.String(), func() clof.Lock { return must(clof.Compose(h, sel.HCBest.Comp)) }},
+		{"hmcs", func() clof.Lock { return must(clof.NewHMCS(h)) }},
 	} {
 		res, err := clof.RunWorkload(e.mk, clof.LevelDBWorkload(m, 127))
 		if err != nil {

@@ -363,26 +363,6 @@ func TestSelectionPolicies(t *testing.T) {
 	}
 }
 
-func TestRunScripted(t *testing.T) {
-	comps := Generate(locks.BasicLocks(topo.X86), 2)
-	calls := 0
-	ms := RunScripted(comps, []int{1, 4}, func(c Composition, n int) float64 {
-		calls++
-		return float64(n)
-	})
-	if len(ms) != len(comps) {
-		t.Fatalf("measurements = %d, want %d", len(ms), len(comps))
-	}
-	if calls != len(comps)*2 {
-		t.Fatalf("bench calls = %d, want %d", calls, len(comps)*2)
-	}
-	for _, m := range ms {
-		if len(m.Points) != 2 || m.Points[0].Throughput != 1 || m.Points[1].Throughput != 4 {
-			t.Fatalf("bad points for %s: %+v", m.Comp, m.Points)
-		}
-	}
-}
-
 func TestFairnessDeclaration(t *testing.T) {
 	h := tinyHierarchy()
 	if !lockapi.Fair(Must(h, mustComp(t, "tkt-mcs-clh"))) {

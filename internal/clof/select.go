@@ -100,22 +100,3 @@ func Select(ms []Measurement) (Selection, error) {
 		All:    hc,
 	}, nil
 }
-
-// BenchFunc measures one lock construction at one contention level and
-// returns its throughput in operations per microsecond. The workload package
-// provides implementations backed by the NUMA simulator.
-type BenchFunc func(comp Composition, threads int) float64
-
-// RunScripted is the scripted benchmark (§4.3): it evaluates every
-// composition at every contention level with the provided BenchFunc.
-func RunScripted(comps []Composition, threadCounts []int, bench BenchFunc) []Measurement {
-	ms := make([]Measurement, 0, len(comps))
-	for _, comp := range comps {
-		m := Measurement{Comp: comp}
-		for _, n := range threadCounts {
-			m.Points = append(m.Points, Point{Threads: n, Throughput: bench(comp, n)})
-		}
-		ms = append(ms, m)
-	}
-	return ms
-}

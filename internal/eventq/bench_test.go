@@ -3,11 +3,11 @@ package eventq
 import "testing"
 
 // The BenchmarkQueue suite covers the three shapes the simulator drives the
-// queue with: the scheduler's requeue-and-grant cycle (PushPop vs the old
-// Push+Pop pair) at steady sizes, pure growth/drain (wake storms), and the
-// fast path's per-operation MinTime probe.
+// queue with: the scheduler's requeue-and-grant cycle (a Push+Pop pair) at
+// steady sizes, pure growth/drain (wake storms), and the fast path's
+// per-operation MinTime probe.
 
-func benchCycle(b *testing.B, size int, pushPop bool) {
+func benchCycle(b *testing.B, size int) {
 	var q Queue[int]
 	for i := 0; i < size; i++ {
 		q.Push(int64(i), i)
@@ -16,23 +16,15 @@ func benchCycle(b *testing.B, size int, pushPop bool) {
 	b.ResetTimer()
 	t := int64(size)
 	for i := 0; i < b.N; i++ {
-		if pushPop {
-			q.PushPop(t, i)
-		} else {
-			q.Push(t, i)
-			q.Pop()
-		}
+		q.Push(t, i)
+		q.Pop()
 		t++
 	}
 }
 
-func BenchmarkQueueCycle16(b *testing.B)   { benchCycle(b, 16, false) }
-func BenchmarkQueueCycle256(b *testing.B)  { benchCycle(b, 256, false) }
-func BenchmarkQueueCycle4096(b *testing.B) { benchCycle(b, 4096, false) }
-
-func BenchmarkQueuePushPop16(b *testing.B)   { benchCycle(b, 16, true) }
-func BenchmarkQueuePushPop256(b *testing.B)  { benchCycle(b, 256, true) }
-func BenchmarkQueuePushPop4096(b *testing.B) { benchCycle(b, 4096, true) }
+func BenchmarkQueueCycle16(b *testing.B)   { benchCycle(b, 16) }
+func BenchmarkQueueCycle256(b *testing.B)  { benchCycle(b, 256) }
+func BenchmarkQueueCycle4096(b *testing.B) { benchCycle(b, 4096) }
 
 func BenchmarkQueueMinTime(b *testing.B) {
 	var q Queue[int]

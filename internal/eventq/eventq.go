@@ -21,8 +21,8 @@ const shrinkFloor = 1024
 // Queue is a deterministic min-priority queue of values with int64
 // timestamps. The zero value is an empty, ready-to-use queue.
 //
-// The minimum entry is cached outside the heap in head: Min and MinTime
-// never touch the backing array, and a Push that supersedes the current
+// The minimum entry is cached outside the heap in head: MinTime never
+// touches the backing array, and a Push that supersedes the current
 // minimum swaps with the cache instead of sifting the whole tree.
 type Queue[T any] struct {
 	head    entry[T]
@@ -69,16 +69,6 @@ func (q *Queue[T]) Push(time int64, val T) {
 	q.heapPush(e)
 }
 
-// Min returns the earliest event's time and value without removing it.
-// The boolean is false if the queue is empty.
-func (q *Queue[T]) Min() (int64, T, bool) {
-	if !q.hasHead {
-		var zero T
-		return 0, zero, false
-	}
-	return q.head.time, q.head.val, true
-}
-
 // MinTime returns the earliest event's time, or ok=false when empty. It is
 // the simulator fast path's per-operation check and compiles to a pair of
 // field reads.
@@ -102,29 +92,6 @@ func (q *Queue[T]) Pop() (int64, T, bool) {
 		q.head = zero
 	}
 	return top.time, top.val, true
-}
-
-// PushPop is Push(time, val) immediately followed by Pop, avoiding the
-// double sift when one would undo the other. The scheduler's grant loop is
-// exactly this shape: requeue the thread that just ran, hand the turn to
-// whichever thread is now earliest.
-func (q *Queue[T]) PushPop(time int64, val T) (int64, T) {
-	q.seq++
-	e := entry[T]{time: time, seq: q.seq, val: val}
-	if !q.hasHead || e.before(q.head) {
-		// The new event is the earliest (or the queue was empty): it pops
-		// right back out and the heap is never touched.
-		return e.time, e.val
-	}
-	top := q.head
-	if len(q.items) == 0 || e.before(q.items[0]) {
-		q.head = e
-	} else {
-		q.head = q.items[0]
-		q.items[0] = e
-		q.down(0)
-	}
-	return top.time, top.val
 }
 
 // heapPush inserts e into the 4-ary heap (not the head cache).

@@ -15,8 +15,8 @@ func TestEmptyQueue(t *testing.T) {
 	if _, _, ok := q.Pop(); ok {
 		t.Error("Pop on empty queue returned ok")
 	}
-	if _, _, ok := q.Min(); ok {
-		t.Error("Min on empty queue returned ok")
+	if _, ok := q.MinTime(); ok {
+		t.Error("MinTime on empty queue returned ok")
 	}
 }
 
@@ -54,10 +54,40 @@ func TestMinMatchesPop(t *testing.T) {
 	var q Queue[int]
 	q.Push(7, 1)
 	q.Push(3, 2)
-	mt, mv, _ := q.Min()
+	mt, _ := q.MinTime()
 	pt, pv, _ := q.Pop()
-	if mt != pt || mv != pv {
-		t.Errorf("Min (%d,%d) != Pop (%d,%d)", mt, mv, pt, pv)
+	if mt != pt || pv != 2 {
+		t.Errorf("MinTime %d, then Pop (%d,%d); want both at 3 with value 2", mt, pt, pv)
+	}
+}
+
+// TestMinTimeMatchesMin: across a mixed op sequence, MinTime always reports
+// the time the next Pop returns.
+func TestMinTimeMatchesMin(t *testing.T) {
+	var q Queue[int]
+	if _, ok := q.MinTime(); ok {
+		t.Fatal("MinTime ok on empty queue")
+	}
+	for i := 0; i < 200; i++ {
+		q.Push(int64((i*37)%50), i)
+		if i%3 != 0 {
+			continue
+		}
+		mt, mok := q.MinTime()
+		pt, pv, pok := q.Pop()
+		if mok != pok || mt != pt {
+			t.Fatalf("MinTime (%d,%v) disagrees with Pop (%d,%d,%v)", mt, mok, pt, pv, pok)
+		}
+	}
+	for {
+		mt, mok := q.MinTime()
+		pt, _, pok := q.Pop()
+		if mok != pok || mt != pt {
+			t.Fatalf("draining: MinTime (%d,%v) disagrees with Pop (%d,%v)", mt, mok, pt, pok)
+		}
+		if !pok {
+			return
+		}
 	}
 }
 
@@ -113,5 +143,47 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 	if _, v, _ := q.Pop(); v != 20 {
 		t.Fatal("want 20")
+	}
+}
+
+// TestPopShrinksCapacity: after a wake storm drains, the backing array must
+// be given back instead of pinning its high-water mark.
+func TestPopShrinksCapacity(t *testing.T) {
+	var q Queue[int]
+	const n = 1 << 16
+	for i := 0; i < n; i++ {
+		q.Push(int64(i), i)
+	}
+	grown := cap(q.items)
+	for i := 0; i < n-64; i++ {
+		if _, v, ok := q.Pop(); !ok || v != i {
+			t.Fatalf("pop %d = (%d,%v)", i, v, ok)
+		}
+	}
+	if c := cap(q.items); c >= grown/4 {
+		t.Errorf("capacity %d retained after draining to 64 entries (grew to %d)", c, grown)
+	}
+	// Drain the rest; order must survive the shrinks.
+	for i := n - 64; i < n; i++ {
+		if _, v, ok := q.Pop(); !ok || v != i {
+			t.Fatalf("post-shrink pop %d = (%d,%v)", i, v, ok)
+		}
+	}
+}
+
+// TestSmallQueueNeverShrinks: simulator-sized queues (a few dozen entries)
+// must never pay a shrink reallocation in steady state.
+func TestSmallQueueNeverShrinks(t *testing.T) {
+	var q Queue[int]
+	for i := 0; i < 128; i++ {
+		q.Push(int64(i), i)
+	}
+	c0 := cap(q.items)
+	for i := 0; i < 10000; i++ {
+		tm, v, _ := q.Pop()
+		q.Push(tm+1000, v)
+	}
+	if cap(q.items) != c0 {
+		t.Errorf("steady-state capacity changed: %d -> %d", c0, cap(q.items))
 	}
 }

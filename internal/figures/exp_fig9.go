@@ -42,53 +42,22 @@ func Fig9Panel(p Platform, levels int, o Options) Fig9Result {
 		Platform:  p.Machine.Arch.String(),
 		Hierarchy: h.String(),
 		Workload:  "leveldb",
+		Locks:     []string{hmcsName},
 		Threads:   grid,
 		Runs:      o.Runs,
 		Quick:     o.Quick,
 		Notes:     fmt.Sprintf("scripted benchmark: all %d compositions at %d levels plus the %s baseline", len(comps), levels, hmcsName),
 	}
-	for _, comp := range comps {
-		spec.Locks = append(spec.Locks, comp.String())
+	baseline := make([]exp.Point, len(grid))
+	for i, n := range grid {
+		baseline[i] = curvePoint(hmcsName, hmcsFactory(h), cfgFor, n)
 	}
-	spec.Locks = append(spec.Locks, hmcsName)
-
-	points := make([]exp.Point, 0, (len(comps)+1)*len(grid))
-	for _, comp := range comps {
-		for _, n := range grid {
-			comp, n := comp, n
-			points = append(points, exp.Point{
-				Key: fmt.Sprintf("comp=%s/threads=%d", comp, n),
-				Run: func(seed uint64) exp.Sample {
-					cfg := cfgFor(n)
-					cfg.Seed = seed
-					return measure(compFactory(h, comp), cfg)
-				},
-			})
-		}
-	}
-	for _, n := range grid {
-		points = append(points, curvePoint(hmcsName, hmcsFactory(h), cfgFor, n))
-	}
-	results := o.runner().Run(spec, points)
-
-	ms := make([]clof.Measurement, len(comps))
-	i := 0
-	for ci, comp := range comps {
-		ms[ci] = clof.Measurement{Comp: comp}
-		for _, n := range grid {
-			ms[ci].Points = append(ms[ci].Points, clof.Point{Threads: n, Throughput: results[i].Throughput()})
-			i++
-		}
-	}
-	hmcsSeries := Series{Name: hmcsName}
-	for _, n := range grid {
-		hmcsSeries.X = append(hmcsSeries.X, n)
-		hmcsSeries.Y = append(hmcsSeries.Y, results[i].Throughput())
-		i++
-	}
-	sel, err := clof.Select(ms)
-	if err != nil {
-		panic(err) // comps is never empty here
+	// A failed point counts as zero throughput, as in every figure; comps
+	// is never empty here.
+	sel, results, _ := Scripted(o, spec, comps, levelDBRun(o, h), baseline...)
+	hmcsSeries := Series{Name: hmcsName, X: grid}
+	for _, r := range results {
+		hmcsSeries.Y = append(hmcsSeries.Y, r.Throughput())
 	}
 
 	f := &Figure{

@@ -318,3 +318,77 @@ func runCurves(o Options, spec exp.Spec, entries []lockEntry, cfgFor func(thread
 	}
 	return series
 }
+
+// Scripted is the scripted benchmark (§4.3, the last boxes of Fig. 5): it
+// measures every composition at every thread count of spec.Threads, plus
+// any extra baseline points, as one engine spec, and applies both selection
+// policies. run measures one (composition, threads) point under the
+// engine's per-point seed; the composition names go in front of the
+// caller's spec.Locks, which names the extras. It returns the selection and
+// the extra points' results, in order.
+//
+// A failed composition point counts as zero throughput in the selection
+// (exp.Sample.Err); the error names the first one in point order. The
+// error is also set when comps is empty.
+func Scripted(o Options, spec exp.Spec, comps []clof.Composition, run func(c clof.Composition, threads int, seed uint64) exp.Sample, extra ...exp.Point) (clof.Selection, []exp.Result, error) {
+	grid := spec.Threads
+	names := make([]string, 0, len(comps)+len(spec.Locks))
+	points := make([]exp.Point, 0, len(comps)*len(grid)+len(extra))
+	for _, c := range comps {
+		names = append(names, c.String())
+		for _, n := range grid {
+			points = append(points, exp.Point{
+				Key: fmt.Sprintf("comp=%s/threads=%d", c, n),
+				Run: func(seed uint64) exp.Sample { return run(c, n, seed) },
+			})
+		}
+	}
+	spec.Locks = append(names, spec.Locks...)
+	results := o.runner().Run(spec, append(points, extra...))
+
+	var failed error
+	ms := make([]clof.Measurement, len(comps))
+	for ci, c := range comps {
+		ms[ci].Comp = c
+		for gi, n := range grid {
+			r := results[ci*len(grid)+gi]
+			if len(r.Errors) > 0 && failed == nil {
+				failed = fmt.Errorf("%s: %s", r.Key, r.Errors[0])
+			}
+			ms[ci].Points = append(ms[ci].Points, clof.Point{Threads: n, Throughput: r.Throughput()})
+		}
+	}
+	sel, err := clof.Select(ms)
+	if err == nil {
+		err = failed
+	}
+	return sel, results[len(comps)*len(grid):], err
+}
+
+// ScriptedLevelDB is the scripted benchmark on the simulated LevelDB
+// workload over h: the spec cmd/clof-bench runs by default, with the given
+// contention grid and base seed.
+func ScriptedLevelDB(o Options, h *topo.Hierarchy, comps []clof.Composition, grid []int, seed uint64) (clof.Selection, error) {
+	spec := exp.Spec{
+		Name:      "bench",
+		Platform:  h.Machine.Arch.String(),
+		Hierarchy: h.String(),
+		Workload:  "leveldb",
+		Threads:   grid,
+		Runs:      o.Runs,
+		Seed:      seed,
+		Quick:     o.Quick,
+		Notes:     "scripted benchmark (§4.3)",
+	}
+	sel, _, err := Scripted(o, spec, comps, levelDBRun(o, h))
+	return sel, err
+}
+
+// levelDBRun measures one composition over h on the LevelDB workload.
+func levelDBRun(o Options, h *topo.Hierarchy) func(c clof.Composition, threads int, seed uint64) exp.Sample {
+	return func(c clof.Composition, threads int, seed uint64) exp.Sample {
+		cfg := o.adjust(workload.LevelDB(h.Machine, threads))
+		cfg.Seed = seed
+		return measure(compFactory(h, c), cfg)
+	}
+}

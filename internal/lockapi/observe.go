@@ -47,10 +47,6 @@ type Probe struct {
 // Instrument implements Instrumented for the embedding lock.
 func (pr *Probe) Instrument(o Observer) { pr.obs = o }
 
-// Observed reports whether an observer is attached; grant paths with
-// multi-step edge bookkeeping may use it to skip work wholesale.
-func (pr *Probe) Observed() bool { return pr.obs != nil }
-
 // EmitAcquireStart reports the acquire-start edge, if observed.
 func (pr *Probe) EmitAcquireStart(p Proc) {
 	if pr.obs != nil {

@@ -301,9 +301,6 @@ func (m *Machine) shareLevel(a, b int) topo.Level {
 	return topo.System
 }
 
-// Topo returns the simulated topology.
-func (m *Machine) Topo() *topo.Machine { return m.topo }
-
 // Latency returns the active cost model.
 func (m *Machine) Latency() Latency { return m.lat }
 

@@ -47,6 +47,14 @@
 #  14. examples                 (go run ./examples/<name> for each of the
 #      four examples; go build ./... only compiles them, so this is what
 #      catches an example that fails at run time)
+#  15. kv scripted benchmark    (a fresh clof-bench -workload kv sweep,
+#      about 40 s on a 2-CPU host, compared point by point against the
+#      committed BENCH_kv.json with the nondeterministic wall times and
+#      summary stripped; a change that moves any point fails until the
+#      artifact is regenerated with make bench-kv)
+#  16. one scripted benchmark   (the HC-best/LC-best/worst selection that
+#      examples/hierdiscovery prints must equal clof-bench's for the same
+#      Armv8 4-level grid: both run the one sweep, figures.Scripted)
 #
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
@@ -179,5 +187,25 @@ for ex in kvstore quickstart hierdiscovery customlock; do
   echo "-- examples/$ex"
   go run "./examples/$ex" > /dev/null
 done
+
+echo "== kv scripted benchmark (compared against BENCH_kv.json)"
+# Wall times and the summary built from them are host provenance; every
+# other field of every point must match the committed artifact.
+strip='del(.summary) | .results |= map(del(.wall_ms))'
+go run ./cmd/clof-bench -workload kv -out "$tmp/kv.json" > /dev/null
+cmp <(jq -S "$strip" "$tmp/kv.json") <(jq -S "$strip" BENCH_kv.json)
+echo "kv scripted benchmark: every point matches BENCH_kv.json"
+
+echo "== one scripted benchmark (hierdiscovery vs clof-bench)"
+selection='/^ *(HC-best|LC-best|worst):/ { print $1, $2 }'
+bench_sel=$(go run ./cmd/clof-bench -platform armv8 -levels 4 -threads 1,8,32,127 | awk "$selection")
+example_sel=$(go run ./examples/hierdiscovery | awk "$selection")
+echo "$bench_sel"
+if [ "$(echo "$bench_sel" | wc -l)" -ne 3 ] || [ "$bench_sel" != "$example_sel" ]; then
+  echo "hierdiscovery selects:"
+  echo "$example_sel"
+  exit 1
+fi
+echo "one scripted benchmark: hierdiscovery selects what clof-bench selects"
 
 echo "check: OK"
