@@ -10,12 +10,18 @@
 // Usage:
 //
 //	clof-obs [-lock NAME] [-threads N] [-platform x86|armv8] [-workload leveldb|kyoto]
-//	         [-seed N] [-json] [-trace FILE] [-traffic]
+//	         [-seed N] [-horizon NS] [-json] [-trace FILE] [-traffic] [-events]
 //
 // -trace writes the run as Chrome trace-event JSON (one track per virtual
 // CPU, flow arrows for cross-CPU handovers), loadable in Perfetto or
 // chrome://tracing. -traffic additionally aggregates per-cell memory-op
-// counters from the simulator's trace stream (slower).
+// counters from the simulator's trace stream (slower). -events prints that
+// stream itself before the report, one line per memory operation — a
+// debugging lens into lock protocols (who spins where, when the handover
+// store lands, how the CLoF pass flag travels); pair it with a short
+// -horizon, e.g.
+//
+//	clof-obs -events -platform armv8 -lock clof:tkt-clh-tkt-tkt -threads 3 -horizon 6000
 package main
 
 import (
@@ -29,6 +35,7 @@ import (
 
 	"github.com/clof-go/clof/internal/catalog"
 	"github.com/clof-go/clof/internal/lockapi"
+	"github.com/clof-go/clof/internal/memsim"
 	"github.com/clof-go/clof/internal/obs"
 	"github.com/clof-go/clof/internal/topo"
 	"github.com/clof-go/clof/internal/workload"
@@ -40,10 +47,19 @@ func main() {
 	platform := flag.String("platform", "x86", "simulated platform: x86 or armv8")
 	wl := flag.String("workload", "leveldb", "workload preset: leveldb or kyoto")
 	seed := flag.Uint64("seed", 1, "simulation seed (equal seeds reproduce runs exactly)")
+	horizon := flag.Int64("horizon", 0, "virtual run length in ns (0 keeps the workload preset's)")
 	jsonOut := flag.Bool("json", false, "print the full obs.Report as JSON instead of tables")
 	tracePath := flag.String("trace", "", "write a Perfetto/Chrome trace JSON of the run to this file")
 	traffic := flag.Bool("traffic", false, "also collect per-cell memory-operation traffic (slower)")
+	events := flag.Bool("events", false, "print every traced memory operation before the report")
 	flag.Parse()
+
+	if *events && *jsonOut {
+		fatal(fmt.Errorf("-events and -json both write to stdout; pick one"))
+	}
+	if *horizon < 0 {
+		fatal(fmt.Errorf("-horizon %d is negative", *horizon))
+	}
 
 	var mach *topo.Machine
 	switch *platform {
@@ -70,11 +86,25 @@ func main() {
 		fatal(fmt.Errorf("unknown workload %q (want leveldb or kyoto)", *wl))
 	}
 	cfg.Seed = *seed
+	if *horizon > 0 {
+		cfg.Horizon = *horizon
+	}
 
 	col := obs.NewCollector(mach, obs.Options{Lock: *lockName, Spans: *tracePath != ""})
 	cfg.Observer = col
 	if *traffic {
 		cfg.Trace = col.TraceFunc()
+	}
+	if *events {
+		// One trace func feeds both: the traffic counters (when on) and the
+		// event lines, named by the collector's namer so the two agree.
+		count, namer := cfg.Trace, col.Namer()
+		cfg.Trace = func(ev memsim.TraceEvent) {
+			if count != nil {
+				count(ev)
+			}
+			fmt.Println(obs.FormatEvent(ev, namer))
+		}
 	}
 
 	res, err := workload.Run(func() lockapi.Lock { return entry.New(mach) }, cfg)
@@ -82,6 +112,9 @@ func main() {
 		fatal(err)
 	}
 	rep := col.Report()
+	if *events {
+		fmt.Println() // separate the event lines from the report
+	}
 
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)

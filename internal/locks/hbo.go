@@ -5,14 +5,11 @@ import (
 	"github.com/clof-go/clof/internal/topo"
 )
 
-// Default HBO tuning. LocalDelay/RemoteDelay are the backoff bases in Spin()
-// hints; MaxDelay caps any single pause. The historical (pre-option)
-// constants were localDelay=2, remoteDelay=16 with an implicit cap of
-// 64*base, which these defaults reproduce: max(64*2, 64*16) = 1024.
+// HBO backoff bases in Spin() hints, for an owner on the waiter's own NUMA
+// node and on another one. A single pause is capped at 64 times its base.
 const (
-	DefaultHBOLocalDelay  = 2
-	DefaultHBORemoteDelay = 16
-	DefaultHBOMaxDelay    = 1024
+	hboLocalDelay  = 2
+	hboRemoteDelay = 16
 )
 
 // HBO is the Hierarchical Backoff lock of Radovic and Hagersten (HPCA'03),
@@ -25,77 +22,18 @@ type HBO struct {
 	mach *topo.Machine
 	// word holds 0 when free, else 1 + the owner's NUMA node.
 	word lockapi.Cell
-	// localDelay/remoteDelay are the backoff bases in Spin() hints;
-	// maxDelay bounds a single pause regardless of base.
-	localDelay, remoteDelay, maxDelay int
-}
-
-// HBOOption tunes an HBO lock at construction time.
-type HBOOption func(*HBO)
-
-// WithHBOLocalDelay sets the backoff base used when the observed owner is on
-// the waiter's own NUMA node.
-func WithHBOLocalDelay(d int) HBOOption {
-	return func(l *HBO) { l.localDelay = d }
-}
-
-// WithHBORemoteDelay sets the backoff base used when the observed owner is
-// on a different NUMA node.
-func WithHBORemoteDelay(d int) HBOOption {
-	return func(l *HBO) { l.remoteDelay = d }
-}
-
-// WithHBOMaxDelay caps the spins of a single backoff pause. The effective
-// per-pause cap is min(64*base, MaxDelay), so lowering MaxDelay below
-// 64*RemoteDelay shortens the worst-case remote pause.
-func WithHBOMaxDelay(d int) HBOOption {
-	return func(l *HBO) { l.maxDelay = d }
 }
 
 // NewHBO returns an unheld hierarchical backoff lock for machine m.
-func NewHBO(m *topo.Machine, opts ...HBOOption) *HBO {
-	l := &HBO{
-		mach:        m,
-		localDelay:  DefaultHBOLocalDelay,
-		remoteDelay: DefaultHBORemoteDelay,
-		maxDelay:    DefaultHBOMaxDelay,
-	}
-	for _, o := range opts {
-		o(l)
-	}
-	if l.localDelay < 1 {
-		l.localDelay = 1
-	}
-	if l.remoteDelay < 1 {
-		l.remoteDelay = 1
-	}
-	if l.maxDelay < 1 {
-		l.maxDelay = 1
-	}
-	return l
-}
-
-// Delays reports the configured (local, remote, max) backoff parameters.
-func (l *HBO) Delays() (local, remote, max int) {
-	return l.localDelay, l.remoteDelay, l.maxDelay
-}
+func NewHBO(m *topo.Machine) *HBO { return &HBO{mach: m} }
 
 // NewCtx implements lockapi.Lock; HBO needs no context.
 func (l *HBO) NewCtx() lockapi.Ctx { return nil }
 
-// capFor bounds one pause given the observed owner's backoff base.
-func (l *HBO) capFor(base int) int {
-	c := 64 * base
-	if c > l.maxDelay {
-		c = l.maxDelay
-	}
-	return c
-}
-
 // Acquire implements lockapi.Lock.
 func (l *HBO) Acquire(p lockapi.Proc, _ lockapi.Ctx) {
 	myNuma := uint64(l.mach.CohortOf(p.ID(), topo.NUMA))
-	bo := lockapi.ExpBackoff{Base: l.localDelay}
+	bo := lockapi.ExpBackoff{Base: hboLocalDelay}
 	for {
 		if p.CAS(&l.word, 0, 1+myNuma, lockapi.Acquire) {
 			return
@@ -105,11 +43,11 @@ func (l *HBO) Acquire(p lockapi.Proc, _ lockapi.Ctx) {
 			continue // released under us; retry immediately
 		}
 		// Distance-proportional backoff: remote waiters yield the ground.
-		base := l.localDelay
+		base := hboLocalDelay
 		if owner-1 != myNuma {
-			base = l.remoteDelay
+			base = hboRemoteDelay
 		}
-		bo.Cap = l.capFor(base)
+		bo.Cap = 64 * base
 		bo.Pause(p)
 	}
 }

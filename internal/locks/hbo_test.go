@@ -100,24 +100,6 @@ func TestExpBackoffNeverExceedsCap(t *testing.T) {
 	}
 }
 
-// TestHBOOptions: the option setters land in Delays() and out-of-range
-// values clamp to 1.
-func TestHBOOptions(t *testing.T) {
-	m := topo.X86Server()
-	l := NewHBO(m, WithHBOLocalDelay(5), WithHBORemoteDelay(40), WithHBOMaxDelay(200))
-	if lo, re, mx := l.Delays(); lo != 5 || re != 40 || mx != 200 {
-		t.Fatalf("Delays() = (%d,%d,%d), want (5,40,200)", lo, re, mx)
-	}
-	l = NewHBO(m)
-	if lo, re, mx := l.Delays(); lo != DefaultHBOLocalDelay || re != DefaultHBORemoteDelay || mx != DefaultHBOMaxDelay {
-		t.Fatalf("default Delays() = (%d,%d,%d)", lo, re, mx)
-	}
-	l = NewHBO(m, WithHBOLocalDelay(0), WithHBORemoteDelay(-3), WithHBOMaxDelay(0))
-	if lo, re, mx := l.Delays(); lo != 1 || re != 1 || mx != 1 {
-		t.Fatalf("clamped Delays() = (%d,%d,%d), want (1,1,1)", lo, re, mx)
-	}
-}
-
 // measureHBOBursts acquires l on CPU 0 while the word is preset to `owner`,
 // releasing the lock once `releaseAfter` total spins have elapsed, and
 // returns the recorded pause lengths.
@@ -141,9 +123,9 @@ func measureHBOBursts(t *testing.T, l *HBO, owner uint64, releaseAfter int) []in
 }
 
 // TestHBOBackoffBounded: under a held lock, no single HBO pause ever exceeds
-// min(64*base, MaxDelay) for the owner-distance base in effect, the pauses
-// double up to that cap, and the cap is actually reached — for both the
-// remote-owner and local-owner distances, with the options engaged.
+// 64*base for the owner-distance base in effect, the pauses double up to that
+// cap, and the cap is actually reached — for both the remote-owner and
+// local-owner distances.
 func TestHBOBackoffBounded(t *testing.T) {
 	m := topo.X86Server()
 	myNuma := uint64(m.CohortOf(0, topo.NUMA))
@@ -172,15 +154,13 @@ func TestHBOBackoffBounded(t *testing.T) {
 	}
 
 	t.Run("remote-owner-capped-by-max-delay", func(t *testing.T) {
-		// 64*remote = 1024 would exceed MaxDelay 100: the cap must bind.
-		l := NewHBO(m, WithHBORemoteDelay(16), WithHBOMaxDelay(100))
-		bursts := measureHBOBursts(t, l, 1+remoteNuma, 3000)
-		check(t, bursts, 100)
+		// 64*remote = 1024, the longest pause any HBO waiter takes.
+		bursts := measureHBOBursts(t, NewHBO(m), 1+remoteNuma, 3000)
+		check(t, bursts, 1024)
 	})
 	t.Run("local-owner-capped-by-64x-base", func(t *testing.T) {
-		// 64*local = 128 is below MaxDelay: the distance cap binds.
-		l := NewHBO(m, WithHBOLocalDelay(2), WithHBOMaxDelay(10_000))
-		bursts := measureHBOBursts(t, l, 1+myNuma, 2000)
+		// 64*local = 128.
+		bursts := measureHBOBursts(t, NewHBO(m), 1+myNuma, 2000)
 		check(t, bursts, 128)
 	})
 }

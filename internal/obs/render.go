@@ -32,7 +32,7 @@ func (n *Namer) Name(c *lockapi.Cell) string {
 }
 
 // FormatEvent renders one trace event as the per-CPU timeline line used by
-// cmd/clof-trace: virtual timestamp, CPU, operation, cell, value, cost.
+// clof-obs -events: virtual timestamp, CPU, operation, cell, value, cost.
 func FormatEvent(ev memsim.TraceEvent, n *Namer) string {
 	return fmt.Sprintf("%8dns cpu%-3d %-6s %-8s val=%-4d cost=%dns",
 		ev.Time, ev.CPU, ev.Op, n.Name(ev.Cell), ev.Value, ev.Cost)

@@ -2,8 +2,8 @@
 // shard router that partitions a keyspace across N shards, each guarded by
 // its own pluggable lockapi.Lock — any catalog entry, including the
 // reader-writer lock (shared-mode reads via lockapi.RWLocker) and the cr:/
-// clof: compositions. The repository's two store engines run behind it:
-// kvstore.DB (the LSM, kv.go) and kyoto.CacheDB (the LRU cache, cache.go).
+// clof: compositions. Natively it serves kvstore.DB (the LSM, kv.go); the
+// simulated serving driver (internal/workload) runs it over its own payload.
 //
 // Sharding is the classic serving-system answer to the global-lock collapse
 // the paper measures: instead of making the one lock NUMA-aware, split the
@@ -55,7 +55,7 @@ type HashPartitioner struct {
 // Shards implements Partitioner.
 func (h HashPartitioner) Shards() int { return h.n }
 
-// Shard implements Partitioner (FNV-1a, the same hash kyoto buckets with).
+// Shard implements Partitioner (FNV-1a).
 func (h HashPartitioner) Shard(key []byte) int {
 	sum := uint64(14695981039346656037)
 	for _, b := range key {
@@ -92,9 +92,9 @@ func (r RangePartitioner) Shard(key []byte) int {
 // space [0, rangeKeys) into equal ranges (a linear byte-space split would be
 // useless: canonical keys share long "0" prefixes); otherwise it is the
 // FNV-1a hash partition. A range partition with rangeKeys < shards repeats
-// split keys, which leaves some shards empty but routes correctly. OpenKV,
-// OpenCache and the simulated serving driver
-// (internal/workload) all route through it.
+// split keys, which leaves some shards empty but routes correctly. OpenKV
+// and the simulated serving driver (internal/workload) both route through
+// it.
 func NewPartitioner(shards, rangeKeys int) Partitioner {
 	if shards < 1 {
 		panic("store: partitioner needs at least one shard")
@@ -175,7 +175,8 @@ type OCCShardStats struct {
 }
 
 // Router partitions a keyspace across shards of payload type S, guarding
-// shard i with its own lock. It is the generic core both store engines wrap.
+// shard i with its own lock. It is the generic core that KV wraps natively
+// and workload.RunKV instantiates over its simulated payload.
 type Router[S any] struct {
 	part   Partitioner
 	locks  []lockapi.Lock

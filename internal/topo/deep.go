@@ -73,24 +73,3 @@ func DeepServers() []*Machine {
 func DeepHierarchy(m *Machine) *Hierarchy {
 	return MustHierarchy(m, CacheGroup, NUMA, Package, System)
 }
-
-// DeepBigLittleSpeeds returns per-CPU compute-speed factors modeling
-// big.LITTLE clusters at scale: within every die, the first half of the
-// clusters are "big" (factor 1.0) and the second half "LITTLE" (factor
-// littleFactor, > 1 = slower). Unlike BigLittleSpeeds — whose one-big-
-// cluster split fits a handheld SoC — this keeps the big/LITTLE ratio and
-// their relative placement identical in every die, so per-die behavior is
-// homogeneous and differences across dies are attributable to topology.
-func DeepBigLittleSpeeds(m *Machine, littleFactor float64) []float64 {
-	speeds := make([]float64, m.NumCPUs())
-	half := m.GroupsPerNUMA / 2
-	for cpu := range speeds {
-		groupInDie := m.CohortOf(cpu, CacheGroup) % m.GroupsPerNUMA
-		if groupInDie < half || half == 0 {
-			speeds[cpu] = 1.0
-		} else {
-			speeds[cpu] = littleFactor
-		}
-	}
-	return speeds
-}

@@ -63,41 +63,6 @@ func TestDeepShareLevels(t *testing.T) {
 	}
 }
 
-// TestDeepBigLittleSpeeds pins the per-die big/LITTLE split: first half of
-// every die's clusters big, second half slow, identically in every die.
-func TestDeepBigLittleSpeeds(t *testing.T) {
-	m := DeepServer256()
-	speeds := DeepBigLittleSpeeds(m, 3.0)
-	if len(speeds) != 256 {
-		t.Fatalf("got %d speeds for %d CPUs", len(speeds), m.NumCPUs())
-	}
-	big, little := 0, 0
-	for cpu, s := range speeds {
-		switch s {
-		case 1.0:
-			big++
-		case 3.0:
-			little++
-		default:
-			t.Fatalf("cpu %d: unexpected speed %v", cpu, s)
-		}
-	}
-	if big != little || big != 128 {
-		t.Fatalf("big/LITTLE split %d/%d, want 128/128", big, little)
-	}
-	// Every die must see the same pattern: cluster 0 big, cluster 7 LITTLE.
-	perDie := m.GroupsPerNUMA * m.CoresPerGroup
-	for die := 0; die < m.Cohorts(NUMA); die++ {
-		base := die * perDie
-		if speeds[base] != 1.0 {
-			t.Errorf("die %d: first cluster not big", die)
-		}
-		if speeds[base+perDie-1] != 3.0 {
-			t.Errorf("die %d: last cluster not LITTLE", die)
-		}
-	}
-}
-
 // TestDeepPlacement pins that the core-first placement policy covers a deep
 // machine: 1024 threads on 1024 cores places every CPU exactly once.
 func TestDeepPlacement(t *testing.T) {

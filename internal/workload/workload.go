@@ -54,7 +54,7 @@ type Config struct {
 	Faults *faultinject.Plan
 	// Trace, when non-nil, receives every committed memory operation
 	// (memsim.Config.Trace) — the raw feed of internal/obs traffic counters
-	// and cmd/clof-trace timelines.
+	// and clof-obs -events timelines.
 	Trace func(memsim.TraceEvent)
 	// Observer, when non-nil, receives the lock's protocol edges: the lock
 	// is attached via lockapi.Instrument before any context is created, so

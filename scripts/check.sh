@@ -55,6 +55,8 @@
 #  16. one scripted benchmark   (the HC-best/LC-best/worst selection that
 #      examples/hierdiscovery prints must equal clof-bench's for the same
 #      Armv8 4-level grid: both run the one sweep, figures.Scripted)
+#  17. clof-obs -events        (the per-operation event stream of a short
+#      CLoF run, twice, byte-compared like step 7, then once under hbo)
 #
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
@@ -207,5 +209,14 @@ if [ "$(echo "$bench_sel" | wc -l)" -ne 3 ] || [ "$bench_sel" != "$example_sel" 
   exit 1
 fi
 echo "one scripted benchmark: hierdiscovery selects what clof-bench selects"
+
+echo "== clof-obs -events (determinism)"
+events=(-events -platform armv8 -lock clof:tkt-clh-tkt-tkt -threads 3 -horizon 6000)
+go run ./cmd/clof-obs "${events[@]}" > "$tmp/events-a.txt"
+go run ./cmd/clof-obs "${events[@]}" > "$tmp/events-b.txt"
+cmp "$tmp/events-a.txt" "$tmp/events-b.txt"
+grep -q 'ns cpu' "$tmp/events-a.txt"
+go run ./cmd/clof-obs -events -platform armv8 -lock hbo -threads 3 -horizon 6000 > /dev/null
+echo "clof-obs -events: byte-identical across reruns"
 
 echo "check: OK"
