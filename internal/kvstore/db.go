@@ -14,9 +14,11 @@ type entry struct {
 	tombstone  bool
 }
 
-// run is an immutable sorted run (the in-memory analog of an SSTable).
+// run is an immutable sorted run (the in-memory analog of an SSTable) with
+// a filter holding every key it stores, tombstones included.
 type run struct {
 	entries []entry
+	filter  filter
 }
 
 // get binary-searches the run; found distinguishes "present" (possibly as a
@@ -76,7 +78,7 @@ func Open(opts Options) *DB {
 		opts.MaxRuns = 8
 	}
 	db := &DB{opts: opts}
-	db.mem.Store(newSkiplist(opts.Seed))
+	db.mem.Store(newSkiplist(opts.Seed, opts.MemtableBytes))
 	db.runs.Store(&[]*run{})
 	return db
 }
@@ -85,24 +87,28 @@ func Open(opts Options) *DB {
 func (db *DB) Put(key, value []byte) {
 	db.puts.Add(1)
 	mem := db.mem.Load()
-	mem.putEntry(entry{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
+	mem.putEntry(key, &valSlot{value: append([]byte(nil), value...)})
 	if mem.bytes >= db.opts.MemtableBytes {
 		db.freezeLocked()
 	}
 }
 
 // Get fetches a key: memtable first, then runs newest-to-oldest, a
-// tombstone in a newer layer shadowing older values. Allocation-free. The
+// tombstone in a newer layer shadowing older values. It hashes key once and
+// searches only the layers whose filter may hold it. Allocation-free. The
 // returned value aliases the DB's storage and must not be modified.
 func (db *DB) Get(key []byte) ([]byte, bool) {
 	db.gets.Add(1)
-	if e, found := db.mem.Load().get(key); found {
-		return e.value, !e.tombstone
+	h := hashKey(key)
+	if mem := db.mem.Load(); mem.filter.mayContain(h) {
+		if e, found := mem.get(key); found {
+			return e.value, !e.tombstone
+		}
 	}
 	for _, r := range *db.runs.Load() {
+		if !r.filter.mayContain(h) {
+			continue
+		}
 		if e, found := r.get(key); found {
 			return e.value, !e.tombstone
 		}
@@ -116,7 +122,7 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 func (db *DB) Delete(key []byte) {
 	db.deletes.Add(1)
 	mem := db.mem.Load()
-	mem.putEntry(entry{key: append([]byte(nil), key...), tombstone: true})
+	mem.putEntry(key, &valSlot{tombstone: true})
 	if mem.bytes >= db.opts.MemtableBytes {
 		db.freezeLocked()
 	}
@@ -140,44 +146,49 @@ func (db *DB) Scan(start, end []byte, fn func(key, value []byte) bool) {
 		})
 		sources = append(sources, r.entries[i:])
 	}
-	pos := make([]int, len(sources))
+	merge(sources, end, func(e entry) bool {
+		return e.tombstone || fn(e.key, e.value)
+	})
+}
+
+// merge visits the distinct keys below end (nil: unbounded) of sources,
+// each sorted and ordered newest first, in key order, passing each key's
+// newest entry (possibly a tombstone). fn returning false stops the merge.
+func merge(sources [][]entry, end []byte, fn func(e entry) bool) {
 	for {
 		// Pick the smallest next key; the newest source wins ties.
 		best := -1
-		for si := range sources {
-			if pos[si] >= len(sources[si]) {
+		for si, src := range sources {
+			if len(src) == 0 {
 				continue
 			}
-			k := sources[si][pos[si]].key
-			if end != nil && bytes.Compare(k, end) >= 0 {
-				pos[si] = len(sources[si]) // past the range
+			if end != nil && bytes.Compare(src[0].key, end) >= 0 {
+				sources[si] = nil // past the range
 				continue
 			}
-			if best == -1 || bytes.Compare(k, sources[best][pos[best]].key) < 0 {
+			if best == -1 || bytes.Compare(src[0].key, sources[best][0].key) < 0 {
 				best = si
 			}
 		}
 		if best == -1 {
-			break
+			return
 		}
-		e := sources[best][pos[best]]
+		e := sources[best][0]
 		// Consume this key from every source (older duplicates shadowed).
-		for si := range sources {
-			if pos[si] < len(sources[si]) && bytes.Equal(sources[si][pos[si]].key, e.key) {
-				pos[si]++
+		for si, src := range sources {
+			if len(src) > 0 && bytes.Equal(src[0].key, e.key) {
+				sources[si] = src[1:]
 			}
 		}
-		if e.tombstone {
-			continue
-		}
-		if !fn(e.key, e.value) {
-			break
+		if !fn(e) {
+			return
 		}
 	}
 }
 
 // freezeLocked turns the memtable into a run; the caller runs it as a
-// writer. The new run stack is published before the memtable pointer is
+// writer. The run takes over the memtable's filter, which already holds
+// every key. The new run stack is published before the memtable pointer is
 // reset, so a reader interleaving with the freeze finds every entry in at
 // least one layer (possibly both — validation, not the freeze, is what
 // makes its snapshot consistent).
@@ -186,9 +197,9 @@ func (db *DB) freezeLocked() {
 	if mem.n == 0 {
 		return
 	}
-	newRuns := append([]*run{{entries: mem.entries()}}, *db.runs.Load()...)
+	newRuns := append([]*run{{entries: mem.entries(), filter: mem.filter}}, *db.runs.Load()...)
 	db.runs.Store(&newRuns)
-	db.mem.Store(newSkiplist(db.opts.Seed + uint64(len(newRuns))))
+	db.mem.Store(newSkiplist(db.opts.Seed+uint64(len(newRuns)), db.opts.MemtableBytes))
 	if len(newRuns) > db.opts.MaxRuns {
 		db.compactLocked()
 	}
@@ -196,26 +207,27 @@ func (db *DB) freezeLocked() {
 
 // compactLocked merges all runs into one (newest value wins) and drops
 // tombstones — a full compaction, so shadowed deletions are safe to forget.
+// The merge pass also fills the new run's filter, sized for every input
+// entry (a bound on the output).
 func (db *DB) compactLocked() {
 	db.compactions.Add(1)
 	runs := *db.runs.Load()
-	merged := make(map[string]entry)
-	for i := len(runs) - 1; i >= 0; i-- { // oldest first; newer overwrite
-		for _, e := range runs[i].entries {
-			merged[string(e.key)] = e
-		}
+	sources := make([][]entry, len(runs))
+	total, largest := 0, 0
+	for i, r := range runs {
+		sources[i] = r.entries
+		total += len(r.entries)
+		largest = max(largest, len(r.entries))
 	}
-	entries := make([]entry, 0, len(merged))
-	for _, e := range merged {
-		if e.tombstone {
-			continue
+	out := &run{entries: make([]entry, 0, largest), filter: newFilter(total)}
+	merge(sources, nil, func(e entry) bool {
+		if !e.tombstone {
+			out.entries = append(out.entries, e)
+			out.filter.add(hashKey(e.key))
 		}
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].key, entries[j].key) < 0
+		return true
 	})
-	db.runs.Store(&[]*run{{entries: entries}})
+	db.runs.Store(&[]*run{out})
 }
 
 // Flush freezes the current memtable (for tests and bulk loads).

@@ -7,10 +7,10 @@ import (
 	"testing/quick"
 )
 
-func put(s *skiplist, k, v string) { s.putEntry(entry{key: []byte(k), value: []byte(v)}) }
+func put(s *skiplist, k, v string) { s.putEntry([]byte(k), &valSlot{value: []byte(v)}) }
 
 func TestSkiplistBasic(t *testing.T) {
-	s := newSkiplist(1)
+	s := newSkiplist(1, 0)
 	if _, found := s.get([]byte("a")); found {
 		t.Fatal("empty skiplist returned a value")
 	}
@@ -33,9 +33,9 @@ func TestSkiplistBasic(t *testing.T) {
 }
 
 func TestSkiplistOrdered(t *testing.T) {
-	s := newSkiplist(7)
+	s := newSkiplist(7, 0)
 	for i := 999; i >= 0; i-- {
-		s.putEntry(entry{key: Key(i), value: []byte{byte(i)}})
+		s.putEntry(Key(i), &valSlot{value: []byte{byte(i)}})
 	}
 	es := s.entries()
 	if len(es) != 1000 {
@@ -182,4 +182,77 @@ func BenchmarkKey(b *testing.B) {
 			_ = []byte(fmt.Sprintf("%016d", i))
 		}
 	})
+}
+
+// preloadRuns fills a default-configured DB with db_bench-shaped entries
+// (sequential keys, 100-byte values) until it holds runs frozen runs, then
+// puts memKeys more keys into the memtable. It returns the number of keys
+// written; key 0 lies in the oldest run, the last memKeys in the memtable.
+func preloadRuns(runs, memKeys int) (*DB, int) {
+	db := Open(Options{})
+	value := make([]byte, 100)
+	n := 0
+	for ; db.Stats().Runs < runs; n++ {
+		db.Put(Key(n), value)
+	}
+	for end := n + memKeys; n < end; n++ {
+		db.Put(Key(n), value)
+	}
+	return db, n
+}
+
+// TestDBGetAllocs: Get performs no heap allocation on any path — memtable
+// hit, run hit, absent key.
+func TestDBGetAllocs(t *testing.T) {
+	db, n := preloadRuns(3, 10)
+	for name, k := range map[string][]byte{"memtable": Key(n - 1), "oldest-run": Key(0), "absent": Key(n)} {
+		if a := testing.AllocsPerRun(100, func() { db.Get(k) }); a != 0 {
+			t.Errorf("Get (%s) allocates %.1f times per op, want 0", name, a)
+		}
+	}
+}
+
+// BenchmarkDBGet times the engine's Get on a DB preloaded to 8 runs (the
+// shape the ycsb-b benchmark preloads per shard), for keys in the
+// memtable, keys in the oldest run, and absent keys.
+func BenchmarkDBGet(b *testing.B) {
+	const memKeys = 4096
+	db, n := preloadRuns(8, memKeys)
+	oldest := len((*db.runs.Load())[7].entries)
+	for _, c := range []struct {
+		name        string
+		first, span int
+		found       bool
+	}{
+		{"memtable", n - memKeys, memKeys, true},
+		{"oldest-run", 0, oldest, true},
+		{"absent", n, n, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			key := make([]byte, 0, KeyWidth)
+			for i := 0; i < b.N; i++ {
+				// A multiplicative stride scatters keys over the span.
+				key = AppendKey(key[:0], c.first+i*7919%c.span)
+				if _, ok := db.Get(key); ok != c.found {
+					b.Fatalf("Get(%s) found = %v, want %v", key, ok, c.found)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDBPut times the engine's Put of 100-byte values over 10,000
+// scattered keys — mostly overwrites — with the memtable freezes and
+// compactions they cause.
+func BenchmarkDBPut(b *testing.B) {
+	const keys = 10000
+	db := Open(Options{MemtableBytes: 256 << 10})
+	value := make([]byte, 100)
+	key := make([]byte, 0, KeyWidth)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		key = AppendKey(key[:0], i*7919%keys)
+		db.Put(key, value)
+	}
 }

@@ -26,7 +26,9 @@ func TestDeleteBasics(t *testing.T) {
 }
 
 // TestTombstoneShadowsOlderRuns: a delete in the memtable must shadow a
-// value frozen into an older run, and survive its own freeze.
+// value frozen into an older run, and survive its own freeze. The tombstone
+// is its layer's only key, so a filter that left tombstones out would rule
+// the layer out and let the older value through.
 func TestTombstoneShadowsOlderRuns(t *testing.T) {
 	db := Open(Options{})
 	db.Put(Key(5), []byte("old"))

@@ -7,16 +7,36 @@
 // can serve as the DB lock, as the paper swaps LevelDB's pthread mutex via
 // LD_PRELOAD.
 //
+// The layers, newest first, are the mutable memtable and a stack of
+// immutable runs. Every layer carries a cache-line-blocked Bloom filter
+// (filter.go, LevelDB's FilterPolicy in miniature) holding each key the
+// layer stores, tombstones included: a tombstone the filter hid would let an
+// older layer's value come back. A Get hashes its key once and searches only
+// the layers whose filter may hold it. The memtable adds a key to its filter
+// when it inserts the key's node; a freeze hands the memtable's filter on to
+// the run it becomes; a compaction fills the merged run's filter in its
+// merge pass.
+//
 // Readers come in two disciplines. A serialized reader (DB.Get/Scan) runs
 // while no writer does, exclusive or shared with other readers. An
 // optimistic reader runs the same methods concurrently with a writer, the
 // sharded store's optimistic-read fast path (DESIGN.md S33): all
-// reader-visible state — skiplist links, value slots, the memtable and
-// run-stack pointers — is published through atomics, so such a reader is
-// data-race-free and always observes structurally sound memory. What it may
-// observe is a *mixed* state (half of a concurrent write); callers must
-// certify every such result through seqlock validation and discard it on
-// failure.
+// reader-visible state — skiplist links, value slots, filter words, the
+// memtable and run-stack pointers — is published through atomics, so such a
+// reader is data-race-free and always observes structurally sound memory.
+// What it may observe is a *mixed* state (half of a concurrent write);
+// callers must certify every such result through seqlock validation and
+// discard it on failure. The filters keep that argument sound:
+//
+//   - a reader that overlaps a writer may probe a filter the writer has not
+//     finished, and so miss a key, but then validation fails and the read
+//     is discarded;
+//   - a reader that starts after a writer finished sees every bit the
+//     writer set, because the seqlock's release (writer unlock) and acquire
+//     (reader's sequence read) order the filter stores before its probes;
+//   - a freeze publishes a run together with its complete filter (the
+//     memtable's, to which nothing is added after the freeze), and a
+//     compaction fills its run's filter before publishing the run.
 package kvstore
 
 import (
@@ -41,6 +61,9 @@ type skiplist struct {
 	rng    *xrand.Rand
 	n      int
 	bytes  int
+	// filter holds every key ever inserted, tombstones included; the
+	// freeze hands it on to the run the memtable becomes.
+	filter filter
 }
 
 // valSlot is an immutable value+tombstone pair. Overwrites swap the node's
@@ -57,8 +80,10 @@ type skipNode struct {
 	next [maxHeight]atomic.Pointer[skipNode]
 }
 
-func newSkiplist(seed uint64) *skiplist {
-	s := &skiplist{head: &skipNode{}, rng: xrand.New(seed)}
+// newSkiplist returns an empty skiplist whose filter is sized for a
+// memtable of memtableBytes.
+func newSkiplist(seed uint64, memtableBytes int) *skiplist {
+	s := &skiplist{head: &skipNode{}, rng: xrand.New(seed), filter: newFilter(memtableBytes / memtableBytesPerKey)}
 	s.height.Store(1)
 	return s
 }
@@ -91,15 +116,16 @@ func (s *skiplist) findGreaterOrEqual(key []byte, prev *[maxHeight]*skipNode) *s
 	return x.next[0].Load()
 }
 
-// putEntry inserts or overwrites an entry (possibly a tombstone). The caller
-// is the single writer; concurrent optimistic readers are tolerated by
-// publishing the node bottom-up after its fields are complete.
-func (s *skiplist) putEntry(e entry) {
+// putEntry inserts key or overwrites its value slot v (a tombstone for a
+// deletion). key is copied only when a node is inserted. The caller is the
+// single writer; concurrent optimistic readers are tolerated by adding the
+// key to the filter, then publishing the node bottom-up after its fields
+// are complete.
+func (s *skiplist) putEntry(key []byte, v *valSlot) {
 	var prev [maxHeight]*skipNode
-	if x := s.findGreaterOrEqual(e.key, &prev); x != nil && bytes.Equal(x.key, e.key) {
-		old := x.val.Load()
-		s.bytes += len(e.value) - len(old.value)
-		x.val.Store(&valSlot{value: e.value, tombstone: e.tombstone})
+	if x := s.findGreaterOrEqual(key, &prev); x != nil && bytes.Equal(x.key, key) {
+		s.bytes += len(v.value) - len(x.val.Load().value)
+		x.val.Store(v)
 		return
 	}
 	h := s.randomHeight()
@@ -109,14 +135,15 @@ func (s *skiplist) putEntry(e entry) {
 		}
 		s.height.Store(int32(h))
 	}
-	node := &skipNode{key: e.key}
-	node.val.Store(&valSlot{value: e.value, tombstone: e.tombstone})
+	s.filter.add(hashKey(key))
+	node := &skipNode{key: append([]byte(nil), key...)}
+	node.val.Store(v)
 	for level := 0; level < h; level++ {
 		node.next[level].Store(prev[level].next[level].Load())
 		prev[level].next[level].Store(node)
 	}
 	s.n++
-	s.bytes += len(e.key) + len(e.value) + 1
+	s.bytes += len(key) + len(v.value) + 1
 }
 
 // get returns the entry for key; found is false if the key was never

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/clof-go/clof/internal/kvstore"
@@ -190,6 +191,73 @@ func TestOCCConcurrentWriters(t *testing.T) {
 				cfg.name, st.Optimistic, st.ValidationFailures, st.Fallbacks)
 		})
 	}
+}
+
+// TestOCCGetSeesEveryCompletedPut: one writer Puts keys in increasing order
+// (never deleting) into seq:tkt shards whose tiny memtables freeze and
+// compact constantly, and publishes a high-water mark after each Put
+// returns. Optimistic readers Get random keys below the mark: each must be
+// found with its value, since a completed Put is never absent. This catches
+// a layer filter missing a key the layer holds — a freeze that drops the
+// memtable's filter, a compaction that fills its run's filter wrongly —
+// which a validated read would report as a legal "absent", so
+// TestOCCConcurrentWriters (whose Deletes make absent legal) cannot.
+func TestOCCGetSeesEveryCompletedPut(t *testing.T) {
+	const (
+		keys    = 3000
+		readers = 3
+	)
+	kv := openSeqSharded(4, 0)
+	sessions := make([]*KVSession, 1+readers)
+	for i := range sessions {
+		sessions[i] = kv.NewSession()
+	}
+	var mark atomic.Int64 // keys [0, mark) have been Put
+	var wg sync.WaitGroup
+	wg.Add(1 + readers)
+	go func() {
+		defer wg.Done()
+		p := lockapi.NewNativeProc(0)
+		for i := 0; i < keys; i++ {
+			key := kvstore.Key(i)
+			sessions[0].Put(p, key, key)
+			mark.Store(int64(i + 1))
+		}
+	}()
+	var reads atomic.Int64
+	for rd := 1; rd <= readers; rd++ {
+		go func(rd int) {
+			defer wg.Done()
+			p := lockapi.NewNativeProc(rd)
+			rng := uint64(rd)
+			key := make([]byte, 0, kvstore.KeyWidth)
+			for {
+				m := mark.Load()
+				if m == 0 {
+					continue
+				}
+				rng = rng*6364136223846793005 + 1442695040888963407
+				key = kvstore.AppendKey(key[:0], int((rng>>33)%uint64(m)))
+				if v, ok := sessions[rd].Get(p, key); !ok || !bytes.Equal(v, key) {
+					t.Errorf("Get(%s) = %q,%v after its Put returned", key, v, ok)
+					return
+				}
+				reads.Add(1)
+				if m == keys {
+					return
+				}
+			}
+		}(rd)
+	}
+	wg.Wait()
+	var compactions uint64
+	for _, st := range sessions[0].ShardStats(p0) {
+		compactions += st.Compactions
+	}
+	if compactions == 0 || reads.Load() == 0 {
+		t.Fatalf("compactions = %d, reads = %d: the test must compact under reads", compactions, reads.Load())
+	}
+	t.Logf("%d reads, %d compactions", reads.Load(), compactions)
 }
 
 // scriptedSeq is a shard lock whose optimistic reads validate on a script:
