@@ -83,12 +83,18 @@ func Open(opts Options) *DB {
 	return db
 }
 
-// Put inserts or overwrites a key. key and value are copied.
+// Put inserts or overwrites a key. key and value are copied into the
+// memtable's blocks; a Put that does not freeze makes no heap allocation.
 func (db *DB) Put(key, value []byte) {
 	db.puts.Add(1)
+	db.write(key, value, false)
+}
+
+// write puts an entry into the memtable and freezes it once full.
+func (db *DB) write(key, value []byte, tombstone bool) {
 	mem := db.mem.Load()
-	mem.putEntry(key, &valSlot{value: append([]byte(nil), value...)})
-	if mem.bytes >= db.opts.MemtableBytes {
+	mem.putEntry(key, value, tombstone)
+	if mem.full(db.opts.MemtableBytes) {
 		db.freezeLocked()
 	}
 }
@@ -121,11 +127,7 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 // compaction.
 func (db *DB) Delete(key []byte) {
 	db.deletes.Add(1)
-	mem := db.mem.Load()
-	mem.putEntry(key, &valSlot{tombstone: true})
-	if mem.bytes >= db.opts.MemtableBytes {
-		db.freezeLocked()
-	}
+	db.write(key, nil, true)
 }
 
 // Scan visits every live key in [start, end) in key order, merged across
@@ -139,7 +141,7 @@ func (db *DB) Scan(start, end []byte, fn func(key, value []byte) bool) {
 	// Sources newest-first: memtable, then runs.
 	runs := *db.runs.Load()
 	sources := make([][]entry, 0, len(runs)+1)
-	sources = append(sources, db.mem.Load().entriesFrom(start))
+	sources = append(sources, db.mem.Load().entriesFrom(start, end))
 	for _, r := range runs {
 		i := sort.Search(len(r.entries), func(i int) bool {
 			return bytes.Compare(r.entries[i].key, start) >= 0
@@ -208,7 +210,9 @@ func (db *DB) freezeLocked() {
 // compactLocked merges all runs into one (newest value wins) and drops
 // tombstones — a full compaction, so shadowed deletions are safe to forget.
 // The merge pass also fills the new run's filter, sized for every input
-// entry (a bound on the output).
+// entry (a bound on the output), and copies each live key and value into
+// the new run's own blocks: a value left in its memtable's block would keep
+// the whole block, dead overwritten values and all, alive for good.
 func (db *DB) compactLocked() {
 	db.compactions.Add(1)
 	runs := *db.runs.Load()
@@ -220,9 +224,10 @@ func (db *DB) compactLocked() {
 		largest = max(largest, len(r.entries))
 	}
 	out := &run{entries: make([]entry, 0, largest), filter: newFilter(total)}
+	var keys, vals blocks[byte]
 	merge(sources, nil, func(e entry) bool {
 		if !e.tombstone {
-			out.entries = append(out.entries, e)
+			out.entries = append(out.entries, entry{key: keys.copy(e.key), value: vals.copy(e.value)})
 			out.filter.add(hashKey(e.key))
 		}
 		return true

@@ -96,7 +96,7 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 		s := newSkiplist(1, memtable)
 		value := make([]byte, 100)
 		for i := 0; s.bytes < memtable; i++ {
-			s.putEntry(Key(i), &valSlot{value: value})
+			s.putEntry(Key(i), value, false)
 		}
 		check(t, &s.filter, s.n)
 	})

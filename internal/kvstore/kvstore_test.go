@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func put(s *skiplist, k, v string) { s.putEntry([]byte(k), &valSlot{value: []byte(v)}) }
+func put(s *skiplist, k, v string) { s.putEntry([]byte(k), []byte(v), false) }
 
 func TestSkiplistBasic(t *testing.T) {
 	s := newSkiplist(1, 0)
@@ -35,7 +35,7 @@ func TestSkiplistBasic(t *testing.T) {
 func TestSkiplistOrdered(t *testing.T) {
 	s := newSkiplist(7, 0)
 	for i := 999; i >= 0; i-- {
-		s.putEntry(Key(i), &valSlot{value: []byte{byte(i)}})
+		s.putEntry(Key(i), []byte{byte(i)}, false)
 	}
 	es := s.entries()
 	if len(es) != 1000 {
@@ -254,5 +254,25 @@ func BenchmarkDBPut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key = AppendKey(key[:0], i*7919%keys)
 		db.Put(key, value)
+	}
+}
+
+// BenchmarkDBScan times a short bounded Scan — 50 consecutive keys from a
+// scattered start, store.ScanHeavy's longest scan — on a DB preloaded to 8
+// runs plus a memtable, merging all nine layers.
+func BenchmarkDBScan(b *testing.B) {
+	const memKeys, span = 4096, 50
+	db, n := preloadRuns(8, memKeys)
+	start, end := make([]byte, 0, KeyWidth), make([]byte, 0, KeyWidth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first := i * 7919 % (n - span)
+		start, end = AppendKey(start[:0], first), AppendKey(end[:0], first+span)
+		got := 0
+		db.Scan(start, end, func(_, _ []byte) bool { got++; return true })
+		if got != span {
+			b.Fatalf("Scan [%d,%d) visited %d keys, want %d", first, first+span, got, span)
+		}
 	}
 }

@@ -132,6 +132,10 @@ func TestScanRangeAndEarlyStop(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("range scan [5,8) returned %d entries: %v", len(got), got)
 	}
+	// The memtable copies only the bounded range, not everything from start.
+	if es := db.mem.Load().entriesFrom(Key(5), Key(8)); len(es) != 3 {
+		t.Fatalf("memtable range [5,8) copied %d entries, want 3", len(es))
+	}
 	// Early stop after 2 entries.
 	n := 0
 	db.Scan(Key(0), nil, func(k, v []byte) bool {

@@ -191,13 +191,15 @@ func (s *KVSession) ShardStats(p lockapi.Proc) []kvstore.Stats {
 }
 
 // PreloadKV fills the store with keys sequential canonical keys of
-// db_bench's 100-byte value size and flushes (single-threaded).
+// db_bench's 100-byte value size and flushes (single-threaded). Put copies
+// its key, so one key buffer serves every Put.
 func PreloadKV(kv *KV, keys int) {
 	p := lockapi.NewNativeProc(0)
 	s := kv.NewSession()
-	val := make([]byte, 100)
+	key, val := make([]byte, 0, kvstore.KeyWidth), make([]byte, 100)
 	for i := 0; i < keys; i++ {
-		s.Put(p, kvstore.Key(i), val)
+		key = kvstore.AppendKey(key[:0], i)
+		s.Put(p, key, val)
 	}
 	s.Flush(p)
 }

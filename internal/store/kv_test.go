@@ -12,6 +12,7 @@ import (
 	"github.com/clof-go/clof/internal/kvstore"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
+	"github.com/clof-go/clof/internal/seqlock"
 )
 
 // applyOps drives the same seeded op stream against any put/delete/get/scan
@@ -367,4 +368,21 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// BenchmarkPreloadKV times the set-up rung, OpenKV + PreloadKV, in the
+// per-shard shape of the ycsb-b benchmark's set-up at a quarter of its
+// scale: 62,500 sequential keys per seq:tkt-locked shard with 1 MiB
+// memtables, each shard freezing seven runs.
+func BenchmarkPreloadKV(b *testing.B) {
+	const shards, keys = 4, 250_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		kv := OpenKV(KVOptions{
+			Shards:  shards,
+			NewLock: func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+			Shard:   kvstore.Options{MemtableBytes: 1 << 20},
+		})
+		PreloadKV(kv, keys)
+	}
 }

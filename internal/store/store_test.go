@@ -7,6 +7,7 @@ import (
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
 	"github.com/clof-go/clof/internal/rwlock"
+	"github.com/clof-go/clof/internal/seqlock"
 	"github.com/clof-go/clof/internal/topo"
 )
 
@@ -125,5 +126,23 @@ func TestEachVisitsInOrder(t *testing.T) {
 		if sh != i {
 			t.Fatalf("visited %v, want [0 1 2 3 4]", visited)
 		}
+	}
+}
+
+// BenchmarkExclusive times the router's route+lock rung: Session.Exclusive
+// with an empty body, that is, the FNV-1a route of a canonical key over 16
+// shards plus one uncontended acquire and release of its shard's seq:tkt
+// lock (the ycsb-b benchmark's shard lock).
+func BenchmarkExclusive(b *testing.B) {
+	r := NewRouter(NewPartitioner(16, 0),
+		func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+		func(int) struct{} { return struct{}{} })
+	s := r.NewSession()
+	key := make([]byte, 0, kvstore.KeyWidth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key = kvstore.AppendKey(key[:0], i*7919%1_000_000)
+		s.Exclusive(p0, key, func(int, struct{}) {})
 	}
 }
