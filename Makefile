@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-report lint-litmus doccheck check chaos figures figures-quick collapse-quick kv-quick occ-quick scale-quick bench bench-smoke bench-kv bench-scale
+.PHONY: build test lint lint-report doccheck check chaos figures figures-quick collapse-quick kv-quick occ-quick scale-quick bench bench-smoke bench-kv bench-scale
 
 build:
 	$(GO) build ./...
@@ -9,10 +9,9 @@ test:
 	$(GO) test ./...
 
 # Static lock-discipline suite (atomic access, memory-order policy,
-# copylocks, spin hygiene) plus the whole-program lock-graph analyzers
-# (lockorder: cross-package deadlock cycles and CLoF level inversions;
-# heldescape: lock-protected fields read with no lock held). Exits nonzero
-# on findings.
+# copylocks, spin hygiene, validate-before-escape for optimistic reads).
+# Exits nonzero on findings, including a //lint: waiver that suppresses
+# nothing.
 lint:
 	$(GO) run ./cmd/clof-lint ./...
 
@@ -22,14 +21,6 @@ lint:
 lint-report:
 	mkdir -p figures-out
 	$(GO) run ./cmd/clof-lint -json ./... > figures-out/lint-report.json
-
-# The lint→mcheck bridge: emit one runnable mcheck litmus program per
-# statically detected lock-order cycle into figures-out/litmus/ (each
-# `go run`s from the repository root and exits 0 iff the model checker
-# reproduces the deadlock). Waived cycles are skipped, so a clean tree
-# ⇒ "no live lock-order cycles".
-lint-litmus:
-	$(GO) run ./cmd/clof-lint -litmus figures-out/litmus ./... || true
 
 # Godoc discipline: package comments everywhere, doc comments on every
 # exported top-level declaration (sh+awk only; see scripts/doccheck.sh).

@@ -17,20 +17,13 @@
 //	-nowaiver: audit mode — report //lint:-waived findings too
 //	-json:     machine-readable output — a position-sorted JSON array of
 //	           {file, line, col, analyzer, message} on stdout
-//	-litmus:   directory to emit mcheck litmus programs into, one per
-//	           lock-order cycle (see below); "" disables emission
 //
-// # The lint→mcheck litmus bridge
-//
-// Every lock-order cycle the lockorder analyzer reports is a *static*
-// deadlock claim. With -litmus DIR, clof-lint also emits, per distinct
-// cycle, a standalone mcheck program (mcheck.DeadlockProgram over the
-// cycle's acquisition chains) into DIR. Each program is build-tagged
-// ignore and must be `go run` from inside this repository (its mcheck
-// import is module-internal); it exits 0 iff the model checker reproduces
-// the deadlock, turning the static finding into a dynamic witness. Cycles
-// whose every closing edge carries a //lint:lockorder waiver are triaged
-// non-findings and are skipped (noted on stderr); -nowaiver emits them too.
+// The suite is five per-site analyzers: atomicdiscipline, copylocks,
+// occdiscipline, orderpolicy and spinhygiene. None of them orders locks
+// against each other: lock nesting is verified dynamically by
+// mcheck.InductionProgram, the paper's induction step, which checks that
+// CLoF's parent-ward climb is deadlock-free. A //lint: waiver that
+// suppresses no finding is itself reported (except under -nowaiver).
 //
 // Exit codes: 0 clean, 1 findings, 2 load/usage error.
 package main
@@ -39,7 +32,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
 	"path/filepath"
@@ -48,10 +40,7 @@ import (
 	"github.com/clof-go/clof/internal/analysis"
 	"github.com/clof-go/clof/internal/analysis/atomicdiscipline"
 	"github.com/clof-go/clof/internal/analysis/copylocks"
-	"github.com/clof-go/clof/internal/analysis/heldescape"
 	"github.com/clof-go/clof/internal/analysis/loader"
-	"github.com/clof-go/clof/internal/analysis/lockfacts"
-	"github.com/clof-go/clof/internal/analysis/lockorder"
 	"github.com/clof-go/clof/internal/analysis/occdiscipline"
 	"github.com/clof-go/clof/internal/analysis/orderpolicy"
 	"github.com/clof-go/clof/internal/analysis/spinhygiene"
@@ -61,18 +50,10 @@ import (
 var all = []*analysis.Analyzer{
 	atomicdiscipline.Analyzer,
 	copylocks.Analyzer,
-	heldescape.Analyzer,
-	lockorder.Analyzer,
 	occdiscipline.Analyzer,
 	orderpolicy.Analyzer,
 	spinhygiene.Analyzer,
 }
-
-// litmusModule is the module whose internal/mcheck the emitted litmus
-// programs import: this one. Generated programs therefore run only from
-// inside this repository's tree (Go's internal-package visibility rule),
-// which is where the model checker lives anyway.
-const litmusModule = "github.com/clof-go/clof"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -84,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", "", "module root (default: nearest go.mod above the working directory)")
 	nowaiver := fs.Bool("nowaiver", false, "audit mode: report waived findings too")
 	jsonOut := fs.Bool("json", false, "print findings as a JSON array instead of text")
-	litmusDir := fs.String("litmus", "", "emit one mcheck litmus program per lock-order cycle into this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -129,16 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		diags = analysis.Run(pkgs, all)
 	}
-	// Positions of the lockorder findings that survived waiver filtering
-	// (all of them, in audit mode): the litmus emitter only writes witness
-	// programs for cycles that are still live findings. Keyed by absolute
-	// position, so capture before the paths are relativized below.
-	liveCycles := map[string]bool{}
-	for _, d := range diags {
-		if d.Analyzer == lockorder.Analyzer.Name {
-			liveCycles[d.Pos.String()] = true
-		}
-	}
 	// Print paths relative to the module root: stable across machines and
 	// clickable from the repository root.
 	for i := range diags {
@@ -154,13 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-		}
-	}
-
-	if *litmusDir != "" {
-		if err := emitLitmus(*litmusDir, pkgs, liveCycles, stderr); err != nil {
-			fmt.Fprintln(stderr, "clof-lint:", err)
-			return 2
 		}
 	}
 
@@ -193,51 +156,6 @@ func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// emitLitmus writes one DeadlockProgram runner per distinct lock-order
-// cycle of the loaded packages into dir. Cycles whose every closing edge
-// was waived are triaged non-findings (their positions are absent from
-// live) and are skipped with a note rather than given a witness program.
-func emitLitmus(dir string, pkgs []*loader.Package, live map[string]bool, stderr io.Writer) error {
-	world := lockfacts.Build(analysis.NewProgram(pkgs))
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	cycles := lockorder.Cycles(world)
-	emitted := 0
-	for _, c := range cycles {
-		isLive := false
-		for _, site := range c.Sites {
-			if live[fset.Position(site).String()] {
-				isLive = true
-				break
-			}
-		}
-		if !isLive {
-			fmt.Fprintf(stderr, "clof-lint: skipping cycle %s -> %s (all closing edges waived)\n",
-				strings.Join(c.Shorts, " -> "), c.Shorts[0])
-			continue
-		}
-		if emitted == 0 {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-		}
-		name, src := lockorder.EmitLitmus(c, litmusModule)
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, src, 0o644); err != nil {
-			return err
-		}
-		emitted++
-		fmt.Fprintf(stderr, "clof-lint: wrote %s (cycle %s -> %s)\n",
-			path, strings.Join(c.Shorts, " -> "), c.Shorts[0])
-	}
-	if emitted == 0 {
-		fmt.Fprintln(stderr, "clof-lint: no live lock-order cycles; nothing to emit")
-	}
-	return nil
 }
 
 // findModuleRoot walks up from dir to the nearest directory with a go.mod.

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -73,8 +71,8 @@ func TestSeededBarrierBugBothTools(t *testing.T) {
 }
 
 // TestJSONOutput pins the machine-readable format: -json on the defective
-// module yields a parseable, position-sorted array naming the new
-// whole-program analyzers.
+// module yields a parseable, position-sorted array with a finding from
+// every analyzer in the suite.
 func TestJSONOutput(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-dir", filepath.Join("testdata", "badmod"), "-json"}, &out, &errb)
@@ -101,9 +99,9 @@ func TestJSONOutput(t *testing.T) {
 			t.Errorf("incomplete JSON finding: %+v", d)
 		}
 	}
-	for _, want := range []string{"lockorder", "heldescape"} {
-		if byAnalyzer[want] == 0 {
-			t.Errorf("no %q findings in JSON output; got %v", want, byAnalyzer)
+	for _, a := range all {
+		if byAnalyzer[a.Name] == 0 {
+			t.Errorf("no %q findings in JSON output; got %v", a.Name, byAnalyzer)
 		}
 	}
 	if !sort.SliceIsSorted(diags, func(i, j int) bool {
@@ -117,75 +115,5 @@ func TestJSONOutput(t *testing.T) {
 		return a.Col <= b.Col
 	}) {
 		t.Errorf("JSON findings are not position-sorted:\n%s", out.String())
-	}
-}
-
-// TestLitmusRespectsWaivers pins the emitter's waiver semantics: the
-// repository's own lock-order cycles are all triaged (//lint:lockorder
-// waivers with reasons), so a repo-wide -litmus run must skip them and
-// write nothing — a waived cycle is a non-finding and deserves no witness.
-func TestLitmusRespectsWaivers(t *testing.T) {
-	root := atest.RepoRoot(t, "")
-	dir, err := os.MkdirTemp(root, ".litmus-waived-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-
-	var out, errb bytes.Buffer
-	code := run([]string{"-dir", root, "-litmus", dir}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("clof-lint -litmus on the repository: exit %d, want 0\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
-	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
-		t.Fatalf("repo-wide -litmus emitted %d programs (err=%v), want 0: waived cycles must be skipped\nstderr:\n%s",
-			len(entries), err, errb.String())
-	}
-	got := errb.String()
-	if !strings.Contains(got, "all closing edges waived") ||
-		!strings.Contains(got, "no live lock-order cycles") {
-		t.Fatalf("stderr does not narrate the skipped waived cycles:\n%s", got)
-	}
-}
-
-// TestLitmusBridgeE2E is the full lint→mcheck round trip: -litmus on the
-// minimal ABBA module must emit exactly one program, and `go run` of that
-// program (from the repository root — the mcheck import is
-// module-internal) must reproduce the deadlock and exit 0.
-func TestLitmusBridgeE2E(t *testing.T) {
-	root := atest.RepoRoot(t, "")
-	// The emitted program imports this module's internal/mcheck, so it must
-	// live (and run) under the repository root; a dot-prefixed directory is
-	// invisible to ./... patterns, the go tool, and the loader.
-	dir, err := os.MkdirTemp(root, ".litmus-e2e-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-
-	var out, errb bytes.Buffer
-	code := run([]string{"-dir", filepath.Join("testdata", "abbamod"), "-litmus", dir}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("clof-lint -litmus on testdata/abbamod: exit %d, want 1 (the cycle is a finding)\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("emitted %d litmus programs, want 1; stderr:\n%s", len(entries), errb.String())
-	}
-	prog := filepath.Join(dir, entries[0].Name())
-
-	cmd := exec.Command("go", "run", prog)
-	cmd.Dir = root
-	runOut, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run %s: %v\n%s", prog, err, runOut)
-	}
-	if !strings.Contains(string(runOut), "deadlock reproduced") {
-		t.Fatalf("litmus program did not report the deadlock:\n%s", runOut)
 	}
 }

@@ -1,6 +1,6 @@
 // Package badlock is a deliberately defective lock that trips every
 // clof-lint analyzer at least once; the e2e test asserts the driver exits
-// nonzero on this module and names all four analyzers.
+// nonzero on this module and names every analyzer.
 package badlock
 
 import (

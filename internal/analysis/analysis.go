@@ -25,8 +25,9 @@
 //
 // e.g. //lint:order relaxed-ok poll only; the CAS below orders entry
 //
-// The reason is mandatory: a waiver without one is itself reported. Tags
-// are per-analyzer (order, atomic, copylocks, spin).
+// The reason is mandatory: a waiver without one is itself reported, and so
+// is a waiver that suppresses no finding. Tags are per-analyzer (order,
+// atomic, copylocks, spin, occ).
 package analysis
 
 import (
@@ -56,41 +57,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *loader.Package
-	// Prog is the whole-program context shared by every pass of one Run:
-	// all packages named in the run plus a memoized fact store, so
-	// interprocedural analyzers (lockorder, heldescape) compute their
-	// cross-package summaries once, not once per (analyzer, package).
-	Prog  *Program
-	diags []Diagnostic
-}
-
-// Program is the whole-program side of a Run: the packages under analysis
-// and a store for facts computed over them (and their module-owned
-// dependencies, reachable through loader.Package.Dep). Runs are
-// single-threaded, so the store needs no locking.
-type Program struct {
-	// Pkgs are the packages named in the run, sorted by import path.
-	Pkgs  []*loader.Package
-	facts map[string]any
-}
-
-// NewProgram wraps pkgs as a whole-program context. The analysis driver
-// builds one per Run; tools that need program-level facts outside a Run
-// (the clof-lint -litmus bridge) build their own.
-func NewProgram(pkgs []*loader.Package) *Program {
-	return &Program{Pkgs: pkgs, facts: map[string]any{}}
-}
-
-// Fact returns the fact stored under key, computing and memoizing it with
-// build on first use. Analyzers use it to share one whole-program summary
-// (e.g. the lockfacts world) across every package pass of a run.
-func (p *Program) Fact(key string, build func() any) any {
-	if v, ok := p.facts[key]; ok {
-		return v
-	}
-	v := build()
-	p.facts[key] = v
-	return v
+	diags    []Diagnostic
 }
 
 // Diagnostic is one finding.
@@ -116,15 +83,19 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // waiver is one parsed //lint: comment.
 type waiver struct {
+	pos    token.Pos
+	text   string
 	tag    string
 	verb   string
 	reason string
+	// used records that the waiver suppressed at least one finding.
+	used bool
 }
 
 // waiversByLine parses all //lint: comments in f, keyed by line number.
 // Malformed waivers (no verb, or no reason) are reported via report.
-func waiversByLine(fset *token.FileSet, f *ast.File, report func(pos token.Pos, msg string)) map[int][]waiver {
-	out := map[int][]waiver{}
+func waiversByLine(fset *token.FileSet, f *ast.File, report func(pos token.Pos, msg string)) map[int][]*waiver {
+	out := map[int][]*waiver{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			body, ok := strings.CutPrefix(c.Text, "//lint:")
@@ -146,7 +117,9 @@ func waiversByLine(fset *token.FileSet, f *ast.File, report func(pos token.Pos, 
 				continue
 			}
 			line := fset.Position(c.Pos()).Line
-			out[line] = append(out[line], waiver{
+			out[line] = append(out[line], &waiver{
+				pos:    c.Pos(),
+				text:   c.Text,
 				tag:    fields[0],
 				verb:   fields[1],
 				reason: strings.Join(fields[2:], " "),
@@ -158,26 +131,27 @@ func waiversByLine(fset *token.FileSet, f *ast.File, report func(pos token.Pos, 
 
 // Run executes analyzers over pkgs, filters findings through waivers, and
 // returns the active diagnostics sorted by position. Malformed waiver
-// comments are reported under the pseudo-analyzer "waiver".
+// comments, and well-formed ones that suppressed no finding of this run
+// (their analyzer is gone, or the finding was fixed), are reported under
+// the pseudo-analyzer "waiver".
 func Run(pkgs []*loader.Package, analyzers []*Analyzer) []Diagnostic {
 	return run(pkgs, analyzers, true)
 }
 
 // Audit is Run with waiver filtering disabled: waived findings are
-// reported too. Used to enumerate every waived site (and by the
-// lint-vs-mcheck cross-check, which asserts the deliberately broken
-// fixture locks would be flagged were they not waived).
+// reported too, and unused waivers are not. Used to enumerate every waived
+// site (and by the lint-vs-mcheck cross-check, which asserts the
+// deliberately broken fixture locks would be flagged were they not waived).
 func Audit(pkgs []*loader.Package, analyzers []*Analyzer) []Diagnostic {
 	return run(pkgs, analyzers, false)
 }
 
 func run(pkgs []*loader.Package, analyzers []*Analyzer, applyWaivers bool) []Diagnostic {
 	var out []Diagnostic
-	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
 		// Waiver tables for this package, one per file.
 		fset := pkg.Fset
-		waivers := map[string]map[int][]waiver{}
+		waivers := map[string]map[int][]*waiver{}
 		for _, f := range pkg.Syntax {
 			name := fset.Position(f.Pos()).Filename
 			waivers[name] = waiversByLine(fset, f, func(pos token.Pos, msg string) {
@@ -185,13 +159,25 @@ func run(pkgs []*loader.Package, analyzers []*Analyzer, applyWaivers bool) []Dia
 			})
 		}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, Prog: prog}
+			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg}
 			a.Run(pass)
 			for _, d := range pass.diags {
 				if applyWaivers && waived(waivers[d.Pos.Filename], a.Tag, d.Pos.Line) {
 					continue
 				}
 				out = append(out, d)
+			}
+		}
+		if applyWaivers {
+			for _, byLine := range waivers {
+				for _, ws := range byLine {
+					for _, w := range ws {
+						if !w.used {
+							out = append(out, Diagnostic{Pos: fset.Position(w.pos), Analyzer: "waiver",
+								Message: fmt.Sprintf("unused waiver %q: it suppressed no finding", w.text)})
+						}
+					}
+				}
 			}
 		}
 	}
@@ -212,14 +198,16 @@ func run(pkgs []*loader.Package, analyzers []*Analyzer, applyWaivers bool) []Dia
 }
 
 // waived reports whether a waiver for tag covers line (same line or the
-// line directly above).
-func waived(byLine map[int][]waiver, tag string, line int) bool {
+// line directly above), marking every covering waiver used.
+func waived(byLine map[int][]*waiver, tag string, line int) bool {
+	hit := false
 	for _, l := range []int{line, line - 1} {
 		for _, w := range byLine[l] {
 			if w.tag == tag {
-				return true
+				w.used = true
+				hit = true
 			}
 		}
 	}
-	return false
+	return hit
 }

@@ -28,7 +28,8 @@ var dummy = &analysis.Analyzer{
 
 // TestWaiverReasonEnforcement is the regression test for the waiver parser:
 // a reasoned waiver filters its finding, a bare waiver (no reason) filters
-// nothing and is itself reported, and a verb-less comment is malformed.
+// nothing and is itself reported, a verb-less comment is malformed, and a
+// reasoned waiver with no finding to suppress is reported as unused.
 func TestWaiverReasonEnforcement(t *testing.T) {
 	pkgs := atest.Load(t, "waiverfix")
 	diags := analysis.Run(pkgs, []*analysis.Analyzer{dummy})
@@ -54,30 +55,22 @@ func TestWaiverReasonEnforcement(t *testing.T) {
 	if !strings.Contains(joined, "malformed waiver") {
 		t.Errorf("verb-less waiver was not reported as malformed:\n%s", joined)
 	}
+	var unused []string
+	for _, d := range diags {
+		if d.Analyzer == "waiver" && strings.Contains(d.Message, "unused waiver") {
+			unused = append(unused, d.String())
+		}
+	}
+	if len(unused) != 1 || !strings.Contains(unused[0], "nothing here is flagged") {
+		t.Errorf("want exactly one unused-waiver report, for the waiver above Unneeded; got %q\n%s", unused, joined)
+	}
 
 	// Audit mode reports the properly waived finding too.
 	audit := atest.Format(analysis.Audit(pkgs, []*analysis.Analyzer{dummy}))
 	if !strings.Contains(audit, "FlaggedProperly") {
 		t.Errorf("audit mode hid a waived finding:\n%s", audit)
 	}
-}
-
-// TestProgramFactMemoizes pins the whole-program fact store: one build per
-// key per Run, shared across passes.
-func TestProgramFactMemoizes(t *testing.T) {
-	prog := analysis.NewProgram(nil)
-	builds := 0
-	build := func() any { builds++; return builds }
-	if v := prog.Fact("k", build); v.(int) != 1 {
-		t.Fatalf("first Fact = %v, want 1", v)
-	}
-	if v := prog.Fact("k", build); v.(int) != 1 {
-		t.Fatalf("second Fact = %v, want memoized 1", v)
-	}
-	if builds != 1 {
-		t.Fatalf("build ran %d times, want 1", builds)
-	}
-	if v := prog.Fact("other", build); v.(int) != 2 {
-		t.Fatalf("distinct key Fact = %v, want 2", v)
+	if strings.Contains(audit, "unused waiver") {
+		t.Errorf("audit mode reported an unused waiver; it applies no waivers:\n%s", audit)
 	}
 }

@@ -48,22 +48,6 @@ type Package struct {
 	Syntax  []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	ld      *Loader
-}
-
-// Dep returns the loaded package for an import path this package's loader
-// has already resolved (any module-owned dependency of a loaded package is).
-// Standard-library paths are delegated to the stdlib importer and therefore
-// have no source Package here: Dep reports false for them. This is the hook
-// whole-program analyses use to reach the syntax and type info of
-// dependencies that were pulled in transitively rather than named in the
-// Load patterns.
-func (p *Package) Dep(path string) (*Package, bool) {
-	if p.ld == nil {
-		return nil, false
-	}
-	d, ok := p.ld.pkgs[path]
-	return d, ok
 }
 
 // Loader resolves and memoizes packages across a fixed set of modules.
@@ -184,7 +168,7 @@ func (l *Loader) loadDir(pkgPath, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", pkgPath, err)
 	}
-	p := &Package{PkgPath: pkgPath, Dir: dir, Fset: l.Fset, Syntax: files, Types: tpkg, Info: info, ld: l}
+	p := &Package{PkgPath: pkgPath, Dir: dir, Fset: l.Fset, Syntax: files, Types: tpkg, Info: info}
 	l.pkgs[pkgPath] = p
 	return p, nil
 }

@@ -21,5 +21,11 @@ func FlaggedBare() {}
 // reported as malformed and must not filter the finding.
 func FlaggedMalformed() {}
 
+// Unneeded carries a reasoned waiver but raises no finding. The waiver
+// suppresses nothing, so Run must report it as unused.
+//
+//lint:dummy allow nothing here is flagged, so this waiver is stale
+func Unneeded() {}
+
 // Unflagged is control: no finding, no waiver.
 func Unflagged() {}

@@ -347,7 +347,7 @@ func (l *Lock) acquireNode(p lockapi.Proc, n *levelLock, c lockapi.Ctx) {
 	// own barriers provide all required ordering.
 	//lint:order relaxed-ok highHeld is passed under the held low lock, whose barriers order it (§4.2.3)
 	if p.Load(&n.highHeld, lockapi.Relaxed) == 0 {
-		//lint:lockorder climb-ok nested levelLock instances are totally ordered by tree height — the climb only ascends parent-ward (§3.1) — and mcheck's induction program verifies the composition deadlock-free
+		// The parent-ward climb (§3.1) orders nested instances by tree height.
 		l.acquireNode(p, n.parent, n.highCtx)
 	}
 }
@@ -408,7 +408,7 @@ func (l *Lock) tryAcquireNode(p lockapi.Proc, n *levelLock, c lockapi.Ctx) bool 
 	if p.Load(&n.highHeld, lockapi.Relaxed) != 0 {
 		return true // the high lock was passed within this cohort
 	}
-	//lint:lockorder climb-ok same strictly parent-ward climb as acquireNode: tree height orders nested instances, and the failure path below rolls the low lock back
+	// Same parent-ward climb as acquireNode; a failed climb rolls back below.
 	if l.tryAcquireNode(p, n.parent, n.highCtx) {
 		return true
 	}

@@ -142,26 +142,22 @@ func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.
 			t.Errorf("successful try edges = (%d,%d,%d), want (%d,%d,%d)", s, a, r, s0+1, a0+1, r0+1)
 		}
 
-		//lint:lockorder alias-ok wrapped and tl are one lock instance seen through the Lock and TryLocker interfaces; the class-level cycle has a single holder
 		wrapped.Acquire(p0, c0)
 		s1, a1, r1 := edges.counts()
 		for _, cpu := range []int{1, mach.NumCPUs() - 1} {
 			pt := lockapi.NewNativeProc(cpu)
 			cf := wrapped.NewCtx()
 			for i := 0; i < 3; i++ {
-				//lint:lockorder alias-ok deliberate TryAcquire on the held single instance; the harness asserts it FAILS, so no nested hold exists
 				if tl.TryAcquire(pt, cf) {
 					t.Fatalf("TryAcquire from CPU %d succeeded while held", cpu)
 				}
 			}
 			// The failed context must be reusable once the lock frees.
 			wrapped.Release(p0, c0)
-			//lint:lockorder alias-ok TryAcquire through the TryLocker view of the same instance just released through the Lock view; classes alias, instances do not nest
 			if !tl.TryAcquire(pt, cf) {
 				t.Fatalf("TryAcquire from CPU %d failed on a free lock after earlier failures (residual state)", cpu)
 			}
 			wrapped.Release(pt, cf)
-			//lint:lockorder alias-ok reacquire of the single harness instance; the TryLocker class appears held only because its release went through the Lock view
 			wrapped.Acquire(p0, c0)
 		}
 		// Failed tries must not have emitted edges; the loop above did 2

@@ -4,10 +4,9 @@
 #   2. go vet ./... and gofmt -l (every tracked Go file outside testdata/
 #      must be gofmt-clean; the analyzer testdata corpora are exempt)
 #   3. clof-lint ./...          (static lock-discipline suite: atomic
-#      access, memory-order policy, copylocks, spin hygiene, plus the
-#      whole-program lock-graph analyzers — lockorder's cross-package
-#      deadlock/level-inversion detection and heldescape's
-#      guarded-write/bare-read escapes; a JSON report is written for
+#      access, memory-order policy, copylocks, spin hygiene and
+#      validate-before-escape for optimistic reads; a waiver that
+#      suppresses no finding fails it too; a JSON report is written for
 #      the CI artifact)
 #   4. make doccheck            (godoc discipline: package comments +
 #      doc comments on exported declarations; scripts/doccheck.sh)
