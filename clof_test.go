@@ -7,6 +7,7 @@ import (
 
 	clof "github.com/clof-go/clof"
 	"github.com/clof-go/clof/internal/locktest"
+	"github.com/clof-go/clof/internal/workload"
 )
 
 // TestPublicAPIQuickstart exercises the facade end to end the way the
@@ -171,7 +172,7 @@ func TestCohortLockNUMALocality(t *testing.T) {
 			t.Fatal(err)
 		}
 		return l
-	}, locktest.SimConfig{Machine: m, Threads: 64, Horizon: 300_000, CSWork: 80, NCSWork: 120})
+	}, workload.Config{Machine: m, Threads: 64, Horizon: 300_000, CSWork: 80, NCSWork: 120})
 	var local, total uint64
 	for lvl, c := range res.HandoverLevels {
 		total += c

@@ -78,12 +78,12 @@ func Locks() []Entry {
 		Entry{Name: "hbo", Family: "hbo", New: func(m *topo.Machine) lockapi.Lock { return locks.NewHBO(m) }},
 		Entry{Name: "cna", Family: "cna", New: func(m *topo.Machine) lockapi.Lock { return cna.New(m) }},
 		Entry{Name: "shfllock", Family: "shfl", New: func(m *topo.Machine) lockapi.Lock { return shfllock.New(m) }},
-		// The NUMA-aware reader-writer lock, adapted to the Lock interface:
-		// its exclusive path is a proper mutex (writers through MCS, then
-		// reader drain), and it additionally satisfies lockapi.RWLocker, so
-		// the sharded store's read paths take shared acquisitions on it.
+		// The NUMA-aware reader-writer lock: its exclusive path is a proper
+		// mutex (writers through MCS, then reader drain), and it additionally
+		// satisfies lockapi.RWLocker, so the sharded store's read paths take
+		// shared acquisitions on it.
 		Entry{Name: "rwlock", Family: "rwlock", New: func(m *topo.Machine) lockapi.Lock {
-			return rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS()))
+			return rwlock.New(m, topo.CacheGroup, locks.NewMCS())
 		}},
 	)
 	// Hierarchical baselines and CLoF compositions.

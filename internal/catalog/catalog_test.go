@@ -238,34 +238,3 @@ func TestFamiliesCoverIssueMinimum(t *testing.T) {
 		t.Fatalf("catalog has %d families, need >= 3: %v", len(f), f)
 	}
 }
-
-// TestInstrumentKeepsReadCapabilities: attaching an observer must not hide
-// a lock's shared (RWLocker) or optimistic (SeqReader) read path. The store's
-// router probes both on the lock it is given, and the simulated serving
-// driver hands it instrumented locks, so a capability lost here would
-// silently move every read onto another code path.
-func TestInstrumentKeepsReadCapabilities(t *testing.T) {
-	m := topo.X86Server()
-	es := Locks()
-	for _, name := range []string{"seq:rwlock", "seq:cr:tkt", "seq:cr:clof:tkt-tkt-tkt-tkt", "seq:cr:cr:mcs"} {
-		e, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		es = append(es, e)
-	}
-	o := lockapi.ObserverFromFuncs(nil, nil, nil)
-	for _, e := range es {
-		raw, inst := e.New(m), lockapi.Instrument(e.New(m), o)
-		_, rawRW := raw.(lockapi.RWLocker)
-		_, instRW := inst.(lockapi.RWLocker)
-		_, rawSeq := raw.(lockapi.SeqReader)
-		_, instSeq := inst.(lockapi.SeqReader)
-		if rawRW != instRW {
-			t.Errorf("%s: RWLocker %v before Instrument, %v after", e.Name, rawRW, instRW)
-		}
-		if rawSeq != instSeq {
-			t.Errorf("%s: SeqReader %v before Instrument, %v after", e.Name, rawSeq, instSeq)
-		}
-	}
-}

@@ -119,12 +119,6 @@ type levelLock struct {
 // implements lockapi.Lock; the Proc's ID() must be the acquiring thread's
 // CPU number so the lock can locate the thread's leaf cohort.
 type Lock struct {
-	// Probe reports the composed lock's acquire/grant/release edges to an
-	// attached observer (lockapi.Instrumented). The edges bracket the whole
-	// hierarchy climb: acquire-start before the leaf enqueue (or fast-path
-	// attempt), acquired once the root — or the passed high lock, or the TAS
-	// word — is held. Detached, each edge is one nil check.
-	lockapi.Probe
 	hier      *topo.Hierarchy
 	comp      Composition
 	threshold uint64
@@ -298,7 +292,6 @@ func (l *Lock) NewCtx() lockapi.Ctx {
 // Acquire implements lockapi.Lock: climb from the leaf cohort of p's CPU to
 // the system root (paper Fig. 7/8), unless the TAS fast path wins first.
 func (l *Lock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
-	l.EmitAcquireStart(p)
 	tc := c.(*threadCtx)
 	if l.fastPath {
 		// Steal only when the lock looks free AND nobody is in the slow
@@ -307,7 +300,6 @@ func (l *Lock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 			p.Load(&l.slowActive, lockapi.Relaxed) == 0 &&
 			p.CAS(&l.fast, 0, 1, lockapi.Acquire) {
 			tc.fastOnly = true
-			l.EmitAcquired(p)
 			return
 		}
 		p.Add(&l.slowActive, 1, lockapi.Relaxed)
@@ -324,7 +316,6 @@ func (l *Lock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 			p.Spin()
 		}
 	}
-	l.EmitAcquired(p)
 }
 
 // acquireNode is lockgen(acq(CLoF(l,L), c)) from Fig. 8.
@@ -373,10 +364,6 @@ func (l *Lock) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 			p.Load(&l.slowActive, lockapi.Relaxed) == 0 &&
 			p.CAS(&l.fast, 0, 1, lockapi.Acquire) {
 			tc.fastOnly = true
-			// A trylock never waits: both acquire edges land at the
-			// success instant so edge counts stay balanced.
-			l.EmitAcquireStart(p)
-			l.EmitAcquired(p)
 			return true
 		}
 		return false
@@ -391,8 +378,6 @@ func (l *Lock) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 		return false
 	}
 	tc.held, tc.heldCtx = leaf, ctx
-	l.EmitAcquireStart(p)
-	l.EmitAcquired(p)
 	return true
 }
 
@@ -426,7 +411,6 @@ func (l *Lock) Release(p lockapi.Proc, c lockapi.Ctx) {
 		p.Store(&l.fast, 0, lockapi.Release)
 		if tc.fastOnly {
 			tc.fastOnly = false
-			l.EmitReleased(p)
 			return
 		}
 	}
@@ -443,7 +427,6 @@ func (l *Lock) Release(p lockapi.Proc, c lockapi.Ctx) {
 		//lint:order relaxed-ok slowActive is a stealing hint, not lock state; the fast word's Release store above publishes the critical section
 		p.Add(&l.slowActive, ^uint64(0), lockapi.Relaxed)
 	}
-	l.EmitReleased(p)
 }
 
 // releaseNode is lockgen(rel(CLoF(l,L), c)) from Fig. 8, with tenure

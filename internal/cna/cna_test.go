@@ -7,6 +7,7 @@ import (
 	"github.com/clof-go/clof/internal/locks"
 	"github.com/clof-go/clof/internal/locktest"
 	"github.com/clof-go/clof/internal/topo"
+	"github.com/clof-go/clof/internal/workload"
 )
 
 func TestNativeMutualExclusion(t *testing.T) {
@@ -30,7 +31,7 @@ func TestSingleThreaded(t *testing.T) {
 
 func TestSimulatedProgressAndFairness(t *testing.T) {
 	m := topo.Armv8Server()
-	res := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, locktest.SimConfig{
+	res := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, workload.Config{
 		Machine: m, Threads: 64, Horizon: 1_000_000, CSWork: 80, NCSWork: 120,
 	})
 	if res.Total == 0 {
@@ -52,13 +53,13 @@ func TestNUMALocalBatching(t *testing.T) {
 	// where CNA's NUMA batching pays off (paper Fig. 4: CNA passes MCS
 	// beyond 64 threads).
 	m := topo.Armv8Server()
-	cfg := locktest.SimConfig{
+	cfg := workload.Config{
 		Machine: m, Threads: 128, Horizon: 400_000, CSWork: 80, NCSWork: 120,
 	}
 	cna := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, cfg)
 	mcs := locktest.SimRun(t, func() lockapi.Lock { return locks.NewMCS() }, cfg)
 
-	numaLocal := func(r locktest.SimResult) float64 {
+	numaLocal := func(r workload.Result) float64 {
 		var local, total uint64
 		for lvl, c := range r.HandoverLevels {
 			total += c
@@ -89,7 +90,7 @@ func TestNUMALocalBatching(t *testing.T) {
 func TestTwoLevelOnly(t *testing.T) {
 	m := topo.Armv8Server()
 	// 32 threads all inside NUMA node 0 (8 cache groups × 4 cores).
-	res := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, locktest.SimConfig{
+	res := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, workload.Config{
 		Machine: m, Threads: 32, Horizon: 300_000, CSWork: 80, NCSWork: 120,
 	})
 	var sub, total uint64

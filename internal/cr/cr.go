@@ -22,8 +22,7 @@
 //
 // Restricted restricts the exclusive path only. It forwards trylock
 // (TryLocker, with TryInfo answering for the inner lock) and the fairness
-// declaration, and carries its own observer hooks (Instrumented), so chaos
-// sweeps and the obs layer see through the wrapper. Restrict refuses inner
+// declaration, so chaos sweeps see through the wrapper. Restrict refuses inner
 // locks with a reader path (lockapi.RWLocker, lockapi.SeqReader): a
 // restricted seqlock is built the other way round, seqlock.Wrap over
 // Restrict (the catalog's seq:cr: names). internal/catalog enumerates
@@ -114,7 +113,6 @@ type Opts struct {
 //     means ticket t is granted, w == t means ticket t is the head (each
 //     grant also pokes the next head's slot with the new grant value).
 type Restricted struct {
-	lockapi.Probe
 	inner lockapi.Lock
 	m     *topo.Machine
 	o     Opts
@@ -434,7 +432,6 @@ func (l *Restricted) admitHead(p lockapi.Proc, n int, t uint64) int {
 // designated) and finally contend on the inner lock among at most target
 // threads.
 func (l *Restricted) Acquire(p lockapi.Proc, c lockapi.Ctx) {
-	l.EmitAcquireStart(p)
 	cc := c.(*ctx)
 	n := l.nodeOf(p)
 	t := p.Add(&l.qticket[n], 1, lockapi.AcqRel) - 1
@@ -475,7 +472,6 @@ func (l *Restricted) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 	} else {
 		cc.timed = false
 	}
-	l.EmitAcquired(p)
 }
 
 // adapt runs the release-side target adaptation: a pathological hold time
@@ -557,7 +553,6 @@ func (l *Restricted) Release(p lockapi.Proc, c lockapi.Ctx) {
 	l.inner.Release(p, cc.inner)
 	a := p.Add(&l.active, ^uint64(0), lockapi.Release)
 	l.maybeGrant(p, a)
-	l.EmitReleased(p)
 }
 
 // TryAcquire implements lockapi.TryLocker: a bounded admission attempt that
@@ -592,8 +587,6 @@ func (l *Restricted) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 	} else {
 		cc.timed = false
 	}
-	l.EmitAcquireStart(p)
-	l.EmitAcquired(p)
 	return true
 }
 
@@ -614,5 +607,4 @@ var (
 	_ lockapi.TryLocker    = (*Restricted)(nil)
 	_ lockapi.TryInfo      = (*Restricted)(nil)
 	_ lockapi.FairnessInfo = (*Restricted)(nil)
-	_ lockapi.Instrumented = (*Restricted)(nil)
 )

@@ -9,6 +9,7 @@ import (
 	"github.com/clof-go/clof/internal/locks"
 	"github.com/clof-go/clof/internal/locktest"
 	"github.com/clof-go/clof/internal/topo"
+	"github.com/clof-go/clof/internal/workload"
 )
 
 // noTry is a minimal Lock without TryAcquire, for capability-forwarding
@@ -31,7 +32,7 @@ func TestRestrictSimRun(t *testing.T) {
 	m := topo.OversubscribedServer()
 	res := locktest.SimRun(t, func() lockapi.Lock {
 		return cr.Restrict(m, locks.NewTicket(), cr.Opts{})
-	}, locktest.SimConfig{
+	}, workload.Config{
 		Machine: m, Threads: 32, Horizon: 200_000,
 		CSWork: 300, NCSWork: 2400, DataCells: 4, Seed: 1, JitterNS: 2,
 	})
@@ -45,7 +46,7 @@ func TestRestrictSimRunUnderPreemption(t *testing.T) {
 	m := topo.OversubscribedServer()
 	res := locktest.SimRun(t, func() lockapi.Lock {
 		return cr.Restrict(m, locks.NewTicket(), cr.Opts{})
-	}, locktest.SimConfig{
+	}, workload.Config{
 		Machine: m, Threads: 48, Horizon: 300_000,
 		CSWork: 300, NCSWork: 2400, DataCells: 4, Seed: 7, JitterNS: 2,
 		Faults: faultinject.MustByName("oversubscribed"),
@@ -100,32 +101,6 @@ func TestRestrictCapabilityForwarding(t *testing.T) {
 	broken := cr.Restrict(m, locks.NewTicket(), cr.Opts{BreakRecirculation: true})
 	if lockapi.Fair(broken) {
 		t.Error("broken recirculation variant must not report fair")
-	}
-}
-
-func TestRestrictObserverEdges(t *testing.T) {
-	m := topo.X86Server()
-	l := cr.Restrict(m, locks.NewTicket(), cr.Opts{})
-	var starts, acqs, rels int
-	obs := lockapi.ObserverFromFuncs(
-		func(lockapi.Proc) { starts++ },
-		func(lockapi.Proc) { acqs++ },
-		func(lockapi.Proc) { rels++ },
-	)
-	got := lockapi.Instrument(l, obs)
-	if got != l {
-		t.Fatal("Instrument should annotate the wrapper in place (native hooks)")
-	}
-	p := lockapi.NewNativeProc(0)
-	c := l.NewCtx()
-	l.Acquire(p, c)
-	l.Release(p, c)
-	if !l.TryAcquire(p, c) {
-		t.Fatal("uncontended TryAcquire failed")
-	}
-	l.Release(p, c)
-	if starts != 2 || acqs != 2 || rels != 2 {
-		t.Errorf("edges start/acq/rel = %d/%d/%d, want 2/2/2", starts, acqs, rels)
 	}
 }
 

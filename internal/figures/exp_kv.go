@@ -31,7 +31,7 @@ var KVShards = []int{1, 2, 4, 8, 16}
 
 // KVPessimisticLocks names the catalog entries whose every read takes a shard
 // lock (exclusive or shared): the plain spinlock baselines, the reader-writer
-// adapter (shared fast path for the read-heavy mixes), the full CLoF
+// lock (shared fast path for the read-heavy mixes), the full CLoF
 // composition, and the concurrency-restricted ticket lock. The optimistic
 // acceptance criterion (TestKVQuick) quantifies over exactly this list.
 var KVPessimisticLocks = []string{"tkt", "mcs", "rwlock", "clof:tkt-tkt-tkt-tkt", "cr:tkt"}

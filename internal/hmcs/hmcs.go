@@ -68,9 +68,6 @@ type qnode struct {
 // unpublished without waiting for a possible mid-enqueue successor — which
 // a trylock must never do.
 type Lock struct {
-	// Probe reports acquire/grant/release edges to an attached observer
-	// (lockapi.Instrumented); detached it is a nil check per edge.
-	lockapi.Probe
 	hier      *topo.Hierarchy
 	threshold uint64
 	nodes     []*qnode // handle table; slot 0 = nil
@@ -166,13 +163,11 @@ func (l *Lock) NewCtx() lockapi.Ctx {
 
 // Acquire implements lockapi.Lock.
 func (l *Lock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
-	l.EmitAcquireStart(p)
 	tc := c.(*ctx)
 	cohort := l.hier.Machine.CohortOf(p.ID(), l.hier.Levels[0])
 	leaf := l.leaves[cohort]
 	tc.held, tc.heldQ = leaf, tc.leafQ[cohort]
 	l.acquire(p, leaf, tc.heldQ)
-	l.EmitAcquired(p)
 }
 
 // acquire is AcquireHelper from the HMCS paper.
@@ -213,7 +208,6 @@ func (l *Lock) Release(p lockapi.Proc, c lockapi.Ctx) {
 	h, q := tc.held, tc.heldQ
 	tc.held, tc.heldQ = nil, 0
 	l.release(p, h, q, 1)
-	l.EmitReleased(p)
 }
 
 // release follows the HMCS paper's Release: pass within the cohort while

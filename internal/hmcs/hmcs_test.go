@@ -7,6 +7,7 @@ import (
 	"github.com/clof-go/clof/internal/locks"
 	"github.com/clof-go/clof/internal/locktest"
 	"github.com/clof-go/clof/internal/topo"
+	"github.com/clof-go/clof/internal/workload"
 )
 
 func TestNativeMutualExclusionAllDepths(t *testing.T) {
@@ -30,7 +31,7 @@ func TestNativeSmallThreshold(t *testing.T) {
 
 func TestSimulatedProgress(t *testing.T) {
 	h := topo.ArmHierarchy4()
-	res := locktest.SimRun(t, func() lockapi.Lock { return Must(h) }, locktest.SimConfig{
+	res := locktest.SimRun(t, func() lockapi.Lock { return Must(h) }, workload.Config{
 		Machine: h.Machine, Threads: 32, Horizon: 300_000, CSWork: 80, NCSWork: 120,
 	})
 	if res.Total == 0 {
@@ -47,13 +48,13 @@ func TestSimulatedProgress(t *testing.T) {
 // Fig. 2 effect).
 func TestLocalityBeatsMCS(t *testing.T) {
 	h := topo.X86Hierarchy4()
-	cfg := locktest.SimConfig{
+	cfg := workload.Config{
 		Machine: h.Machine, Threads: 48, Horizon: 400_000, CSWork: 80, NCSWork: 120,
 	}
 	hm := locktest.SimRun(t, func() lockapi.Lock { return Must(h) }, cfg)
 	mcs := locktest.SimRun(t, func() lockapi.Lock { return locks.NewMCS() }, cfg)
 
-	frac := func(r locktest.SimResult) float64 {
+	frac := func(r workload.Result) float64 {
 		var local, total uint64
 		for lvl, c := range r.HandoverLevels {
 			total += c
@@ -81,12 +82,12 @@ func TestLocalityBeatsMCS(t *testing.T) {
 // handovers than the default.
 func TestThresholdBoundsLocalPassing(t *testing.T) {
 	h := topo.ArmHierarchy3()
-	cfg := locktest.SimConfig{
+	cfg := workload.Config{
 		Machine: h.Machine, Threads: 32, Horizon: 300_000, CSWork: 80, NCSWork: 120,
 	}
 	tight := locktest.SimRun(t, func() lockapi.Lock { return Must(h, WithThreshold(2)) }, cfg)
 	loose := locktest.SimRun(t, func() lockapi.Lock { return Must(h, WithThreshold(128)) }, cfg)
-	cross := func(r locktest.SimResult) float64 {
+	cross := func(r workload.Result) float64 {
 		var far, total uint64
 		for lvl, c := range r.HandoverLevels {
 			total += c

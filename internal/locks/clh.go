@@ -17,9 +17,6 @@ import (
 // success (ABA). A correct CLH trylock needs tri-state nodes (Scott's
 // CLH-try), which would pollute the hot path this repo measures.
 type CLH struct {
-	// Probe reports acquire/grant/release edges to an attached observer
-	// (lockapi.Instrumented); detached it is a nil check per edge.
-	lockapi.Probe
 	// tail holds the handle of the most recently enqueued node. Initially a
 	// released dummy node, so the first acquirer sees an unlocked
 	// predecessor.
@@ -61,7 +58,6 @@ func (l *CLH) node(h uint64) *clhNode { return l.nodes[h] }
 
 // Acquire implements lockapi.Lock.
 func (l *CLH) Acquire(p lockapi.Proc, c lockapi.Ctx) {
-	l.EmitAcquireStart(p)
 	ctx := c.(*clhCtx)
 	n := l.node(ctx.node)
 	p.Store(&n.locked, 1, lockapi.Relaxed)
@@ -70,7 +66,6 @@ func (l *CLH) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 	for p.Load(&l.node(pred).locked, lockapi.Acquire) == 1 {
 		p.Spin()
 	}
-	l.EmitAcquired(p)
 }
 
 // Release implements lockapi.Lock: free our node and adopt the
@@ -79,7 +74,6 @@ func (l *CLH) Release(p lockapi.Proc, c lockapi.Ctx) {
 	ctx := c.(*clhCtx)
 	p.Store(&l.node(ctx.node).locked, 0, lockapi.Release)
 	ctx.node = ctx.pred
-	l.EmitReleased(p)
 }
 
 // HasWaiters implements lockapi.WaiterDetector: with the lock held, the

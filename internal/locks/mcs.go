@@ -11,9 +11,6 @@ import (
 // Nodes are addressed by integer handles into the lock's node table; handle 0
 // is nil. Contexts must be allocated during single-threaded setup.
 type MCS struct {
-	// Probe reports acquire/grant/release edges to an attached observer
-	// (lockapi.Instrumented); detached it is a nil check per edge.
-	lockapi.Probe
 	// tail holds the handle of the last enqueued node (0 = unheld, empty).
 	tail lockapi.Cell
 	// nodes[1:] are the queue nodes, one per context.
@@ -50,14 +47,12 @@ func (l *MCS) node(h uint64) *mcsNode { return l.nodes[h] }
 
 // Acquire implements lockapi.Lock.
 func (l *MCS) Acquire(p lockapi.Proc, c lockapi.Ctx) {
-	l.EmitAcquireStart(p)
 	ctx := c.(*mcsCtx)
 	n := l.node(ctx.id)
 	p.Store(&n.next, 0, lockapi.Relaxed)
 	p.Store(&n.locked, 1, lockapi.Relaxed)
 	prev := p.Swap(&l.tail, ctx.id, lockapi.AcqRel)
 	if prev == 0 {
-		l.EmitAcquired(p)
 		return // queue was empty: lock acquired
 	}
 	// Publish ourselves to the predecessor, then spin on our own flag.
@@ -65,7 +60,6 @@ func (l *MCS) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 	for p.Load(&n.locked, lockapi.Acquire) == 1 {
 		p.Spin()
 	}
-	l.EmitAcquired(p)
 }
 
 // TryAcquire implements lockapi.TryLocker: succeed only when the queue is
@@ -78,10 +72,6 @@ func (l *MCS) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 	if !p.CAS(&l.tail, 0, ctx.id, lockapi.AcqRel) {
 		return false
 	}
-	// A trylock never waits: report both acquire edges at the success
-	// instant so edge counts stay balanced.
-	l.EmitAcquireStart(p)
-	l.EmitAcquired(p)
 	return true
 }
 
@@ -92,7 +82,6 @@ func (l *MCS) Release(p lockapi.Proc, c lockapi.Ctx) {
 	if p.Load(&n.next, lockapi.Acquire) == 0 {
 		// No visible successor: try to swing tail back to empty.
 		if p.CAS(&l.tail, ctx.id, 0, lockapi.Release) {
-			l.EmitReleased(p)
 			return
 		}
 		// A successor is mid-enqueue; wait for it to link itself.
@@ -102,7 +91,6 @@ func (l *MCS) Release(p lockapi.Proc, c lockapi.Ctx) {
 	}
 	succ := p.Load(&n.next, lockapi.Relaxed)
 	p.Store(&l.node(succ).locked, 0, lockapi.Release)
-	l.EmitReleased(p)
 }
 
 // HasWaiters implements lockapi.WaiterDetector: per the paper, for MCS "it

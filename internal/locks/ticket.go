@@ -9,9 +9,6 @@ import (
 // on the single grant word (global spinning), so every release invalidates
 // every waiter — cheap at low contention, expensive at high contention.
 type Ticket struct {
-	// Probe reports acquire/grant/release edges to an attached observer
-	// (lockapi.Instrumented); detached it is a nil check per edge.
-	lockapi.Probe
 	ticket lockapi.Cell
 	grant  lockapi.Cell
 }
@@ -31,13 +28,11 @@ func (l *Ticket) NewCtx() lockapi.Ctx { return nil }
 
 // Acquire implements lockapi.Lock.
 func (l *Ticket) Acquire(p lockapi.Proc, _ lockapi.Ctx) {
-	l.EmitAcquireStart(p)
 	// Add returns the new value; our ticket is the pre-increment value.
 	t := p.Add(&l.ticket, 1, lockapi.Relaxed) - 1
 	for p.Load(&l.grant, lockapi.Acquire) != t {
 		p.Spin()
 	}
-	l.EmitAcquired(p)
 }
 
 // TryAcquire implements lockapi.TryLocker: claim the next ticket only if the
@@ -53,9 +48,6 @@ func (l *Ticket) TryAcquire(p lockapi.Proc, _ lockapi.Ctx) bool {
 	if !p.CAS(&l.ticket, t, t+1, lockapi.Acquire) {
 		return false
 	}
-	// A trylock never waits: both acquire edges land at the success instant.
-	l.EmitAcquireStart(p)
-	l.EmitAcquired(p)
 	return true
 }
 
@@ -64,7 +56,6 @@ func (l *Ticket) TryAcquire(p lockapi.Proc, _ lockapi.Ctx) bool {
 // implementation and is atomic on all backends.
 func (l *Ticket) Release(p lockapi.Proc, _ lockapi.Ctx) {
 	p.Add(&l.grant, 1, lockapi.Release)
-	l.EmitReleased(p)
 }
 
 // HasWaiters implements lockapi.WaiterDetector (paper §4.1.2): with the lock

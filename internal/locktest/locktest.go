@@ -1,19 +1,20 @@
 // Package locktest provides shared test harnesses for exercising locks
 // natively (goroutines, race detector) and on the NUMA simulator (through
 // internal/workload), used by the test suites of every lock package. It also
-// hosts the robustness harness: fault-plan-driven runs (SimConfig.Faults,
-// ChaosNative) and the starvation/livelock watchdog.
+// hosts the robustness harness: fault-plan-driven runs
+// (workload.Config.Faults, ChaosNative) and the starvation/livelock
+// watchdog.
 //
 // # Determinism contract
 //
 // Simulator runs (SimRun) are fully deterministic: every source of
 // randomness — operation jitter, per-thread start offsets, think-time
-// spread, and fault-plan timing — derives from the single SimConfig.Seed.
-// Two SimRun calls with equal SimConfig and the same lock constructor
-// produce equal SimResult values field for field, which is what the chaos
-// CLI's byte-identical-CSV guarantee builds on. Mutating any SimConfig
-// field, including attaching a fault plan, changes only the derived streams
-// it must (a nil Faults plan draws nothing extra).
+// spread, and fault-plan timing — derives from the single
+// workload.Config.Seed. Two SimRun calls with equal workload.Config and the
+// same lock constructor produce equal workload.Result values field for
+// field, which is what the chaos CLI's byte-identical-CSV guarantee builds
+// on. Mutating any Config field, including attaching a fault plan, changes
+// only the derived streams it must (a nil Faults plan draws nothing extra).
 //
 // Native runs (NativeStress, ChaosNative) are NOT deterministic and cannot
 // be: goroutine interleaving belongs to the OS scheduler. The seed still
@@ -76,38 +77,11 @@ func NativeStress(t testing.TB, l lockapi.Lock, mach *topo.Machine, workers, ite
 	}
 }
 
-// SimConfig parameterizes a simulated contention run (see workload.Config).
-type SimConfig struct {
-	Machine         *topo.Machine
-	Threads         int
-	Horizon         int64
-	CSWork, NCSWork int64
-	DataCells       int
-	Seed            uint64
-	JitterNS        int64
-	// Faults optionally runs the workload under a fault plan; its schedule
-	// derives from Seed (see the package determinism contract).
-	Faults *faultinject.Plan
-}
-
-// SimResult is workload.Result under its historical test-facing name.
-type SimResult = workload.Result
-
 // SimRun runs the canonical lock benchmark loop on the simulator and fails
 // the test on deadlock or mutual-exclusion violation.
-func SimRun(t testing.TB, mk func() lockapi.Lock, cfg SimConfig) SimResult {
+func SimRun(t testing.TB, mk func() lockapi.Lock, cfg workload.Config) workload.Result {
 	t.Helper()
-	res, err := workload.Run(workload.LockFactory(mk), workload.Config{
-		Machine:   cfg.Machine,
-		Threads:   cfg.Threads,
-		Horizon:   cfg.Horizon,
-		CSWork:    cfg.CSWork,
-		NCSWork:   cfg.NCSWork,
-		DataCells: cfg.DataCells,
-		Seed:      cfg.Seed,
-		JitterNS:  cfg.JitterNS,
-		Faults:    cfg.Faults,
-	})
+	res, err := workload.Run(mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +107,7 @@ type Watchdog struct {
 
 // Check applies the watchdog to a result, returning a description of the
 // first violation or "" when the run is live.
-func (w Watchdog) Check(res SimResult) string {
+func (w Watchdog) Check(res workload.Result) string {
 	if w.MaxHandoverGapNS > 0 && res.MaxHandoverGapNS > w.MaxHandoverGapNS {
 		return fmt.Sprintf("max handover gap %dns exceeds bound %dns", res.MaxHandoverGapNS, w.MaxHandoverGapNS)
 	}
@@ -146,7 +120,7 @@ func (w Watchdog) Check(res SimResult) string {
 }
 
 // Require fails t if the watchdog finds a violation.
-func (w Watchdog) Require(t testing.TB, res SimResult) {
+func (w Watchdog) Require(t testing.TB, res workload.Result) {
 	t.Helper()
 	if msg := w.Check(res); msg != "" {
 		t.Error("watchdog: " + msg)

@@ -1,32 +1,15 @@
 package locktest
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/topo"
 )
 
-// edgeCounter is the balance oracle for observer pass-through: every
-// acquire-start must be matched by exactly one acquired and one released
-// edge. Counters are atomic because conformance runs attach it while a
-// second thread contends.
-type edgeCounter struct {
-	start, acquired, released uint64
-}
-
-func (e *edgeCounter) AcquireStart(lockapi.Proc) { atomic.AddUint64(&e.start, 1) }
-func (e *edgeCounter) Acquired(lockapi.Proc)     { atomic.AddUint64(&e.acquired, 1) }
-func (e *edgeCounter) Released(lockapi.Proc)     { atomic.AddUint64(&e.released, 1) }
-
-func (e *edgeCounter) counts() (s, a, r uint64) {
-	return atomic.LoadUint64(&e.start), atomic.LoadUint64(&e.acquired), atomic.LoadUint64(&e.released)
-}
-
 // WrapperConformance verifies that a combinator (a lock wrapping another
-// lock — cr.Restrict, seqlock.Wrap, an instrumentation shim) forwards the
-// capabilities of the lock it wraps instead of silently narrowing them.
+// lock — cr.Restrict, seqlock.Wrap) forwards the capabilities of the lock
+// it wraps instead of silently narrowing them.
 // base must be a fresh instance of the same type and configuration as the
 // lock inside wrapped; both must be unheld. Waiter detection is not checked
 // here: lockapi.WaiterDetector is a basic-lock capability that wrappers do
@@ -42,16 +25,11 @@ func (e *edgeCounter) counts() (s, a, r uint64) {
 //   - fairness monotonicity: a wrapper must not declare Fair over an unfair
 //     inner lock (the converse is allowed — wrappers may forfeit fairness);
 //   - reader-path forwarding: if base serves shared acquisitions
-//     (lockapi.RWLocker), wrapped must too, two shared holders must coexist
-//     without blocking, and shared acquisitions must emit no observer edges
-//     (the obs layer's handover reconstruction assumes mutual exclusion);
-//     if base serves optimistic reads (lockapi.SeqReader), wrapped must
-//     too, an unheld read must sample even and validate, and a write cycle
-//     must invalidate an earlier sample (the version bump is forwarded);
-//   - observer pass-through: wrapped must implement lockapi.Instrumented,
-//     and its edge stream must stay balanced (starts == acquireds ==
-//     releaseds) across blocking cycles, successful tries, and failed tries
-//     (a failed try emits nothing).
+//     (lockapi.RWLocker), wrapped must too, and two shared holders must
+//     coexist without blocking; if base serves optimistic reads
+//     (lockapi.SeqReader), wrapped must too, an unheld read must sample
+//     even and validate, and a write cycle must invalidate an earlier
+//     sample (the version bump is forwarded).
 func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.Lock) {
 	t.Helper()
 
@@ -62,25 +40,7 @@ func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.
 		t.Error("wrapper declares Fair over an unfair inner lock")
 	}
 
-	in, ok := wrapped.(lockapi.Instrumented)
-	if !ok {
-		t.Fatal("wrapper does not implement lockapi.Instrumented")
-	}
-	edges := &edgeCounter{}
-	in.Instrument(edges)
-	defer in.Instrument(nil)
-
-	// Blocking cycles keep the edge stream balanced.
-	const cycles = 16
 	p0 := lockapi.NewNativeProc(0)
-	c0 := wrapped.NewCtx()
-	for i := 0; i < cycles; i++ {
-		wrapped.Acquire(p0, c0)
-		wrapped.Release(p0, c0)
-	}
-	if s, a, r := edges.counts(); s != cycles || a != cycles || r != cycles {
-		t.Errorf("edge counts after %d blocking cycles = (%d,%d,%d), want balanced", cycles, s, a, r)
-	}
 
 	// Reader-path forwarding: shared acquisitions (RWLocker) and optimistic
 	// reads (SeqReader) must survive the wrapper.
@@ -89,7 +49,6 @@ func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.
 		if !ok {
 			t.Error("inner lock serves shared acquisitions but the wrapper dropped lockapi.RWLocker")
 		} else {
-			s0, a0, r0 := edges.counts()
 			pb := lockapi.NewNativeProc(1)
 			ca, cb := wrapped.NewCtx(), wrapped.NewCtx()
 			// Two shared holders coexist: if the wrapper routed shared
@@ -98,10 +57,6 @@ func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.
 			rw.AcquireShared(pb, cb)
 			rw.ReleaseShared(pb, cb)
 			rw.ReleaseShared(p0, ca)
-			if s, a, r := edges.counts(); s != s0 || a != a0 || r != r0 {
-				t.Errorf("shared acquisitions emitted observer edges (+%d,+%d,+%d); the obs layer assumes exclusive-only edges",
-					s-s0, a-a0, r-r0)
-			}
 			// The exclusive path still works after shared traffic.
 			wrapped.Acquire(p0, ca)
 			wrapped.Release(p0, ca)
@@ -128,22 +83,17 @@ func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.
 		}
 	}
 
-	// Try conformance and try-edge balance.
+	// Try conformance.
 	if lockapi.SupportsTry(wrapped) {
 		tl := wrapped.(lockapi.TryLocker)
-		s0, a0, r0 := edges.counts()
-
 		ct := wrapped.NewCtx()
 		if !tl.TryAcquire(p0, ct) {
 			t.Fatal("TryAcquire failed on a free lock")
 		}
 		wrapped.Release(p0, ct)
-		if s, a, r := edges.counts(); s != s0+1 || a != a0+1 || r != r0+1 {
-			t.Errorf("successful try edges = (%d,%d,%d), want (%d,%d,%d)", s, a, r, s0+1, a0+1, r0+1)
-		}
 
+		c0 := wrapped.NewCtx()
 		wrapped.Acquire(p0, c0)
-		s1, a1, r1 := edges.counts()
 		for _, cpu := range []int{1, mach.NumCPUs() - 1} {
 			pt := lockapi.NewNativeProc(cpu)
 			cf := wrapped.NewCtx()
@@ -160,19 +110,8 @@ func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.
 			wrapped.Release(pt, cf)
 			wrapped.Acquire(p0, c0)
 		}
-		// Failed tries must not have emitted edges; the loop above did 2
-		// successful tries and 2 release/reacquire swaps, nothing else.
-		if s, a, r := edges.counts(); s-s1 != 4 || a-a1 != 4 || r-r1 != 4 {
-			t.Errorf("held-phase edge deltas = (%d,%d,%d), want (4,4,4): failed tries leaked edges", s-s1, a-a1, r-r1)
-		}
 		wrapped.Release(p0, c0)
 	} else if supported, acquired := lockapi.TryAcquire(wrapped, p0, wrapped.NewCtx()); supported || acquired {
 		t.Errorf("SupportsTry = false but TryAcquire reported (%v,%v)", supported, acquired)
-	}
-
-	// Whole-run balance: every start matched by one acquired and one
-	// released, no edge invented or dropped anywhere above.
-	if s, a, r := edges.counts(); s != a || a != r {
-		t.Errorf("final edge counts = (%d,%d,%d), want balanced", s, a, r)
 	}
 }

@@ -19,13 +19,12 @@ import (
 // TestCRWrapperConformance runs the wrapper-conformance harness for
 // cr.Restrict over every exclusive catalog lock: whatever trylock capability
 // (or its absence) and fairness declaration the inner lock has, the
-// restricted variant must forward it, and its observer edge stream must stay
-// balanced through blocking, successful-try and failed-try paths. This is the
-// regression gate for combinators narrowing the capability surface, which
-// would silently change which code paths chaos sweeps and the obs layer
-// exercise. Restrict refuses the reader-capable families (seq, rwlock)
-// instead of forwarding their read paths; for those entries the subtest
-// checks the refusal and that it names the stacking to use instead.
+// restricted variant must forward it. This is the regression gate for
+// combinators narrowing the capability surface, which would silently change
+// which code paths chaos sweeps exercise. Restrict refuses the
+// reader-capable families (seq, rwlock) instead of forwarding their read
+// paths; for those entries the subtest checks the refusal and that it names
+// the stacking to use instead.
 func TestCRWrapperConformance(t *testing.T) {
 	m := topo.X86Server()
 	for _, e := range catalog.Locks() {
@@ -61,15 +60,15 @@ func TestSeqWrapperConformance(t *testing.T) {
 	}
 }
 
-// TestRWLockAdapterConformance pins the rwlock adapter itself through the
-// shared harness (against a fresh instance of its own configuration): the
-// adapter is the catalog's one native RWLocker, so this is where the
-// shared-holders-coexist and shared-emits-no-edges contracts are anchored
-// before any wrapper builds on them.
+// TestRWLockAdapterConformance pins the rwlock itself through the shared
+// harness (against a fresh instance of its own configuration): it is the
+// catalog's one native RWLocker, so this is where the
+// shared-holders-coexist contract is anchored before any wrapper builds on
+// it.
 func TestRWLockAdapterConformance(t *testing.T) {
 	m := topo.X86Server()
-	mk := func() *rwlock.Adapted {
-		return rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS()))
+	mk := func() *rwlock.RWLock {
+		return rwlock.New(m, topo.CacheGroup, locks.NewMCS())
 	}
 	locktest.WrapperConformance(t, m, mk(), mk())
 }

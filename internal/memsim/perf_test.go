@@ -127,11 +127,10 @@ func pingPongOps(horizon int64) uint64 {
 	return pa.Ops + pb.Ops
 }
 
-// mcsOps runs a two-thread contended MCS loop with the lock's protocol
-// instrumentation compiled in but detached (the embedded lockapi.Probe has
-// no observer), tracing and jitter off, and reports simulated operations.
-// It is the probe for the observability layer's zero-overhead-when-off
-// guarantee: every Emit* on the grant path must reduce to a nil check.
+// mcsOps runs a two-thread contended MCS loop, tracing and jitter off, and
+// reports simulated operations: a queue lock's handover path (node
+// publication, local spinning, successor wake-up) must not allocate per
+// operation.
 func mcsOps(horizon int64) uint64 {
 	m := New(Config{Machine: topo.X86Server()})
 	l := locks.NewMCS()
@@ -156,10 +155,9 @@ func mcsOps(horizon int64) uint64 {
 // guarantee: in no-trace, no-jitter steady state, running 10x longer must
 // not allocate more. All per-run setup (machine, lines, goroutines, slice
 // growth to steady state) cancels out in the subtraction, so any residue
-// would be a per-operation allocation on the hot path. The instrumented
-// subtest runs a lock that carries observability hooks (lockapi.Probe) with
-// no observer attached, proving the off path of the observability layer is
-// allocation-free too.
+// would be a per-operation allocation on the hot path. The mcs-lock
+// subtest extends the guarantee from raw memory operations to a lock
+// protocol running on the simulator.
 func TestNoTraceZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement in -short mode")
@@ -169,7 +167,7 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 		run  func(horizon int64) uint64
 	}{
 		{"pingpong", pingPongOps},
-		{"instrumented-lock-detached", mcsOps},
+		{"mcs-lock", mcsOps},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var opsShort, opsLong uint64

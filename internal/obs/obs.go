@@ -4,18 +4,17 @@
 // Two complementary inputs feed a Collector:
 //
 //   - lock-protocol edges (lockapi.Observer): acquire-start, acquired,
-//     released — reported natively by instrumented locks or derived from the
-//     Acquire/Release call boundaries by lockapi.Instrument's generic
-//     wrapper. Edges yield acquisition-latency and hold-time histograms,
-//     the handover-distance breakdown by hierarchy level, and per-CPU
-//     fairness (Jain index, max-starvation window).
+//     released — reported around the lock calls by the driver that makes
+//     them (workload.Run, or store.Router per shard via Router.Observe).
+//     Edges yield acquisition-latency and hold-time histograms, the
+//     handover-distance breakdown by hierarchy level, and per-CPU fairness
+//     (Jain index, max-starvation window).
 //   - memory-operation trace events (memsim.TraceEvent via TraceFunc):
 //     cache-line traffic counters keyed by cell.
 //
-// The Collector is attachment-free by construction: locks carry one nil
-// observer pointer when unobserved, so the off path costs a predictable
-// branch per edge and nothing else (memsim's TestNoTraceZeroAllocs proves
-// the guarantee). When attached, callbacks never issue Proc memory
+// The Collector is attachment-free by construction: locks carry no
+// observer code, and an unobserved driver costs one nil check per edge and
+// nothing else. When attached, callbacks never issue Proc memory
 // operations, so observation does not perturb virtual time — an observed
 // run completes the same iterations at the same instants as an unobserved
 // one.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/clof-go/clof/internal/catalog"
 	"github.com/clof-go/clof/internal/clof"
+	"github.com/clof-go/clof/internal/faultinject"
 	"github.com/clof-go/clof/internal/hmcs"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/obs"
@@ -13,9 +14,10 @@ import (
 	"github.com/clof-go/clof/internal/workload"
 )
 
-// observe runs one short contended workload with a collector attached and
-// returns the collector's report next to the workload's own result.
-func observe(t *testing.T, e catalog.Entry, threads int, opt obs.Options) (obs.Report, workload.Result, *obs.Collector) {
+// observe runs one short contended workload, under the fault plan faults
+// (nil for none), with a collector attached and returns the collector's
+// report next to the workload's own result.
+func observe(t *testing.T, e catalog.Entry, threads int, faults *faultinject.Plan, opt obs.Options) (obs.Report, workload.Result, *obs.Collector) {
 	t.Helper()
 	m := topo.X86Server()
 	col := obs.NewCollector(m, opt)
@@ -27,6 +29,7 @@ func observe(t *testing.T, e catalog.Entry, threads int, opt obs.Options) (obs.R
 		NCSWork:   600,
 		DataCells: 2,
 		Seed:      11,
+		Faults:    faults,
 		Observer:  col,
 	}
 	res, err := workload.Run(func() lockapi.Lock { return e.New(m) }, cfg)
@@ -37,55 +40,74 @@ func observe(t *testing.T, e catalog.Entry, threads int, opt obs.Options) (obs.R
 }
 
 // TestHandoverCountsSum is the collector's core invariant, checked for every
-// catalog lock: each acquisition after the first is either a self-transfer
-// or a cross-CPU handover binned at exactly one level, so
-// self + crossings + 1 == acquisitions. The per-level counts must also
-// agree exactly with the workload's own independent HandoverLevels
-// accounting (both observe the same acquisition sequence). Owners sharing
-// a cohort at one level share one at every level above it, so MaxRun never
-// decreases from Core up to System, and System's is Acquisitions.
+// catalog lock, unfaulted and under the abandon fault plan (whose bounded
+// TryAcquire attempts drive the try-path edges): each acquisition after the
+// first is either a self-transfer or a cross-CPU handover binned at exactly
+// one level, so self + crossings + 1 == acquisitions. The per-level counts
+// must also agree exactly with the workload's own independent
+// HandoverLevels accounting (both observe the same acquisition sequence).
+// Owners sharing a cohort at one level share one at every level above it,
+// so MaxRun never decreases from Core up to System, and System's is
+// Acquisitions.
 func TestHandoverCountsSum(t *testing.T) {
 	for _, e := range catalog.Locks() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			rep, res, _ := observe(t, e, 6, obs.Options{Lock: e.Name})
-			if rep.Acquisitions == 0 {
-				t.Fatal("no acquisitions observed")
-			}
-			sum := rep.Handover.Self + 1
-			var crossings uint64
-			for i, lc := range rep.Handover.Levels {
-				sum += lc.Count
-				crossings += lc.Count
-				if want := res.HandoverLevels[i]; lc.Count != want {
-					t.Errorf("level %s: obs %d, workload %d", lc.Level, lc.Count, want)
-				}
-			}
-			if crossings != rep.Handover.Crossings {
-				t.Errorf("crossings: sum %d, reported %d", crossings, rep.Handover.Crossings)
-			}
-			if sum != rep.Acquisitions {
-				t.Errorf("self+levels+first = %d, acquisitions = %d", sum, rep.Acquisitions)
-			}
-			levels := rep.Handover.Levels
-			for i := 1; i < len(levels); i++ {
-				if levels[i].MaxRun < levels[i-1].MaxRun {
-					t.Errorf("MaxRun %s=%d < %s=%d", levels[i].Level, levels[i].MaxRun, levels[i-1].Level, levels[i-1].MaxRun)
-				}
-			}
-			if sys := levels[len(levels)-1]; sys.MaxRun != rep.Acquisitions {
-				t.Errorf("MaxRun %s=%d, acquisitions %d", sys.Level, sys.MaxRun, rep.Acquisitions)
-			}
-			if rep.AcquireLatency.Count != rep.Acquisitions {
-				t.Errorf("latency samples %d != acquisitions %d", rep.AcquireLatency.Count, rep.Acquisitions)
-			}
-			if rep.Hold.Count > rep.Acquisitions {
-				t.Errorf("hold samples %d > acquisitions %d", rep.Hold.Count, rep.Acquisitions)
-			}
-			if rep.Fairness.Jain <= 0 || rep.Fairness.Jain > 1.0000001 {
-				t.Errorf("jain out of range: %v", rep.Fairness.Jain)
-			}
+			checkHandoverCounts(t, e, "none", 6)
+			// Three threads leave the lock free often enough that bounded
+			// tries succeed for every try-capable lock.
+			checkHandoverCounts(t, e, "abandon", 3)
 		})
+	}
+}
+
+// checkHandoverCounts runs TestHandoverCountsSum's checks for one lock and
+// thread count under the named fault plan.
+func checkHandoverCounts(t *testing.T, e catalog.Entry, plan string, threads int) {
+	t.Helper()
+	var faults *faultinject.Plan
+	if plan != "none" {
+		faults = faultinject.MustByName(plan)
+	}
+	rep, res, _ := observe(t, e, threads, faults, obs.Options{Lock: e.Name})
+	if rep.Acquisitions == 0 {
+		t.Fatalf("%s: no acquisitions observed", plan)
+	}
+	if faults != nil && res.Abandoned == 0 && lockapi.SupportsTry(e.New(topo.X86Server())) {
+		t.Errorf("%s: no bounded acquire gave up; the try path went unexercised", plan)
+	}
+	sum := rep.Handover.Self + 1
+	var crossings uint64
+	for i, lc := range rep.Handover.Levels {
+		sum += lc.Count
+		crossings += lc.Count
+		if want := res.HandoverLevels[i]; lc.Count != want {
+			t.Errorf("%s: level %s: obs %d, workload %d", plan, lc.Level, lc.Count, want)
+		}
+	}
+	if crossings != rep.Handover.Crossings {
+		t.Errorf("%s: crossings: sum %d, reported %d", plan, crossings, rep.Handover.Crossings)
+	}
+	if sum != rep.Acquisitions {
+		t.Errorf("%s: self+levels+first = %d, acquisitions = %d", plan, sum, rep.Acquisitions)
+	}
+	levels := rep.Handover.Levels
+	for i := 1; i < len(levels); i++ {
+		if levels[i].MaxRun < levels[i-1].MaxRun {
+			t.Errorf("%s: MaxRun %s=%d < %s=%d", plan, levels[i].Level, levels[i].MaxRun, levels[i-1].Level, levels[i-1].MaxRun)
+		}
+	}
+	if sys := levels[len(levels)-1]; sys.MaxRun != rep.Acquisitions {
+		t.Errorf("%s: MaxRun %s=%d, acquisitions %d", plan, sys.Level, sys.MaxRun, rep.Acquisitions)
+	}
+	if rep.AcquireLatency.Count != rep.Acquisitions {
+		t.Errorf("%s: latency samples %d != acquisitions %d", plan, rep.AcquireLatency.Count, rep.Acquisitions)
+	}
+	if rep.Hold.Count > rep.Acquisitions {
+		t.Errorf("%s: hold samples %d > acquisitions %d", plan, rep.Hold.Count, rep.Acquisitions)
+	}
+	if rep.Fairness.Jain <= 0 || rep.Fairness.Jain > 1.0000001 {
+		t.Errorf("%s: jain out of range: %v", plan, rep.Fairness.Jain)
 	}
 }
 
@@ -210,7 +232,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, _ := observe(t, e, 4, obs.Options{Lock: "tkt"})
+	rep, _, _ := observe(t, e, 4, nil, obs.Options{Lock: "tkt"})
 	raw, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

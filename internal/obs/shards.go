@@ -4,7 +4,7 @@ package obs
 // store experiments (internal/store, DESIGN.md S32): one Collector observes
 // each shard's lock, and CombineShards folds them into a single Report
 // whose Shards block breaks acquisitions down by shard. Shared (reader)
-// acquisitions emit no protocol edges (the rwlock adapter documents why),
+// acquisitions emit no protocol edges (store.Router.Observe documents why),
 // so the workload counts them itself and passes them in as SharedOps.
 
 // OCCOps carries one shard's workload-reported optimistic-read counters.

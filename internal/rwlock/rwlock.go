@@ -7,6 +7,11 @@
 // wait for every group's readers to drain. Writer-preference: readers that
 // arrive while a writer is active or pending back off, so writers cannot
 // starve.
+//
+// RWLock implements lockapi.Lock (the exclusive writer path) and
+// lockapi.RWLocker (the shared reader path), so it sits in the lock catalog
+// like any other lock and guards a shard of the sharded store
+// (internal/store), whose read paths take shared acquisitions on it.
 package rwlock
 
 import (
@@ -38,17 +43,15 @@ func New(m *topo.Machine, level topo.Level, wlock lockapi.Lock) *RWLock {
 	return &RWLock{mach: m, level: level, wlock: wlock, readers: readers}
 }
 
-// Ctx is the writer's context (readers need none).
-type Ctx struct {
-	w lockapi.Ctx
-}
+// NewCtx implements lockapi.Lock: the writer's context is the writer
+// lock's (readers need none). Only safe during single-threaded setup.
+func (l *RWLock) NewCtx() lockapi.Ctx { return l.wlock.NewCtx() }
 
-// NewCtx allocates a context. Only safe during single-threaded setup.
-func (l *RWLock) NewCtx() *Ctx { return &Ctx{w: l.wlock.NewCtx()} }
-
-// RLock acquires the lock for reading. Multiple readers of any cohort may
-// hold it simultaneously; readers yield to active or draining writers.
-func (l *RWLock) RLock(p lockapi.Proc) {
+// AcquireShared implements lockapi.RWLocker: acquire the lock for reading.
+// Multiple readers of any cohort may hold it simultaneously; readers yield
+// to active or draining writers. Readers carry no state, so the context is
+// ignored.
+func (l *RWLock) AcquireShared(p lockapi.Proc, _ lockapi.Ctx) {
 	group := l.readers[l.mach.CohortOf(p.ID(), l.level)]
 	for {
 		p.Add(group, 1, lockapi.Acquire)
@@ -63,16 +66,17 @@ func (l *RWLock) RLock(p lockapi.Proc) {
 	}
 }
 
-// RUnlock releases a read acquisition.
-func (l *RWLock) RUnlock(p lockapi.Proc) {
+// ReleaseShared implements lockapi.RWLocker: release a read acquisition.
+func (l *RWLock) ReleaseShared(p lockapi.Proc, _ lockapi.Ctx) {
 	group := l.readers[l.mach.CohortOf(p.ID(), l.level)]
 	p.Add(group, ^uint64(0), lockapi.Release)
 }
 
-// Lock acquires the lock for writing: serialize against other writers,
-// raise the flag, then wait for every cohort's readers to drain.
-func (l *RWLock) Lock(p lockapi.Proc, c *Ctx) {
-	l.wlock.Acquire(p, c.w)
+// Acquire implements lockapi.Lock: acquire the lock for writing —
+// serialize against other writers, raise the flag, then wait for every
+// cohort's readers to drain.
+func (l *RWLock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
+	l.wlock.Acquire(p, c)
 	p.Store(&l.writerActive, 1, lockapi.SeqCst)
 	for _, group := range l.readers {
 		for p.Load(group, lockapi.Acquire) != 0 {
@@ -81,8 +85,10 @@ func (l *RWLock) Lock(p lockapi.Proc, c *Ctx) {
 	}
 }
 
-// Unlock releases a write acquisition.
-func (l *RWLock) Unlock(p lockapi.Proc, c *Ctx) {
+// Release implements lockapi.Lock: release a write acquisition.
+func (l *RWLock) Release(p lockapi.Proc, c lockapi.Ctx) {
 	p.Store(&l.writerActive, 0, lockapi.Release)
-	l.wlock.Release(p, c.w)
+	l.wlock.Release(p, c)
 }
+
+var _ lockapi.RWLocker = (*RWLock)(nil)

@@ -18,10 +18,10 @@ func TestSingleThreadedBothModes(t *testing.T) {
 	c := l.NewCtx()
 	p := lockapi.NewNativeProc(0)
 	for i := 0; i < 50; i++ {
-		l.RLock(p)
-		l.RUnlock(p)
-		l.Lock(p, c)
-		l.Unlock(p, c)
+		l.AcquireShared(p, nil)
+		l.ReleaseShared(p, nil)
+		l.Acquire(p, c)
+		l.Release(p, c)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestWriterExclusion(t *testing.T) {
 	l := New(m, topo.CacheGroup, locks.NewMCS())
 	const writers, readers, iters = 2, 6, 1500
 
-	wctxs := make([]*Ctx, writers)
+	wctxs := make([]lockapi.Ctx, writers)
 	for i := range wctxs {
 		wctxs[i] = l.NewCtx()
 	}
@@ -48,9 +48,9 @@ func TestWriterExclusion(t *testing.T) {
 			defer wg.Done()
 			p := lockapi.NewNativeProc(id * 8)
 			for i := 0; i < iters; i++ {
-				l.Lock(p, wctxs[id])
+				l.Acquire(p, wctxs[id])
 				data++ // unprotected increment: lost updates reveal overlap
-				l.Unlock(p, wctxs[id])
+				l.Release(p, wctxs[id])
 			}
 		}(w)
 	}
@@ -60,7 +60,7 @@ func TestWriterExclusion(t *testing.T) {
 			defer wg.Done()
 			p := lockapi.NewNativeProc(id*16 + 4)
 			for i := 0; i < iters; i++ {
-				l.RLock(p)
+				l.AcquireShared(p, nil)
 				if inReaders.Add(1) > 1 {
 					sawConcurrentReaders.Store(true)
 				}
@@ -70,7 +70,7 @@ func TestWriterExclusion(t *testing.T) {
 					t.Error("writer mutated data during a read section")
 				}
 				inReaders.Add(-1)
-				l.RUnlock(p)
+				l.ReleaseShared(p, nil)
 			}
 		}(r)
 	}
@@ -102,9 +102,9 @@ func TestReadSideLocalityOnSimulator(t *testing.T) {
 			sim.Spawn(i*8, func(p *memsim.Proc) {
 				for !p.Expired() {
 					if readOnly {
-						l.RLock(p)
+						l.AcquireShared(p, nil)
 						p.Work(100)
-						l.RUnlock(p)
+						l.ReleaseShared(p, nil)
 					} else {
 						excl.Acquire(p, exclCtxs[i])
 						p.Work(100)
@@ -138,19 +138,19 @@ func TestVerifiedWithModelChecker(t *testing.T) {
 			wflag := &lockapi.Cell{}
 			writer := func(p *mcheck.Proc) {
 				for i := 0; i < 2; i++ {
-					l.Lock(p, wctx)
+					l.Acquire(p, wctx)
 					p.EnterCS()
 					p.Store(wflag, 1, lockapi.Relaxed)
 					p.Store(wflag, 0, lockapi.Relaxed)
 					p.ExitCS()
-					l.Unlock(p, wctx)
+					l.Release(p, wctx)
 				}
 			}
 			reader := func(p *mcheck.Proc) {
-				l.RLock(p)
+				l.AcquireShared(p, nil)
 				v := p.Load(wflag, lockapi.Relaxed)
 				p.Assert(v == 0, "reader observed a writer mid-section")
-				l.RUnlock(p)
+				l.ReleaseShared(p, nil)
 			}
 			return []func(p *mcheck.Proc){writer, reader, reader}
 		},
@@ -183,16 +183,96 @@ func TestWriterPreference(t *testing.T) {
 					return
 				default:
 				}
-				l.RLock(p)
-				l.RUnlock(p)
+				l.AcquireShared(p, nil)
+				l.ReleaseShared(p, nil)
 			}
 		}(r)
 	}
 	p := lockapi.NewNativeProc(100)
 	for i := 0; i < 50; i++ {
-		l.Lock(p, c) // must complete despite the reader stream
-		l.Unlock(p, c)
+		l.Acquire(p, c) // must complete despite the reader stream
+		l.Release(p, c)
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAdaptedExclusiveMutex: the lock driven through the lockapi.Lock
+// interface, as the catalog serves it, is a proper mutex (an unprotected
+// counter sees no lost updates).
+func TestAdaptedExclusiveMutex(t *testing.T) {
+	m := topo.Armv8Server()
+	var a lockapi.Lock = New(m, topo.CacheGroup, locks.NewMCS())
+	const workers, iters = 4, 2000
+	ctxs := make([]lockapi.Ctx, workers)
+	for i := range ctxs {
+		ctxs[i] = a.NewCtx()
+	}
+	var data int
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			p := lockapi.NewNativeProc(id * 4)
+			for i := 0; i < iters; i++ {
+				a.Acquire(p, ctxs[id])
+				data++
+				a.Release(p, ctxs[id])
+			}
+		}(w)
+	}
+	wg.Wait()
+	if data != workers*iters {
+		t.Fatalf("lost updates: %d, want %d", data, workers*iters)
+	}
+}
+
+// TestAdaptedSharedExcludesWriter: driven through the lockapi.RWLocker
+// interface, shared holders block the exclusive path and overlap each other.
+func TestAdaptedSharedExcludesWriter(t *testing.T) {
+	m := topo.Armv8Server()
+	var a lockapi.RWLocker = New(m, topo.CacheGroup, locks.NewMCS())
+	wctx := a.NewCtx()
+
+	var inReaders, maxReaders atomic.Int64
+	var data int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		p := lockapi.NewNativeProc(0)
+		for i := 0; i < 500; i++ {
+			a.Acquire(p, wctx)
+			if inReaders.Load() != 0 {
+				t.Error("writer held concurrently with a reader")
+			}
+			data++
+			a.Release(p, wctx)
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			p := lockapi.NewNativeProc(8 + id*4)
+			for i := 0; i < 2000; i++ {
+				a.AcquireShared(p, nil)
+				n := inReaders.Add(1)
+				for {
+					old := maxReaders.Load()
+					if n <= old || maxReaders.CompareAndSwap(old, n) {
+						break
+					}
+				}
+				_ = data
+				inReaders.Add(-1)
+				a.ReleaseShared(p, nil)
+			}
+		}(r)
+	}
+	wg.Wait()
+	if maxReaders.Load() < 2 {
+		t.Logf("readers never observed overlapping (max %d) — legal but unusual", maxReaders.Load())
+	}
 }

@@ -38,10 +38,6 @@ type Opts struct {
 // basic-lock capability (lockapi.WaiterDetector). Use Wrap to construct
 // one: Wrap picks the RW variant when the inner lock supports shared mode.
 type Lock struct {
-	// Probe reports the wrapper's acquire/grant/release edges to an
-	// attached observer (lockapi.Instrumented). The wrapper owns the edges:
-	// catalog construction leaves the inner lock uninstrumented.
-	lockapi.Probe
 	inner lockapi.Lock
 	seq   lockapi.Cell
 	// omitReadFence is Opts.OmitReadFence (fixture-only, see Opts).
@@ -69,10 +65,8 @@ func (l *Lock) NewCtx() lockapi.Ctx { return l.inner.NewCtx() }
 // before the critical section's stores, opening the torn window no earlier
 // than necessary and no later than the first protected write.
 func (l *Lock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
-	l.EmitAcquireStart(p)
 	l.inner.Acquire(p, c)
 	p.Add(&l.seq, 1, lockapi.AcqRel)
-	l.EmitAcquired(p)
 }
 
 // Release implements lockapi.Lock: advance the version to even — the
@@ -81,7 +75,6 @@ func (l *Lock) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 func (l *Lock) Release(p lockapi.Proc, c lockapi.Ctx) {
 	p.Add(&l.seq, 1, lockapi.Release)
 	l.inner.Release(p, c)
-	l.EmitReleased(p)
 }
 
 // TryAcquire implements lockapi.TryLocker by delegation; a successful try
@@ -93,9 +86,6 @@ func (l *Lock) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 		return false
 	}
 	p.Add(&l.seq, 1, lockapi.AcqRel)
-	// A trylock never waits: both acquire edges land at the success instant.
-	l.EmitAcquireStart(p)
-	l.EmitAcquired(p)
 	return true
 }
 

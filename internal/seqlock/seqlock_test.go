@@ -73,7 +73,7 @@ func TestTryAcquire(t *testing.T) {
 // readers may overlap shared holders).
 func TestWrapSelectsRWVariant(t *testing.T) {
 	m := topo.X86Server()
-	l := Wrap(rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS())), Opts{})
+	l := Wrap(rwlock.New(m, topo.CacheGroup, locks.NewMCS()), Opts{})
 	rw, ok := l.(lockapi.RWLocker)
 	if !ok {
 		t.Fatal("seq over rwlock lost RWLocker")

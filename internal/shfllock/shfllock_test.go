@@ -8,6 +8,7 @@ import (
 	"github.com/clof-go/clof/internal/locks"
 	"github.com/clof-go/clof/internal/locktest"
 	"github.com/clof-go/clof/internal/topo"
+	"github.com/clof-go/clof/internal/workload"
 )
 
 func TestNativeMutualExclusion(t *testing.T) {
@@ -31,7 +32,7 @@ func TestUncontendedFastPath(t *testing.T) {
 
 func TestSimulatedProgressNoStarvation(t *testing.T) {
 	m := topo.Armv8Server()
-	res := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, locktest.SimConfig{
+	res := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, workload.Config{
 		Machine: m, Threads: 64, Horizon: 1_000_000, CSWork: 80, NCSWork: 120,
 	})
 	if res.Total == 0 {
@@ -49,12 +50,12 @@ func TestShufflingLocality(t *testing.T) {
 	// Both packages in play (cf. the CNA test): shuffling pays off once
 	// FIFO order would cross the socket link half the time.
 	m := topo.Armv8Server()
-	cfg := locktest.SimConfig{
+	cfg := workload.Config{
 		Machine: m, Threads: 128, Horizon: 400_000, CSWork: 80, NCSWork: 120,
 	}
 	shfl := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, cfg)
 	mcs := locktest.SimRun(t, func() lockapi.Lock { return locks.NewMCS() }, cfg)
-	numaLocal := func(r locktest.SimResult) float64 {
+	numaLocal := func(r workload.Result) float64 {
 		var local, total uint64
 		for lvl, c := range r.HandoverLevels {
 			total += c
@@ -79,7 +80,7 @@ func TestShufflingLocality(t *testing.T) {
 // performs comparably to CNA (§5.3.2): within 2x either way.
 func TestComparableToCNA(t *testing.T) {
 	m := topo.Armv8Server()
-	cfg := locktest.SimConfig{
+	cfg := workload.Config{
 		Machine: m, Threads: 96, Horizon: 400_000, CSWork: 80, NCSWork: 120,
 	}
 	shfl := locktest.SimRun(t, func() lockapi.Lock { return New(m) }, cfg)

@@ -459,7 +459,7 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 			new  func() lockapi.Lock
 		}{
 			{"tkt", func() lockapi.Lock { return locks.NewTicket() }},
-			{"rwlock", func() lockapi.Lock { return rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS())) }},
+			{"rwlock", func() lockapi.Lock { return rwlock.New(m, topo.CacheGroup, locks.NewMCS()) }},
 		} {
 			t.Run(lc.name, func(t *testing.T) {
 				zeroAllocGets(t, OpenKV(KVOptions{

@@ -182,6 +182,7 @@ type Router[S any] struct {
 	locks  []lockapi.Lock
 	rws    []lockapi.RWLocker  // non-nil where locks[i] supports shared mode
 	seqs   []lockapi.SeqReader // non-nil where locks[i] supports optimistic reads
+	obs    []lockapi.Observer  // non-nil where Observe attached one
 	occ    []occShard
 	shards []S
 }
@@ -197,6 +198,7 @@ func NewRouter[S any](part Partitioner, newLock func(shard int) lockapi.Lock, ne
 		locks:  make([]lockapi.Lock, n),
 		rws:    make([]lockapi.RWLocker, n),
 		seqs:   make([]lockapi.SeqReader, n),
+		obs:    make([]lockapi.Observer, n),
 		occ:    make([]occShard, n),
 		shards: make([]S, n),
 	}
@@ -239,6 +241,14 @@ func (r *Router[S]) Shards() int { return len(r.shards) }
 // its capabilities before any session exists).
 func (r *Router[S]) LockAt(i int) lockapi.Lock { return r.locks[i] }
 
+// Observe attaches o to shard i's exclusive path: ExclusiveAt — and so
+// every exclusive-mode fallback of SharedAt and OptimisticAt, and Each —
+// reports the acquire-start, acquired and released edges around the shard
+// lock's Acquire and Release. Shared and optimistic reads report none (the
+// obs layer's handover reconstruction assumes mutual exclusion). nil
+// detaches. Single-threaded setup only.
+func (r *Router[S]) Observe(i int, o lockapi.Observer) { r.obs[i] = o }
+
 // Ordered reports whether shards cover ascending key ranges (a
 // RangePartitioner), in which case cross-shard scans visit shards in key
 // order starting at the start key's shard.
@@ -273,9 +283,19 @@ func (s *Session[S]) Exclusive(p lockapi.Proc, key []byte, fn func(shard int, da
 // ExclusiveAt is Exclusive for an explicit shard index.
 func (s *Session[S]) ExclusiveAt(p lockapi.Proc, i int, fn func(shard int, data S)) {
 	r := s.r
+	o := r.obs[i]
+	if o != nil {
+		o.AcquireStart(p)
+	}
 	r.locks[i].Acquire(p, s.ctxs[i])
+	if o != nil {
+		o.Acquired(p)
+	}
 	fn(i, r.shards[i])
 	r.locks[i].Release(p, s.ctxs[i])
+	if o != nil {
+		o.Released(p)
+	}
 }
 
 // SharedAt runs fn on shard i's payload under a shared acquisition when the

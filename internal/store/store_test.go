@@ -80,28 +80,31 @@ func TestRouterSharedDegradesToExclusive(t *testing.T) {
 	}
 }
 
+// edgeCount is an Observer counting each kind of lock-protocol edge.
+type edgeCount struct{ start, acquired, released int }
+
+func (e *edgeCount) AcquireStart(lockapi.Proc) { e.start++ }
+func (e *edgeCount) Acquired(lockapi.Proc)     { e.acquired++ }
+func (e *edgeCount) Released(lockapi.Proc)     { e.released++ }
+
 // TestRouterSharedUsesRWLocker: with an rwlock shard lock, SharedAt takes the
-// shared path (observable because the adapter emits no observer edges for
-// shared acquisitions, while the exclusive path emits both).
+// shared path (observable because the router reports observer edges for
+// exclusive acquisitions only, and reports all three for each of them).
 func TestRouterSharedUsesRWLocker(t *testing.T) {
 	m := topo.Armv8Server()
-	edges := 0
-	o := lockapi.ObserverFromFuncs(nil, func(lockapi.Proc) { edges++ }, nil)
 	r := NewRouter(NewPartitioner(1, 0),
-		func(int) lockapi.Lock {
-			a := rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS()))
-			a.Instrument(o)
-			return a
-		},
+		func(int) lockapi.Lock { return rwlock.New(m, topo.CacheGroup, locks.NewMCS()) },
 		func(int) struct{} { return struct{}{} })
+	e := &edgeCount{}
+	r.Observe(0, e)
 	s := r.NewSession()
 	s.SharedAt(p0, 0, func(int, struct{}) {})
-	if edges != 0 {
-		t.Errorf("shared acquisition emitted %d exclusive edges", edges)
+	if *e != (edgeCount{}) {
+		t.Errorf("shared acquisition emitted edges %+v, want none", *e)
 	}
 	s.Exclusive(p0, []byte("k"), func(int, struct{}) {})
-	if edges != 1 {
-		t.Errorf("exclusive acquisition emitted %d acquired edges, want 1", edges)
+	if *e != (edgeCount{1, 1, 1}) {
+		t.Errorf("exclusive acquisition emitted edges %+v, want one of each", *e)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestYCSBShardedRWLockBeatsGlobalLock(t *testing.T) {
 	}
 	global := run(OpenKV(KVOptions{Shards: 1, NewLock: func(int) lockapi.Lock { return locks.NewTicket() }}))
 	sharded := run(OpenKV(KVOptions{Shards: 8, NewLock: func(int) lockapi.Lock {
-		return rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS()))
+		return rwlock.New(m, topo.CacheGroup, locks.NewMCS())
 	}}))
 	t.Logf("global tkt: %.3f ops/µs, sharded rwlock: %.3f ops/µs",
 		global.ThroughputOpsPerUs(), sharded.ThroughputOpsPerUs())

@@ -70,10 +70,11 @@ type KVConfig struct {
 	RangePartition bool
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Observer, when non-nil, supplies a per-shard observer: shard i's lock
-	// is wrapped via lockapi.Instrument(lock, Observer(i)) before the router
-	// is built. Shared acquisitions emit no edges; KVResult's SharedPerShard
-	// carries those counts instead.
+	// Observer, when non-nil, supplies a per-shard observer: it is attached
+	// to shard i with store.Router.Observe, so it receives the edges of
+	// every exclusive acquisition of shard i's lock. Shared acquisitions and
+	// optimistic reads emit no edges; KVResult's SharedPerShard carries the
+	// shared counts instead.
 	Observer func(shard int) lockapi.Observer
 }
 
@@ -126,16 +127,14 @@ func RunKV(cfg KVConfig) (KVResult, error) {
 		rangeKeys = KVKeys
 	}
 	part := store.NewPartitioner(cfg.Shards, rangeKeys)
-	router := store.NewRouter(part, func(i int) lockapi.Lock {
-		l := cfg.NewShardLock()
-		if cfg.Observer != nil {
-			l = lockapi.Instrument(l, cfg.Observer(i))
-		}
-		return l
-	}, func(int) *kvShard { return new(kvShard) })
+	router := store.NewRouter(part, func(int) lockapi.Lock { return cfg.NewShardLock() },
+		func(int) *kvShard { return new(kvShard) })
 	shared := make([]bool, cfg.Shards)
 	for i := range shared {
 		_, shared[i] = router.LockAt(i).(lockapi.RWLocker)
+		if cfg.Observer != nil {
+			router.Observe(i, cfg.Observer(i))
+		}
 	}
 
 	res := KVResult{

@@ -5,7 +5,6 @@ import (
 
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
-	"github.com/clof-go/clof/internal/obs"
 	"github.com/clof-go/clof/internal/rwlock"
 	"github.com/clof-go/clof/internal/seqlock"
 	"github.com/clof-go/clof/internal/store"
@@ -45,7 +44,7 @@ func TestKVExclusionAcrossLocks(t *testing.T) {
 		"tkt": func() lockapi.Lock { return locks.NewTicket() },
 		"mcs": func() lockapi.Lock { return locks.NewMCS() },
 		"rwlock": func() lockapi.Lock {
-			return rwlock.Adapt(rwlock.New(m, topo.CacheGroup, locks.NewMCS()))
+			return rwlock.New(m, topo.CacheGroup, locks.NewMCS())
 		},
 	}
 	for name, mk := range mks {
@@ -188,52 +187,6 @@ func TestKVHotspotRangeSkew(t *testing.T) {
 	}
 	if r.PerShard[0] <= rest {
 		t.Errorf("hotspot: shard 0 got %d acquisitions vs %d elsewhere; want a hot shard", r.PerShard[0], rest)
-	}
-}
-
-// TestKVObserverPerShard: per-shard obs collectors see the exclusive
-// acquisitions the driver counts for exclusive-only locks, and
-// CombineShards' shard block sums to its aggregate.
-func TestKVObserverPerShard(t *testing.T) {
-	const threads, shards = 8, 4
-	m := topo.X86Server()
-	collectors := make([]*obs.Collector, shards)
-	for i := range collectors {
-		collectors[i] = obs.NewCollector(m, obs.Options{})
-	}
-	r, err := RunKV(KVConfig{
-		Machine: m, Threads: threads, Shards: shards, Horizon: 150_000,
-		NewShardLock: func() lockapi.Lock { return locks.NewTicket() },
-		Mix:          store.WriteHeavy, Seed: 13,
-		Observer: func(i int) lockapi.Observer { return collectors[i] },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := obs.CombineShards("tkt", collectors, r.SharedPerShard, nil)
-	if len(rep.Shards) != shards {
-		t.Fatalf("report shards = %d", len(rep.Shards))
-	}
-	var fromObs, unserved uint64
-	for i, s := range rep.Shards {
-		// A ticket lock has no shared mode, so the observer sees every
-		// acquisition the driver counts. A read counts once it returns, so
-		// a read the horizon stopped inside the lock is observed but not
-		// counted: at most one per thread.
-		if s.Acquisitions < r.PerShard[i] {
-			t.Errorf("shard %d: obs %d acquisitions < driver %d", i, s.Acquisitions, r.PerShard[i])
-		}
-		unserved += s.Acquisitions - r.PerShard[i]
-		if s.SharedOps != 0 {
-			t.Errorf("shard %d: shared ops %d on an exclusive-only lock", i, s.SharedOps)
-		}
-		fromObs += s.Acquisitions
-	}
-	if unserved > threads {
-		t.Errorf("obs saw %d acquisitions the driver did not count, want <= %d", unserved, threads)
-	}
-	if fromObs != rep.Acquisitions {
-		t.Errorf("shard block sums to %d, aggregate says %d", fromObs, rep.Acquisitions)
 	}
 }
 

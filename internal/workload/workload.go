@@ -56,11 +56,10 @@ type Config struct {
 	// (memsim.Config.Trace) — the raw feed of internal/obs traffic counters
 	// and clof-obs -events timelines.
 	Trace func(memsim.TraceEvent)
-	// Observer, when non-nil, receives the lock's protocol edges: the lock
-	// is attached via lockapi.Instrument before any context is created, so
-	// natively instrumented locks report exact grant instants and everything
-	// else is wrapped at the call boundary. Observation never changes the
-	// simulated schedule (edges issue no memory operations).
+	// Observer, when non-nil, receives the lock's protocol edges, reported
+	// by Run around its Acquire, TryAcquire and Release calls (a failed try
+	// reports nothing). Observation never changes the simulated schedule
+	// (edges issue no memory operations).
 	Observer lockapi.Observer
 }
 
@@ -148,7 +147,8 @@ func Run(mk LockFactory, cfg Config) (Result, error) {
 	}
 	n := len(cpus)
 	m := memsim.New(memsim.Config{Machine: cfg.Machine, Seed: cfg.Seed, JitterNS: cfg.JitterNS, CPUSpeed: cfg.CPUSpeed, Trace: cfg.Trace})
-	l := lockapi.Instrument(mk(), cfg.Observer)
+	l := mk()
+	obs := cfg.Observer
 	ctxs := make([]lockapi.Ctx, n)
 	for i := range ctxs {
 		ctxs[i] = l.NewCtx()
@@ -215,8 +215,20 @@ func Run(mk LockFactory, cfg Config) (Result, error) {
 						}
 						continue
 					}
+					// A trylock never waits: both acquire edges land at
+					// the success instant.
+					if obs != nil {
+						obs.AcquireStart(p)
+						obs.Acquired(p)
+					}
 				} else {
+					if obs != nil {
+						obs.AcquireStart(p)
+					}
 					l.Acquire(p, ctxs[i])
+					if obs != nil {
+						obs.Acquired(p)
+					}
 				}
 				if held {
 					res.ExclusionViolations++
@@ -251,6 +263,9 @@ func Run(mk LockFactory, cfg Config) (Result, error) {
 				}
 				held = false
 				l.Release(p, ctxs[i])
+				if obs != nil {
+					obs.Released(p)
+				}
 				if cfg.NCSWork > 0 {
 					p.Work(cfg.NCSWork/2 + p.Rand().Int63n(cfg.NCSWork+1))
 				}

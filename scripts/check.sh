@@ -56,9 +56,11 @@
 #      Armv8 4-level grid: both run the one sweep, figures.Scripted)
 #  17. clof-obs -events        (the per-operation event stream of a short
 #      CLoF run, twice, byte-compared like step 7, then once under hbo)
-#  18. engine and store rungs   (every Benchmark* in internal/kvstore and
-#      internal/store, once each: go test ./... runs no benchmark, so a
-#      rung that panics or fails its own check fails here instead)
+#  18. benchmark rungs          (every Benchmark* in the root package —
+#      the simulated LevelDB preset and the native lock pairs — and in
+#      internal/kvstore and internal/store, once each: go test ./... runs
+#      no benchmark, so a rung that panics or fails its own check fails
+#      here instead)
 #
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
@@ -221,7 +223,7 @@ grep -q 'ns cpu' "$tmp/events-a.txt"
 go run ./cmd/clof-obs -events -platform armv8 -lock hbo -threads 3 -horizon 6000 > /dev/null
 echo "clof-obs -events: byte-identical across reruns"
 
-echo "== engine and store rungs (every benchmark once)"
-go test -run '^$' -bench . -benchtime 1x ./internal/kvstore ./internal/store
+echo "== benchmark rungs (every benchmark once)"
+go test -run '^$' -bench . -benchtime 1x . ./internal/kvstore ./internal/store
 
 echo "check: OK"
