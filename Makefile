@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-report doccheck check chaos figures figures-quick collapse-quick kv-quick occ-quick scale-quick bench bench-smoke bench-kv bench-scale
+.PHONY: build test lint lint-report doccheck check chaos figures figures-quick bench bench-smoke bench-kv bench-scale
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Static lock-discipline suite (atomic access, memory-order policy,
-# copylocks, spin hygiene, validate-before-escape for optimistic reads).
+# Static lock-discipline suite (atomic access, memory-order policy, spin
+# hygiene, validate-before-escape for optimistic reads).
 # Exits nonzero on findings, including a //lint: waiver that suppresses
 # nothing.
 lint:
@@ -39,36 +39,12 @@ chaos:
 figures:
 	$(GO) run ./cmd/clof-figures -exp all -out figures-out
 
-# Reduced-scale smoke of the experiment engine: a small experiment set on
-# the parallel runner, CSVs + results.json into figures-out/quick/ (kept
-# apart from the checked-in full-scale CSVs). CI uploads the directory as
-# a build artifact.
+# Reduced-scale run of every experiment (-exp all -quick), CSVs + results.json
+# into figures-out/quick/ (kept apart from the checked-in full-scale CSVs).
+# scripts/check.sh step 8 runs it and byte-compares it against a -j 1 rerun;
+# CI uploads the directory with the rest of figures-out/.
 figures-quick:
-	$(GO) run ./cmd/clof-figures -exp fig2,fig4,fairness -quick -j 0 -out figures-out/quick
-
-# Saturation-collapse smoke: the concurrency-restriction experiment
-# (internal/cr, EXPERIMENTS.md "Avoiding collapse") at reduced scale, into
-# its own artifact directory so its results.json does not clobber the
-# figures-quick manifest. CI uploads the CSVs + results.json; the committed
-# full-scale curves are figures-out/collapse-*.csv.
-collapse-quick:
-	$(GO) run ./cmd/clof-figures -exp collapse -quick -j 0 -out figures-out/collapse-quick
-
-# Sharded-serving smoke: the shards x lock family x mix sweep (internal/store,
-# EXPERIMENTS.md "Sharded serving") at reduced scale, into its own artifact
-# directory. CI uploads the CSVs + results.json (per-shard contention blocks
-# ride each point's obs field); the committed full-scale curves are
-# figures-out/kv-*.csv.
-kv-quick:
-	$(GO) run ./cmd/clof-figures -exp kv -quick -j 0 -out figures-out/kv-quick
-
-# Optimistic-read smoke: just the two read-mostly panels (x86 + Armv8) the
-# seq: acceptance criterion is asserted on (EXPERIMENTS.md "Optimistic
-# reads"), at reduced scale, into their own artifact directory. CI uploads
-# the CSVs + results.json; the committed full-scale curves are
-# figures-out/kv-read-mostly*.csv.
-occ-quick:
-	$(GO) run ./cmd/clof-figures -exp occ -quick -j 0 -out figures-out/occ-quick
+	$(GO) run ./cmd/clof-figures -exp all -quick -j 4 -q -out figures-out/quick
 
 # Simulator throughput baseline: runs the canonical memsim scenarios
 # (~300ms each) and records host-side simops/s into BENCH_baseline.json.
@@ -84,13 +60,6 @@ bench-smoke:
 	CLOF_BENCH_OUT=$(CURDIR)/BENCH_smoke.json CLOF_BENCH_QUICK=1 $(GO) test ./internal/memsim -run TestWriteBenchArtifact -count=1 -v
 	$(GO) test ./internal/memsim ./internal/eventq -run XXX -bench 'BenchmarkMachine|BenchmarkQueue' -benchtime 1x
 
-# Deep-topology smoke: the 256-1024-vCPU bigmachine sweep (internal/topo
-# deep machines, EXPERIMENTS.md "Scaling the substrate") at reduced scale,
-# into its own artifact directory. CI uploads the CSVs + results.json; the
-# committed full-scale curves are figures-out/bigmachine-*.csv.
-scale-quick:
-	$(GO) run ./cmd/clof-figures -exp bigmachine -quick -j 0 -out figures-out/scale-quick
-
 # Deep-topology throughput baseline: full-machine contended runs on the
 # 256/512/1024-vCPU deep machines (~300ms each) into BENCH_scale.json.
 # Regenerate and commit after execution-core or topology changes; see
@@ -102,7 +71,7 @@ bench-scale:
 # Scripted-benchmark artifact for the sharded serving workload: every CLoF
 # composition as the per-shard lock, read-mostly mix, recorded point by
 # point into BENCH_kv.json (about 40 s on a 2-CPU host). scripts/check.sh
-# step 15 reruns the sweep and compares every point except wall times, so
+# step 12 reruns the sweep and compares every point except wall times, so
 # regenerate and commit after lock-algorithm or serving-engine changes.
 bench-kv:
 	$(GO) run ./cmd/clof-bench -workload kv -out $(CURDIR)/BENCH_kv.json

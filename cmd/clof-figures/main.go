@@ -39,11 +39,6 @@ type experiment struct {
 	run func(c *expCtx)
 }
 
-// notInAll marks focused aliases of other registry entries: selectable by ID,
-// skipped by "-exp all" because the figures they emit are already covered
-// there.
-var notInAll = map[string]bool{"occ": true}
-
 // registry lists every experiment in "-exp all" execution order.
 var registry = []experiment{
 	{"table1", func(c *expCtx) { c.emit(figures.Table1()) }},
@@ -106,26 +101,6 @@ var registry = []experiment{
 			c.emit(f)
 		}
 	}},
-	// occ is the focused alias for the optimistic-read work: just the two
-	// read-mostly panels (x86 + armv8) the seq: acceptance criterion is
-	// asserted on. Not in "all" (see notInAll) — kv already emits both.
-	{"occ", func(c *expCtx) {
-		for _, f := range figures.KVOCC(c.o) {
-			c.emit(f)
-		}
-	}},
-	{"verify", func(c *expCtx) {
-		fmt.Println("verification table (see also cmd/clof-verify):")
-		for _, r := range figures.VerificationTable(c.o) {
-			status := "OK"
-			if !r.Result.OK {
-				status = "VIOLATION: " + r.Result.Violation
-			}
-			fmt.Printf("  %-34s %-4s states=%-8d execs=%-8d %8s  %s\n",
-				r.Program, r.Mode, r.Result.States, r.Result.Executions,
-				r.Elapsed.Round(1000000).String(), status)
-		}
-	}},
 }
 
 func knownIDs() []string {
@@ -147,9 +122,7 @@ func selectExperiments(expFlag string) ([]experiment, error) {
 		}
 		if id == "all" {
 			for _, e := range registry {
-				if !notInAll[e.id] {
-					want[e.id] = true
-				}
+				want[e.id] = true
 			}
 			continue
 		}

@@ -41,6 +41,3 @@ func UnvalidatedRead(p lockapi.Proc, sq lockapi.SeqReader, c *lockapi.Cell) uint
 	_ = sq.ReadSeq(p)
 	return p.Load(c, lockapi.Relaxed)
 }
-
-// ByValue takes the lock by value (copylocks).
-func ByValue(l Lock) uint64 { return l.Snapshot() }

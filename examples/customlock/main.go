@@ -87,7 +87,6 @@ func main() {
 	arr := clof.LockType{
 		Name: "arr",
 		New:  func() clof.Lock { return NewArrayLock(8) },
-		Fair: true,
 	}
 	tkt, _ := clof.LockTypeByName("tkt")
 	clh, _ := clof.LockTypeByName("clh")

@@ -4,9 +4,10 @@
 // internal/mcheck verifies ordering discipline *dynamically* on small
 // configurations, the analyzers here check it *statically* across all code,
 // so a plain read of an atomically-written field, a Relaxed store on an
-// unlock path, a lock struct copied by value, or a scheduler-hostile busy
+// unlock path, an unvalidated optimistic read, or a scheduler-hostile busy
 // loop is rejected at lint time rather than surfacing (maybe) in a 2–4
-// thread model check.
+// thread model check. A lock struct copied by value is left to go vet's
+// copylocks check, which keys on the noCopy marker lockapi.Cell embeds.
 //
 // The framework is deliberately shaped like golang.org/x/tools/go/analysis
 // — an Analyzer with a Run(*Pass) hook reporting position-tagged
@@ -27,7 +28,7 @@
 //
 // The reason is mandatory: a waiver without one is itself reported, and so
 // is a waiver that suppresses no finding. Tags are per-analyzer (order,
-// atomic, copylocks, spin, occ).
+// atomic, spin, occ).
 package analysis
 
 import (

@@ -1,6 +1,6 @@
 // lockutil.go — shared type-level helpers for the analyzers: recognizing
-// the lockapi package, classifying ordered Proc operations, and detecting
-// lock-bearing (Cell-containing) types.
+// the lockapi package and its Cell type, and classifying ordered Proc
+// operations and spin relief.
 
 package analysis
 
@@ -120,37 +120,6 @@ func IsCellType(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Name() == "Cell" && IsLockapiPackage(named.Obj().Pkg())
-}
-
-// HasCell reports whether t transitively contains a lockapi.Cell by value
-// (through struct fields, embedded fields, and arrays — not through
-// pointers, slices, or maps). A value of such a type must not be copied
-// after first use: backends key per-cell metadata off the Cell's address.
-func HasCell(t types.Type) bool {
-	return hasCell(t, map[*types.Named]bool{})
-}
-
-func hasCell(t types.Type, seen map[*types.Named]bool) bool {
-	switch t := t.(type) {
-	case *types.Named:
-		if seen[t] {
-			return false
-		}
-		seen[t] = true
-		if IsCellType(t) {
-			return true
-		}
-		return hasCell(t.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if hasCell(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return hasCell(t.Elem(), seen)
-	}
-	return false
 }
 
 // IsSpinRelief reports whether call yields or backs off inside a spin loop:

@@ -49,17 +49,6 @@ func (c Composition) String() string {
 	return strings.Join(names, "-")
 }
 
-// Fair reports whether every component lock is fair; by Theorem 4.1 the
-// composed lock is then starvation-free.
-func (c Composition) Fair() bool {
-	for _, t := range c {
-		if !t.Fair {
-			return false
-		}
-	}
-	return true
-}
-
 // ParseComposition resolves a notation string like "tkt-clh-tkt" into a
 // Composition.
 func ParseComposition(s string) (Composition, error) {
@@ -147,6 +136,9 @@ type Lock struct {
 	// canTry records whether every component lock supports TryAcquire, which
 	// is what the composed TryAcquire needs to climb-and-roll-back.
 	canTry bool
+	// fair records whether every component lock declares fairness
+	// (lockapi.Fair); by Theorem 4.1 the composition is then starvation-free.
+	fair bool
 }
 
 // Option customizes New.
@@ -230,14 +222,13 @@ func New(h *topo.Hierarchy, comp Composition, opts ...Option) (*Lock, error) {
 	}
 	l.leaves = parents
 
-	// The composition supports TryAcquire iff every level's basic lock does
-	// (checked on one leaf-to-root chain; levels are type-homogeneous).
-	l.canTry = true
+	// The composition supports TryAcquire, and is fair, iff every level's
+	// basic lock is (checked on one leaf-to-root chain; levels are
+	// type-homogeneous).
+	l.canTry, l.fair = true, true
 	for n := l.leaves[0]; n != nil; n = n.parent {
-		if !lockapi.SupportsTry(n.lock) {
-			l.canTry = false
-			break
-		}
+		l.canTry = l.canTry && lockapi.SupportsTry(n.lock)
+		l.fair = l.fair && lockapi.Fair(n.lock)
 	}
 	return l, nil
 }
@@ -263,7 +254,7 @@ func (l *Lock) Name() string { return l.comp.String() }
 // Fair implements lockapi.FairnessInfo via Theorem 4.1; the TAS fast path
 // forfeits strict fairness (bounded in practice by slowActive suppression,
 // but not FIFO).
-func (l *Lock) Fair() bool { return l.comp.Fair() && !l.fastPath }
+func (l *Lock) Fair() bool { return l.fair && !l.fastPath }
 
 // threadCtx is the per-thread context: one basic-lock context per leaf
 // cohort (a thread uses the leaf of whatever CPU its Proc reports).

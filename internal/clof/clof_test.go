@@ -52,15 +52,6 @@ func TestParseCompositionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompositionFair(t *testing.T) {
-	if !mustComp(t, "tkt-mcs-clh").Fair() {
-		t.Error("all-fair composition reported unfair")
-	}
-	if mustComp(t, "tkt-ttas-clh").Fair() {
-		t.Error("composition with TTAS reported fair")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	h := tinyHierarchy()
 	if _, err := New(h, mustComp(t, "tkt-mcs")); err == nil {

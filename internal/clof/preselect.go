@@ -7,42 +7,6 @@ import (
 	"github.com/clof-go/clof/internal/topo"
 )
 
-// GenerateFrom enumerates compositions with an explicit candidate set per
-// level (candidates[i] feeds level i). It generalizes Generate, which uses
-// the same candidates at every level.
-func GenerateFrom(candidates [][]locks.Type) []Composition {
-	if len(candidates) == 0 {
-		return nil
-	}
-	total := 1
-	for _, c := range candidates {
-		if len(c) == 0 {
-			return nil
-		}
-		total *= len(c)
-	}
-	out := make([]Composition, 0, total)
-	idx := make([]int, len(candidates))
-	for {
-		comp := make(Composition, len(candidates))
-		for i, j := range idx {
-			comp[i] = candidates[i][j]
-		}
-		out = append(out, comp)
-		k := 0
-		for ; k < len(candidates); k++ {
-			idx[k]++
-			if idx[k] < len(candidates[k]) {
-				break
-			}
-			idx[k] = 0
-		}
-		if k == len(candidates) {
-			return out
-		}
-	}
-}
-
 // LevelScorer rates a basic lock at one hierarchy level — typically the
 // Fig. 3 experiment: the lock's throughput inside a single cohort of that
 // level at maximum contention.

@@ -7,8 +7,8 @@
 // granted back into the active set — one per release, with seeded-jitter
 // backoff so recirculating waiters do not convoy.
 //
-// The combinator is NUMA-aware: passive waiters queue per topology cohort
-// (default topo.NUMA), and a releasing holder prefers to grant a waiter from
+// The combinator is NUMA-aware: passive waiters queue per NUMA node
+// (topo.NUMA cohort), and a releasing holder prefers to grant a waiter from
 // its own cohort (the cohort sharing the deepest topo.ShareLevel with it),
 // bounded by a pass limit after which a rotation pointer forces the grant to
 // the next waiting cohort — locality without starvation.
@@ -40,9 +40,15 @@ import (
 	"github.com/clof-go/clof/internal/xrand"
 )
 
-// maxCohorts bounds the per-cohort queue count: cohort eligibility is scanned
-// into a uint64 bitmask.
-const maxCohorts = 64
+const (
+	// level is the cohort granularity of the passive queues and of the
+	// grant-locality preference: per-core queues would make every waiter
+	// its own cohort and restrict nothing about placement.
+	level = topo.NUMA
+	// maxCohorts bounds the per-cohort queue count: cohort eligibility is
+	// scanned into a uint64 bitmask.
+	maxCohorts = 64
+)
 
 // Tuning values. Only the pass limit is an option (Opts.PassLimit).
 const (
@@ -67,11 +73,6 @@ const (
 // Opts tunes Restrict. The zero value selects sensible defaults for every
 // field.
 type Opts struct {
-	// Level is the cohort granularity of the passive queues and of the
-	// grant-locality preference. The zero value (topo.Core) is remapped to
-	// topo.NUMA: per-core queues would make every waiter its own cohort and
-	// restrict nothing about placement.
-	Level topo.Level
 	// Target is the steady-state admission target: the maximum number of
 	// threads simultaneously holding or contending on the inner lock.
 	// 0 means max(3, NumCPUs/32). The adaptive target never exceeds it.
@@ -79,10 +80,9 @@ type Opts struct {
 	// PassLimit bounds consecutive grants to one cohort before rotation is
 	// forced (0 means DefaultPassLimit).
 	PassLimit int
-	// BackoffBase / BackoffCap tune the passive waiters' recirculation
-	// backoff (0 means 1 / lockapi.DefaultBackoffCap).
-	BackoffBase int
-	BackoffCap  int
+	// BackoffCap bounds the passive waiters' recirculation backoff
+	// (0 means lockapi.DefaultBackoffCap).
+	BackoffCap int
 	// DisableAdapt pins the target at Target even on backends with virtual
 	// time.
 	DisableAdapt bool
@@ -116,7 +116,6 @@ type Restricted struct {
 	inner lockapi.Lock
 	m     *topo.Machine
 	o     Opts
-	lvl   topo.Level
 	nodes int
 	slots int   // wake-bank width per cohort (>= CPUs per cohort)
 	rep   []int // representative CPU per cohort, for ShareLevel tests
@@ -144,8 +143,8 @@ type ctx struct {
 
 // Restrict wraps inner in a concurrency-restriction combinator for machine
 // m. Only safe during single-threaded setup. Panics if the machine has more
-// than 64 cohorts at the chosen level (use a coarser Level), or if inner has
-// a reader path: seqlock.Wrap(Restrict(m, inner, o), ...) is the lock a
+// than 64 NUMA nodes, or if inner has a reader path:
+// seqlock.Wrap(Restrict(m, inner, o), ...) is the lock a
 // restricted seqlock should be — admission, the inner acquire and the
 // version bump happen in the same order, and optimistic readers bypass
 // admission either way.
@@ -160,9 +159,6 @@ func Restrict(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
 
 // newRestricted is the single-threaded constructor behind Restrict.
 func newRestricted(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
-	if o.Level == topo.Core {
-		o.Level = topo.NUMA
-	}
 	if o.Target <= 0 {
 		// A small active set is the point: enough concurrency to overlap a
 		// grant with the next holder's critical section, few enough spinners
@@ -179,12 +175,9 @@ func newRestricted(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
 	if o.PassLimit <= 0 {
 		o.PassLimit = DefaultPassLimit
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 1
-	}
-	nodes := m.Cohorts(o.Level)
+	nodes := m.Cohorts(level)
 	if nodes > maxCohorts {
-		panic(fmt.Sprintf("cr: %d cohorts at level %v exceeds %d; restrict at a coarser level", nodes, o.Level, maxCohorts))
+		panic(fmt.Sprintf("cr: %d cohorts at level %v exceeds %d", nodes, level, maxCohorts))
 	}
 	slots := m.NumCPUs() / nodes
 	if slots < 1 {
@@ -194,7 +187,6 @@ func newRestricted(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
 		inner:   inner,
 		m:       m,
 		o:       o,
-		lvl:     o.Level,
 		nodes:   nodes,
 		slots:   slots,
 		rep:     make([]int, nodes),
@@ -203,7 +195,7 @@ func newRestricted(m *topo.Machine, inner lockapi.Lock, o Opts) *Restricted {
 		wake:    make([][]lockapi.Cell, nodes),
 	}
 	for n := 0; n < nodes; n++ {
-		l.rep[n] = m.CohortCPUs(o.Level, n)[0]
+		l.rep[n] = m.CohortCPUs(level, n)[0]
 		l.wake[n] = make([]lockapi.Cell, slots)
 	}
 	l.tgt.Init(uint64(o.Target))
@@ -221,7 +213,6 @@ func (l *Restricted) NewCtx() lockapi.Ctx {
 	return &ctx{
 		inner: l.inner.NewCtx(),
 		bo: lockapi.ExpBackoff{
-			Base: l.o.BackoffBase,
 			Cap:  l.o.BackoffCap,
 			Seed: seed,
 		},
@@ -237,7 +228,7 @@ func (l *Restricted) nodeOf(p lockapi.Proc) int {
 		cpu = ((cpu % l.m.NumCPUs()) + l.m.NumCPUs()) % l.m.NumCPUs()
 	}
 	for n := 0; n < l.nodes; n++ {
-		if l.m.ShareLevel(cpu, l.rep[n]) <= l.lvl {
+		if l.m.ShareLevel(cpu, l.rep[n]) <= level {
 			return n
 		}
 	}

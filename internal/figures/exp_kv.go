@@ -68,17 +68,6 @@ func KV(o Options) []*Figure {
 	return figs
 }
 
-// KVOCC is the focused alias behind `clof-figures -exp occ`: just the two
-// read-mostly sweeps (x86 and Armv8) the optimistic-read acceptance criterion
-// is asserted on, skipping the write-heavy/rmw/scan panels. Figure IDs match
-// KV's, so the emitted CSVs are the same artifacts.
-func KVOCC(o Options) []*Figure {
-	return []*Figure{
-		kvFigure(o, topo.X86Server(), "x86", "", store.ReadMostly),
-		kvFigure(o, topo.Armv8Server(), "armv8", "-armv8", store.ReadMostly),
-	}
-}
-
 // kvFigure runs one mix on one platform. idSuffix distinguishes the non-x86
 // repeats ("" for the x86 panels, "-armv8" for the Kunpeng read-mostly one).
 func kvFigure(o Options, mach *topo.Machine, platform, idSuffix string, mix store.Mix) *Figure {

@@ -21,15 +21,13 @@ import (
 )
 
 // Type describes a basic lock kind: its short name (used in composition
-// notation like "tkt-clh-tkt-tkt"), a constructor, and whether the lock is
-// starvation-free.
+// notation like "tkt-clh-tkt-tkt") and a constructor. Whether the lock is
+// starvation-free is the instance's own declaration (lockapi.Fair).
 type Type struct {
 	// Name is the abbreviation used throughout the paper's figures.
 	Name string
 	// New constructs a fresh, unheld lock instance.
 	New func() lockapi.Lock
-	// Fair reports starvation freedom (FIFO admission).
-	Fair bool
 }
 
 // String returns the type's name.
@@ -38,15 +36,15 @@ func (t Type) String() string { return t.Name }
 // allTypes maps every known basic-lock name to its constructor. The "hem"
 // entry is architecture-dependent and therefore only present via BasicLocks.
 var allTypes = map[string]Type{
-	"tas":     {Name: "tas", New: func() lockapi.Lock { return NewTAS() }, Fair: false},
-	"ttas":    {Name: "ttas", New: func() lockapi.Lock { return NewTTAS() }, Fair: false},
-	"bo":      {Name: "bo", New: func() lockapi.Lock { return NewBackoff() }, Fair: false},
-	"tkt":     {Name: "tkt", New: func() lockapi.Lock { return NewTicket() }, Fair: true},
-	"mcs":     {Name: "mcs", New: func() lockapi.Lock { return NewMCS() }, Fair: true},
-	"clh":     {Name: "clh", New: func() lockapi.Lock { return NewCLH() }, Fair: true},
-	"hem":     {Name: "hem", New: func() lockapi.Lock { return NewHemlock(false) }, Fair: true},
-	"hem-ctr": {Name: "hem-ctr", New: func() lockapi.Lock { return NewHemlock(true) }, Fair: true},
-	"qspin":   {Name: "qspin", New: func() lockapi.Lock { return NewQSpin() }, Fair: false},
+	"tas":     {Name: "tas", New: func() lockapi.Lock { return NewTAS() }},
+	"ttas":    {Name: "ttas", New: func() lockapi.Lock { return NewTTAS() }},
+	"bo":      {Name: "bo", New: func() lockapi.Lock { return NewBackoff() }},
+	"tkt":     {Name: "tkt", New: func() lockapi.Lock { return NewTicket() }},
+	"mcs":     {Name: "mcs", New: func() lockapi.Lock { return NewMCS() }},
+	"clh":     {Name: "clh", New: func() lockapi.Lock { return NewCLH() }},
+	"hem":     {Name: "hem", New: func() lockapi.Lock { return NewHemlock(false) }},
+	"hem-ctr": {Name: "hem-ctr", New: func() lockapi.Lock { return NewHemlock(true) }},
+	"qspin":   {Name: "qspin", New: func() lockapi.Lock { return NewQSpin() }},
 }
 
 // ByName looks up a lock type by its abbreviation ("tkt", "mcs", "clh",
@@ -73,7 +71,7 @@ func Names() []string {
 // does from §3.2 onward ("hem on x86 denotes Hemlock with CTR enabled,
 // whereas hem on Armv8 denotes Hemlock with CTR disabled").
 func BasicLocks(arch topo.Arch) []Type {
-	hem := Type{Name: "hem", Fair: true}
+	hem := Type{Name: "hem"}
 	if arch == topo.X86 {
 		hem.New = func() lockapi.Lock { return NewHemlock(true) }
 	} else {

@@ -196,10 +196,11 @@ func FastPathProgram(iters int) Program {
 // invariant, and — via CheckLiveness — the bounded-bypass guarantee for a
 // lone remote waiter.
 //
-// Thread→cohort mapping: with threads <= 2 the program runs on a 2-CPU
-// machine, one CPU per cache group (one thread per cohort; exhaustible).
-// With threads >= 3 it runs on VerifyMachine, the induction shape: threads
-// 0..threads-2 share cache-group cohort 0 and the last thread is alone in
+// Thread→cohort mapping: cr queues waiters per NUMA node, so the program
+// runs on one package of two NUMA nodes. With threads <= 2 each node has
+// one CPU (one thread per cohort; exhaustible). With threads >= 3 each node
+// has two CPUs — VerifyMachine's induction shape with NUMA nodes in place
+// of cache groups: threads 0 and 1 share cohort 0 and thread 2 is alone in
 // cohort 1. The 3-thread state space exceeds the practical exhaustion
 // budget — a probe still truncates past 1.5M states — so 3-thread safety
 // checks run under an explicit MaxStates bound (see TestCRVerified).
@@ -215,21 +216,20 @@ func FastPathProgram(iters int) Program {
 // cohort at every bypass bound, while the intact rotation admits it on the
 // first PassLimit rotation (see TestCRBrokenRecirculationStarves).
 func CRProgram(threads, iters int, broken bool) Program {
-	var mach *topo.Machine
-	if threads <= 2 {
-		// A 2-CPU machine, one CPU per cache group, keeps the search
-		// tractable: one wake slot per cohort instead of VerifyMachine's two.
-		mach = &topo.Machine{
-			Name:           "verify2",
-			Arch:           topo.ArmV8,
-			Packages:       1,
-			NUMAPerPackage: 1,
-			GroupsPerNUMA:  2,
-			CoresPerGroup:  1,
-			ThreadsPerCore: 1,
-		}
-	} else {
-		mach = VerifyMachine()
+	// One CPU per node keeps the 2-thread search tractable: one wake slot
+	// per cohort instead of two.
+	perNode := 1
+	if threads > 2 {
+		perNode = 2
+	}
+	mach := &topo.Machine{
+		Name:           fmt.Sprintf("cr-verify%d", 2*perNode),
+		Arch:           topo.ArmV8,
+		Packages:       1,
+		NUMAPerPackage: 2,
+		GroupsPerNUMA:  1,
+		CoresPerGroup:  perNode,
+		ThreadsPerCore: 1,
 	}
 	name := "cr-tkt"
 	if broken {
@@ -237,11 +237,9 @@ func CRProgram(threads, iters int, broken bool) Program {
 	}
 	prog := LockProgram(name, threads, iters, func() lockapi.Lock {
 		return cr.Restrict(mach, locks.NewTicket(), cr.Opts{
-			Level:              topo.CacheGroup,
 			Target:             1,
 			PassLimit:          1,
 			DisableAdapt:       true,
-			BackoffBase:        1,
 			BackoffCap:         1,
 			BreakRecirculation: broken,
 		})

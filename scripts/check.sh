@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # check.sh — the repository's full verification gate:
 #   1. go build ./...
-#   2. go vet ./... and gofmt -l (every tracked Go file outside testdata/
-#      must be gofmt-clean; the analyzer testdata corpora are exempt)
+#   2. go vet ./... and gofmt -l (vet's copylocks check is what rejects a
+#      lock copied by value: lockapi.Cell embeds a noCopy marker; every
+#      tracked Go file outside testdata/ must be gofmt-clean; the analyzer
+#      testdata corpora are exempt)
 #   3. clof-lint ./...          (static lock-discipline suite: atomic
-#      access, memory-order policy, copylocks, spin hygiene and
-#      validate-before-escape for optimistic reads; a waiver that
-#      suppresses no finding fails it too; a JSON report is written for
-#      the CI artifact)
+#      access, memory-order policy, spin hygiene and validate-before-escape
+#      for optimistic reads; a waiver that suppresses no finding fails it
+#      too; a JSON report is written for the CI artifact)
 #   4. make doccheck            (godoc discipline: package comments +
 #      doc comments on exported declarations; scripts/doccheck.sh)
 #   5. go test ./...            (tier-1, includes the model-checker suites)
@@ -20,43 +21,36 @@
 #      sweep, byte-compared against the committed figures-out/chaos.csv
 #      (a lock or catalog change that moves any row fails until the CSV is
 #      regenerated with make chaos)
-#   8. make figures-quick       (experiment engine smoke: a small figure
-#      set on the parallel runner, CSVs + results.json into figures-out/)
-#   9. collapse smoke           (concurrency-restriction experiment at
-#      reduced scale, byte-compared across -j levels, then regenerated
-#      into figures-out/collapse-quick/ for the CI artifact)
-#  10. kv smoke                 (sharded-serving sweep at reduced scale,
-#      byte-compared across -j levels, then regenerated into
-#      figures-out/kv-quick/ for the CI artifact), then every full-scale
-#      figure (clof-figures -exp all, about 2.5 minutes on a 2-CPU host),
-#      byte-compared against every committed top-level figures-out/*.csv
-#      and *.txt except chaos.csv, which step 7 covers (a change that moves
-#      any row fails until the artifacts are regenerated with make figures)
-#  11. occ smoke                (optimistic-read panels — the two
-#      read-mostly sweeps the seq: acceptance criterion quantifies over —
-#      byte-compared across -j levels, then regenerated into
-#      figures-out/occ-quick/ for the CI artifact)
-#  12. scale smoke              (deep-topology bigmachine sweep — the
-#      256/512/1024-vCPU catalog panels — byte-compared across -j levels,
-#      then regenerated into figures-out/scale-quick/ for the CI artifact)
-#  13. bench module             (cd bench && go vet ./... && go test ./...):
+#   8. quick determinism gate   (every experiment of clof-figures -list at
+#      reduced scale, -exp all -quick, run at -j 1 and at -j 4; every CSV
+#      and TXT byte-compared in both directions, the two results.json
+#      manifests compared with wall times and summary stripped, and the
+#      two standard outputs compared without their "wrote" lines — the
+#      figures must not depend on the worker-pool width; the -j 4 run is
+#      make figures-quick, into figures-out/quick/ for the CI artifact)
+#   9. all figures              (every full-scale figure, clof-figures -exp
+#      all, about 2.5 minutes on a 2-CPU host, byte-compared against every
+#      committed top-level figures-out/*.csv and *.txt except chaos.csv,
+#      which step 7 covers; a change that moves any row fails until the
+#      artifacts are regenerated with make figures)
+#  10. bench module             (cd bench && go vet ./... && go test ./...):
 #      the repository benchmark is a nested module that go build ./...
 #      does not reach, so a root API change that breaks bench/run.sh
 #      fails here instead of in the benchmark pipeline
-#  14. examples                 (go run ./examples/<name> for each of the
+#  11. examples                 (go run ./examples/<name> for each of the
 #      four examples; go build ./... only compiles them, so this is what
 #      catches an example that fails at run time)
-#  15. kv scripted benchmark    (a fresh clof-bench -workload kv sweep,
+#  12. kv scripted benchmark    (a fresh clof-bench -workload kv sweep,
 #      about 40 s on a 2-CPU host, compared point by point against the
 #      committed BENCH_kv.json with the nondeterministic wall times and
 #      summary stripped; a change that moves any point fails until the
 #      artifact is regenerated with make bench-kv)
-#  16. one scripted benchmark   (the HC-best/LC-best/worst selection that
+#  13. one scripted benchmark   (the HC-best/LC-best/worst selection that
 #      examples/hierdiscovery prints must equal clof-bench's for the same
 #      Armv8 4-level grid: both run the one sweep, figures.Scripted)
-#  17. clof-obs -events        (the per-operation event stream of a short
+#  14. clof-obs -events        (the per-operation event stream of a short
 #      CLoF run, twice, byte-compared like step 7, then once under hbo)
-#  18. benchmark rungs          (every Benchmark* in the root package —
+#  15. benchmark rungs          (every Benchmark* in the root package —
 #      the simulated LevelDB preset and the native lock pairs — and in
 #      internal/kvstore and internal/store, once each: go test ./... runs
 #      no benchmark, so a rung that panics or fails its own check fails
@@ -65,7 +59,7 @@
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
 # so raising the root directive makes every bench build fail with "go:
-# updates to go.mod needed" (step 13 catches that). Code that needs a
+# updates to go.mod needed" (step 10 catches that). Code that needs a
 # newer language version carries its own constraint instead:
 # internal/coro (the coroutine core memsim and mcheck share) is
 # `//go:build go1.23` for iter.Pull, so the tree needs a go1.23+ toolchain.
@@ -125,29 +119,29 @@ go run ./cmd/clof-chaos -out "$tmp/chaos.csv"
 cmp "$tmp/chaos.csv" figures-out/chaos.csv
 echo "chaos sweep: byte-identical to figures-out/chaos.csv"
 
-echo "== figures-quick (experiment engine smoke)"
-make figures-quick
-
-echo "== collapse-quick (concurrency-restriction smoke + determinism)"
-# The collapse curves must be byte-identical at any worker-pool width —
-# same guarantee as the chaos CSV, checked the same way.
-go run ./cmd/clof-figures -exp collapse -quick -j 1 -q -out "$tmp/collapse-j1"
-go run ./cmd/clof-figures -exp collapse -quick -j 4 -q -out "$tmp/collapse-j4"
-cmp "$tmp/collapse-j1/collapse-none.csv" "$tmp/collapse-j4/collapse-none.csv"
-cmp "$tmp/collapse-j1/collapse-oversubscribed.csv" "$tmp/collapse-j4/collapse-oversubscribed.csv"
-echo "collapse smoke: byte-identical across -j levels"
-make collapse-quick
-
-echo "== kv-quick (sharded-serving smoke + determinism)"
-# The serving curves carry per-shard obs blocks in their manifest; the CSVs
-# must still be byte-identical at any worker-pool width.
-go run ./cmd/clof-figures -exp kv -quick -j 1 -q -out "$tmp/kv-j1"
-go run ./cmd/clof-figures -exp kv -quick -j 4 -q -out "$tmp/kv-j4"
-for mix in read-mostly write-heavy rmw scan read-mostly-armv8; do
-  cmp "$tmp/kv-j1/kv-$mix.csv" "$tmp/kv-j4/kv-$mix.csv"
+echo "== quick determinism gate (every experiment, -j 1 vs -j 4)"
+# Every grid point derives its seed from its key, never from dispatch order,
+# so the reduced-scale run of every experiment must be byte-identical at any
+# worker-pool width. Both directions: neither run may emit a file the other
+# lacks. The manifests must agree on every point once the wall times, and
+# the summary built from them, are stripped. Standard output must agree
+# once the "wrote PATH" lines are dropped: it carries what writes no file
+# (hier's detected hierarchies, fig9's selections). figures-out/quick/ is
+# emptied first so a file left by an older run cannot pass for an emitted
+# one.
+go run ./cmd/clof-figures -exp all -quick -j 1 -q -out "$tmp/quick-j1" > "$tmp/quick-j1.out"
+rm -rf figures-out/quick
+make -s figures-quick > "$tmp/quick-j4.out"
+cmp <(grep -v '^wrote ' "$tmp/quick-j1.out") <(grep -v '^wrote ' "$tmp/quick-j4.out")
+for f in "$tmp"/quick-j1/*.csv "$tmp"/quick-j1/*.txt; do
+  cmp "$f" "figures-out/quick/$(basename "$f")"
 done
-echo "kv smoke: byte-identical across -j levels"
-make kv-quick
+for f in figures-out/quick/*.csv figures-out/quick/*.txt; do
+  cmp "$f" "$tmp/quick-j1/$(basename "$f")"
+done
+strip='del(.summary) | .results |= map(del(.wall_ms))'
+cmp <(jq -S "$strip" "$tmp/quick-j1/results.json") <(jq -S "$strip" figures-out/quick/results.json)
+echo "quick determinism gate: every experiment byte-identical across -j levels"
 
 echo "== all figures (byte-compared against figures-out/)"
 # Both directions: every generated figure must be committed, and every
@@ -162,29 +156,6 @@ for f in figures-out/*.csv figures-out/*.txt; do
 done
 echo "all figures: byte-identical to figures-out/"
 
-echo "== occ-quick (optimistic-read smoke + determinism)"
-# The seq: rows ride the kv sweep above; the focused occ alias must produce
-# the same read-mostly curves byte-for-byte at any worker-pool width.
-go run ./cmd/clof-figures -exp occ -quick -j 1 -q -out "$tmp/occ-j1"
-go run ./cmd/clof-figures -exp occ -quick -j 4 -q -out "$tmp/occ-j4"
-for f in kv-read-mostly kv-read-mostly-armv8; do
-  cmp "$tmp/occ-j1/$f.csv" "$tmp/occ-j4/$f.csv"
-done
-echo "occ smoke: byte-identical across -j levels"
-make occ-quick
-
-echo "== scale-quick (deep-topology smoke + determinism)"
-# The 256/512/1024-vCPU bigmachine panels must be byte-identical at any
-# worker-pool width — the golden-determinism guarantee extends to the deep
-# topologies.
-go run ./cmd/clof-figures -exp bigmachine -quick -j 1 -q -out "$tmp/scale-j1"
-go run ./cmd/clof-figures -exp bigmachine -quick -j 4 -q -out "$tmp/scale-j4"
-for n in 256 512 1024; do
-  cmp "$tmp/scale-j1/bigmachine-$n.csv" "$tmp/scale-j4/bigmachine-$n.csv"
-done
-echo "scale smoke: byte-identical across -j levels"
-make scale-quick
-
 echo "== bench module (vet + tests)"
 (cd bench && go vet ./... && go test ./...)
 
@@ -196,8 +167,8 @@ done
 
 echo "== kv scripted benchmark (compared against BENCH_kv.json)"
 # Wall times and the summary built from them are host provenance; every
-# other field of every point must match the committed artifact.
-strip='del(.summary) | .results |= map(del(.wall_ms))'
+# other field of every point must match the committed artifact (the same
+# strip as step 8's manifests).
 go run ./cmd/clof-bench -workload kv -out "$tmp/kv.json" > /dev/null
 cmp <(jq -S "$strip" "$tmp/kv.json") <(jq -S "$strip" BENCH_kv.json)
 echo "kv scripted benchmark: every point matches BENCH_kv.json"
