@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-report doccheck check chaos figures figures-quick bench bench-smoke bench-kv bench-scale
+.PHONY: build test lint lint-report doccheck check figures figures-quick bench bench-smoke bench-kv bench-scale
 
 build:
 	$(GO) build ./...
@@ -28,20 +28,19 @@ doccheck:
 	sh scripts/doccheck.sh
 
 # Full verification gate: build + vet + lint + doccheck + tests + race pass
-# + chaos determinism smoke (see scripts/check.sh).
+# + every experiment byte-compared across -j levels and against the
+# committed figures-out/ (see scripts/check.sh).
 check:
 	scripts/check.sh
 
-# Fault-injection robustness sweep: full lock catalog x all fault presets.
-chaos:
-	$(GO) run ./cmd/clof-chaos -out figures-out/chaos.csv
-
+# Every experiment at full scale (chaos.csv, the fault-injection sweep,
+# included) into the checked-in figures-out/.
 figures:
 	$(GO) run ./cmd/clof-figures -exp all -out figures-out
 
 # Reduced-scale run of every experiment (-exp all -quick), CSVs + results.json
 # into figures-out/quick/ (kept apart from the checked-in full-scale CSVs).
-# scripts/check.sh step 8 runs it and byte-compares it against a -j 1 rerun;
+# scripts/check.sh step 7 runs it and byte-compares it against a -j 1 rerun;
 # CI uploads the directory with the rest of figures-out/.
 figures-quick:
 	$(GO) run ./cmd/clof-figures -exp all -quick -j 4 -q -out figures-out/quick
@@ -71,7 +70,7 @@ bench-scale:
 # Scripted-benchmark artifact for the sharded serving workload: every CLoF
 # composition as the per-shard lock, read-mostly mix, recorded point by
 # point into BENCH_kv.json (about 40 s on a 2-CPU host). scripts/check.sh
-# step 12 reruns the sweep and compares every point except wall times, so
+# step 11 reruns the sweep and compares every point except wall times, so
 # regenerate and commit after lock-algorithm or serving-engine changes.
 bench-kv:
 	$(GO) run ./cmd/clof-bench -workload kv -out $(CURDIR)/BENCH_kv.json

@@ -5,6 +5,9 @@
 // are derived by stable hashing, and every point is recorded in a
 // results.json manifest next to the CSVs. Output is byte-for-byte identical
 // at any -j level; -resume skips points already present in the manifest.
+// A run in which any point failed (a deadlock or a mutual-exclusion
+// violation) still writes every artifact, then exits nonzero naming the
+// first failed point.
 //
 // Usage:
 //
@@ -33,6 +36,15 @@ type expCtx struct {
 	emit func(*figures.Figure)
 }
 
+// write stores one artifact in the output directory.
+func (c *expCtx) write(name string, data []byte) {
+	path := filepath.Join(c.out, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s\n", path)
+}
+
 // experiment is one runnable entry of the registry.
 type experiment struct {
 	id  string
@@ -44,13 +56,8 @@ var registry = []experiment{
 	{"table1", func(c *expCtx) { c.emit(figures.Table1()) }},
 	{"fig1", func(c *expCtx) {
 		x86, arm := figures.Fig1(c.o)
-		for name, hm := range map[string]string{"fig1a-x86": x86.ASCII(), "fig1b-armv8": arm.ASCII()} {
-			path := filepath.Join(c.out, name+".txt")
-			if err := os.WriteFile(path, []byte(hm), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
+		c.write("fig1a-x86.txt", []byte(x86.ASCII()))
+		c.write("fig1b-armv8.txt", []byte(arm.ASCII()))
 	}},
 	{"table2", func(c *expCtx) { c.emit(figures.Table2(c.o)) }},
 	{"hier", func(c *expCtx) {
@@ -90,6 +97,11 @@ var registry = []experiment{
 		for _, f := range figures.Collapse(c.o) {
 			c.emit(f)
 		}
+	}},
+	{"chaos", func(c *expCtx) {
+		csv, watchdog := figures.Chaos(c.o)
+		c.write("chaos.csv", csv)
+		fmt.Println(watchdog)
 	}},
 	{"kv", func(c *expCtx) {
 		for _, f := range figures.KV(c.o) {
@@ -225,6 +237,11 @@ func main() {
 	sum := manifest.Summary()
 	fmt.Printf("wrote %s (%d points, %.0f ms measuring, %.0f iters/sec)\n",
 		manifestPath, sum.Points, sum.WallMSTotal, sum.ItersPerSec)
+	for _, r := range manifest.Results() {
+		if len(r.Errors) > 0 {
+			fatal(fmt.Errorf("%d failed runs, the first %s %s: %s", sum.Errors, r.Spec, r.Key, r.Errors[0]))
+		}
+	}
 }
 
 func fatal(err error) {

@@ -1,7 +1,8 @@
 // Package catalog enumerates the repository's lock families behind one
 // machine-parameterized constructor list, for harnesses that sweep "every
-// lock" — the chaos CLI (cmd/clof-chaos), the trylock conformance suite
-// (internal/locktest), and future benchmark drivers.
+// lock" — the figures' fault-plan sweeps (internal/figures Chaos and
+// Collapse), the trylock conformance suite (internal/locktest), and the
+// clof-obs command.
 //
 // It exists as a separate package (rather than in locktest) because the
 // lock packages' own tests import locktest: a catalog inside locktest would
@@ -14,7 +15,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/clof-go/clof/internal/clof"
@@ -35,8 +35,9 @@ type Entry struct {
 	// Name identifies the lock in reports, e.g. "mcs", "c-bo-mcs",
 	// "clof:tkt-clh-tkt-tkt".
 	Name string
-	// Family groups entries for filtering: "basic", "hbo", "cna", "shfl",
-	// "rwlock", "hmcs", "cohort", "clof", "cr", "seq".
+	// Family groups entries in reports (the chaos sweep's family column):
+	// "basic", "hbo", "cna", "shfl", "rwlock", "hmcs", "cohort", "clof",
+	// "cr", "seq".
 	Family string
 	// New builds a fresh, unheld instance for machine m.
 	New func(m *topo.Machine) lockapi.Lock
@@ -205,87 +206,12 @@ func dynamic(name string) (Entry, error) {
 		name, strings.Join(Names(), ", "))
 }
 
-// ByFamily returns the entries of one family tag, in catalog order.
-func ByFamily(family string) []Entry {
-	var out []Entry
-	for _, e := range Locks() {
-		if e.Family == family {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Select resolves selectors — catalog names, wrapper-composed names, or
-// "family:<tag>" filters — to deduplicated entries in a deterministic
-// order: static catalog entries first in catalog order, then dynamic
-// (wrapper-composed) names in first-selected order. An empty selector list
-// yields the full catalog.
-//
-// The two-tier ordering is what lets the wrapper families compose with the
-// rest of a sweep: the earlier implementation filtered a want-set against
-// the static listing, which silently dropped any dynamic name ("seq:rwlock",
-// "seq:cr:tkt") that Lookup had happily resolved.
-func Select(selectors []string) ([]Entry, error) {
-	if len(selectors) == 0 {
-		return Locks(), nil
-	}
-	var resolved []Entry
-	for _, sel := range selectors {
-		if fam, ok := strings.CutPrefix(sel, "family:"); ok {
-			es := ByFamily(fam)
-			if len(es) == 0 {
-				return nil, fmt.Errorf("unknown lock family %q (families: %s)", fam, strings.Join(Families(), ", "))
-			}
-			resolved = append(resolved, es...)
-			continue
-		}
-		e, err := Lookup(sel)
-		if err != nil {
-			return nil, err
-		}
-		resolved = append(resolved, e)
-	}
-	order := map[string]int{}
-	for i, n := range Names() {
-		order[n] = i
-	}
-	var static, dyn []Entry
-	seen := map[string]bool{}
-	for _, e := range resolved {
-		if seen[e.Name] {
-			continue
-		}
-		seen[e.Name] = true
-		if _, ok := order[e.Name]; ok {
-			static = append(static, e)
-		} else {
-			dyn = append(dyn, e)
-		}
-	}
-	sort.SliceStable(static, func(i, j int) bool { return order[static[i].Name] < order[static[j].Name] })
-	return append(static, dyn...), nil
-}
-
 // Names lists the catalog names in catalog order.
 func Names() []string {
 	ls := Locks()
 	out := make([]string, len(ls))
 	for i, e := range ls {
 		out[i] = e.Name
-	}
-	return out
-}
-
-// Families lists the catalog's family tags in catalog order (deduplicated).
-func Families() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range Locks() {
-		if !seen[e.Family] {
-			seen[e.Family] = true
-			out = append(out, e.Family)
-		}
 	}
 	return out
 }

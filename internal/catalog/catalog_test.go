@@ -68,57 +68,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestByFamily(t *testing.T) {
-	for _, fam := range Families() {
-		es := ByFamily(fam)
-		if len(es) == 0 {
-			t.Errorf("family %q has no entries", fam)
-		}
-		for _, e := range es {
-			if e.Family != fam {
-				t.Errorf("ByFamily(%q) returned %q of family %q", fam, e.Name, e.Family)
-			}
-		}
-	}
-	if es := ByFamily("nope"); es != nil {
-		t.Errorf("bogus family resolved to %d entries", len(es))
-	}
-}
-
-func TestSelect(t *testing.T) {
-	all, err := Select(nil)
-	if err != nil || len(all) != len(Locks()) {
-		t.Fatalf("empty Select = %d entries, %v; want full catalog", len(all), err)
-	}
-	es, err := Select([]string{"mcs", "family:clof", "mcs"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{"mcs": true}
-	for _, e := range ByFamily("clof") {
-		want[e.Name] = true
-	}
-	if len(es) != len(want) {
-		t.Errorf("Select returned %d entries, want %d (deduplicated)", len(es), len(want))
-	}
-	// Catalog order must be preserved regardless of selector order.
-	order := map[string]int{}
-	for i, n := range Names() {
-		order[n] = i
-	}
-	for i := 1; i < len(es); i++ {
-		if order[es[i-1].Name] >= order[es[i].Name] {
-			t.Errorf("Select output out of catalog order: %s before %s", es[i-1].Name, es[i].Name)
-		}
-	}
-	if _, err := Select([]string{"family:nope"}); err == nil {
-		t.Error("bogus family selector did not fail")
-	}
-	if _, err := Select([]string{"nope"}); err == nil {
-		t.Error("bogus name selector did not fail")
-	}
-}
-
 // TestLookupDynamicWrappers: wrapper-prefixed names outside the static list
 // resolve by composing seq:/cr: over any resolvable inner lock (cr: over
 // exclusive ones), and the built locks carry the right capabilities.
@@ -187,54 +136,5 @@ func TestCohortEntriesFairness(t *testing.T) {
 				t.Errorf("%s on %s: Fair = %v, want %v", name, m.Name, got, fair)
 			}
 		}
-	}
-}
-
-// TestSelectWrapperFamilies: satellite regression — mixing family filters
-// with dynamic wrapper-composed names must dedupe and keep every resolved
-// entry in a deterministic order (static catalog entries in catalog order,
-// then dynamic names in first-selected order). The pre-fix Select dropped
-// dynamic names on the floor.
-func TestSelectWrapperFamilies(t *testing.T) {
-	sel := []string{"seq:rwlock", "family:seq", "seq:cr:tkt", "seq:tkt", "seq:rwlock"}
-	es, err := Select(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range es {
-		names = append(names, e.Name)
-	}
-	// family:seq contributes the static entries; seq:tkt is one of them
-	// (deduped); the two dynamic names follow in first-selected order.
-	want := []string{"seq:tkt", "seq:clof:tkt-tkt-tkt-tkt", "seq:rwlock", "seq:cr:tkt"}
-	if strings.Join(names, " ") != strings.Join(want, " ") {
-		t.Fatalf("Select(%v) = %v, want %v", sel, names, want)
-	}
-	// Deterministic: a second resolution is identical.
-	es2, err := Select(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range es {
-		if es[i].Name != es2[i].Name {
-			t.Fatalf("Select unstable at %d: %q vs %q", i, es[i].Name, es2[i].Name)
-		}
-	}
-	// Every selected entry constructs.
-	m := topo.X86Server()
-	for _, e := range es {
-		l := e.New(m)
-		p := lockapi.NewNativeProc(0)
-		c := l.NewCtx()
-		l.Acquire(p, c)
-		l.Release(p, c)
-	}
-}
-
-// TestFamiliesCoverIssueMinimum: the chaos sweep needs >= 3 families.
-func TestFamiliesCoverIssueMinimum(t *testing.T) {
-	if f := Families(); len(f) < 3 {
-		t.Fatalf("catalog has %d families, need >= 3: %v", len(f), f)
 	}
 }

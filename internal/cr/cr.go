@@ -22,10 +22,11 @@
 //
 // Restricted restricts the exclusive path only. It forwards trylock
 // (TryLocker, with TryInfo answering for the inner lock) and the fairness
-// declaration, so chaos sweeps see through the wrapper. Restrict refuses inner
-// locks with a reader path (lockapi.RWLocker, lockapi.SeqReader): a
-// restricted seqlock is built the other way round, seqlock.Wrap over
-// Restrict (the catalog's seq:cr: names). internal/catalog enumerates
+// declaration, so the fault-plan sweeps (abandoned acquires included) see
+// through the wrapper. Restrict refuses inner locks with a reader path
+// (lockapi.RWLocker, lockapi.SeqReader): a restricted seqlock is built the
+// other way round, seqlock.Wrap over Restrict (the catalog's seq:cr:
+// names). internal/catalog enumerates
 // restricted variants under the "cr" family; internal/mcheck verifies mutual
 // exclusion and bounded-bypass liveness, including that the deliberately
 // broken recirculation variant (Opts.BreakRecirculation) is caught as

@@ -39,7 +39,9 @@ func TestRestrictSimRun(t *testing.T) {
 	if res.Total == 0 {
 		t.Fatal("no acquisitions completed")
 	}
-	locktest.Watchdog{MinShare: 0.01}.Require(t, res)
+	if starved := res.Starved(0.01); len(starved) > 0 {
+		t.Errorf("threads %v starved below 1%% share", starved)
+	}
 }
 
 func TestRestrictSimRunUnderPreemption(t *testing.T) {
@@ -102,10 +104,4 @@ func TestRestrictCapabilityForwarding(t *testing.T) {
 	if lockapi.Fair(broken) {
 		t.Error("broken recirculation variant must not report fair")
 	}
-}
-
-func TestRestrictChaosAbandon(t *testing.T) {
-	m := topo.X86Server()
-	l := cr.Restrict(m, locks.NewTicket(), cr.Opts{Target: 2})
-	locktest.ChaosNative(t, l, m, faultinject.MustByName("abandon"), 8, 500, 42)
 }

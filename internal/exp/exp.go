@@ -96,9 +96,10 @@ type Sample struct {
 	// Metrics carries experiment-specific scalars (robustness counters,
 	// handover gaps, ...); keys must be stable across runs.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Err is a non-empty string when the run failed (deadlock). Failed
-	// runs contribute zero throughput, matching the sweeps' historic
-	// "report, don't abort" policy.
+	// Err is a non-empty string when the run failed (deadlock, or a
+	// mutual-exclusion violation). Failed runs contribute zero throughput:
+	// the sweep reports them and goes on, and clof-figures exits nonzero
+	// once its output is written.
 	Err string `json:"err,omitempty"`
 	// Obs optionally carries an internal/obs Report as raw JSON. The engine
 	// treats it as opaque: the first run's block is copied onto the point's

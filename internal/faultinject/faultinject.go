@@ -6,10 +6,10 @@
 //
 // The package is backend-agnostic: it draws no time and performs no waiting
 // itself. A Schedule answers, per worker iteration, "what misfortune happens
-// now" (a Decision); the workload driver (internal/workload for memsim,
-// internal/locktest for the native backend) is what turns a Decision into
-// simulator preemptions or real sleeps. cmd/clof-chaos sweeps plans across
-// the lock catalog.
+// now" (a Decision); internal/workload, on memsim, is what turns a
+// Decision into simulator preemptions, stalls and abandoned acquires. The
+// figures' chaos experiment sweeps every preset across the lock catalog,
+// and the collapse experiment runs the oversubscribed one.
 //
 // # Determinism
 //
@@ -18,7 +18,7 @@
 // the Compile call rather than global state. Two Schedules compiled with the
 // same inputs therefore produce identical Decision sequences, regardless of
 // what any other schedule or simulator consumed — the property the chaos
-// CLI's byte-identical-CSV contract rests on.
+// sweep's byte-identical CSV rests on.
 package faultinject
 
 import (
@@ -131,9 +131,8 @@ type compiled struct {
 }
 
 // Schedule realizes a Plan for a concrete CPU set. Not safe for concurrent
-// use: drivers must either consult it from one goroutine (memsim, whose
-// workers interleave deterministically on one OS thread) or pre-draw
-// per-worker sequences (native chaos runs).
+// use: consult it from one goroutine (memsim's workers interleave
+// deterministically on one OS thread).
 type Schedule struct {
 	plan    *Plan
 	sources []*compiled

@@ -5,10 +5,11 @@ import (
 	"sort"
 )
 
-// Preset plans for cmd/clof-chaos. Durations are virtual nanoseconds, sized
-// against the paper-default LevelDB workload (CS ≈ 300ns, NCS ≈ 2400ns): a
-// preemption of 60µs ≈ 200 critical sections, which is the order of a
-// scheduling quantum relative to a spinlock hold time.
+// Preset plans, swept by the figures' chaos experiment. Durations are
+// virtual nanoseconds, sized against the paper-default LevelDB workload
+// (CS ≈ 300ns, NCS ≈ 2400ns): a preemption of 60µs ≈ 200 critical
+// sections, which is the order of a scheduling quantum relative to a
+// spinlock hold time.
 var presets = map[string]func() *Plan{
 	// none is the control: every lock must behave identically to an
 	// unfaulted run (the zero Decision injects nothing).

@@ -6,9 +6,7 @@ import (
 	"github.com/clof-go/clof/internal/catalog"
 	"github.com/clof-go/clof/internal/exp"
 	"github.com/clof-go/clof/internal/faultinject"
-	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/topo"
-	"github.com/clof-go/clof/internal/workload"
 )
 
 // Saturation geometry of the collapse experiment, shared with its tests.
@@ -22,9 +20,6 @@ const (
 	// saturation" on the oversubscribed platform: twice its 8 physical
 	// cores, i.e. every core already multiplexes at least two threads.
 	CollapseSaturation = 16
-	// collapseMinShare is the per-thread progress share below which a
-	// thread counts as starved (the paper-default watchdog gate).
-	collapseMinShare = 0.05
 )
 
 // CollapseLocks names the catalog entries the collapse experiment sweeps:
@@ -54,7 +49,7 @@ func Collapse(o Options) []*Figure {
 		plan *faultinject.Plan
 	}{
 		{"none", nil},
-		{"oversubscribed", mustPlan("oversubscribed")},
+		{"oversubscribed", faultinject.MustByName("oversubscribed")},
 	}
 
 	var figs []*Figure
@@ -79,29 +74,8 @@ func Collapse(o Options) []*Figure {
 				panic(err)
 			}
 			for _, n := range grid {
-				e, n := e, n
-				points = append(points, exp.Point{
-					Key: fmt.Sprintf("lock=%s/threads=%d", e.Name, n),
-					Run: func(seed uint64) exp.Sample {
-						cfg := workload.LevelDB(mach, n)
-						cfg.Horizon = horizon
-						cfg.Seed = seed
-						cfg.Faults = pl.plan
-						res, err := workload.Run(func() lockapi.Lock { return e.New(mach) }, cfg)
-						if err != nil {
-							return exp.Sample{Err: err.Error()}
-						}
-						return exp.Sample{
-							Throughput: res.ThroughputOpsPerUs(),
-							Jain:       res.Jain(),
-							Total:      res.Total,
-							Metrics: map[string]float64{
-								"starved":    float64(len(res.Starved(collapseMinShare))),
-								"violations": float64(res.ExclusionViolations),
-							},
-						}
-					},
-				})
+				key := fmt.Sprintf("lock=%s/threads=%d", e.Name, n)
+				points = append(points, faultPoint(key, mach, e, n, horizon, pl.plan))
 			}
 		}
 		results := o.runner().Run(spec, points)
@@ -193,13 +167,4 @@ func collapseNotes(f *Figure, starved map[string]int) []string {
 		"starved threads under cr wrappers: cr:tkt=%d cr:clof:tkt-tkt-tkt-tkt=%d (restriction parks waiters without starving them)",
 		starved["cr:tkt"], starved["cr:clof:tkt-tkt-tkt-tkt"]))
 	return notes
-}
-
-// mustPlan resolves a fault-injection preset by name.
-func mustPlan(name string) *faultinject.Plan {
-	p, ok := faultinject.ByName(name)
-	if !ok {
-		panic(fmt.Sprintf("unknown fault plan %q", name))
-	}
-	return p
 }

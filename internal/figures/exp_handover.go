@@ -18,22 +18,17 @@ import (
 func measureObs(name string, mk workload.LockFactory, cfg workload.Config) exp.Sample {
 	col := obs.NewCollector(cfg.Machine, obs.Options{Lock: name})
 	cfg.Observer = col
-	res, err := workload.Run(mk, cfg)
-	if err != nil {
-		return exp.Sample{Err: err.Error()}
+	s := sample(workload.Run(mk, cfg))
+	if s.Err != "" {
+		return s
 	}
 	rep := col.Report()
 	raw, err := json.Marshal(rep)
 	if err != nil {
 		return exp.Sample{Err: err.Error()}
 	}
-	s := exp.Sample{
-		Throughput: res.ThroughputOpsPerUs(),
-		Jain:       res.Jain(),
-		Total:      res.Total,
-		Obs:        raw,
-		Metrics:    map[string]float64{},
-	}
+	s.Obs = raw
+	s.Metrics = map[string]float64{}
 	denom := float64(rep.Handover.Self + rep.Handover.Crossings)
 	if denom > 0 {
 		s.Metrics["handover_self_pct"] = 100 * float64(rep.Handover.Self) / denom

@@ -263,15 +263,24 @@ type lockEntry struct {
 	mk   workload.LockFactory
 }
 
-// measure executes one workload run and converts it to an engine sample. A
-// deadlocking lock would already have failed its own tests; report it as
-// zero throughput rather than aborting a whole sweep.
-func measure(mk workload.LockFactory, cfg workload.Config) exp.Sample {
-	res, err := workload.Run(mk, cfg)
+// sample converts one workload run into an engine sample. A run that
+// deadlocked (err) or let two threads into the critical section at once is
+// a failed run: exp.Sample.Err is set and the point reports zero
+// throughput rather than aborting the sweep; clof-figures exits nonzero
+// once every experiment is written.
+func sample(res workload.Result, err error) exp.Sample {
 	if err != nil {
 		return exp.Sample{Err: err.Error()}
 	}
+	if res.ExclusionViolations > 0 {
+		return exp.Sample{Err: fmt.Sprintf("%d mutual-exclusion violations", res.ExclusionViolations)}
+	}
 	return exp.Sample{Throughput: res.ThroughputOpsPerUs(), Jain: res.Jain(), Total: res.Total}
+}
+
+// measure executes one workload run and converts it to an engine sample.
+func measure(mk workload.LockFactory, cfg workload.Config) exp.Sample {
+	return sample(workload.Run(mk, cfg))
 }
 
 // curvePoint builds the engine job for one (lock, threads) grid point.

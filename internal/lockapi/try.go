@@ -1,11 +1,11 @@
 package lockapi
 
 // This file extends the lock interface with the *bounded acquire* surface
-// used by the fault-injection substrate (internal/faultinject and
-// cmd/clof-chaos): a non-blocking TryAcquire capability, a runtime
-// capability flag for locks that support it only conditionally, and the
-// shared bounded exponential-backoff helper that both the backoff-family
-// locks and bounded acquisition loops build on.
+// that fault-injected runs use for abandoned acquires (internal/faultinject,
+// driven by internal/workload): a non-blocking TryAcquire capability, a
+// runtime capability flag for locks that support it only conditionally, the
+// one bounded try loop, and the bounded exponential-backoff helper that the
+// backoff-family locks build on.
 
 import "github.com/clof-go/clof/internal/xrand"
 
@@ -16,8 +16,8 @@ import "github.com/clof-go/clof/internal/xrand"
 // and must release it with Release using the same Ctx. On failure the lock's
 // shared state is semantically unchanged: in particular no queue node
 // remains published, so the failed caller may walk away (an "abandoned
-// acquire") without ever touching the lock again — the property the chaos
-// harness relies on.
+// acquire") without ever touching the lock again — the property
+// AcquireBounded's callers rely on.
 //
 // Locks whose support is conditional (CLoF compositions: every component
 // lock must itself support trylock; wrappers: the inner lock must) also
@@ -44,16 +44,6 @@ func SupportsTry(l Lock) bool {
 	}
 	ti, ok := l.(TryInfo)
 	return !ok || ti.TrySupported()
-}
-
-// TryAcquire attempts a non-blocking acquisition of l and reports
-// (supported, acquired). supported=false means the lock declines the
-// capability and its state was not touched.
-func TryAcquire(l Lock, p Proc, c Ctx) (supported, acquired bool) {
-	if !SupportsTry(l) {
-		return false, false
-	}
-	return true, l.(TryLocker).TryAcquire(p, c)
 }
 
 // DefaultBackoffCap is the spin cap an ExpBackoff with Cap==0 uses; it
@@ -130,29 +120,23 @@ func (b *ExpBackoff) Pause(p Proc) int {
 // which is the point of jitter.
 func (b *ExpBackoff) Reset() { b.cur = 0 }
 
-// AcquireBounded attempts to acquire l at most `attempts` times with
-// exponential backoff between failed attempts. It reports (supported,
-// acquired); supported=false means the lock declines TryAcquire and nothing
-// was attempted. bo may be nil, in which case a default ExpBackoff is used.
+// AcquireBounded tries to acquire l at most `attempts` times, calling pause
+// between failed attempts, and reports whether it holds the lock. Callers
+// consult SupportsTry first. A failed TryAcquire leaves no published state,
+// so on false the caller may walk away: an abandoned acquire.
 //
-// On backends that fast-forward spin waits (memsim, mcheck) a backoff pause
-// may sleep until the lock's state next changes, so `attempts` bounds the
-// number of lock-state changes observed, not wall time.
-func AcquireBounded(l Lock, p Proc, c Ctx, attempts int, bo *ExpBackoff) (supported, acquired bool) {
-	if !SupportsTry(l) {
-		return false, false
-	}
-	tl := l.(TryLocker)
-	if bo == nil {
-		bo = &ExpBackoff{}
-	}
+// pause is the caller's backoff. ExpBackoff.Pause spins, and backends that
+// fast-forward spin waits (memsim, mcheck) may park a spinning pause until
+// the lock's state next changes; workload.Run therefore pauses with local
+// work, which keeps the thread live and the cost deterministic.
+func AcquireBounded(l TryLocker, p Proc, c Ctx, attempts int, pause func()) bool {
 	for i := 0; i < attempts; i++ {
-		if tl.TryAcquire(p, c) {
-			return true, true
+		if l.TryAcquire(p, c) {
+			return true
 		}
 		if i < attempts-1 {
-			bo.Pause(p)
+			pause()
 		}
 	}
-	return true, false
+	return false
 }

@@ -462,9 +462,9 @@ func (p *Proc) Spin() {
 // lock-holder preemption. Global coherence state (owners, sharers, parked
 // watchers) is deliberately untouched: other CPUs still believe this CPU may
 // hold lines, which is the conservative direction for writers' invalidation
-// costs. The fault-injection harness (internal/faultinject via
-// internal/workload) calls this mid-critical-section to model preempted
-// lock holders, and outside it to model stalled cores.
+// costs. Fault plans (internal/faultinject, driven by internal/workload in
+// the chaos and collapse experiments) call this mid-critical-section to
+// model preempted lock holders, and outside it to model stalled cores.
 func (p *Proc) Preempt(d int64) {
 	if d < 0 {
 		panic("memsim: negative Preempt duration")

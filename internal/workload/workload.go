@@ -190,24 +190,15 @@ func Run(mk LockFactory, cfg Config) (Result, error) {
 					res.Stalls++
 					p.Preempt(d.PreStall)
 				}
-				if d.Abandon && canTry && tryLock != nil {
-					// Bounded acquire with Work-based backoff. The generic
-					// lockapi.AcquireBounded pauses with Spin(), which the
-					// simulator may park on a line the releaser never
-					// writes; charging the pause as local work keeps the
-					// thread live and the cost deterministic.
-					acquired := false
+				if d.Abandon && canTry {
+					// Bounded acquire that pauses with local work: a
+					// spinning pause (lockapi.ExpBackoff) may park on a line
+					// the releaser never writes.
 					backoff := int64(memsim.DefaultLatency(cfg.Machine.Arch).Hit) * lockapi.DefaultBackoffCap
-					for a := 0; a < d.AbandonAttempts; a++ {
-						if tryLock.TryAcquire(p, ctxs[i]) {
-							acquired = true
-							break
-						}
-						if a < d.AbandonAttempts-1 {
-							p.Work(backoff)
-							backoff *= 2
-						}
-					}
+					acquired := lockapi.AcquireBounded(tryLock, p, ctxs[i], d.AbandonAttempts, func() {
+						p.Work(backoff)
+						backoff *= 2
+					})
 					if !acquired {
 						res.Abandoned++
 						if cfg.NCSWork > 0 {

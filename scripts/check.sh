@@ -16,41 +16,37 @@
 #      (mcheck is excluded from the race pass: its replay engine is
 #      single-goroutine, so -race only multiplies its minutes-long
 #      exhaustive searches without checking anything new)
-#   7. clof-chaos smoke run, twice, byte-compared — the determinism
-#      guarantee the robustness report rests on — then the full default
-#      sweep, byte-compared against the committed figures-out/chaos.csv
-#      (a lock or catalog change that moves any row fails until the CSV is
-#      regenerated with make chaos)
-#   8. quick determinism gate   (every experiment of clof-figures -list at
+#   7. quick determinism gate   (every experiment of clof-figures -list at
 #      reduced scale, -exp all -quick, run at -j 1 and at -j 4; every CSV
 #      and TXT byte-compared in both directions, the two results.json
 #      manifests compared with wall times and summary stripped, and the
 #      two standard outputs compared without their "wrote" lines — the
 #      figures must not depend on the worker-pool width; the -j 4 run is
 #      make figures-quick, into figures-out/quick/ for the CI artifact)
-#   9. all figures              (every full-scale figure, clof-figures -exp
+#   8. all figures              (every full-scale figure, clof-figures -exp
 #      all, about 2.5 minutes on a 2-CPU host, byte-compared against every
-#      committed top-level figures-out/*.csv and *.txt except chaos.csv,
-#      which step 7 covers; a change that moves any row fails until the
-#      artifacts are regenerated with make figures)
-#  10. bench module             (cd bench && go vet ./... && go test ./...):
+#      committed top-level figures-out/*.csv and *.txt, the chaos sweep's
+#      chaos.csv included; a change that moves any row fails until the
+#      artifacts are regenerated with make figures; clof-figures itself
+#      exits nonzero when any point deadlocked or broke mutual exclusion)
+#   9. bench module             (cd bench && go vet ./... && go test ./...):
 #      the repository benchmark is a nested module that go build ./...
 #      does not reach, so a root API change that breaks bench/run.sh
 #      fails here instead of in the benchmark pipeline
-#  11. examples                 (go run ./examples/<name> for each of the
+#  10. examples                 (go run ./examples/<name> for each of the
 #      four examples; go build ./... only compiles them, so this is what
 #      catches an example that fails at run time)
-#  12. kv scripted benchmark    (a fresh clof-bench -workload kv sweep,
+#  11. kv scripted benchmark    (a fresh clof-bench -workload kv sweep,
 #      about 40 s on a 2-CPU host, compared point by point against the
 #      committed BENCH_kv.json with the nondeterministic wall times and
 #      summary stripped; a change that moves any point fails until the
 #      artifact is regenerated with make bench-kv)
-#  13. one scripted benchmark   (the HC-best/LC-best/worst selection that
+#  12. one scripted benchmark   (the HC-best/LC-best/worst selection that
 #      examples/hierdiscovery prints must equal clof-bench's for the same
 #      Armv8 4-level grid: both run the one sweep, figures.Scripted)
-#  14. clof-obs -events        (the per-operation event stream of a short
-#      CLoF run, twice, byte-compared like step 7, then once under hbo)
-#  15. benchmark rungs          (every Benchmark* in the root package —
+#  13. clof-obs -events        (the per-operation event stream of a short
+#      CLoF run, twice, byte-compared, then once under hbo)
+#  14. benchmark rungs          (every Benchmark* in the root package —
 #      the simulated LevelDB preset and the native lock pairs — and in
 #      internal/kvstore and internal/store, once each: go test ./... runs
 #      no benchmark, so a rung that panics or fails its own check fails
@@ -59,7 +55,7 @@
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
 # so raising the root directive makes every bench build fail with "go:
-# updates to go.mod needed" (step 10 catches that). Code that needs a
+# updates to go.mod needed" (step 9 catches that). Code that needs a
 # newer language version carries its own constraint instead:
 # internal/coro (the coroutine core memsim and mcheck share) is
 # `//go:build go1.23` for iter.Pull, so the tree needs a go1.23+ toolchain.
@@ -107,17 +103,8 @@ echo "== go test -race (all packages except mcheck)"
 # 1024-vCPU panels alone about 11.5), past go test's 10-minute default.
 go test -race -timeout 30m $(go list ./... | grep -v '/internal/mcheck$')
 
-echo "== clof-chaos smoke (determinism)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-smoke=(-locks "mcs,hbo,clof:tkt-tkt-tkt-tkt" -plans "none,holder-preempt,abandon" -threads 8)
-go run ./cmd/clof-chaos "${smoke[@]}" -out "$tmp/a.csv"
-go run ./cmd/clof-chaos "${smoke[@]}" -out "$tmp/b.csv"
-cmp "$tmp/a.csv" "$tmp/b.csv"
-echo "chaos smoke: byte-identical across reruns"
-go run ./cmd/clof-chaos -out "$tmp/chaos.csv"
-cmp "$tmp/chaos.csv" figures-out/chaos.csv
-echo "chaos sweep: byte-identical to figures-out/chaos.csv"
 
 echo "== quick determinism gate (every experiment, -j 1 vs -j 4)"
 # Every grid point derives its seed from its key, never from dispatch order,
@@ -145,13 +132,12 @@ echo "quick determinism gate: every experiment byte-identical across -j levels"
 
 echo "== all figures (byte-compared against figures-out/)"
 # Both directions: every generated figure must be committed, and every
-# committed figure (chaos.csv aside, which clof-chaos writes) regenerated.
+# committed figure regenerated.
 go run ./cmd/clof-figures -exp all -q -out "$tmp/all"
 for f in "$tmp"/all/*.csv "$tmp"/all/*.txt; do
   cmp "$f" "figures-out/$(basename "$f")"
 done
 for f in figures-out/*.csv figures-out/*.txt; do
-  [ "$(basename "$f")" = chaos.csv ] && continue
   cmp "$f" "$tmp/all/$(basename "$f")"
 done
 echo "all figures: byte-identical to figures-out/"
@@ -168,7 +154,7 @@ done
 echo "== kv scripted benchmark (compared against BENCH_kv.json)"
 # Wall times and the summary built from them are host provenance; every
 # other field of every point must match the committed artifact (the same
-# strip as step 8's manifests).
+# strip as step 7's manifests).
 go run ./cmd/clof-bench -workload kv -out "$tmp/kv.json" > /dev/null
 cmp <(jq -S "$strip" "$tmp/kv.json") <(jq -S "$strip" BENCH_kv.json)
 echo "kv scripted benchmark: every point matches BENCH_kv.json"
