@@ -117,7 +117,7 @@ func TestSkiplistAppendDifferential(t *testing.T) {
 }
 
 // checkSkiplist compares s with model and checks each level's order and
-// last node.
+// last node, and that the fences list level fenceLevel.
 func checkSkiplist(t *testing.T, s *skiplist, model map[string]string) {
 	t.Helper()
 	keys := make([]string, 0, len(model))
@@ -125,7 +125,7 @@ func checkSkiplist(t *testing.T, s *skiplist, model map[string]string) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	es := s.entries()
+	es := s.freeze().entries
 	if len(es) != len(keys) || s.n != len(keys) {
 		t.Fatalf("%d entries, n = %d, model %d", len(es), s.n, len(keys))
 	}
@@ -133,7 +133,7 @@ func checkSkiplist(t *testing.T, s *skiplist, model map[string]string) {
 		if string(es[i].key) != k || string(es[i].value) != model[k] {
 			t.Fatalf("entry %d = %s=%s, want %s=%s", i, es[i].key, es[i].value, k, model[k])
 		}
-		if e, ok := s.get([]byte(k)); !ok || string(e.value) != model[k] {
+		if e, ok := get(s, k); !ok || string(e.value) != model[k] {
 			t.Fatalf("get(%s) = %s,%v, want %s", k, e.value, ok, model[k])
 		}
 	}
@@ -148,6 +148,18 @@ func checkSkiplist(t *testing.T, s *skiplist, model map[string]string) {
 		if s.last[level] != x {
 			t.Fatalf("last[%d] is not the level's last node", level)
 		}
+	}
+	i := 0
+	for x := s.head.next[fenceLevel].Load(); x != nil; x, i = x.next[fenceLevel].Load(), i+1 {
+		if i >= len(s.fences) || s.nodes.at(s.fences[i].ord) != x || s.fences[i].prefix != x.prefix {
+			t.Fatalf("fence %d is not node %s of level %d", i, x.key, fenceLevel)
+		}
+		if h := int(s.fences[i].height); h <= fenceLevel || h < maxHeight && x.next[h].Load() != nil {
+			t.Fatalf("fence %d has height %d, node %s is taller", i, h, x.key)
+		}
+	}
+	if i != len(s.fences) {
+		t.Fatalf("%d fences for %d nodes on level %d", len(s.fences), i, fenceLevel)
 	}
 }
 

@@ -100,16 +100,16 @@ func (db *DB) write(key, value []byte, tombstone bool) {
 }
 
 // Get fetches a key: memtable first, then runs newest-to-oldest, a
-// tombstone in a newer layer shadowing older values. It hashes key once and
-// searches only the layers whose filter may hold it. Allocation-free. The
-// returned value aliases the DB's storage and must not be modified.
+// tombstone in a newer layer shadowing older values. It hashes key once,
+// probes the memtable's index with the hash and searches only the runs
+// whose filter may hold it. Allocation-free. The returned value aliases the
+// DB's storage and must not be modified.
 func (db *DB) Get(key []byte) ([]byte, bool) {
 	db.gets.Add(1)
 	h := hashKey(key)
-	if mem := db.mem.Load(); mem.filter.mayContain(h) {
-		if e, found := mem.get(key); found {
-			return e.value, !e.tombstone
-		}
+	if x := db.mem.Load().lookup(key, h); x != nil {
+		v := x.val.Load()
+		return v.value, !v.tombstone
 	}
 	for _, r := range *db.runs.Load() {
 		if !r.filter.mayContain(h) {
@@ -189,17 +189,17 @@ func merge(sources [][]entry, end []byte, fn func(e entry) bool) {
 }
 
 // freezeLocked turns the memtable into a run; the caller runs it as a
-// writer. The run takes over the memtable's filter, which already holds
-// every key. The new run stack is published before the memtable pointer is
-// reset, so a reader interleaving with the freeze finds every entry in at
-// least one layer (possibly both — validation, not the freeze, is what
-// makes its snapshot consistent).
+// writer. The run is built complete, its filter from the hashes the
+// memtable's nodes store, before it is published. The new run stack is
+// published before the memtable pointer is reset, so a reader interleaving
+// with the freeze finds every entry in at least one layer (possibly both —
+// validation, not the freeze, is what makes its snapshot consistent).
 func (db *DB) freezeLocked() {
 	mem := db.mem.Load()
 	if mem.n == 0 {
 		return
 	}
-	newRuns := append([]*run{{entries: mem.entries(), filter: mem.filter}}, *db.runs.Load()...)
+	newRuns := append([]*run{mem.freeze()}, *db.runs.Load()...)
 	db.runs.Store(&newRuns)
 	db.mem.Store(newSkiplist(db.opts.Seed+uint64(len(newRuns)), db.opts.MemtableBytes))
 	if len(newRuns) > db.opts.MaxRuns {

@@ -12,11 +12,6 @@ const (
 	filterBitsPerKey = 16
 	// blockWords is one 64-byte cache line of filter bits.
 	blockWords = 8
-	// memtableBytesPerKey sizes a memtable's filter from its freeze
-	// threshold: db_bench's entries (16-byte key, 100-byte value) take 117
-	// bytes each. Memtables of smaller entries get a denser filter, which
-	// answers "maybe" more often but never wrongly "absent".
-	memtableBytesPerKey = 128
 )
 
 // filter is a cache-line-blocked Bloom filter: a key's 8 probe bits lie in
@@ -67,8 +62,8 @@ func (f *filter) mayContain(h uint64) bool {
 }
 
 // hashKey mixes key one 8-byte word at a time and finishes with
-// MurmurHash3's 64-bit avalanche. Get hashes once and probes every layer's
-// filter with the result.
+// MurmurHash3's 64-bit avalanche. Get hashes once and probes the memtable's
+// index and every run's filter with the result.
 func hashKey(key []byte) uint64 {
 	const m = 0xbf58476d1ce4e5b9
 	h := uint64(len(key)) * m

@@ -9,8 +9,10 @@ import (
 
 // TestFilterNoFalseNegatives drives random puts and deletes of keys of
 // random length through freezes and compactions, and checks after every
-// batch that each layer's filter holds every key the layer stores,
-// tombstones included, and that Get agrees with a map oracle.
+// batch that each run's filter holds every key the run stores, tombstones
+// included; that the memtable's index finds each of its keys and the filter
+// its freeze would build from the stored hashes holds them all; and that Get
+// agrees with a map oracle.
 func TestFilterNoFalseNegatives(t *testing.T) {
 	db := Open(Options{MemtableBytes: 2048, MaxRuns: 3, Seed: 5})
 	rng := xrand.New(17)
@@ -38,11 +40,19 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 				oracle[k] = v
 			}
 		}
-		layers := append([]*run{{entries: db.mem.Load().entries(), filter: db.mem.Load().filter}}, *db.runs.Load()...)
+		mem := db.mem.Load()
+		layers := append([]*run{mem.freeze()}, *db.runs.Load()...)
 		for li, l := range layers {
 			for _, e := range l.entries {
-				if !l.filter.mayContain(hashKey(e.key)) {
+				h := hashKey(e.key)
+				if !l.filter.mayContain(h) {
 					t.Fatalf("batch %d: layer %d filter misses stored key %q (tombstone %v)", batch, li, e.key, e.tombstone)
+				}
+				if li > 0 {
+					continue
+				}
+				if x := mem.lookup(e.key, h); x == nil || x.val.Load().tombstone != e.tombstone {
+					t.Fatalf("batch %d: memtable index misses stored key %q (tombstone %v)", batch, e.key, e.tombstone)
 				}
 			}
 		}
@@ -60,9 +70,9 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 }
 
 // TestFilterFalsePositiveRate bounds the false-positive rate at the shipped
-// density, for a filter sized by key count (a compaction's) and for a
-// memtable's filled to its freeze threshold with db_bench-shaped entries. A
-// filter that always answers "maybe" fails it.
+// density, for a filter sized by key count (a compaction's) and for the one
+// a freeze builds from a memtable filled to its freeze threshold with
+// db_bench-shaped entries. A filter that always answers "maybe" fails it.
 func TestFilterFalsePositiveRate(t *testing.T) {
 	const absent = 100000
 	check := func(t *testing.T, f *filter, present int) {
@@ -98,6 +108,7 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 		for i := 0; s.bytes < memtable; i++ {
 			s.putEntry(Key(i), value, false)
 		}
-		check(t, &s.filter, s.n)
+		r := s.freeze()
+		check(t, &r.filter, s.n)
 	})
 }

@@ -1,0 +1,80 @@
+package kvstore
+
+import (
+	"math/bits"
+	"sync/atomic"
+)
+
+// memtableBytesPerKey sizes a memtable's hash index and node blocks from its
+// freeze threshold: db_bench's entries (16-byte key, 100-byte value) take
+// 117 bytes each. The index is presized to twice the keys this predicts, so
+// a memtable of db_bench entries peaks at about 55% load at any power-of-two
+// threshold and never grows its index (TestIndexPresizeHolds). A memtable of
+// smaller entries grows it, doubling past 3/4 load.
+const memtableBytesPerKey = 128
+
+// index is a memtable's open-addressing hash index from key to skiplist
+// node, with linear probing. A slot is one word: the high 32 bits of the
+// key's hash (its tag) over the node's ordinal plus one, so an empty slot is
+// 0 and a slot holds no Go pointer — the table costs no write barrier and
+// no garbage-collector scan. The tag's top bits are also the slot's home,
+// so growth re-places the stored words without rehashing a key.
+//
+// A memtable builds its table at the first Put that must look a key up
+// (skiplist.putEntry); keys appended before then wait as pending.
+// Optimistic readers probe the table while the writer fills it (see the
+// package comment): the writer stores a slot's word, node and hash tag in
+// one atomic store, after the node is complete; the table is never more
+// than 3/4 full, so every probe meets an empty slot; growth builds a doubled
+// table and publishes it atomically, and nothing is written to the old one
+// afterwards.
+type index struct {
+	slots []atomic.Uint64
+	// shift is 64 − log2(len(slots)): a hash's, or a stored word's, home
+	// slot is its value >> shift.
+	shift uint
+}
+
+// newIndex returns an empty table of n slots, a power of two (at least 8, so
+// its 3/4 load still leaves an empty slot).
+func newIndex(n int) *index {
+	t := &index{slots: make([]atomic.Uint64, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
+	// Touch every page now rather than on the first insert that lands on
+	// it, inside a writer's critical section (blocks.go does the same).
+	clear(t.slots)
+	return t
+}
+
+// indexSlots is the presized table length for a memtable of memtableBytes.
+func indexSlots(memtableBytes int) int {
+	n := 8
+	for n < 2*memtableBytes/memtableBytesPerKey {
+		n *= 2
+	}
+	return n
+}
+
+// slotWord packs a hash tag and a node ordinal into a slot word.
+func slotWord(h uint64, ord uint32) uint64 { return h>>32<<32 | uint64(ord) + 1 }
+
+// free returns the first empty slot from the home of h (a hash or a slot
+// word). Writer-only.
+func (t *index) free(h uint64) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		if t.slots[i].Load() == 0 {
+			return i
+		}
+	}
+}
+
+// grow returns a table of twice t's slots holding t's words. Writer-only.
+func (t *index) grow() *index {
+	g := newIndex(2 * len(t.slots))
+	for i := range t.slots {
+		if w := t.slots[i].Load(); w != 0 {
+			g.slots[g.free(w)].Store(w)
+		}
+	}
+	return g
+}

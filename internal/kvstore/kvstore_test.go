@@ -3,28 +3,37 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
 func put(s *skiplist, k, v string) { s.putEntry([]byte(k), []byte(v), false) }
 
+// get returns k's entry in s, found false if s never held k.
+func get(s *skiplist, k string) (e entry, found bool) {
+	if x := s.lookup([]byte(k), hashKey([]byte(k))); x != nil {
+		return x.entry(), true
+	}
+	return entry{}, false
+}
+
 func TestSkiplistBasic(t *testing.T) {
 	s := newSkiplist(1, 0)
-	if _, found := s.get([]byte("a")); found {
+	if _, found := get(s, "a"); found {
 		t.Fatal("empty skiplist returned a value")
 	}
 	put(s, "b", "2")
 	put(s, "a", "1")
 	put(s, "c", "3")
 	for k, v := range map[string]string{"a": "1", "b": "2", "c": "3"} {
-		got, found := s.get([]byte(k))
+		got, found := get(s, k)
 		if !found || string(got.value) != v {
 			t.Errorf("get(%q) = %q,%v want %q", k, got.value, found, v)
 		}
 	}
 	put(s, "b", "two")
-	if got, _ := s.get([]byte("b")); string(got.value) != "two" {
+	if got, _ := get(s, "b"); string(got.value) != "two" {
 		t.Errorf("overwrite failed: %q", got.value)
 	}
 	if s.n != 3 {
@@ -37,7 +46,7 @@ func TestSkiplistOrdered(t *testing.T) {
 	for i := 999; i >= 0; i-- {
 		s.putEntry(Key(i), []byte{byte(i)}, false)
 	}
-	es := s.entries()
+	es := s.freeze().entries
 	if len(es) != 1000 {
 		t.Fatalf("entries = %d", len(es))
 	}
@@ -186,8 +195,9 @@ func BenchmarkKey(b *testing.B) {
 
 // preloadRuns fills a default-configured DB with db_bench-shaped entries
 // (sequential keys, 100-byte values) until it holds runs frozen runs, then
-// puts memKeys more keys into the memtable. It returns the number of keys
-// written; key 0 lies in the oldest run, the last memKeys in the memtable.
+// puts memKeys more keys into the memtable in scattered order, as updates
+// fill a memtable after a bulk load. It returns the number of keys written;
+// key 0 lies in the oldest run, the last memKeys in the memtable.
 func preloadRuns(runs, memKeys int) (*DB, int) {
 	db := Open(Options{})
 	value := make([]byte, 100)
@@ -195,10 +205,10 @@ func preloadRuns(runs, memKeys int) (*DB, int) {
 	for ; db.Stats().Runs < runs; n++ {
 		db.Put(Key(n), value)
 	}
-	for end := n + memKeys; n < end; n++ {
-		db.Put(Key(n), value)
+	for i := 0; i < memKeys; i++ {
+		db.Put(Key(n+i*7919%memKeys), value)
 	}
-	return db, n
+	return db, n + memKeys
 }
 
 // TestDBGetAllocs: Get performs no heap allocation on any path — memtable
@@ -242,19 +252,59 @@ func BenchmarkDBGet(b *testing.B) {
 	}
 }
 
-// BenchmarkDBPut times the engine's Put of 100-byte values over 10,000
-// scattered keys — mostly overwrites — with the memtable freezes and
-// compactions they cause.
+// BenchmarkDBPut times the engine's Put of 100-byte values on its two
+// paths. overwrite Puts scattered keys already in a 1 MiB memtable: an index
+// probe and a slot swap. insert Puts new keys in scattered order, one Put
+// per DB in turn over 16 DBs with 1 MiB memtables (the ycsb-b benchmark's
+// shards), so the memtable each Put searches has left the cache since that
+// DB's last Put; this path sets the tail of a write.
 func BenchmarkDBPut(b *testing.B) {
-	const keys = 10000
-	db := Open(Options{MemtableBytes: 256 << 10})
 	value := make([]byte, 100)
 	key := make([]byte, 0, KeyWidth)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		key = AppendKey(key[:0], i*7919%keys)
-		db.Put(key, value)
-	}
+	b.Run("overwrite", func(b *testing.B) {
+		const keys = 4096
+		db := Open(Options{})
+		fill := func() { // in scattered order, so the index is built
+			for k := 0; k < keys; k++ {
+				db.Put(AppendKey(key[:0], k*7919%keys), value)
+			}
+		}
+		fill()
+		mem := db.mem.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key = AppendKey(key[:0], i*7919%keys)
+			db.Put(key, value)
+			if db.mem.Load() != mem {
+				// The dead-space cap froze the memtable (about once
+				// per 100,000 Puts): refill the new one.
+				b.StopTimer()
+				fill()
+				mem = db.mem.Load()
+				b.StartTimer()
+			}
+		}
+	})
+	b.Run("insert", func(b *testing.B) {
+		// keys db_bench entries per memtable stay under its freeze point:
+		// every round of shards×keys Puts starts on fresh DBs.
+		const shards, keys = 16, 8192
+		dbs := make([]*DB, shards)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%(shards*keys) == 0 {
+				b.StopTimer()
+				for d := range dbs {
+					dbs[d] = Open(Options{})
+				}
+				runtime.GC()
+				b.StartTimer()
+			}
+			key = AppendKey(key[:0], i/shards%keys*7919%keys)
+			dbs[i%shards].Put(key, value)
+		}
+	})
 }
 
 // BenchmarkDBScan times a short bounded Scan — 50 consecutive keys from a

@@ -8,68 +8,88 @@
 // LD_PRELOAD.
 //
 // The layers, newest first, are the mutable memtable and a stack of
-// immutable runs. Every layer carries a cache-line-blocked Bloom filter
-// (filter.go, LevelDB's FilterPolicy in miniature) holding each key the
-// layer stores, tombstones included: a tombstone the filter hid would let an
-// older layer's value come back. A Get hashes its key once and searches only
-// the layers whose filter may hold it. The memtable adds a key to its filter
-// when it inserts the key's node; a freeze hands the memtable's filter on to
-// the run it becomes; a compaction fills the merged run's filter in its
-// merge pass.
+// immutable runs, and each has one hashed structure that a Get probes with
+// the one hash it computes. The memtable has an exact hash index from key
+// to skiplist node (index.go), so a Get or an overwriting Put finds its
+// node in a probe or two instead of a search. A run has a
+// cache-line-blocked Bloom filter (filter.go, LevelDB's FilterPolicy in
+// miniature) holding each key the run stores, tombstones included: a
+// tombstone the filter hid would let an older layer's value come back. A
+// freeze builds its run's filter from the hashes the memtable's nodes
+// store, sized for the run's key count; a compaction fills the merged run's
+// filter in its merge pass. The skiplist keeps the order that the freeze,
+// Scan and the insert of a new key need.
 //
 // A memtable carves its nodes, value slots, key bytes and value bytes from
 // blocks it owns (blocks.go, LevelDB's Arena in miniature), so a Put that
 // does not freeze makes no heap allocation, and a key greater than the
-// memtable's last key appends without a search. A block lives as long as
-// anything points into it. A freeze hands the new run slices into the
-// memtable's key and value blocks; the node and slot blocks die with the
-// skiplist. A compaction copies every live key and value into the merged
-// run's own blocks, so the blocks of the runs it replaces, dead overwritten
-// values and all, die with them. Dead space in a memtable is capped: it
-// freezes early once the bytes it has carved reach arenaFactor ×
-// MemtableBytes, whatever its live bytes.
+// memtable's last key appends without a search. Such appended keys are
+// indexed only when a later Put needs a lookup, so a bulk load in key order
+// builds no index at all. A block lives as long as anything points into it.
+// A freeze hands the new run slices into the memtable's key and value
+// blocks; the node and slot blocks die with the skiplist. A compaction
+// copies every live key and value into the merged run's own blocks, so the
+// blocks of the runs it replaces, dead overwritten values and all, die with
+// them. Dead space in a memtable is capped: it freezes early once the bytes
+// it has carved reach arenaFactor × MemtableBytes, whatever its live bytes.
 //
 // Readers come in two disciplines. A serialized reader (DB.Get/Scan) runs
 // while no writer does, exclusive or shared with other readers. An
 // optimistic reader runs the same methods concurrently with a writer, the
 // sharded store's optimistic-read fast path (DESIGN.md S33): all
-// reader-visible state — skiplist links, value slots, filter words, the
-// memtable and run-stack pointers — is published through atomics, so such a
-// reader is data-race-free and always observes structurally sound memory.
-// What it may observe is a *mixed* state (half of a concurrent write);
-// callers must certify every such result through seqlock validation and
-// discard it on failure.
+// reader-visible state — skiplist links, value slots, index slots, filter
+// words, the index, pending-key and node-block pointers, the memtable and
+// run-stack pointers — is published through atomics, so such a reader is
+// data-race-free and always observes structurally sound memory. What it may
+// observe is a *mixed* state (half of a concurrent write); callers must
+// certify every such result through seqlock validation and discard it on
+// failure.
 //
 // An optimistic reader therefore reads only atomics and fields that are
-// immutable once published: a node's key, a slot's value, block bytes
-// (blocks are append-only, so carved memory is never written again). It
-// never reads the writer's plain fields, and above all never sizes an
+// immutable once published: a node's key and prefix, a slot's value, block
+// bytes (blocks are append-only, so carved memory is never written again).
+// It never reads the writer's plain fields, and above all never sizes an
 // allocation from one: the compiler loads such a field once for the
 // allocation and again for the slice's capacity, so a writer bumping it in
 // between hands the reader a capacity past its allocation, and the garbage
-// collector later finds a pointer to a free object. The filters keep the
-// validation argument sound:
+// collector later finds a pointer to a free object. The hashed structures
+// keep the validation argument sound:
 //
-//   - a reader that overlaps a writer may probe a filter the writer has not
-//     finished, and so miss a key, but then validation fails and the read
-//     is discarded;
-//   - a reader that starts after a writer finished sees every bit the
-//     writer set, because the seqlock's release (writer unlock) and acquire
-//     (reader's sequence read) order the filter stores before its probes;
-//   - a freeze publishes a run together with its complete filter (the
-//     memtable's, to which nothing is added after the freeze), and a
+//   - a reader that overlaps a writer may probe an index or a filter the
+//     writer has not finished, or hold an index the writer has since
+//     replaced by a grown one, and so miss a key, but then validation fails
+//     and the read is discarded;
+//   - a reader that starts after a writer finished sees every slot word and
+//     filter bit the writer stored, because the seqlock's release (writer
+//     unlock) and acquire (reader's sequence read) order those stores before
+//     its probes;
+//   - every probe ends: the writer stores a slot's word — node ordinal and
+//     hash tag together — in one atomic store, after the node and its block
+//     are published, and keeps every table at most 3/4 full, also the table
+//     a reader may still hold after a growth, to which nothing is written
+//     again;
+//   - a key the index does not yet hold is pending, and the reader searches
+//     the skiplist for it, whose level 0 is always complete;
+//   - a freeze publishes a run together with its complete filter, and a
 //     compaction fills its run's filter before publishing the run.
 package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"unsafe"
 
 	"github.com/clof-go/clof/internal/xrand"
 )
 
-const maxHeight = 12
+// maxHeight bounds a node's levels. Nine levels at branching factor 4 serve
+// 4⁹ ≈ 262,000 keys, some thirty times a 1 MiB memtable of db_bench
+// entries, and make a node exactly two cache lines (TestNodeLayout).
+const maxHeight = 9
 
 // arenaFactor caps a memtable's dead space: it freezes once the bytes it has
 // carved from its blocks (nodes, value slots, keys and values) reach
@@ -88,10 +108,12 @@ const (
 	slotBytes = int(unsafe.Sizeof(valSlot{}))
 )
 
-// skiplist is a single-writer skiplist keyed by []byte. Writers require
-// external synchronization (the caller's lock); readers may traverse
-// concurrently with the writer — links and value slots are atomically published, LevelDB-memtable
-// style — provided they validate what they read (see the package comment).
+// skiplist is a single-writer skiplist keyed by []byte, with a hash index
+// from key to node (index.go). Writers require external synchronization
+// (the caller's lock); readers may traverse concurrently with the writer —
+// links, value slots, index slots and the index itself are atomically
+// published, LevelDB-memtable style — provided they validate what they read
+// (see the package comment).
 type skiplist struct {
 	head *skipNode
 	// height is the current index height; racily read by optimistic readers
@@ -100,20 +122,31 @@ type skiplist struct {
 	height atomic.Int32
 	rng    *xrand.Rand
 	// last is the last node at each level (head where a level is empty),
-	// for the sorted-append path. Writer-only.
-	last [maxHeight]*skipNode
+	// for the sorted-append path, and lastPrefix the prefix of the last
+	// node's key, so that telling an appended key reads no node. fences
+	// lists the nodes on level fenceLevel and up in key order, for the
+	// search of a new key (findPrev). All three are writer-only.
+	last       [maxHeight]*skipNode
+	lastPrefix keyPrefix
+	fences     []fence
 	// n, bytes and arena are writer-only plain fields: the entry count, the
 	// live bytes the freeze trigger counts, and the bytes carved from the
 	// blocks below, live or dead.
 	n, bytes, arena int
-	nodes           blocks[skipNode]
+	nodes           nodeBlocks
 	slots           blocks[valSlot]
-	// keys and vals hold key and value bytes in separate blocks, so a
-	// search touches only key bytes.
+	// keys and vals hold key and value bytes in separate blocks.
 	keys, vals blocks[byte]
-	// filter holds every key ever inserted, tombstones included; the
-	// freeze hands it on to the run the memtable becomes.
-	filter filter
+	// index finds every key's node, tombstones included, except the
+	// pending ones: the keys appended since the last Put that looked a key
+	// up, which are the level-0 nodes from pending to tail (pending is nil
+	// when there are none). It is nil until that first Put, and replaced by
+	// a doubled table past 3/4 load. indexed, the count of indexed nodes,
+	// and slotsHint, the presized table length, are writer-only.
+	index         atomic.Pointer[index]
+	pending, tail atomic.Pointer[skipNode]
+	indexed       uint32
+	slotsHint     int
 }
 
 // valSlot is an immutable value+tombstone pair. Overwrites swap the node's
@@ -124,10 +157,52 @@ type valSlot struct {
 	tombstone bool
 }
 
+// skipNode is one key's node. A search reads only prefix and next, which
+// share the node's first cache line up to level 5 when the node starts a
+// line, as it does in a block of 256 nodes or more (TestNodeLayout).
 type skipNode struct {
-	key  []byte
-	val  atomic.Pointer[valSlot]
-	next [maxHeight]atomic.Pointer[skipNode]
+	prefix keyPrefix
+	next   [maxHeight]atomic.Pointer[skipNode]
+	val    atomic.Pointer[valSlot]
+	key    []byte
+	// hash is hashKey(key), kept for the run filter the freeze builds.
+	hash uint64
+}
+
+// keyPrefix is a key's first 16 bytes as two big-endian words, zero padded.
+// Where two keys' prefixes differ they order the keys exactly, so a search
+// reads key bytes only on a tie. (A struct, not an array, so that it is
+// passed in registers.)
+type keyPrefix struct{ hi, lo uint64 }
+
+// prefixOf returns key's prefix.
+func prefixOf(key []byte) keyPrefix {
+	if len(key) < 16 {
+		var b [16]byte
+		copy(b[:], key)
+		key = b[:]
+	}
+	return keyPrefix{binary.BigEndian.Uint64(key), binary.BigEndian.Uint64(key[8:])}
+}
+
+// less reports whether prefix a orders before prefix b. Equal prefixes
+// leave the order of their keys to the bytes past them.
+func (a keyPrefix) less(b keyPrefix) bool {
+	return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo
+}
+
+// less reports whether x's key orders before key, whose prefix is p.
+func (x *skipNode) less(key []byte, p keyPrefix) bool {
+	if x.prefix != p {
+		return x.prefix.less(p)
+	}
+	return bytes.Compare(x.key, key) < 0
+}
+
+// equal reports whether x's key is key; a key of at most 16 bytes is decided
+// by its prefix and length alone.
+func (x *skipNode) equal(key []byte) bool {
+	return len(x.key) == len(key) && x.prefix == prefixOf(key) && (len(key) <= 16 || bytes.Equal(x.key[16:], key[16:]))
 }
 
 // entry returns the node's current entry. Safe for optimistic readers: a
@@ -137,10 +212,14 @@ func (x *skipNode) entry() entry {
 	return entry{key: x.key, value: v.value, tombstone: v.tombstone}
 }
 
-// newSkiplist returns an empty skiplist whose filter is sized for a
-// memtable of memtableBytes.
+// newSkiplist returns an empty skiplist whose index and node blocks are
+// sized for a memtable of memtableBytes.
 func newSkiplist(seed uint64, memtableBytes int) *skiplist {
-	s := &skiplist{head: &skipNode{}, rng: xrand.New(seed), filter: newFilter(memtableBytes / memtableBytesPerKey)}
+	s := &skiplist{head: &skipNode{}, rng: xrand.New(seed), slotsHint: indexSlots(memtableBytes)}
+	// Node blocks of 1/16 of the index's slots, 8 to 512 nodes (1 to 64
+	// KiB, like the other blocks): 256 or more from 256 KiB memtables on,
+	// allocations of their own, which start on a page.
+	s.nodes.shift = uint(min(max(bits.TrailingZeros(uint(s.slotsHint))-4, 3), 9))
 	for level := range s.last {
 		s.last[level] = s.head
 	}
@@ -157,14 +236,20 @@ func (s *skiplist) randomHeight() int {
 	return h
 }
 
-// findGreaterOrEqual returns the first node with key >= key, filling prev
-// with the predecessor at every level when prev is non-nil.
-func (s *skiplist) findGreaterOrEqual(key []byte, prev *[maxHeight]*skipNode) *skipNode {
-	x := s.head
-	for level := int(s.height.Load()) - 1; level >= 0; level-- {
+// findGreaterOrEqual returns the first node with key >= key, whose prefix is
+// p. Safe for optimistic readers.
+func (s *skiplist) findGreaterOrEqual(key []byte, p keyPrefix) *skipNode {
+	return s.descend(s.head, int(s.height.Load())-1, key, p, nil)
+}
+
+// descend searches for key, whose prefix is p, from x, a node before it on
+// level top, down to level 0, filling prev[0:top+1] with key's predecessors
+// when prev is non-nil, and returns the first node with key >= key.
+func (s *skiplist) descend(x *skipNode, top int, key []byte, p keyPrefix, prev *[maxHeight]*skipNode) *skipNode {
+	for level := top; level >= 0; level-- {
 		for {
 			nx := x.next[level].Load()
-			if nx == nil || bytes.Compare(nx.key, key) >= 0 {
+			if nx == nil || !nx.less(key, p) {
 				break
 			}
 			x = nx
@@ -176,47 +261,218 @@ func (s *skiplist) findGreaterOrEqual(key []byte, prev *[maxHeight]*skipNode) *s
 	return x.next[0].Load()
 }
 
+// lookup returns key's node, nil if the key was never written, by probing
+// the index with key's hash h, or by searching for a pending key. Safe for
+// serialized and optimistic readers alike.
+func (s *skiplist) lookup(key []byte, h uint64) *skipNode {
+	if t := s.index.Load(); t != nil {
+		if x, _ := s.find(t, key, h); x != nil {
+			return x
+		}
+	}
+	if first := s.pending.Load(); first != nil {
+		return s.lookupPending(key, first)
+	}
+	return nil
+}
+
+// lookupPending searches for key if it lies within the pending keys, which
+// start at first.
+func (s *skiplist) lookupPending(key []byte, first *skipNode) *skipNode {
+	p := prefixOf(key)
+	if s.tail.Load().less(key, p) || !first.less(key, p) && !first.equal(key) {
+		return nil // after tail or before first
+	}
+	if x := s.findGreaterOrEqual(key, p); x != nil && x.equal(key) {
+		return x
+	}
+	return nil
+}
+
+// find probes t for key, whose hash is h: it returns key's node, or nil and
+// the empty slot that ended the probe, where key would be indexed.
+// Safe for optimistic readers.
+func (s *skiplist) find(t *index, key []byte, h uint64) (*skipNode, uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		w := t.slots[i].Load()
+		if w == 0 {
+			return nil, i
+		}
+		if w>>32 == h>>32 {
+			if x := s.nodes.at(uint32(w) - 1); x.equal(key) {
+				return x, i
+			}
+		}
+	}
+}
+
+// fenceLevel is the lowest level the fences cover: they list the nodes
+// taller than it, one in 16.
+const fenceLevel = 2
+
+// fence is a node on level fenceLevel and up, as the insert search reads
+// it: its key prefix, ordinal and height, 24 bytes with no pointer. Only
+// inserts walk the skiplist (Get and overwrites go through the index), so
+// its nodes are mostly out of cache, and each step of a walk is a miss. A
+// binary search over the fences replaces the walk of the upper levels: it
+// touches a few cache lines, and the top of it is shared by every insert.
+type fence struct {
+	prefix keyPrefix
+	ord    uint32
+	height int32
+}
+
+// findPrev fills prev[0:height] with the predecessors of key, whose prefix
+// is p and which the skiplist does not hold, and returns the position of
+// key among the fences. On level fenceLevel and up the predecessor is the
+// last fence before key that reaches the level; below, the search walks
+// down from the predecessor on fenceLevel. Writer-only.
+func (s *skiplist) findPrev(key []byte, p keyPrefix, height int, prev *[maxHeight]*skipNode) int {
+	fi := sort.Search(len(s.fences), func(i int) bool {
+		f := &s.fences[i]
+		return !(f.prefix.less(p) || f.prefix == p && s.nodes.at(f.ord).less(key, p))
+	})
+	j := fi - 1
+	for level := fenceLevel; level < max(height, fenceLevel+1); level++ {
+		for j >= 0 && int(s.fences[j].height) <= level {
+			j--
+		}
+		prev[level] = s.head
+		if j >= 0 {
+			prev[level] = s.nodes.at(s.fences[j].ord)
+		}
+	}
+	s.descend(prev[fenceLevel], fenceLevel-1, key, p, prev)
+	return fi
+}
+
 // putEntry inserts key or overwrites its value (a tombstone for a
 // deletion), copying both into the skiplist's blocks. A key greater than
 // the last key links after the last node at each level without a search
-// (RocksDB's insert hint); every other key, the last key itself included,
-// is searched for. Both paths draw one height per insert, so a skiplist's
-// shape does not depend on the path. The caller is the single writer;
-// concurrent optimistic readers are tolerated by adding the key to the
-// filter, then publishing the node bottom-up after its fields are complete.
+// or an index lookup (RocksDB's insert hint): it cannot be present. It is
+// left pending, so that a bulk load in key order pays no cache miss per key
+// for an index that nothing reads before the load ends. Every other key,
+// the last key itself included, is looked up in the index, once the
+// pending keys are indexed, and only a new key is searched for (findPrev).
+// Both insert paths draw one height per insert, so a skiplist's shape does
+// not depend on the path.
+//
+// The stores that miss the cache — the copies, the new node's fields —
+// are issued before the search, so that their misses overlap its chain of
+// loads. The caller is the single writer; concurrent optimistic readers
+// are tolerated by publishing the node bottom-up after its fields are
+// complete, then indexing it.
 func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
+	h, p := hashKey(key), prefixOf(key)
+	last := s.last[0]
+	appended := last == s.head || s.lastPrefix.less(p) || s.lastPrefix == p && last.less(key, p)
+	var (
+		t    *index
+		x    *skipNode
+		free uint64 // the empty index slot a new key takes
+	)
+	if !appended {
+		t = s.indexPending()
+		x, free = s.find(t, key, h)
+	}
 	slot := &s.slots.alloc(1)[0]
 	*slot = valSlot{value: s.vals.copy(value), tombstone: tombstone}
 	s.arena += slotBytes + len(value)
-	var prev [maxHeight]*skipNode
-	if last := s.last[0]; last == s.head || bytes.Compare(key, last.key) > 0 {
-		prev = s.last
-	} else if x := s.findGreaterOrEqual(key, &prev); x != nil && bytes.Equal(x.key, key) {
+	if x != nil {
 		s.bytes += len(value) - len(x.val.Load().value)
 		x.val.Store(slot)
 		return
 	}
-	h := s.randomHeight()
-	if cur := int(s.height.Load()); h > cur {
-		for level := cur; level < h; level++ {
+	node, ord := s.nodes.alloc()
+	node.prefix, node.key, node.hash = p, s.keys.copy(key), h
+	height := s.randomHeight()
+	prev, fi := s.last, len(s.fences)
+	if !appended {
+		fi = s.findPrev(key, p, height, &prev)
+	}
+	node.val.Store(slot)
+	if cur := int(s.height.Load()); height > cur {
+		for level := cur; level < height; level++ {
 			prev[level] = s.head
 		}
-		s.height.Store(int32(h))
+		s.height.Store(int32(height))
 	}
-	s.filter.add(hashKey(key))
-	node := &s.nodes.alloc(1)[0]
-	node.key = s.keys.copy(key)
-	node.val.Store(slot)
-	for level := 0; level < h; level++ {
+	for level := 0; level < height; level++ {
 		node.next[level].Store(prev[level].next[level].Load())
 		prev[level].next[level].Store(node)
 		if prev[level] == s.last[level] {
 			s.last[level] = node
 		}
 	}
+	if s.last[0] == node {
+		s.lastPrefix = p
+	}
+	if height > fenceLevel {
+		s.fences = slices.Insert(s.fences, fi, fence{p, ord, int32(height)})
+	}
 	s.n++
 	s.bytes += len(key) + len(value) + 1
 	s.arena += nodeBytes + len(key)
+	if appended {
+		// tail first: a reader that sees pending set finds tail set.
+		s.tail.Store(node)
+		if s.pending.Load() == nil {
+			s.pending.Store(node)
+		}
+		return
+	}
+	if 4*s.n > 3*len(t.slots) {
+		t = t.grow()
+		s.index.Store(t)
+		free = t.free(h)
+	}
+	t.slots[free].Store(slotWord(h, ord))
+	s.indexed++
+}
+
+// indexBatch is how many pending keys indexPending indexes at a time.
+// Indexing a key costs a cache miss on its slot; within a batch the misses
+// overlap, because every home slot is loaded before any slot is stored.
+const indexBatch = 16
+
+// indexPending indexes the pending nodes, creating the index the first
+// time, and returns the index. Writer-only.
+func (s *skiplist) indexPending() *index {
+	t := s.index.Load()
+	if t != nil && s.indexed == s.nodes.n {
+		return t
+	}
+	published := t != nil
+	if t == nil {
+		t = newIndex(s.slotsHint)
+	}
+	for 4*int(s.nodes.n) > 3*len(t.slots) {
+		t, published = t.grow(), false
+	}
+	var homes [indexBatch]uint64
+	for from := s.indexed; from < s.nodes.n; from += indexBatch {
+		to := min(from+indexBatch, s.nodes.n)
+		for ord := from; ord < to; ord++ {
+			homes[ord-from] = t.slots[s.nodes.at(ord).hash>>t.shift].Load()
+		}
+		for ord := from; ord < to; ord++ {
+			h := s.nodes.at(ord).hash
+			// A home slot loaded full stays full; one loaded empty may
+			// have been taken since by a key of this batch.
+			i := h >> t.shift
+			if homes[ord-from] != 0 || t.slots[i].Load() != 0 {
+				i = t.free(h)
+			}
+			t.slots[i].Store(slotWord(h, ord))
+		}
+	}
+	if !published {
+		s.index.Store(t)
+	}
+	s.indexed = s.nodes.n
+	s.pending.Store(nil)
+	return t
 }
 
 // full reports whether the memtable must freeze: its live bytes reached
@@ -225,25 +481,17 @@ func (s *skiplist) full(memtableBytes int) bool {
 	return s.bytes >= memtableBytes || s.arena >= arenaFactor*memtableBytes
 }
 
-// get returns the entry for key; found is false if the key was never
-// written (a tombstone IS found). Safe for serialized and optimistic
-// readers alike.
-func (s *skiplist) get(key []byte) (e entry, found bool) {
-	x := s.findGreaterOrEqual(key, nil)
-	if x != nil && bytes.Equal(x.key, key) {
-		return x.entry(), true
-	}
-	return entry{}, false
-}
-
-// entries returns all entries in key order, for the freeze. It runs on the
-// writer path only, so it may size its result from the plain field n.
-func (s *skiplist) entries() []entry {
-	out := make([]entry, 0, s.n)
+// freeze returns the run the memtable becomes: its entries in key order,
+// with a filter sized for their number and filled from the hashes the nodes
+// store, so no key is hashed again. It runs on the writer path only, so it
+// may size its result from the plain field n.
+func (s *skiplist) freeze() *run {
+	r := &run{entries: make([]entry, 0, s.n), filter: newFilter(s.n)}
 	for x := s.head.next[0].Load(); x != nil; x = x.next[0].Load() {
-		out = append(out, x.entry())
+		r.entries = append(r.entries, x.entry())
+		r.filter.add(x.hash)
 	}
-	return out
+	return r
 }
 
 // entriesFrom returns the entries with start <= key < end in key order; a
@@ -251,7 +499,7 @@ func (s *skiplist) entries() []entry {
 // result from n (the package comment gives the reason).
 func (s *skiplist) entriesFrom(start, end []byte) []entry {
 	var out []entry
-	for x := s.findGreaterOrEqual(start, nil); x != nil; x = x.next[0].Load() {
+	for x := s.findGreaterOrEqual(start, prefixOf(start)); x != nil; x = x.next[0].Load() {
 		if end != nil && bytes.Compare(x.key, end) >= 0 {
 			break
 		}

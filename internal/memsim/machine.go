@@ -226,12 +226,14 @@ type Result struct {
 // Machine is a simulated multi-level NUMA machine. Create with New, add
 // virtual CPUs with Spawn, then call Run exactly once.
 type Machine struct {
-	topo   *topo.Machine
-	lat    Latency
-	arch   topo.Arch
-	ncpu   int
-	rng    *xrand.Rand
-	jitter int64
+	topo *topo.Machine
+	lat  Latency
+	arch topo.Arch
+	ncpu int
+	rng  *xrand.Rand
+	// jitter draws each event's jitter, uniform in [0, JitterNS], as a
+	// remainder modulo JitterNS+1; its zero value means no jitter.
+	jitter divisor
 	speeds []float64
 	trace  func(ev TraceEvent)
 	// lines resolves a Cell's LineKey (the Colocate tag or the cell
@@ -275,13 +277,17 @@ func New(cfg Config) *Machine {
 			cohorts[cpu][l] = int32(cfg.Machine.CohortOf(cpu, l))
 		}
 	}
+	var jitter divisor
+	if cfg.JitterNS > 0 {
+		jitter = newDivisor(uint64(cfg.JitterNS) + 1)
+	}
 	return &Machine{
 		topo:     cfg.Machine,
 		lat:      lat,
 		arch:     cfg.Machine.Arch,
 		ncpu:     ncpu,
 		rng:      xrand.New(cfg.Seed ^ 0xC10F),
-		jitter:   cfg.JitterNS,
+		jitter:   jitter,
 		speeds:   cfg.CPUSpeed,
 		trace:    cfg.Trace,
 		lines:    make(map[any]*line),

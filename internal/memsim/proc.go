@@ -104,8 +104,9 @@ func (p *Proc) emit(op string, c *lockapi.Cell, v uint64, cost int64) {
 // inline when this thread may run ahead, through the scheduler otherwise.
 func (p *Proc) advance(cost int64) {
 	p.Ops++
-	if p.m.jitter > 0 {
-		cost += p.rng.Int63n(p.m.jitter + 1)
+	if p.m.jitter.d != 0 {
+		// The value Int63n(JitterNS+1) draws, without its divide.
+		cost += int64(p.m.jitter.mod(p.rng.Uint64()))
 	}
 	p.time += cost
 	p.yieldAt()

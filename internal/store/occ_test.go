@@ -198,8 +198,9 @@ func TestOCCConcurrentWriters(t *testing.T) {
 // compact constantly, and publishes a high-water mark after each Put
 // returns. Optimistic readers Get random keys below the mark: each must be
 // found with its value, since a completed Put is never absent. This catches
-// a layer filter missing a key the layer holds — a freeze that drops the
-// memtable's filter, a compaction that fills its run's filter wrongly —
+// a layer's hash structure missing a key the layer holds — a memtable
+// lookup that skips a pending key (keys put in increasing order are all
+// pending), a freeze or a compaction that fills its run's filter wrongly —
 // which a validated read would report as a legal "absent", so
 // TestOCCConcurrentWriters (whose Deletes make absent legal) cannot.
 func TestOCCGetSeesEveryCompletedPut(t *testing.T) {

@@ -48,9 +48,12 @@
 #      CLoF run, twice, byte-compared, then once under hbo)
 #  14. benchmark rungs          (every Benchmark* in the root package —
 #      the simulated LevelDB preset and the native lock pairs — and in
-#      internal/kvstore and internal/store, once each: go test ./... runs
-#      no benchmark, so a rung that panics or fails its own check fails
-#      here instead)
+#      internal/kvstore and internal/store, once each: the engine rungs
+#      BenchmarkDBGet/{memtable,oldest-run,absent},
+#      BenchmarkDBPut/{overwrite,insert} and BenchmarkDBScan, the router's
+#      BenchmarkExclusive and the set-up rung BenchmarkPreloadKV among
+#      them; go test ./... runs no benchmark, so a rung that panics or
+#      fails its own check fails here instead)
 #
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
