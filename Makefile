@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-report doccheck check figures figures-quick bench bench-smoke bench-kv bench-scale
+.PHONY: build test lint lint-report doccheck check figures figures-quick bench bench-kv
 
 build:
 	$(GO) build ./...
@@ -45,27 +45,15 @@ figures:
 figures-quick:
 	$(GO) run ./cmd/clof-figures -exp all -quick -j 4 -q -out figures-out/quick
 
-# Simulator throughput baseline: runs the canonical memsim scenarios
-# (~300ms each) and records host-side simops/s into BENCH_baseline.json.
-# Regenerate and commit after execution-core changes; see EXPERIMENTS.md
-# "Profiling the simulator".
+# Every benchmark rung in the module, in Go's standard benchmark format (one
+# row per rung; benchstat reads it), recorded into the committed
+# BENCH_rungs.txt. The memsim rungs report simops/s (host throughput) and
+# simops/op (simulated operations per run, deterministic). Regenerate and
+# commit after a change that moves a rung; see EXPERIMENTS.md "Profiling the
+# simulator". scripts/check.sh step 14 runs every rung once and fails when
+# one is missing from BENCH_rungs.txt.
 bench:
-	CLOF_BENCH_OUT=$(CURDIR)/BENCH_baseline.json $(GO) test ./internal/memsim -run TestWriteBenchArtifact -count=1 -v
-	$(GO) test ./internal/memsim ./internal/eventq -run XXX -bench 'BenchmarkMachine|BenchmarkQueue' -benchtime 200ms
-
-# CI smoke: every benchmark executes once (so it cannot silently rot) and a
-# quick BENCH_smoke.json artifact is produced for the workflow to upload.
-bench-smoke:
-	CLOF_BENCH_OUT=$(CURDIR)/BENCH_smoke.json CLOF_BENCH_QUICK=1 $(GO) test ./internal/memsim -run TestWriteBenchArtifact -count=1 -v
-	$(GO) test ./internal/memsim ./internal/eventq -run XXX -bench 'BenchmarkMachine|BenchmarkQueue' -benchtime 1x
-
-# Deep-topology throughput baseline: full-machine contended runs on the
-# 256/512/1024-vCPU deep machines (~300ms each) into BENCH_scale.json.
-# Regenerate and commit after execution-core or topology changes; see
-# EXPERIMENTS.md "Scaling the substrate".
-bench-scale:
-	CLOF_SCALE_OUT=$(CURDIR)/BENCH_scale.json $(GO) test ./internal/memsim -run TestWriteBenchScaleArtifact -count=1 -v
-	$(GO) test ./internal/memsim -run XXX -bench 'BenchmarkMachineScale' -benchtime 100ms
+	$(GO) test -run '^$$' -bench . -benchtime 300ms ./... > BENCH_rungs.txt
 
 # Scripted-benchmark artifact for the sharded serving workload: every CLoF
 # composition as the per-shard lock, read-mostly mix, recorded point by

@@ -67,8 +67,7 @@ func main() {
 	defer stopProf()
 
 	var h *topo.Hierarchy
-	switch {
-	case *hierFile != "":
+	if *hierFile != "" {
 		b, err := os.ReadFile(*hierFile)
 		if err != nil {
 			fatal(err)
@@ -77,14 +76,8 @@ func main() {
 		if err := h.UnmarshalText(b); err != nil {
 			fatal(err)
 		}
-	case *platform == "x86" && *levels == 4:
-		h = topo.X86Hierarchy4()
-	case *platform == "x86":
-		h = topo.X86Hierarchy3()
-	case *levels == 4:
-		h = topo.ArmHierarchy4()
-	default:
-		h = topo.ArmHierarchy3()
+	} else if h, err = hierarchy(*platform, *levels); err != nil {
+		fatal(err)
 	}
 	m := h.Machine
 
@@ -155,17 +148,13 @@ func main() {
 			Notes:     fmt.Sprintf("scripted benchmark, sharded serving: %d shards, mix %s, zipfian keys", *shards, mix.Name),
 		}
 		sel, _, err = figures.Scripted(o, spec, comps, func(comp clof.Composition, n int, seed uint64) exp.Sample {
-			res, err := workload.RunKV(workload.KVConfig{
+			return figures.KVSample(workload.RunKV(workload.KVConfig{
 				Machine: m, Threads: n, Shards: *shards,
 				NewShardLock: func() lockapi.Lock { return clof.Must(h, comp) },
 				Horizon:      300_000, // the scripted benchmark's horizon
 				Mix:          mix, Dist: store.DistZipfian,
 				Seed: seed,
-			})
-			if err != nil {
-				return exp.Sample{Err: err.Error()}
-			}
-			return exp.Sample{Throughput: res.ThroughputOpsPerUs(), Jain: res.Jain(), Total: res.Total}
+			}))
 		})
 	default:
 		fatal(fmt.Errorf("unknown workload %q (known: leveldb, kv)", *workloadFlag))
@@ -207,6 +196,27 @@ func main() {
 		fmt.Printf("\nwrote %s (%d points, %.0f ms measuring, %.0f iters/sec)\n",
 			manifest.Path(), sum.Points, sum.WallMSTotal, sum.ItersPerSec)
 	}
+}
+
+// hierarchy returns the built-in hierarchy swept when no -hier file is
+// given: the x86 or armv8 platform's 3- or 4-level configuration.
+func hierarchy(platform string, levels int) (*topo.Hierarchy, error) {
+	if levels != 3 && levels != 4 {
+		return nil, fmt.Errorf("-levels %d (want 3 or 4)", levels)
+	}
+	switch platform {
+	case "x86":
+		if levels == 4 {
+			return topo.X86Hierarchy4(), nil
+		}
+		return topo.X86Hierarchy3(), nil
+	case "armv8":
+		if levels == 4 {
+			return topo.ArmHierarchy4(), nil
+		}
+		return topo.ArmHierarchy3(), nil
+	}
+	return nil, fmt.Errorf("unknown platform %q (want x86 or armv8)", platform)
 }
 
 func fatal(err error) {

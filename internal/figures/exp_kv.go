@@ -121,8 +121,9 @@ func kvFigure(o Options, mach *topo.Machine, platform, idSuffix string, mix stor
 						Seed:           seed,
 						Observer:       func(i int) lockapi.Observer { return collectors[i] },
 					})
+					smp := KVSample(res, err)
 					if err != nil {
-						return exp.Sample{Err: err.Error()}
+						return smp
 					}
 					occ := make([]obs.OCCOps, len(res.OCC))
 					for i, st := range res.OCC {
@@ -133,13 +134,9 @@ func kvFigure(o Options, mach *topo.Machine, platform, idSuffix string, mix stor
 					if err != nil {
 						return exp.Sample{Err: err.Error()}
 					}
-					return exp.Sample{
-						Throughput: res.ThroughputOpsPerUs(),
-						Jain:       res.Jain(),
-						Total:      res.Total,
-						Metrics:    kvMetrics(res),
-						Obs:        raw,
-					}
+					smp.Metrics = kvMetrics(res)
+					smp.Obs = raw
+					return smp
 				},
 			})
 		}
@@ -161,6 +158,23 @@ func kvFigure(o Options, mach *topo.Machine, platform, idSuffix string, mix stor
 	}
 	f.Notes = append(f.Notes, kvNotes(f, grid, violations)...)
 	return f
+}
+
+// KVSample converts one serving run into an engine sample, as sample does
+// for a LevelDB run: a run that deadlocked (err) or broke an invariant — an
+// exclusion violation, a shared-mode violation or a torn optimistic read —
+// is a failed run. exp.Sample.Err is set and the point reports zero
+// throughput, so it can neither score in a scripted sweep nor pass a
+// figure unnoticed.
+func KVSample(res workload.KVResult, err error) exp.Sample {
+	if err != nil {
+		return exp.Sample{Err: err.Error()}
+	}
+	if res.ExclusionViolations+res.SharedViolations+res.TornReads > 0 {
+		return exp.Sample{Err: fmt.Sprintf("%d mutual-exclusion violations, %d shared-mode violations, %d torn reads",
+			res.ExclusionViolations, res.SharedViolations, res.TornReads)}
+	}
+	return exp.Sample{Throughput: res.ThroughputOpsPerUs(), Jain: res.Jain(), Total: res.Total}
 }
 
 // kvMetrics extracts the per-point scalars recorded in the manifest: the

@@ -1,6 +1,39 @@
 package figures
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"github.com/clof-go/clof/internal/lockapi"
+	"github.com/clof-go/clof/internal/locks"
+	"github.com/clof-go/clof/internal/store"
+	"github.com/clof-go/clof/internal/topo"
+	"github.com/clof-go/clof/internal/workload"
+)
+
+// TestKVNoopPointFails: a shard lock that excludes nobody must fail its kv
+// point instead of scoring, at the serving thread count on clof-bench's
+// default kv geometry (8 shards, read-mostly, Zipfian keys), while a ticket
+// lock on the same run scores. KVSample is the one conversion both kv paths
+// — kvFigure and clof-bench -workload kv — route through.
+func TestKVNoopPointFails(t *testing.T) {
+	run := func(mk func() lockapi.Lock) (workload.KVResult, error) {
+		return workload.RunKV(workload.KVConfig{
+			Machine: topo.X86Server(), Threads: KVThreads, Shards: 8,
+			NewShardLock: mk,
+			Horizon:      300_000,
+			Mix:          store.ReadMostly, Dist: store.DistZipfian,
+			Seed: 1,
+		})
+	}
+	s := KVSample(run(func() lockapi.Lock { return lockapi.Noop{} }))
+	if !strings.Contains(s.Err, "mutual-exclusion violations") || s.Throughput != 0 {
+		t.Errorf("noop: Err = %q, throughput %v; want an exclusion failure and zero throughput", s.Err, s.Throughput)
+	}
+	if s := KVSample(run(locks.MustType("tkt").New)); s.Err != "" || s.Throughput <= 0 {
+		t.Errorf("tkt: Err = %q, throughput %v; want a scored point", s.Err, s.Throughput)
+	}
+}
 
 // TestKVQuick asserts the sharded-serving acceptance criteria at reduced
 // scale. From the sharding refactor: on the read-mostly mix, the sharded

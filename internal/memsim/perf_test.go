@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"github.com/clof-go/clof/internal/clof"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
 	"github.com/clof-go/clof/internal/topo"
@@ -187,28 +188,103 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 	}
 }
 
-// The BenchmarkMachine suite measures the simulator's real-time throughput
-// (reported as simulated memory operations per wall-clock second) on its two
-// dominant shapes.
+// lockScenario runs one fixed-horizon contended-lock simulation — n threads
+// spread evenly over mach, every one hammering one lock — and returns the
+// number of simulated operations. n = mach.NumCPUs() is the full-machine
+// run: one thread per vCPU.
+func lockScenario(mach *topo.Machine, lockName string, n int) uint64 {
+	m := New(Config{Machine: mach})
+	l := mustScaleLock(mach, lockName)
+	var shared lockapi.Cell
+	step := mach.NumCPUs() / n
+	if step == 0 {
+		step = 1
+	}
+	procs := make([]*Proc, n)
+	for j := 0; j < n; j++ {
+		ctx := l.NewCtx()
+		procs[j] = m.Spawn((j*step)%mach.NumCPUs(), func(p *Proc) {
+			for !p.Expired() {
+				l.Acquire(p, ctx)
+				p.Add(&shared, 1, lockapi.Relaxed)
+				p.Work(50)
+				l.Release(p, ctx)
+				p.Work(200)
+			}
+		})
+	}
+	m.Run(300_000)
+	var ops uint64
+	for _, p := range procs {
+		ops += p.Ops
+	}
+	return ops
+}
 
-func benchLock(b *testing.B, mach *topo.Machine, lockName string, n int) {
+// mustScaleLock builds lockName for mach: a CLoF composition when the name
+// is a '-' separated 4-level list matching DeepHierarchy, a basic lock
+// otherwise.
+func mustScaleLock(mach *topo.Machine, lockName string) lockapi.Lock {
+	if comp, err := clof.ParseComposition(lockName); err == nil && len(comp) == 4 {
+		l, err := clof.New(topo.DeepHierarchy(mach), comp)
+		if err != nil {
+			panic(err)
+		}
+		return l
+	}
+	return locks.MustType(lockName).New()
+}
+
+// benchSim times b.N runs of one fixed-horizon scenario. It reports the
+// simulator's real-time throughput (simops/s: simulated memory operations
+// per wall-clock second, the headline number) and the simulated operations
+// per run (simops/op), which is deterministic: a change in it means the
+// rung now simulates something else.
+func benchSim(b *testing.B, run func() uint64) {
 	b.ReportAllocs()
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		ops += lockScenario(mach, lockName, n)
+		ops += run()
 	}
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
+	b.ReportMetric(float64(ops)/float64(b.N), "simops/op")
+}
+
+// benchLock is benchSim over lockScenario.
+func benchLock(b *testing.B, mach *topo.Machine, lockName string, n int) {
+	benchSim(b, func() uint64 { return lockScenario(mach, lockName, n) })
+}
+
+// The BenchmarkMachine suite measures the simulator's real-time throughput
+// on its dominant shapes: the two-thread ping-pong, contended locks on the
+// paper's two platforms, and full-machine runs on the deep topologies.
+
+func BenchmarkMachinePingPong(b *testing.B) {
+	benchSim(b, func() uint64 { return pingPongOps(300_000) })
 }
 
 func BenchmarkMachineMCS8(b *testing.B)  { benchLock(b, topo.X86Server(), "mcs", 8) }
 func BenchmarkMachineTkt8(b *testing.B)  { benchLock(b, topo.X86Server(), "tkt", 8) }
 func BenchmarkMachineMCS32(b *testing.B) { benchLock(b, topo.X86Server(), "mcs", 32) }
 
-func BenchmarkMachinePingPong(b *testing.B) {
-	b.ReportAllocs()
-	var ops uint64
-	for i := 0; i < b.N; i++ {
-		ops += pingPongOps(300_000)
-	}
-	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
+func BenchmarkMachineHemCtr8Armv8(b *testing.B) {
+	benchLock(b, topo.Armv8Server(), "hem-ctr", 8)
+}
+
+// The BenchmarkMachineScale rungs are full-machine runs on the deep
+// topologies: every vCPU contends for one lock. The tkt rungs are the
+// event-queue stress (global spinning parks every waiter on one line, so
+// each release wakes hundreds of watchers at once); the MCS and CLoF rungs
+// are the queue-lock and composed-lock shapes.
+
+func BenchmarkMachineScale256(b *testing.B)  { benchLock(b, topo.DeepServer256(), "tkt", 256) }
+func BenchmarkMachineScale512(b *testing.B)  { benchLock(b, topo.DeepServer512(), "tkt", 512) }
+func BenchmarkMachineScale1024(b *testing.B) { benchLock(b, topo.DeepServer1024(), "tkt", 1024) }
+
+func BenchmarkMachineScale1024MCS(b *testing.B) {
+	benchLock(b, topo.DeepServer1024(), "mcs", 1024)
+}
+
+func BenchmarkMachineScale1024CLoF(b *testing.B) {
+	benchLock(b, topo.DeepServer1024(), "tkt-tkt-tkt-tkt", 1024)
 }

@@ -1,61 +1,12 @@
 package memsim
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
-	"github.com/clof-go/clof/internal/clof"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
 	"github.com/clof-go/clof/internal/topo"
 )
-
-// scaleScenario runs a full-machine contended-lock simulation on a deep
-// topology: every vCPU runs one thread, all hammering one lock. lockName is
-// either a basic lock ("tkt", "mcs") or a 4-level CLoF composition over
-// DeepHierarchy ("tkt-tkt-tkt-tkt"). Returns total simulated operations.
-func scaleScenario(mach *topo.Machine, lockName string, horizon int64) uint64 {
-	m := New(Config{Machine: mach})
-	l := mustScaleLock(mach, lockName)
-	var shared lockapi.Cell
-	n := mach.NumCPUs()
-	procs := make([]*Proc, n)
-	for j := 0; j < n; j++ {
-		ctx := l.NewCtx()
-		procs[j] = m.Spawn(j, func(p *Proc) {
-			for !p.Expired() {
-				l.Acquire(p, ctx)
-				p.Add(&shared, 1, lockapi.Relaxed)
-				p.Work(50)
-				l.Release(p, ctx)
-				p.Work(200)
-			}
-		})
-	}
-	m.Run(horizon)
-	var ops uint64
-	for _, p := range procs {
-		ops += p.Ops
-	}
-	return ops
-}
-
-// mustScaleLock builds lockName for mach: a CLoF composition when the name
-// contains a '-' separated per-level list matching DeepHierarchy, a basic
-// lock otherwise.
-func mustScaleLock(mach *topo.Machine, lockName string) lockapi.Lock {
-	if comp, err := clof.ParseComposition(lockName); err == nil && len(comp) == 4 {
-		l, err := clof.New(topo.DeepHierarchy(mach), comp)
-		if err != nil {
-			panic(err)
-		}
-		return l
-	}
-	return locks.MustType(lockName).New()
-}
 
 // TestSharerSetBeyond64 pins the per-line sharer representation across the
 // 64-CPU word boundary: the bitset must track membership and population
@@ -174,93 +125,4 @@ func TestScaleDeterminism(t *testing.T) {
 	if o1 == 0 {
 		t.Fatal("no operations simulated; scenario is vacuous")
 	}
-}
-
-// The BenchmarkMachineScale suite measures full-machine throughput on the
-// deep topologies: every vCPU contends for one lock. The tkt scenarios are
-// the event-queue stress (global spinning parks every waiter on one line, so
-// each release wakes hundreds of watchers at once); the CLoF scenario is the
-// representative composed-lock shape.
-
-func BenchmarkMachineScale256(b *testing.B)  { benchScale(b, topo.DeepServer256(), "tkt") }
-func BenchmarkMachineScale512(b *testing.B)  { benchScale(b, topo.DeepServer512(), "tkt") }
-func BenchmarkMachineScale1024(b *testing.B) { benchScale(b, topo.DeepServer1024(), "tkt") }
-
-func BenchmarkMachineScale1024CLoF(b *testing.B) {
-	benchScale(b, topo.DeepServer1024(), "tkt-tkt-tkt-tkt")
-}
-
-func benchScale(b *testing.B, mach *topo.Machine, lockName string) {
-	b.ReportAllocs()
-	var ops uint64
-	for i := 0; i < b.N; i++ {
-		ops += scaleScenario(mach, lockName, 300_000)
-	}
-	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
-}
-
-// TestWriteBenchScaleArtifact measures the deep-topology scenarios and
-// writes BENCH_scale.json (same schema as BENCH.json) to CLOF_SCALE_OUT.
-// Driven by `make bench-scale`; CLOF_BENCH_QUICK=1 runs each scenario once.
-func TestWriteBenchScaleArtifact(t *testing.T) {
-	out := os.Getenv("CLOF_SCALE_OUT")
-	if out == "" {
-		t.Skip("CLOF_SCALE_OUT not set")
-	}
-	quick := os.Getenv("CLOF_BENCH_QUICK") != ""
-
-	scenarios := []struct {
-		name string
-		run  func() uint64
-	}{
-		{"scale_tkt256", func() uint64 { return scaleScenario(topo.DeepServer256(), "tkt", 300_000) }},
-		{"scale_tkt512", func() uint64 { return scaleScenario(topo.DeepServer512(), "tkt", 300_000) }},
-		{"scale_tkt1024", func() uint64 { return scaleScenario(topo.DeepServer1024(), "tkt", 300_000) }},
-		{"scale_mcs1024", func() uint64 { return scaleScenario(topo.DeepServer1024(), "mcs", 300_000) }},
-		{"scale_clof1024", func() uint64 { return scaleScenario(topo.DeepServer1024(), "tkt-tkt-tkt-tkt", 300_000) }},
-	}
-
-	art := benchArtifact{
-		Schema:    1,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Quick:     quick,
-	}
-	for _, sc := range scenarios {
-		iters := 1
-		if !quick {
-			warm := time.Now()
-			sc.run()
-			if d := time.Since(warm); d > 0 {
-				if iters = int(300 * time.Millisecond / d); iters < 1 {
-					iters = 1
-				}
-			}
-		}
-		var ops uint64
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			ops += sc.run()
-		}
-		elapsed := time.Since(start)
-		art.Benchmarks = append(art.Benchmarks, benchJSONEntry{
-			Name:         sc.name,
-			Iterations:   iters,
-			NSPerOp:      float64(elapsed.Nanoseconds()) / float64(iters),
-			SimOpsPerSec: float64(ops) / elapsed.Seconds(),
-		})
-		t.Logf("%s: %d iters, %.2fms/iter, %.0f simops/s",
-			sc.name, iters, float64(elapsed.Nanoseconds())/float64(iters)/1e6, float64(ops)/elapsed.Seconds())
-	}
-
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(out, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -1,12 +1,13 @@
 package topo
 
 // Deep topologies: the 256-1024-vCPU, 4-level machines used by the scaling
-// experiments (`clof-figures -exp bigmachine`, `make bench-scale`). The
-// paper's evaluation stops at 128 CPUs; these machines extrapolate its
-// topology shape one generation out — many-die sockets populated with
-// big.LITTLE clusters — which is where a compositional lock's level choice
-// matters most: four genuinely distinct latency domains (cluster, die,
-// socket, system) and a thousand waiters to keep off the global lock.
+// experiments (`clof-figures -exp bigmachine`, the memsim
+// `BenchmarkMachineScale*` rungs). The paper's evaluation stops at 128 CPUs;
+// these machines extrapolate its topology shape one generation out —
+// many-die sockets populated with big.LITTLE clusters — which is where a
+// compositional lock's level choice matters most: four genuinely distinct
+// latency domains (cluster, die, socket, system) and a thousand waiters to
+// keep off the global lock.
 //
 // All three share the cluster/die/socket shape and differ only in socket
 // and die count, so cross-size comparisons isolate the effect of scale:

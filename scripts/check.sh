@@ -46,14 +46,12 @@
 #      Armv8 4-level grid: both run the one sweep, figures.Scripted)
 #  13. clof-obs -events        (the per-operation event stream of a short
 #      CLoF run, twice, byte-compared, then once under hbo)
-#  14. benchmark rungs          (every Benchmark* in the root package —
-#      the simulated LevelDB preset and the native lock pairs — and in
-#      internal/kvstore and internal/store, once each: the engine rungs
-#      BenchmarkDBGet/{memtable,oldest-run,absent},
-#      BenchmarkDBPut/{overwrite,insert} and BenchmarkDBScan, the router's
-#      BenchmarkExclusive and the set-up rung BenchmarkPreloadKV among
-#      them; go test ./... runs no benchmark, so a rung that panics or
-#      fails its own check fails here instead)
+#  14. benchmark rungs          (every Benchmark* in the module once,
+#      -benchtime 1x: go test ./... runs no benchmark, so a rung that
+#      panics or fails its own check fails here instead; then every
+#      top-level benchmark go test -list reports must have a row in the
+#      committed BENCH_rungs.txt, the one benchmark record make bench
+#      writes, so the record cannot silently drop a rung)
 #
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
@@ -183,7 +181,23 @@ grep -q 'ns cpu' "$tmp/events-a.txt"
 go run ./cmd/clof-obs -events -platform armv8 -lock hbo -threads 3 -horizon 6000 > /dev/null
 echo "clof-obs -events: byte-identical across reruns"
 
-echo "== benchmark rungs (every benchmark once)"
-go test -run '^$' -bench . -benchtime 1x . ./internal/kvstore ./internal/store
+echo "== benchmark rungs (every benchmark once, each recorded in BENCH_rungs.txt)"
+go test -run '^$' -bench . -benchtime 1x ./...
+# Package-qualified top-level names on both sides: go test -list prints a
+# package's benchmark names before its "ok" line; a BENCH_rungs.txt row
+# follows its "pkg:" header and carries /sub-benchmark and -GOMAXPROCS
+# suffixes, which Go benchmark function names cannot contain.
+go test -list '^Benchmark' ./... |
+  awk '/^Benchmark/ { names[n++] = $1 } /^ok / { for (i = 0; i < n; i++) print $2 "." names[i]; n = 0 }' |
+  sort -u > "$tmp/rungs-listed.txt"
+awk '/^pkg: / { pkg = $2 } /^Benchmark/ { name = $1; sub(/[\/-].*/, "", name); print pkg "." name }' BENCH_rungs.txt |
+  sort -u > "$tmp/rungs-recorded.txt"
+missing=$(comm -23 "$tmp/rungs-listed.txt" "$tmp/rungs-recorded.txt")
+if [ -n "$missing" ]; then
+  echo "benchmarks missing from BENCH_rungs.txt (regenerate it with make bench):"
+  echo "$missing"
+  exit 1
+fi
+echo "benchmark rungs: all $(wc -l < "$tmp/rungs-listed.txt") top-level benchmarks recorded in BENCH_rungs.txt"
 
 echo "check: OK"
