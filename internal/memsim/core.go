@@ -9,8 +9,9 @@ import (
 )
 
 // Spawn creates a virtual CPU thread pinned to the given CPU and running fn.
-// All Spawn calls must precede Run. fn runs entirely in virtual time; it
-// must perform all shared-memory accesses through the provided Proc.
+// Each CPU takes at most one thread, and all Spawn calls must precede Run.
+// fn runs entirely in virtual time; it must perform all shared-memory
+// accesses through the provided Proc.
 func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
 	if m.started {
 		panic("memsim: Spawn after Run")
@@ -18,6 +19,10 @@ func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
 	if cpu < 0 || cpu >= m.topo.NumCPUs() {
 		panic(fmt.Sprintf("memsim: cpu %d out of range [0,%d)", cpu, m.topo.NumCPUs()))
 	}
+	if m.spawned.has(cpu) {
+		panic(fmt.Sprintf("memsim: cpu %d already has a thread", cpu))
+	}
+	m.spawned.add(cpu)
 	p := &Proc{
 		m:   m,
 		cpu: cpu,

@@ -52,9 +52,9 @@ import (
 	"github.com/clof-go/clof/internal/xrand"
 )
 
-// Latency is the cost model, in virtual nanoseconds. Defaults are produced
-// by DefaultLatency and calibrated (see calibration tests) so that the
-// two-thread ping-pong benchmark reproduces the paper's Table 2 speedups.
+// Latency is the cost model, in virtual nanoseconds. DefaultLatency
+// produces it, calibrated (see calibration tests) so that the two-thread
+// ping-pong benchmark reproduces the paper's Table 2 speedups.
 type Latency struct {
 	// Hit is the cost of an access satisfied by the local cache.
 	Hit int64
@@ -122,8 +122,6 @@ func DefaultLatency(arch topo.Arch) Latency {
 type Config struct {
 	// Machine is the simulated topology (required).
 	Machine *topo.Machine
-	// Latency overrides DefaultLatency(Machine.Arch) when non-nil.
-	Latency *Latency
 	// Seed seeds all randomness (jitter). Equal seeds ⇒ identical runs.
 	Seed uint64
 	// JitterNS adds a uniform [0, JitterNS) per-operation delay to break
@@ -156,9 +154,10 @@ type TraceEvent struct {
 	Cost int64
 }
 
-// cpuSet is a fixed-size CPU bitset with a cached population count. It
-// replaces the per-line sharer map: add/has/reset are branch-cheap and
-// allocation-free, which the zero-allocs-per-op guarantee depends on.
+// cpuSet is a fixed-size CPU bitset with a cached population count, the
+// per-line presence bits of a coherence directory: add/del/has/reset are
+// branch-cheap and allocation-free, which the zero-allocs-per-op guarantee
+// depends on.
 type cpuSet struct {
 	bits []uint64
 	n    int
@@ -171,6 +170,14 @@ func (s *cpuSet) add(cpu int) {
 	if s.bits[w]&b == 0 {
 		s.bits[w] |= b
 		s.n++
+	}
+}
+
+func (s *cpuSet) del(cpu int) {
+	w, b := cpu>>6, uint64(1)<<uint(cpu&63)
+	if s.bits[w]&b != 0 {
+		s.bits[w] &^= b
+		s.n--
 	}
 }
 
@@ -189,17 +196,20 @@ func (s *cpuSet) reset() {
 func (s *cpuSet) count() int { return s.n }
 
 // line is the coherence state of one simulated cache line (one Cell or one
-// Colocate group).
+// Colocate group), all of it kept here, as a directory keeps it per line.
 type line struct {
-	// id is the dense line index assigned at creation; per-thread private
-	// state lives in a slice indexed by it (Proc.pls).
-	id int
-	// version counts modifications; used for cached-copy validity.
-	version uint64
 	// owner is the CPU of the last writer, or -1.
 	owner int
-	// sharers holds CPUs with a shared copy since the last write.
+	// sharers holds CPUs with a shared copy since the last write: the
+	// copies a write pays to invalidate.
 	sharers cpuSet
+	// valid holds the CPUs whose cached copy is current: a modification
+	// leaves only the writer, and a CPU joins by fetching the line (a
+	// miss, a wake-up, a fetch_add(0) or a failed CAS). It differs from
+	// sharers in two cases: fetch_add(0) resets the sharers but leaves
+	// other CPUs' copies current, and a failed CAS makes the caller's
+	// copy current without making it a sharer.
+	valid cpuSet
 	// watchers are procs parked until this line changes.
 	watchers []*Proc
 	// stormers counts threads currently in an RMW spin loop on this line
@@ -242,12 +252,14 @@ type Machine struct {
 	// directly instead of an interface key.
 	lines    map[any]*line
 	cellLine map[*lockapi.Cell]*line
-	lineSeq  int
 	// cohorts[cpu][l] is topo's CohortOf(cpu, l) for every level below
 	// System, precomputed so shareLevel compares instead of dividing.
 	cohorts [][topo.System]int32
 	q       eventq.Queue[*Proc]
 	threads []*Proc
+	// spawned holds the CPUs that have a thread: cache state is per CPU,
+	// so each CPU runs at most one.
+	spawned cpuSet
 	horizon int64
 	now     int64
 	events  uint64
@@ -263,10 +275,6 @@ func New(cfg Config) *Machine {
 	if err := cfg.Machine.Validate(); err != nil {
 		panic(err)
 	}
-	lat := DefaultLatency(cfg.Machine.Arch)
-	if cfg.Latency != nil {
-		lat = *cfg.Latency
-	}
 	if cfg.CPUSpeed != nil && len(cfg.CPUSpeed) != cfg.Machine.NumCPUs() {
 		panic(fmt.Sprintf("memsim: CPUSpeed has %d entries for %d CPUs", len(cfg.CPUSpeed), cfg.Machine.NumCPUs()))
 	}
@@ -281,9 +289,9 @@ func New(cfg Config) *Machine {
 	if cfg.JitterNS > 0 {
 		jitter = newDivisor(uint64(cfg.JitterNS) + 1)
 	}
-	return &Machine{
+	m := &Machine{
 		topo:     cfg.Machine,
-		lat:      lat,
+		lat:      DefaultLatency(cfg.Machine.Arch),
 		arch:     cfg.Machine.Arch,
 		ncpu:     ncpu,
 		rng:      xrand.New(cfg.Seed ^ 0xC10F),
@@ -294,6 +302,8 @@ func New(cfg Config) *Machine {
 		cellLine: make(map[*lockapi.Cell]*line),
 		cohorts:  cohorts,
 	}
+	m.spawned.init(ncpu)
+	return m
 }
 
 // shareLevel is topo's ShareLevel(a, b) read from the cohort table.
@@ -306,9 +316,6 @@ func (m *Machine) shareLevel(a, b int) topo.Level {
 	}
 	return topo.System
 }
-
-// Latency returns the active cost model.
-func (m *Machine) Latency() Latency { return m.lat }
 
 // Now returns the current virtual time in nanoseconds.
 func (m *Machine) Now() int64 { return m.now }
@@ -325,9 +332,9 @@ func (m *Machine) lineOf(c *lockapi.Cell) *line {
 	key := c.LineKey()
 	ln := m.lines[key]
 	if ln == nil {
-		ln = &line{id: m.lineSeq, owner: -1}
+		ln = &line{owner: -1}
 		ln.sharers.init(m.ncpu)
-		m.lineSeq++
+		ln.valid.init(m.ncpu)
 		m.lines[key] = ln
 	}
 	m.cellLine[c] = ln

@@ -333,6 +333,13 @@ func TestSpawnValidation(t *testing.T) {
 			m.Spawn(cpu, func(*Proc) {})
 		}()
 	}
+	m.Spawn(5, func(*Proc) {})
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Spawn on cpu 5 did not panic")
+		}
+	}()
+	m.Spawn(5, func(*Proc) {})
 }
 
 func TestRunTwicePanics(t *testing.T) {
@@ -422,5 +429,68 @@ func TestTraceHook(t *testing.T) {
 		if ev.Value != wantVals[i] {
 			t.Errorf("event %d value = %d, want %d", i, ev.Value, wantVals[i])
 		}
+	}
+}
+
+// TestCurrentCopyWithoutSharer pins the two ways a CPU's copy of a line is
+// current although the CPU is not a sharer: the copy still reloads as a hit,
+// and the next store pays no invalidation for it.
+//   - A's fetch_add(0) resets the sharers but changes no value, so B's
+//     earlier copy stays current.
+//   - B's failed CAS fetches the line without joining the sharers.
+//
+// Armv8 is used because on x86 an owner's fetch_add(0) is the CTR spin-read,
+// which leaves the sharers in place.
+func TestCurrentCopyWithoutSharer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bCopy  func(t *testing.T, p *Proc, c *lockapi.Cell) // B fetches a current copy
+		aTouch func(p *Proc, c *lockapi.Cell)               // A's access after B's fetch
+	}{
+		{"fetch_add(0)",
+			func(_ *testing.T, p *Proc, c *lockapi.Cell) { p.Load(c, lockapi.Relaxed) },
+			func(p *Proc, c *lockapi.Cell) { p.Add(c, 0, lockapi.Relaxed) }},
+		{"failed CAS",
+			func(t *testing.T, p *Proc, c *lockapi.Cell) {
+				if p.CAS(c, 0, 5, lockapi.Relaxed) {
+					t.Error("CAS expecting 0 succeeded on 1")
+				}
+			},
+			func(*Proc, *lockapi.Cell) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mach := topo.Armv8Server()
+			lat := DefaultLatency(mach.Arch)
+			m := New(Config{Machine: mach})
+			var cell lockapi.Cell
+			var loadCost, storeCost int64
+			until := func(p *Proc, at int64) { p.Work(at - p.Time()) }
+			m.Spawn(0, func(p *Proc) { // A
+				p.Store(&cell, 1, lockapi.Relaxed)
+				until(p, 2000)
+				tc.aTouch(p, &cell)
+				until(p, 4000)
+				t0 := p.Time()
+				p.Store(&cell, 2, lockapi.Relaxed)
+				storeCost = p.Time() - t0
+			})
+			m.Spawn(64, func(p *Proc) { // B
+				until(p, 1000)
+				tc.bCopy(t, p, &cell)
+				until(p, 3000)
+				t0 := p.Time()
+				p.Load(&cell, lockapi.Relaxed)
+				loadCost = p.Time() - t0
+			})
+			if res := m.Run(0); res.Deadlock {
+				t.Fatalf("unexpected deadlock: %+v", res)
+			}
+			if loadCost != lat.Hit {
+				t.Errorf("B's reload cost %d, want a hit (%d)", loadCost, lat.Hit)
+			}
+			if storeCost != lat.Hit {
+				t.Errorf("A's store cost %d, want %d: no sharer to invalidate", storeCost, lat.Hit)
+			}
+		})
 	}
 }

@@ -6,18 +6,12 @@ import (
 	"github.com/clof-go/clof/internal/xrand"
 )
 
-// plstate is a thread's private view of one line: which version it has
-// cached (if any).
-type plstate struct {
-	haveSeen bool
-	seenVer  uint64
-}
-
 // Proc is a virtual CPU: it implements lockapi.Proc by charging the
 // machine's cost model for every operation and by parking spinning threads
 // until the watched line changes (an MWAIT-like fast-forward that keeps the
 // event count proportional to actual coherence traffic, not to spin
-// iterations).
+// iterations). Its cache contents are not kept here: each line records
+// whether this CPU's copy is current (line.valid).
 type Proc struct {
 	m    *Machine
 	cpu  int
@@ -28,13 +22,6 @@ type Proc struct {
 	// co is this thread's coroutine: Run resumes it, waitTurn yields it,
 	// shutdown stops it.
 	co coro.Thread
-
-	// lines is this thread's private per-line state, densely indexed by
-	// line.id. Entry pointers handed out by pls stay valid across parks:
-	// the slice only grows when THIS thread touches a previously unseen
-	// line, and the one cross-thread writer (wakeWatchers) only addresses
-	// lines the parked thread has already seen.
-	lines []plstate
 
 	// lastCell / lastLine short-circuit the machine's cell→line map for
 	// the dominant access pattern, a thread re-touching the cell it just
@@ -113,8 +100,8 @@ func (p *Proc) advance(cost int64) {
 }
 
 // park registers this thread as a watcher of ln and blocks until a writer
-// wakes it. The waker forwards the new data (seenVer) and sets the wake
-// time, so on return the load can be satisfied as a local hit.
+// wakes it. The waker makes this CPU's copy current and sets the wake time,
+// so on return the load can be satisfied as a local hit.
 func (p *Proc) park(ln *line) {
 	p.parked = true
 	p.Parks++
@@ -134,19 +121,6 @@ func (p *Proc) lineOf(c *lockapi.Cell) *line {
 	ln := p.m.lineOf(c)
 	p.lastCell, p.lastLine = c, ln
 	return ln
-}
-
-// pls returns this thread's private state for ln, growing the dense
-// line-indexed slice on first contact. Growth can invalidate previously
-// returned pointers, so it must only happen at the top of an operation —
-// which it does: within one operation only ln is addressed, and wakers
-// address parked threads only through lines those threads already grew for
-// (a thread parks on a line it has accessed).
-func (p *Proc) pls(ln *line) *plstate {
-	for ln.id >= len(p.lines) {
-		p.lines = append(p.lines, plstate{})
-	}
-	return &p.lines[ln.id]
 }
 
 // transferCost is the cost of pulling a line from its current owner.
@@ -230,11 +204,12 @@ func (p *Proc) endStorm() {
 	p.rmwStreak = 0
 }
 
-// wakeWatchers wakes every thread parked on ln, forwarding the new version
-// so their pending load completes as a hit. Responses are staggered: the
-// writer's cache serves one copy per transfer latency, so the k-th watcher
-// notices the change later — the reload storm that makes globally spinning
-// locks (Ticketlock) degrade with the waiter count (§2.1).
+// wakeWatchers wakes every thread parked on ln, making each one's copy
+// current (valid) and shared, so their pending load completes as a hit.
+// Responses are staggered: the writer's cache serves one copy per transfer
+// latency, so the k-th watcher notices the change later — the reload storm
+// that makes globally spinning locks (Ticketlock) degrade with the waiter
+// count (§2.1).
 func (p *Proc) wakeWatchers(ln *line) {
 	if len(ln.watchers) == 0 {
 		return
@@ -243,9 +218,7 @@ func (p *Proc) wakeWatchers(ln *line) {
 	for _, w := range ln.watchers {
 		acc += p.m.lat.Transfer[p.m.shareLevel(p.cpu, w.cpu)]
 		w.time = p.time + acc
-		st := w.pls(ln)
-		st.haveSeen = true
-		st.seenVer = ln.version
+		ln.valid.add(w.cpu)
 		ln.sharers.add(w.cpu)
 		w.parked = false
 		p.m.q.Push(w.time, w)
@@ -253,25 +226,23 @@ func (p *Proc) wakeWatchers(ln *line) {
 	ln.watchers = ln.watchers[:0]
 }
 
-// markWrite applies the coherence effects of a modification: bump version,
-// take ownership, drop sharers, and wake parked spinners.
+// markWrite applies the coherence effects of a modification: take
+// ownership, drop sharers, leave the writer's copy the only current one, and
+// wake parked spinners.
 func (p *Proc) markWrite(ln *line) {
-	ln.version++
 	ln.owner = p.cpu
 	ln.sharers.reset()
-	st := p.pls(ln)
-	st.haveSeen = true
-	st.seenVer = ln.version
+	ln.valid.reset()
+	ln.valid.add(p.cpu)
 	p.wakeWatchers(ln)
 }
 
 // Load implements lockapi.Proc.
 func (p *Proc) Load(c *lockapi.Cell, _ lockapi.Order) uint64 {
 	ln := p.lineOf(c)
-	st := p.pls(ln)
 	p.endStorm()
 	for {
-		if st.haveSeen && st.seenVer == ln.version {
+		if ln.valid.has(p.cpu) {
 			// Cached copy still valid.
 			if p.lastPollLine == ln && p.spunSincePoll {
 				// Spin-looping on an unchanged line: park until a writer
@@ -297,8 +268,7 @@ func (p *Proc) Load(c *lockapi.Cell, _ lockapi.Order) uint64 {
 		p.lastPollLine = ln
 		p.spunSincePoll = false
 		p.advance(cost)
-		st.haveSeen = true
-		st.seenVer = ln.version
+		ln.valid.add(p.cpu)
 		ln.sharers.add(p.cpu)
 		v := c.Raw().Load()
 		p.emit("load", c, v, cost)
@@ -309,13 +279,13 @@ func (p *Proc) Load(c *lockapi.Cell, _ lockapi.Order) uint64 {
 // Store implements lockapi.Proc.
 func (p *Proc) Store(c *lockapi.Cell, v uint64, _ lockapi.Order) {
 	ln := p.lineOf(c)
-	st := p.pls(ln)
 	p.endStorm()
+	valid := ln.valid.has(p.cpu)
 	cost := p.m.lat.Hit
 	switch {
-	case st.haveSeen && st.seenVer == ln.version && ln.owner == p.cpu:
+	case valid && ln.owner == p.cpu:
 		// Already modified/exclusive here.
-	case st.haveSeen && st.seenVer == ln.version:
+	case valid:
 		// Valid shared copy: S→M upgrade, no data fetch.
 		cost += p.m.lat.Upgrade
 	default:
@@ -332,12 +302,13 @@ func (p *Proc) Store(c *lockapi.Cell, v uint64, _ lockapi.Order) {
 }
 
 // rmwCost charges the common cost of a read-modify-write.
-func (p *Proc) rmwCost(ln *line, st *plstate) int64 {
+func (p *Proc) rmwCost(ln *line) int64 {
+	valid := ln.valid.has(p.cpu)
 	cost := p.m.lat.RMWBase
 	switch {
-	case st.haveSeen && st.seenVer == ln.version && ln.owner == p.cpu:
+	case valid && ln.owner == p.cpu:
 		cost += p.m.lat.Hit
-	case st.haveSeen && st.seenVer == ln.version:
+	case valid:
 		// Valid shared copy: S→M upgrade, no data fetch.
 		cost += p.m.lat.Hit + p.m.lat.Upgrade
 	default:
@@ -357,10 +328,9 @@ func (p *Proc) rmwCost(ln *line, st *plstate) int64 {
 // LL/SC pair, so the loop stays live and feeds the retry storm.
 func (p *Proc) Add(c *lockapi.Cell, delta uint64, _ lockapi.Order) uint64 {
 	ln := p.lineOf(c)
-	st := p.pls(ln)
 	for {
 		if delta == 0 && p.m.lat.LLSCRetry == 0 &&
-			st.haveSeen && st.seenVer == ln.version && ln.owner == p.cpu {
+			ln.valid.has(p.cpu) && ln.owner == p.cpu {
 			// CTR spin-read of a line we already own exclusively: on x86
 			// this costs nothing externally. Poll once, then park on the
 			// Spin()-marked repeat, like a plain load spin.
@@ -375,7 +345,7 @@ func (p *Proc) Add(c *lockapi.Cell, delta uint64, _ lockapi.Order) uint64 {
 			p.emit("add", c, nv, p.m.lat.Hit+p.m.lat.RMWBase)
 			return nv
 		}
-		cost := p.rmwCost(ln, st)
+		cost := p.rmwCost(ln)
 		p.noteRMW(ln)
 		p.lastPollLine = nil
 		p.advance(cost)
@@ -384,13 +354,11 @@ func (p *Proc) Add(c *lockapi.Cell, delta uint64, _ lockapi.Order) uint64 {
 			p.markWrite(ln)
 		} else {
 			// fetch_add(0): takes the line exclusive but the value is
-			// unchanged, so cached copies stay semantically valid; no
-			// version bump (watchers must not wake for an unchanged value)
-			// but ownership and sharers move as for a write.
+			// unchanged, so other CPUs' copies stay current and watchers
+			// must not wake; ownership and sharers move as for a write.
 			ln.owner = p.cpu
 			ln.sharers.reset()
-			st.haveSeen = true
-			st.seenVer = ln.version
+			ln.valid.add(p.cpu)
 		}
 		p.emit("add", c, nv, cost)
 		return nv
@@ -400,8 +368,7 @@ func (p *Proc) Add(c *lockapi.Cell, delta uint64, _ lockapi.Order) uint64 {
 // Swap implements lockapi.Proc (returns the old value).
 func (p *Proc) Swap(c *lockapi.Cell, v uint64, _ lockapi.Order) uint64 {
 	ln := p.lineOf(c)
-	st := p.pls(ln)
-	cost := p.rmwCost(ln, st)
+	cost := p.rmwCost(ln)
 	p.noteRMW(ln)
 	p.lastPollLine = nil
 	p.advance(cost)
@@ -412,11 +379,11 @@ func (p *Proc) Swap(c *lockapi.Cell, v uint64, _ lockapi.Order) uint64 {
 }
 
 // CAS implements lockapi.Proc. A failed CAS still pulls the line and pays
-// the RMW cost (the LL happened) but does not modify it.
+// the RMW cost (the LL happened) but does not modify it: the caller's copy
+// becomes current without joining the sharers.
 func (p *Proc) CAS(c *lockapi.Cell, old, new uint64, _ lockapi.Order) bool {
 	ln := p.lineOf(c)
-	st := p.pls(ln)
-	cost := p.rmwCost(ln, st)
+	cost := p.rmwCost(ln)
 	p.noteRMW(ln)
 	p.lastPollLine = nil
 	p.advance(cost)
@@ -424,16 +391,10 @@ func (p *Proc) CAS(c *lockapi.Cell, old, new uint64, _ lockapi.Order) bool {
 	// this one was in flight wins, exactly as on real hardware.
 	ok := c.Raw().CompareAndSwap(old, new)
 	if ok {
-		ln.version++
-		ln.owner = p.cpu
-		ln.sharers.reset()
-		p.wakeWatchers(ln)
-	}
-	st.haveSeen = true
-	st.seenVer = ln.version
-	if ok {
+		p.markWrite(ln)
 		p.emit("cas", c, new, cost)
 	} else {
+		ln.valid.add(p.cpu)
 		p.emit("cas!", c, old, cost)
 	}
 	return ok
@@ -458,12 +419,12 @@ func (p *Proc) Spin() {
 // Preempt suspends this virtual CPU for d nanoseconds of *wall-clock*
 // descheduling, as when the OS takes the core away: virtual time advances
 // unscaled (CPUSpeed does not apply — a descheduled core computes nothing),
-// and the thread's private cache view is dropped, so it repopulates its
-// working set through misses on resume — the realistic handover penalty of
-// lock-holder preemption. Global coherence state (owners, sharers, parked
-// watchers) is deliberately untouched: other CPUs still believe this CPU may
-// hold lines, which is the conservative direction for writers' invalidation
-// costs. Fault plans (internal/faultinject, driven by internal/workload in
+// and this CPU leaves every line's valid set, so it repopulates its working
+// set through misses on resume — the realistic handover penalty of
+// lock-holder preemption. The rest of the coherence state (owners, sharers,
+// parked watchers) is deliberately untouched: other CPUs still believe this
+// CPU may hold lines, which is the conservative direction for writers'
+// invalidation costs. Fault plans (internal/faultinject, driven by internal/workload in
 // the chaos and collapse experiments) call this mid-critical-section to
 // model preempted lock holders, and outside it to model stalled cores.
 func (p *Proc) Preempt(d int64) {
@@ -471,7 +432,9 @@ func (p *Proc) Preempt(d int64) {
 		panic("memsim: negative Preempt duration")
 	}
 	p.Preempts++
-	clear(p.lines)
+	for _, ln := range p.m.lines {
+		ln.valid.del(p.cpu)
+	}
 	p.endStorm()
 	p.lastPollLine = nil
 	p.justWoke = false

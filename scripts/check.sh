@@ -100,8 +100,10 @@ echo "== go test -race (all packages except mcheck)"
 # Derived, not hand-listed, so new packages are raced by default. mcheck is
 # excluded: its replay engine is single-goroutine, so -race finds nothing
 # there and multiplies its exhaustive-search runtime. internal/figures takes
-# about 14 minutes under -race on a 2-CPU host (TestBigMachineQuick's
-# 1024-vCPU panels alone about 11.5), past go test's 10-minute default.
+# about 13 minutes under -race on a 2-CPU host (764 s measured in this step;
+# TestBigMachineQuick alone took 8.8 and 9.5 minutes in two runs of
+# go test -race -run TestBigMachineQuick ./internal/figures), past go test's
+# 10-minute default.
 go test -race -timeout 30m $(go list ./... | grep -v '/internal/mcheck$')
 
 tmp=$(mktemp -d)
