@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -195,16 +196,70 @@ func merge(sources [][]entry, end []byte, fn func(e entry) bool) {
 // with the freeze finds every entry in at least one layer (possibly both —
 // validation, not the freeze, is what makes its snapshot consistent).
 func (db *DB) freezeLocked() {
-	mem := db.mem.Load()
-	if mem.n == 0 {
-		return
+	if mem := db.mem.Load(); mem.n > 0 {
+		db.pushRun(mem.freeze())
 	}
-	newRuns := append([]*run{mem.freeze()}, *db.runs.Load()...)
+}
+
+// pushRun publishes r as the newest run, resets the memtable, and compacts
+// once the runs exceed MaxRuns; the caller runs it as a writer. A new
+// memtable's skiplist is seeded with Seed plus the run count, so the runs a
+// DB holds fix the heights its next memtable draws.
+func (db *DB) pushRun(r *run) {
+	newRuns := append([]*run{r}, *db.runs.Load()...)
 	db.runs.Store(&newRuns)
 	db.mem.Store(newSkiplist(db.opts.Seed+uint64(len(newRuns)), db.opts.MemtableBytes))
 	if len(newRuns) > db.opts.MaxRuns {
 		db.compactLocked()
 	}
+}
+
+// Load bulk-loads n entries into an empty DB, at(i) returning the i-th
+// key and value, the keys strictly ascending. It builds sorted runs
+// directly, with no memtable: it copies keys and values into each run's own
+// blocks, cuts a run wherever a memtable fed the same Puts would freeze,
+// fills the run's filter from the hashes it computed and publishes the run
+// as a freeze does. The DB it leaves, counters included, is the one those
+// Puts followed by Flush leave. A writer; it panics on a non-empty DB and
+// on a key not above its predecessor.
+func (db *DB) Load(n int, at func(i int) (key, value []byte)) {
+	if db.mem.Load().n > 0 || len(*db.runs.Load()) > 0 {
+		panic("kvstore: Load into a non-empty DB")
+	}
+	var (
+		// The run being built.
+		entries    []entry
+		hashes     []uint64
+		keys, vals blocks[byte]
+		f          fill
+		prev       []byte // the last key, also across a cut
+	)
+	cut := func() {
+		r := &run{entries: slices.Clone(entries), filter: newFilter(len(entries))}
+		for _, h := range hashes {
+			r.filter.add(h)
+		}
+		db.pushRun(r)
+		entries, hashes = entries[:0], hashes[:0]
+		keys, vals, f = blocks[byte]{}, blocks[byte]{}, fill{}
+	}
+	for i := 0; i < n; i++ {
+		k, v := at(i)
+		if i > 0 && bytes.Compare(k, prev) <= 0 {
+			panic("kvstore: Load keys not strictly ascending")
+		}
+		prev = keys.copy(k)
+		entries = append(entries, entry{key: prev, value: vals.copy(v)})
+		hashes = append(hashes, hashKey(k))
+		f.addEntry(k, v)
+		if f.full(db.opts.MemtableBytes) {
+			cut()
+		}
+	}
+	if len(entries) > 0 {
+		cut()
+	}
+	db.puts.Add(uint64(n))
 }
 
 // compactLocked merges all runs into one (newest value wins) and drops
@@ -235,7 +290,8 @@ func (db *DB) compactLocked() {
 	db.runs.Store(&[]*run{out})
 }
 
-// Flush freezes the current memtable (for tests and bulk loads).
+// Flush freezes the current memtable into the newest run; it does nothing to
+// an empty memtable.
 func (db *DB) Flush() { db.freezeLocked() }
 
 // Stats is a point-in-time snapshot of one DB's operation counters.

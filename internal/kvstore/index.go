@@ -20,10 +20,9 @@ const memtableBytesPerKey = 128
 // no garbage-collector scan. The tag's top bits are also the slot's home,
 // so growth re-places the stored words without rehashing a key.
 //
-// A memtable builds its table at the first Put that must look a key up
-// (skiplist.putEntry); keys appended before then wait as pending.
-// Optimistic readers probe the table while the writer fills it (see the
-// package comment): the writer stores a slot's word, node and hash tag in
+// A memtable builds its table at its first Put (skiplist.putEntry), and
+// indexes each new key as it inserts it. Optimistic readers probe the table
+// while the writer fills it (see the package comment): the writer stores a slot's word, node and hash tag in
 // one atomic store, after the node is complete; the table is never more
 // than 3/4 full, so every probe meets an empty slot; growth builds a doubled
 // table and publishes it atomically, and nothing is written to the old one

@@ -59,7 +59,7 @@ func TestIndexDifferential(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			var k []byte
 			if batch%7 == 3 {
-				k = Key(next) // a burst in key order: appended, pending
+				k = Key(next) // a burst in key order: appended
 				next++
 			} else {
 				k = Key(rng.Intn(keys))
@@ -121,40 +121,6 @@ func TestIndexPresizeHolds(t *testing.T) {
 		}
 		t.Logf("%d KiB: %d keys in %d slots, %.1f%% load", mb>>10, n, indexSlots(mb), 100*float64(n)/float64(indexSlots(mb)))
 	}
-}
-
-// TestPendingKeys: keys appended in order are not indexed until a Put
-// needs a lookup; until then Get finds each of them, and misses absent keys
-// below, among and above them. The first out-of-order Put indexes them all.
-func TestPendingKeys(t *testing.T) {
-	s := newSkiplist(1, 1<<20)
-	for i := 10; i < 2010; i += 2 {
-		put(s, string(Key(i)), fmt.Sprint(i))
-	}
-	if indexLen(s) != 0 || s.pending.Load() == nil {
-		t.Fatal("keys appended in order were indexed")
-	}
-	check := func() {
-		t.Helper()
-		for i := 0; i < 2020; i++ {
-			e, ok := get(s, string(Key(i)))
-			if want := i >= 10 && i < 2010 && i%2 == 0; ok != want || ok && string(e.value) != fmt.Sprint(i) {
-				t.Fatalf("get(%d) = %q,%v, want present %v", i, e.value, ok, want)
-			}
-		}
-	}
-	check()
-	put(s, string(Key(500)), "500") // an overwrite: looks the key up
-	if indexLen(s) == 0 || s.pending.Load() != nil || s.indexed != s.nodes.n {
-		t.Fatal("a lookup left keys pending")
-	}
-	for i := 10; i < 2010; i += 2 {
-		k := Key(i)
-		if x, _ := s.find(s.index.Load(), k, hashKey(k)); x == nil {
-			t.Fatalf("index misses key %d", i)
-		}
-	}
-	check()
 }
 
 // TestOptimisticGetsAcrossGrowth is the index's -race check: optimistic

@@ -18,28 +18,30 @@
 // freeze builds its run's filter from the hashes the memtable's nodes
 // store, sized for the run's key count; a compaction fills the merged run's
 // filter in its merge pass. The skiplist keeps the order that the freeze,
-// Scan and the insert of a new key need.
+// Scan and the insert of a new key need. A bulk load (DB.Load) bypasses the
+// memtable: it builds the runs directly, cut where the memtable would have
+// frozen, so it leaves the DB the same Puts and a Flush would.
 //
 // A memtable carves its nodes, value slots, key bytes and value bytes from
 // blocks it owns (blocks.go, LevelDB's Arena in miniature), so a Put that
 // does not freeze makes no heap allocation, and a key greater than the
-// memtable's last key appends without a search. Such appended keys are
-// indexed only when a later Put needs a lookup, so a bulk load in key order
-// builds no index at all. A block lives as long as anything points into it.
-// A freeze hands the new run slices into the memtable's key and value
-// blocks; the node and slot blocks die with the skiplist. A compaction
-// copies every live key and value into the merged run's own blocks, so the
-// blocks of the runs it replaces, dead overwritten values and all, die with
-// them. Dead space in a memtable is capped: it freezes early once the bytes
-// it has carved reach arenaFactor × MemtableBytes, whatever its live bytes.
+// memtable's last key appends without a search. A block lives as long as
+// anything points into it. A freeze hands the new run slices into the
+// memtable's key and value blocks; the node and slot blocks die with the
+// skiplist. A bulk load copies keys and values into each run's own blocks.
+// A compaction copies every live key and value into the merged run's own
+// blocks, so the blocks of the runs it replaces, dead overwritten values and
+// all, die with them. Dead space in a memtable is capped: it freezes early
+// once the bytes it has carved reach arenaFactor × MemtableBytes, whatever
+// its live bytes.
 //
 // Readers come in two disciplines. A serialized reader (DB.Get/Scan) runs
 // while no writer does, exclusive or shared with other readers. An
 // optimistic reader runs the same methods concurrently with a writer, the
 // sharded store's optimistic-read fast path (DESIGN.md S33): all
 // reader-visible state — skiplist links, value slots, index slots, filter
-// words, the index, pending-key and node-block pointers, the memtable and
-// run-stack pointers — is published through atomics, so such a reader is
+// words, the index and node-block pointers, the memtable and run-stack
+// pointers — is published through atomics, so such a reader is
 // data-race-free and always observes structurally sound memory. What it may
 // observe is a *mixed* state (half of a concurrent write); callers must
 // certify every such result through seqlock validation and discard it on
@@ -68,10 +70,9 @@
 //     are published, and keeps every table at most 3/4 full, also the table
 //     a reader may still hold after a growth, to which nothing is written
 //     again;
-//   - a key the index does not yet hold is pending, and the reader searches
-//     the skiplist for it, whose level 0 is always complete;
-//   - a freeze publishes a run together with its complete filter, and a
-//     compaction fills its run's filter before publishing the run.
+//   - a freeze or a bulk load publishes a run together with its complete
+//     filter, and a compaction fills its run's filter before publishing the
+//     run.
 package kvstore
 
 import (
@@ -129,24 +130,18 @@ type skiplist struct {
 	last       [maxHeight]*skipNode
 	lastPrefix keyPrefix
 	fences     []fence
-	// n, bytes and arena are writer-only plain fields: the entry count, the
-	// live bytes the freeze trigger counts, and the bytes carved from the
-	// blocks below, live or dead.
-	n, bytes, arena int
-	nodes           nodeBlocks
-	slots           blocks[valSlot]
+	// n, the entry count, and fill are writer-only plain fields.
+	n int
+	fill
+	nodes nodeBlocks
+	slots blocks[valSlot]
 	// keys and vals hold key and value bytes in separate blocks.
 	keys, vals blocks[byte]
-	// index finds every key's node, tombstones included, except the
-	// pending ones: the keys appended since the last Put that looked a key
-	// up, which are the level-0 nodes from pending to tail (pending is nil
-	// when there are none). It is nil until that first Put, and replaced by
-	// a doubled table past 3/4 load. indexed, the count of indexed nodes,
-	// and slotsHint, the presized table length, are writer-only.
-	index         atomic.Pointer[index]
-	pending, tail atomic.Pointer[skipNode]
-	indexed       uint32
-	slotsHint     int
+	// index finds every key's node, tombstones included. It is nil until
+	// the first Put, and replaced by a doubled table past 3/4 load.
+	// slotsHint, the presized table length, is writer-only.
+	index     atomic.Pointer[index]
+	slotsHint int
 }
 
 // valSlot is an immutable value+tombstone pair. Overwrites swap the node's
@@ -262,28 +257,11 @@ func (s *skiplist) descend(x *skipNode, top int, key []byte, p keyPrefix, prev *
 }
 
 // lookup returns key's node, nil if the key was never written, by probing
-// the index with key's hash h, or by searching for a pending key. Safe for
-// serialized and optimistic readers alike.
+// the index with key's hash h. Safe for serialized and optimistic readers
+// alike.
 func (s *skiplist) lookup(key []byte, h uint64) *skipNode {
 	if t := s.index.Load(); t != nil {
-		if x, _ := s.find(t, key, h); x != nil {
-			return x
-		}
-	}
-	if first := s.pending.Load(); first != nil {
-		return s.lookupPending(key, first)
-	}
-	return nil
-}
-
-// lookupPending searches for key if it lies within the pending keys, which
-// start at first.
-func (s *skiplist) lookupPending(key []byte, first *skipNode) *skipNode {
-	p := prefixOf(key)
-	if s.tail.Load().less(key, p) || !first.less(key, p) && !first.equal(key) {
-		return nil // after tail or before first
-	}
-	if x := s.findGreaterOrEqual(key, p); x != nil && x.equal(key) {
+		x, _ := s.find(t, key, h)
 		return x
 	}
 	return nil
@@ -348,15 +326,12 @@ func (s *skiplist) findPrev(key []byte, p keyPrefix, height int, prev *[maxHeigh
 }
 
 // putEntry inserts key or overwrites its value (a tombstone for a
-// deletion), copying both into the skiplist's blocks. A key greater than
-// the last key links after the last node at each level without a search
-// or an index lookup (RocksDB's insert hint): it cannot be present. It is
-// left pending, so that a bulk load in key order pays no cache miss per key
-// for an index that nothing reads before the load ends. Every other key,
-// the last key itself included, is looked up in the index, once the
-// pending keys are indexed, and only a new key is searched for (findPrev).
-// Both insert paths draw one height per insert, so a skiplist's shape does
-// not depend on the path.
+// deletion), copying both into the skiplist's blocks. Every key is looked
+// up in the index, and a new key is indexed as it is inserted. A new key
+// greater than the last key links after the last node at each level without
+// a search (RocksDB's insert hint); any other new key is searched for
+// (findPrev). Both insert paths draw one height per insert, so a skiplist's
+// shape does not depend on the path.
 //
 // The stores that miss the cache — the copies, the new node's fields —
 // are issued before the search, so that their misses overlap its chain of
@@ -367,20 +342,17 @@ func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
 	h, p := hashKey(key), prefixOf(key)
 	last := s.last[0]
 	appended := last == s.head || s.lastPrefix.less(p) || s.lastPrefix == p && last.less(key, p)
-	var (
-		t    *index
-		x    *skipNode
-		free uint64 // the empty index slot a new key takes
-	)
-	if !appended {
-		t = s.indexPending()
-		x, free = s.find(t, key, h)
+	t := s.index.Load()
+	if t == nil {
+		t = newIndex(s.slotsHint)
+		s.index.Store(t)
 	}
+	x, free := s.find(t, key, h) // free: the empty slot a new key takes
 	slot := &s.slots.alloc(1)[0]
 	*slot = valSlot{value: s.vals.copy(value), tombstone: tombstone}
-	s.arena += slotBytes + len(value)
 	if x != nil {
 		s.bytes += len(value) - len(x.val.Load().value)
+		s.arena += slotBytes + len(value)
 		x.val.Store(slot)
 		return
 	}
@@ -412,73 +384,31 @@ func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
 		s.fences = slices.Insert(s.fences, fi, fence{p, ord, int32(height)})
 	}
 	s.n++
-	s.bytes += len(key) + len(value) + 1
-	s.arena += nodeBytes + len(key)
-	if appended {
-		// tail first: a reader that sees pending set finds tail set.
-		s.tail.Store(node)
-		if s.pending.Load() == nil {
-			s.pending.Store(node)
-		}
-		return
-	}
+	s.addEntry(key, value)
 	if 4*s.n > 3*len(t.slots) {
 		t = t.grow()
 		s.index.Store(t)
 		free = t.free(h)
 	}
 	t.slots[free].Store(slotWord(h, ord))
-	s.indexed++
 }
 
-// indexBatch is how many pending keys indexPending indexes at a time.
-// Indexing a key costs a cache miss on its slot; within a batch the misses
-// overlap, because every home slot is loaded before any slot is stored.
-const indexBatch = 16
+// fill is what a memtable's freeze trigger counts: the live bytes, and the
+// bytes carved from its blocks, live or dead. DB.Load counts each run it
+// builds in one, so it cuts the run where a memtable fed the same Puts
+// freezes.
+type fill struct{ bytes, arena int }
 
-// indexPending indexes the pending nodes, creating the index the first
-// time, and returns the index. Writer-only.
-func (s *skiplist) indexPending() *index {
-	t := s.index.Load()
-	if t != nil && s.indexed == s.nodes.n {
-		return t
-	}
-	published := t != nil
-	if t == nil {
-		t = newIndex(s.slotsHint)
-	}
-	for 4*int(s.nodes.n) > 3*len(t.slots) {
-		t, published = t.grow(), false
-	}
-	var homes [indexBatch]uint64
-	for from := s.indexed; from < s.nodes.n; from += indexBatch {
-		to := min(from+indexBatch, s.nodes.n)
-		for ord := from; ord < to; ord++ {
-			homes[ord-from] = t.slots[s.nodes.at(ord).hash>>t.shift].Load()
-		}
-		for ord := from; ord < to; ord++ {
-			h := s.nodes.at(ord).hash
-			// A home slot loaded full stays full; one loaded empty may
-			// have been taken since by a key of this batch.
-			i := h >> t.shift
-			if homes[ord-from] != 0 || t.slots[i].Load() != 0 {
-				i = t.free(h)
-			}
-			t.slots[i].Store(slotWord(h, ord))
-		}
-	}
-	if !published {
-		s.index.Store(t)
-	}
-	s.indexed = s.nodes.n
-	s.pending.Store(nil)
-	return t
+// addEntry counts a new key's entry: its node, value slot, key and value.
+func (f *fill) addEntry(key, value []byte) {
+	f.bytes += len(key) + len(value) + 1
+	f.arena += nodeBytes + slotBytes + len(key) + len(value)
 }
 
 // full reports whether the memtable must freeze: its live bytes reached
 // memtableBytes, or its carved bytes the dead-space cap.
-func (s *skiplist) full(memtableBytes int) bool {
-	return s.bytes >= memtableBytes || s.arena >= arenaFactor*memtableBytes
+func (f *fill) full(memtableBytes int) bool {
+	return f.bytes >= memtableBytes || f.arena >= arenaFactor*memtableBytes
 }
 
 // freeze returns the run the memtable becomes: its entries in key order,

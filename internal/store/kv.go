@@ -190,16 +190,32 @@ func (s *KVSession) ShardStats(p lockapi.Proc) []kvstore.Stats {
 	return out
 }
 
-// PreloadKV fills the store with keys sequential canonical keys of
-// db_bench's 100-byte value size and flushes (single-threaded). Put copies
-// its key, so one key buffer serves every Put.
+// PreloadKV fills an empty store with keys sequential canonical keys of
+// db_bench's 100-byte value size and flushes (single-threaded). It formats
+// and routes each key once, then bulk-loads each shard under one hold of
+// its lock (kvstore.DB.Load), so the store it leaves is the one per-key Puts
+// followed by Flush leave, with no memtable built on the way. Every key is
+// kvstore.KeyWidth bytes: a store of 10^16 keys does not fit in memory.
 func PreloadKV(kv *KV, keys int) {
-	p := lockapi.NewNativeProc(0)
-	s := kv.NewSession()
-	key, val := make([]byte, 0, kvstore.KeyWidth), make([]byte, 100)
-	for i := 0; i < keys; i++ {
-		key = kvstore.AppendKey(key[:0], i)
-		s.Put(p, key, val)
+	r := kv.router
+	shardKeys := make([][]byte, r.Shards())
+	for i := range shardKeys {
+		shardKeys[i] = make([]byte, 0, (keys/r.Shards()+1)*kvstore.KeyWidth)
 	}
-	s.Flush(p)
+	var key [kvstore.KeyWidth]byte
+	for i := 0; i < keys; i++ {
+		k := kvstore.AppendKey(key[:0], i)
+		sh := r.part.Shard(k)
+		shardKeys[sh] = append(shardKeys[sh], k...)
+	}
+	p := lockapi.NewNativeProc(0)
+	s := r.NewSession()
+	val := make([]byte, 100)
+	for i, ks := range shardKeys {
+		s.ExclusiveAt(p, i, func(_ int, db *kvstore.DB) {
+			db.Load(len(ks)/kvstore.KeyWidth, func(j int) ([]byte, []byte) {
+				return ks[j*kvstore.KeyWidth : (j+1)*kvstore.KeyWidth], val
+			})
+		})
+	}
 }

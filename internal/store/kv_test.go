@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -370,10 +371,45 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPreloadMatchesPuts: PreloadKV leaves the store that per-key Puts and a
+// Flush leave, under hash and range partitioning: per-shard counters and
+// run counts (each shard freezes a dozen runs and compacts) and contents.
+// internal/kvstore's TestLoadMatchesPuts compares the runs entry by entry.
+func TestPreloadMatchesPuts(t *testing.T) {
+	const keys = 5000
+	for _, rangeKeys := range []int{0, keys} {
+		opts := KVOptions{
+			Shards: 3, RangeKeys: rangeKeys,
+			Shard: kvstore.Options{MemtableBytes: 16 << 10, MaxRuns: 4, Seed: 5},
+		}
+		loaded, put := OpenKV(opts), OpenKV(opts)
+		PreloadKV(loaded, keys)
+		ps := put.NewSession()
+		value := make([]byte, 100)
+		for i := 0; i < keys; i++ {
+			ps.Put(p0, kvstore.Key(i), value)
+		}
+		ps.Flush(p0)
+		ls := loaded.NewSession()
+		got, want := ls.ShardStats(p0), ps.ShardStats(p0)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("rangeKeys %d shard %d: stats %+v, want %+v", rangeKeys, i, got[i], want[i])
+			}
+			if want[i].Compactions == 0 {
+				t.Fatalf("rangeKeys %d shard %d: %+v, the test must compact", rangeKeys, i, want[i])
+			}
+		}
+		if g, w := scanAll(ls), scanAll(ps); !slices.Equal(g, w) || len(w) != keys {
+			t.Fatalf("rangeKeys %d: scan has %d keys, want %d equal to the Puts'", rangeKeys, len(g), len(w))
+		}
+	}
+}
+
 // BenchmarkPreloadKV times the set-up rung, OpenKV + PreloadKV, in the
 // per-shard shape of the ycsb-b benchmark's set-up at a quarter of its
 // scale: 62,500 sequential keys per seq:tkt-locked shard with 1 MiB
-// memtables, each shard freezing seven runs.
+// memtables, each shard loading seven runs.
 func BenchmarkPreloadKV(b *testing.B) {
 	const shards, keys = 4, 250_000
 	b.ReportAllocs()

@@ -199,9 +199,9 @@ func TestOCCConcurrentWriters(t *testing.T) {
 // returns. Optimistic readers Get random keys below the mark: each must be
 // found with its value, since a completed Put is never absent. This catches
 // a layer's hash structure missing a key the layer holds — a memtable
-// lookup that skips a pending key (keys put in increasing order are all
-// pending), a freeze or a compaction that fills its run's filter wrongly —
-// which a validated read would report as a legal "absent", so
+// index that skips an appended key (keys put in increasing order all take
+// the append path), a freeze or a compaction that fills its run's filter
+// wrongly — which a validated read would report as a legal "absent", so
 // TestOCCConcurrentWriters (whose Deletes make absent legal) cannot.
 func TestOCCGetSeesEveryCompletedPut(t *testing.T) {
 	const (
