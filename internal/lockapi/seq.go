@@ -10,8 +10,9 @@ package lockapi
 // discarded.
 //
 // The fence discipline is the load-bearing part, and it is what
-// internal/mcheck's SeqlockProgram verifies under WMM (including a seeded
-// fenceless variant that the checker must catch):
+// internal/mcheck's StoreProgram verifies under WMM, on the store's own
+// read loop (including a seeded fenceless variant that the checker must
+// catch):
 //
 //   - ReadSeq loads the version with Acquire order, so the data reads that
 //     follow cannot observe values older than the sampled version.

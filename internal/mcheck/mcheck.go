@@ -41,11 +41,11 @@
 // coherence (a thread never travels backwards past its own last observation)
 // and is discharged by Acquire/SeqCst loads, non-Relaxed fences, and RMWs,
 // which discard the thread's stale view. This is the relaxation that catches
-// under-fenced *readers* — seqlock validation without its Acquire fence
-// (SeqlockProgram) — where the store-ordering models cannot: the bug is a
-// load observing the past, not a store arriving late. Programs whose bugs
-// are store-ordering bugs do not need it, and it is off by default because
-// each possible stale read forks the search.
+// under-fenced *readers* — seqlock validation without its Acquire fence, on
+// the store's own optimistic read (StoreProgram) — where the store-ordering
+// models cannot: the bug is a load observing the past, not a store arriving
+// late. Programs whose bugs are store-ordering bugs do not need it, and it
+// is off by default because each possible stale read forks the search.
 package mcheck
 
 import (
@@ -169,9 +169,6 @@ type Program struct {
 	// Final, if non-nil, validates the quiesced final state (all threads
 	// done, all buffers flushed) and returns a violation message or "".
 	Final func(read func(c *lockapi.Cell) uint64) string
-	// ExpectFair marks the program for the bounded-bypass check (used with
-	// Config.FairnessK).
-	ExpectFair bool
 }
 
 // Check explores prog under cfg.

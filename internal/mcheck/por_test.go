@@ -90,7 +90,8 @@ func TestPORMatchesExhaustiveNegatives(t *testing.T) {
 // TestPORCatalogEquivalence2T is the equivalence matrix over the full lock
 // catalog at 2 threads on the verification machine: every entry must reach
 // the same verdict under both searches, with the reduced search visiting no
-// more states.
+// more states. Its last row is the store's optimistic read (StoreProgram,
+// seq:tkt, two readers of one shard), whose counts it pins.
 func TestPORCatalogEquivalence2T(t *testing.T) {
 	mach := VerifyMachine()
 	for _, e := range catalog.Locks() {
@@ -103,6 +104,15 @@ func TestPORCatalogEquivalence2T(t *testing.T) {
 			}
 		})
 	}
+	t.Run("store/seq:tkt/2x1", func(t *testing.T) {
+		exh, por := porPair(t, "store/seq:tkt/2x1", StoreProgram("seq:tkt", 2, 1, seqTkt(false)), Config{Mode: SC})
+		if !exh.OK {
+			t.Fatalf("store read unexpectedly broken: %s", exh.Violation)
+		}
+		if exh.States != 21046 || por.States != 2725 {
+			t.Errorf("states %d -> %d, want 21046 -> 2725", exh.States, por.States)
+		}
+	})
 }
 
 // TestPORFairnessEquivalence runs the bounded-bypass check under both
@@ -149,7 +159,7 @@ func TestPORDeterministic(t *testing.T) {
 // relaxation forks transitions mid-execution, so Config.POR is ignored and
 // the exhaustive search runs (Reduced=false).
 func TestPORStaleFallback(t *testing.T) {
-	res := Check(SeqlockProgram(1, 1, false), Config{Mode: WMM, StaleLoads: true, POR: true})
+	res := Check(StoreProgram("seq:tkt", 1, 1, seqTkt(false)), Config{Mode: WMM, StaleLoads: true, POR: true})
 	if res.Reduced {
 		t.Fatal("POR must fall back to exhaustive search under StaleLoads")
 	}

@@ -7,7 +7,7 @@ import (
 	"github.com/clof-go/clof/internal/cr"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/locks"
-	"github.com/clof-go/clof/internal/seqlock"
+	"github.com/clof-go/clof/internal/store"
 	"github.com/clof-go/clof/internal/topo"
 )
 
@@ -58,7 +58,6 @@ func LockProgram(name string, threads, iters int, mkLock func() lockapi.Lock) Pr
 			}
 			return ""
 		},
-		ExpectFair: true,
 	}
 }
 
@@ -84,107 +83,33 @@ func VerifyMachine() *topo.Machine {
 // properties: mutual exclusion, deadlock freedom, spinloop termination, and
 // the data invariant. `buggy` builds the §4.1.3 inverted-release-order
 // variant, whose exploration must find a violation.
+//
+// Thread→CPU: threads 0,1 share cohort 0 (CPUs 0,1); thread 2 is alone in
+// cohort 1 (CPU 2). The checker Proc's ID() is the thread id, which is also
+// a valid CPU id on VerifyMachine by construction.
 func InductionProgram(iters int, buggy bool, low, high string) Program {
-	mach := VerifyMachine()
-	h := topo.MustHierarchy(mach, topo.CacheGroup, topo.System)
+	h := topo.MustHierarchy(VerifyMachine(), topo.CacheGroup, topo.System)
 	comp := clof.Composition{locks.MustType(low), locks.MustType(high)}
 	name := fmt.Sprintf("clof-induction-%s-%s", low, high)
+	opts := []clof.Option{clof.WithThreshold(2)}
 	if buggy {
 		name += "-release-order-bug"
+		opts = append(opts, clof.WithReleaseOrderBug())
 	}
-
-	// Thread→CPU: threads 0,1 share cohort 0 (CPUs 0,1); thread 2 is alone
-	// in cohort 1 (CPU 2). The checker Proc's ID() is the thread id, which
-	// is also a valid CPU id on this machine by construction.
-	counter := struct{ c *lockapi.Cell }{}
-	threads := 3
-	return Program{
-		Name: name,
-		Make: func() []func(p *Proc) {
-			opts := []clof.Option{clof.WithThreshold(2)}
-			if buggy {
-				opts = append(opts, clof.WithReleaseOrderBug())
-			}
-			l := clof.Must(h, comp, opts...)
-			cnt := &lockapi.Cell{}
-			counter.c = cnt
-			ctxs := make([]lockapi.Ctx, threads)
-			for i := range ctxs {
-				ctxs[i] = l.NewCtx()
-			}
-			bodies := make([]func(p *Proc), threads)
-			for i := 0; i < threads; i++ {
-				i := i
-				bodies[i] = func(p *Proc) {
-					for it := 0; it < iters; it++ {
-						p.BeginWait()
-						l.Acquire(p, ctxs[i])
-						p.EndWait()
-						p.EnterCS()
-						v := p.Load(cnt, lockapi.Relaxed)
-						p.Store(cnt, v+1, lockapi.Relaxed)
-						p.ExitCS()
-						l.Release(p, ctxs[i])
-					}
-				}
-			}
-			return bodies
-		},
-		Final: func(read func(c *lockapi.Cell) uint64) string {
-			want := uint64(threads * iters)
-			if got := read(counter.c); got != want {
-				return fmt.Sprintf("counter = %d, want %d", got, want)
-			}
-			return ""
-		},
-		ExpectFair: true,
-	}
+	return LockProgram(name, 3, iters, func() lockapi.Lock { return clof.Must(h, comp, opts...) })
 }
 
 // FastPathProgram verifies the §6 TAS fast-path extension: the 2-level
-// CLoF lock with stealing enabled, 3 threads. Mutual exclusion, deadlock
-// freedom and spinloop termination must hold; strict fairness is forfeited
-// by design and not checked here.
+// CLoF lock with stealing enabled, 3 threads on InductionProgram's
+// thread→CPU map. Mutual exclusion, deadlock freedom and spinloop
+// termination must hold; strict fairness is forfeited by design and not
+// checked here.
 func FastPathProgram(iters int) Program {
-	mach := VerifyMachine()
-	h := topo.MustHierarchy(mach, topo.CacheGroup, topo.System)
+	h := topo.MustHierarchy(VerifyMachine(), topo.CacheGroup, topo.System)
 	comp := clof.Composition{locks.MustType("tkt"), locks.MustType("tkt")}
-	counter := struct{ c *lockapi.Cell }{}
-	threads := 3
-	return Program{
-		Name: "clof-fastpath-tkt-tkt",
-		Make: func() []func(p *Proc) {
-			l := clof.Must(h, comp, clof.WithThreshold(2), clof.WithTASFastPath())
-			cnt := &lockapi.Cell{}
-			counter.c = cnt
-			ctxs := make([]lockapi.Ctx, threads)
-			for i := range ctxs {
-				ctxs[i] = l.NewCtx()
-			}
-			bodies := make([]func(p *Proc), threads)
-			for i := 0; i < threads; i++ {
-				i := i
-				bodies[i] = func(p *Proc) {
-					for it := 0; it < iters; it++ {
-						l.Acquire(p, ctxs[i])
-						p.EnterCS()
-						v := p.Load(cnt, lockapi.Relaxed)
-						p.Store(cnt, v+1, lockapi.Relaxed)
-						p.ExitCS()
-						l.Release(p, ctxs[i])
-					}
-				}
-			}
-			return bodies
-		},
-		Final: func(read func(c *lockapi.Cell) uint64) string {
-			want := uint64(threads * iters)
-			if got := read(counter.c); got != want {
-				return fmt.Sprintf("counter = %d, want %d", got, want)
-			}
-			return ""
-		},
-	}
+	return LockProgram("clof-fastpath-tkt-tkt", 3, iters, func() lockapi.Lock {
+		return clof.Must(h, comp, clof.WithThreshold(2), clof.WithTASFastPath())
+	})
 }
 
 // CRProgram verifies the concurrency-restriction combinator (internal/cr):
@@ -235,7 +160,7 @@ func CRProgram(threads, iters int, broken bool) Program {
 	if broken {
 		name += "-broken-recirculation"
 	}
-	prog := LockProgram(name, threads, iters, func() lockapi.Lock {
+	return LockProgram(name, threads, iters, func() lockapi.Lock {
 		return cr.Restrict(mach, locks.NewTicket(), cr.Opts{
 			Target:             1,
 			PassLimit:          1,
@@ -244,8 +169,6 @@ func CRProgram(threads, iters int, broken bool) Program {
 			BreakRecirculation: broken,
 		})
 	})
-	prog.ExpectFair = !broken
-	return prog
 }
 
 // relaxedReleaseTicket is a deliberately broken Ticketlock whose release is
@@ -276,10 +199,8 @@ func (l *relaxedReleaseTicket) Release(p lockapi.Proc, _ lockapi.Ctx) {
 // BrokenTicketProgram exhibits the missing-release-barrier bug: correct on
 // SC, violating on WMM.
 func BrokenTicketProgram(threads, iters int) Program {
-	prog := LockProgram("ticket-relaxed-release", threads, iters,
+	return LockProgram("ticket-relaxed-release", threads, iters,
 		func() lockapi.Lock { return &relaxedReleaseTicket{} })
-	prog.ExpectFair = true
-	return prog
 }
 
 // releaseTicket is the correct counterpart of relaxedReleaseTicket, using a
@@ -308,70 +229,72 @@ func FixedTicketProgram(threads, iters int) Program {
 		func() lockapi.Lock { return &releaseTicket{} })
 }
 
-// SeqlockProgram verifies the optimistic read-validation protocol of
-// internal/seqlock (DESIGN.md S33): one writer updates two data cells with
-// Relaxed stores inside a seq:tkt critical section while `readers` readers
-// take optimistic snapshots — ReadSeq, two Relaxed data loads, ReadValidate
-// — asserting that every snapshot that survives validation is consistent
-// (d0 == d1). A reader whose `attempts` optimistic tries all fail
-// validation falls back to the pessimistic lock, mirroring the adaptive
-// fallback in internal/store.
+// StoreProgram model-checks the store's optimistic read path itself, not a
+// copy of it (DESIGN.md S33): a store.Router of `shards` shards, each
+// guarded by its own mkLock() — a seq: lock, so reads take the
+// lockapi.SeqReader path — and holding two data cells. Thread 0 writes both
+// cells of every shard once, Relaxed, through Session.ExclusiveAt. Each of
+// `readers` readers visits shards 0..shards-1 in order with one
+// Session.OptimisticAt apiece, as KVSession.Scan does, buffers the two
+// cells it reads and asserts once the call returns that they agree: every
+// snapshot the shipped retry loop lets out must be consistent.
 //
 // The interesting mode is WMM with Config.StaleLoads: the reader bug class
-// this protocol exists to prevent is a *load* observing the past, invisible
-// to the store-ordering models. omitReadFence seeds that bug (the classic
-// missing Acquire fence in validation, seqlock.Opts.OmitReadFence); under
-// StaleLoads the checker must find the torn snapshot the stale version
-// re-read certifies, and with the fence intact it must find nothing.
-func SeqlockProgram(readers, attempts int, omitReadFence bool) Program {
-	name := "seqlock-tkt"
-	if omitReadFence {
-		name += "-missing-read-fence"
-	}
-	data := struct{ d0, d1 *lockapi.Cell }{}
+// validation exists to prevent is a *load* observing the past, invisible to
+// the store-ordering models. A shard lock built with
+// seqlock.Opts.OmitReadFence seeds it (the classic missing Acquire fence in
+// ReadValidate); under StaleLoads the checker must find the torn snapshot a
+// stale version re-read certifies, and with the fence intact nothing.
+//
+// Soundness: fingerprint pruning assumes a body is deterministic given its
+// own observations, but the router's adaptive attempt budget is host-side
+// state that the readers of one shard share and the checker cannot see.
+// With one write per shard the assumption holds: a read fails validation at
+// most once (the retry's Acquire ReadSeq waits the writer out), so no read
+// exhausts the budget, falls back, or moves it. Final checks exactly that —
+// every shard with no fallback and its starting budget — so a shape that
+// breaks the argument fails instead of being pruned unsoundly. The
+// SharedAt fallback is therefore not covered (DESIGN.md S33).
+func StoreProgram(name string, readers, shards int, mkLock func() lockapi.Lock) Program {
+	var router *store.Router[*[2]lockapi.Cell]
+	var budget int
 	return Program{
 		Name: name,
 		Make: func() []func(p *Proc) {
-			l := seqlock.Wrap(locks.NewTicket(), seqlock.Opts{OmitReadFence: omitReadFence})
-			sr := l.(lockapi.SeqReader)
-			d0, d1 := &lockapi.Cell{}, &lockapi.Cell{}
-			data.d0, data.d1 = d0, d1
-			bodies := make([]func(p *Proc), readers+1)
-			wctx := l.NewCtx()
-			bodies[0] = func(p *Proc) {
-				l.Acquire(p, wctx)
-				p.Store(d0, 1, lockapi.Relaxed)
-				p.Store(d1, 1, lockapi.Relaxed)
-				l.Release(p, wctx)
-			}
-			for i := 1; i <= readers; i++ {
-				c := l.NewCtx()
-				bodies[i] = func(p *Proc) {
-					var v0, v1 uint64
-					ok := false
-					for a := 0; a < attempts && !ok; a++ {
-						s := sr.ReadSeq(p)
-						v0 = p.Load(d0, lockapi.Relaxed)
-						v1 = p.Load(d1, lockapi.Relaxed)
-						ok = sr.ReadValidate(p, s)
-					}
-					if !ok {
-						// Pessimistic fallback, as in internal/store: the
-						// exclusive lock excludes the writer, so the plain
-						// loads below are stable.
-						l.Acquire(p, c)
-						v0 = p.Load(d0, lockapi.Relaxed)
-						v1 = p.Load(d1, lockapi.Relaxed)
-						l.Release(p, c)
-					}
-					p.Assert(v0 == v1, "torn snapshot escaped validation")
+			router = store.NewRouter(store.NewPartitioner(shards, 0),
+				func(int) lockapi.Lock { return mkLock() },
+				func(int) *[2]lockapi.Cell { return new([2]lockapi.Cell) })
+			budget = router.OCCStats()[0].K
+			w := router.NewSession()
+			bodies := []func(p *Proc){func(p *Proc) {
+				for i := 0; i < shards; i++ {
+					w.ExclusiveAt(p, i, func(_ int, d *[2]lockapi.Cell) {
+						p.Store(&d[0], 1, lockapi.Relaxed)
+						p.Store(&d[1], 1, lockapi.Relaxed)
+					})
 				}
+			}}
+			for r := 0; r < readers; r++ {
+				s := router.NewSession()
+				bodies = append(bodies, func(p *Proc) {
+					for i := 0; i < shards; i++ {
+						var v0, v1 uint64
+						s.OptimisticAt(p, i, func(_ int, d *[2]lockapi.Cell) {
+							v0 = p.Load(&d[0], lockapi.Relaxed)
+							v1 = p.Load(&d[1], lockapi.Relaxed)
+						})
+						p.Assert(v0 == v1, "torn snapshot escaped validation")
+					}
+				})
 			}
 			return bodies
 		},
-		Final: func(read func(c *lockapi.Cell) uint64) string {
-			if d0, d1 := read(data.d0), read(data.d1); d0 != 1 || d1 != 1 {
-				return fmt.Sprintf("data = (%d,%d), want (1,1)", d0, d1)
+		Final: func(func(c *lockapi.Cell) uint64) string {
+			for i, st := range router.OCCStats() {
+				if st.Fallbacks != 0 || st.K != budget {
+					return fmt.Sprintf("shard %d: %d fallbacks, budget %d, want 0 and %d (host-side budget moved: pruning unsound)",
+						i, st.Fallbacks, st.K, budget)
+				}
 			}
 			return ""
 		},

@@ -4,46 +4,103 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/clof-go/clof/internal/clof"
 	"github.com/clof-go/clof/internal/lockapi"
+	"github.com/clof-go/clof/internal/locks"
+	"github.com/clof-go/clof/internal/seqlock"
+	"github.com/clof-go/clof/internal/topo"
 )
 
-// TestSeqlockVerifiedSC: the intact protocol under SC (loads always
-// current) — a smoke baseline for the WMM runs below.
-func TestSeqlockVerifiedSC(t *testing.T) {
-	res := Check(SeqlockProgram(2, 2, false), Config{Mode: SC})
-	if !res.OK {
-		t.Fatalf("seqlock SC: %s (witness %v, %d states)", res.Violation, res.Witness, res.States)
+// seqTkt builds StoreProgram's seq:tkt shard lock; omitReadFence seeds the
+// missing read fence (seqlock.Opts.OmitReadFence).
+func seqTkt(omitReadFence bool) func() lockapi.Lock {
+	return func() lockapi.Lock {
+		return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{OmitReadFence: omitReadFence})
 	}
-	t.Logf("seqlock SC: %d states, %d executions", res.States, res.Executions)
 }
 
-// TestSeqlockVerifiedWMM: the acceptance check — the intact read-validation
-// protocol at 3 threads (1 writer + 2 readers) under WMM with the
-// stale-load relaxation on. Every snapshot a validation certifies must be
-// consistent even when Relaxed loads can return the reader's last-seen
-// values.
-func TestSeqlockVerifiedWMM(t *testing.T) {
-	res := Check(SeqlockProgram(2, 2, false), Config{Mode: WMM, StaleLoads: true})
-	if !res.OK {
-		t.Fatalf("seqlock WMM+stale: %s (witness %v, %d states)", res.Violation, res.Witness, res.States)
+// seqCLoF builds a seq: lock over the 2-level tkt-tkt CLoF composition on
+// VerifyMachine, InductionProgram's lock.
+func seqCLoF(omitReadFence bool) func() lockapi.Lock {
+	h := topo.MustHierarchy(VerifyMachine(), topo.CacheGroup, topo.System)
+	comp := clof.Composition{locks.MustType("tkt"), locks.MustType("tkt")}
+	return func() lockapi.Lock {
+		return seqlock.Wrap(clof.Must(h, comp, clof.WithThreshold(2)), seqlock.Opts{OmitReadFence: omitReadFence})
 	}
-	t.Logf("seqlock WMM+stale: %d states, %d executions", res.States, res.Executions)
+}
+
+// checkStore checks StoreProgram and pins its state count.
+func checkStore(t *testing.T, name string, readers, shards int, mk func() lockapi.Lock, cfg Config, states int) Result {
+	t.Helper()
+	res := Check(StoreProgram(name, readers, shards, mk), cfg)
+	t.Logf("%s %dx%d: ok=%v %q, %d states, %d executions", name, readers, shards, res.OK, res.Violation, res.States, res.Executions)
+	if res.States != states {
+		t.Errorf("%s %dx%d: %d states, want %d", name, readers, shards, res.States, states)
+	}
+	return res
+}
+
+// TestSeqlockVerifiedSC: the router's optimistic read over seq:tkt, two
+// readers of one shard, under SC (loads always current) — a smoke baseline
+// for the WMM runs below.
+func TestSeqlockVerifiedSC(t *testing.T) {
+	if res := checkStore(t, "seq:tkt", 2, 1, seqTkt(false), Config{Mode: SC}, 21046); !res.OK {
+		t.Fatalf("SC: %s (witness %v)", res.Violation, res.Witness)
+	}
+}
+
+// TestSeqlockVerifiedWMM: the acceptance check — Session.OptimisticAt over
+// intact seq: locks under WMM with the stale-load relaxation on. Every
+// snapshot a validation certifies must be consistent even when Relaxed
+// loads can return the reader's last-seen values. Two shapes per lock: two
+// readers of one shard (1 writer + 2 readers), and one reader visiting two
+// shards with one OptimisticAt each, as a range scan does. The seq:clof
+// shapes run under WMM+StaleLoads only, whose search covers every SC and
+// TSO schedule.
+func TestSeqlockVerifiedWMM(t *testing.T) {
+	cfg := Config{Mode: WMM, StaleLoads: true}
+	for _, c := range []struct {
+		name            string
+		mk              func() lockapi.Lock
+		readers, shards int
+		states          int
+	}{
+		{"seq:tkt", seqTkt(false), 2, 1, 28575},
+		{"seq:tkt", seqTkt(false), 1, 2, 14365},
+		{"seq:clof:tkt-tkt", seqCLoF(false), 2, 1, 129945},
+		{"seq:clof:tkt-tkt", seqCLoF(false), 1, 2, 67366},
+	} {
+		if res := checkStore(t, c.name, c.readers, c.shards, c.mk, cfg, c.states); !res.OK {
+			t.Fatalf("%s %dx%d WMM+stale: %s (witness %v, truncated=%v)",
+				c.name, c.readers, c.shards, res.Violation, res.Witness, res.Truncated)
+		}
+	}
 }
 
 // TestSeqlockMissingReadFenceCaught: the seeded bug — ReadValidate without
-// its Acquire fence — MUST be reported under WMM+StaleLoads: the stale
-// version re-read certifies a torn snapshot and the reader's assertion
-// fires. This is the negative result that makes the positive one above
-// meaningful.
+// its Acquire fence — MUST be reported on the router's read path under
+// WMM+StaleLoads, for both locks and both shapes: the stale version re-read
+// certifies a torn snapshot and the reader's assertion fires. This is the
+// negative result that makes the positive one above meaningful.
 func TestSeqlockMissingReadFenceCaught(t *testing.T) {
-	res := Check(SeqlockProgram(2, 2, true), Config{Mode: WMM, StaleLoads: true})
-	if res.OK || res.Violation == "" {
-		t.Fatalf("missing read fence not caught (states=%d, truncated=%v)", res.States, res.Truncated)
+	cfg := Config{Mode: WMM, StaleLoads: true}
+	for _, c := range []struct {
+		name            string
+		mk              func() lockapi.Lock
+		readers, shards int
+		states          int
+	}{
+		{"seq:tkt", seqTkt(true), 2, 1, 771},
+		{"seq:tkt", seqTkt(true), 1, 2, 143},
+		{"seq:clof:tkt-tkt", seqCLoF(true), 2, 1, 2186},
+		{"seq:clof:tkt-tkt", seqCLoF(true), 1, 2, 301},
+	} {
+		res := checkStore(t, c.name, c.readers, c.shards, c.mk, cfg, c.states)
+		if res.OK || !strings.Contains(res.Violation, "torn snapshot") {
+			t.Fatalf("%s %dx%d: missing read fence not caught as a torn snapshot: %q (truncated=%v)",
+				c.name, c.readers, c.shards, res.Violation, res.Truncated)
+		}
 	}
-	if !strings.Contains(res.Violation, "torn snapshot") {
-		t.Fatalf("unexpected violation %q (want the torn-snapshot assertion)", res.Violation)
-	}
-	t.Logf("caught: %s (witness %v)", res.Violation, res.Witness)
 }
 
 // TestSeqlockFenceBugInvisibleWithoutStaleLoads pins why StaleLoads exists:
@@ -53,8 +110,7 @@ func TestSeqlockMissingReadFenceCaught(t *testing.T) {
 // that started "verifying" the bug away would break the Caught test above;
 // this one breaks if someone makes plain WMM claim the catch.
 func TestSeqlockFenceBugInvisibleWithoutStaleLoads(t *testing.T) {
-	res := Check(SeqlockProgram(2, 2, true), Config{Mode: WMM})
-	if !res.OK {
+	if res := checkStore(t, "seq:tkt", 2, 1, seqTkt(true), Config{Mode: WMM}, 14553); !res.OK {
 		t.Fatalf("plain WMM unexpectedly reports %q — update the model notes in mcheck.go", res.Violation)
 	}
 }

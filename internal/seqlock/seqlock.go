@@ -15,8 +15,10 @@
 // The wrapper composes with the whole catalog: `seq:tkt` is a Ticketlock
 // with an optimistic read path, `seq:clof:tkt-tkt-tkt-tkt` a CLoF
 // composition with one. The read-validation fence discipline is verified by
-// internal/mcheck's SeqlockProgram under SC and WMM, including a seeded
-// missing-read-fence variant (Opts.OmitReadFence) the checker must catch.
+// internal/mcheck's StoreProgram, which model-checks internal/store's own
+// optimistic read over seq: locks under SC and WMM with stale loads,
+// including a seeded missing-read-fence variant (Opts.OmitReadFence) the
+// checker must catch.
 package seqlock
 
 import "github.com/clof-go/clof/internal/lockapi"
@@ -26,8 +28,9 @@ type Opts struct {
 	// OmitReadFence drops the Acquire fence from ReadValidate, seeding the
 	// classic seqlock reader bug: data loads may be satisfied after the
 	// version re-read, so a stale even version can certify a torn snapshot.
-	// Fixture-only — it exists so mcheck's SeqlockProgram can demonstrate
-	// the checker catches the missing fence (mcheck/program.go).
+	// Fixture-only — it exists so mcheck's StoreProgram can demonstrate the
+	// checker catches the missing fence on the store's read path
+	// (mcheck/program.go).
 	OmitReadFence bool
 }
 

@@ -115,19 +115,21 @@ func (s *KVSession) scanShard(p lockapi.Proc, i int, start, end []byte, buf []kv
 
 // Scan visits every live key in [start, end) in ascending key order, merged
 // across shards; fn returning false stops the scan. Under a range partition
-// the scan proceeds shard by shard in key order; under hash partitioning it
-// collects each shard's range and k-way merges. Seqlock-guarded shards are
-// collected optimistically (validate, retry, fall back — scanShard) and
-// emitted to fn only after validation, with no lock held; other shards hold
-// their lock at most one at a time (shared-mode when available, streaming
-// in the ordered case). Either way the result interleaves per-shard
-// snapshots taken at slightly different instants, not one atomic cut —
-// each shard's contribution is internally consistent.
+// the scan proceeds shard by shard in key order over the shards the range
+// covers (Router.Span); under hash partitioning it collects each shard's
+// range and k-way merges. Seqlock-guarded shards are collected
+// optimistically (validate, retry, fall back — scanShard) and emitted to fn
+// only after validation, with no lock held; other shards hold their lock at
+// most one at a time (shared-mode when available, streaming in the ordered
+// case). Either way the result interleaves per-shard snapshots taken at
+// slightly different instants, not one atomic cut — each shard's
+// contribution is internally consistent.
 func (s *KVSession) Scan(p lockapi.Proc, start, end []byte, fn func(key, value []byte) bool) {
 	r := s.s.r
+	first, last := r.Span(start, end)
 	if r.Ordered() {
 		var buf []kvPair
-		for i := r.part.Shard(start); i < r.Shards(); i++ {
+		for i := first; i <= last; i++ {
 			if r.seqs[i] == nil {
 				// Pessimistic shard: stream under the shared lock (early
 				// stop needs no buffering here).
@@ -156,7 +158,7 @@ func (s *KVSession) Scan(p lockapi.Proc, start, end []byte, fn func(key, value [
 	// key sets, so the merge never sees duplicates, and the per-shard
 	// collection has already applied tombstones.
 	parts := make([][]kvPair, 0, r.Shards())
-	for i := 0; i < r.Shards(); i++ {
+	for i := first; i <= last; i++ {
 		if part := s.scanShard(p, i, start, end, nil); len(part) > 0 {
 			parts = append(parts, part)
 		}

@@ -91,6 +91,37 @@ func TestOCCMatchesOracleQuiescent(t *testing.T) {
 	}
 }
 
+// TestScanVisitsOnlyCoveredShards: a range scan reads only the shards its
+// keys can live on (Router.Span). On 4 range shards of 10 keys each, a scan
+// of keys [10, 20) takes one optimistic read of shard 1 and none of the
+// shards past its end; an unbounded scan from key 10 then reads shards 1-3.
+func TestScanVisitsOnlyCoveredShards(t *testing.T) {
+	kv := openSeqSharded(4, 40)
+	s := kv.NewSession()
+	for i := 0; i < 40; i++ {
+		s.Put(p0, kvstore.Key(i), []byte("v"))
+	}
+	for _, c := range []struct {
+		end  []byte
+		keys int
+		want []uint64 // cumulative optimistic reads per shard
+	}{
+		{kvstore.Key(20), 10, []uint64{0, 1, 0, 0}},
+		{nil, 30, []uint64{0, 2, 1, 1}},
+	} {
+		n := 0
+		s.Scan(p0, kvstore.Key(10), c.end, func(k, v []byte) bool { n++; return true })
+		if n != c.keys {
+			t.Fatalf("scan from key 10 to %q saw %d keys, want %d", c.end, n, c.keys)
+		}
+		for i, st := range kv.OCCStats() {
+			if st.Optimistic != c.want[i] {
+				t.Errorf("after the scan to %q: shard %d took %d optimistic reads, want %d", c.end, i, st.Optimistic, c.want[i])
+			}
+		}
+	}
+}
+
 // TestOCCConcurrentWriters is the property test behind the -race CI pass:
 // reader goroutines hammer OCC Get/Scan while writers mutate the same keys.
 // Every value is self-describing (its first KeyWidth bytes repeat its key),

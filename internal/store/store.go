@@ -250,11 +250,26 @@ func (r *Router[S]) LockAt(i int) lockapi.Lock { return r.locks[i] }
 func (r *Router[S]) Observe(i int, o lockapi.Observer) { r.obs[i] = o }
 
 // Ordered reports whether shards cover ascending key ranges (a
-// RangePartitioner), in which case cross-shard scans visit shards in key
-// order starting at the start key's shard.
+// RangePartitioner), in which case a cross-shard scan visits the shards
+// Span names in key order.
 func (r *Router[S]) Ordered() bool {
 	_, ok := r.part.(RangePartitioner)
 	return ok
+}
+
+// Span returns the shards first..last that a scan of [start, end) visits
+// (end nil: unbounded). Under a range partition they are the shards whose
+// ranges meet the span: the start key's shard up to the count of split
+// keys below end (first > last: none). Under the hash partition every
+// shard holds some of the span, so it is all of them.
+func (r *Router[S]) Span(start, end []byte) (first, last int) {
+	rp, ok := r.part.(RangePartitioner)
+	if !ok {
+		return 0, r.Shards() - 1
+	}
+	return rp.Shard(start), sort.Search(len(rp.bounds), func(i int) bool {
+		return end != nil && bytes.Compare(rp.bounds[i], end) >= 0
+	})
 }
 
 // Session is a per-worker router handle carrying one lock context per

@@ -148,6 +148,7 @@ func RunKV(cfg KVConfig) (KVResult, error) {
 			rng := p.Rand()
 			kp := store.NewKeyPicker(cfg.Dist, KVKeys, store.ZipfTheta, rng.Split())
 			key := make([]byte, 0, kvstore.KeyWidth)
+			endKey := make([]byte, 0, kvstore.KeyWidth)
 
 			// write runs under the shard's exclusive lock, counted once the
 			// lock is held — like the observer's Acquired edge.
@@ -219,14 +220,9 @@ func RunKV(cfg KVConfig) (KVResult, error) {
 					s.ExclusiveAt(p, sh, write)
 					res.RMWs++
 				case store.OpScan:
-					// The shards KVSession.Scan visits for a span of keys
-					// starting at k: those the span covers, ascending, under a
-					// range partition; every shard under the hash partition.
+					// The shards KVSession.Scan visits for the keys [k, end).
 					end := min(k+1+rng.Intn(cfg.Mix.ScanLen), KVKeys)
-					first, last := 0, cfg.Shards-1
-					if router.Ordered() {
-						first, last = sh, part.Shard(kvstore.AppendKey(key[:0], end-1))
-					}
+					first, last := router.Span(key, kvstore.AppendKey(endKey[:0], end))
 					for i := first; i <= last; i++ {
 						read(i, kvScanWork)
 					}
