@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bytes"
-	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -16,22 +15,44 @@ type entry struct {
 }
 
 // run is an immutable sorted run (the in-memory analog of an SSTable) with
-// a filter holding every key it stores, tombstones included.
+// a filter and an exact hash index (index.go) from key to entry position,
+// both holding every key it stores, tombstones included. A run is built
+// complete, filter and index filled, before it is published.
 type run struct {
 	entries []entry
 	filter  filter
+	index   *index
 }
 
-// get binary-searches the run; found distinguishes "present" (possibly as a
-// tombstone) from "not in this run".
-func (r *run) get(key []byte) (e entry, found bool) {
-	i := sort.Search(len(r.entries), func(i int) bool {
-		return bytes.Compare(r.entries[i].key, key) >= 0
-	})
-	if i < len(r.entries) && bytes.Equal(r.entries[i].key, key) {
-		return r.entries[i], true
+// newRun returns an empty run whose entries, filter and index are sized for
+// n entries.
+func newRun(n int) *run {
+	return &run{entries: make([]entry, 0, n), filter: newFilter(n), index: indexFor(n)}
+}
+
+// add appends e, whose key hashes to h and orders after every key in the
+// run, to a run being built, and adds it to the filter and the index,
+// growing the index past 3/4 load. Writer-only: nothing reads the run until
+// it is published.
+func (r *run) add(e entry, h uint64) {
+	r.filter.add(h)
+	r.index = r.index.insert(h, uint32(len(r.entries)))
+	r.entries = append(r.entries, e)
+}
+
+// find probes the run's index for key, whose hash is h, and returns the
+// position of key's entry (possibly a tombstone), false if the run does not
+// hold key. Safe for optimistic readers: a published run is immutable.
+func (r *run) find(key []byte, h uint64) (int, bool) {
+	for p := r.index.probe(h); ; {
+		i, ok := p.next()
+		if !ok {
+			return 0, false
+		}
+		if bytes.Equal(r.entries[i].key, key) {
+			return int(i), true
+		}
 	}
-	return entry{}, false
 }
 
 // Options configures a DB.
@@ -101,10 +122,11 @@ func (db *DB) write(key, value []byte, tombstone bool) {
 }
 
 // Get fetches a key: memtable first, then runs newest-to-oldest, a
-// tombstone in a newer layer shadowing older values. It hashes key once,
-// probes the memtable's index with the hash and searches only the runs
-// whose filter may hold it. Allocation-free. The returned value aliases the
-// DB's storage and must not be modified.
+// tombstone in a newer layer shadowing older values. It hashes key once and
+// probes every layer with the hash: the memtable's index, then each run's
+// filter and, where the filter may hold the key, the run's index. No layer
+// searches its key order. Allocation-free. The returned value aliases
+// the DB's storage and must not be modified.
 func (db *DB) Get(key []byte) ([]byte, bool) {
 	db.gets.Add(1)
 	h := hashKey(key)
@@ -116,7 +138,8 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 		if !r.filter.mayContain(h) {
 			continue
 		}
-		if e, found := r.get(key); found {
+		if i, found := r.find(key, h); found {
+			e := &r.entries[i]
 			return e.value, !e.tombstone
 		}
 	}
@@ -190,8 +213,8 @@ func merge(sources [][]entry, end []byte, fn func(e entry) bool) {
 }
 
 // freezeLocked turns the memtable into a run; the caller runs it as a
-// writer. The run is built complete, its filter from the hashes the
-// memtable's nodes store, before it is published. The new run stack is
+// writer. The run is built complete, its filter and index from the hashes
+// the memtable's nodes store, before it is published. The new run stack is
 // published before the memtable pointer is reset, so a reader interleaving
 // with the freeze finds every entry in at least one layer (possibly both —
 // validation, not the freeze, is what makes its snapshot consistent).
@@ -218,10 +241,10 @@ func (db *DB) pushRun(r *run) {
 // key and value, the keys strictly ascending. It builds sorted runs
 // directly, with no memtable: it copies keys and values into each run's own
 // blocks, cuts a run wherever a memtable fed the same Puts would freeze,
-// fills the run's filter from the hashes it computed and publishes the run
-// as a freeze does. The DB it leaves, counters included, is the one those
-// Puts followed by Flush leave. A writer; it panics on a non-empty DB and
-// on a key not above its predecessor.
+// fills the run's filter and index from the hashes it computed and
+// publishes the run as a freeze does. The DB it leaves, counters included,
+// is the one those Puts followed by Flush leave. A writer; it panics on a
+// non-empty DB and on a key not above its predecessor.
 func (db *DB) Load(n int, at func(i int) (key, value []byte)) {
 	if db.mem.Load().n > 0 || len(*db.runs.Load()) > 0 {
 		panic("kvstore: Load into a non-empty DB")
@@ -235,9 +258,9 @@ func (db *DB) Load(n int, at func(i int) (key, value []byte)) {
 		prev       []byte // the last key, also across a cut
 	)
 	cut := func() {
-		r := &run{entries: slices.Clone(entries), filter: newFilter(len(entries))}
-		for _, h := range hashes {
-			r.filter.add(h)
+		r := newRun(len(entries))
+		for i, e := range entries {
+			r.add(e, hashes[i])
 		}
 		db.pushRun(r)
 		entries, hashes = entries[:0], hashes[:0]
@@ -265,9 +288,10 @@ func (db *DB) Load(n int, at func(i int) (key, value []byte)) {
 // compactLocked merges all runs into one (newest value wins) and drops
 // tombstones — a full compaction, so shadowed deletions are safe to forget.
 // The merge pass also fills the new run's filter, sized for every input
-// entry (a bound on the output), and copies each live key and value into
-// the new run's own blocks: a value left in its memtable's block would keep
-// the whole block, dead overwritten values and all, alive for good.
+// entry (a bound on the output), and its index, sized for the largest input
+// run and grown past 3/4 load, and copies each live key and value into the
+// new run's own blocks: a value left in its memtable's block would keep the
+// whole block, dead overwritten values and all, alive for good.
 func (db *DB) compactLocked() {
 	db.compactions.Add(1)
 	runs := *db.runs.Load()
@@ -278,12 +302,11 @@ func (db *DB) compactLocked() {
 		total += len(r.entries)
 		largest = max(largest, len(r.entries))
 	}
-	out := &run{entries: make([]entry, 0, largest), filter: newFilter(total)}
+	out := &run{entries: make([]entry, 0, largest), filter: newFilter(total), index: indexFor(largest)}
 	var keys, vals blocks[byte]
 	merge(sources, nil, func(e entry) bool {
 		if !e.tombstone {
-			out.entries = append(out.entries, entry{key: keys.copy(e.key), value: vals.copy(e.value)})
-			out.filter.add(hashKey(e.key))
+			out.add(entry{key: keys.copy(e.key), value: vals.copy(e.value)}, hashKey(e.key))
 		}
 		return true
 	})

@@ -13,20 +13,24 @@ import (
 // smaller entries grows it, doubling past 3/4 load.
 const memtableBytesPerKey = 128
 
-// index is a memtable's open-addressing hash index from key to skiplist
-// node, with linear probing. A slot is one word: the high 32 bits of the
-// key's hash (its tag) over the node's ordinal plus one, so an empty slot is
-// 0 and a slot holds no Go pointer — the table costs no write barrier and
-// no garbage-collector scan. The tag's top bits are also the slot's home,
-// so growth re-places the stored words without rehashing a key.
+// index is an open-addressing hash index from key to ordinal, with linear
+// probing. A memtable's index maps a key to its skiplist node's ordinal in
+// the node blocks, a run's to its entry's position in the run. A slot is one
+// word: the high 32 bits of the key's hash (its tag) over the ordinal plus
+// one, so an empty slot is 0 and a slot holds no Go pointer — the table
+// costs no write barrier and no garbage-collector scan. The tag's top bits
+// are also the slot's home, so growth re-places the stored words without
+// rehashing a key.
 //
 // A memtable builds its table at its first Put (skiplist.putEntry), and
 // indexes each new key as it inserts it. Optimistic readers probe the table
-// while the writer fills it (see the package comment): the writer stores a slot's word, node and hash tag in
-// one atomic store, after the node is complete; the table is never more
-// than 3/4 full, so every probe meets an empty slot; growth builds a doubled
-// table and publishes it atomically, and nothing is written to the old one
-// afterwards.
+// while the writer fills it (see the package comment): the writer stores a
+// slot's word, ordinal and hash tag, in one atomic store, after the node is
+// complete; the table is never more than 3/4 full, so every probe meets an
+// empty slot; growth builds a doubled table and publishes it atomically, and
+// nothing is written to the old one afterwards. A run's table is filled
+// while the run is built, from hashes its builder already holds, and is
+// complete before the run is published; it is never written again.
 type index struct {
 	slots []atomic.Uint64
 	// shift is 64 − log2(len(slots)): a hash's, or a stored word's, home
@@ -53,8 +57,59 @@ func indexSlots(memtableBytes int) int {
 	return n
 }
 
-// slotWord packs a hash tag and a node ordinal into a slot word.
+// indexFor returns an empty table of the fewest slots, at least 8, that hold
+// keys keys at most 3/4 full: a run's table, sized for its entries.
+func indexFor(keys int) *index {
+	n := 8
+	for 4*keys > 3*n {
+		n *= 2
+	}
+	return newIndex(n)
+}
+
+// slotWord packs a hash tag and an ordinal into a slot word.
 func slotWord(h uint64, ord uint32) uint64 { return h>>32<<32 | uint64(ord) + 1 }
+
+// probe walks t's slots for a key whose hash is h, from the hash's home
+// slot to the first empty one, yielding each stored ordinal whose tag
+// matches h: a caller compares the key stored at the ordinal with its own.
+// The table is never more than 3/4 full, so every walk ends. Safe for
+// optimistic readers.
+type probe struct {
+	t    *index
+	h, i uint64
+}
+
+// probe starts a walk of t for hash h.
+func (t *index) probe(h uint64) probe { return probe{t, h, h >> t.shift} }
+
+// next returns the next ordinal whose tag matches, or false at the empty
+// slot that ends the walk.
+func (p *probe) next() (uint32, bool) {
+	mask := uint64(len(p.t.slots) - 1)
+	for {
+		w := p.t.slots[p.i].Load()
+		if w == 0 {
+			return 0, false
+		}
+		p.i = (p.i + 1) & mask
+		if w>>32 == p.h>>32 {
+			return uint32(w) - 1, true
+		}
+	}
+}
+
+// insert indexes ordinal ord, whose key hashes to h and is not in t yet; t
+// holds ordinals 0 to ord−1. It returns t, or the doubled table that
+// replaces it when ord would leave t more than 3/4 full; the caller
+// publishes a replacement. Writer-only.
+func (t *index) insert(h uint64, ord uint32) *index {
+	if 4*(int(ord)+1) > 3*len(t.slots) {
+		t = t.grow()
+	}
+	t.slots[t.free(h)].Store(slotWord(h, ord))
+	return t
+}
 
 // free returns the first empty slot from the home of h (a hash or a slot
 // word). Writer-only.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,4 +216,98 @@ func TestOptimisticGetsAcrossGrowth(t *testing.T) {
 		t.Fatalf("%d growths, %d validated Gets: the test must grow indexes under validated reads", growths, validated.Load())
 	}
 	t.Logf("%d growths; %d Gets validated, %d discarded", growths, validated.Load(), discarded.Load())
+}
+
+// TestRunIndexDifferential checks every run index against a binary search
+// of its run: runs frozen from memtables of scattered puts and deletes, runs
+// bulk-loaded, a compaction whose output outgrows the index sized for its
+// largest input, and a compaction that drops every entry and leaves an
+// empty run. Every stored key, tombstones included, must be found at the
+// position the binary search gives, 10,000 absent keys must not be found,
+// and no table may be more than 3/4 full.
+func TestRunIndexDifferential(t *testing.T) {
+	absent := make([][]byte, 10000)
+	for i := range absent {
+		absent[i] = append(Key(i), 'x') // sorts among the keys, equal to none
+	}
+	checked := map[*run]string{}
+	check := func(db *DB, how string) {
+		t.Helper()
+		for _, r := range *db.runs.Load() {
+			if _, ok := checked[r]; ok {
+				continue
+			}
+			checked[r] = how
+			used := 0
+			for i := range r.index.slots {
+				if r.index.slots[i].Load() != 0 {
+					used++
+				}
+			}
+			if used != len(r.entries) || 4*used > 3*len(r.index.slots) {
+				t.Fatalf("%s: %d entries, %d of %d index slots used, want all indexed at most 3/4 full", how, len(r.entries), used, len(r.index.slots))
+			}
+			for _, e := range r.entries {
+				want := sort.Search(len(r.entries), func(j int) bool { return bytes.Compare(r.entries[j].key, e.key) >= 0 })
+				if got, ok := r.find(e.key, hashKey(e.key)); !ok || got != want {
+					t.Fatalf("%s: find(%s) = %d,%v, want %d (tombstone %v)", how, e.key, got, ok, want, e.tombstone)
+				}
+			}
+			for _, k := range absent {
+				if i, ok := r.find(k, hashKey(k)); ok {
+					t.Fatalf("%s: absent key %s found at %d", how, k, i)
+				}
+			}
+		}
+	}
+
+	// Freezes of scattered puts and deletes, then compactions once the runs
+	// pass MaxRuns.
+	db := Open(Options{MemtableBytes: 8 << 10, MaxRuns: 3, Seed: 4})
+	rng := xrand.New(8)
+	for i := 0; i < 6000; i++ {
+		if k := Key(rng.Intn(3000)); rng.Intn(5) == 0 {
+			db.Delete(k)
+		} else {
+			db.Put(k, []byte("value"))
+		}
+		check(db, "scattered puts")
+	}
+	if db.Stats().Compactions == 0 {
+		t.Fatal("the puts must compact")
+	}
+
+	// A bulk load, then a compaction of disjoint runs: the merged run holds
+	// three times the entries of its largest input, so its index grows.
+	db = Open(Options{MemtableBytes: 4 << 10, MaxRuns: 3, Seed: 6})
+	db.Load(100, func(i int) ([]byte, []byte) { return Key(i), []byte("v") })
+	check(db, "load")
+	for n := 100; db.Stats().Compactions == 0; n++ {
+		db.Put(Key(n), []byte("v"))
+		check(db, "freeze")
+	}
+	if rs := *db.runs.Load(); len(rs) != 1 || len(rs[0].entries) == 0 {
+		t.Fatal("the compaction must leave one non-empty run")
+	}
+	check(db, "compaction")
+
+	// Three runs holding a key's value and two tombstones for it: the
+	// compaction drops every entry.
+	db = Open(Options{MaxRuns: 2})
+	for _, del := range []bool{false, true, true} {
+		for i := 0; i < 50; i++ {
+			if del {
+				db.Delete(Key(i))
+			} else {
+				db.Put(Key(i), []byte("v"))
+			}
+		}
+		db.Flush()
+		check(db, "freeze")
+	}
+	if rs := *db.runs.Load(); len(rs) != 1 || len(rs[0].entries) != 0 {
+		t.Fatal("the compaction must leave one empty run")
+	}
+	check(db, "empty compaction")
+	t.Logf("%d runs checked", len(checked))
 }

@@ -224,7 +224,8 @@ func TestDBGetAllocs(t *testing.T) {
 
 // BenchmarkDBGet times the engine's Get on a DB preloaded to 8 runs (the
 // shape the ycsb-b benchmark preloads per shard), for keys in the
-// memtable, keys in the oldest run, and absent keys.
+// memtable, keys in the oldest run, keys scattered over all 8 runs (the
+// ycsb-b read's shape), and absent keys.
 func BenchmarkDBGet(b *testing.B) {
 	const memKeys = 4096
 	db, n := preloadRuns(8, memKeys)
@@ -236,6 +237,7 @@ func BenchmarkDBGet(b *testing.B) {
 	}{
 		{"memtable", n - memKeys, memKeys, true},
 		{"oldest-run", 0, oldest, true},
+		{"runs", 0, n - memKeys, true},
 		{"absent", n, n, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -9,7 +9,7 @@ import (
 )
 
 // diffDB returns the first difference between two DBs — run count, each
-// run's entries and filter words, Stats, and the heights the next memtable
+// run's entries, filter words and index slots, Stats, and the heights the next memtable
 // draws — or "" if there is none. The heights are compared by putting the
 // same scattered keys into both memtables and listing each level, so the
 // DBs are no longer equal after the call.
@@ -35,6 +35,15 @@ func diffDB(a, b *DB) string {
 		for w := range fa {
 			if fa[w].Load() != fb[w].Load() {
 				return fmt.Sprintf("run %d: filter word %d differs", i, w)
+			}
+		}
+		ia, ib := ra[i].index.slots, rb[i].index.slots
+		if len(ia) != len(ib) {
+			return fmt.Sprintf("run %d: %d index slots, want %d", i, len(ia), len(ib))
+		}
+		for w := range ia {
+			if ia[w].Load() != ib[w].Load() {
+				return fmt.Sprintf("run %d: index slot %d differs", i, w)
 			}
 		}
 	}
@@ -70,10 +79,10 @@ func levels(s *skiplist) string {
 
 // TestLoadMatchesPuts: Load leaves a DB identical to the one Puts of the
 // same entries and a Flush leave — cut into the same runs, with the same
-// entries, filters, counters and next memtable. db-bench entries cut runs
-// on the live-byte trigger; 4-byte keys with empty values carve 33 bytes of
-// blocks per live byte, so the dead-space cap cuts them first; the last case
-// loads past MaxRuns and compacts.
+// entries, filters, indexes, counters and next memtable. db-bench entries
+// cut runs on the live-byte trigger; 4-byte keys with empty values carve 33
+// bytes of blocks per live byte, so the dead-space cap cuts them first; the
+// last case loads past MaxRuns and compacts.
 func TestLoadMatchesPuts(t *testing.T) {
 	dbBench := func(i int) ([]byte, []byte) { return Key(i), make([]byte, 100) }
 	tiny := func(i int) ([]byte, []byte) { return binary.BigEndian.AppendUint32(nil, uint32(i)), nil }

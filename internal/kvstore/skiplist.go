@@ -8,19 +8,24 @@
 // LD_PRELOAD.
 //
 // The layers, newest first, are the mutable memtable and a stack of
-// immutable runs, and each has one hashed structure that a Get probes with
-// the one hash it computes. The memtable has an exact hash index from key
-// to skiplist node (index.go), so a Get or an overwriting Put finds its
-// node in a probe or two instead of a search. A run has a
-// cache-line-blocked Bloom filter (filter.go, LevelDB's FilterPolicy in
-// miniature) holding each key the run stores, tombstones included: a
-// tombstone the filter hid would let an older layer's value come back. A
-// freeze builds its run's filter from the hashes the memtable's nodes
-// store, sized for the run's key count; a compaction fills the merged run's
-// filter in its merge pass. The skiplist keeps the order that the freeze,
-// Scan and the insert of a new key need. A bulk load (DB.Load) bypasses the
-// memtable: it builds the runs directly, cut where the memtable would have
-// frozen, so it leaves the DB the same Puts and a Flush would.
+// immutable runs. A Get hashes its key once and probes every layer with
+// the hash; no layer searches its key order for it. The memtable has an
+// exact hash index from key to skiplist node (index.go), so a Get or an
+// overwriting Put finds its node in a probe or two instead of a search. A
+// run has two hashed structures, each holding every key the run stores,
+// tombstones included (a tombstone either one hid would let an older
+// layer's value come back): a cache-line-blocked Bloom filter (filter.go,
+// LevelDB's FilterPolicy in miniature) and an exact index of the
+// memtable's kind from key to entry position. A Get probes a run's filter
+// first: most runs do not hold a given key, and the filter answers for
+// them in one cache line, where the index costs one more. A freeze builds
+// its run's filter and index from the hashes the memtable's nodes store,
+// sized for the run's key count; a compaction fills the merged run's in its
+// merge pass. A run keeps its entries sorted for Scan and the compaction's
+// merge, and the skiplist keeps the order that the freeze, Scan and the
+// insert of a new key need. A bulk load (DB.Load) bypasses the memtable: it
+// builds the runs directly, cut where the memtable would have frozen, so it
+// leaves the DB the same Puts and a Flush would.
 //
 // A memtable carves its nodes, value slots, key bytes and value bytes from
 // blocks it owns (blocks.go, LevelDB's Arena in miniature), so a Put that
@@ -57,22 +62,24 @@
 // collector later finds a pointer to a free object. The hashed structures
 // keep the validation argument sound:
 //
-//   - a reader that overlaps a writer may probe an index or a filter the
-//     writer has not finished, or hold an index the writer has since
-//     replaced by a grown one, and so miss a key, but then validation fails
-//     and the read is discarded;
+//   - a reader that overlaps a writer may probe a memtable index the writer
+//     has not finished, or hold one the writer has since replaced by a
+//     grown one, and so miss a key, but then validation fails and the read
+//     is discarded;
 //   - a reader that starts after a writer finished sees every slot word and
 //     filter bit the writer stored, because the seqlock's release (writer
 //     unlock) and acquire (reader's sequence read) order those stores before
 //     its probes;
-//   - every probe ends: the writer stores a slot's word — node ordinal and
-//     hash tag together — in one atomic store, after the node and its block
-//     are published, and keeps every table at most 3/4 full, also the table
-//     a reader may still hold after a growth, to which nothing is written
-//     again;
-//   - a freeze or a bulk load publishes a run together with its complete
-//     filter, and a compaction fills its run's filter before publishing the
-//     run.
+//   - every probe ends: the writer stores a slot's word — ordinal and hash
+//     tag together — in one atomic store, after a memtable's node and its
+//     block are published, and keeps every table, a run's too, at most 3/4
+//     full, also the table a reader may still hold after a growth, to which
+//     nothing is written again;
+//   - a run's filter and index are never seen unfinished: a freeze, a bulk
+//     load and a compaction each fill them before the atomic store of the
+//     run stack publishes the run, nothing writes to them afterwards, and a
+//     reader reaches a run only through an atomic load of the run stack,
+//     which orders the fill before its probes.
 package kvstore
 
 import (
@@ -160,7 +167,8 @@ type skipNode struct {
 	next   [maxHeight]atomic.Pointer[skipNode]
 	val    atomic.Pointer[valSlot]
 	key    []byte
-	// hash is hashKey(key), kept for the run filter the freeze builds.
+	// hash is hashKey(key), kept for the run filter and run index the
+	// freeze builds, so the freeze hashes no key again.
 	hash uint64
 }
 
@@ -261,26 +269,21 @@ func (s *skiplist) descend(x *skipNode, top int, key []byte, p keyPrefix, prev *
 // alike.
 func (s *skiplist) lookup(key []byte, h uint64) *skipNode {
 	if t := s.index.Load(); t != nil {
-		x, _ := s.find(t, key, h)
-		return x
+		return s.find(t, key, h)
 	}
 	return nil
 }
 
-// find probes t for key, whose hash is h: it returns key's node, or nil and
-// the empty slot that ended the probe, where key would be indexed.
-// Safe for optimistic readers.
-func (s *skiplist) find(t *index, key []byte, h uint64) (*skipNode, uint64) {
-	mask := uint64(len(t.slots) - 1)
-	for i := h >> t.shift; ; i = (i + 1) & mask {
-		w := t.slots[i].Load()
-		if w == 0 {
-			return nil, i
+// find probes t for key, whose hash is h, and returns key's node, nil if
+// t does not hold it. Safe for optimistic readers.
+func (s *skiplist) find(t *index, key []byte, h uint64) *skipNode {
+	for p := t.probe(h); ; {
+		ord, ok := p.next()
+		if !ok {
+			return nil
 		}
-		if w>>32 == h>>32 {
-			if x := s.nodes.at(uint32(w) - 1); x.equal(key) {
-				return x, i
-			}
+		if x := s.nodes.at(ord); x.equal(key) {
+			return x
 		}
 	}
 }
@@ -347,7 +350,7 @@ func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
 		t = newIndex(s.slotsHint)
 		s.index.Store(t)
 	}
-	x, free := s.find(t, key, h) // free: the empty slot a new key takes
+	x := s.find(t, key, h)
 	slot := &s.slots.alloc(1)[0]
 	*slot = valSlot{value: s.vals.copy(value), tombstone: tombstone}
 	if x != nil {
@@ -385,12 +388,9 @@ func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
 	}
 	s.n++
 	s.addEntry(key, value)
-	if 4*s.n > 3*len(t.slots) {
-		t = t.grow()
-		s.index.Store(t)
-		free = t.free(h)
+	if g := t.insert(h, ord); g != t {
+		s.index.Store(g)
 	}
-	t.slots[free].Store(slotWord(h, ord))
 }
 
 // fill is what a memtable's freeze trigger counts: the live bytes, and the
@@ -412,14 +412,13 @@ func (f *fill) full(memtableBytes int) bool {
 }
 
 // freeze returns the run the memtable becomes: its entries in key order,
-// with a filter sized for their number and filled from the hashes the nodes
-// store, so no key is hashed again. It runs on the writer path only, so it
-// may size its result from the plain field n.
+// with a filter and an index sized for their number and filled from the
+// hashes the nodes store, so no key is hashed again. It runs on the writer
+// path only, so it may size its result from the plain field n.
 func (s *skiplist) freeze() *run {
-	r := &run{entries: make([]entry, 0, s.n), filter: newFilter(s.n)}
+	r := newRun(s.n)
 	for x := s.head.next[0].Load(); x != nil; x = x.next[0].Load() {
-		r.entries = append(r.entries, x.entry())
-		r.filter.add(x.hash)
+		r.add(x.entry(), x.hash)
 	}
 	return r
 }
