@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-report doccheck check figures figures-quick bench bench-kv
+.PHONY: build test lint doccheck check figures figures-quick bench bench-kv
 
 build:
 	$(GO) build ./...
@@ -14,13 +14,6 @@ test:
 # nothing.
 lint:
 	$(GO) run ./cmd/clof-lint ./...
-
-# Machine-readable findings report (position-sorted JSON array; "[]" when
-# clean) into figures-out/ for the CI artifact. Exits nonzero on findings,
-# like lint, but the report is written either way.
-lint-report:
-	mkdir -p figures-out
-	$(GO) run ./cmd/clof-lint -json ./... > figures-out/lint-report.json
 
 # Godoc discipline: package comments everywhere, doc comments on every
 # exported top-level declaration (sh+awk only; see scripts/doccheck.sh).

@@ -155,7 +155,7 @@ func main() {
 				Mix:          mix, Dist: store.DistZipfian,
 				Seed: seed,
 			}))
-		})
+		}, nil)
 	default:
 		fatal(fmt.Errorf("unknown workload %q (known: leveldb, kv)", *workloadFlag))
 	}

@@ -15,8 +15,6 @@
 //	patterns:  ./... (default), ./sub/..., ./sub/dir, or import paths
 //	-dir:      module root (default: nearest go.mod above the cwd)
 //	-nowaiver: audit mode — report //lint:-waived findings too
-//	-json:     machine-readable output — a position-sorted JSON array of
-//	           {file, line, col, analyzer, message} on stdout
 //
 // The suite is four per-site analyzers: atomicdiscipline, occdiscipline,
 // orderpolicy and spinhygiene. A lock struct copied by value is go vet's
@@ -31,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "", "module root (default: nearest go.mod above the working directory)")
 	nowaiver := fs.Bool("nowaiver", false, "audit mode: report waived findings too")
-	jsonOut := fs.Bool("json", false, "print findings as a JSON array instead of text")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -116,15 +112,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			diags[i].Pos.Filename = rel
 		}
 	}
-	if *jsonOut {
-		if err := writeJSON(stdout, diags); err != nil {
-			fmt.Fprintln(stderr, "clof-lint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 
 	if len(diags) > 0 {
@@ -132,30 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// jsonDiag is the machine-readable finding shape (CI artifact format).
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON renders diags (already position-sorted by the framework) as an
-// indented JSON array; an empty run prints [].
-func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Analyzer: d.Analyzer, Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // findModuleRoot walks up from dir to the nearest directory with a go.mod.

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -67,53 +65,5 @@ func TestSeededBarrierBugBothTools(t *testing.T) {
 
 	if res := mcheck.Check(mcheck.BrokenTicketProgram(2, 2), mcheck.Config{Mode: mcheck.WMM}); res.OK {
 		t.Errorf("mcheck accepted BrokenTicketProgram under WMM; the seeded bug must fail dynamically too")
-	}
-}
-
-// TestJSONOutput pins the machine-readable format: -json on the defective
-// module yields a parseable, position-sorted array with a finding from
-// every analyzer in the suite.
-func TestJSONOutput(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-dir", filepath.Join("testdata", "badmod"), "-json"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("clof-lint -json on testdata/badmod: exit %d, want 1\nstderr:\n%s", code, errb.String())
-	}
-	var diags []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if len(diags) == 0 {
-		t.Fatal("JSON output is empty")
-	}
-	byAnalyzer := map[string]int{}
-	for _, d := range diags {
-		byAnalyzer[d.Analyzer]++
-		if d.File == "" || d.Line == 0 || d.Message == "" {
-			t.Errorf("incomplete JSON finding: %+v", d)
-		}
-	}
-	for _, a := range all {
-		if byAnalyzer[a.Name] == 0 {
-			t.Errorf("no %q findings in JSON output; got %v", a.Name, byAnalyzer)
-		}
-	}
-	if !sort.SliceIsSorted(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col <= b.Col
-	}) {
-		t.Errorf("JSON findings are not position-sorted:\n%s", out.String())
 	}
 }

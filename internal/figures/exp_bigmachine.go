@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 
-	"github.com/clof-go/clof/internal/catalog"
 	"github.com/clof-go/clof/internal/exp"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/topo"
@@ -47,7 +46,6 @@ func bigMachineGrid(o Options, n int) []int {
 func BigMachine(o Options) []*Figure {
 	var figs []*Figure
 	for _, mach := range topo.DeepServers() {
-		mach := mach
 		n := mach.NumCPUs()
 		grid := bigMachineGrid(o, n)
 		f := &Figure{
@@ -57,15 +55,8 @@ func BigMachine(o Options) []*Figure {
 			YLabel: "iter/us",
 		}
 		var entries []lockEntry
-		for _, name := range BigMachineLocks {
-			e, err := catalog.Lookup(name)
-			if err != nil {
-				panic(err)
-			}
-			entries = append(entries, lockEntry{
-				name: e.Name,
-				mk:   func() lockapi.Lock { return e.New(mach) },
-			})
+		for _, e := range lookupAll(BigMachineLocks) {
+			entries = append(entries, lockEntry{e.Name, func() lockapi.Lock { return e.New(mach) }})
 		}
 		spec := exp.Spec{
 			Name: f.ID, Platform: mach.Name, Workload: "leveldb",

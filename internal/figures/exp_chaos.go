@@ -17,32 +17,40 @@ import (
 // as starved (the paper-default anti-starvation gate).
 const starveShare = 0.05
 
-// faultPoint is the engine job of one fault-plan sweep point: catalog lock
-// e with the given thread count on mach, running the LevelDB workload for
-// horizon under plan. Its sample carries the robustness metrics that Chaos
-// and Collapse read back.
-func faultPoint(key string, mach *topo.Machine, e catalog.Entry, threads int, horizon int64, plan *faultinject.Plan) exp.Point {
-	return exp.Point{
-		Key: key,
-		Run: func(seed uint64) exp.Sample {
-			cfg := workload.LevelDB(mach, threads)
-			cfg.Horizon = horizon
-			cfg.Seed = seed
-			cfg.Faults = plan
-			res, err := workload.Run(func() lockapi.Lock { return e.New(mach) }, cfg)
-			s := sample(res, err)
-			if s.Err == "" {
-				s.Metrics = map[string]float64{
-					"abandoned":           float64(res.Abandoned),
-					"preemptions":         float64(res.Preemptions),
-					"stalls":              float64(res.Stalls),
-					"max_handover_gap_ns": float64(res.MaxHandoverGapNS),
-					"starved":             float64(len(res.Starved(starveShare))),
-				}
-			}
-			return s
-		},
+// lookupAll resolves catalog lock names, in order; an unknown name panics.
+func lookupAll(names []string) []catalog.Entry {
+	entries := make([]catalog.Entry, len(names))
+	for i, name := range names {
+		e, err := catalog.Lookup(name)
+		if err != nil {
+			panic(err)
+		}
+		entries[i] = e
 	}
+	return entries
+}
+
+// faultSample measures one fault-plan sweep point: catalog lock e with the
+// given thread count on mach, running the LevelDB workload for horizon
+// under plan. The sample carries the robustness metrics that Chaos and
+// Collapse read back.
+func faultSample(mach *topo.Machine, e catalog.Entry, threads int, horizon int64, plan *faultinject.Plan, seed uint64) exp.Sample {
+	cfg := workload.LevelDB(mach, threads)
+	cfg.Horizon = horizon
+	cfg.Seed = seed
+	cfg.Faults = plan
+	res, err := workload.Run(func() lockapi.Lock { return e.New(mach) }, cfg)
+	s := sample(res, err)
+	if s.Err == "" {
+		s.Metrics = map[string]float64{
+			"abandoned":           float64(res.Abandoned),
+			"preemptions":         float64(res.Preemptions),
+			"stalls":              float64(res.Stalls),
+			"max_handover_gap_ns": float64(res.MaxHandoverGapNS),
+			"starved":             float64(len(res.Starved(starveShare))),
+		}
+	}
+	return s
 }
 
 // Chaos is the fault-injection robustness sweep: every catalog lock under
@@ -67,35 +75,31 @@ func Chaos(o Options) (csv []byte, watchdog string) {
 	for _, e := range entries {
 		spec.Locks = append(spec.Locks, e.Name)
 	}
-	var points []exp.Point
-	for _, name := range plans {
-		plan := faultinject.MustByName(name)
+	var rows []string
+	faults := make([]*faultinject.Plan, len(plans))
+	for i, plan := range plans {
+		faults[i] = faultinject.MustByName(plan)
 		for _, e := range entries {
-			for _, n := range threads {
-				key := fmt.Sprintf("plan=%s/lock=%s/threads=%d", name, e.Name, n)
-				points = append(points, faultPoint(key, mach, e, n, horizon, plan))
-			}
+			rows = append(rows, "plan="+plan+"/lock="+e.Name)
 		}
 	}
-	results := o.runner().Run(spec, points)
+	res := o.sweep(spec, rows, "threads", threads, func(row, n int, seed uint64) exp.Sample {
+		return faultSample(mach, entries[row%len(entries)], n, horizon, faults[row/len(entries)], seed)
+	})
 
 	var b strings.Builder
 	b.WriteString("plan,lock,family,threads,total,iter_per_us,jain,abandoned,preemptions,stalls,max_handover_gap_ns,starved\n")
 	starved := 0
-	i := 0
-	for _, name := range plans {
-		for _, e := range entries {
-			for _, n := range threads {
-				r := results[i]
-				i++
-				starved += int(r.Metrics["starved"])
-				fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%s,%s,%d,%d,%d,%d,%d\n",
-					name, e.Name, e.Family, n, r.Total,
-					strconv.FormatFloat(r.Tput.Median, 'f', 4, 64),
-					strconv.FormatFloat(r.Jain.Median, 'f', 4, 64),
-					int64(r.Metrics["abandoned"]), int64(r.Metrics["preemptions"]), int64(r.Metrics["stalls"]),
-					int64(r.Metrics["max_handover_gap_ns"]), int(r.Metrics["starved"]))
-			}
+	for row, rs := range res {
+		plan, e := plans[row/len(entries)], entries[row%len(entries)]
+		for i, r := range rs {
+			starved += int(r.Metrics["starved"])
+			fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%s,%s,%d,%d,%d,%d,%d\n",
+				plan, e.Name, e.Family, threads[i], r.Total,
+				strconv.FormatFloat(r.Tput.Median, 'f', 4, 64),
+				strconv.FormatFloat(r.Jain.Median, 'f', 4, 64),
+				int64(r.Metrics["abandoned"]), int64(r.Metrics["preemptions"]), int64(r.Metrics["stalls"]),
+				int64(r.Metrics["max_handover_gap_ns"]), int(r.Metrics["starved"]))
 		}
 	}
 	watchdog = "watchdog: no starvation observed"

@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 
-	"github.com/clof-go/clof/internal/catalog"
 	"github.com/clof-go/clof/internal/exp"
 	"github.com/clof-go/clof/internal/faultinject"
 	"github.com/clof-go/clof/internal/topo"
@@ -52,9 +51,10 @@ func Collapse(o Options) []*Figure {
 		{"oversubscribed", faultinject.MustByName("oversubscribed")},
 	}
 
+	entries := lookupAll(CollapseLocks)
+
 	var figs []*Figure
 	for _, pl := range plans {
-		pl := pl
 		f := &Figure{
 			ID:     "collapse-" + pl.name,
 			Title:  fmt.Sprintf("saturation on %s, fault plan %s (raw vs concurrency-restricted)", mach.Name, pl.name),
@@ -67,31 +67,15 @@ func Collapse(o Options) []*Figure {
 			Locks: CollapseLocks,
 			Notes: fmt.Sprintf("fault plan %s; horizon=%dns; saturation at %d threads", pl.name, horizon, CollapseSaturation),
 		}
-		var points []exp.Point
-		for _, name := range CollapseLocks {
-			e, err := catalog.Lookup(name)
-			if err != nil {
-				panic(err)
-			}
-			for _, n := range grid {
-				key := fmt.Sprintf("lock=%s/threads=%d", e.Name, n)
-				points = append(points, faultPoint(key, mach, e, n, horizon, pl.plan))
-			}
-		}
-		results := o.runner().Run(spec, points)
-
+		res := o.sweep(spec, lockRows(CollapseLocks), "threads", grid, func(row, n int, seed uint64) exp.Sample {
+			return faultSample(mach, entries[row], n, horizon, pl.plan, seed)
+		})
 		starved := map[string]int{}
-		i := 0
-		for _, name := range CollapseLocks {
-			s := Series{Name: name}
-			for _, n := range grid {
-				r := results[i]
-				i++
-				s.X = append(s.X, n)
-				s.Y = append(s.Y, r.Throughput())
+		for i, name := range CollapseLocks {
+			f.Series = append(f.Series, series(name, grid, res[i], exp.Result.Throughput))
+			for _, r := range res[i] {
 				starved[name] += int(r.Metrics["starved"])
 			}
-			f.Series = append(f.Series, s)
 		}
 		f.Notes = append(f.Notes, collapseNotes(f, starved)...)
 		figs = append(figs, f)

@@ -33,31 +33,23 @@ func AblationKeepLocal(o Options) *Figure {
 		Locks: []string{PaperLC4Arm},
 		Notes: "keep_local threshold sweep over H in {1,8,32,128,512}",
 	}
-	var points []exp.Point
-	for _, h := range thresholds {
-		h := h
-		points = append(points, exp.Point{
-			Key: fmt.Sprintf("h=%d/threads=%d", h, n),
-			Run: func(seed uint64) exp.Sample {
-				cfg := o.adjust(workload.LevelDB(p.Machine, n))
-				cfg.Seed = seed
-				return measure(clofFactory(p.H4, PaperLC4Arm, clof.WithThreshold(h)), cfg)
-			},
-		})
-	}
-	results := o.runner().Run(spec, points)
-	tput := Series{Name: "throughput"}
-	jain := Series{Name: "jain-x10"}
+	rows := make([]string, len(thresholds))
+	hs := make([]int, len(thresholds))
 	for i, h := range thresholds {
-		if len(results[i].Errors) > 0 {
-			continue
-		}
-		tput.X = append(tput.X, int(h))
-		tput.Y = append(tput.Y, results[i].Throughput())
-		jain.X = append(jain.X, int(h))
-		jain.Y = append(jain.Y, results[i].Jain.Median*10)
+		rows[i] = fmt.Sprintf("h=%d", h)
+		hs[i] = int(h)
 	}
-	f.Series = append(f.Series, tput, jain)
+	res := o.sweep(spec, rows, "threads", []int{n}, func(row, n int, seed uint64) exp.Sample {
+		return o.levelDB(p.Machine, clofFactory(p.H4, PaperLC4Arm, clof.WithThreshold(thresholds[row])), n, seed)
+	})
+	// One point per threshold row: the curves run down the rows.
+	col := make([]exp.Result, len(res))
+	for i, row := range res {
+		col[i] = row[0]
+	}
+	f.Series = append(f.Series,
+		series("throughput", hs, col, exp.Result.Throughput),
+		series("jain-x10", hs, col, func(r exp.Result) float64 { return r.Jain.Median * 10 }))
 	return f
 }
 

@@ -1,8 +1,6 @@
 package figures
 
 import (
-	"fmt"
-
 	"github.com/clof-go/clof/internal/exp"
 	"github.com/clof-go/clof/internal/topo"
 	"github.com/clof-go/clof/internal/workload"
@@ -87,32 +85,11 @@ func Fairness(o Options) *Figure {
 			Locks:    []string{entries[0].name, entries[1].name},
 			Notes:    "reported value is the Jain fairness index, not throughput",
 		}
-		var points []exp.Point
-		for _, e := range entries {
-			for _, n := range grid {
-				e, n, m := e, n, pl.Machine
-				points = append(points, exp.Point{
-					Key: fmt.Sprintf("lock=%s/threads=%d", e.name, n),
-					Run: func(seed uint64) exp.Sample {
-						cfg := o.adjust(workload.LevelDB(m, n))
-						cfg.Seed = seed
-						return measure(e.mk, cfg)
-					},
-				})
-			}
-		}
-		results := o.runner().Run(spec, points)
-		i := 0
-		for _, e := range entries {
-			s := Series{Name: e.name}
-			for _, n := range grid {
-				if len(results[i].Errors) == 0 {
-					s.X = append(s.X, n)
-					s.Y = append(s.Y, results[i].Jain.Median)
-				}
-				i++
-			}
-			f.Series = append(f.Series, s)
+		res := o.sweep(spec, lockRows(spec.Locks), "threads", grid, func(row, n int, seed uint64) exp.Sample {
+			return o.levelDB(pl.Machine, entries[row].mk, n, seed)
+		})
+		for i, e := range entries {
+			f.Series = append(f.Series, series(e.name, grid, res[i], func(r exp.Result) float64 { return r.Jain.Median }))
 		}
 	}
 	return f

@@ -29,7 +29,6 @@ func Fig9Panel(p Platform, levels int, o Options) Fig9Result {
 	basics := locks.BasicLocks(p.Machine.Arch)
 	comps := clof.Generate(basics, levels)
 	grid := o.grid(p)
-	cfgFor := func(n int) workload.Config { return o.adjust(workload.LevelDB(p.Machine, n)) }
 
 	id := map[string]string{
 		"x86/4": "fig9a", "armv8/4": "fig9b",
@@ -48,17 +47,15 @@ func Fig9Panel(p Platform, levels int, o Options) Fig9Result {
 		Quick:     o.Quick,
 		Notes:     fmt.Sprintf("scripted benchmark: all %d compositions at %d levels plus the %s baseline", len(comps), levels, hmcsName),
 	}
-	baseline := make([]exp.Point, len(grid))
-	for i, n := range grid {
-		baseline[i] = curvePoint(hmcsName, hmcsFactory(h), cfgFor, n)
-	}
 	// A failed point counts as zero throughput, as in every figure; comps
 	// is never empty here.
-	sel, results, _ := Scripted(o, spec, comps, levelDBRun(o, h), baseline...)
-	hmcsSeries := Series{Name: hmcsName, X: grid}
-	for _, r := range results {
-		hmcsSeries.Y = append(hmcsSeries.Y, r.Throughput())
-	}
+	sel, base, _ := Scripted(o, spec, comps,
+		func(c clof.Composition, n int, seed uint64) exp.Sample {
+			return o.levelDB(p.Machine, compFactory(h, c), n, seed)
+		},
+		func(_ string, n int, seed uint64) exp.Sample {
+			return o.levelDB(p.Machine, hmcsFactory(h), n, seed)
+		})
 
 	f := &Figure{
 		ID:     id,
@@ -79,7 +76,7 @@ func Fig9Panel(p Platform, levels int, o Options) Fig9Result {
 	f.Series = append(f.Series,
 		toSeries("HC-best", sel.HCBest),
 		toSeries("LC-best", sel.LCBest),
-		hmcsSeries,
+		series(hmcsName, grid, base[0], exp.Result.Throughput),
 		toSeries("worst", sel.Worst),
 	)
 	// Then the full beam of gray lines.

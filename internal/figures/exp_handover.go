@@ -2,7 +2,6 @@ package figures
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"github.com/clof-go/clof/internal/exp"
 	"github.com/clof-go/clof/internal/obs"
@@ -49,7 +48,6 @@ func measureObs(name string, mk workload.LockFactory, cfg workload.Config) exp.S
 func Handover(o Options) *Figure {
 	p := X86()
 	grid := o.grid(p)
-	cfgFor := func(n int) workload.Config { return o.adjust(workload.LevelDB(p.Machine, n)) }
 	f := &Figure{
 		ID:     "handover",
 		Title:  "handover-distance mix vs threads (mcs vs clof:" + PaperLC4X86 + ", x86, % of transfers)",
@@ -66,42 +64,22 @@ func Handover(o Options) *Figure {
 		Locks: []string{"mcs", "clof:" + PaperLC4X86},
 		Notes: "handover-distance shares from the internal/obs collector; obs reports in results.json",
 	}
-	var points []exp.Point
-	for _, e := range entries {
-		e := e
-		for _, n := range grid {
-			n := n
-			points = append(points, exp.Point{
-				Key: fmt.Sprintf("lock=%s/threads=%d", e.name, n),
-				Run: func(seed uint64) exp.Sample {
-					cfg := cfgFor(n)
-					cfg.Seed = seed
-					return measureObs(e.name, e.mk, cfg)
-				},
-			})
-		}
-	}
-	results := o.runner().Run(spec, points)
+	res := o.sweep(spec, lockRows([]string{entries[0].name, entries[1].name}), "threads", grid, func(row, n int, seed uint64) exp.Sample {
+		cfg := o.adjust(workload.LevelDB(p.Machine, n))
+		cfg.Seed = seed
+		return measureObs(entries[row].name, entries[row].mk, cfg)
+	})
 
 	// One series per (lock, distance): self plus every hierarchy level.
 	distances := []string{"self"}
 	for l := topo.Core; l <= topo.System; l++ {
 		distances = append(distances, l.String())
 	}
-	i := 0
-	for _, e := range entries {
-		series := make([]Series, len(distances))
-		for di, d := range distances {
-			series[di].Name = e.name + ":" + d
+	for i, e := range entries {
+		for _, d := range distances {
+			share := func(r exp.Result) float64 { return r.Metrics["handover_"+d+"_pct"] }
+			f.Series = append(f.Series, series(e.name+":"+d, grid, res[i], share))
 		}
-		for _, n := range grid {
-			for di, d := range distances {
-				series[di].X = append(series[di].X, n)
-				series[di].Y = append(series[di].Y, results[i].Metrics["handover_"+d+"_pct"])
-			}
-			i++
-		}
-		f.Series = append(f.Series, series...)
 	}
 	return f
 }

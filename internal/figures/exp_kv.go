@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"github.com/clof-go/clof/internal/catalog"
 	"github.com/clof-go/clof/internal/exp"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/obs"
@@ -96,65 +95,42 @@ func kvFigure(o Options, mach *topo.Machine, platform, idSuffix string, mix stor
 		Notes: fmt.Sprintf("shard grid %v; dist=%s range=%v; horizon=%dns; keys=%d",
 			grid, dist, rangePart, horizon, workload.KVKeys),
 	}
-	var points []exp.Point
-	for _, name := range KVLocks {
-		e, err := catalog.Lookup(name)
+	entries := lookupAll(KVLocks)
+	results := o.sweep(spec, lockRows(KVLocks), "shards", grid, func(row, shards int, seed uint64) exp.Sample {
+		e := entries[row]
+		collectors := make([]*obs.Collector, shards)
+		for i := range collectors {
+			collectors[i] = obs.NewCollector(mach, obs.Options{})
+		}
+		res, err := workload.RunKV(workload.KVConfig{
+			Machine: mach, Threads: KVThreads, Shards: shards,
+			NewShardLock:   func() lockapi.Lock { return e.New(mach) },
+			Horizon:        horizon,
+			Mix:            mix,
+			Dist:           dist,
+			RangePartition: rangePart,
+			Seed:           seed,
+			Observer:       func(i int) lockapi.Observer { return collectors[i] },
+		})
+		smp := KVSample(res, err)
 		if err != nil {
-			panic(err)
+			return smp
 		}
-		for _, s := range grid {
-			e, s := e, s
-			points = append(points, exp.Point{
-				Key: fmt.Sprintf("lock=%s/shards=%d", e.Name, s),
-				Run: func(seed uint64) exp.Sample {
-					collectors := make([]*obs.Collector, s)
-					for i := range collectors {
-						collectors[i] = obs.NewCollector(mach, obs.Options{})
-					}
-					res, err := workload.RunKV(workload.KVConfig{
-						Machine: mach, Threads: KVThreads, Shards: s,
-						NewShardLock:   func() lockapi.Lock { return e.New(mach) },
-						Horizon:        horizon,
-						Mix:            mix,
-						Dist:           dist,
-						RangePartition: rangePart,
-						Seed:           seed,
-						Observer:       func(i int) lockapi.Observer { return collectors[i] },
-					})
-					smp := KVSample(res, err)
-					if err != nil {
-						return smp
-					}
-					occ := make([]obs.OCCOps, len(res.OCC))
-					for i, st := range res.OCC {
-						occ[i] = obs.OCCOps{Optimistic: st.Optimistic, ValidationFailures: st.ValidationFailures, Fallbacks: st.Fallbacks}
-					}
-					rep := obs.CombineShards(e.Name, collectors, res.SharedPerShard, occ)
-					raw, err := json.Marshal(rep)
-					if err != nil {
-						return exp.Sample{Err: err.Error()}
-					}
-					smp.Metrics = kvMetrics(res)
-					smp.Obs = raw
-					return smp
-				},
-			})
+		raw, err := json.Marshal(obs.CombineShards(e.Name, collectors, res.SharedPerShard, res.OCC))
+		if err != nil {
+			return exp.Sample{Err: err.Error()}
 		}
-	}
-	results := o.runner().Run(spec, points)
+		smp.Metrics = kvMetrics(res)
+		smp.Obs = raw
+		return smp
+	})
 
-	i := 0
 	violations := 0.0
-	for _, name := range KVLocks {
-		s := Series{Name: name}
-		for _, n := range grid {
-			r := results[i]
-			i++
-			s.X = append(s.X, n)
-			s.Y = append(s.Y, r.Throughput())
+	for i, name := range KVLocks {
+		f.Series = append(f.Series, series(name, grid, results[i], exp.Result.Throughput))
+		for _, r := range results[i] {
 			violations += r.Metrics["violations"]
 		}
-		f.Series = append(f.Series, s)
 	}
 	f.Notes = append(f.Notes, kvNotes(f, grid, violations)...)
 	return f

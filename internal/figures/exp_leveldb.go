@@ -95,31 +95,18 @@ func Fig3(o Options) []*Figure {
 			Locks: lockNames, Runs: o.Runs, Quick: o.Quick,
 			Notes: "one thread per child cohort inside a single cohort of each level",
 		}
-		var points []exp.Point
-		for _, lockName := range lockNames {
-			for _, lvl := range pl.levels {
-				lockName, lvl, m := lockName, lvl, pl.m
-				points = append(points, exp.Point{
-					Key: fmt.Sprintf("lock=%s/level=%d", lockName, int(lvl)),
-					Run: func(seed uint64) exp.Sample {
-						cfg := o.adjust(workload.LevelDB(m, 0))
-						cfg.CPUs = cohortCPUs(m, lvl)
-						cfg.Seed = seed
-						return measure(basicFactory(lockName), cfg)
-					},
-				})
-			}
+		xs := make([]int, len(pl.levels))
+		for i, lvl := range pl.levels {
+			xs[i] = int(lvl)
 		}
-		results := o.runner().Run(spec, points)
-		i := 0
-		for _, lockName := range lockNames {
-			s := Series{Name: lockName}
-			for _, lvl := range pl.levels {
-				s.X = append(s.X, int(lvl))
-				s.Y = append(s.Y, results[i].Throughput())
-				i++
-			}
-			f.Series = append(f.Series, s)
+		res := o.sweep(spec, lockRows(lockNames), "level", xs, func(row, lvl int, seed uint64) exp.Sample {
+			cfg := o.adjust(workload.LevelDB(pl.m, 0))
+			cfg.CPUs = cohortCPUs(pl.m, topo.Level(lvl))
+			cfg.Seed = seed
+			return measure(basicFactory(lockNames[row]), cfg)
+		})
+		for i, name := range lockNames {
+			f.Series = append(f.Series, series(name, xs, res[i], exp.Result.Throughput))
 		}
 		f.Notes = append(f.Notes, fmt.Sprintf("threads per level: one per child cohort; levels measured: %v", pl.levels))
 		out = append(out, f)

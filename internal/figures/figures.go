@@ -6,12 +6,18 @@
 // composition analyses (§5.2.2, §5.2.3), and the verification-scaling table
 // (§3.3/§4.2). All measurements run on the NUMA simulator and are
 // reproducible bit-for-bit for a given options set.
+//
+// Each experiment declares its sweep — an exp.Spec, row keys, an x-axis
+// name and values, and a run that measures one (row, x) point — and hands
+// it to the one sweep runner, Options.sweep, which keys and orders the
+// engine points; series folds each result row into a curve.
 package figures
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/clof-go/clof/internal/clof"
@@ -141,7 +147,8 @@ type Options struct {
 	// Quick reduces grids/horizons (tests, smoke runs).
 	Quick bool
 	// Runs is the per-point repetition count (median taken); 0 = paper
-	// defaults (1 for the scripted benchmark, 3 for Fig. 10).
+	// defaults (3 for the head-to-head comparisons of Figs. 2, 4 and 10,
+	// see comparisonRuns; 1 everywhere else).
 	Runs int
 	// Progress, if non-nil, receives one line per completed measurement.
 	Progress func(string)
@@ -200,7 +207,7 @@ func (o Options) grid(p Platform) []int {
 	return []int{1, 8, 32, max}
 }
 
-// horizonScale shortens runs in Quick mode.
+// adjust halves a workload's horizon in Quick mode.
 func (o Options) adjust(cfg workload.Config) workload.Config {
 	if o.Quick {
 		cfg.Horizon /= 2
@@ -283,95 +290,138 @@ func measure(mk workload.LockFactory, cfg workload.Config) exp.Sample {
 	return sample(workload.Run(mk, cfg))
 }
 
-// curvePoint builds the engine job for one (lock, threads) grid point.
-func curvePoint(name string, mk workload.LockFactory, cfgFor func(threads int) workload.Config, threads int) exp.Point {
-	return exp.Point{
-		Key: fmt.Sprintf("lock=%s/threads=%d", name, threads),
-		Run: func(seed uint64) exp.Sample {
-			cfg := cfgFor(threads)
-			cfg.Seed = seed
-			return measure(mk, cfg)
-		},
-	}
+// levelDB measures mk on the LevelDB workload over m at the given thread
+// count and seed.
+func (o Options) levelDB(m *topo.Machine, mk workload.LockFactory, threads int, seed uint64) exp.Sample {
+	cfg := o.adjust(workload.LevelDB(m, threads))
+	cfg.Seed = seed
+	return measure(mk, cfg)
 }
 
-// runCurves measures entries×grid as one engine spec — every point is an
-// independent job on the worker pool — and returns one Series per entry, in
-// entry order. The assembled series depend only on the spec (seeds are
-// hash-derived per point), never on Options.Jobs.
-func runCurves(o Options, spec exp.Spec, entries []lockEntry, cfgFor func(threads int) workload.Config, grid []int) []Series {
-	spec.Threads = grid
-	for _, e := range entries {
-		spec.Locks = append(spec.Locks, e.name)
+// sweep measures rows×xs as one engine spec and returns the results row by
+// row. Point (i, j) is keyed "<rows[i]>/<axis>=<xs[j]>" — rows carry their
+// own key prefix, e.g. "lock=mcs" — and run(i, xs[j], seed) measures it
+// under the engine's per-point seed. Points are dispatched in row-major
+// order, and spec reaches the engine untouched: its hash seeds every point,
+// so the results depend only on the spec and the keys, never on Options.Jobs.
+func (o Options) sweep(spec exp.Spec, rows []string, axis string, xs []int, run func(row, x int, seed uint64) exp.Sample) [][]exp.Result {
+	points := make([]exp.Point, 0, len(rows)*len(xs))
+	for i, row := range rows {
+		for _, x := range xs {
+			points = append(points, exp.Point{
+				Key: row + "/" + axis + "=" + strconv.Itoa(x),
+				Run: func(seed uint64) exp.Sample { return run(i, x, seed) },
+			})
+		}
 	}
+	flat := o.runner().Run(spec, points)
+	out := make([][]exp.Result, len(rows))
+	for i := range out {
+		lo, hi := i*len(xs), (i+1)*len(xs)
+		out[i] = flat[lo:hi:hi]
+	}
+	return out
+}
+
+// valueOf is the value a figure reports for one point: v(r), or 0 when any
+// of the point's runs failed (the error stays on r, and clof-figures exits
+// nonzero once everything is written).
+func valueOf(r exp.Result, v func(exp.Result) float64) float64 {
+	if len(r.Errors) > 0 {
+		return 0
+	}
+	return v(r)
+}
+
+// series folds one sweep row into a curve over xs through v.
+func series(name string, xs []int, row []exp.Result, v func(exp.Result) float64) Series {
+	s := Series{Name: name, X: xs, Y: make([]float64, len(row))}
+	for i, r := range row {
+		s.Y[i] = valueOf(r, v)
+	}
+	return s
+}
+
+// lockRows keys one sweep row per lock name: "lock=<name>".
+func lockRows(names []string) []string {
+	rows := make([]string, len(names))
+	for i, n := range names {
+		rows[i] = "lock=" + n
+	}
+	return rows
+}
+
+// runCurves measures entries×grid as one engine spec, recording the entries
+// and grid in it, and returns one throughput Series per entry, in entry
+// order.
+func runCurves(o Options, spec exp.Spec, entries []lockEntry, cfgFor func(threads int) workload.Config, grid []int) []Series {
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.name
+	}
+	spec.Threads = grid
+	spec.Locks = append(spec.Locks, names...)
 	spec.Quick = o.Quick
 	if spec.Runs == 0 {
 		spec.Runs = o.Runs
 	}
-	points := make([]exp.Point, 0, len(entries)*len(grid))
-	for _, e := range entries {
-		for _, n := range grid {
-			points = append(points, curvePoint(e.name, e.mk, cfgFor, n))
-		}
+	res := o.sweep(spec, lockRows(names), "threads", grid, func(row, n int, seed uint64) exp.Sample {
+		cfg := cfgFor(n)
+		cfg.Seed = seed
+		return measure(entries[row].mk, cfg)
+	})
+	out := make([]Series, len(names))
+	for i, name := range names {
+		out[i] = series(name, grid, res[i], exp.Result.Throughput)
 	}
-	results := o.runner().Run(spec, points)
-	series := make([]Series, len(entries))
-	i := 0
-	for ei, e := range entries {
-		series[ei].Name = e.name
-		for _, n := range grid {
-			series[ei].X = append(series[ei].X, n)
-			series[ei].Y = append(series[ei].Y, results[i].Throughput())
-			i++
-		}
-	}
-	return series
+	return out
 }
 
 // Scripted is the scripted benchmark (§4.3, the last boxes of Fig. 5): it
 // measures every composition at every thread count of spec.Threads, plus
-// any extra baseline points, as one engine spec, and applies both selection
-// policies. run measures one (composition, threads) point under the
+// one baseline row per name in the caller's spec.Locks, as one engine spec,
+// and applies both selection policies. run measures one (composition,
+// threads) point and baseline one (lock, threads) point, each under the
 // engine's per-point seed; the composition names go in front of the
-// caller's spec.Locks, which names the extras. It returns the selection and
-// the extra points' results, in order.
+// caller's spec.Locks, and baseline may be nil when there are none. It
+// returns the selection and the baseline rows' results, one row per
+// spec.Locks name, each in grid order.
 //
 // A failed composition point counts as zero throughput in the selection
 // (exp.Sample.Err); the error names the first one in point order. The
 // error is also set when comps is empty.
-func Scripted(o Options, spec exp.Spec, comps []clof.Composition, run func(c clof.Composition, threads int, seed uint64) exp.Sample, extra ...exp.Point) (clof.Selection, []exp.Result, error) {
-	grid := spec.Threads
-	names := make([]string, 0, len(comps)+len(spec.Locks))
-	points := make([]exp.Point, 0, len(comps)*len(grid)+len(extra))
+func Scripted(o Options, spec exp.Spec, comps []clof.Composition, run func(c clof.Composition, threads int, seed uint64) exp.Sample, baseline func(lock string, threads int, seed uint64) exp.Sample) (clof.Selection, [][]exp.Result, error) {
+	grid, bases := spec.Threads, spec.Locks
+	names := make([]string, 0, len(comps)+len(bases))
+	rows := make([]string, 0, len(comps)+len(bases))
 	for _, c := range comps {
 		names = append(names, c.String())
-		for _, n := range grid {
-			points = append(points, exp.Point{
-				Key: fmt.Sprintf("comp=%s/threads=%d", c, n),
-				Run: func(seed uint64) exp.Sample { return run(c, n, seed) },
-			})
-		}
+		rows = append(rows, "comp="+c.String())
 	}
-	spec.Locks = append(names, spec.Locks...)
-	results := o.runner().Run(spec, append(points, extra...))
+	spec.Locks = append(names, bases...)
+	res := o.sweep(spec, append(rows, lockRows(bases)...), "threads", grid, func(row, n int, seed uint64) exp.Sample {
+		if row < len(comps) {
+			return run(comps[row], n, seed)
+		}
+		return baseline(bases[row-len(comps)], n, seed)
+	})
 
 	var failed error
 	ms := make([]clof.Measurement, len(comps))
 	for ci, c := range comps {
 		ms[ci].Comp = c
-		for gi, n := range grid {
-			r := results[ci*len(grid)+gi]
+		for gi, r := range res[ci] {
 			if len(r.Errors) > 0 && failed == nil {
 				failed = fmt.Errorf("%s: %s", r.Key, r.Errors[0])
 			}
-			ms[ci].Points = append(ms[ci].Points, clof.Point{Threads: n, Throughput: r.Throughput()})
+			ms[ci].Points = append(ms[ci].Points, clof.Point{Threads: grid[gi], Throughput: valueOf(r, exp.Result.Throughput)})
 		}
 	}
 	sel, err := clof.Select(ms)
 	if err == nil {
 		err = failed
 	}
-	return sel, results[len(comps)*len(grid):], err
+	return sel, res[len(comps):], err
 }
 
 // ScriptedLevelDB is the scripted benchmark on the simulated LevelDB
@@ -389,15 +439,8 @@ func ScriptedLevelDB(o Options, h *topo.Hierarchy, comps []clof.Composition, gri
 		Quick:     o.Quick,
 		Notes:     "scripted benchmark (§4.3)",
 	}
-	sel, _, err := Scripted(o, spec, comps, levelDBRun(o, h))
+	sel, _, err := Scripted(o, spec, comps, func(c clof.Composition, threads int, seed uint64) exp.Sample {
+		return o.levelDB(h.Machine, compFactory(h, c), threads, seed)
+	}, nil)
 	return sel, err
-}
-
-// levelDBRun measures one composition over h on the LevelDB workload.
-func levelDBRun(o Options, h *topo.Hierarchy) func(c clof.Composition, threads int, seed uint64) exp.Sample {
-	return func(c clof.Composition, threads int, seed uint64) exp.Sample {
-		cfg := o.adjust(workload.LevelDB(h.Machine, threads))
-		cfg.Seed = seed
-		return measure(compFactory(h, c), cfg)
-	}
 }

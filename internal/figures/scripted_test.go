@@ -26,7 +26,7 @@ func fakeTput(c clof.Composition, n int) float64 {
 
 // TestScripted drives the scripted benchmark with a fake measurement and no
 // simulator: the point keys, the spec's lock list, the grid order of every
-// measurement, the extra points' results and the selection must all come
+// measurement, the baseline row's results and the selection must all come
 // out as documented, at any worker-pool width.
 func TestScripted(t *testing.T) {
 	comps := clof.Generate(locks.BasicLocks(topo.X86), 2)
@@ -34,9 +34,12 @@ func TestScripted(t *testing.T) {
 	run := func(c clof.Composition, n int, seed uint64) exp.Sample {
 		return exp.Sample{Throughput: fakeTput(c, n)}
 	}
-	extra := []exp.Point{
-		{Key: "lock=base/threads=1", Run: func(uint64) exp.Sample { return exp.Sample{Throughput: 100} }},
-		{Key: "lock=base/threads=8", Run: func(uint64) exp.Sample { return exp.Sample{Throughput: 200} }},
+	baseTput := func(n int) float64 { return 100 + float64(n) }
+	baseline := func(lock string, n int, seed uint64) exp.Sample {
+		if lock != "base" {
+			return exp.Sample{Err: "baseline run for " + lock}
+		}
+		return exp.Sample{Throughput: baseTput(n)}
 	}
 	spec := exp.Spec{Name: "scripted", Locks: []string{"base"}, Threads: grid}
 
@@ -51,7 +54,9 @@ func TestScripted(t *testing.T) {
 		}
 	}
 	wantLocks = append(wantLocks, "base")
-	wantKeys = append(wantKeys, extra[0].Key, extra[1].Key)
+	for _, n := range grid {
+		wantKeys = append(wantKeys, fmt.Sprintf("lock=base/threads=%d", n))
+	}
 	wantSel, err := clof.Select(want)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +67,7 @@ func TestScripted(t *testing.T) {
 
 	sweep := func(jobs int) clof.Selection {
 		m := exp.NewManifest(filepath.Join(t.TempDir(), "results.json"))
-		sel, base, err := Scripted(Options{Jobs: jobs, Manifest: m}, spec, comps, run, extra...)
+		sel, base, err := Scripted(Options{Jobs: jobs, Manifest: m}, spec, comps, run, baseline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,9 +81,13 @@ func TestScripted(t *testing.T) {
 		if !reflect.DeepEqual(keys, wantKeys) {
 			t.Errorf("-j %d: keys = %v, want %v", jobs, keys, wantKeys)
 		}
-		if len(base) != 2 || base[0].Key != extra[0].Key || base[0].Throughput() != 100 ||
-			base[1].Key != extra[1].Key || base[1].Throughput() != 200 {
-			t.Errorf("-j %d: extra results out of order: %+v", jobs, base)
+		if len(base) != 1 || len(base[0]) != len(grid) {
+			t.Fatalf("-j %d: baseline results shaped %d rows, want 1 row of %d", jobs, len(base), len(grid))
+		}
+		for i, n := range grid {
+			if r := base[0][i]; r.Key != fmt.Sprintf("lock=base/threads=%d", n) || r.Throughput() != baseTput(n) || len(r.Errors) > 0 {
+				t.Errorf("-j %d: baseline result %d = %+v, want threads=%d at %v", jobs, i, r, n, baseTput(n))
+			}
 		}
 		if !reflect.DeepEqual(sel, wantSel) {
 			t.Errorf("-j %d: selection = HC %s LC %s worst %s, want HC %s LC %s worst %s", jobs,
@@ -106,14 +115,14 @@ func TestScriptedErrors(t *testing.T) {
 		}
 		return exp.Sample{Throughput: 1}
 	}
-	sel, _, err := Scripted(Options{}, spec, comps, failing)
+	sel, _, err := Scripted(Options{}, spec, comps, failing, nil)
 	if err == nil || !strings.Contains(err.Error(), "comp=mcs/threads=4: deadlock") {
 		t.Errorf("err = %v, want the failed point's key and message", err)
 	}
 	if len(sel.All) != len(comps) {
 		t.Errorf("selection over %d compositions, want %d despite the failure", len(sel.All), len(comps))
 	}
-	if _, _, err := Scripted(Options{}, spec, nil, failing); err == nil {
+	if _, _, err := Scripted(Options{}, spec, nil, failing, nil); err == nil {
 		t.Error("no compositions: want an error")
 	}
 }

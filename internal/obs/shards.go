@@ -6,21 +6,11 @@ package obs
 // whose Shards block breaks acquisitions down by shard. Shared (reader)
 // acquisitions emit no protocol edges (store.Router.Observe documents why),
 // so the workload counts them itself and passes them in as SharedOps.
+// Optimistic (seqlock-validated) reads never pass through Acquire/Release
+// either; their per-shard counters arrive as the router's
+// store.OCCShardStats.
 
-// OCCOps carries one shard's workload-reported optimistic-read counters.
-// Like shared acquisitions, optimistic (seqlock-validated) reads never pass
-// through Acquire/Release and so emit no observer edges — the workload
-// counts them and hands them to CombineShards.
-type OCCOps struct {
-	// Optimistic counts optimistic read attempts (successful or not).
-	Optimistic uint64
-	// ValidationFailures counts attempts discarded by a failed seqlock
-	// validation — each is a retry or, once the budget is spent, a fallback.
-	ValidationFailures uint64
-	// Fallbacks counts reads that exhausted the adaptive attempt budget and
-	// took the pessimistic shard lock.
-	Fallbacks uint64
-}
+import "github.com/clof-go/clof/internal/store"
 
 // ShardStat is one shard's slice of a combined Report.
 type ShardStat struct {
@@ -32,7 +22,7 @@ type ShardStat struct {
 	// emit no observer edges; 0 when the shard lock has no shared mode.
 	SharedOps uint64 `json:"shared_ops,omitempty"`
 	// OptimisticOps / OCCValidationFailures / OCCFallbacks are the
-	// workload-reported optimistic-read counters (OCCOps); all 0 when the
+	// router's optimistic-read counters (store.OCCShardStats); all 0 when the
 	// shard lock has no seqlock read path.
 	OptimisticOps         uint64 `json:"optimistic_ops,omitempty"`
 	OCCValidationFailures uint64 `json:"occ_validation_failures,omitempty"`
@@ -74,7 +64,7 @@ func (h *Hist) Merge(other *Hist) {
 // shards — a CPU's longest wait on any single shard lock, not across the
 // interleaving (a CPU served promptly by shard A while starving on shard B
 // still reports B's gap).
-func CombineShards(lock string, collectors []*Collector, sharedOps []uint64, occOps []OCCOps) Report {
+func CombineShards(lock string, collectors []*Collector, sharedOps []uint64, occOps []store.OCCShardStats) Report {
 	if len(collectors) == 0 {
 		return Report{Lock: lock}
 	}

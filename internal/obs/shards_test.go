@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/clof-go/clof/internal/lockapi"
+	"github.com/clof-go/clof/internal/store"
 	"github.com/clof-go/clof/internal/topo"
 )
 
@@ -83,7 +84,7 @@ func TestCombineShards(t *testing.T) {
 	drive(shard1, 2, 0, 5, 50)
 
 	r := CombineShards("rwlock", []*Collector{shard0, shard1}, []uint64{100, 7},
-		[]OCCOps{{Optimistic: 40, ValidationFailures: 3, Fallbacks: 1}})
+		[]store.OCCShardStats{{Optimistic: 40, ValidationFailures: 3, Fallbacks: 1}})
 	if r.Lock != "rwlock" {
 		t.Errorf("lock label = %q", r.Lock)
 	}

@@ -8,7 +8,7 @@
 #   3. clof-lint ./...          (static lock-discipline suite: atomic
 #      access, memory-order policy, spin hygiene and validate-before-escape
 #      for optimistic reads; a waiver that suppresses no finding fails it
-#      too; a JSON report is written for the CI artifact)
+#      too)
 #   4. make doccheck            (godoc discipline: package comments +
 #      doc comments on exported declarations; scripts/doccheck.sh)
 #   5. go test ./...            (tier-1, includes the model-checker suites)
@@ -81,14 +81,6 @@ fi
 
 echo "== clof-lint ./..."
 go run ./cmd/clof-lint ./...
-
-echo "== clof-lint -json report (CI artifact)"
-# The machine-readable report is regenerated even on a clean run (it is
-# "[]" then); CI uploads figures-out/lint-report.json alongside the figure
-# artifacts. Findings already failed the gate above, so -json here is
-# informational and must not trip set -e on a racing edit.
-mkdir -p figures-out
-go run ./cmd/clof-lint -json ./... > figures-out/lint-report.json || true
 
 echo "== doccheck"
 make doccheck
