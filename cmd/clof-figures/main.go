@@ -4,14 +4,13 @@
 // points execute in parallel on a bounded worker pool (-j), per-point seeds
 // are derived by stable hashing, and every point is recorded in a
 // results.json manifest next to the CSVs. Output is byte-for-byte identical
-// at any -j level; -resume skips points already present in the manifest.
-// A run in which any point failed (a deadlock or a mutual-exclusion
-// violation) still writes every artifact, then exits nonzero naming the
-// first failed point.
+// at any -j level. A run in which any point failed (a deadlock or a
+// mutual-exclusion violation) still writes every artifact, then exits
+// nonzero naming the first failed point.
 //
 // Usage:
 //
-//	clof-figures [-exp ID[,ID...]] [-list] [-out DIR] [-quick] [-runs N] [-j N] [-resume]
+//	clof-figures [-exp ID[,ID...]] [-list] [-out DIR] [-quick] [-runs N] [-j N]
 //
 // See EXPERIMENTS.md ("The experiment engine") for the artifact schema and
 // the recorded paper-vs-measured comparison.
@@ -169,7 +168,6 @@ func main() {
 	quickFlag := flag.Bool("quick", false, "reduced grids and horizons (smoke run)")
 	runs := flag.Int("runs", 0, "repetitions per point (0 = experiment default)")
 	jobs := flag.Int("j", 0, "parallel grid points (0 = GOMAXPROCS); output is identical at any level")
-	resume := flag.Bool("resume", false, "reuse points already recorded in <out>/results.json")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -197,14 +195,7 @@ func main() {
 	}
 
 	manifestPath := filepath.Join(*out, "results.json")
-	var manifest *exp.Manifest
-	if *resume {
-		if manifest, err = exp.LoadManifest(manifestPath); err != nil {
-			fatal(err)
-		}
-	} else {
-		manifest = exp.NewManifest(manifestPath)
-	}
+	manifest := exp.NewManifest(manifestPath)
 
 	o := figures.Options{Quick: *quickFlag, Runs: *runs, Jobs: *jobs, Manifest: manifest}
 	if !*quiet {

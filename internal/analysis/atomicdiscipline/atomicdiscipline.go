@@ -92,7 +92,7 @@ func run(pass *analysis.Pass) {
 				if !ok {
 					return true
 				}
-				if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && len(call.Args) > 0 {
+				if fn := analysis.CalleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && len(call.Args) > 0 {
 					if sel := addrOperand(call.Args[0]); sel != nil {
 						if fv := fieldOf(sel); fv != nil && fv.Pkg() == pass.Pkg.Types {
 							consumed[sel] = true
@@ -187,18 +187,6 @@ func isCellMethod(m *types.Func) bool {
 		t = p.Elem()
 	}
 	return analysis.IsCellType(t)
-}
-
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
 }
 
 func shortName(path string) string {

@@ -1,6 +1,6 @@
-// lockutil.go — shared type-level helpers for the analyzers: recognizing
-// the lockapi package and its Cell type, and classifying ordered Proc
-// operations and spin relief.
+// lockutil.go — shared type-level helpers for the analyzers: resolving a
+// call's callee, recognizing the lockapi package and its Cell type, and
+// classifying ordered Proc operations and spin relief.
 
 package analysis
 
@@ -10,6 +10,21 @@ import (
 	"go/types"
 	"strings"
 )
+
+// CalleeFunc returns the function or method call names directly (an
+// identifier or a selector), nil for any other callee: a conversion, a
+// builtin, a func value.
+func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
 
 // IsLockapiPackage reports whether p is this repository's lockapi package
 // (matched by suffix so fixtures loaded under other module roots work too).

@@ -91,14 +91,7 @@ func run(pass *analysis.Pass) {
 			if !ok {
 				return true
 			}
-			var callee types.Object
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				callee = info.Uses[fun]
-			case *ast.SelectorExpr:
-				callee = info.Uses[fun.Sel]
-			}
-			if cf, ok := callee.(*types.Func); ok {
+			if cf := analysis.CalleeFunc(info, call); cf != nil {
 				if _, local := decls[cf]; local {
 					edges[fn] = append(edges[fn], cf)
 				}

@@ -97,7 +97,7 @@ func condPolls(info *types.Info, cond ast.Expr) (polls, retries bool) {
 		}
 		// sync/atomic: package functions (LoadUint64, CompareAndSwap...)
 		// and methods on atomic.Uint64 et al.
-		if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
+		if fn := analysis.CalleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 			name := fn.Name()
 			switch {
 			case strings.HasPrefix(name, "Load"), strings.HasPrefix(name, "Swap"), strings.HasPrefix(name, "Add"):
@@ -118,16 +118,4 @@ func condPolls(info *types.Info, cond ast.Expr) (polls, retries bool) {
 func isConst(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	return ok && tv.Value != nil
-}
-
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
 }

@@ -12,8 +12,7 @@
 //
 // Each point yields a typed Result (spec hash, key, seed, throughput and
 // fairness stats, wall time); a Manifest persists the results as a
-// results.json artifact next to the CSVs and doubles as the resume cache:
-// a rerun skips points whose (spec hash, key) already appear in it.
+// results.json artifact next to the CSVs.
 package exp
 
 import (
@@ -140,8 +139,6 @@ type Result struct {
 	// It is the one nondeterministic field; nothing derived from a Result
 	// may depend on it.
 	WallMS float64 `json:"wall_ms"`
-	// Cached marks results served from the resume manifest.
-	Cached bool `json:"cached,omitempty"`
 }
 
 // Throughput returns the point's reported value: the median over runs.
@@ -151,8 +148,7 @@ func (r Result) Throughput() float64 { return r.Tput.Median }
 type Runner struct {
 	// Jobs is the pool width; <= 0 means GOMAXPROCS.
 	Jobs int
-	// Manifest, when non-nil, is consulted before running a point (resume)
-	// and receives every fresh result (artifact).
+	// Manifest, when non-nil, receives every result (artifact).
 	Manifest *Manifest
 	// Progress, if non-nil, receives one line per completed point. Calls
 	// are serialized by the runner.
@@ -178,18 +174,6 @@ func (r *Runner) Run(spec Spec, points []Point) []Result {
 	}
 
 	out := make([]Result, len(points))
-	var pending []int
-	for i, p := range points {
-		if r.Manifest != nil {
-			if res, ok := r.Manifest.Lookup(specHash, p.Key); ok {
-				res.Cached = true
-				out[i] = res
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-
 	var mu sync.Mutex
 	done := 0
 	report := func(key string) {
@@ -198,7 +182,7 @@ func (r *Runner) Run(spec Spec, points []Point) []Result {
 		}
 		mu.Lock()
 		done++
-		r.Progress(fmt.Sprintf("%s: %s (%d/%d)", spec.Name, key, done, len(pending)))
+		r.Progress(fmt.Sprintf("%s: %s (%d/%d)", spec.Name, key, done, len(points)))
 		mu.Unlock()
 	}
 
@@ -214,15 +198,15 @@ func (r *Runner) Run(spec Spec, points []Point) []Result {
 			}
 		}()
 	}
-	for _, i := range pending {
+	for i := range points {
 		ch <- i
 	}
 	close(ch)
 	wg.Wait()
 
 	if r.Manifest != nil {
-		for _, i := range pending {
-			r.Manifest.Add(out[i])
+		for _, res := range out {
+			r.Manifest.Add(res)
 		}
 	}
 	return out

@@ -2,9 +2,7 @@ package exp
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,15 +10,13 @@ import (
 
 // Manifest is the results.json artifact: every Result the engine produced,
 // in completion order (spec by spec, point order within a spec). It is safe
-// for concurrent use by one Runner's workers and doubles as the resume
-// cache — Lookup hits skip re-measurement.
+// for concurrent use by one Runner's workers.
 type Manifest struct {
 	mu       sync.Mutex
 	path     string
 	specs    []Spec
 	specSeen map[string]bool
 	results  []Result
-	index    map[string]int // spec_hash + "\x00" + key -> results slot
 }
 
 // manifestFile is the on-disk schema of results.json.
@@ -34,20 +30,16 @@ type manifestFile struct {
 // Summary aggregates a manifest's host-side cost: how many points were
 // measured, how long the measuring took, and the resulting measurement rate.
 // Like Result.WallMS it is nondeterministic provenance — nothing derived
-// from a manifest may depend on it. Cached (resumed) points contribute their
-// counts but not wall time or rate, since their cost was paid by an earlier
-// run.
+// from a manifest may depend on it.
 type Summary struct {
-	// Points / CachedPoints count all recorded results and the subset that
-	// was served from the resume cache.
-	Points       int `json:"points"`
-	CachedPoints int `json:"cached_points,omitempty"`
+	// Points counts the recorded results.
+	Points int `json:"points"`
 	// Errors counts failed runs across all points.
 	Errors int `json:"errors,omitempty"`
-	// WallMSTotal is the summed host wall time of all freshly measured
-	// points. Workers run in parallel, so this is CPU-ish time, not elapsed.
+	// WallMSTotal is the summed host wall time of all points. Workers run
+	// in parallel, so this is CPU-ish time, not elapsed.
 	WallMSTotal float64 `json:"wall_ms_total"`
-	// TotalIters sums the median completed-iteration counts of fresh points.
+	// TotalIters sums the median completed-iteration counts of all points.
 	TotalIters uint64 `json:"total_iters"`
 	// ItersPerSec is TotalIters per wall second of measurement — the
 	// throughput of the simulator itself, the number the memsim fast-path
@@ -67,10 +59,6 @@ func summarize(results []Result) Summary {
 	for _, r := range results {
 		s.Points++
 		s.Errors += len(r.Errors)
-		if r.Cached {
-			s.CachedPoints++
-			continue
-		}
 		s.WallMSTotal += r.WallMS
 		s.TotalIters += r.Total
 	}
@@ -82,36 +70,7 @@ func summarize(results []Result) Summary {
 
 // NewManifest returns an empty manifest that Save writes to path.
 func NewManifest(path string) *Manifest {
-	return &Manifest{path: path, specSeen: map[string]bool{}, index: map[string]int{}}
-}
-
-// LoadManifest reads a results.json for resuming. A missing file yields an
-// empty manifest (first run); a malformed or version-mismatched file is an
-// error rather than a silent cache miss.
-func LoadManifest(path string) (*Manifest, error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return NewManifest(path), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f manifestFile
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("exp: parse %s: %w", path, err)
-	}
-	if f.Version != SchemaVersion {
-		return nil, fmt.Errorf("exp: %s has schema version %d, want %d", path, f.Version, SchemaVersion)
-	}
-	m := NewManifest(path)
-	for _, s := range f.Specs {
-		m.AddSpec(s)
-	}
-	for _, r := range f.Results {
-		r.Cached = false // staleness of the *previous* run does not persist
-		m.Add(r)
-	}
-	return m, nil
+	return &Manifest{path: path, specSeen: map[string]bool{}}
 }
 
 // AddSpec records a spec for provenance (deduplicated by hash).
@@ -142,28 +101,10 @@ func (m *Manifest) Len() int {
 	return len(m.results)
 }
 
-// Lookup returns the recorded result for (specHash, key), if present.
-func (m *Manifest) Lookup(specHash, key string) (Result, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i, ok := m.index[specHash+"\x00"+key]
-	if !ok {
-		return Result{}, false
-	}
-	return m.results[i], true
-}
-
-// Add records a result; a later Add for the same (spec hash, key) replaces
-// the earlier record, so re-measured points shadow stale cache entries.
+// Add records a result.
 func (m *Manifest) Add(r Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := r.SpecHash + "\x00" + r.Key
-	if i, ok := m.index[k]; ok {
-		m.results[i] = r
-		return
-	}
-	m.index[k] = len(m.results)
 	m.results = append(m.results, r)
 }
 

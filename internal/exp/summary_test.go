@@ -7,23 +7,22 @@ import (
 	"testing"
 )
 
-// TestManifestSummary checks the run-level aggregate: fresh points
-// contribute wall time and iterations, cached points only counts, and the
-// saved artifact carries the same summary.
+// TestManifestSummary checks the run-level aggregate: points contribute
+// counts, errors, wall time and iterations, and the saved artifact carries
+// the same summary.
 func TestManifestSummary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.json")
 	m := NewManifest(path)
 	m.Add(Result{SpecHash: "s", Key: "a", Total: 100, WallMS: 40})
 	m.Add(Result{SpecHash: "s", Key: "b", Total: 300, WallMS: 60})
-	m.Add(Result{SpecHash: "s", Key: "c", Total: 999, WallMS: 999, Cached: true})
 	m.Add(Result{SpecHash: "s", Key: "d", Errors: []string{"deadlock", "deadlock"}})
 
 	sum := m.Summary()
-	if sum.Points != 4 || sum.CachedPoints != 1 || sum.Errors != 2 {
+	if sum.Points != 3 || sum.Errors != 2 {
 		t.Errorf("counts = %+v", sum)
 	}
 	if sum.WallMSTotal != 100 {
-		t.Errorf("WallMSTotal = %v, want 100 (cached point excluded)", sum.WallMSTotal)
+		t.Errorf("WallMSTotal = %v, want 100", sum.WallMSTotal)
 	}
 	if sum.TotalIters != 400 {
 		t.Errorf("TotalIters = %v, want 400", sum.TotalIters)

@@ -156,7 +156,7 @@ type Options struct {
 	// flag); <= 0 means GOMAXPROCS. Results are identical at any width.
 	Jobs int
 	// Manifest, when non-nil, collects every grid point as a results.json
-	// record and serves as the resume cache (internal/exp).
+	// record (internal/exp).
 	Manifest *exp.Manifest
 }
 

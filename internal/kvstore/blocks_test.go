@@ -59,14 +59,12 @@ func TestOverwriteCapsBlocks(t *testing.T) {
 	}
 }
 
-// TestSkiplistAppendDifferential checks the sorted-append path against a
-// map model: keys in ascending, descending and interleaved order, and
-// Puts of the current last key, which must overwrite rather than append.
-// After every Put the skiplist must answer every Get like the model, list
-// its entries in key order, keep each level sorted with its last node in
-// last, and hold the node inserted k-th at the k-th height its generator
-// draws — one draw per insert on either path, so a skiplist's shape does
-// not depend on which path built it.
+// TestSkiplistAppendDifferential checks inserts against a map model: keys
+// in ascending, descending and interleaved order, and Puts of the current
+// last key, which must overwrite rather than insert. After every Put the
+// skiplist must answer every Get like the model, list its entries in key
+// order, keep each level sorted, and hold the node inserted k-th at the
+// k-th height its generator draws — one draw per insert.
 func TestSkiplistAppendDifferential(t *testing.T) {
 	orders := map[string]func(i int) int{
 		"ascending":   func(i int) int { return i },
@@ -87,7 +85,7 @@ func TestSkiplistAppendDifferential(t *testing.T) {
 					inserted = append(inserted, k)
 				}
 				model[k] = v
-				s.putEntry([]byte(k), []byte(v), false)
+				s.putEntry([]byte(k), []byte(v))
 				checkSkiplist(t, s, model)
 			}
 			ref := xrand.New(seed)
@@ -116,8 +114,8 @@ func TestSkiplistAppendDifferential(t *testing.T) {
 	}
 }
 
-// checkSkiplist compares s with model and checks each level's order and
-// last node, and that the fences list level fenceLevel.
+// checkSkiplist compares s with model and checks each level's order, and
+// that the fences list level fenceLevel.
 func checkSkiplist(t *testing.T, s *skiplist, model map[string]string) {
 	t.Helper()
 	keys := make([]string, 0, len(model))
@@ -144,9 +142,6 @@ func checkSkiplist(t *testing.T, s *skiplist, model map[string]string) {
 				t.Fatalf("level %d out of order: %s before %s", level, x.key, nx.key)
 			}
 			x = nx
-		}
-		if s.last[level] != x {
-			t.Fatalf("last[%d] is not the level's last node", level)
 		}
 	}
 	i := 0

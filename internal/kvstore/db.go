@@ -7,17 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// entry is one key/value pair of a sorted run. A tombstone marks a deletion
-// that must shadow older runs until a full compaction drops it.
-type entry struct {
-	key, value []byte
-	tombstone  bool
-}
+// entry is one key/value pair of a sorted run.
+type entry struct{ key, value []byte }
 
 // run is an immutable sorted run (the in-memory analog of an SSTable) with
 // a filter and an exact hash index (index.go) from key to entry position,
-// both holding every key it stores, tombstones included. A run is built
-// complete, filter and index filled, before it is published.
+// both holding every key it stores. A run is built complete, filter and
+// index filled, before it is published.
 type run struct {
 	entries []entry
 	filter  filter
@@ -41,8 +37,8 @@ func (r *run) add(e entry, h uint64) {
 }
 
 // find probes the run's index for key, whose hash is h, and returns the
-// position of key's entry (possibly a tombstone), false if the run does not
-// hold key. Safe for optimistic readers: a published run is immutable.
+// position of key's entry, false if the run does not hold key. Safe for
+// optimistic readers: a published run is immutable.
 func (r *run) find(key []byte, h uint64) (int, bool) {
 	for p := r.index.probe(h); ; {
 		i, ok := p.next()
@@ -70,7 +66,7 @@ type Options struct {
 // no lock of its own; the caller serializes it (the sharded store's shard
 // lock, internal/store):
 //
-//   - writers (Put, Delete, Flush) and Stats run exclusively;
+//   - writers (Put, Load, Flush) and Stats run exclusively;
 //   - Get and Scan may overlap each other;
 //   - Get and Scan may overlap a writer only under seqlock validation: the
 //     caller brackets them in ReadSeq/ReadValidate and discards a result
@@ -86,9 +82,9 @@ type DB struct {
 	mem  atomic.Pointer[skiplist]
 	runs atomic.Pointer[[]*run] // newest first
 
-	// Operation counters. Atomic so that overlapping readers do not race
-	// each other on them.
-	gets, puts, deletes, scans, compactions atomic.Uint64
+	// puts and compactions count writer operations; only writers and Stats
+	// touch them, so readers write nothing.
+	puts, compactions uint64
 }
 
 // Open creates an empty DB.
@@ -108,60 +104,43 @@ func Open(opts Options) *DB {
 // Put inserts or overwrites a key. key and value are copied into the
 // memtable's blocks; a Put that does not freeze makes no heap allocation.
 func (db *DB) Put(key, value []byte) {
-	db.puts.Add(1)
-	db.write(key, value, false)
-}
-
-// write puts an entry into the memtable and freezes it once full.
-func (db *DB) write(key, value []byte, tombstone bool) {
+	db.puts++
 	mem := db.mem.Load()
-	mem.putEntry(key, value, tombstone)
+	mem.putEntry(key, value)
 	if mem.full(db.opts.MemtableBytes) {
 		db.freezeLocked()
 	}
 }
 
-// Get fetches a key: memtable first, then runs newest-to-oldest, a
-// tombstone in a newer layer shadowing older values. It hashes key once and
+// Get fetches a key: memtable first, then runs newest-to-oldest, the value
+// in the newest layer holding key winning. It hashes key once and
 // probes every layer with the hash: the memtable's index, then each run's
 // filter and, where the filter may hold the key, the run's index. No layer
-// searches its key order. Allocation-free. The returned value aliases
-// the DB's storage and must not be modified.
+// searches its key order. Allocation-free, and it writes nothing. The
+// returned value aliases the DB's storage and must not be modified.
 func (db *DB) Get(key []byte) ([]byte, bool) {
-	db.gets.Add(1)
 	h := hashKey(key)
 	if x := db.mem.Load().lookup(key, h); x != nil {
-		v := x.val.Load()
-		return v.value, !v.tombstone
+		return x.val.Load().value, true
 	}
 	for _, r := range *db.runs.Load() {
 		if !r.filter.mayContain(h) {
 			continue
 		}
 		if i, found := r.find(key, h); found {
-			e := &r.entries[i]
-			return e.value, !e.tombstone
+			return r.entries[i].value, true
 		}
 	}
 	return nil, false
 }
 
-// Delete removes a key by writing a tombstone (LSM deletion): the key
-// disappears from reads immediately and from storage at the next full
-// compaction.
-func (db *DB) Delete(key []byte) {
-	db.deletes.Add(1)
-	db.write(key, nil, true)
-}
-
-// Scan visits every live key in [start, end) in key order, merged across
-// the memtable and all runs (newest value wins, tombstones skip); a nil end
-// is unbounded. fn returning false stops the scan. A scan overlapping a
-// writer learns of a failed validation only after it completes, so such a
-// caller must buffer fn's observations and publish them only once
-// validation succeeds (the sharded store's Scan does exactly that).
+// Scan visits every key in [start, end) in key order, merged across the
+// memtable and all runs (newest value wins); a nil end is unbounded. fn
+// returning false stops the scan. A scan overlapping a writer learns of a
+// failed validation only after it completes, so such a caller must buffer
+// fn's observations and publish them only once validation succeeds (the
+// sharded store's Scan does exactly that).
 func (db *DB) Scan(start, end []byte, fn func(key, value []byte) bool) {
-	db.scans.Add(1)
 	// Sources newest-first: memtable, then runs.
 	runs := *db.runs.Load()
 	sources := make([][]entry, 0, len(runs)+1)
@@ -172,14 +151,12 @@ func (db *DB) Scan(start, end []byte, fn func(key, value []byte) bool) {
 		})
 		sources = append(sources, r.entries[i:])
 	}
-	merge(sources, end, func(e entry) bool {
-		return e.tombstone || fn(e.key, e.value)
-	})
+	merge(sources, end, func(e entry) bool { return fn(e.key, e.value) })
 }
 
 // merge visits the distinct keys below end (nil: unbounded) of sources,
 // each sorted and ordered newest first, in key order, passing each key's
-// newest entry (possibly a tombstone). fn returning false stops the merge.
+// newest entry. fn returning false stops the merge.
 func merge(sources [][]entry, end []byte, fn func(e entry) bool) {
 	for {
 		// Pick the smallest next key; the newest source wins ties.
@@ -282,18 +259,17 @@ func (db *DB) Load(n int, at func(i int) (key, value []byte)) {
 	if len(entries) > 0 {
 		cut()
 	}
-	db.puts.Add(uint64(n))
+	db.puts += uint64(n)
 }
 
-// compactLocked merges all runs into one (newest value wins) and drops
-// tombstones — a full compaction, so shadowed deletions are safe to forget.
-// The merge pass also fills the new run's filter, sized for every input
-// entry (a bound on the output), and its index, sized for the largest input
-// run and grown past 3/4 load, and copies each live key and value into the
+// compactLocked merges all runs into one (newest value wins). The merge
+// pass also fills the new run's filter, sized for every input entry (a
+// bound on the output), and its index, sized for the largest input run and
+// grown past 3/4 load, and copies each key and its newest value into the
 // new run's own blocks: a value left in its memtable's block would keep the
 // whole block, dead overwritten values and all, alive for good.
 func (db *DB) compactLocked() {
-	db.compactions.Add(1)
+	db.compactions++
 	runs := *db.runs.Load()
 	sources := make([][]entry, len(runs))
 	total, largest := 0, 0
@@ -305,9 +281,7 @@ func (db *DB) compactLocked() {
 	out := &run{entries: make([]entry, 0, largest), filter: newFilter(total), index: indexFor(largest)}
 	var keys, vals blocks[byte]
 	merge(sources, nil, func(e entry) bool {
-		if !e.tombstone {
-			out.add(entry{key: keys.copy(e.key), value: vals.copy(e.value)}, hashKey(e.key))
-		}
+		out.add(entry{key: keys.copy(e.key), value: vals.copy(e.value)}, hashKey(e.key))
 		return true
 	})
 	db.runs.Store(&[]*run{out})
@@ -317,10 +291,10 @@ func (db *DB) compactLocked() {
 // an empty memtable.
 func (db *DB) Flush() { db.freezeLocked() }
 
-// Stats is a point-in-time snapshot of one DB's operation counters.
+// Stats is a point-in-time snapshot of one DB's writer counters.
 type Stats struct {
-	// Gets / Puts / Deletes / Scans count completed operations.
-	Gets, Puts, Deletes, Scans uint64
+	// Puts counts the keys written, by Put or Load.
+	Puts uint64
 	// Compactions counts full-merge compactions.
 	Compactions uint64
 	// Runs is the number of immutable runs at snapshot time.
@@ -329,24 +303,14 @@ type Stats struct {
 
 // Add accumulates other into s (aggregating per-shard snapshots).
 func (s *Stats) Add(other Stats) {
-	s.Gets += other.Gets
 	s.Puts += other.Puts
-	s.Deletes += other.Deletes
-	s.Scans += other.Scans
 	s.Compactions += other.Compactions
 	s.Runs += other.Runs
 }
 
-// Stats returns the DB's counters. Run exclusively, it is a consistent cut.
+// Stats returns the DB's counters; the caller runs it as a writer.
 func (db *DB) Stats() Stats {
-	return Stats{
-		Gets:        db.gets.Load(),
-		Puts:        db.puts.Load(),
-		Deletes:     db.deletes.Load(),
-		Scans:       db.scans.Load(),
-		Compactions: db.compactions.Load(),
-		Runs:        len(*db.runs.Load()),
-	}
+	return Stats{Puts: db.puts, Compactions: db.compactions, Runs: len(*db.runs.Load())}
 }
 
 // KeyWidth is the canonical benchmark key width (LevelDB db_bench's 16-digit

@@ -7,12 +7,12 @@ import (
 	"github.com/clof-go/clof/internal/xrand"
 )
 
-// TestFilterNoFalseNegatives drives random puts and deletes of keys of
+// TestFilterNoFalseNegatives drives random puts and overwrites of keys of
 // random length through freezes and compactions, and checks after every
-// batch that each run's filter holds every key the run stores, tombstones
-// included; that the memtable's index finds each of its keys and the filter
-// its freeze would build from the stored hashes holds them all; and that Get
-// agrees with a map oracle.
+// batch that each run's filter holds every key the run stores; that the
+// memtable's index finds each of its keys and the filter its freeze would
+// build from the stored hashes holds them all; and that Get agrees with a
+// map oracle.
 func TestFilterNoFalseNegatives(t *testing.T) {
 	db := Open(Options{MemtableBytes: 2048, MaxRuns: 3, Seed: 5})
 	rng := xrand.New(17)
@@ -31,14 +31,9 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 				k = string(b)
 				written = append(written, k)
 			}
-			if rng.Intn(4) == 0 {
-				db.Delete([]byte(k))
-				delete(oracle, k)
-			} else {
-				v := fmt.Sprint(batch, ".", i)
-				db.Put([]byte(k), []byte(v))
-				oracle[k] = v
-			}
+			v := fmt.Sprint(batch, ".", i)
+			db.Put([]byte(k), []byte(v))
+			oracle[k] = v
 		}
 		mem := db.mem.Load()
 		layers := append([]*run{mem.freeze()}, *db.runs.Load()...)
@@ -46,13 +41,13 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 			for _, e := range l.entries {
 				h := hashKey(e.key)
 				if !l.filter.mayContain(h) {
-					t.Fatalf("batch %d: layer %d filter misses stored key %q (tombstone %v)", batch, li, e.key, e.tombstone)
+					t.Fatalf("batch %d: layer %d filter misses stored key %q", batch, li, e.key)
 				}
 				if li > 0 {
 					continue
 				}
-				if x := mem.lookup(e.key, h); x == nil || x.val.Load().tombstone != e.tombstone {
-					t.Fatalf("batch %d: memtable index misses stored key %q (tombstone %v)", batch, e.key, e.tombstone)
+				if x := mem.lookup(e.key, h); x == nil {
+					t.Fatalf("batch %d: memtable index misses stored key %q", batch, e.key)
 				}
 			}
 		}
@@ -106,7 +101,7 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 		s := newSkiplist(1, memtable)
 		value := make([]byte, 100)
 		for i := 0; s.bytes < memtable; i++ {
-			s.putEntry(Key(i), value, false)
+			s.putEntry(Key(i), value)
 		}
 		r := s.freeze()
 		check(t, &r.filter, s.n)

@@ -24,11 +24,15 @@ func indexLen(s *skiplist) int {
 // TestNodeLayout pins what the search's cache behaviour rests on: a node is
 // two cache lines, its prefix and next pointers up to level 5 share the
 // first, and the blocks of a 256 KiB or larger memtable start their nodes on
-// a line.
+// a line. It also pins a value slot and a run entry at their slice headers
+// alone.
 func TestNodeLayout(t *testing.T) {
 	var x skipNode
 	if nodeBytes != 128 {
 		t.Errorf("node is %d bytes, want 128", nodeBytes)
+	}
+	if slotBytes != 24 || unsafe.Sizeof(entry{}) != 48 {
+		t.Errorf("slot is %d bytes, entry %d, want 24 and 48", slotBytes, unsafe.Sizeof(entry{}))
 	}
 	if end := unsafe.Offsetof(x.next) + 6*unsafe.Sizeof(x.next[0]); unsafe.Offsetof(x.prefix) != 0 || end > 64 {
 		t.Errorf("prefix and next[0:6] end at byte %d, want within the first line", end)
@@ -44,9 +48,9 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
-// TestIndexDifferential drives puts, overwrites, deletes, in-order bursts,
-// freezes and compactions of small entries through a DB and checks every
-// key against a map model after each batch. Entries of 21 bytes against a
+// TestIndexDifferential drives puts, overwrites, in-order bursts, freezes
+// and compactions of small entries through a DB and checks every key
+// against a map model after each batch. Entries of 21 bytes against a
 // presize for 128-byte ones make each memtable grow its index, and at least
 // one grows it twice.
 func TestIndexDifferential(t *testing.T) {
@@ -60,20 +64,14 @@ func TestIndexDifferential(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			var k []byte
 			if batch%7 == 3 {
-				k = Key(next) // a burst in key order: appended
+				k = Key(next) // a burst in key order
 				next++
 			} else {
 				k = Key(rng.Intn(keys))
 			}
-			switch r := rng.Intn(10); {
-			case r == 0:
-				db.Delete(k)
-				delete(model, string(k))
-			default:
-				v := fmt.Sprintf("%04d", (batch*200+i)%10000)
-				db.Put(k, []byte(v))
-				model[string(k)] = v
-			}
+			v := fmt.Sprintf("%04d", (batch*200+i)%10000)
+			db.Put(k, []byte(v))
+			model[string(k)] = v
 			if db.mem.Load() != mem {
 				mem = db.mem.Load()
 			} else if first := indexLen(mem); first > 0 {
@@ -114,7 +112,7 @@ func TestIndexPresizeHolds(t *testing.T) {
 		value := make([]byte, 100)
 		n := 0
 		for i := 0; !s.full(mb); i++ {
-			s.putEntry(Key(i*7919%(mb/64)), value, false)
+			s.putEntry(Key(i*7919%(mb/64)), value)
 			n = s.n
 		}
 		if got, want := indexLen(s), indexSlots(mb); got != want {
@@ -125,25 +123,22 @@ func TestIndexPresizeHolds(t *testing.T) {
 }
 
 // TestOptimisticGetsAcrossGrowth is the index's -race check: optimistic
-// Gets run beside a single writer whose scattered Puts and Deletes of small
-// entries grow each memtable's index twice and freeze it, bracketed by a
-// sequence counter as the seqlock brackets them. A Get whose counter moved
+// Gets run beside a single writer whose scattered Puts of small entries
+// grow each memtable's index twice and freeze it, bracketed by a sequence
+// counter as the seqlock brackets them. A Get whose counter moved
 // is discarded; every other Get must return the model's value as of the
 // writes completed before it began.
 func TestOptimisticGetsAcrossGrowth(t *testing.T) {
 	const keys, writes, readers = 1500, 6000, 2
 	type write struct {
 		key   int
-		value string // "" deletes
+		value string
 	}
 	ws := make([]write, writes)
 	rng := xrand.New(11)
 	history := make([][]int, keys) // per key, the indexes of its writes
 	for i := range ws {
-		ws[i] = write{key: rng.Intn(keys)}
-		if rng.Intn(8) != 0 {
-			ws[i].value = fmt.Sprintf("v%d", i)
-		}
+		ws[i] = write{key: rng.Intn(keys), value: fmt.Sprintf("v%d", i)}
 		history[ws[i].key] = append(history[ws[i].key], i)
 	}
 	// modelAt returns key k's value after the first done writes.
@@ -153,7 +148,7 @@ func TestOptimisticGetsAcrossGrowth(t *testing.T) {
 		for j > 0 && h[j-1] >= done {
 			j--
 		}
-		if j == 0 || ws[h[j-1]].value == "" {
+		if j == 0 {
 			return "", false
 		}
 		return ws[h[j-1]].value, true
@@ -200,11 +195,7 @@ func TestOptimisticGetsAcrossGrowth(t *testing.T) {
 		}
 		mem, n := db.mem.Load(), indexLen(db.mem.Load())
 		seq.Add(1)
-		if w.value == "" {
-			db.Delete(Key(w.key))
-		} else {
-			db.Put(Key(w.key), []byte(w.value))
-		}
+		db.Put(Key(w.key), []byte(w.value))
 		seq.Add(1)
 		if db.mem.Load() == mem && n > 0 && indexLen(mem) > n {
 			growths++
@@ -219,12 +210,11 @@ func TestOptimisticGetsAcrossGrowth(t *testing.T) {
 }
 
 // TestRunIndexDifferential checks every run index against a binary search
-// of its run: runs frozen from memtables of scattered puts and deletes, runs
-// bulk-loaded, a compaction whose output outgrows the index sized for its
-// largest input, and a compaction that drops every entry and leaves an
-// empty run. Every stored key, tombstones included, must be found at the
-// position the binary search gives, 10,000 absent keys must not be found,
-// and no table may be more than 3/4 full.
+// of its run: runs frozen from memtables of scattered puts and overwrites,
+// runs bulk-loaded, a compaction whose output outgrows the index sized for
+// its largest input, and a compaction of runs holding the same keys. Every
+// stored key must be found at the position the binary search gives, 10,000
+// absent keys must not be found, and no table may be more than 3/4 full.
 func TestRunIndexDifferential(t *testing.T) {
 	absent := make([][]byte, 10000)
 	for i := range absent {
@@ -250,7 +240,7 @@ func TestRunIndexDifferential(t *testing.T) {
 			for _, e := range r.entries {
 				want := sort.Search(len(r.entries), func(j int) bool { return bytes.Compare(r.entries[j].key, e.key) >= 0 })
 				if got, ok := r.find(e.key, hashKey(e.key)); !ok || got != want {
-					t.Fatalf("%s: find(%s) = %d,%v, want %d (tombstone %v)", how, e.key, got, ok, want, e.tombstone)
+					t.Fatalf("%s: find(%s) = %d,%v, want %d", how, e.key, got, ok, want)
 				}
 			}
 			for _, k := range absent {
@@ -261,16 +251,12 @@ func TestRunIndexDifferential(t *testing.T) {
 		}
 	}
 
-	// Freezes of scattered puts and deletes, then compactions once the runs
-	// pass MaxRuns.
+	// Freezes of scattered puts, then compactions once the runs pass
+	// MaxRuns.
 	db := Open(Options{MemtableBytes: 8 << 10, MaxRuns: 3, Seed: 4})
 	rng := xrand.New(8)
 	for i := 0; i < 6000; i++ {
-		if k := Key(rng.Intn(3000)); rng.Intn(5) == 0 {
-			db.Delete(k)
-		} else {
-			db.Put(k, []byte("value"))
-		}
+		db.Put(Key(rng.Intn(3000)), []byte("value"))
 		check(db, "scattered puts")
 	}
 	if db.Stats().Compactions == 0 {
@@ -291,23 +277,19 @@ func TestRunIndexDifferential(t *testing.T) {
 	}
 	check(db, "compaction")
 
-	// Three runs holding a key's value and two tombstones for it: the
-	// compaction drops every entry.
+	// Three runs holding the same keys: the compaction keeps one entry per
+	// key, the newest.
 	db = Open(Options{MaxRuns: 2})
-	for _, del := range []bool{false, true, true} {
+	for _, v := range []string{"a", "b", "c"} {
 		for i := 0; i < 50; i++ {
-			if del {
-				db.Delete(Key(i))
-			} else {
-				db.Put(Key(i), []byte("v"))
-			}
+			db.Put(Key(i), []byte(v))
 		}
 		db.Flush()
 		check(db, "freeze")
 	}
-	if rs := *db.runs.Load(); len(rs) != 1 || len(rs[0].entries) != 0 {
-		t.Fatal("the compaction must leave one empty run")
+	if rs := *db.runs.Load(); len(rs) != 1 || len(rs[0].entries) != 50 || string(rs[0].entries[0].value) != "c" {
+		t.Fatal("the compaction must leave one run of the newest 50 entries")
 	}
-	check(db, "empty compaction")
+	check(db, "overlapping compaction")
 	t.Logf("%d runs checked", len(checked))
 }

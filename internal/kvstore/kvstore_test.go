@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func put(s *skiplist, k, v string) { s.putEntry([]byte(k), []byte(v), false) }
+func put(s *skiplist, k, v string) { s.putEntry([]byte(k), []byte(v)) }
 
 // get returns k's entry in s, found false if s never held k.
 func get(s *skiplist, k string) (e entry, found bool) {
@@ -44,7 +44,7 @@ func TestSkiplistBasic(t *testing.T) {
 func TestSkiplistOrdered(t *testing.T) {
 	s := newSkiplist(7, 0)
 	for i := 999; i >= 0; i-- {
-		s.putEntry(Key(i), []byte{byte(i)}, false)
+		s.putEntry(Key(i), []byte{byte(i)})
 	}
 	es := s.freeze().entries
 	if len(es) != 1000 {

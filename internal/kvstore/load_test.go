@@ -24,7 +24,7 @@ func diffDB(a, b *DB) string {
 			return fmt.Sprintf("run %d: %d entries, want %d", i, len(ea), len(eb))
 		}
 		for j := range ea {
-			if !bytes.Equal(ea[j].key, eb[j].key) || !bytes.Equal(ea[j].value, eb[j].value) || ea[j].tombstone != eb[j].tombstone {
+			if !bytes.Equal(ea[j].key, eb[j].key) || !bytes.Equal(ea[j].value, eb[j].value) {
 				return fmt.Sprintf("run %d entry %d: %q=%q, want %q=%q", i, j, ea[j].key, ea[j].value, eb[j].key, eb[j].value)
 			}
 		}
@@ -55,8 +55,8 @@ func diffDB(a, b *DB) string {
 	}
 	for i := 0; i < 300; i++ {
 		k := Key(i * 7919 % 1000)
-		a.mem.Load().putEntry(k, nil, false)
-		b.mem.Load().putEntry(k, nil, false)
+		a.mem.Load().putEntry(k, nil)
+		b.mem.Load().putEntry(k, nil)
 	}
 	if la, lb := levels(a.mem.Load()), levels(b.mem.Load()); la != lb {
 		return "next memtable's heights differ"
@@ -151,7 +151,7 @@ func TestLoadPanics(t *testing.T) {
 	}{
 		{"memtable-entry", func(db *DB) { db.Put(Key(0), nil) }, []int{1}, "non-empty"},
 		{"run", func(db *DB) { db.Put(Key(0), nil); db.Flush() }, []int{1}, "non-empty"},
-		{"tombstone", func(db *DB) { db.Delete(Key(0)) }, []int{1}, "non-empty"},
+		{"overwrite", func(db *DB) { db.Put(Key(0), nil); db.Put(Key(0), []byte("v")) }, []int{1}, "non-empty"},
 		{"repeat", func(*DB) {}, []int{0, 1, 1, 2}, "ascending"},
 		{"descending", func(*DB) {}, []int{0, 2, 1}, "ascending"},
 		{"repeat-across-cut", func(*DB) {}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 8}, "ascending"},

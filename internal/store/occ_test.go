@@ -44,13 +44,10 @@ func TestOCCMatchesOracleQuiescent(t *testing.T) {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				k := string(kvstore.Key(int(rng>>33) % 200))
 				switch (rng >> 20) % 4 {
-				case 0:
+				case 0, 1:
 					v := fmt.Sprintf("v%d", i)
 					s.Put(p0, []byte(k), []byte(v))
 					oracle[k] = v
-				case 1:
-					s.Delete(p0, []byte(k))
-					delete(oracle, k)
 				default:
 					got, ok := s.Get(p0, []byte(k))
 					want, wok := oracle[k]
@@ -160,11 +157,7 @@ func TestOCCConcurrentWriters(t *testing.T) {
 					for i := 0; i < writerOps; i++ {
 						rng = rng*6364136223846793005 + 1442695040888963407
 						key := kvstore.Key(int(rng>>33) % keys)
-						if (rng>>20)%8 == 0 {
-							s.Delete(p, key)
-						} else {
-							s.Put(p, key, append(key, fmt.Sprintf("#w%d.%d", w, i)...))
-						}
+						s.Put(p, key, append(key, fmt.Sprintf("#w%d.%d", w, i)...))
 					}
 				}(w)
 			}
@@ -225,15 +218,14 @@ func TestOCCConcurrentWriters(t *testing.T) {
 }
 
 // TestOCCGetSeesEveryCompletedPut: one writer Puts keys in increasing order
-// (never deleting) into seq:tkt shards whose tiny memtables freeze and
-// compact constantly, and publishes a high-water mark after each Put
-// returns. Optimistic readers Get random keys below the mark: each must be
+// into seq:tkt shards whose tiny memtables freeze and compact constantly,
+// and publishes a high-water mark after each Put returns. Optimistic readers Get random keys below the mark: each must be
 // found with its value, since a completed Put is never absent. This catches
 // a layer's hash structure missing a key the layer holds — a memtable
-// index that skips an appended key (keys put in increasing order all take
-// the append path), a freeze or a compaction that fills its run's filter
-// wrongly — which a validated read would report as a legal "absent", so
-// TestOCCConcurrentWriters (whose Deletes make absent legal) cannot.
+// index that skips a key put after every other, a freeze or a compaction
+// that fills its run's filter wrongly — which a validated read would report
+// as a legal "absent", so TestOCCConcurrentWriters (whose readers also draw
+// keys no writer has put yet) cannot.
 func TestOCCGetSeesEveryCompletedPut(t *testing.T) {
 	const (
 		keys    = 3000
@@ -404,7 +396,7 @@ func TestOCCAdaptiveBudgetScripted(t *testing.T) {
 
 			// A retried read serves the attempt that validated.
 			step("get retry", []bool{false, true}, put(k1, "new"), get(k1, "new", true))
-			step("get retry miss", []bool{false, true}, func() { db.Delete(k1) }, get(k1, "", false))
+			step("get retry miss", []bool{false, true}, put(k1, "newer"), get(k2, "", false))
 			// Exhausting K=4 falls back to the lock and halves K.
 			db.Put(k1, []byte("v0"))
 			n := 0
@@ -419,7 +411,7 @@ func TestOCCAdaptiveBudgetScripted(t *testing.T) {
 				scan(kv1("v4"), string(k2)+"=x", string(k3)+"=x"))
 			// K stays at its floor of 1.
 			step("scan fallback at floor", []bool{false},
-				func() { db.Delete(k2) }, scan(kv1("v4"), string(k3)+"=x"))
+				put(k2, "y"), scan(kv1("v4"), string(k2)+"=y", string(k3)+"=x"))
 
 			clean := func(name string, reads int) {
 				t.Helper()
@@ -427,7 +419,7 @@ func TestOCCAdaptiveBudgetScripted(t *testing.T) {
 					if i%2 == 0 {
 						step(name, []bool{true}, nil, get(k1, "v4", true))
 					} else {
-						step(name, []bool{true}, nil, scan(kv1("v4"), string(k3)+"=x"))
+						step(name, []bool{true}, nil, scan(kv1("v4"), string(k2)+"=y", string(k3)+"=x"))
 					}
 				}
 			}
