@@ -216,50 +216,75 @@ func (db *DB) pushRun(r *run) {
 
 // Load bulk-loads n entries into an empty DB, at(i) returning the i-th
 // key and value, the keys strictly ascending. It builds sorted runs
-// directly, with no memtable: it copies keys and values into each run's own
-// blocks, cuts a run wherever a memtable fed the same Puts would freeze,
-// fills the run's filter and index from the hashes it computed and
-// publishes the run as a freeze does. The DB it leaves, counters included,
-// is the one those Puts followed by Flush leave. A writer; it panics on a
-// non-empty DB and on a key not above its predecessor.
+// directly, with no memtable, in two passes over the input. The first
+// validates every key and plans the runs: it cuts a run wherever a memtable
+// fed the same Puts would freeze and totals each run's key and value bytes.
+// Nothing is published until the whole input has passed, so input it
+// refuses leaves the DB as it was. The second builds each run in one pass: its entries, filter
+// and index sized exactly, its keys and its values copied into one buffer
+// each of exactly their size, each key hashed once. It publishes each run
+// as a freeze does. The DB it leaves, counters included, is the one those
+// Puts followed by Flush leave. at is called twice per index, so it must be
+// a pure, random-access function; a result it returns need only stay valid
+// until its next call. A writer; it panics on a non-empty DB and on a key
+// not above its predecessor.
 func (db *DB) Load(n int, at func(i int) (key, value []byte)) {
 	if db.mem.Load().n > 0 || len(*db.runs.Load()) > 0 {
 		panic("kvstore: Load into a non-empty DB")
 	}
 	var (
-		// The run being built.
-		entries    []entry
-		hashes     []uint64
-		keys, vals blocks[byte]
-		f          fill
-		prev       []byte // the last key, also across a cut
+		plan []loadSpan
+		sp   loadSpan
+		f    fill
+		prev []byte // a copy of the last key, also across a cut
 	)
-	cut := func() {
-		r := newRun(len(entries))
-		for i, e := range entries {
-			r.add(e, hashes[i])
-		}
-		db.pushRun(r)
-		entries, hashes = entries[:0], hashes[:0]
-		keys, vals, f = blocks[byte]{}, blocks[byte]{}, fill{}
-	}
 	for i := 0; i < n; i++ {
 		k, v := at(i)
 		if i > 0 && bytes.Compare(k, prev) <= 0 {
 			panic("kvstore: Load keys not strictly ascending")
 		}
-		prev = keys.copy(k)
-		entries = append(entries, entry{key: prev, value: vals.copy(v)})
-		hashes = append(hashes, hashKey(k))
+		prev = append(prev[:0], k...)
+		sp.keyBytes += len(k)
+		sp.valBytes += len(v)
 		f.addEntry(k, v)
-		if f.full(db.opts.MemtableBytes) {
-			cut()
+		if f.full(db.opts.MemtableBytes) || i == n-1 {
+			sp.hi = i + 1
+			plan = append(plan, sp)
+			sp, f = loadSpan{lo: i + 1}, fill{}
 		}
 	}
-	if len(entries) > 0 {
-		cut()
+	for _, sp := range plan {
+		db.pushRun(sp.build(at))
 	}
 	db.puts += uint64(n)
+}
+
+// loadSpan is one run Load plans: the input indexes [lo, hi) and the bytes
+// of their keys and of their values.
+type loadSpan struct{ lo, hi, keyBytes, valBytes int }
+
+// build returns the run of the span's entries, filter and index filled.
+func (sp loadSpan) build(at func(i int) (key, value []byte)) *run {
+	r := newRun(sp.hi - sp.lo)
+	keys, vals := make([]byte, sp.keyBytes), make([]byte, sp.valBytes)
+	for i := sp.lo; i < sp.hi; i++ {
+		k, v := at(i)
+		r.add(entry{key: carve(&keys, k), value: carve(&vals, v)}, hashKey(k))
+	}
+	return r
+}
+
+// carve copies src to the front of *buf and advances *buf past the copy. It
+// returns the copy, nil for an empty src, with its capacity equal to its
+// length, as blocks.copy does.
+func carve(buf *[]byte, src []byte) []byte {
+	if len(src) == 0 {
+		return nil
+	}
+	n := copy(*buf, src)
+	dst := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return dst
 }
 
 // compactLocked merges all runs into one (newest value wins). The merge
@@ -343,4 +368,19 @@ func AppendKey(dst []byte, i int) []byte {
 		i /= 10
 	}
 	return append(dst, buf[:]...)
+}
+
+// IncKey advances key, the canonical key Key(i) of an i below 10^16 − 1, to
+// Key(i+1) in place: a decimal increment with carry, where AppendKey divides
+// once per digit. It panics on 10^16 − 1, whose successor is wider than
+// KeyWidth.
+func IncKey(key []byte) {
+	for b := len(key) - 1; b >= 0; b-- {
+		if key[b] != '9' {
+			key[b]++
+			return
+		}
+		key[b] = '0'
+	}
+	panic("kvstore: IncKey past the widest canonical key")
 }

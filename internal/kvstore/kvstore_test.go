@@ -157,6 +157,29 @@ func TestKeyFormat(t *testing.T) {
 	}
 }
 
+// TestIncKey: incrementing Key(i) in place yields Key(i+1) across every
+// carry, from one digit to all sixteen, up to the widest canonical key,
+// past which it panics.
+func TestIncKey(t *testing.T) {
+	for _, r := range []struct{ from, to int }{
+		{0, 1}, {9, 10}, {999_999, 1_000_000}, {0, 2_000}, {9_999_999_999_999_998, 1e16 - 1},
+	} {
+		key := Key(r.from)
+		for i := r.from; i < r.to; i++ {
+			IncKey(key)
+			if want := Key(i + 1); !bytes.Equal(key, want) {
+				t.Fatalf("IncKey(Key(%d)) = %q, want %q", i, key, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("IncKey(Key(1e16 - 1)) did not panic")
+		}
+	}()
+	IncKey(Key(1e16 - 1))
+}
+
 // TestKeyAllocs guards the encoder satellite: AppendKey into a cap-sufficient
 // buffer must not allocate, and Key must allocate exactly its result slice.
 func TestKeyAllocs(t *testing.T) {

@@ -132,7 +132,9 @@ func TestLoadMatchesPuts(t *testing.T) {
 // TestLoadPanics: Load refuses a DB holding an entry, in its memtable or a
 // run, and keys that are not strictly ascending, also where the repeated
 // key is the last one of a run already cut (nine db_bench entries fill a
-// 1 KiB memtable).
+// 1 KiB memtable) or the bad key comes runs after the first cut. A refused
+// Load publishes nothing: the DB keeps the runs, memtable and counters it
+// had.
 func TestLoadPanics(t *testing.T) {
 	const memtable = 1 << 10
 	seq := func(ids ...int) func(i int) ([]byte, []byte) {
@@ -156,16 +158,30 @@ func TestLoadPanics(t *testing.T) {
 		{"descending", func(*DB) {}, []int{0, 2, 1}, "ascending"},
 		{"repeat-across-cut", func(*DB) {}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 8}, "ascending"},
 		{"below-across-cut", func(*DB) {}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 3}, "ascending"},
+		{"after-two-cuts", func(*DB) {}, append(ascending(20), 19), "ascending"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := Open(Options{MemtableBytes: memtable})
 			c.prep(db)
+			before, mem := db.Stats(), db.mem.Load()
 			defer func() {
 				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
 					t.Fatalf("recovered %v, want a panic naming %q", r, c.want)
+				}
+				if st := db.Stats(); st != before || db.mem.Load() != mem {
+					t.Fatalf("refused Load left %+v and a new memtable, want %+v and the old one", st, before)
 				}
 			}()
 			db.Load(len(c.ids), seq(c.ids...))
 		})
 	}
+}
+
+// ascending returns 0, 1, …, n−1.
+func ascending(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }

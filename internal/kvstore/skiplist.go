@@ -26,14 +26,16 @@
 // every layer is a value, and a read (Get, Scan) writes nothing. A bulk
 // load (DB.Load) bypasses the memtable: it builds the runs directly, cut
 // where the memtable would have frozen, so it leaves the DB the same Puts
-// and a Flush would.
+// and a Flush would. It checks its whole input before it publishes a run,
+// so input it refuses leaves the DB as it was.
 //
 // A memtable carves its nodes, value slots, key bytes and value bytes from
 // blocks it owns (blocks.go, LevelDB's Arena in miniature), so a Put that
 // does not freeze makes no heap allocation. A block lives as long as
 // anything points into it. A freeze hands the new run slices into the
 // memtable's key and value blocks; the node and slot blocks die with the
-// skiplist. A bulk load copies keys and values into each run's own blocks.
+// skiplist. A bulk load copies each run's keys into one buffer of their
+// exact size, and its values into another.
 // A compaction copies each key and its newest value into the merged run's
 // own blocks, so the blocks of the runs it replaces, dead overwritten values
 // and all, die with them. Dead space in a memtable is capped: it freezes

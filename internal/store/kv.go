@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/clof-go/clof/internal/kvstore"
 	"github.com/clof-go/clof/internal/lockapi"
@@ -185,31 +188,78 @@ func (s *KVSession) ShardStats(p lockapi.Proc) []kvstore.Stats {
 }
 
 // PreloadKV fills an empty store with keys sequential canonical keys of
-// db_bench's 100-byte value size and flushes (single-threaded). It formats
-// and routes each key once, then bulk-loads each shard under one hold of
-// its lock (kvstore.DB.Load), so the store it leaves is the one per-key Puts
+// db_bench's 100-byte value size and flushes, on min(GOMAXPROCS, shards)
+// workers. Each worker formats one contiguous range of the keys, advancing
+// each key from the last in place (kvstore.IncKey), and routes it into its
+// own per-shard list. Once every range is routed, the workers claim shards
+// one at a time and bulk-load each under its lock (kvstore.DB.Load), reading
+// the shard's lists in range order, so its keys arrive ascending. No shard
+// lock is taken by two workers, and every filter, index and copy is built
+// before PreloadKV returns. The store it leaves is the one per-key Puts
 // followed by Flush leave, with no memtable built on the way. Every key is
 // kvstore.KeyWidth bytes: a store of 10^16 keys does not fit in memory.
 func PreloadKV(kv *KV, keys int) {
 	r := kv.router
-	shardKeys := make([][]byte, r.Shards())
-	for i := range shardKeys {
-		shardKeys[i] = make([]byte, 0, (keys/r.Shards()+1)*kvstore.KeyWidth)
-	}
-	var key [kvstore.KeyWidth]byte
-	for i := 0; i < keys; i++ {
-		k := kvstore.AppendKey(key[:0], i)
-		sh := r.part.Shard(k)
-		shardKeys[sh] = append(shardKeys[sh], k...)
-	}
-	p := lockapi.NewNativeProc(0)
+	shards := r.Shards()
+	workers := min(runtime.GOMAXPROCS(0), shards)
+	// One session serves every worker: shard i's context is used only by
+	// the worker that claims shard i. It is made before any worker starts,
+	// because NewCtx registers the context with its lock.
 	s := r.NewSession()
+	// lists[w][i] holds, back to back, the keys of worker w's range that
+	// route to shard i.
+	lists := make([][][]byte, workers)
+	parallel(workers, func(w int) {
+		lo, hi := w*keys/workers, (w+1)*keys/workers
+		ls := make([][]byte, shards)
+		for i := range ls {
+			ls[i] = make([]byte, 0, ((hi-lo)/shards+1)*kvstore.KeyWidth)
+		}
+		var buf [kvstore.KeyWidth]byte
+		k := kvstore.AppendKey(buf[:0], lo)
+		for i := lo; i < hi; i++ {
+			if i > lo {
+				kvstore.IncKey(k)
+			}
+			sh := r.part.Shard(k)
+			ls[sh] = append(ls[sh], k...)
+		}
+		lists[w] = ls
+	})
 	val := make([]byte, 100)
-	for i, ks := range shardKeys {
-		s.ExclusiveAt(p, i, func(_ int, db *kvstore.DB) {
-			db.Load(len(ks)/kvstore.KeyWidth, func(j int) ([]byte, []byte) {
-				return ks[j*kvstore.KeyWidth : (j+1)*kvstore.KeyWidth], val
+	var next atomic.Int32
+	parallel(workers, func(int) {
+		p := lockapi.NewNativeProc(0)
+		for i := int(next.Add(1)) - 1; i < shards; i = int(next.Add(1)) - 1 {
+			segs := make([][]byte, workers) // shard i's lists, in range order
+			n := 0
+			for w, ls := range lists {
+				segs[w] = ls[i]
+				n += len(ls[i]) / kvstore.KeyWidth
+			}
+			s.ExclusiveAt(p, i, func(_ int, db *kvstore.DB) {
+				db.Load(n, func(j int) ([]byte, []byte) {
+					seg, off := 0, j*kvstore.KeyWidth
+					for len(segs[seg]) <= off {
+						off -= len(segs[seg])
+						seg++
+					}
+					return segs[seg][off : off+kvstore.KeyWidth], val
+				})
 			})
-		})
+		}
+	})
+}
+
+// parallel runs fn(0), …, fn(n−1) on n goroutines and waits for them all.
+func parallel(n int, fn func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
 	}
+	wg.Wait()
 }

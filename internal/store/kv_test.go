@@ -318,36 +318,47 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 }
 
 // TestPreloadMatchesPuts: PreloadKV leaves the store that per-key Puts and a
-// Flush leave, under hash and range partitioning: per-shard counters and
-// run counts (each shard freezes a dozen runs and compacts) and contents.
-// internal/kvstore's TestLoadMatchesPuts compares the runs entry by entry.
+// Flush leave, under hash and range partitioning, at every worker count it
+// picks on one to four CPUs: per-shard counters and run counts (each shard
+// freezes several runs and compacts) and contents. Every worker range starts
+// on a decimal carry (12,000 keys split at 3,000, 4,000, 6,000, 8,000 and
+// 9,000). internal/kvstore's TestLoadMatchesPuts compares the runs entry by
+// entry.
 func TestPreloadMatchesPuts(t *testing.T) {
-	const keys = 5000
-	for _, rangeKeys := range []int{0, keys} {
-		opts := KVOptions{
-			Shards: 3, RangeKeys: rangeKeys,
-			Shard: kvstore.Options{MemtableBytes: 16 << 10, MaxRuns: 4, Seed: 5},
-		}
-		loaded, put := OpenKV(opts), OpenKV(opts)
-		PreloadKV(loaded, keys)
-		ps := put.NewSession()
-		value := make([]byte, 100)
-		for i := 0; i < keys; i++ {
-			ps.Put(p0, kvstore.Key(i), value)
-		}
-		ps.Flush(p0)
-		ls := loaded.NewSession()
-		got, want := ls.ShardStats(p0), ps.ShardStats(p0)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("rangeKeys %d shard %d: stats %+v, want %+v", rangeKeys, i, got[i], want[i])
+	const keys = 12_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 3, 16} {
+			for _, rangeKeys := range []int{0, keys} {
+				opts := KVOptions{
+					Shards: shards, RangeKeys: rangeKeys,
+					NewLock: func(int) lockapi.Lock { return locks.NewMCS() },
+					Shard:   kvstore.Options{MemtableBytes: 16 << 10, MaxRuns: 4, Seed: 5},
+				}
+				name := fmt.Sprintf("procs %d shards %d rangeKeys %d", procs, shards, rangeKeys)
+				loaded, put := OpenKV(opts), OpenKV(opts)
+				PreloadKV(loaded, keys)
+				ps := put.NewSession()
+				value := make([]byte, 100)
+				for i := 0; i < keys; i++ {
+					ps.Put(p0, kvstore.Key(i), value)
+				}
+				ps.Flush(p0)
+				ls := loaded.NewSession()
+				got, want := ls.ShardStats(p0), ps.ShardStats(p0)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s shard %d: stats %+v, want %+v", name, i, got[i], want[i])
+					}
+					if want[i].Compactions == 0 {
+						t.Fatalf("%s shard %d: %+v, the test must compact", name, i, want[i])
+					}
+				}
+				if g, w := scanAll(ls), scanAll(ps); !slices.Equal(g, w) || len(w) != keys {
+					t.Fatalf("%s: scan has %d keys, want %d equal to the Puts'", name, len(g), len(w))
+				}
 			}
-			if want[i].Compactions == 0 {
-				t.Fatalf("rangeKeys %d shard %d: %+v, the test must compact", rangeKeys, i, want[i])
-			}
-		}
-		if g, w := scanAll(ls), scanAll(ps); !slices.Equal(g, w) || len(w) != keys {
-			t.Fatalf("rangeKeys %d: scan has %d keys, want %d equal to the Puts'", rangeKeys, len(g), len(w))
 		}
 	}
 }
@@ -355,7 +366,9 @@ func TestPreloadMatchesPuts(t *testing.T) {
 // BenchmarkPreloadKV times the set-up rung, OpenKV + PreloadKV, in the
 // per-shard shape of the ycsb-b benchmark's set-up at a quarter of its
 // scale: 62,500 sequential keys per seq:tkt-locked shard with 1 MiB
-// memtables, each shard loading seven runs.
+// memtables, each shard loading seven runs. PreloadKV runs on
+// min(GOMAXPROCS, 4) workers, so -cpu 1 times the single-worker load and a
+// higher -cpu adds the parallel speed-up.
 func BenchmarkPreloadKV(b *testing.B) {
 	const shards, keys = 4, 250_000
 	b.ReportAllocs()
