@@ -7,10 +7,10 @@ package coro
 // exiting coroutine skips the race runtime's goroutine-end hook (in go1.24,
 // runtime.coroexit destroys the goroutine without racegoend), which leaks
 // about 5.6 KB of race state per coroutine, and mcheck starts one coroutine
-// per checked thread per replayed prefix, hundreds of thousands in one
-// test. Both implementations hand control over strictly, so a schedule is
-// the same in either build, and the methods keep the contracts documented
-// in coro.go.
+// per checked thread on every fresh instance, which a search builds each
+// time it backtracks: up to a million instances in one test. Both
+// implementations hand control over strictly, so a schedule is the same in
+// either build, and the methods keep the contracts documented in coro.go.
 
 // Thread is a coroutine. Initialise it in place with Init.
 type Thread struct {

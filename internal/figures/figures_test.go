@@ -341,8 +341,31 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestVerificationTableQuick checks every row clof-verify -quick prints: the
+// verdict, and the state and execution counts the checker has always
+// produced for it, so a change to the search that moves any row shows here.
 func TestVerificationTableQuick(t *testing.T) {
+	want := map[string][2]int{ // program: {states, executions}
+		"base tkt 3x1":                 {724, 1138},
+		"base tkt 2x2 wmm":             {517, 829},
+		"base mcs 3x1":                 {5166, 8602},
+		"base mcs 2x2 wmm":             {24163, 52319},
+		"base clh 3x1":                 {608, 1135},
+		"base clh 2x2 wmm":             {1221, 2599},
+		"base hem 3x1":                 {4543, 9121},
+		"base hem 2x2 wmm":             {20883, 42103},
+		"base qspin 3x1":               {69343, 93634},
+		"induction tkt-tkt":            {2945, 5629},
+		"induction tkt-tkt wmm":        {4445, 10137},
+		"extension tas-fastpath":       {32949, 61111},
+		"NEGATIVE release-order bug":   {23760, 36557},
+		"NEGATIVE relaxed release wmm": {75, 100},
+		"tso forgives relaxed release": {885, 1493},
+	}
 	rows := VerificationTable(quick)
+	if len(rows) != len(want) {
+		t.Errorf("%d rows, want %d", len(rows), len(want))
+	}
 	for _, r := range rows {
 		negative := strings.HasPrefix(r.Program, "NEGATIVE")
 		if negative && r.Result.OK {
@@ -350,6 +373,9 @@ func TestVerificationTableQuick(t *testing.T) {
 		}
 		if !negative && !r.Result.OK {
 			t.Errorf("%s: %s", r.Program, r.Result.Violation)
+		}
+		if got := [2]int{r.Result.States, r.Result.Executions}; got != want[r.Program] {
+			t.Errorf("%s: states/executions %v, want %v", r.Program, got, want[r.Program])
 		}
 	}
 }

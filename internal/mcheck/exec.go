@@ -1,6 +1,8 @@
 package mcheck
 
 import (
+	"slices"
+
 	"github.com/clof-go/clof/internal/coro"
 	"github.com/clof-go/clof/internal/lockapi"
 )
@@ -163,7 +165,7 @@ func mix(h uint64, vs ...uint64) uint64 {
 	return h
 }
 
-// exec is one replayed program instance.
+// exec is one program instance: replayed to a prefix, then stepped by apply.
 type exec struct {
 	mode    Mode
 	threads []*Proc
@@ -191,8 +193,9 @@ type exec struct {
 	lastFoot    footprint
 }
 
-// newExec instantiates the program; no thread runs until replay. Callers
-// defer shutdown, which also covers a body that panics during the replay.
+// newExec instantiates the program; no thread runs until replay. Only
+// live.moveTo calls it, and the live instance's owner defers shutdown, which
+// also covers a body that panics during the replay.
 func newExec(prog Program, cfg Config) *exec {
 	bodies := prog.Make()
 	ex := &exec{
@@ -420,34 +423,62 @@ func (ex *exec) fingerprint() fingerprint {
 	return fp
 }
 
-// replayState is what the explorers need after replaying a prefix.
-type replayState struct {
-	violation string
-	enabled   []Choice
-	allDone   bool
-	fp        fingerprint
-	readFinal func(c *lockapi.Cell) uint64
+// live is a search's one running program instance and the schedule it has
+// executed. moveTo is the only way a search reaches a state, verdict the only
+// way it ends a schedule. Check and CheckGuided defer shutdown, so a body
+// that panics in any step leaves no thread behind.
+type live struct {
+	prog Program
+	cfg  Config
+	ex   *exec
+	held []Choice
 }
 
-// state captures the explorers' view of the instance after a replay.
-func (ex *exec) state() replayState {
-	if ex.violation != "" {
-		return replayState{violation: ex.violation}
+// moveTo brings the instance to the state after prefix and returns it. A
+// prefix that extends the held schedule by one choice costs one apply; any
+// other (a backtrack, or an instance that stopped at a violation) shuts the
+// instance down and replays prefix on a fresh one. Both reach the same
+// state: bodies are deterministic, and cell registration order is a
+// function of the prefix.
+func (l *live) moveTo(prefix []Choice) *exec {
+	n := len(l.held)
+	if l.ex != nil && l.ex.violation == "" && len(prefix) == n+1 && slices.Equal(prefix[:n], l.held) {
+		l.ex.apply(prefix[n])
+	} else {
+		l.shutdown()
+		l.ex = newExec(l.prog, l.cfg)
+		l.ex.replay(prefix)
 	}
-	return replayState{
-		enabled:   ex.enabledChoices(),
-		allDone:   ex.allDone(),
-		fp:        ex.fingerprint(),
-		readFinal: func(cl *lockapi.Cell) uint64 { return ex.cell(cl).value },
+	l.held = append(l.held[:0], prefix...)
+	return l.ex
+}
+
+// shutdown stops the instance's threads, if there is an instance.
+func (l *live) shutdown() {
+	if l.ex != nil {
+		l.ex.shutdown()
 	}
 }
 
-// replay executes the schedule prefix on a fresh instance.
-func (c *checker) replay(prefix []Choice) replayState {
-	ex := newExec(c.prog, c.cfg)
-	defer ex.shutdown()
-	ex.replay(prefix)
-	return ex.state()
+// verdict judges the held state given its enabled transitions: a monitor
+// violation, or, once nothing is enabled, a Final failure at quiescence or a
+// deadlock. end reports that the schedule stops here; violation is "" when
+// it stops cleanly or goes on.
+func (l *live) verdict(enabled []Choice) (violation string, end bool) {
+	ex := l.ex
+	switch {
+	case ex.violation != "":
+		return ex.violation, true
+	case len(enabled) > 0:
+		return "", false
+	case !ex.allDone():
+		return "deadlock (threads blocked with no enabled transition)", true
+	case l.prog.Final != nil:
+		if msg := l.prog.Final(func(c *lockapi.Cell) uint64 { return ex.cell(c).value }); msg != "" {
+			return "final state: " + msg, true
+		}
+	}
+	return "", true
 }
 
 // ---- Proc: lockapi.Proc implementation ----

@@ -234,11 +234,16 @@ func TestFenceFlushes(t *testing.T) {
 	}
 }
 
-// TestBodyPanicReachesCaller runs programs whose thread body panics, once
-// while newExec primes the threads (thread 1, before its first operation,
-// with thread 0 already suspended and thread 2 not yet started) and once
-// mid-replay (thread 0 after three operations). The panic value must reach
-// Check's caller, and every thread of every replay must be gone afterwards.
+// TestBodyPanicReachesCaller runs programs whose thread body panics: once
+// while the first instance primes its threads (thread 1, before its first
+// operation, with thread 0 already suspended and thread 2 not yet started),
+// once mid-schedule (thread 0 after three operations), and once only after
+// a backtrack (thread 1 when it wins the race for a shared cell: a
+// depth-first search first hands its live instance down the branch where
+// thread 0 wins, so the panic fires in a replayed sibling). Each program runs
+// under the exhaustive search (SC and WMM), the reduced one (WMM+POR) and a
+// guided run that takes the last enabled choice. The panic value must reach
+// the caller, and every thread of every instance must be gone afterwards.
 func TestBodyPanicReachesCaller(t *testing.T) {
 	adder := func(n int) func(p *Proc) {
 		return func(p *Proc) {
@@ -248,6 +253,8 @@ func TestBodyPanicReachesCaller(t *testing.T) {
 			}
 		}
 	}
+	var shared lockapi.Cell
+	lastEnabled := func(_ int, enabled []Choice) Choice { return enabled[len(enabled)-1] }
 	for _, tc := range []struct {
 		name   string
 		bodies []func(p *Proc)
@@ -258,25 +265,41 @@ func TestBodyPanicReachesCaller(t *testing.T) {
 			adder(3)(p)
 			panic("boom mid-replay")
 		}, adder(2)}, "boom mid-replay"},
+		{"after-backtrack", []func(p *Proc){
+			func(p *Proc) { p.Add(&shared, 1, lockapi.SeqCst) },
+			func(p *Proc) {
+				if p.Add(&shared, 1, lockapi.SeqCst) == 1 {
+					panic("boom after backtrack")
+				}
+			},
+		}, "boom after backtrack"},
 	} {
-		for _, cfg := range []Config{{Mode: SC}, {Mode: WMM, POR: true}} {
-			t.Run(tc.name+"/"+cfg.Mode.String(), func(t *testing.T) {
+		for _, run := range []struct {
+			name string
+			run  func(Program)
+		}{
+			{"sc", func(prog Program) { Check(prog, Config{Mode: SC}) }},
+			{"wmm", func(prog Program) { Check(prog, Config{Mode: WMM, POR: true}) }},
+			{"wmm-exhaustive", func(prog Program) { Check(prog, Config{Mode: WMM}) }},
+			{"guided", func(prog Program) { CheckGuided(prog, Config{Mode: SC}, lastEnabled) }},
+		} {
+			t.Run(tc.name+"/"+run.name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				prog := Program{Name: tc.name, Make: func() []func(p *Proc) { return tc.bodies }}
 				got := func() (r any) {
 					defer func() { r = recover() }()
-					Check(prog, cfg)
+					run.run(prog)
 					return nil
 				}()
 				if got != tc.want {
-					t.Fatalf("Check panicked with %v, want %q", got, tc.want)
+					t.Fatalf("search panicked with %v, want %q", got, tc.want)
 				}
 				deadline := time.Now().Add(2 * time.Second)
 				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
 				}
 				if n := runtime.NumGoroutine(); n > before {
-					t.Errorf("%d goroutines after Check, %d before: checked threads leaked", n, before)
+					t.Errorf("%d goroutines after the search, %d before: checked threads leaked", n, before)
 				}
 			})
 		}

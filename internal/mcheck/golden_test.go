@@ -65,3 +65,31 @@ func TestCheckGolden(t *testing.T) {
 func check(prog Program, cfg Config) func() Result {
 	return func() Result { return Check(prog, cfg) }
 }
+
+// BenchmarkCheck is the checker rung: whole searches taken from the golden
+// matrix (exhaustive TSO, reduced SC) and the CLoF induction step under WMM,
+// each well under a second. states/op and execs/op are the search's
+// deterministic counts; ns/op is the host time of one search.
+func BenchmarkCheck(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		prog Program
+		cfg  Config
+	}{
+		{"mcs/2x1/TSO", LockProgram("mcs", 2, 1, lk("mcs")), Config{Mode: TSO}},
+		{"mcs/2x1/SC/POR", LockProgram("mcs", 2, 1, lk("mcs")), Config{Mode: SC, POR: true}},
+		{"induction/tkt-tkt/WMM", InductionProgram(1, false, "tkt", "tkt"), Config{Mode: WMM}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var res Result
+			for i := 0; i < b.N; i++ {
+				res = Check(bc.prog, bc.cfg)
+			}
+			if !res.OK {
+				b.Fatal(res.Violation)
+			}
+			b.ReportMetric(float64(res.States), "states/op")
+			b.ReportMetric(float64(res.Executions), "execs/op")
+		})
+	}
+}

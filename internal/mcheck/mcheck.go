@@ -9,10 +9,12 @@
 //
 // # Exploration
 //
-// The checker performs stateless depth-first search over schedules: each
-// schedule prefix is replayed on a fresh program instance, and every
+// The checker performs stateless depth-first search over schedules: every
 // enabled choice (run a thread's next shared-memory operation, or flush one
-// store-buffer entry) forks the search. Two reductions keep this tractable:
+// store-buffer entry) forks the search. A search keeps one live program
+// instance: it reaches a node's first child by applying one choice to it, and
+// replays the child's whole prefix on a fresh instance only when it
+// backtracks to a later sibling. Two reductions keep this tractable:
 //
 //   - Await collapsing: a Spin() after a memory operation turns the spin
 //     loop into an await — the thread is disabled until the watched cell is
@@ -107,8 +109,8 @@ type Config struct {
 	// backtrack-set computation) — witnesses may differ between the two
 	// searches. The reduction pays off on SC compositions (independent
 	// per-level lock cells commute); under TSO/WMM the stateless search
-	// must pay one replay per Mazurkiewicz trace, which for queue locks
-	// can exceed the deduped exhaustive search's replay count — verdicts
+	// must execute every Mazurkiewicz trace, which for queue locks can
+	// exceed the deduped exhaustive search's execution count — verdicts
 	// stay identical, wall time may not improve. Ignored (exhaustive
 	// fallback) when StaleLoads is active, whose mid-operation forks the
 	// footprint protocol does not cover.
@@ -124,7 +126,9 @@ type Result struct {
 	Violation string
 	// Witness is the schedule prefix leading to the violation.
 	Witness []Choice
-	// Executions is the number of replays performed.
+	// Executions counts the schedule prefixes executed: one per search node
+	// visited, whether reached by one step or by a replay (1 for
+	// CheckGuided, which executes one schedule).
 	Executions int
 	// States is the number of distinct states explored.
 	States int
@@ -171,26 +175,35 @@ type Program struct {
 	Final func(read func(c *lockapi.Cell) uint64) string
 }
 
-// Check explores prog under cfg.
-func Check(prog Program, cfg Config) Result {
+// withDefaults fills in the budgets every entry point shares.
+func (cfg Config) withDefaults() Config {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 4000
 	}
 	if cfg.MaxStates == 0 {
 		cfg.MaxStates = 2_000_000
 	}
-	if cfg.POR && !(cfg.StaleLoads && cfg.Mode == WMM) {
-		return checkPOR(prog, cfg)
+	return cfg
+}
+
+// Check explores prog under cfg.
+func Check(prog Program, cfg Config) Result {
+	c := &checker{live: live{prog: prog, cfg: cfg.withDefaults()}, seen: make(map[fingerprint]struct{})}
+	defer c.shutdown()
+	reduced := cfg.POR && !(cfg.StaleLoads && cfg.Mode == WMM)
+	if reduced {
+		(&porChecker{checker: c}).explore(nil)
+	} else {
+		c.explore(nil)
 	}
-	c := &checker{prog: prog, cfg: cfg, visited: make(map[fingerprint]struct{})}
-	c.explore(nil)
 	res := Result{
 		Violation:    c.violation,
 		Witness:      c.witness,
 		Executions:   c.execs,
-		States:       len(c.visited),
+		States:       len(c.seen),
 		MaxDepthSeen: c.maxDepth,
 		Truncated:    c.truncated,
+		Reduced:      reduced,
 	}
 	res.OK = res.Violation == "" && !res.Truncated
 	return res
@@ -214,45 +227,24 @@ func Check(prog Program, cfg Config) Result {
 // bypass/exclusion/deadlock machinery, so a guided conviction is exactly as
 // trustworthy as an explored one — it just does not claim exhaustiveness.
 func CheckGuided(prog Program, cfg Config, pick func(step int, enabled []Choice) Choice) Result {
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 4000
-	}
-	ex := newExec(prog, cfg)
-	defer ex.shutdown()
-	ex.replay(nil) // prime every thread
-	res := Result{Executions: 1}
+	l := &live{prog: prog, cfg: cfg.withDefaults()}
+	defer l.shutdown()
 	var schedule []Choice
 	for {
-		if ex.violation != "" {
-			res.Violation = ex.violation
-			res.Witness = schedule
-			return res
-		}
-		if ex.allDone() {
-			if prog.Final != nil {
-				if msg := prog.Final(func(cl *lockapi.Cell) uint64 { return ex.cell(cl).value }); msg != "" {
-					res.Violation = "final state: " + msg
-					res.Witness = schedule
-					return res
-				}
+		enabled := l.moveTo(schedule).enabledChoices()
+		res := Result{Executions: 1, MaxDepthSeen: len(schedule)}
+		if msg, end := l.verdict(enabled); end {
+			res.OK, res.Violation = msg == "", msg
+			if msg != "" {
+				res.Witness = schedule
 			}
-			res.OK = true
 			return res
 		}
-		enabled := ex.enabledChoices()
-		if len(enabled) == 0 {
-			res.Violation = "deadlock (threads blocked with no enabled transition)"
-			res.Witness = schedule
-			return res
-		}
-		if len(schedule) >= cfg.MaxDepth {
+		if len(schedule) >= l.cfg.MaxDepth {
 			res.Truncated = true
 			return res
 		}
-		ch := pick(len(schedule), enabled)
-		ex.apply(ch)
-		schedule = append(schedule, ch)
-		res.MaxDepthSeen = len(schedule)
+		schedule = append(schedule, pick(len(schedule), enabled))
 	}
 }
 
@@ -290,10 +282,11 @@ func RoundRobin() func(step int, enabled []Choice) Choice {
 
 type fingerprint [2]uint64
 
+// checker holds what both searches share: the live instance, the distinct
+// states seen, the counters Result reports, and the first violation.
 type checker struct {
-	prog      Program
-	cfg       Config
-	visited   map[fingerprint]struct{}
+	live
+	seen      map[fingerprint]struct{}
 	execs     int
 	maxDepth  int
 	violation string
@@ -301,48 +294,55 @@ type checker struct {
 	truncated bool
 }
 
+// visit moves the live instance to the search node prefix and counts the
+// node. It returns the instance and its enabled choices, or a nil instance
+// when the schedule ends there, having recorded any violation.
+func (c *checker) visit(prefix []Choice) (*exec, []Choice) {
+	c.execs++
+	c.maxDepth = max(c.maxDepth, len(prefix))
+	ex := c.moveTo(prefix)
+	enabled := ex.enabledChoices()
+	if msg, end := c.verdict(enabled); end {
+		if msg != "" {
+			c.fail(msg, prefix)
+		}
+		return nil, nil
+	}
+	return ex, enabled
+}
+
+// record adds fp to the states seen and reports whether it is new. A new
+// state beyond MaxStates truncates the search.
+func (c *checker) record(fp fingerprint) bool {
+	if _, ok := c.seen[fp]; ok {
+		return false
+	}
+	c.seen[fp] = struct{}{}
+	c.truncated = len(c.seen) > c.cfg.MaxStates
+	return true
+}
+
+// fail records the violation and the schedule that reached it.
+func (c *checker) fail(msg string, prefix []Choice) {
+	c.violation = msg
+	c.witness = append([]Choice(nil), prefix...)
+}
+
+// explore is the exhaustive search: depth-first over every enabled choice,
+// pruning states whose fingerprint it has seen.
 func (c *checker) explore(prefix []Choice) {
 	if c.violation != "" || c.truncated {
 		return
 	}
-	c.execs++
-	if len(prefix) > c.maxDepth {
-		c.maxDepth = len(prefix)
-	}
-	st := c.replay(prefix)
-	if st.violation != "" {
-		c.violation = st.violation
-		c.witness = append([]Choice(nil), prefix...)
-		return
-	}
-	if len(st.enabled) == 0 {
-		if st.allDone {
-			if c.prog.Final != nil {
-				if msg := c.prog.Final(st.readFinal); msg != "" {
-					c.violation = "final state: " + msg
-					c.witness = append([]Choice(nil), prefix...)
-				}
-			}
-			return
-		}
-		c.violation = "deadlock (threads blocked with no enabled transition)"
-		c.witness = append([]Choice(nil), prefix...)
-		return
-	}
-	if _, seen := c.visited[st.fp]; seen {
-		return
-	}
-	c.visited[st.fp] = struct{}{}
-	if len(c.visited) > c.cfg.MaxStates {
-		c.truncated = true
+	ex, enabled := c.visit(prefix)
+	if ex == nil || !c.record(ex.fingerprint()) || c.truncated {
 		return
 	}
 	if len(prefix) >= c.cfg.MaxDepth {
-		c.violation = "depth limit exceeded (potential non-termination)"
-		c.witness = append([]Choice(nil), prefix...)
+		c.fail("depth limit exceeded (potential non-termination)", prefix)
 		return
 	}
-	for _, ch := range st.enabled {
+	for _, ch := range enabled {
 		c.explore(append(prefix, ch))
 		if c.violation != "" || c.truncated {
 			return

@@ -14,18 +14,18 @@ package mcheck
 // (a failed CAS is announced as a write; a drain names every buffered
 // entry), which costs reduction but never soundness.
 //
-// The explorer replays prefixes statelessly like the exhaustive search, but
-// maintains, per stack node, the F&G backtrack set (seeded with one enabled
-// transition, grown by conflict analysis at every descendant state) and a
-// sleep set (transitions already explored by a sibling whose independence
-// from the taken edge proves re-exploring them here redundant). Per-event
-// happens-before sets are bitsets over schedule indices: hb(j) is the union
-// of hb(i) for every earlier dependent i, plus j itself. A pending
-// transition's causal past is anchored at its thread's latest executed
-// operation (or the issuing store, for a buffered flush); the conflict scan
-// walks the trace backwards for the latest dependent event outside that
-// past and marks the pending transition's process for back-tracking at the
-// state before it.
+// The explorer reaches its nodes through the live instance, statelessly
+// like the exhaustive search, but maintains, per stack node, the F&G
+// backtrack set (seeded with one enabled transition, grown by conflict
+// analysis at every descendant state) and a sleep set (transitions already
+// explored by a sibling whose independence from the taken edge proves
+// re-exploring them here redundant). Per-event happens-before sets are
+// bitsets over schedule indices: hb(j) is the union of hb(i) for every
+// earlier dependent i, plus j itself. A pending transition's causal past is
+// anchored at its thread's latest executed operation (or the issuing store,
+// for a buffered flush); the conflict scan walks the trace backwards for
+// the latest dependent event outside that past and marks the pending
+// transition's process for back-tracking at the state before it.
 //
 // State-fingerprint deduplication is incompatible with DPOR — pruning a
 // revisited state would hide the conflicts that seed ancestor backtrack
@@ -90,15 +90,6 @@ func copyFoot(f footprint) footprint {
 	return f
 }
 
-// porState is what the reduced explorer needs after replaying a prefix:
-// the exhaustive explorer's view plus the footprints backtracking needs.
-type porState struct {
-	replayState
-	keys     []ckey
-	pendings []pendInfo
-	lastFoot footprint
-}
-
 // traceEv is one executed transition of the current schedule prefix.
 type traceEv struct {
 	foot footprint
@@ -132,59 +123,27 @@ func (n *porNode) addBacktrack(k ckey, ch Choice) {
 
 // porChecker is the reduced-search driver.
 type porChecker struct {
-	prog      Program
-	cfg       Config
-	seen      map[fingerprint]struct{}
-	execs     int
-	maxDepth  int
-	violation string
-	witness   []Choice
-	truncated bool
-
+	*checker
 	prefix []Choice
 	stack  []*porNode
 	trace  []traceEv
 }
 
-// checkPOR explores prog with dynamic partial-order reduction.
-func checkPOR(prog Program, cfg Config) Result {
-	c := &porChecker{prog: prog, cfg: cfg, seen: make(map[fingerprint]struct{})}
-	c.explore(nil)
-	res := Result{
-		Violation:    c.violation,
-		Witness:      c.witness,
-		Executions:   c.execs,
-		States:       len(c.seen),
-		MaxDepthSeen: c.maxDepth,
-		Truncated:    c.truncated,
-		Reduced:      true,
-	}
-	res.OK = res.Violation == "" && !res.Truncated
-	return res
-}
-
-// replay executes the current prefix on a fresh instance and captures the
-// reduced explorer's view of the resulting state.
-func (c *porChecker) replay() porState {
-	ex := newExec(c.prog, c.cfg)
-	defer ex.shutdown()
-	ex.replay(c.prefix)
-	st := porState{replayState: ex.state()}
-	if st.violation != "" {
-		return st
-	}
-	st.lastFoot = copyFoot(ex.lastFoot)
-	for _, ch := range st.enabled {
+// porView lists, at the state ex holds, the process key of each enabled
+// transition and every pending transition with its footprint and causal
+// anchor. Footprints are copied: the instance reuses their backing.
+func porView(ex *exec, enabled []Choice) (keys []ckey, pendings []pendInfo) {
+	for _, ch := range enabled {
 		if ch.Flush >= 0 {
 			e := ex.threads[ch.TID].buffer[ch.Flush]
-			st.keys = append(st.keys, ckey{tid: ch.TID, flush: e.opIdx + 1})
+			keys = append(keys, ckey{tid: ch.TID, flush: e.opIdx + 1})
 		} else {
-			st.keys = append(st.keys, ckey{tid: ch.TID, stale: ch.Stale})
+			keys = append(keys, ckey{tid: ch.TID, stale: ch.Stale})
 		}
 	}
 	for t, p := range ex.threads {
 		if !p.done {
-			st.pendings = append(st.pendings, pendInfo{
+			pendings = append(pendings, pendInfo{
 				key:   ckey{tid: t},
 				foot:  copyFoot(p.pend.foot),
 				hbRef: ex.lastStepIdx[t],
@@ -192,14 +151,14 @@ func (c *porChecker) replay() porState {
 		}
 		for i := range p.buffer {
 			e := &p.buffer[i]
-			st.pendings = append(st.pendings, pendInfo{
+			pendings = append(pendings, pendInfo{
 				key:   ckey{tid: t, flush: e.opIdx + 1},
 				foot:  footprint{tid: t, isFlush: true, cells: []fpCell{{e.cell.idx, true}}},
 				hbRef: e.issueIdx,
 			})
 		}
 	}
-	return st
+	return keys, pendings
 }
 
 func bitGet(b []uint64, i int) bool { return i/64 < len(b) && b[i/64]&(1<<uint(i%64)) != 0 }
@@ -212,32 +171,23 @@ func bitOr(dst, src []uint64) {
 	}
 }
 
-func (c *porChecker) fail(msg string) {
-	c.violation = msg
-	c.witness = append([]Choice(nil), c.prefix...)
-}
-
-// explore replays the current prefix, extends the trace, computes backtrack
-// points for every pending transition, and recursively explores the
-// backtrack set (which descendants may still grow). sleepCand is the
-// parent's sleep set plus previously explored siblings; it is filtered
-// against the just-executed edge before becoming this node's sleep set.
+// explore moves the live instance to the current prefix, extends the
+// trace, computes backtrack points for every pending transition, and
+// recursively explores the backtrack set (which descendants may still
+// grow). sleepCand is the parent's sleep set plus previously explored
+// siblings; it is filtered against the just-executed edge before becoming
+// this node's sleep set.
 func (c *porChecker) explore(sleepCand map[ckey]footprint) {
 	if c.violation != "" || c.truncated {
 		return
 	}
-	c.execs++
-	if len(c.prefix) > c.maxDepth {
-		c.maxDepth = len(c.prefix)
-	}
-	st := c.replay()
-	if st.violation != "" {
-		c.fail(st.violation)
+	ex, enabled := c.visit(c.prefix)
+	if ex == nil {
 		return
 	}
 	sleep := make(map[ckey]footprint)
 	if n := len(c.prefix); n > 0 {
-		ev := traceEv{foot: st.lastFoot, hb: make([]uint64, (n+63)/64)}
+		ev := traceEv{foot: copyFoot(ex.lastFoot), hb: make([]uint64, (n+63)/64)}
 		bitSet(ev.hb, n-1)
 		for i := 0; i < n-1; i++ {
 			f := c.trace[i].foot
@@ -254,42 +204,28 @@ func (c *porChecker) explore(sleepCand map[ckey]footprint) {
 			}
 		}
 	}
-	if st.allDone {
-		if c.prog.Final != nil {
-			if msg := c.prog.Final(st.readFinal); msg != "" {
-				c.fail("final state: " + msg)
-			}
-		}
+	c.record(ex.fingerprint()) // counted for States; DPOR never prunes
+	if c.truncated {
 		return
-	}
-	if len(st.enabled) == 0 {
-		c.fail("deadlock (threads blocked with no enabled transition)")
-		return
-	}
-	if _, ok := c.seen[st.fp]; !ok {
-		c.seen[st.fp] = struct{}{}
-		if len(c.seen) > c.cfg.MaxStates {
-			c.truncated = true
-			return
-		}
 	}
 	if len(c.prefix) >= c.cfg.MaxDepth {
-		c.fail("depth limit exceeded (potential non-termination)")
+		c.fail("depth limit exceeded (potential non-termination)", c.prefix)
 		return
 	}
-	for i := range st.pendings {
-		c.addBacktracks(&st.pendings[i])
+	keys, pendings := porView(ex, enabled)
+	for i := range pendings {
+		c.addBacktracks(&pendings[i])
 	}
 	node := &porNode{
-		enabled:  st.enabled,
-		keys:     st.keys,
+		enabled:  enabled,
+		keys:     keys,
 		inB:      make(map[ckey]bool),
 		done:     make(map[ckey]bool),
 		sleep:    sleep,
 		expl:     make(map[ckey]footprint),
-		pendFoot: make(map[ckey]footprint, len(st.pendings)),
+		pendFoot: make(map[ckey]footprint, len(pendings)),
 	}
-	for _, pi := range st.pendings {
+	for _, pi := range pendings {
 		node.pendFoot[pi.key] = pi.foot
 	}
 	c.stack = append(c.stack, node)

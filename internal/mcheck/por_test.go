@@ -37,9 +37,9 @@ func porPair(t *testing.T, name string, prog Program, cfg Config) (exh, por Resu
 // TestPORMatchesExhaustiveBasics runs the base-step lock set under both
 // searches across all three memory models. The SC legs run 2 iterations;
 // the store-buffer legs run 1: without fingerprint dedup the reduced
-// search must pay one replay per Mazurkiewicz trace, and flush
-// interleavings multiply traces far beyond the deduped state count for
-// queue locks (MCS at 2x2 TSO needs minutes of replays for a 1.1x state
+// search must execute every Mazurkiewicz trace, and flush interleavings
+// multiply traces far beyond the deduped state count for queue locks
+// (MCS at 2x2 TSO needs minutes of executions for a 1.1x state
 // win), so POR on store-buffer models is verified for equivalence, not
 // advertised as a speedup — see the Config.POR doc.
 func TestPORMatchesExhaustiveBasics(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // depends on the lock's release barrier, so a lock with a wrongly relaxed
 // release fails the final-count check even when raw mutual exclusion holds.
 //
-// The mkLock factory is invoked once per replay, so every exploration path
+// The mkLock factory is invoked once per program instance, so every replay
 // starts from a pristine lock.
 func LockProgram(name string, threads, iters int, mkLock func() lockapi.Lock) Program {
 	counter := struct{ c *lockapi.Cell }{}

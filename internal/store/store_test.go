@@ -1,6 +1,8 @@
 package store
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/clof-go/clof/internal/kvstore"
@@ -147,5 +149,47 @@ func BenchmarkExclusive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key = kvstore.AppendKey(key[:0], i*7919%1_000_000)
 		s.Exclusive(p0, key, func(int, struct{}) {})
+	}
+}
+
+// BenchmarkOptimistic times the optimistic-read rung, the path most ycsb-b
+// requests take: the route of a canonical key plus Session.OptimisticAt with
+// an empty read, on BenchmarkExclusive's 16-shard seq:tkt router, from every
+// goroutine of b.RunParallel at once. hot-key sends every read to one key's
+// shard; spread sends each goroutine's reads over every shard. Each
+// goroutine takes its own Session and NativeProc by an atomic index: both
+// are made before the parallel section, because NewSession registers lock
+// contexts and so must run single-threaded.
+func BenchmarkOptimistic(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		key  func(id, i int) int
+	}{
+		{"hot-key", func(int, int) int { return 0 }},
+		{"spread", func(id, i int) int { return (id*104729 + i*7919) % 1_000_000 }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := NewRouter(NewPartitioner(16, 0),
+				func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+				func(int) struct{} { return struct{}{} })
+			workers := runtime.GOMAXPROCS(0) // RunParallel's goroutine count
+			sessions := make([]*Session[struct{}], workers)
+			procs := make([]*lockapi.NativeProc, workers)
+			for id := range sessions {
+				sessions[id], procs[id] = r.NewSession(), lockapi.NewNativeProc(id)
+			}
+			var next atomic.Int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				id := int(next.Add(1)) - 1
+				s, p := sessions[id], procs[id]
+				key := make([]byte, 0, kvstore.KeyWidth)
+				for i := 0; pb.Next(); i++ {
+					key = kvstore.AppendKey(key[:0], bc.key(id, i))
+					s.OptimisticAt(p, r.part.Shard(key), func(int, struct{}) {})
+				}
+			})
+		})
 	}
 }
