@@ -21,14 +21,21 @@
 //     setup-only surfaces) is flagged.
 //
 // Plain writes inside those setup functions are exempt for the sync/atomic
-// family too: constructors initialize before publication. Intentional
-// exceptions carry //lint:atomic <verb> <reason> waivers.
+// family too: constructors initialize before publication.
+//
+// Files that run on memsim and under mcheck (memsimFiles) may not import
+// sync/atomic at all: a host atomic there is shared-memory traffic that the
+// simulator does not charge and the checker cannot see. Their shared state
+// lives in lockapi.Cells accessed through the Proc.
+//
+// Intentional exceptions carry //lint:atomic <verb> <reason> waivers.
 package atomicdiscipline
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 
 	"github.com/clof-go/clof/internal/analysis"
@@ -48,6 +55,24 @@ func isSetupFunc(name string) bool {
 		strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Init") ||
 		strings.HasPrefix(name, "Reset") || strings.HasPrefix(name, "Setup") ||
 		strings.HasPrefix(name, "new") || strings.HasPrefix(name, "setup")
+}
+
+// memsimFiles lists, as module-relative paths, the files that run on memsim
+// and under mcheck. A file matches when its import path plus base name ends
+// in "/" + entry.
+var memsimFiles = []string{
+	"internal/store/store.go",
+}
+
+// onMemsim reports whether file (of package pkgPath) is in memsimFiles.
+func onMemsim(pkgPath, file string) bool {
+	p := pkgPath + "/" + filepath.Base(file)
+	for _, f := range memsimFiles {
+		if strings.HasSuffix(p, "/"+f) {
+			return true
+		}
+	}
+	return false
 }
 
 type access struct {
@@ -73,6 +98,15 @@ func run(pass *analysis.Pass) {
 	initUses := map[*types.Var][]access{}   // Cell.Init outside setup
 
 	for _, f := range pass.Pkg.Syntax {
+		if file := pass.Fset.Position(f.Pos()).Filename; onMemsim(pass.Pkg.PkgPath, file) {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"sync/atomic"` {
+					pass.Reportf(imp.Pos(),
+						"%s runs on memsim and under mcheck, which cannot see host atomics: keep shared state in lockapi.Cells accessed through the Proc",
+						shortName(file))
+				}
+			}
+		}
 		for _, d := range f.Decls {
 			fd, isFunc := d.(*ast.FuncDecl)
 			fnName := ""

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFlagged(t *testing.T) {
-	atest.Run(t, Analyzer, "mixed", "cellinit")
+	atest.Run(t, Analyzer, "mixed", "cellinit", "internal/store")
 }
 
 func TestClean(t *testing.T) {

@@ -10,7 +10,7 @@
 // whether the snapshot is consistent. A failed validation means a writer
 // overlapped and every value read since ReadSeq may be torn; callers discard
 // and retry, falling back to the pessimistic path after repeated failures
-// (internal/store implements that fallback with a per-shard adaptive bound).
+// (internal/store retries up to a fixed 8 attempts, then falls back once).
 //
 // The wrapper composes with the whole catalog: `seq:tkt` is a Ticketlock
 // with an optimistic read path, `seq:clof:tkt-tkt-tkt-tkt` a CLoF

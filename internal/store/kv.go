@@ -15,8 +15,7 @@ import (
 // runs: when the shard lock offers a seqlock read path (the catalog's seq:
 // family) they run kvstore's Get/Scan with no lock held, bracketed by
 // ReadSeq/ReadValidate, retry on version bump, and fall back to the
-// pessimistic shard lock after the shard's adaptive attempt budget is
-// exhausted (DESIGN.md S33). Without a seqlock they are shared-mode when the
+// pessimistic shard lock once 8 attempts have failed (DESIGN.md S33). Without a seqlock they are shared-mode when the
 // shard lock allows it — the LSM's read paths write nothing. Put and Flush
 // always take the exclusive path.
 
@@ -58,7 +57,8 @@ func OpenKV(opts KVOptions) *KV {
 // Shards returns the shard count.
 func (kv *KV) Shards() int { return kv.router.Shards() }
 
-// OCCStats returns the per-shard optimistic-read counters (index = shard).
+// OCCStats returns the per-shard optimistic-read counters (index = shard),
+// summed over every session; call it only when no session is running.
 func (kv *KV) OCCStats() []OCCShardStats { return kv.router.OCCStats() }
 
 // KVSession is a per-worker handle carrying the router's lock contexts.
@@ -76,7 +76,7 @@ func (s *KVSession) Put(p lockapi.Proc, key, value []byte) {
 }
 
 // Get fetches a key from its shard: optimistically when the shard lock is a
-// lockapi.SeqReader (validated unlocked read, adaptive retry, pessimistic
+// lockapi.SeqReader (validated unlocked read, up to 8 attempts, pessimistic
 // fallback), in shared mode otherwise. Every attempt overwrites v and ok, so
 // an attempt that validation discards cannot leak. Get performs zero heap
 // allocations.

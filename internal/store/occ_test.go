@@ -316,13 +316,14 @@ func (l *scriptedSeq) ReadValidate(lockapi.Proc, uint64) bool {
 	return ok
 }
 
-// TestOCCAdaptiveBudgetScripted pins the optimistic-read loop that Get,
-// Scan and the simulated serving driver share (Session.OptimisticAt) on a
+// TestOCCFixedBudgetScripted pins the optimistic-read loop that Get, Scan
+// and the simulated serving driver share (Session.OptimisticAt) on a
 // scripted seqlock: reads return only the validated attempt's data (or the
-// locked fallback's), OCCStats counts every attempt, failure and fallback,
-// and the budget K starts at 4, halves per fallback down to 1, regains one
-// attempt per 64 consecutive first-try successes and caps at 8.
-func TestOCCAdaptiveBudgetScripted(t *testing.T) {
+// locked fallback's), every read gets 8 attempts before it falls back to
+// the lock once — the read after a fallback included — and OCCStats sums
+// every session's attempts, failures and fallbacks.
+func TestOCCFixedBudgetScripted(t *testing.T) {
+	const attempts = 8 // the budget every read gets
 	for _, cfg := range []struct {
 		name      string
 		rangeKeys int
@@ -334,12 +335,11 @@ func TestOCCAdaptiveBudgetScripted(t *testing.T) {
 				NewLock:   func(int) lockapi.Lock { return lk },
 			})
 			db := kv.router.shards[0]
-			s := kv.NewSession()
-			k1, k2, k3 := kvstore.Key(1), kvstore.Key(2), kvstore.Key(3)
+			s1, s2 := kv.NewSession(), kv.NewSession()
+			k1, k2 := kvstore.Key(1), kvstore.Key(2)
 			db.Put(k1, []byte("old"))
 
 			var want OCCShardStats
-			want.K = occKStart
 			wantAcquires := 0
 			// step runs one read under a script of validation verdicts
 			// (each failure playing the writer onFail), then checks the
@@ -369,7 +369,7 @@ func TestOCCAdaptiveBudgetScripted(t *testing.T) {
 						name, lk.reads, lk.acquires, want.Optimistic, wantAcquires)
 				}
 			}
-			get := func(key []byte, wantV string, wantOK bool) func() {
+			get := func(s *KVSession, key []byte, wantV string, wantOK bool) func() {
 				return func() {
 					t.Helper()
 					v, ok := s.Get(p0, key)
@@ -378,7 +378,7 @@ func TestOCCAdaptiveBudgetScripted(t *testing.T) {
 					}
 				}
 			}
-			scan := func(wantKV ...string) func() {
+			scan := func(s *KVSession, wantKV ...string) func() {
 				return func() {
 					t.Helper()
 					var got []string
@@ -391,55 +391,49 @@ func TestOCCAdaptiveBudgetScripted(t *testing.T) {
 					}
 				}
 			}
-			kv1 := func(v string) string { return string(k1) + "=" + v }
+			kvs := func(k []byte, v string) string { return string(k) + "=" + v }
 			put := func(k []byte, v string) func() { return func() { db.Put(k, []byte(v)) } }
-
-			// A retried read serves the attempt that validated.
-			step("get retry", []bool{false, true}, put(k1, "new"), get(k1, "new", true))
-			step("get retry miss", []bool{false, true}, put(k1, "newer"), get(k2, "", false))
-			// Exhausting K=4 falls back to the lock and halves K.
-			db.Put(k1, []byte("v0"))
 			n := 0
 			bump := func() { n++; db.Put(k1, []byte(fmt.Sprint("v", n))) }
-			want.K = 2
-			step("get fallback", []bool{false, false, false, false}, bump, get(k1, "v4", true))
-			// A fallen-back scan returns the locked read, each key once.
-			want.K = 1
-			extra := [][]byte{k2, k3}
-			step("scan fallback", []bool{false, false},
-				func() { db.Put(extra[0], []byte("x")); extra = extra[1:] },
-				scan(kv1("v4"), string(k2)+"=x", string(k3)+"=x"))
-			// K stays at its floor of 1.
-			step("scan fallback at floor", []bool{false},
-				put(k2, "y"), scan(kv1("v4"), string(k2)+"=y", string(k3)+"=x"))
+			// fails returns a script of f failed verdicts, then a success
+			// when ok is set.
+			fails := func(f int, ok bool) []bool {
+				script := make([]bool, f, f+1)
+				if ok {
+					script = append(script, true)
+				}
+				return script
+			}
 
-			clean := func(name string, reads int) {
-				t.Helper()
-				for i := 0; i < reads; i++ {
-					if i%2 == 0 {
-						step(name, []bool{true}, nil, get(k1, "v4", true))
-					} else {
-						step(name, []bool{true}, nil, scan(kv1("v4"), string(k2)+"=y", string(k3)+"=x"))
-					}
+			// A retried read serves the attempt that validated.
+			step("get retry", fails(1, true), put(k1, "new"), get(s1, k1, "new", true))
+			step("get retry miss", fails(1, true), put(k1, "newer"), get(s1, k2, "", false))
+			step("scan retry", fails(2, true), put(k2, "x"), scan(s1, kvs(k1, "newer"), kvs(k2, "x")))
+			// Eight failed validations fall back to the lock once.
+			step("get fallback", fails(attempts, false), bump, get(s1, k1, fmt.Sprint("v", attempts), true))
+			// The read after a fallback again gets eight attempts: no state
+			// carries over from one read to the next.
+			step("get after fallback", fails(attempts-1, true), bump, get(s1, k1, fmt.Sprint("v", 2*attempts-1), true))
+			step("fallback after fallback", fails(attempts, false), bump, get(s1, k1, fmt.Sprint("v", 3*attempts-1), true))
+			// A fallen-back scan returns the locked read, each key once:
+			// every failed attempt puts one more key.
+			added := 0
+			grow := func() { added++; db.Put(kvstore.Key(2+added), []byte("y")) }
+			wantScan := []string{kvs(k1, fmt.Sprint("v", n)), kvs(k2, "x")}
+			for i := 1; i <= attempts; i++ {
+				wantScan = append(wantScan, kvs(kvstore.Key(2+i), "y"))
+			}
+			step("scan fallback", fails(attempts, false), grow, scan(s1, wantScan...))
+			// A second session's reads add to the same shard's counters.
+			step("second session retry", fails(1, true), put(k2, "z"), get(s2, k2, "z", true))
+			wantScan[1] = kvs(k2, "z")
+			step("second session clean scan", fails(0, true), nil, scan(s2, wantScan...))
+			step("second session fallback", fails(attempts, false), bump, get(s2, k1, fmt.Sprint("v", n+attempts), true))
+			for i, s := range []*KVSession{s1, s2} {
+				if s.s.occ[0] == (OCCShardStats{}) {
+					t.Fatalf("session %d counted no reads", i+1)
 				}
 			}
-			// 63 first-try successes earn nothing; the 64th grows K to 2.
-			clean("clean at floor", occGrowAfter-1)
-			want.K = 2
-			clean("64th clean read", 1)
-			// A retried success restarts the streak.
-			clean("clean streak", occGrowAfter-1)
-			step("retried success", []bool{false, true}, nil, get(k1, "v4", true))
-			clean("restarted streak", occGrowAfter-1)
-			want.K = 3
-			clean("restarted streak completes", 1)
-			// Growth stops at the cap of 8.
-			for k := 4; k <= occKMax; k++ {
-				clean("grow", occGrowAfter-1)
-				want.K = k
-				clean("grow step", 1)
-			}
-			clean("at cap", occGrowAfter)
 		})
 	}
 }

@@ -30,7 +30,6 @@ package store
 import (
 	"bytes"
 	"sort"
-	"sync/atomic"
 
 	"github.com/clof-go/clof/internal/kvstore"
 	"github.com/clof-go/clof/internal/lockapi"
@@ -109,60 +108,14 @@ func NewPartitioner(shards, rangeKeys int) Partitioner {
 	return RangePartitioner{bounds: bounds}
 }
 
-// Adaptive optimistic-read bounds (DESIGN.md S33): each shard starts with
-// occKStart validation attempts per read, halves on every pessimistic
-// fallback, and earns one attempt back after occGrowAfter consecutive
-// first-try successes — so write-hot shards degrade to (cheap) pessimistic
-// reads quickly while read-mostly shards keep the full optimistic budget.
-const (
-	occKStart    = 4
-	occKMin      = 1
-	occKMax      = 8
-	occGrowAfter = 64
-)
-
-// occShard is one shard's optimistic-read state: the adaptive attempt
-// budget plus the counters the obs layer attributes per shard. All fields
-// are atomics — the fast path must stay allocation- and lock-free, and the
-// budget adaptation is an intentionally racy heuristic (a lost update costs
-// one adjustment, never correctness).
-type occShard struct {
-	k          atomic.Int32  // current attempt budget, in [occKMin, occKMax]
-	clean      atomic.Uint32 // consecutive first-attempt successes
-	optimistic atomic.Uint64 // optimistic attempts started
-	vfails     atomic.Uint64 // failed validations (retries)
-	fallbacks  atomic.Uint64 // reads that fell back to the shard lock
-}
-
-// noteSuccess records a validated read that took `attempt` retries before
-// succeeding, growing the budget after a clean streak.
-func (st *occShard) noteSuccess(attempt int) {
-	if attempt != 0 {
-		st.clean.Store(0)
-		return
-	}
-	if st.clean.Add(1) >= occGrowAfter {
-		st.clean.Store(0)
-		if k := st.k.Load(); k < occKMax {
-			st.k.Store(k + 1)
-		}
-	}
-}
-
-// noteFallback records an exhausted optimistic budget and halves it.
-func (st *occShard) noteFallback() {
-	st.fallbacks.Add(1)
-	st.clean.Store(0)
-	if nk := st.k.Load() / 2; nk >= occKMin {
-		st.k.Store(nk)
-	} else {
-		st.k.Store(occKMin)
-	}
-}
+// occAttempts bounds an optimistic read (DESIGN.md S33): up to occAttempts
+// validated attempts, then one SharedAt. The bound is a constant, so a read
+// keeps no state between calls and writes nothing shared on any substrate.
+const occAttempts = 8
 
 // OCCShardStats is one shard's optimistic-read accounting, as exposed to
 // the obs layer and the kv experiment (retry/validation-failure metrics per
-// shard).
+// shard). Each session counts its own reads; Router.OCCStats sums them.
 type OCCShardStats struct {
 	// Optimistic counts optimistic read attempts (including retries).
 	Optimistic uint64
@@ -170,8 +123,6 @@ type OCCShardStats struct {
 	ValidationFailures uint64
 	// Fallbacks counts reads that exhausted the budget and took the lock.
 	Fallbacks uint64
-	// K is the shard's current adaptive attempt budget.
-	K int
 }
 
 // Router partitions a keyspace across shards of payload type S, guarding
@@ -183,7 +134,7 @@ type Router[S any] struct {
 	rws    []lockapi.RWLocker  // non-nil where locks[i] supports shared mode
 	seqs   []lockapi.SeqReader // non-nil where locks[i] supports optimistic reads
 	obs    []lockapi.Observer  // non-nil where Observe attached one
-	occ    []occShard
+	sess   []*Session[S]       // every session, for OCCStats
 	shards []S
 }
 
@@ -199,7 +150,6 @@ func NewRouter[S any](part Partitioner, newLock func(shard int) lockapi.Lock, ne
 		rws:    make([]lockapi.RWLocker, n),
 		seqs:   make([]lockapi.SeqReader, n),
 		obs:    make([]lockapi.Observer, n),
-		occ:    make([]occShard, n),
 		shards: make([]S, n),
 	}
 	for i := 0; i < n; i++ {
@@ -213,22 +163,21 @@ func NewRouter[S any](part Partitioner, newLock func(shard int) lockapi.Lock, ne
 		r.locks[i] = l
 		r.rws[i], _ = l.(lockapi.RWLocker)
 		r.seqs[i], _ = l.(lockapi.SeqReader)
-		r.occ[i].k.Store(occKStart)
 		r.shards[i] = newShard(i)
 	}
 	return r
 }
 
-// OCCStats returns every shard's optimistic-read counters (index = shard).
+// OCCStats returns every shard's optimistic-read counters (index = shard),
+// summed over the router's sessions. The counters are plain session fields,
+// so read them only at quiescence, when no session is running.
 func (r *Router[S]) OCCStats() []OCCShardStats {
-	out := make([]OCCShardStats, len(r.occ))
-	for i := range r.occ {
-		st := &r.occ[i]
-		out[i] = OCCShardStats{
-			Optimistic:         st.optimistic.Load(),
-			ValidationFailures: st.vfails.Load(),
-			Fallbacks:          st.fallbacks.Load(),
-			K:                  int(st.k.Load()),
+	out := make([]OCCShardStats, len(r.shards))
+	for _, s := range r.sess {
+		for i, st := range s.occ {
+			out[i].Optimistic += st.Optimistic
+			out[i].ValidationFailures += st.ValidationFailures
+			out[i].Fallbacks += st.Fallbacks
 		}
 	}
 	return out
@@ -272,21 +221,25 @@ func (r *Router[S]) Span(start, end []byte) (first, last int) {
 	})
 }
 
-// Session is a per-worker router handle carrying one lock context per
-// shard. Lock contexts are registered with their lock, so it must only be
+// Session is a per-worker router handle carrying one lock context and one
+// set of optimistic-read counters per shard. Lock contexts are registered
+// with their lock and the session with its router, so it must only be
 // created during single-threaded setup.
 type Session[S any] struct {
 	r    *Router[S]
 	ctxs []lockapi.Ctx
+	occ  []OCCShardStats
 }
 
-// NewSession allocates a worker session.
+// NewSession allocates a worker session and registers it with the router.
 func (r *Router[S]) NewSession() *Session[S] {
 	ctxs := make([]lockapi.Ctx, len(r.locks))
 	for i, l := range r.locks {
 		ctxs[i] = l.NewCtx()
 	}
-	return &Session[S]{r: r, ctxs: ctxs}
+	s := &Session[S]{r: r, ctxs: ctxs, occ: make([]OCCShardStats, len(r.locks))}
+	r.sess = append(r.sess, s)
+	return s
 }
 
 // Exclusive routes key to its shard and runs fn on the payload under the
@@ -331,7 +284,7 @@ func (s *Session[S]) SharedAt(p lockapi.Proc, i int, fn func(shard int, data S))
 // OptimisticAt runs fn against shard i's payload on the optimistic read
 // path: no lock is taken; instead the read is bracketed by the shard
 // seqlock's ReadSeq/ReadValidate and retried on validation failure, up to
-// the shard's adaptive attempt budget, after which it degrades to SharedAt.
+// occAttempts attempts, after which it degrades to SharedAt once.
 // The return value reports whether a validated optimistic attempt served
 // the read (false means the pessimistic fallback ran). This is the store's
 // only optimistic-read loop: KVSession.Get and Scan read through it natively,
@@ -350,19 +303,17 @@ func (s *Session[S]) OptimisticAt(p lockapi.Proc, i int, fn func(shard int, data
 		s.SharedAt(p, i, fn)
 		return false
 	}
-	st := &r.occ[i]
-	k := int(st.k.Load())
-	for a := 0; a < k; a++ {
-		st.optimistic.Add(1)
+	st := &s.occ[i]
+	for range occAttempts {
+		st.Optimistic++
 		seq := sq.ReadSeq(p)
 		fn(i, r.shards[i])
 		if sq.ReadValidate(p, seq) {
-			st.noteSuccess(a)
 			return true
 		}
-		st.vfails.Add(1)
+		st.ValidationFailures++
 	}
-	st.noteFallback()
+	st.Fallbacks++
 	s.SharedAt(p, i, fn)
 	return false
 }

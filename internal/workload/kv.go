@@ -12,9 +12,11 @@ import (
 
 // This file drives the sharded serving engine's router (internal/store,
 // DESIGN.md S32/S33) on the simulator. Routing, the request generator, shard
-// locking and the optimistic-read path with its adaptive retry budget are
-// the store's own code: writes run through Session.ExclusiveAt, reads and
-// scan visits through Session.OptimisticAt. Only the shard payload is
+// locking and the optimistic-read path with its fixed retry budget are the
+// store's own code: writes run through Session.ExclusiveAt, reads and scan
+// visits through Session.OptimisticAt, whose counters are plain fields of
+// each thread's session, so the simulated read path makes no memory access
+// memsim does not charge. Only the shard payload is
 // simulated — a four-cell record per shard, with the engine's work charged
 // as calibrated think time like the LevelDB/Kyoto presets. Everything
 // derives from KVConfig.Seed, so the kv figures are byte-reproducible where
@@ -92,8 +94,9 @@ type KVResult struct {
 	// SharedPerShard counts the shared-mode subset of PerShard (0 for locks
 	// without a shared path).
 	SharedPerShard []uint64
-	// OCC is the router's per-shard optimistic-read accounting
-	// (store.Router.OCCStats; all zero for locks without a seqlock path).
+	// OCC is the router's per-shard optimistic-read accounting, summed over
+	// the serving threads' sessions once the run ends (store.Router.OCCStats;
+	// all zero for locks without a seqlock path).
 	OCC []store.OCCShardStats
 	// Reads / Updates / RMWs / Scans split completed iterations by kind.
 	Reads, Updates, RMWs, Scans uint64
