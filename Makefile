@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint doccheck check figures figures-quick bench bench-kv
+.PHONY: build test lint doccheck check figures figures-quick bench bench-check bench-kv
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,14 @@ figures-quick:
 # one is missing from BENCH_rungs.txt.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 300ms ./... > BENCH_rungs.txt
+
+# The deterministic columns of the benchmark record: reruns the memsim
+# BenchmarkMachine* rungs (simops/op) and the checker's BenchmarkCheck
+# (states/op, execs/op) once each and compares those columns exactly
+# against the committed BENCH_rungs.txt; no host-time column is compared
+# (see scripts/bench-check.sh). scripts/check.sh step 15 runs it.
+bench-check:
+	bash scripts/bench-check.sh
 
 # Scripted-benchmark artifact for the sharded serving workload: every CLoF
 # composition as the per-shard lock, read-mostly mix, recorded point by

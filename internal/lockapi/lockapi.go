@@ -65,9 +65,9 @@ func (o Order) String() string {
 
 // Cell is a 64-bit shared atomic slot. The zero value is a Cell holding 0.
 //
-// Backends that need per-cell metadata (the simulator's cache-line state,
-// the model checker's variable identity) key it off the Cell's address, so a
-// Cell must not be copied after first use.
+// The simulator keeps its cache-line state in the cell's line slot
+// (LineSlot) and the model checker keys its variable identity by the
+// Cell's address, so a Cell must not be copied after first use.
 //
 // By default every Cell occupies its own simulated cache line. Colocate
 // groups cells onto one line, mirroring how a C implementation lays out
@@ -79,13 +79,10 @@ func (o Order) String() string {
 type Cell struct {
 	_ noCopy
 	v atomic.Uint64
-	// line, when non-nil, is the shared cache-line token for colocated
-	// cells (set by Colocate during single-threaded setup).
-	line *LineTag
+	// line is the slot of the cell's cache line: shared by the cells
+	// Colocate grouped, allocated for a lone cell by its first LineSlot.
+	line *any
 }
-
-// LineTag identifies a simulated cache line shared by colocated cells.
-type LineTag struct{ _ byte }
 
 // Raw returns the underlying atomic word. It is intended for backends and
 // tests; lock algorithms must go through a Proc.
@@ -94,13 +91,14 @@ func (c *Cell) Raw() *atomic.Uint64 { return &c.v }
 // Init sets the cell's value during single-threaded setup.
 func (c *Cell) Init(v uint64) { c.v.Store(v) }
 
-// LineKey returns the identity backends should key cache-line state on:
-// the shared tag for colocated cells, the cell itself otherwise.
-func (c *Cell) LineKey() any {
-	if c.line != nil {
-		return c.line
+// LineSlot returns the opaque slot of the cell's simulated cache line, in
+// which the simulator keeps its state for the line during a run: colocated
+// cells share one slot, and a lone cell gets its own on the first call.
+func (c *Cell) LineSlot() *any {
+	if c.line == nil {
+		c.line = new(any)
 	}
-	return c
+	return c.line
 }
 
 // Colocate places the given cells on one simulated cache line (struct-field
@@ -110,12 +108,12 @@ func Colocate(cells ...*Cell) {
 	if len(cells) == 0 {
 		return
 	}
-	tag := cells[0].line
-	if tag == nil {
-		tag = &LineTag{}
+	slot := cells[0].line
+	if slot == nil {
+		slot = new(any)
 	}
 	for _, c := range cells {
-		c.line = tag
+		c.line = slot
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOrderString(t *testing.T) {
@@ -123,23 +124,44 @@ func TestFairHelper(t *testing.T) {
 
 func TestColocate(t *testing.T) {
 	var a, b, c, d Cell
-	if a.LineKey() != &a {
-		t.Error("uncolocated cell must key on itself")
+	if a.LineSlot() != a.LineSlot() {
+		t.Error("a lone cell's slot must be stable")
 	}
+	if a.LineSlot() == b.LineSlot() {
+		t.Error("two lone cells must not share a slot")
+	}
+	lone := a.LineSlot()
 	Colocate(&a, &b)
-	if a.LineKey() != b.LineKey() {
-		t.Error("colocated cells must share a line key")
+	if a.LineSlot() != b.LineSlot() {
+		t.Error("colocated cells must share a slot")
 	}
-	if a.LineKey() == &a {
-		t.Error("colocated cell must not key on itself")
+	if a.LineSlot() != lone {
+		t.Error("the first colocated cell must keep its own line")
 	}
-	// Joining an existing group keeps one shared tag.
+	// Joining an existing group keeps one shared slot.
 	Colocate(&a, &c)
-	if c.LineKey() != b.LineKey() {
-		t.Error("joining a group must adopt its tag")
+	if c.LineSlot() != b.LineSlot() {
+		t.Error("joining a group must adopt its slot")
 	}
-	if d.LineKey() == a.LineKey() {
+	if d.LineSlot() == a.LineSlot() {
 		t.Error("independent cell joined a group")
 	}
 	Colocate() // no-op, must not panic
+}
+
+// A Cell stays one word plus one line pointer, and native use allocates
+// no line: only LineSlot and Colocate do.
+func TestCellLayout(t *testing.T) {
+	var c Cell
+	if got := unsafe.Sizeof(c); got != 16 {
+		t.Errorf("Cell is %d bytes, want 16", got)
+	}
+	p := NewNativeProc(0)
+	p.Store(&c, 1, Release)
+	p.Add(&c, 1, AcqRel)
+	p.CAS(&c, 2, 3, SeqCst)
+	p.Swap(&c, 4, SeqCst)
+	if p.Load(&c, Acquire) != 4 || c.line != nil {
+		t.Error("native operations must leave the cell without a line slot")
+	}
 }

@@ -87,10 +87,15 @@ func (m *Machine) Run(horizon int64) Result {
 
 // shutdown terminates all live virtual CPUs: each suspended in waitTurn is
 // unwound from there. Finished threads and threads that never ran stop
-// without executing anything.
+// without executing anything. Then, once no thread can touch a cell, it
+// empties the slot of every line the run created, so no coherence state
+// outlives the run and the next run on the same cells starts cold.
 func (m *Machine) shutdown() {
 	for _, p := range m.threads {
 		p.co.Stop()
+	}
+	for _, ln := range m.lines {
+		*ln.slot = nil
 	}
 }
 

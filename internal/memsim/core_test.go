@@ -14,6 +14,9 @@ import (
 // and requires every virtual CPU's coroutine to be gone afterwards: the
 // parked and queued ones unwound by shutdown, the finished ones exited. On
 // the panic path the workload's panic value must still reach Run's caller.
+// No line state may outlive the run either: every line slot the run filled
+// is empty again, so the next run on the same cells (the two locks are
+// shared by the cases) starts cold.
 func TestShutdownReleasesCoroutines(t *testing.T) {
 	const n = 8
 	tkt, mcs := locks.MustType("tkt").New(), locks.MustType("mcs").New()
@@ -77,6 +80,19 @@ func TestShutdownReleasesCoroutines(t *testing.T) {
 			}
 			if tc.deadlock && len(res.ParkedCPUs) != n {
 				t.Errorf("ParkedCPUs = %v, want all %d threads", res.ParkedCPUs, n)
+			}
+			if len(m.lines) == 0 {
+				t.Error("the run created no line")
+			}
+			for i, ln := range m.lines {
+				if *ln.slot != nil {
+					t.Errorf("line %d still hangs off its slot after Run", i)
+				}
+			}
+			for _, c := range []*lockapi.Cell{&shared, &flag} {
+				if *c.LineSlot() != nil {
+					t.Error("a touched cell still carries line state after Run")
+				}
 			}
 			deadline := time.Now().Add(2 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

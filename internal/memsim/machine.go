@@ -142,11 +142,11 @@ type TraceEvent struct {
 	Time int64
 	// CPU is the issuing virtual CPU.
 	CPU int
-	// Op is the operation kind: "load", "store", "cas", "cas!", "add",
-	// "swap", "spin", "work", "park", "wake", "preempt" ("cas!" = failed
-	// compare).
+	// Op is the operation kind: "load", "store", "add", "swap", "cas",
+	// "cas!" (a failed compare) or "preempt". Spin hints, local work, parks
+	// and wake-ups emit no event.
 	Op string
-	// Cell is the accessed cell (nil for spin/work).
+	// Cell is the accessed cell (nil for preempt, which touches none).
 	Cell *lockapi.Cell
 	// Value is the value read/written (CAS: the new value on success).
 	Value uint64
@@ -197,7 +197,11 @@ func (s *cpuSet) count() int { return s.n }
 
 // line is the coherence state of one simulated cache line (one Cell or one
 // Colocate group), all of it kept here, as a directory keeps it per line.
+// It hangs off the line's lockapi slot for the length of one Run, so every
+// cell of the line reaches it in one step; Run's shutdown clears the slot.
 type line struct {
+	// slot is the lockapi line slot this state hangs off.
+	slot *any
 	// owner is the CPU of the last writer, or -1.
 	owner int
 	// sharers holds CPUs with a shared copy since the last write: the
@@ -246,12 +250,8 @@ type Machine struct {
 	jitter divisor
 	speeds []float64
 	trace  func(ev TraceEvent)
-	// lines resolves a Cell's LineKey (the Colocate tag or the cell
-	// itself) to coherence state; cellLine is the pointer-keyed cache in
-	// front of it, so the steady-state per-op lookup hashes a *Cell
-	// directly instead of an interface key.
-	lines    map[any]*line
-	cellLine map[*lockapi.Cell]*line
+	// lines holds every line this run created, in creation order.
+	lines []*line
 	// cohorts[cpu][l] is topo's CohortOf(cpu, l) for every level below
 	// System, precomputed so shareLevel compares instead of dividing.
 	cohorts [][topo.System]int32
@@ -290,17 +290,15 @@ func New(cfg Config) *Machine {
 		jitter = newDivisor(uint64(cfg.JitterNS) + 1)
 	}
 	m := &Machine{
-		topo:     cfg.Machine,
-		lat:      DefaultLatency(cfg.Machine.Arch),
-		arch:     cfg.Machine.Arch,
-		ncpu:     ncpu,
-		rng:      xrand.New(cfg.Seed ^ 0xC10F),
-		jitter:   jitter,
-		speeds:   cfg.CPUSpeed,
-		trace:    cfg.Trace,
-		lines:    make(map[any]*line),
-		cellLine: make(map[*lockapi.Cell]*line),
-		cohorts:  cohorts,
+		topo:    cfg.Machine,
+		lat:     DefaultLatency(cfg.Machine.Arch),
+		arch:    cfg.Machine.Arch,
+		ncpu:    ncpu,
+		rng:     xrand.New(cfg.Seed ^ 0xC10F),
+		jitter:  jitter,
+		speeds:  cfg.CPUSpeed,
+		trace:   cfg.Trace,
+		cohorts: cohorts,
 	}
 	m.spawned.init(ncpu)
 	return m
@@ -320,23 +318,18 @@ func (m *Machine) shareLevel(a, b int) topo.Level {
 // Now returns the current virtual time in nanoseconds.
 func (m *Machine) Now() int64 { return m.now }
 
-// lineOf returns (creating on demand) the coherence state for a cell's
-// cache line (colocated cells share one line, see lockapi.Colocate). The
-// per-cell pointer cache makes the steady-state lookup a single
-// pointer-keyed map access; the interface-keyed map is only consulted the
-// first time each cell is touched.
+// lineOf returns the coherence state of a cell's cache line (colocated
+// cells share one, see lockapi.Colocate), creating it on the run's first
+// touch of the line.
 func (m *Machine) lineOf(c *lockapi.Cell) *line {
-	if ln, ok := m.cellLine[c]; ok {
+	slot := c.LineSlot()
+	if ln, ok := (*slot).(*line); ok {
 		return ln
 	}
-	key := c.LineKey()
-	ln := m.lines[key]
-	if ln == nil {
-		ln = &line{owner: -1}
-		ln.sharers.init(m.ncpu)
-		ln.valid.init(m.ncpu)
-		m.lines[key] = ln
-	}
-	m.cellLine[c] = ln
+	ln := &line{slot: slot, owner: -1}
+	ln.sharers.init(m.ncpu)
+	ln.valid.init(m.ncpu)
+	*slot = ln
+	m.lines = append(m.lines, ln)
 	return ln
 }

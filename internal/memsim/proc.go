@@ -23,12 +23,6 @@ type Proc struct {
 	// shutdown stops it.
 	co coro.Thread
 
-	// lastCell / lastLine short-circuit the machine's cell→line map for
-	// the dominant access pattern, a thread re-touching the cell it just
-	// touched (spin loops, data-cell walks).
-	lastCell *lockapi.Cell
-	lastLine *line
-
 	// lastPollLine / spunSincePoll detect spin loops: a cached re-read of
 	// the same unchanged line with a Spin() hint in between parks the
 	// thread. The Spin() requirement distinguishes genuine spin loops from
@@ -110,17 +104,6 @@ func (p *Proc) park(ln *line) {
 	// The waker forwarded fresh data; do not immediately re-park on it.
 	p.spunSincePoll = false
 	p.justWoke = true
-}
-
-// lineOf resolves a cell to its coherence line through the per-thread
-// one-entry cache, falling back to the machine's maps.
-func (p *Proc) lineOf(c *lockapi.Cell) *line {
-	if p.lastCell == c {
-		return p.lastLine
-	}
-	ln := p.m.lineOf(c)
-	p.lastCell, p.lastLine = c, ln
-	return ln
 }
 
 // transferCost is the cost of pulling a line from its current owner.
@@ -239,7 +222,7 @@ func (p *Proc) markWrite(ln *line) {
 
 // Load implements lockapi.Proc.
 func (p *Proc) Load(c *lockapi.Cell, _ lockapi.Order) uint64 {
-	ln := p.lineOf(c)
+	ln := p.m.lineOf(c)
 	p.endStorm()
 	for {
 		if ln.valid.has(p.cpu) {
@@ -278,7 +261,7 @@ func (p *Proc) Load(c *lockapi.Cell, _ lockapi.Order) uint64 {
 
 // Store implements lockapi.Proc.
 func (p *Proc) Store(c *lockapi.Cell, v uint64, _ lockapi.Order) {
-	ln := p.lineOf(c)
+	ln := p.m.lineOf(c)
 	p.endStorm()
 	valid := ln.valid.has(p.cpu)
 	cost := p.m.lat.Hit
@@ -327,7 +310,7 @@ func (p *Proc) rmwCost(ln *line) int64 {
 // that absence of sharers is the CTR benefit). On Armv8 every Add is a real
 // LL/SC pair, so the loop stays live and feeds the retry storm.
 func (p *Proc) Add(c *lockapi.Cell, delta uint64, _ lockapi.Order) uint64 {
-	ln := p.lineOf(c)
+	ln := p.m.lineOf(c)
 	for {
 		if delta == 0 && p.m.lat.LLSCRetry == 0 &&
 			ln.valid.has(p.cpu) && ln.owner == p.cpu {
@@ -367,7 +350,7 @@ func (p *Proc) Add(c *lockapi.Cell, delta uint64, _ lockapi.Order) uint64 {
 
 // Swap implements lockapi.Proc (returns the old value).
 func (p *Proc) Swap(c *lockapi.Cell, v uint64, _ lockapi.Order) uint64 {
-	ln := p.lineOf(c)
+	ln := p.m.lineOf(c)
 	cost := p.rmwCost(ln)
 	p.noteRMW(ln)
 	p.lastPollLine = nil
@@ -382,7 +365,7 @@ func (p *Proc) Swap(c *lockapi.Cell, v uint64, _ lockapi.Order) uint64 {
 // the RMW cost (the LL happened) but does not modify it: the caller's copy
 // becomes current without joining the sharers.
 func (p *Proc) CAS(c *lockapi.Cell, old, new uint64, _ lockapi.Order) bool {
-	ln := p.lineOf(c)
+	ln := p.m.lineOf(c)
 	cost := p.rmwCost(ln)
 	p.noteRMW(ln)
 	p.lastPollLine = nil

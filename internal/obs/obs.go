@@ -219,7 +219,8 @@ func (c *Collector) Released(p lockapi.Proc) {
 }
 
 // TraceFunc returns a memsim.Config.Trace callback that feeds the per-cell
-// traffic counters. Events without a cell (spin, work, park...) are ignored.
+// traffic counters. Events without a cell (preempt, the only one) are
+// ignored.
 func (c *Collector) TraceFunc() func(memsim.TraceEvent) {
 	return func(ev memsim.TraceEvent) {
 		if ev.Cell == nil {
