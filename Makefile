@@ -40,8 +40,9 @@ figures-quick:
 
 # Every benchmark rung in the module, in Go's standard benchmark format (one
 # row per rung; benchstat reads it), recorded into the committed
-# BENCH_rungs.txt. The memsim rungs report simops/s (host throughput) and
-# simops/op (simulated operations per run, deterministic). Regenerate and
+# BENCH_rungs.txt. The memsim rungs report simops/s (host throughput),
+# simops/op (simulated operations per run) and switches/op (coroutine
+# switches per run), the last two deterministic. Regenerate and
 # commit after a change that moves a rung; see EXPERIMENTS.md "Profiling the
 # simulator". scripts/check.sh step 14 runs every rung once and fails when
 # one is missing from BENCH_rungs.txt.
@@ -49,8 +50,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 300ms ./... > BENCH_rungs.txt
 
 # The deterministic columns of the benchmark record: reruns the memsim
-# BenchmarkMachine* rungs (simops/op) and the checker's BenchmarkCheck
-# (states/op, execs/op) once each and compares those columns exactly
+# BenchmarkMachine* rungs (simops/op, switches/op) and the checker's
+# BenchmarkCheck (states/op, execs/op) once each and compares them exactly
 # against the committed BENCH_rungs.txt; no host-time column is compared
 # (see scripts/bench-check.sh). scripts/check.sh step 15 runs it.
 bench-check:

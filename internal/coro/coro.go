@@ -1,8 +1,8 @@
 //go:build go1.23 && !race
 
 // Package coro runs a function body as a coroutine: a thread of control
-// that executes only between a Resume by its owner and its own next Yield,
-// so owner and body never run at the same time. memsim's virtual CPUs and
+// that executes only between a Resume and its own next Yield, so the
+// resumer and the body never run at the same time. memsim's virtual CPUs and
 // mcheck's checked threads both run on it.
 //
 // Threads are runtime coroutines (iter.Pull). The build constraint raises
@@ -44,6 +44,12 @@ func (t *Thread) Init(body func()) {
 
 // Resume runs the thread until it yields or returns. A panic in the body
 // propagates out of Resume, and the thread is finished afterwards.
+//
+// Any caller but the thread itself may Resume it: its owner, or the body of
+// another thread, which then waits inside Resume as the owner would. The
+// thread's next Yield, return or panic goes back to whoever resumed it last,
+// not to its first resumer. A thread that is running, or is itself waiting
+// inside a nested Resume, must not be resumed.
 func (t *Thread) Resume() { t.resume() }
 
 // Yield suspends the calling thread until its next Resume. It is called

@@ -2,6 +2,7 @@ package coro
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -81,5 +82,75 @@ func TestPanicReachesResume(t *testing.T) {
 	th.Stop()
 	if !settled(before) {
 		t.Errorf("%d goroutines after the panic, %d before Init", runtime.NumGoroutine(), before)
+	}
+}
+
+// TestNestedResume pins what memsim's dispatch relies on: a thread may be
+// resumed from inside another thread's body, and then that body is its
+// resumer for every purpose — the thread's Yield returns to it, a panic in
+// it reaches it, and Stop still unwinds it afterwards from anywhere.
+func TestNestedResume(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var log []string
+	var a, b Thread
+	bUnwound := false
+	b.Init(func() {
+		defer func() { bUnwound = true }()
+		log = append(log, "b1")
+		b.Yield()
+		log = append(log, "b2")
+		b.Yield()
+		log = append(log, "b3")
+		panic("boom in b")
+	})
+	a.Init(func() {
+		log = append(log, "a1")
+		b.Resume()
+		log = append(log, "a2")
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			b.Resume()
+			return nil
+		}()
+		log = append(log, "a3:"+got.(string))
+		a.Yield()
+		log = append(log, "a4")
+	})
+
+	// b's first resumer is the test; its second Yield must still return
+	// to a, the thread that resumed it last.
+	b.Resume()
+	a.Resume()
+	want := "b1 a1 b2 a2 b3 a3:boom in b"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("turn order %q, want %q", got, want)
+	}
+	a.Resume()
+	if got := log[len(log)-1]; got != "a4" {
+		t.Fatalf("a's last step %q, want a4", got)
+	}
+	if !bUnwound {
+		t.Error("b's deferred call did not run after its panic")
+	}
+
+	// Stop unwinds a thread whose last Yield returned to a nested resumer.
+	var c, d Thread
+	cUnwound := false
+	c.Init(func() {
+		defer func() { cUnwound = true }()
+		c.Yield()
+		t.Error("stopped thread resumed")
+	})
+	d.Init(func() { c.Resume() })
+	d.Resume()
+	c.Stop()
+	if !cUnwound {
+		t.Error("Stop did not unwind a thread that yielded to a nested resumer")
+	}
+	for _, th := range []*Thread{&a, &b, &c, &d} {
+		th.Stop()
+	}
+	if !settled(before) {
+		t.Errorf("%d goroutines after Stop, %d before Init", runtime.NumGoroutine(), before)
 	}
 }

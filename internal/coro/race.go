@@ -3,7 +3,7 @@
 package coro
 
 // Under the race detector a Thread is a goroutine that takes turns with its
-// owner over two unbuffered channels. iter.Pull is not usable there: an
+// resumer over two unbuffered channels. iter.Pull is not usable there: an
 // exiting coroutine skips the race runtime's goroutine-end hook (in go1.24,
 // runtime.coroexit destroys the goroutine without racegoend), which leaks
 // about 5.6 KB of race state per coroutine, and mcheck starts one coroutine
@@ -15,8 +15,8 @@ package coro
 // Thread is a coroutine. Initialise it in place with Init.
 type Thread struct {
 	body          func()
-	resume        chan bool // owner to thread: true runs it, false stops it
-	yield         chan any  // thread to owner: nil, or the body's panic value
+	resume        chan bool // resumer to thread: true runs it, false stops it
+	yield         chan any  // thread to resumer: nil, or the body's panic value
 	started, done bool
 }
 
@@ -28,7 +28,10 @@ func (t *Thread) Init(body func()) {
 	*t = Thread{body: body, resume: make(chan bool), yield: make(chan any)}
 }
 
-// Resume runs the thread until it yields, returns or panics.
+// Resume runs the thread until it yields, returns or panics. As in
+// coro.go, any goroutine but the thread's own may call it, and the thread
+// reports back to the latest caller: that caller is the one receiving on
+// the yield channel.
 func (t *Thread) Resume() {
 	switch {
 	case t.done:

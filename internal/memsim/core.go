@@ -1,5 +1,5 @@
-// The execution core: virtual CPUs are coroutines (internal/coro), and Run
-// is the only scheduler.
+// The execution core: virtual CPUs are coroutines (internal/coro), and
+// whichever of them gives up the turn grants the next event (dispatch).
 
 package memsim
 
@@ -31,6 +31,9 @@ func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
 	p.co.Init(func() {
 		stackReserve()
 		fn(p)
+		// A finished thread has no next event, so dispatch returns only to
+		// hand the turn down the stack, which returning from the body does.
+		m.dispatch(p)
 	})
 	m.threads = append(m.threads, p)
 	m.q.Push(0, p)
@@ -42,12 +45,11 @@ func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
 // returns statistics; Deadlock is set if every remaining thread is parked
 // with no pending event before the horizon.
 //
-// Each pass of the loop grants the earliest (time, seq) event by resuming
-// its thread's coroutine, which runs until it yields the turn back: to wait
-// behind an earlier event, to park, or because its workload returned.
-// Operations that keep the thread globally earliest never come back here
-// (Proc.yieldAt). A workload panic propagates out of Run after every other
-// thread has been unwound.
+// Run is the bottom of the dispatch stack: it grants the first event and
+// resumes its thread, and from then on each thread that gives up the turn
+// grants the next one itself (dispatch). Run's Resume returns only once the
+// run has ended and every nested Resume above it has returned. A workload
+// panic propagates out of Run after every other thread has been unwound.
 func (m *Machine) Run(horizon int64) Result {
 	if m.started {
 		panic("memsim: Run called twice")
@@ -56,33 +58,85 @@ func (m *Machine) Run(horizon int64) Result {
 	m.horizon = horizon
 	defer m.shutdown()
 
-	horizonHit := false
-	for {
-		t, p, ok := m.q.Pop()
-		if !ok {
-			break
-		}
-		if horizon > 0 && t > horizon {
-			m.now = horizon
-			horizonHit = true
-			break
-		}
-		m.now = t
-		m.events++
-		p.co.Resume()
-	}
-
-	res := Result{Now: m.now, Events: m.events}
+	m.dispatch(nil)
+	res := Result{Now: m.now, Events: m.events, Switches: m.switches}
 	for _, p := range m.threads {
 		if p.parked {
 			res.ParkedCPUs = append(res.ParkedCPUs, p.cpu)
 		}
 	}
 	sort.Ints(res.ParkedCPUs)
-	if !horizonHit && len(res.ParkedCPUs) > 0 {
+	if !m.horizonHit && len(res.ParkedCPUs) > 0 {
 		res.Deadlock = true
 	}
 	return res
+}
+
+// grant pops the earliest (time, seq) event and grants it: it advances the
+// machine clock and the event count and returns the event's thread. It
+// returns nil once the run is over: the queue has drained, or the earliest
+// event lies past the horizon, where the clock stops.
+func (m *Machine) grant() *Proc {
+	t, p, ok := m.q.Pop()
+	if !ok {
+		m.ended = true
+		return nil
+	}
+	if m.horizon > 0 && t > m.horizon {
+		m.now = m.horizon
+		m.horizonHit = true
+		m.ended = true
+		return nil
+	}
+	m.now = t
+	m.events++
+	return p
+}
+
+// dispatch passes the turn on from self, a thread that must wait (nil for
+// Run), and reports whether the turn has come back to self.
+//
+// The running thread and the threads beneath it, each suspended in its own
+// Resume of the one above, form the dispatch stack (onStack), with Run at
+// the bottom. dispatch grants the next event, or takes the one already
+// pending. A thread off the stack it resumes directly, nested, and grants
+// again once that Resume returns. A thread on the stack is self or beneath
+// it: dispatch leaves the grant pending and returns false, so its caller
+// yields (or, its body done, returns) and the stack unwinds down to the
+// granted thread, whose own dispatch then takes the turn. Once the run is
+// over every frame returns false, and the stack unwinds down to Run.
+//
+// A handoff to a thread off the stack costs one switch, and each yield
+// hands the turn one frame down, where a central scheduler loop would pay
+// two switches for every grant: out of the waiting thread, then into the
+// next. Grants stay in the queue's (time, seq) pop order, made at the
+// instant the previous thread gives up the turn, so the schedule is the one
+// a central loop would produce.
+func (m *Machine) dispatch(self *Proc) bool {
+	for {
+		p := m.pending
+		if p == nil {
+			if m.ended {
+				return false
+			}
+			if p = m.grant(); p == nil {
+				return false
+			}
+			m.pending = p
+		}
+		switch {
+		case p == self:
+			m.pending = nil
+			return true
+		case p.onStack:
+			return false
+		}
+		m.pending = nil
+		p.onStack = true
+		m.switches += 2 // into p, and back when p yields or returns
+		p.co.Resume()
+		p.onStack = false
+	}
 }
 
 // shutdown terminates all live virtual CPUs: each suspended in waitTurn is
@@ -111,21 +165,28 @@ func stackReserve() byte {
 	return pad[len(pad)-1]
 }
 
-// waitTurn suspends this thread's coroutine until Run grants it its next
-// event.
-func (p *Proc) waitTurn() { p.co.Yield() }
+// waitTurn gives up the turn and returns once this thread is granted its
+// next event. It dispatches the events granted in between; only when the
+// grant goes to a thread further down the dispatch stack, or the run ends,
+// does it yield its coroutine, and then the grant of its next event
+// resumes it.
+func (p *Proc) waitTurn() {
+	if !p.m.dispatch(p) {
+		p.co.Yield()
+	}
+}
 
 // yieldAt schedules this thread's next event at its local time and returns
 // once the event is granted.
 //
 // This is the execution core's run-ahead fast path: while this thread
 // remains strictly the globally earliest event — the exact condition under
-// which Run's next pop would re-grant it anyway (a tie loses to the queued
+// which the next pop would re-grant it anyway (a tie loses to the queued
 // entry, whose earlier push holds the smaller sequence number) — and the
 // horizon has not passed, the grant happens inline: advance the machine
 // clock and event count and keep executing, paying no coroutine switch.
-// Otherwise queue the event and yield to Run. Both routes grant the same
-// (time, seq) order.
+// Otherwise queue the event and wait for its turn. Both routes grant the
+// same (time, seq) order.
 func (p *Proc) yieldAt() {
 	m := p.m
 	if t, ok := m.q.MinTime(); (!ok || p.time < t) && (m.horizon <= 0 || p.time <= m.horizon) {

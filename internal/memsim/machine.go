@@ -13,18 +13,25 @@
 // operations in virtual-time order, so results are exactly reproducible for
 // a given seed.
 //
-// Virtual CPUs are coroutines in a strict turn-taking protocol with the
-// scheduler: at any instant at most one simulated operation executes, so
-// the machine state needs no locking and the simulation is deterministic.
+// Virtual CPUs are coroutines in a strict turn-taking protocol: at any
+// instant at most one simulated operation executes, so the machine state
+// needs no locking and the simulation is deterministic.
 //
-// # Execution core: coroutines and the run-ahead fast path
+// # Execution core: coroutines, nested dispatch and the run-ahead fast path
 //
-// Each virtual CPU is a runtime coroutine (iter.Pull), and Machine.Run is
-// the only scheduler: it pops the earliest (time, seq) event, advances the
-// machine clock and resumes that thread, which runs until it yields the
-// turn back. A coroutine switch is a direct goroutine switch that bypasses
-// the Go scheduler's run queues, so a park or wake costs two switches and
-// no channel operation.
+// Each virtual CPU is a runtime coroutine (internal/coro), and there is no
+// separate scheduler loop. A thread that must wait — behind an earlier
+// event, parked on a line, or because its workload returned — pops the
+// earliest (time, seq) event itself, advances the machine clock and hands
+// the turn over (dispatch). The threads suspended inside one another's
+// Resume form the dispatch stack, with Machine.Run at the bottom. A granted
+// thread off the stack the waiting thread resumes directly, nested; one on
+// the stack, beneath it, it reaches by yielding, and the stack unwinds down
+// to that thread. A coroutine switch is a direct goroutine switch that
+// bypasses the Go scheduler's run queues and uses no channel, and most
+// handoffs cost one, where a central scheduler loop would pay two for every
+// grant: out of the waiting thread, then into the next. Result.Switches
+// counts them.
 //
 // Most operations do not switch at all. After charging an operation, the
 // running virtual CPU checks the event queue's cached minimum inline, and
@@ -34,8 +41,10 @@
 // dominant operation streams of every lock benchmark, therefore run
 // switch-free.
 //
-// The fast path is semantically invisible. A thread may run ahead only
-// under exactly the condition that would make Run grant it the very next
+// Neither the nested dispatch nor the fast path is visible in the
+// simulation. Every grant is the queue's next pop, made the instant the
+// previous thread gives up the turn, and a thread may run ahead only under
+// exactly the condition that would make that pop grant it the very next
 // event (queue empty, or its time strictly below the queue minimum — ties
 // go to the queued entry, which was pushed earlier and holds the smaller
 // sequence number), so the (time, seq) grant order — and with it every
@@ -235,6 +244,18 @@ type Result struct {
 	Deadlock bool
 	// ParkedCPUs lists the CPUs that were still parked at the end.
 	ParkedCPUs []int
+	// Switches counts the coroutine switches the run made: every resume of
+	// a virtual CPU and every yield or return that handed the turn back.
+	// The stops that unwind the remaining threads after the run are not
+	// counted. It is the simulator's host-side cost, not part of the
+	// simulated outcome.
+	Switches uint64
+}
+
+// String formats the simulated outcome — every field but Switches, which
+// depends on how the execution core takes turns, not on the schedule.
+func (r Result) String() string {
+	return fmt.Sprintf("{Now:%d Events:%d Deadlock:%t ParkedCPUs:%v}", r.Now, r.Events, r.Deadlock, r.ParkedCPUs)
 }
 
 // Machine is a simulated multi-level NUMA machine. Create with New, add
@@ -264,6 +285,13 @@ type Machine struct {
 	now     int64
 	events  uint64
 	started bool
+	// pending is the thread granted the next event that has not taken the
+	// turn yet: the dispatch stack is unwinding down to it.
+	pending *Proc
+	// ended is set once no event is left to grant before the horizon, and
+	// horizonHit when it was the horizon that ended the run.
+	ended, horizonHit bool
+	switches          uint64
 }
 
 // New builds a machine from cfg. It panics on an invalid topology, since

@@ -107,8 +107,9 @@ func TestRunAheadEquivalence(t *testing.T) {
 
 // pingPongOps runs the two-thread ping-pong workload (spin, park, wake,
 // RMW — the simulator's steady-state shape) with tracing and jitter off,
-// and reports the number of simulated operations executed.
-func pingPongOps(horizon int64) uint64 {
+// and reports the number of simulated operations executed and the run's
+// Result.
+func pingPongOps(horizon int64) (uint64, Result) {
 	m := New(Config{Machine: topo.X86Server()})
 	var counter lockapi.Cell
 	turn := func(p *Proc, parity uint64) {
@@ -124,15 +125,15 @@ func pingPongOps(horizon int64) uint64 {
 	}
 	pa := m.Spawn(0, func(p *Proc) { turn(p, 0) })
 	pb := m.Spawn(5, func(p *Proc) { turn(p, 1) })
-	m.Run(horizon)
-	return pa.Ops + pb.Ops
+	res := m.Run(horizon)
+	return pa.Ops + pb.Ops, res
 }
 
 // mcsOps runs a two-thread contended MCS loop, tracing and jitter off, and
-// reports simulated operations: a queue lock's handover path (node
-// publication, local spinning, successor wake-up) must not allocate per
-// operation.
-func mcsOps(horizon int64) uint64 {
+// reports simulated operations and the run's Result: a queue lock's
+// handover path (node publication, local spinning, successor wake-up) must
+// not allocate per operation.
+func mcsOps(horizon int64) (uint64, Result) {
 	m := New(Config{Machine: topo.X86Server()})
 	l := locks.NewMCS()
 	var shared lockapi.Cell
@@ -148,8 +149,8 @@ func mcsOps(horizon int64) uint64 {
 	}
 	pa := m.Spawn(0, loop(ctxA))
 	pb := m.Spawn(5, loop(ctxB))
-	m.Run(horizon)
-	return pa.Ops + pb.Ops
+	res := m.Run(horizon)
+	return pa.Ops + pb.Ops, res
 }
 
 // TestNoTraceZeroAllocs enforces the zero-allocations-per-operation
@@ -165,15 +166,15 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		run  func(horizon int64) uint64
+		run  func(horizon int64) (uint64, Result)
 	}{
 		{"pingpong", pingPongOps},
 		{"mcs-lock", mcsOps},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var opsShort, opsLong uint64
-			allocShort := testing.AllocsPerRun(5, func() { opsShort = tc.run(100_000) })
-			allocLong := testing.AllocsPerRun(5, func() { opsLong = tc.run(1_000_000) })
+			allocShort := testing.AllocsPerRun(5, func() { opsShort, _ = tc.run(100_000) })
+			allocLong := testing.AllocsPerRun(5, func() { opsLong, _ = tc.run(1_000_000) })
 			extraOps := opsLong - opsShort
 			if extraOps == 0 {
 				t.Fatal("horizon change produced no extra ops; test is vacuous")
@@ -190,9 +191,9 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 
 // lockScenario runs one fixed-horizon contended-lock simulation — n threads
 // spread evenly over mach, every one hammering one lock — and returns the
-// number of simulated operations. n = mach.NumCPUs() is the full-machine
-// run: one thread per vCPU.
-func lockScenario(mach *topo.Machine, lockName string, n int) uint64 {
+// number of simulated operations and the run's Result. n = mach.NumCPUs()
+// is the full-machine run: one thread per vCPU.
+func lockScenario(mach *topo.Machine, lockName string, n int) (uint64, Result) {
 	m := New(Config{Machine: mach})
 	l := mustScaleLock(mach, lockName)
 	var shared lockapi.Cell
@@ -213,12 +214,12 @@ func lockScenario(mach *topo.Machine, lockName string, n int) uint64 {
 			}
 		})
 	}
-	m.Run(300_000)
+	res := m.Run(300_000)
 	var ops uint64
 	for _, p := range procs {
 		ops += p.Ops
 	}
-	return ops
+	return ops, res
 }
 
 // mustScaleLock builds lockName for mach: a CLoF composition when the name
@@ -237,22 +238,27 @@ func mustScaleLock(mach *topo.Machine, lockName string) lockapi.Lock {
 
 // benchSim times b.N runs of one fixed-horizon scenario. It reports the
 // simulator's real-time throughput (simops/s: simulated memory operations
-// per wall-clock second, the headline number) and the simulated operations
-// per run (simops/op), which is deterministic: a change in it means the
-// rung now simulates something else.
-func benchSim(b *testing.B, run func() uint64) {
+// per wall-clock second, the headline number), the simulated operations per
+// run (simops/op) and the coroutine switches per run (switches/op,
+// Result.Switches). The last two are deterministic: a change in simops/op
+// means the rung now simulates something else, one in switches/op that the
+// execution core now takes turns differently.
+func benchSim(b *testing.B, run func() (uint64, Result)) {
 	b.ReportAllocs()
-	var ops uint64
+	var ops, switches uint64
 	for i := 0; i < b.N; i++ {
-		ops += run()
+		n, res := run()
+		ops += n
+		switches += res.Switches
 	}
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
 	b.ReportMetric(float64(ops)/float64(b.N), "simops/op")
+	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 }
 
 // benchLock is benchSim over lockScenario.
 func benchLock(b *testing.B, mach *topo.Machine, lockName string, n int) {
-	benchSim(b, func() uint64 { return lockScenario(mach, lockName, n) })
+	benchSim(b, func() (uint64, Result) { return lockScenario(mach, lockName, n) })
 }
 
 // The BenchmarkMachine suite measures the simulator's real-time throughput
@@ -260,7 +266,7 @@ func benchLock(b *testing.B, mach *topo.Machine, lockName string, n int) {
 // paper's two platforms, and full-machine runs on the deep topologies.
 
 func BenchmarkMachinePingPong(b *testing.B) {
-	benchSim(b, func() uint64 { return pingPongOps(300_000) })
+	benchSim(b, func() (uint64, Result) { return pingPongOps(300_000) })
 }
 
 func BenchmarkMachineMCS8(b *testing.B)  { benchLock(b, topo.X86Server(), "mcs", 8) }

@@ -3,6 +3,7 @@ package memsim
 import (
 	"github.com/clof-go/clof/internal/coro"
 	"github.com/clof-go/clof/internal/lockapi"
+	"github.com/clof-go/clof/internal/topo"
 	"github.com/clof-go/clof/internal/xrand"
 )
 
@@ -19,9 +20,13 @@ type Proc struct {
 	// parked is set while the thread waits in a line's watcher list.
 	parked bool
 
-	// co is this thread's coroutine: Run resumes it, waitTurn yields it,
-	// shutdown stops it.
+	// co is this thread's coroutine: the thread that grants it the turn
+	// resumes it, waitTurn yields it, shutdown stops it.
 	co coro.Thread
+	// onStack is set while co is resumed and has not yielded: the thread
+	// is running, or suspended inside a nested Resume of the thread it
+	// handed the turn to.
+	onStack bool
 
 	// lastPollLine / spunSincePoll detect spin loops: a cached re-read of
 	// the same unchanged line with a Spin() hint in between parks the
@@ -69,6 +74,11 @@ func (p *Proc) Expired() bool {
 	return p.m.horizon > 0 && p.time >= p.m.horizon
 }
 
+// ShareLevel returns the most local level at which this thread's CPU and
+// cpu share a hierarchy node: topo's ShareLevel, read from the machine's
+// precomputed cohort table instead of dividing.
+func (p *Proc) ShareLevel(cpu int) topo.Level { return p.m.shareLevel(p.cpu, cpu) }
+
 // Rand returns this thread's private deterministic random stream.
 func (p *Proc) Rand() *xrand.Rand { return p.rng }
 
@@ -82,7 +92,7 @@ func (p *Proc) emit(op string, c *lockapi.Cell, v uint64, cost int64) {
 }
 
 // advance charges cost (plus configured jitter) and grants the next event —
-// inline when this thread may run ahead, through the scheduler otherwise.
+// inline when this thread may run ahead, by dispatch otherwise.
 func (p *Proc) advance(cost int64) {
 	p.Ops++
 	if p.m.jitter.d != 0 {

@@ -234,7 +234,7 @@ func Run(mk LockFactory, cfg Config) (Result, error) {
 					lastAcqAt = now
 				}
 				if lastOwner >= 0 && lastOwner != p.CPU() {
-					res.HandoverLevels[cfg.Machine.ShareLevel(lastOwner, p.CPU())]++
+					res.HandoverLevels[p.ShareLevel(lastOwner)]++
 				}
 				lastOwner = p.CPU()
 				for d := range data {

@@ -4,15 +4,16 @@
 # BENCH_rungs.txt (make bench-check; scripts/check.sh step 15):
 #
 #   - internal/memsim BenchmarkMachine*: simops/op, the simulated
-#     operations of one run;
+#     operations of one run, and switches/op, the coroutine switches the
+#     execution core made for them;
 #   - internal/mcheck BenchmarkCheck: states/op and execs/op, the states
 #     and schedule prefixes of one check.
 #
 # Each rung runs once (-benchtime 1x): these columns do not depend on the
 # iteration count. No host-time column (ns/op, simops/s, B/op, allocs/op)
 # is compared. A mismatch means the rung now simulates or explores
-# something else; when that is the change's intent, regenerate the record
-# with make bench. The comparison runs both ways, so a rung or column that
+# something else, or takes turns differently; when that is the change's
+# intent, regenerate the record with make bench. The comparison runs both ways, so a rung or column that
 # disappears fails as well as one that moves or is new.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,7 +34,7 @@ columns() {
       name = $1
       sub(/-[0-9]+$/, "", name)
       for (i = 3; i < NF; i++)
-        if ($(i + 1) ~ /^(simops|states|execs)\/op$/)
+        if ($(i + 1) ~ /^(simops|switches|states|execs)\/op$/)
           printf "%s %s %s %.17g\n", pkg, name, $(i + 1), $i
     }' "$1" | sort
 }

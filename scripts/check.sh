@@ -54,10 +54,10 @@
 #      committed BENCH_rungs.txt, the one benchmark record make bench
 #      writes, so the record cannot silently drop a rung)
 #  15. make bench-check         (the rungs with deterministic columns —
-#      memsim's BenchmarkMachine* simops/op, the checker's BenchmarkCheck
-#      states/op and execs/op — rerun once and compared exactly, both
-#      ways, against BENCH_rungs.txt; no host-time column is compared, see
-#      scripts/bench-check.sh)
+#      memsim's BenchmarkMachine* simops/op and switches/op, the
+#      checker's BenchmarkCheck states/op and execs/op — rerun once and
+#      compared exactly, both ways, against BENCH_rungs.txt; no host-time
+#      column is compared, see scripts/bench-check.sh)
 #
 # The root go.mod stays at `go 1.22`. bench/go.mod declares go 1.22, and
 # bench/run.sh builds with GOTOOLCHAIN=local and a read-only module graph,
