@@ -41,8 +41,9 @@ figures-quick:
 # Every benchmark rung in the module, in Go's standard benchmark format (one
 # row per rung; benchstat reads it), recorded into the committed
 # BENCH_rungs.txt. The memsim rungs report simops/s (host throughput),
-# simops/op (simulated operations per run) and switches/op (coroutine
-# switches per run), the last two deterministic. Regenerate and
+# simops/op (simulated operations per run), switches/op (coroutine
+# switches per run) and, on the lock rungs, vns/op (virtual ns per
+# acquire-release pair), the last three deterministic. Regenerate and
 # commit after a change that moves a rung; see EXPERIMENTS.md "Profiling the
 # simulator". scripts/check.sh step 14 runs every rung once and fails when
 # one is missing from BENCH_rungs.txt.
@@ -50,7 +51,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 300ms ./... > BENCH_rungs.txt
 
 # The deterministic columns of the benchmark record: reruns the memsim
-# BenchmarkMachine* rungs (simops/op, switches/op) and the checker's
+# BenchmarkMachine* rungs (simops/op, switches/op, vns/op) and the checker's
 # BenchmarkCheck (states/op, execs/op) once each and compares them exactly
 # against the committed BENCH_rungs.txt; no host-time column is compared
 # (see scripts/bench-check.sh). scripts/check.sh step 15 runs it.

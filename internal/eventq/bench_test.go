@@ -3,7 +3,7 @@ package eventq
 import "testing"
 
 // The BenchmarkQueue suite covers the three shapes the simulator drives the
-// queue with: the scheduler's requeue-and-grant cycle (a Push+Pop pair) at
+// queue with: a waiting virtual CPU's requeue-and-grant (one PushPop) at
 // steady sizes, pure growth/drain (wake storms), and the fast path's
 // per-operation MinTime probe.
 
@@ -16,8 +16,7 @@ func benchCycle(b *testing.B, size int) {
 	b.ResetTimer()
 	t := int64(size)
 	for i := 0; i < b.N; i++ {
-		q.Push(t, i)
-		q.Pop()
+		q.PushPop(t, i)
 		t++
 	}
 }

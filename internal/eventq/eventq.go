@@ -7,9 +7,10 @@
 // Two properties matter for the simulator's run-ahead fast path
 // (internal/memsim): MinTime is a single field read, because the running
 // virtual CPU consults it after *every* simulated operation to decide
-// whether it may keep executing inline; and the heap is 4-ary, because the
-// shallower tree halves the pointer-chasing of the slow path's Push/Pop
-// cycle relative to a binary heap.
+// whether it may keep executing inline; and PushPop requeues the running
+// virtual CPU and takes the next grant in one step, with at most one
+// sift-down of the 4-ary heap, whose shallower tree halves that sift's
+// pointer-chasing relative to a binary heap.
 package eventq
 
 // shrinkFloor is the smallest backing-array capacity Pop will shrink to.
@@ -92,6 +93,31 @@ func (q *Queue[T]) Pop() (int64, T, bool) {
 		q.head = zero
 	}
 	return top.time, top.val, true
+}
+
+// PushPop pushes val at the given time and then pops the earliest event:
+// it returns exactly what Push followed by Pop would, consumes the same
+// sequence number and leaves the same heap behind, but it sifts at most
+// once. A pushed event earlier than every queued one is returned
+// without touching the queue, and one earlier than the heap's minimum
+// replaces the popped head without touching the heap. On a time tie the
+// queued event wins: it was pushed earlier and holds the smaller sequence
+// number.
+func (q *Queue[T]) PushPop(time int64, val T) (int64, T) {
+	q.seq++
+	e := entry[T]{time: time, seq: q.seq, val: val}
+	if !q.hasHead || e.before(q.head) {
+		return time, val
+	}
+	top := q.head
+	if len(q.items) == 0 || e.before(q.items[0]) {
+		q.head = e
+	} else {
+		q.head = q.items[0]
+		q.items[0] = e
+		q.down(0)
+	}
+	return top.time, top.val
 }
 
 // heapPush inserts e into the 4-ary heap (not the head cache).

@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -185,5 +186,85 @@ func TestSmallQueueNeverShrinks(t *testing.T) {
 	}
 	if cap(q.items) != c0 {
 		t.Errorf("steady-state capacity changed: %d -> %d", c0, cap(q.items))
+	}
+}
+
+// TestPushPopMatchesPushThenPop is PushPop's differential test. Random
+// operation sequences run on two queues at once, PushPop on one and Push
+// then Pop on its twin, with occasional plain Pushes and Pops on both.
+// Times step from the last popped one by a few units, so most events tie
+// with queued ones. Every PushPop must return what the twin's Pop returns,
+// and both queues must drain identically at the end.
+func TestPushPopMatchesPushThenPop(t *testing.T) {
+	for _, size := range []int{0, 1, 2, 5, 64, 5000} {
+		rng := rand.New(rand.NewSource(int64(size) + 1))
+		var q, twin Queue[int]
+		val, last := 0, int64(0)
+		next := func() int64 {
+			tm := last + rng.Int63n(5) - 1
+			if rng.Intn(8) == 0 {
+				tm += rng.Int63n(64)
+			}
+			return tm
+		}
+		for i := 0; i < size; i++ {
+			tm := next()
+			q.Push(tm, val)
+			twin.Push(tm, val)
+			val++
+		}
+		queuedWonTie := 0
+		for i := 0; i < 20_000; i++ {
+			switch r := rng.Intn(10); {
+			case r < 8:
+				tm := next()
+				gt, gv := q.PushPop(tm, val)
+				twin.Push(tm, val)
+				wt, wv, _ := twin.Pop()
+				if gt != wt || gv != wv {
+					t.Fatalf("size %d, op %d: PushPop(%d, %d) = (%d, %d), Push+Pop = (%d, %d)",
+						size, i, tm, val, gt, gv, wt, wv)
+				}
+				if gt == tm && gv != val {
+					queuedWonTie++
+				}
+				val++
+				last = gt
+			case r == 8:
+				tm := next()
+				q.Push(tm, val)
+				twin.Push(tm, val)
+				val++
+			default:
+				gt, gv, gok := q.Pop()
+				wt, wv, wok := twin.Pop()
+				if gt != wt || gv != wv || gok != wok {
+					t.Fatalf("size %d, op %d: Pop = (%d, %d, %v), twin's = (%d, %d, %v)",
+						size, i, gt, gv, gok, wt, wv, wok)
+				}
+				if gok {
+					last = gt
+				}
+			}
+			gt, gok := q.MinTime()
+			wt, wok := twin.MinTime()
+			if gt != wt || gok != wok || q.Len() != twin.Len() {
+				t.Fatalf("size %d, op %d: MinTime (%d, %v) and Len %d, twin's (%d, %v) and %d",
+					size, i, gt, gok, q.Len(), wt, wok, twin.Len())
+			}
+		}
+		if queuedWonTie == 0 {
+			t.Fatalf("size %d: no PushPop met a time tie; the test is vacuous", size)
+		}
+		for n := 0; twin.Len() > 0; n++ {
+			gt, gv, _ := q.Pop()
+			wt, wv, _ := twin.Pop()
+			if gt != wt || gv != wv {
+				t.Fatalf("size %d, drain %d: (%d, %d), twin's (%d, %d)", size, n, gt, gv, wt, wv)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("size %d: %d events left after the twin drained", size, q.Len())
+		}
 	}
 }

@@ -72,16 +72,23 @@ func (m *Machine) Run(horizon int64) Result {
 	return res
 }
 
-// grant pops the earliest (time, seq) event and grants it: it advances the
-// machine clock and the event count and returns the event's thread. It
+// grant pops the earliest (time, seq) event and grants it (take). It
 // returns nil once the run is over: the queue has drained, or the earliest
-// event lies past the horizon, where the clock stops.
+// event lies past the horizon.
 func (m *Machine) grant() *Proc {
 	t, p, ok := m.q.Pop()
 	if !ok {
 		m.ended = true
 		return nil
 	}
+	return m.take(t, p)
+}
+
+// take grants p the event just popped at time t: it advances the machine
+// clock and the event count and returns p. An event past the horizon ends
+// the run instead, with the clock stopped at the horizon, and take returns
+// nil.
+func (m *Machine) take(t int64, p *Proc) *Proc {
 	if m.horizon > 0 && t > m.horizon {
 		m.now = m.horizon
 		m.horizonHit = true
@@ -176,24 +183,17 @@ func (p *Proc) waitTurn() {
 	}
 }
 
-// yieldAt schedules this thread's next event at its local time and returns
-// once the event is granted.
+// yieldAt queues this thread's next event at its local time, grants the
+// earliest event and returns once this thread's turn comes. The push and the
+// pop are one PushPop, and the grant is left pending for waitTurn to hand
+// over.
 //
-// This is the execution core's run-ahead fast path: while this thread
-// remains strictly the globally earliest event — the exact condition under
-// which the next pop would re-grant it anyway (a tie loses to the queued
-// entry, whose earlier push holds the smaller sequence number) — and the
-// horizon has not passed, the grant happens inline: advance the machine
-// clock and event count and keep executing, paying no coroutine switch.
-// Otherwise queue the event and wait for its turn. Both routes grant the
-// same (time, seq) order.
+// It is the slow path of advance's run-ahead check, and Preempt's only
+// route: when this thread is strictly the earliest event inside the
+// horizon, PushPop returns it and the turn stays here, the same grant the
+// fast path makes inline.
 func (p *Proc) yieldAt() {
 	m := p.m
-	if t, ok := m.q.MinTime(); (!ok || p.time < t) && (m.horizon <= 0 || p.time <= m.horizon) {
-		m.now = p.time
-		m.events++
-		return
-	}
-	m.q.Push(p.time, p)
+	m.pending = m.take(m.q.PushPop(p.time, p))
 	p.waitTurn()
 }

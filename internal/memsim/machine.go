@@ -34,12 +34,14 @@
 // counts them.
 //
 // Most operations do not switch at all. After charging an operation, the
-// running virtual CPU checks the event queue's cached minimum inline, and
-// if it is still strictly the globally earliest thread — and inside the
-// horizon — it simply keeps executing, advancing the machine clock itself
-// (Proc.yieldAt). Spin loops and uncontended critical sections, the
-// dominant operation streams of every lock benchmark, therefore run
-// switch-free.
+// running virtual CPU checks the event queue's cached minimum inline, in
+// Proc.advance itself, and if it is still strictly the globally earliest
+// thread — and inside the horizon — it simply keeps executing, advancing
+// the machine clock itself, without a call. Spin loops and uncontended
+// critical sections, the dominant operation streams of every lock
+// benchmark, therefore run switch-free. Otherwise the thread requeues
+// itself and takes the next grant in one step (Proc.yieldAt, one
+// eventq PushPop: a single sift where a Push and a Pop make two).
 //
 // Neither the nested dispatch nor the fast path is visible in the
 // simulation. Every grant is the queue's next pop, made the instant the
@@ -354,6 +356,15 @@ func (m *Machine) lineOf(c *lockapi.Cell) *line {
 	if ln, ok := (*slot).(*line); ok {
 		return ln
 	}
+	return m.newLine(slot)
+}
+
+// newLine creates the line that hangs off slot for the rest of the run. It
+// is lineOf's first-touch path, kept out of line so that the hit path
+// carries none of its code.
+//
+//go:noinline
+func (m *Machine) newLine(slot *any) *line {
 	ln := &line{slot: slot, owner: -1}
 	ln.sharers.init(m.ncpu)
 	ln.valid.init(m.ncpu)

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -354,21 +355,54 @@ func TestRunTwicePanics(t *testing.T) {
 	m.Run(0)
 }
 
+// TestHorizonStopsRun runs Work loops to a horizon and pins the Result
+// exactly. One thread stepping 100 ns meets the 10,000 ns horizon on an
+// event boundary: it sees itself expired and returns, and the run drains.
+// Two threads stepping 100 and 130 ns meet a horizon between their events:
+// each requeues behind the other while the horizon lies ahead, and the run
+// ends when the event such a requeue grants lies past it. Neither workload
+// returns then, and the clock stops at the horizon.
 func TestHorizonStopsRun(t *testing.T) {
-	m := New(Config{Machine: topo.X86Server()})
-	iters := 0
-	m.Spawn(0, func(p *Proc) {
-		for !p.Expired() {
-			p.Work(100)
-			iters++
-		}
-	})
-	res := m.Run(10_000)
-	if res.Deadlock {
-		t.Error("horizon run reported deadlock")
-	}
-	if iters < 95 || iters > 105 {
-		t.Errorf("iters = %d, want ~100", iters)
+	for _, tc := range []struct {
+		name     string
+		works    []int64
+		horizon  int64
+		res      string
+		times    string
+		returned int
+	}{
+		{"one thread", []int64{100}, 10_000,
+			"{Now:10000 Events:101 Deadlock:false ParkedCPUs:[]}", "[ops=100 t=10000]", 1},
+		{"two threads", []int64{100, 130}, 10_050,
+			"{Now:10050 Events:179 Deadlock:false ParkedCPUs:[]}", "[ops=101 t=10100][ops=78 t=10140]", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(Config{Machine: topo.X86Server()})
+			procs := make([]*Proc, len(tc.works))
+			returned := 0
+			for i, d := range tc.works {
+				procs[i] = m.Spawn(i, func(p *Proc) {
+					for !p.Expired() {
+						p.Work(d)
+					}
+					returned++
+				})
+			}
+			res := m.Run(tc.horizon)
+			if got := res.String(); got != tc.res {
+				t.Errorf("Result = %s, want %s", got, tc.res)
+			}
+			times := ""
+			for _, p := range procs {
+				times += fmt.Sprintf("[ops=%d t=%d]", p.Ops, p.Time())
+			}
+			if times != tc.times {
+				t.Errorf("threads = %s, want %s", times, tc.times)
+			}
+			if returned != tc.returned {
+				t.Errorf("%d workloads returned, want %d", returned, tc.returned)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"github.com/clof-go/clof/internal/clof"
@@ -12,14 +13,17 @@ import (
 )
 
 // lockRun executes one contended-lock simulation and returns everything
-// observable about it: the machine Result, a hash of the full trace stream,
-// per-thread op/park/spin counters, and the total of completed acquires. It
-// is the probe that pins the execution core's schedule.
-func lockRun(mach *topo.Machine, mk func() lockapi.Lock, n int, dur int64, cfg Config) (Result, uint64, string, uint64) {
+// observable about it: the machine Result, a hash of the full trace stream
+// (zero when traced is false, and the run has no trace hook), per-thread
+// op/park/spin counters, and the total of completed acquires. It is the
+// probe that pins the execution core's schedule.
+func lockRun(mach *topo.Machine, mk func() lockapi.Lock, n int, dur int64, cfg Config, traced bool) (Result, uint64, string, uint64) {
 	h := fnv.New64a()
 	cfg.Machine = mach
-	cfg.Trace = func(ev TraceEvent) {
-		fmt.Fprintf(h, "%d/%d/%s/%d/%d;", ev.Time, ev.CPU, ev.Op, ev.Value, ev.Cost)
+	if traced {
+		cfg.Trace = func(ev TraceEvent) {
+			fmt.Fprintf(h, "%d/%d/%s/%d/%d;", ev.Time, ev.CPU, ev.Op, ev.Value, ev.Cost)
+		}
 	}
 	m := New(cfg)
 	l := mk()
@@ -54,6 +58,9 @@ func lockRun(mach *topo.Machine, mk func() lockapi.Lock, n int, dur int64, cfg C
 	for _, p := range procs {
 		stats += fmt.Sprintf("[ops=%d parks=%d spins=%d preempts=%d t=%d]", p.Ops, p.Parks, p.Spins, p.Preempts, p.time)
 	}
+	if !traced {
+		return res, 0, stats, total
+	}
 	return res, h.Sum64(), stats, total
 }
 
@@ -63,7 +70,9 @@ func lockRun(mach *topo.Machine, mk func() lockapi.Lock, n int, dur int64, cfg C
 // the complete (time, cpu, op, value, cost) trace stream, per-thread
 // counters, the acquire total — equals the values the scheduler-only
 // channel protocol produced. Jitter is on so the RNG draw order is part of
-// what is pinned.
+// what is pinned. Each case runs once more without a trace hook, which
+// must not move the schedule: its Result (Switches included), per-thread
+// counters and acquire total must equal the traced run's.
 func TestRunAheadEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -88,7 +97,8 @@ func TestRunAheadEquivalence(t *testing.T) {
 			27},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, h, s, total := lockRun(tc.mach, locks.MustType(tc.lock).New, 8, 150_000, Config{Seed: 42, JitterNS: 3})
+			cfg := Config{Seed: 42, JitterNS: 3}
+			r, h, s, total := lockRun(tc.mach, locks.MustType(tc.lock).New, 8, 150_000, cfg, true)
 			if got := fmt.Sprintf("%+v", r); got != tc.res {
 				t.Errorf("Result = %s, want %s", got, tc.res)
 			}
@@ -100,6 +110,11 @@ func TestRunAheadEquivalence(t *testing.T) {
 			}
 			if total != tc.total {
 				t.Errorf("acquire total = %d, want %d", total, tc.total)
+			}
+			ur, _, us, utotal := lockRun(tc.mach, locks.MustType(tc.lock).New, 8, 150_000, cfg, false)
+			if !reflect.DeepEqual(ur, r) || us != s || utotal != total {
+				t.Errorf("untraced run differs from traced run:\ngot:  %+v %d %s\nwant: %+v %d %s",
+					ur, utotal, us, r, total, s)
 			}
 		})
 	}
@@ -191,9 +206,10 @@ func TestNoTraceZeroAllocs(t *testing.T) {
 
 // lockScenario runs one fixed-horizon contended-lock simulation — n threads
 // spread evenly over mach, every one hammering one lock — and returns the
-// number of simulated operations and the run's Result. n = mach.NumCPUs()
-// is the full-machine run: one thread per vCPU.
-func lockScenario(mach *topo.Machine, lockName string, n int) (uint64, Result) {
+// number of simulated operations, the number of completed acquire–release
+// pairs and the run's Result. n = mach.NumCPUs() is the full-machine run:
+// one thread per vCPU.
+func lockScenario(mach *topo.Machine, lockName string, n int) (ops, pairs uint64, res Result) {
 	m := New(Config{Machine: mach})
 	l := mustScaleLock(mach, lockName)
 	var shared lockapi.Cell
@@ -210,16 +226,16 @@ func lockScenario(mach *topo.Machine, lockName string, n int) (uint64, Result) {
 				p.Add(&shared, 1, lockapi.Relaxed)
 				p.Work(50)
 				l.Release(p, ctx)
+				pairs++
 				p.Work(200)
 			}
 		})
 	}
-	res := m.Run(300_000)
-	var ops uint64
+	res = m.Run(300_000)
 	for _, p := range procs {
 		ops += p.Ops
 	}
-	return ops, res
+	return ops, pairs, res
 }
 
 // mustScaleLock builds lockName for mach: a CLoF composition when the name
@@ -256,9 +272,19 @@ func benchSim(b *testing.B, run func() (uint64, Result)) {
 	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 }
 
-// benchLock is benchSim over lockScenario.
+// benchLock is benchSim over lockScenario. It also reports vns/op, the
+// virtual time per completed acquire–release pair (Result.Now over the
+// pairs), which is as deterministic as simops/op: it moves only when the
+// rung's simulated schedule does.
 func benchLock(b *testing.B, mach *topo.Machine, lockName string, n int) {
-	benchSim(b, func() (uint64, Result) { return lockScenario(mach, lockName, n) })
+	var vns, pairs uint64
+	benchSim(b, func() (uint64, Result) {
+		ops, done, res := lockScenario(mach, lockName, n)
+		vns += uint64(res.Now)
+		pairs += done
+		return ops, res
+	})
+	b.ReportMetric(float64(vns)/float64(pairs), "vns/op")
 }
 
 // The BenchmarkMachine suite measures the simulator's real-time throughput

@@ -82,24 +82,46 @@ func (p *Proc) ShareLevel(cpu int) topo.Level { return p.m.shareLevel(p.cpu, cpu
 // Rand returns this thread's private deterministic random stream.
 func (p *Proc) Rand() *xrand.Rand { return p.rng }
 
-// emit reports a trace event if tracing is enabled. The TraceEvent is only
-// constructed behind the nil check, so the no-trace hot path pays one
-// predictable branch and zero allocations.
+// emit reports a trace event if tracing is enabled. It is small enough to
+// inline, so with tracing off an operation pays one predictable branch, no
+// call and no allocation; the TraceEvent is built out of line, in
+// traceEvent.
 func (p *Proc) emit(op string, c *lockapi.Cell, v uint64, cost int64) {
 	if p.m.trace != nil {
-		p.m.trace(TraceEvent{Time: p.time, CPU: p.cpu, Op: op, Cell: c, Value: v, Cost: cost})
+		p.traceEvent(op, c, v, cost)
 	}
 }
 
-// advance charges cost (plus configured jitter) and grants the next event —
-// inline when this thread may run ahead, by dispatch otherwise.
+// traceEvent builds emit's TraceEvent and hands it to the trace hook.
+//
+//go:noinline
+func (p *Proc) traceEvent(op string, c *lockapi.Cell, v uint64, cost int64) {
+	p.m.trace(TraceEvent{Time: p.time, CPU: p.cpu, Op: op, Cell: c, Value: v, Cost: cost})
+}
+
+// advance charges cost (plus configured jitter) and grants the next event.
+//
+// This is the execution core's run-ahead fast path: while this thread
+// remains strictly the globally earliest event — the exact condition under
+// which the next pop would re-grant it anyway (a tie loses to the queued
+// entry, whose earlier push holds the smaller sequence number) — and the
+// horizon has not passed, the grant happens inline: advance the machine
+// clock and event count and keep executing, paying no call and no
+// coroutine switch. Otherwise yieldAt requeues the thread and grants the
+// earliest event. Both routes grant the same (time, seq) order.
 func (p *Proc) advance(cost int64) {
 	p.Ops++
-	if p.m.jitter.d != 0 {
+	m := p.m
+	if m.jitter.d != 0 {
 		// The value Int63n(JitterNS+1) draws, without its divide.
-		cost += int64(p.m.jitter.mod(p.rng.Uint64()))
+		cost += int64(m.jitter.mod(p.rng.Uint64()))
 	}
 	p.time += cost
+	if t, ok := m.q.MinTime(); (!ok || p.time < t) && (m.horizon <= 0 || p.time <= m.horizon) {
+		m.now = p.time
+		m.events++
+		return
+	}
 	p.yieldAt()
 }
 

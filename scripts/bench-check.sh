@@ -4,8 +4,9 @@
 # BENCH_rungs.txt (make bench-check; scripts/check.sh step 15):
 #
 #   - internal/memsim BenchmarkMachine*: simops/op, the simulated
-#     operations of one run, and switches/op, the coroutine switches the
-#     execution core made for them;
+#     operations of one run, switches/op, the coroutine switches the
+#     execution core made for them, and, on the lock rungs, vns/op, the
+#     virtual ns per completed acquire–release pair;
 #   - internal/mcheck BenchmarkCheck: states/op and execs/op, the states
 #     and schedule prefixes of one check.
 #
@@ -34,7 +35,7 @@ columns() {
       name = $1
       sub(/-[0-9]+$/, "", name)
       for (i = 3; i < NF; i++)
-        if ($(i + 1) ~ /^(simops|switches|states|execs)\/op$/)
+        if ($(i + 1) ~ /^(simops|switches|vns|states|execs)\/op$/)
           printf "%s %s %s %.17g\n", pkg, name, $(i + 1), $i
     }' "$1" | sort
 }

@@ -54,7 +54,7 @@
 #      committed BENCH_rungs.txt, the one benchmark record make bench
 #      writes, so the record cannot silently drop a rung)
 #  15. make bench-check         (the rungs with deterministic columns —
-#      memsim's BenchmarkMachine* simops/op and switches/op, the
+#      memsim's BenchmarkMachine* simops/op, switches/op and vns/op, the
 #      checker's BenchmarkCheck states/op and execs/op — rerun once and
 #      compared exactly, both ways, against BENCH_rungs.txt; no host-time
 #      column is compared, see scripts/bench-check.sh)
