@@ -8,8 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Static lock-discipline suite (atomic access, memory-order policy, spin
-# hygiene, validate-before-escape for optimistic reads).
+# Static lock-discipline suite (atomic access, memory-order policy).
 # Exits nonzero on findings, including a //lint: waiver that suppresses
 # nothing.
 lint:

@@ -16,14 +16,15 @@
 //	-dir:      module root (default: nearest go.mod above the cwd)
 //	-nowaiver: audit mode — report //lint:-waived findings too
 //
-// The suite is four per-site analyzers: atomicdiscipline, occdiscipline,
-// orderpolicy and spinhygiene. A lock struct copied by value is go vet's
-// copylocks finding (lockapi.Cell embeds a noCopy marker), not clof-lint's.
-// None of the analyzers orders locks against each other: lock nesting is
-// verified dynamically by mcheck.InductionProgram, the paper's induction
-// step, which checks that CLoF's parent-ward climb is deadlock-free. A
-// //lint: waiver that suppresses no finding is itself reported (except
-// under -nowaiver).
+// The suite is two per-site analyzers: atomicdiscipline and orderpolicy.
+// Spin-loop discipline and validate-before-escape are decided by the model
+// checker, which runs every such site (internal/mcheck's seeded-mutation
+// tests). A lock struct copied by value is go vet's copylocks finding
+// (lockapi.Cell embeds a noCopy marker), not clof-lint's. Neither analyzer
+// orders locks against each other: lock nesting is verified dynamically by
+// mcheck.InductionProgram, the paper's induction step, which checks that
+// CLoF's parent-ward climb is deadlock-free. A //lint: waiver that
+// suppresses no finding is itself reported (except under -nowaiver).
 //
 // Exit codes: 0 clean, 1 findings, 2 load/usage error.
 package main
@@ -39,17 +40,13 @@ import (
 	"github.com/clof-go/clof/internal/analysis"
 	"github.com/clof-go/clof/internal/analysis/atomicdiscipline"
 	"github.com/clof-go/clof/internal/analysis/loader"
-	"github.com/clof-go/clof/internal/analysis/occdiscipline"
 	"github.com/clof-go/clof/internal/analysis/orderpolicy"
-	"github.com/clof-go/clof/internal/analysis/spinhygiene"
 )
 
 // all is the clof-lint analyzer suite, in output-label order.
 var all = []*analysis.Analyzer{
 	atomicdiscipline.Analyzer,
-	occdiscipline.Analyzer,
 	orderpolicy.Analyzer,
-	spinhygiene.Analyzer,
 }
 
 func main() {

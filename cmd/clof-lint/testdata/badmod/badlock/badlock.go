@@ -15,9 +15,9 @@ type Lock struct {
 	stats uint64
 }
 
-// Acquire polls with a Relaxed entry guard (orderpolicy) in a busy loop
-// with no backoff (spinhygiene), and never issues an Acquire barrier
-// (orderpolicy's missing-barrier check fires on the declaration).
+// Acquire polls with a Relaxed entry guard (orderpolicy) and never issues
+// an Acquire barrier (orderpolicy's missing-barrier check fires on the
+// declaration).
 func (l *Lock) Acquire(p lockapi.Proc) {
 	for p.Load(&l.word, lockapi.Relaxed) == 1 {
 	}
@@ -34,10 +34,3 @@ func (l *Lock) Release(p lockapi.Proc) {
 // Snapshot reads stats plainly while Acquire updates it atomically
 // (atomicdiscipline).
 func (l *Lock) Snapshot() uint64 { return l.stats }
-
-// UnvalidatedRead takes an optimistic snapshot and returns the provisional
-// value without ever calling ReadValidate (occdiscipline).
-func UnvalidatedRead(p lockapi.Proc, sq lockapi.SeqReader, c *lockapi.Cell) uint64 {
-	_ = sq.ReadSeq(p)
-	return p.Load(c, lockapi.Relaxed)
-}

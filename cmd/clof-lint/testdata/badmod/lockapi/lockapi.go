@@ -31,10 +31,3 @@ type Proc interface {
 	Spin()
 	ID() int
 }
-
-// SeqReader is the optimistic (validated) read protocol; occdiscipline
-// recognizes its methods by name and the Proc first parameter.
-type SeqReader interface {
-	ReadSeq(p Proc) uint64
-	ReadValidate(p Proc, s uint64) bool
-}

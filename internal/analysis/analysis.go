@@ -3,11 +3,15 @@
 // barrier checking plays in the paper's toolchain (§3.3/§4.2): where
 // internal/mcheck verifies ordering discipline *dynamically* on small
 // configurations, the analyzers here check it *statically* across all code,
-// so a plain read of an atomically-written field, a Relaxed store on an
-// unlock path, an unvalidated optimistic read, or a scheduler-hostile busy
-// loop is rejected at lint time rather than surfacing (maybe) in a 2–4
-// thread model check. A lock struct copied by value is left to go vet's
+// so a plain read of an atomically-written field or a Relaxed store on an
+// unlock path is rejected at lint time rather than surfacing (maybe) in a
+// 2–4 thread model check. A lock struct copied by value is left to go vet's
 // copylocks check, which keys on the noCopy marker lockapi.Cell embeds.
+// Spin-loop discipline and validate-before-escape for optimistic reads are
+// left to internal/mcheck, which runs every such site: its seeded-mutation
+// tests (TestPollLoopsMustSpin, TestCASRetryMustNotSpin, and the
+// always-valid row of TestSeqlockMissingReadFenceCaught) fail when either
+// rule is broken.
 //
 // The framework is deliberately shaped like golang.org/x/tools/go/analysis
 // — an Analyzer with a Run(*Pass) hook reporting position-tagged
@@ -28,7 +32,7 @@
 //
 // The reason is mandatory: a waiver without one is itself reported, and so
 // is a waiver that suppresses no finding. Tags are per-analyzer (order,
-// atomic, spin, occ).
+// atomic).
 package analysis
 
 import (

@@ -1,6 +1,6 @@
 // lockutil.go — shared type-level helpers for the analyzers: resolving a
 // call's callee, recognizing the lockapi package and its Cell type, and
-// classifying ordered Proc operations and spin relief.
+// classifying ordered Proc operations.
 
 package analysis
 
@@ -135,27 +135,4 @@ func IsCellType(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Name() == "Cell" && IsLockapiPackage(named.Obj().Pkg())
-}
-
-// IsSpinRelief reports whether call yields or backs off inside a spin loop:
-// Proc.Spin, ExpBackoff.Pause (any method named Spin or Pause), or
-// runtime.Gosched / time.Sleep.
-func IsSpinRelief(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	switch fn.Name() {
-	case "Spin", "Pause":
-		return true
-	case "Gosched":
-		return fn.Pkg() != nil && fn.Pkg().Path() == "runtime"
-	case "Sleep":
-		return fn.Pkg() != nil && fn.Pkg().Path() == "time"
-	}
-	return false
 }

@@ -146,7 +146,9 @@ type Proc interface {
 	// park until the watched line changes (memsim), or collapse the loop
 	// into an await (mcheck). Consequently, pure CAS-retry loops — where a
 	// failed CAS itself proves the location just changed — must NOT call
-	// Spin, or those backends will block on a change that may never come.
+	// Spin, or those backends will block on a change that may never come
+	// (mcheck's TestCASRetryMustNotSpin shows the checker's deadlock). A
+	// loop that polls for another thread must call it (TestPollLoopsMustSpin).
 	Spin()
 	// ID returns the processor/thread identifier (a virtual CPU number on
 	// the simulator, a worker index natively).

@@ -26,8 +26,10 @@ package lockapi
 //
 // Consumers (internal/store's Session.OptimisticAt) must
 // treat any value read between ReadSeq and a failed ReadValidate as garbage:
-// it may be torn, and it must not escape. clof-lint's occdiscipline analyzer
-// enforces that statically.
+// it may be torn, and it must not escape. mcheck.StoreProgram checks that on
+// the store's own read loop, and a ReadValidate that certifies every
+// snapshot lets a torn one escape there (the always-valid row of
+// mcheck's TestSeqlockMissingReadFenceCaught).
 
 // SeqReader is implemented by locks that publish a writer version word for
 // optimistic (validated) reads — in this repo, every lock built by

@@ -19,6 +19,19 @@ func seqTkt(omitReadFence bool) func() lockapi.Lock {
 	}
 }
 
+// alwaysValid is a seq: lock whose ReadValidate certifies every snapshot:
+// the reader never re-checks the version, so a snapshot that overlapped a
+// writer escapes unvalidated. Everything else is the embedded lock's.
+type alwaysValid struct{ *seqlock.Lock }
+
+func (alwaysValid) ReadValidate(lockapi.Proc, uint64) bool { return true }
+
+// unvalidatedSeqTkt builds StoreProgram's seq:tkt shard lock with
+// ReadValidate replaced by alwaysValid's.
+func unvalidatedSeqTkt() lockapi.Lock {
+	return alwaysValid{seqTkt(false)().(*seqlock.Lock)}
+}
+
 // seqCLoF builds a seq: lock over the 2-level tkt-tkt CLoF composition on
 // VerifyMachine, InductionProgram's lock.
 func seqCLoF(omitReadFence bool) func() lockapi.Lock {
@@ -81,7 +94,10 @@ func TestSeqlockVerifiedWMM(t *testing.T) {
 // its Acquire fence — MUST be reported on the router's read path under
 // WMM+StaleLoads, for both locks and both shapes: the stale version re-read
 // certifies a torn snapshot and the reader's assertion fires. This is the
-// negative result that makes the positive one above meaningful.
+// negative result that makes the positive one above meaningful. The last
+// row drops validation altogether (alwaysValid), so a snapshot escapes
+// uncertified, against lockapi.SeqReader's contract, and the same
+// assertion fires.
 func TestSeqlockMissingReadFenceCaught(t *testing.T) {
 	cfg := Config{Mode: WMM, StaleLoads: true}
 	for _, c := range []struct {
@@ -94,6 +110,7 @@ func TestSeqlockMissingReadFenceCaught(t *testing.T) {
 		{"seq:tkt", seqTkt(true), 1, 2, 143},
 		{"seq:clof:tkt-tkt", seqCLoF(true), 2, 1, 2186},
 		{"seq:clof:tkt-tkt", seqCLoF(true), 1, 2, 301},
+		{"seq:tkt/always-valid", unvalidatedSeqTkt, 1, 1, 47},
 	} {
 		res := checkStore(t, c.name, c.readers, c.shards, c.mk, cfg, c.states)
 		if res.OK || !strings.Contains(res.Violation, "torn snapshot") {

@@ -6,9 +6,8 @@
 #      tracked Go file outside testdata/ must be gofmt-clean; the analyzer
 #      testdata corpora are exempt)
 #   3. clof-lint ./...          (static lock-discipline suite: atomic
-#      access, no sync/atomic in the files that run on memsim,
-#      memory-order policy, spin hygiene and validate-before-escape
-#      for optimistic reads; a waiver that suppresses no finding fails it
+#      access, no sync/atomic in the files that run on memsim, and
+#      memory-order policy; a waiver that suppresses no finding fails it
 #      too)
 #   4. make doccheck            (godoc discipline: package comments +
 #      doc comments on exported declarations; scripts/doccheck.sh)
