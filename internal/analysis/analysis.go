@@ -22,9 +22,9 @@
 //
 // Every analyzer supports per-site waivers, because lock code has
 // *intentional* relaxations (the Relaxed spin polls whose ordering is
-// provided by a later CAS, the deliberately broken fixture locks that
-// mcheck's negative tests depend on). A waiver is a comment on the flagged
-// line or the line directly above it:
+// provided by a later CAS, holder-private fields published by a later
+// Release). A waiver is a comment on the flagged line or the line directly
+// above it:
 //
 //	//lint:<tag> <verb> <reason>
 //
@@ -145,8 +145,7 @@ func Run(pkgs []*loader.Package, analyzers []*Analyzer) []Diagnostic {
 
 // Audit is Run with waiver filtering disabled: waived findings are
 // reported too, and unused waivers are not. Used to enumerate every waived
-// site (and by the lint-vs-mcheck cross-check, which asserts the
-// deliberately broken fixture locks would be flagged were they not waived).
+// site (clof-lint -nowaiver).
 func Audit(pkgs []*loader.Package, analyzers []*Analyzer) []Diagnostic {
 	return run(pkgs, analyzers, false)
 }

@@ -15,8 +15,8 @@
 //  3. Barrier presence: an acquire root whose reachable code performs
 //     ordered operations but none with Acquire semantics, or a release root
 //     that writes but never with Release semantics, is flagged at the
-//     method declaration ("missing release barrier" — the
-//     relaxedReleaseTicket bug mcheck demonstrates dynamically).
+//     method declaration ("missing release barrier" — the bug
+//     mcheck.BrokenTicketProgram demonstrates dynamically).
 //
 // Reachability is the static intra-package call graph (interface calls,
 // e.g. into component locks of a composition, are outside it: each lock

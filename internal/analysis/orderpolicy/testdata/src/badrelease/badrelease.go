@@ -1,5 +1,5 @@
 // Package badrelease is the seeded missing-release-barrier corpus: the
-// same defect internal/mcheck's relaxedReleaseTicket demonstrates
+// same defect internal/mcheck's BrokenTicketProgram demonstrates
 // dynamically under WMM. orderpolicy must flag both the Relaxed store and
 // the barrier-free Release method.
 package badrelease

@@ -136,10 +136,10 @@ func Locks() []Entry {
 	// (see dynamic); these two are the swept representatives.
 	out = append(out,
 		Entry{Name: "seq:tkt", Family: "seq", New: func(*topo.Machine) lockapi.Lock {
-			return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{})
+			return seqlock.Wrap(locks.NewTicket())
 		}},
 		Entry{Name: "seq:clof:tkt-tkt-tkt-tkt", Family: "seq", New: func(m *topo.Machine) lockapi.Lock {
-			return seqlock.Wrap(clof.Must(hierFor(m), compFor("tkt-tkt-tkt-tkt")), seqlock.Opts{})
+			return seqlock.Wrap(clof.Must(hierFor(m), compFor("tkt-tkt-tkt-tkt")))
 		}},
 	)
 	return out
@@ -178,7 +178,7 @@ func dynamic(name string) (Entry, error) {
 		wrap           func(m *topo.Machine, inner lockapi.Lock) lockapi.Lock
 	}{
 		{"seq:", "seq", func(_ *topo.Machine, inner lockapi.Lock) lockapi.Lock {
-			return seqlock.Wrap(inner, seqlock.Opts{})
+			return seqlock.Wrap(inner)
 		}},
 		{"cr:", "cr", func(m *topo.Machine, inner lockapi.Lock) lockapi.Lock {
 			return cr.Restrict(m, inner, cr.Opts{})

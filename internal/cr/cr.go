@@ -84,9 +84,6 @@ type Opts struct {
 	// BackoffCap bounds the passive waiters' recirculation backoff
 	// (0 means lockapi.DefaultBackoffCap).
 	BackoffCap int
-	// DisableAdapt pins the target at Target even on backends with virtual
-	// time.
-	DisableAdapt bool
 	// BreakRecirculation deliberately breaks the grant policy (a releaser
 	// always favors its own cohort and heads barge without designation),
 	// re-creating the starvation bug bounded rotation exists to prevent.
@@ -145,7 +142,7 @@ type ctx struct {
 // Restrict wraps inner in a concurrency-restriction combinator for machine
 // m. Only safe during single-threaded setup. Panics if the machine has more
 // than 64 NUMA nodes, or if inner has a reader path:
-// seqlock.Wrap(Restrict(m, inner, o), ...) is the lock a
+// seqlock.Wrap(Restrict(m, inner, o)) is the lock a
 // restricted seqlock should be — admission, the inner acquire and the
 // version bump happen in the same order, and optimistic readers bypass
 // admission either way.
@@ -248,11 +245,12 @@ func unpackRota(rs uint64) (turn, streak, rot int) {
 	return int(rs >> 32 & 0xFFFF), int(rs >> 16 & 0xFFFF), int(rs & 0xFFFF)
 }
 
-// target reads the current adaptive admission target. With adaptation off
-// the target is the configured constant, so the shared load is skipped —
-// that also keeps the model-checked configuration's op count down.
+// target reads the current adaptive admission target. Only adapt moves it,
+// and adapt runs only on a Proc with virtual time, so on any other Proc
+// (native, the model checker) the target is the configured constant and the
+// shared load is skipped — that also keeps the model-checked op count down.
 func (l *Restricted) target(p lockapi.Proc) uint64 {
-	if l.o.DisableAdapt {
+	if _, timed := p.(interface{ Time() int64 }); !timed {
 		return uint64(l.o.Target)
 	}
 	tg := p.Load(&l.tgt, lockapi.Acquire)
@@ -470,7 +468,7 @@ func (l *Restricted) Acquire(p lockapi.Proc, c lockapi.Ctx) {
 // (preempted holder) halves the target; growEvery consecutive healthy
 // releases grow it back by one, up to the configured Target.
 func (l *Restricted) adapt(p lockapi.Proc, cc *ctx) {
-	if l.o.DisableAdapt || !cc.timed {
+	if !cc.timed {
 		return
 	}
 	tp, ok := p.(interface{ Time() int64 })

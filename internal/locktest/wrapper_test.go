@@ -54,7 +54,7 @@ func TestSeqWrapperConformance(t *testing.T) {
 	for _, e := range catalog.Locks() {
 		e := e
 		t.Run("seq_over_"+e.Name, func(t *testing.T) {
-			wrapped := seqlock.Wrap(e.New(m), seqlock.Opts{})
+			wrapped := seqlock.Wrap(e.New(m))
 			locktest.WrapperConformance(t, m, wrapped, e.New(m))
 		})
 	}

@@ -44,8 +44,12 @@ func TestCheckGolden(t *testing.T) {
 			`ok=false violation="deadlock (threads blocked with no enabled transition)" states=23760 executions=36557 depth=117 witness=69`},
 		{"relaxed-release/tkt/2x2/WMM", check(BrokenTicketProgram(2, 2), Config{Mode: WMM}),
 			`ok=false violation="final state: counter = 3, want 4 (lost update: release barrier too weak?)" states=75 executions=100 depth=30 witness=28`},
-		{"seqlock-fenceless/1x1/WMM+stale", check(StoreProgram("seq:tkt", 1, 1, seqTkt(true)), Config{Mode: WMM, StaleLoads: true}),
+		{"seqlock-fenceless/1x1/WMM+stale", check(StoreProgram("seq:tkt", 1, 1, withoutReadFence(seqTkt)), Config{Mode: WMM, StaleLoads: true}),
 			`ok=false violation="assertion failed: torn snapshot escaped validation" states=96 executions=155 depth=20 witness=13`},
+		{"cr/2x1/SC", check(CRProgram(2, 1, false), Config{Mode: SC}),
+			`ok=true violation="" states=19262 executions=33141 depth=61 witness=0`},
+		{"cr/2x1/WMM", check(CRProgram(2, 1, false), Config{Mode: WMM}),
+			`ok=true violation="" states=20165 executions=35630 depth=61 witness=0`},
 		{"guided/cr/3x3/SC/K4", func() Result {
 			return CheckGuided(CRProgram(3, 3, false), Config{Mode: SC, FairnessK: 4}, RoundRobin())
 		}, `ok=true violation="" states=0 executions=1 depth=230 witness=0`},

@@ -105,7 +105,7 @@ func TestPORCatalogEquivalence2T(t *testing.T) {
 		})
 	}
 	t.Run("store/seq:tkt/2x1", func(t *testing.T) {
-		exh, por := porPair(t, "store/seq:tkt/2x1", StoreProgram("seq:tkt", 2, 1, seqTkt(false)), Config{Mode: SC})
+		exh, por := porPair(t, "store/seq:tkt/2x1", StoreProgram("seq:tkt", 2, 1, seqTkt), Config{Mode: SC})
 		if !exh.OK {
 			t.Fatalf("store read unexpectedly broken: %s", exh.Violation)
 		}
@@ -159,7 +159,7 @@ func TestPORDeterministic(t *testing.T) {
 // relaxation forks transitions mid-execution, so Config.POR is ignored and
 // the exhaustive search runs (Reduced=false).
 func TestPORStaleFallback(t *testing.T) {
-	res := Check(StoreProgram("seq:tkt", 1, 1, seqTkt(false)), Config{Mode: WMM, StaleLoads: true, POR: true})
+	res := Check(StoreProgram("seq:tkt", 1, 1, seqTkt), Config{Mode: WMM, StaleLoads: true, POR: true})
 	if res.Reduced {
 		t.Fatal("POR must fall back to exhaustive search under StaleLoads")
 	}

@@ -164,69 +164,59 @@ func CRProgram(threads, iters int, broken bool) Program {
 		return cr.Restrict(mach, locks.NewTicket(), cr.Opts{
 			Target:             1,
 			PassLimit:          1,
-			DisableAdapt:       true,
 			BackoffCap:         1,
 			BreakRecirculation: broken,
 		})
 	})
 }
 
-// relaxedReleaseTicket is a deliberately broken Ticketlock whose release is
-// a plain Relaxed store of grant+1 instead of a releasing increment. Under
-// SC it is indistinguishable from the correct lock; under WMM the unlock
-// can become visible before the critical section's buffered data stores,
-// losing updates — the class of bug the paper's A4 aspect is about.
-type relaxedReleaseTicket struct {
-	ticket, grant lockapi.Cell
+// splitAddProc issues every fetch-and-add as a Relaxed load plus a store
+// at order. That is a correct fetch-and-add only for a cell no other thread
+// writes concurrently.
+type splitAddProc struct {
+	lockapi.Proc
+	order lockapi.Order
 }
 
-func (l *relaxedReleaseTicket) NewCtx() lockapi.Ctx { return nil }
-
-func (l *relaxedReleaseTicket) Acquire(p lockapi.Proc, _ lockapi.Ctx) {
-	t := p.Add(&l.ticket, 1, lockapi.Relaxed) - 1
-	for p.Load(&l.grant, lockapi.Acquire) != t {
-		p.Spin()
-	}
+func (p splitAddProc) Add(c *lockapi.Cell, delta uint64, _ lockapi.Order) uint64 {
+	v := p.Load(c, lockapi.Relaxed) + delta
+	p.Store(c, v, p.order)
+	return v
 }
 
-//lint:order relaxed-ok deliberate missing-Release fixture; the WMM negative test depends on this bug (run clof-lint -nowaiver to see it flagged)
-func (l *relaxedReleaseTicket) Release(p lockapi.Proc, _ lockapi.Ctx) {
-	g := p.Load(&l.grant, lockapi.Relaxed)
-	//lint:order relaxed-ok deliberate missing-Release fixture for the WMM negative test
-	p.Store(&l.grant, g+1, lockapi.Relaxed) // BUG: must be Release
+// splitReleaseTicket is the shipped Ticketlock with its Release run on a
+// splitAddProc. Only the holder writes grant (see locks.Ticket.Release), so
+// the split keeps the release atomic and moves only the grant store's order.
+type splitReleaseTicket struct {
+	*locks.Ticket
+	order lockapi.Order
 }
 
-// BrokenTicketProgram exhibits the missing-release-barrier bug: correct on
-// SC, violating on WMM.
+func (l splitReleaseTicket) Release(p lockapi.Proc, c lockapi.Ctx) {
+	l.Ticket.Release(splitAddProc{p, l.order}, c)
+}
+
+// ticketProgram is LockProgram over a splitReleaseTicket.
+func ticketProgram(name string, threads, iters int, order lockapi.Order) Program {
+	return LockProgram(name, threads, iters, func() lockapi.Lock {
+		return splitReleaseTicket{locks.NewTicket(), order}
+	})
+}
+
+// BrokenTicketProgram exhibits the missing-release-barrier bug: the grant
+// store is Relaxed, so under WMM the unlock can become visible before the
+// critical section's buffered data stores and updates are lost — the class
+// of bug the paper's A4 aspect is about. Under SC it is indistinguishable
+// from the correct lock.
 func BrokenTicketProgram(threads, iters int) Program {
-	return LockProgram("ticket-relaxed-release", threads, iters,
-		func() lockapi.Lock { return &relaxedReleaseTicket{} })
+	return ticketProgram("ticket-relaxed-release", threads, iters, lockapi.Relaxed)
 }
 
-// releaseTicket is the correct counterpart of relaxedReleaseTicket, using a
-// store-release. Having both verifies the WMM mode can tell them apart.
-type releaseTicket struct {
-	ticket, grant lockapi.Cell
-}
-
-func (l *releaseTicket) NewCtx() lockapi.Ctx { return nil }
-
-func (l *releaseTicket) Acquire(p lockapi.Proc, _ lockapi.Ctx) {
-	t := p.Add(&l.ticket, 1, lockapi.Relaxed) - 1
-	for p.Load(&l.grant, lockapi.Acquire) != t {
-		p.Spin()
-	}
-}
-
-func (l *releaseTicket) Release(p lockapi.Proc, _ lockapi.Ctx) {
-	g := p.Load(&l.grant, lockapi.Relaxed)
-	p.Store(&l.grant, g+1, lockapi.Release)
-}
-
-// FixedTicketProgram is BrokenTicketProgram with the barrier restored.
+// FixedTicketProgram is BrokenTicketProgram with the barrier restored: the
+// grant store is a store-release. Having both verifies the WMM mode can
+// tell them apart.
 func FixedTicketProgram(threads, iters int) Program {
-	return LockProgram("ticket-release-store", threads, iters,
-		func() lockapi.Lock { return &releaseTicket{} })
+	return ticketProgram("ticket-release-store", threads, iters, lockapi.Release)
 }
 
 // StoreProgram model-checks the store's optimistic read path itself, not a
@@ -241,10 +231,10 @@ func FixedTicketProgram(threads, iters int) Program {
 //
 // The interesting mode is WMM with Config.StaleLoads: the reader bug class
 // validation exists to prevent is a *load* observing the past, invisible to
-// the store-ordering models. A shard lock built with
-// seqlock.Opts.OmitReadFence seeds it (the classic missing Acquire fence in
-// ReadValidate); under StaleLoads the checker must find the torn snapshot a
-// stale version re-read certifies, and with the fence intact nothing.
+// the store-ordering models. A shard lock whose ReadValidate runs on a Proc
+// with a no-op Fence seeds it (the classic missing Acquire fence; see
+// seqlock_test.go); under StaleLoads the checker must find the torn snapshot
+// a stale version re-read certifies, and with the fence intact nothing.
 //
 // With one write per shard a read fails validation at most once (the
 // retry's Acquire ReadSeq waits the writer out), so no read reaches the

@@ -11,12 +11,28 @@ import (
 	"github.com/clof-go/clof/internal/topo"
 )
 
-// seqTkt builds StoreProgram's seq:tkt shard lock; omitReadFence seeds the
-// missing read fence (seqlock.Opts.OmitReadFence).
-func seqTkt(omitReadFence bool) func() lockapi.Lock {
-	return func() lockapi.Lock {
-		return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{OmitReadFence: omitReadFence})
-	}
+// seqTkt builds StoreProgram's seq:tkt shard lock.
+func seqTkt() lockapi.Lock { return seqlock.Wrap(locks.NewTicket()) }
+
+// noFenceProc is a checker Proc whose Fence does nothing.
+type noFenceProc struct{ *Proc }
+
+func (noFenceProc) Fence(lockapi.Order) {}
+
+// fenceless is a seq: lock whose ReadValidate runs the shipped one on a
+// noFenceProc: the classic seqlock reader bug, where the data loads may be
+// satisfied after the version re-read, so a stale even version can certify
+// a torn snapshot. Everything else is the embedded lock's.
+type fenceless struct{ *seqlock.Lock }
+
+func (l fenceless) ReadValidate(p lockapi.Proc, s uint64) bool {
+	return l.Lock.ReadValidate(noFenceProc{p.(*Proc)}, s)
+}
+
+// withoutReadFence builds mk's seq: lock with its ReadValidate fence
+// deleted (fenceless).
+func withoutReadFence(mk func() lockapi.Lock) func() lockapi.Lock {
+	return func() lockapi.Lock { return fenceless{mk().(*seqlock.Lock)} }
 }
 
 // alwaysValid is a seq: lock whose ReadValidate certifies every snapshot:
@@ -29,16 +45,16 @@ func (alwaysValid) ReadValidate(lockapi.Proc, uint64) bool { return true }
 // unvalidatedSeqTkt builds StoreProgram's seq:tkt shard lock with
 // ReadValidate replaced by alwaysValid's.
 func unvalidatedSeqTkt() lockapi.Lock {
-	return alwaysValid{seqTkt(false)().(*seqlock.Lock)}
+	return alwaysValid{seqTkt().(*seqlock.Lock)}
 }
 
 // seqCLoF builds a seq: lock over the 2-level tkt-tkt CLoF composition on
 // VerifyMachine, InductionProgram's lock.
-func seqCLoF(omitReadFence bool) func() lockapi.Lock {
+func seqCLoF() func() lockapi.Lock {
 	h := topo.MustHierarchy(VerifyMachine(), topo.CacheGroup, topo.System)
 	comp := clof.Composition{locks.MustType("tkt"), locks.MustType("tkt")}
 	return func() lockapi.Lock {
-		return seqlock.Wrap(clof.Must(h, comp, clof.WithThreshold(2)), seqlock.Opts{OmitReadFence: omitReadFence})
+		return seqlock.Wrap(clof.Must(h, comp, clof.WithThreshold(2)))
 	}
 }
 
@@ -57,7 +73,7 @@ func checkStore(t *testing.T, name string, readers, shards int, mk func() lockap
 // readers of one shard, under SC (loads always current) — a smoke baseline
 // for the WMM runs below.
 func TestSeqlockVerifiedSC(t *testing.T) {
-	if res := checkStore(t, "seq:tkt", 2, 1, seqTkt(false), Config{Mode: SC}, 21046); !res.OK {
+	if res := checkStore(t, "seq:tkt", 2, 1, seqTkt, Config{Mode: SC}, 21046); !res.OK {
 		t.Fatalf("SC: %s (witness %v)", res.Violation, res.Witness)
 	}
 }
@@ -78,10 +94,10 @@ func TestSeqlockVerifiedWMM(t *testing.T) {
 		readers, shards int
 		states          int
 	}{
-		{"seq:tkt", seqTkt(false), 2, 1, 28575},
-		{"seq:tkt", seqTkt(false), 1, 2, 14365},
-		{"seq:clof:tkt-tkt", seqCLoF(false), 2, 1, 129945},
-		{"seq:clof:tkt-tkt", seqCLoF(false), 1, 2, 67366},
+		{"seq:tkt", seqTkt, 2, 1, 28575},
+		{"seq:tkt", seqTkt, 1, 2, 14365},
+		{"seq:clof:tkt-tkt", seqCLoF(), 2, 1, 129945},
+		{"seq:clof:tkt-tkt", seqCLoF(), 1, 2, 67366},
 	} {
 		if res := checkStore(t, c.name, c.readers, c.shards, c.mk, cfg, c.states); !res.OK {
 			t.Fatalf("%s %dx%d WMM+stale: %s (witness %v, truncated=%v)",
@@ -106,10 +122,10 @@ func TestSeqlockMissingReadFenceCaught(t *testing.T) {
 		readers, shards int
 		states          int
 	}{
-		{"seq:tkt", seqTkt(true), 2, 1, 771},
-		{"seq:tkt", seqTkt(true), 1, 2, 143},
-		{"seq:clof:tkt-tkt", seqCLoF(true), 2, 1, 2186},
-		{"seq:clof:tkt-tkt", seqCLoF(true), 1, 2, 301},
+		{"seq:tkt", withoutReadFence(seqTkt), 2, 1, 771},
+		{"seq:tkt", withoutReadFence(seqTkt), 1, 2, 143},
+		{"seq:clof:tkt-tkt", withoutReadFence(seqCLoF()), 2, 1, 2186},
+		{"seq:clof:tkt-tkt", withoutReadFence(seqCLoF()), 1, 2, 301},
 		{"seq:tkt/always-valid", unvalidatedSeqTkt, 1, 1, 47},
 	} {
 		res := checkStore(t, c.name, c.readers, c.shards, c.mk, cfg, c.states)
@@ -127,7 +143,7 @@ func TestSeqlockMissingReadFenceCaught(t *testing.T) {
 // that started "verifying" the bug away would break the Caught test above;
 // this one breaks if someone makes plain WMM claim the catch.
 func TestSeqlockFenceBugInvisibleWithoutStaleLoads(t *testing.T) {
-	if res := checkStore(t, "seq:tkt", 2, 1, seqTkt(true), Config{Mode: WMM}, 14553); !res.OK {
+	if res := checkStore(t, "seq:tkt", 2, 1, withoutReadFence(seqTkt), Config{Mode: WMM}, 14553); !res.OK {
 		t.Fatalf("plain WMM unexpectedly reports %q — update the model notes in mcheck.go", res.Violation)
 	}
 }

@@ -16,23 +16,12 @@
 // with an optimistic read path, `seq:clof:tkt-tkt-tkt-tkt` a CLoF
 // composition with one. The read-validation fence discipline is verified by
 // internal/mcheck's StoreProgram, which model-checks internal/store's own
-// optimistic read over seq: locks under SC and WMM with stale loads,
-// including a seeded missing-read-fence variant (Opts.OmitReadFence) the
-// checker must catch.
+// optimistic read over seq: locks under SC and WMM with stale loads. Its
+// tests also run this ReadValidate on a checker Proc whose Fence does
+// nothing, seeding the missing read fence the checker must catch.
 package seqlock
 
 import "github.com/clof-go/clof/internal/lockapi"
-
-// Opts configures Wrap. The zero value is the correct production protocol.
-type Opts struct {
-	// OmitReadFence drops the Acquire fence from ReadValidate, seeding the
-	// classic seqlock reader bug: data loads may be satisfied after the
-	// version re-read, so a stale even version can certify a torn snapshot.
-	// Fixture-only — it exists so mcheck's StoreProgram can demonstrate the
-	// checker catches the missing fence on the store's read path
-	// (mcheck/program.go).
-	OmitReadFence bool
-}
 
 // Lock is a seqlock wrapper around an inner lock. It implements
 // lockapi.SeqReader for optimistic readers and forwards the inner lock's
@@ -43,16 +32,14 @@ type Opts struct {
 type Lock struct {
 	inner lockapi.Lock
 	seq   lockapi.Cell
-	// omitReadFence is Opts.OmitReadFence (fixture-only, see Opts).
-	omitReadFence bool
 }
 
 // Wrap returns inner with a seqlock version word wrapped around its
 // exclusive path. If inner supports shared acquisitions (lockapi.RWLocker),
 // the returned lock forwards them — shared holders exclude writers but do
 // not advance the version, so optimistic readers overlap them freely.
-func Wrap(inner lockapi.Lock, o Opts) lockapi.Lock {
-	l := &Lock{inner: inner, omitReadFence: o.OmitReadFence}
+func Wrap(inner lockapi.Lock) lockapi.Lock {
+	l := &Lock{inner: inner}
 	if rw, ok := inner.(lockapi.RWLocker); ok {
 		return &RW{Lock: l, rw: rw}
 	}
@@ -118,9 +105,7 @@ func (l *Lock) ReadSeq(p lockapi.Proc) uint64 {
 // re-read itself can be Relaxed: the fence already orders it against the
 // data loads, and its value is only compared, never dereferenced.
 func (l *Lock) ReadValidate(p lockapi.Proc, s uint64) bool {
-	if !l.omitReadFence {
-		p.Fence(lockapi.Acquire)
-	}
+	p.Fence(lockapi.Acquire)
 	return p.Load(&l.seq, lockapi.Relaxed) == s
 }
 

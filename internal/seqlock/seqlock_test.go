@@ -13,7 +13,7 @@ import (
 // odd while a writer is inside, +2 per completed write, and ReadValidate
 // failing for any sample that a writer overlapped.
 func TestVersionProtocol(t *testing.T) {
-	l := Wrap(locks.NewTicket(), Opts{}).(*Lock)
+	l := Wrap(locks.NewTicket()).(*Lock)
 	p := lockapi.NewNativeProc(0)
 	c := l.NewCtx()
 
@@ -46,7 +46,7 @@ func TestVersionProtocol(t *testing.T) {
 // TestTryAcquire pins trylock forwarding: a successful try opens the torn
 // window exactly like Acquire, and TrySupported mirrors the inner lock.
 func TestTryAcquire(t *testing.T) {
-	l := Wrap(locks.NewTicket(), Opts{}).(*Lock)
+	l := Wrap(locks.NewTicket()).(*Lock)
 	p := lockapi.NewNativeProc(0)
 	c := l.NewCtx()
 	if !l.TrySupported() {
@@ -73,7 +73,7 @@ func TestTryAcquire(t *testing.T) {
 // readers may overlap shared holders).
 func TestWrapSelectsRWVariant(t *testing.T) {
 	m := topo.X86Server()
-	l := Wrap(rwlock.New(m, topo.CacheGroup, locks.NewMCS()), Opts{})
+	l := Wrap(rwlock.New(m, topo.CacheGroup, locks.NewMCS()))
 	rw, ok := l.(lockapi.RWLocker)
 	if !ok {
 		t.Fatal("seq over rwlock lost RWLocker")
@@ -91,24 +91,7 @@ func TestWrapSelectsRWVariant(t *testing.T) {
 	}
 	rw.ReleaseShared(p, c)
 
-	if _, isRW := Wrap(locks.NewTicket(), Opts{}).(lockapi.RWLocker); isRW {
+	if _, isRW := Wrap(locks.NewTicket()).(lockapi.RWLocker); isRW {
 		t.Fatal("seq over a plain lock grew a phantom RWLocker")
-	}
-}
-
-// TestOmitReadFenceFixture: the fixture flag must change only the fence, not
-// the version arithmetic — the single-threaded protocol still validates.
-func TestOmitReadFenceFixture(t *testing.T) {
-	l := Wrap(locks.NewTicket(), Opts{OmitReadFence: true}).(*Lock)
-	p := lockapi.NewNativeProc(0)
-	c := l.NewCtx()
-	s := l.ReadSeq(p)
-	if !l.ReadValidate(p, s) {
-		t.Fatal("fixture broke single-threaded validation")
-	}
-	l.Acquire(p, c)
-	l.Release(p, c)
-	if l.ReadValidate(p, s) {
-		t.Fatal("fixture broke version-bump detection")
 	}
 }

@@ -375,7 +375,7 @@ func BenchmarkPreloadKV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		kv := OpenKV(KVOptions{
 			Shards:  shards,
-			NewLock: func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+			NewLock: func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket()) },
 			Shard:   kvstore.Options{MemtableBytes: 1 << 20},
 		})
 		PreloadKV(kv, keys)

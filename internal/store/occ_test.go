@@ -21,7 +21,7 @@ func openSeqSharded(shards, rangeKeys int) *KV {
 	return OpenKV(KVOptions{
 		Shards:    shards,
 		RangeKeys: rangeKeys,
-		NewLock:   func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+		NewLock:   func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket()) },
 		Shard:     kvstore.Options{MemtableBytes: 400, MaxRuns: 2, Seed: 11},
 	})
 }

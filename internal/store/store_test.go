@@ -140,7 +140,7 @@ func TestEachVisitsInOrder(t *testing.T) {
 // lock (the ycsb-b benchmark's shard lock).
 func BenchmarkExclusive(b *testing.B) {
 	r := NewRouter(NewPartitioner(16, 0),
-		func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+		func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket()) },
 		func(int) struct{} { return struct{}{} })
 	s := r.NewSession()
 	key := make([]byte, 0, kvstore.KeyWidth)
@@ -170,7 +170,7 @@ func BenchmarkOptimistic(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := NewRouter(NewPartitioner(16, 0),
-				func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+				func(int) lockapi.Lock { return seqlock.Wrap(locks.NewTicket()) },
 				func(int) struct{} { return struct{}{} })
 			workers := runtime.GOMAXPROCS(0) // RunParallel's goroutine count
 			sessions := make([]*Session[struct{}], workers)

@@ -88,7 +88,7 @@ func TestKVOptimisticReads(t *testing.T) {
 	m := topo.X86Server()
 	r, err := RunKV(KVConfig{
 		Machine: m, Threads: 12, Shards: 4, Horizon: 200_000,
-		NewShardLock: func() lockapi.Lock { return seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}) },
+		NewShardLock: func() lockapi.Lock { return seqlock.Wrap(locks.NewTicket()) },
 		Mix:          store.ReadMostly, Dist: store.DistZipfian, Seed: 5,
 	})
 	if err != nil {
@@ -217,7 +217,7 @@ func TestKVOraclesCatchSeededBugs(t *testing.T) {
 		t.Error("no exclusion violations with a no-op shard lock")
 	}
 	r := run(func() lockapi.Lock {
-		return blindSeq{locks.NewTicket(), seqlock.Wrap(locks.NewTicket(), seqlock.Opts{}).(lockapi.SeqReader)}
+		return blindSeq{locks.NewTicket(), seqlock.Wrap(locks.NewTicket()).(lockapi.SeqReader)}
 	})
 	if r.TornReads == 0 {
 		t.Error("no torn reads with a seqlock whose validation always passes")
