@@ -57,9 +57,6 @@ func (l *ArrayLock) Release(p clof.Proc, c clof.Ctx) {
 	p.Store(&l.slots[(ctx.slot+1)&l.mask], 1, clof.Release)
 }
 
-// Fair: slot order is FIFO.
-func (l *ArrayLock) Fair() bool { return true }
-
 func main() {
 	// Step 1 (paper Fig. 5: "verify correctness"): model-check the new lock
 	// before composing it — mutual exclusion, deadlock freedom, spinloop
@@ -98,7 +95,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("\nstep 2: composed %s over %s (fair: %v)\n", lock.Name(), h, lock.Fair())
+	fmt.Printf("\nstep 2: composed %s over %s\n", lock.Name(), h)
 
 	// Step 3: measure against an all-stock composition on the simulator.
 	fmt.Println("\nstep 3: simulated LevelDB at 32 and 127 threads")

@@ -18,7 +18,7 @@ func main() {
 	// Ticketlocks above.
 	h := clof.ArmHierarchy4()
 	lock := clof.MustNewLock(h, "tkt-clh-tkt-tkt")
-	fmt.Printf("composed %s over %s (fair: %v)\n", lock.Name(), h, lock.Fair())
+	fmt.Printf("composed %s over %s\n", lock.Name(), h)
 
 	const workers = 16
 	const iters = 50_000

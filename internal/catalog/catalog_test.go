@@ -120,21 +120,3 @@ func TestLookupRejectsCROverReaders(t *testing.T) {
 		}
 	}
 }
-
-// TestCohortEntriesFairness: the classic cohort locks are 2-level CLoF
-// compositions, so Theorem 4.1 decides their fairness — C-BO-MCS is unfair
-// (backoff global lock, the cohorting paper's own caveat) and C-TKT-TKT is
-// fair — on both evaluation platforms.
-func TestCohortEntriesFairness(t *testing.T) {
-	for _, m := range []*topo.Machine{topo.X86Server(), topo.Armv8Server()} {
-		for name, fair := range map[string]bool{"c-bo-mcs": false, "c-tkt-tkt": true} {
-			e, ok := ByName(name)
-			if !ok {
-				t.Fatalf("%s missing from the catalog", name)
-			}
-			if got := lockapi.Fair(e.New(m)); got != fair {
-				t.Errorf("%s on %s: Fair = %v, want %v", name, m.Name, got, fair)
-			}
-		}
-	}
-}

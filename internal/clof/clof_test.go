@@ -37,6 +37,16 @@ func mustComp(t *testing.T, s string) Composition {
 	return c
 }
 
+// ticketFree reports whether l is free by taking it with TryAcquire and
+// dropping it again: a free ticket lock is left free.
+func ticketFree(p lockapi.Proc, l *locks.Ticket) bool {
+	if !l.TryAcquire(p, nil) {
+		return false
+	}
+	l.Release(p, nil)
+	return true
+}
+
 func TestParseCompositionRoundTrip(t *testing.T) {
 	for _, s := range []string{"tkt", "tkt-mcs", "hem-hem-mcs-clh", "tkt-clh-tkt-tkt", "hem-ctr-mcs", "mcs-hem-ctr"} {
 		c, err := ParseComposition(s)
@@ -203,7 +213,7 @@ func TestLockPassingWhitebox(t *testing.T) {
 		t.Error("release with waiters did not pass the high lock")
 	}
 	// The system lock must still be held (ticket not granted).
-	if rootTkt.TryObserveUnlocked(p) {
+	if ticketFree(p, rootTkt) {
 		t.Error("system lock was released despite lock passing")
 	}
 
@@ -216,7 +226,7 @@ func TestLockPassingWhitebox(t *testing.T) {
 	if got := p.Load(&numa.highHeld, lockapi.Relaxed); got != 0 {
 		t.Error("release without waiters left the pass flag set")
 	}
-	if !rootTkt.TryObserveUnlocked(p) {
+	if !ticketFree(p, rootTkt) {
 		t.Error("system lock still held after give-away release")
 	}
 	l.releaseNode(p, leaf, ctx.(*threadCtx).leafCtxs[0], 1)
@@ -273,7 +283,7 @@ func TestKeepLocalTenureBound(t *testing.T) {
 	run, longest := 1, 0
 	for i := 0; i < 8*H; i++ {
 		l.releaseNode(p, leaf, ctx.leafCtxs[0], 1)
-		if root.TryObserveUnlocked(p) {
+		if ticketFree(p, root) {
 			longest = max(longest, run)
 			run = 0
 		}
@@ -354,13 +364,34 @@ func TestSelectionPolicies(t *testing.T) {
 	}
 }
 
-func TestFairnessDeclaration(t *testing.T) {
+// TestTryComposition pins the composed trylock rule: a composition supports
+// TryAcquire iff every level's basic lock does (CLH has no try path), and
+// the TAS fast path supplies one over any composition.
+func TestTryComposition(t *testing.T) {
 	h := tinyHierarchy()
-	if !lockapi.Fair(Must(h, mustComp(t, "tkt-mcs-clh"))) {
-		t.Error("fair composition must declare fairness")
-	}
-	if lockapi.Fair(Must(h, mustComp(t, "tkt-ttas-clh"))) {
-		t.Error("composition with unfair component must not declare fairness")
+	p := lockapi.NewNativeProc(0)
+	for _, c := range []struct {
+		comp string
+		opts []Option
+		want bool
+	}{
+		{"tkt-mcs-tkt", nil, true},
+		{"tkt-clh-tkt", nil, false},
+		{"tkt-clh-tkt", []Option{WithTASFastPath()}, true},
+	} {
+		l := Must(h, mustComp(t, c.comp), c.opts...)
+		if got := lockapi.SupportsTry(l); got != c.want {
+			t.Errorf("%s (%d options): SupportsTry = %v, want %v", c.comp, len(c.opts), got, c.want)
+			continue
+		}
+		ctx := l.NewCtx()
+		if got := l.TryAcquire(p, ctx); got != c.want {
+			t.Errorf("%s (%d options): uncontended TryAcquire = %v, want %v", c.comp, len(c.opts), got, c.want)
+			continue
+		}
+		if c.want {
+			l.Release(p, ctx)
+		}
 	}
 }
 

@@ -34,16 +34,6 @@ func TestFastPathUncontendedSkipsHierarchy(t *testing.T) {
 	}
 }
 
-func TestFastPathFairnessForfeited(t *testing.T) {
-	h := tinyHierarchy()
-	if lockapi.Fair(Must(h, mustComp(t, "tkt-tkt-tkt"), WithTASFastPath())) {
-		t.Error("fast-path lock must not declare fairness")
-	}
-	if !lockapi.Fair(Must(h, mustComp(t, "tkt-tkt-tkt"))) {
-		t.Error("plain composed lock of fair basics must declare fairness")
-	}
-}
-
 // TestFastPathLowContentionGain: on the simulator, single-thread throughput
 // with the fast path must beat the full 4-level climb, and high contention
 // must not collapse (the slow path takes over).

@@ -225,11 +225,7 @@ func (l *Lock) spliceSecondaryBefore(p lockapi.Proc, succ uint64) {
 	p.Store(&l.secTail, 0, lockapi.Relaxed)
 }
 
-// Fair implements lockapi.FairnessInfo: the periodic flush bounds bypassing.
-func (l *Lock) Fair() bool { return true }
-
 var (
-	_ lockapi.Lock         = (*Lock)(nil)
-	_ lockapi.FairnessInfo = (*Lock)(nil)
-	_ lockapi.TryLocker    = (*Lock)(nil)
+	_ lockapi.Lock      = (*Lock)(nil)
+	_ lockapi.TryLocker = (*Lock)(nil)
 )

@@ -110,9 +110,3 @@ func TestTwoLevelOnly(t *testing.T) {
 		t.Errorf("CNA sub-NUMA handover fraction %.2f unexpectedly high", f)
 	}
 }
-
-func TestFairnessDeclared(t *testing.T) {
-	if !lockapi.Fair(New(topo.X86Server())) {
-		t.Error("CNA must declare fairness (bounded bypass)")
-	}
-}

@@ -21,16 +21,15 @@
 // healthy releases.
 //
 // Restricted restricts the exclusive path only. It forwards trylock
-// (TryLocker, with TryInfo answering for the inner lock) and the fairness
-// declaration, so the fault-plan sweeps (abandoned acquires included) see
-// through the wrapper. Restrict refuses inner locks with a reader path
-// (lockapi.RWLocker, lockapi.SeqReader): a restricted seqlock is built the
-// other way round, seqlock.Wrap over Restrict (the catalog's seq:cr:
-// names). internal/catalog enumerates
-// restricted variants under the "cr" family; internal/mcheck verifies mutual
-// exclusion and bounded-bypass liveness, including that the deliberately
-// broken recirculation variant (Opts.BreakRecirculation) is caught as
-// starvation.
+// (TryLocker, with TryInfo answering for the inner lock), so the fault-plan
+// sweeps (abandoned acquires included) see through the wrapper. Restrict
+// refuses inner locks with a reader path (lockapi.RWLocker,
+// lockapi.SeqReader): a restricted seqlock is built the other way round,
+// seqlock.Wrap over Restrict (the catalog's seq:cr: names).
+// internal/catalog enumerates restricted variants under the "cr" family;
+// internal/mcheck verifies mutual exclusion and bounded-bypass liveness,
+// including that the deliberately broken recirculation variant
+// (Opts.BreakRecirculation) is caught as starvation.
 package cr
 
 import (
@@ -584,17 +583,8 @@ func (l *Restricted) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 // exactly when the inner lock does.
 func (l *Restricted) TrySupported() bool { return lockapi.SupportsTry(l.inner) }
 
-// Fair implements lockapi.FairnessInfo: recirculation is bounded-bypass
-// (per-cohort FIFO queues plus forced rotation), so the combination is
-// starvation-free exactly when the inner lock is — unless the broken
-// recirculation variant is selected, which starves by construction.
-func (l *Restricted) Fair() bool {
-	return !l.o.BreakRecirculation && lockapi.Fair(l.inner)
-}
-
 var (
-	_ lockapi.Lock         = (*Restricted)(nil)
-	_ lockapi.TryLocker    = (*Restricted)(nil)
-	_ lockapi.TryInfo      = (*Restricted)(nil)
-	_ lockapi.FairnessInfo = (*Restricted)(nil)
+	_ lockapi.Lock      = (*Restricted)(nil)
+	_ lockapi.TryLocker = (*Restricted)(nil)
+	_ lockapi.TryInfo   = (*Restricted)(nil)
 )

@@ -93,15 +93,3 @@ func TestRestrictDeclinesTryWhenInnerCannot(t *testing.T) {
 		t.Fatal("TryAcquire must fail when unsupported")
 	}
 }
-
-func TestRestrictCapabilityForwarding(t *testing.T) {
-	m := topo.X86Server()
-	l := cr.Restrict(m, locks.NewTicket(), cr.Opts{})
-	if !lockapi.Fair(l) {
-		t.Error("restricted ticket lock should report fair")
-	}
-	broken := cr.Restrict(m, locks.NewTicket(), cr.Opts{BreakRecirculation: true})
-	if lockapi.Fair(broken) {
-		t.Error("broken recirculation variant must not report fair")
-	}
-}

@@ -117,11 +117,6 @@ type Decision struct {
 	AbandonAttempts int
 }
 
-// Zero reports whether the decision injects nothing.
-func (d Decision) Zero() bool {
-	return d == Decision{}
-}
-
 // compiled is one fault source bound to its victims and stream.
 type compiled struct {
 	fault   Fault

@@ -57,7 +57,7 @@ func TestNonePlanInjectsNothing(t *testing.T) {
 	cpus := []int{0, 1}
 	s := Compile(MustByName("none"), 3, cpus)
 	for _, d := range drain(s, cpus, 100) {
-		if !d.Zero() {
+		if d != (Decision{}) {
 			t.Fatalf("none plan produced a fault: %+v", d)
 		}
 	}
@@ -121,7 +121,7 @@ func TestAbandonDecision(t *testing.T) {
 
 func TestUnknownCPUIsZero(t *testing.T) {
 	s := Compile(MustByName("mixed"), 19, []int{0, 1})
-	if d := s.Next(99); !d.Zero() {
+	if d := s.Next(99); d != (Decision{}) {
 		t.Fatalf("unknown CPU got a fault: %+v", d)
 	}
 }

@@ -256,11 +256,4 @@ func (l *Lock) releaseHelper(p lockapi.Proc, h *hnode, q, val uint64) {
 	p.Store(&l.node(succ).status, val, lockapi.Release)
 }
 
-// Fair implements lockapi.FairnessInfo: every level is FIFO with bounded
-// local passing.
-func (l *Lock) Fair() bool { return true }
-
-var (
-	_ lockapi.Lock         = (*Lock)(nil)
-	_ lockapi.FairnessInfo = (*Lock)(nil)
-)
+var _ lockapi.Lock = (*Lock)(nil)

@@ -118,13 +118,10 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	l.Release(lockapi.NewNativeProc(0), c)
 }
 
-func TestNameAndFairness(t *testing.T) {
+func TestNameAndLevels(t *testing.T) {
 	l := Must(topo.X86Hierarchy4())
 	if l.Name() != "hmcs<4>" || l.Levels() != 4 {
 		t.Errorf("Name/Levels = %s/%d", l.Name(), l.Levels())
-	}
-	if !lockapi.Fair(l) {
-		t.Error("HMCS must declare fairness")
 	}
 }
 

@@ -191,20 +191,6 @@ type WaiterDetector interface {
 	HasWaiters(p Proc, c Ctx) bool
 }
 
-// FairnessInfo is implemented by locks that declare whether they guarantee
-// starvation freedom. CLoF compositions are fair iff all components are fair
-// (paper Theorem 4.1).
-type FairnessInfo interface {
-	Fair() bool
-}
-
-// Fair reports whether l declares itself starvation-free. Locks that do not
-// implement FairnessInfo are conservatively treated as unfair.
-func Fair(l Lock) bool {
-	f, ok := l.(FairnessInfo)
-	return ok && f.Fair()
-}
-
 // NativeProc is the native backend: operations map directly to sync/atomic
 // (sequentially consistent, hence correct for any Order annotation) and Spin
 // yields to the Go scheduler periodically so that spinning goroutines do not

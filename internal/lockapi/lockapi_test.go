@@ -97,31 +97,6 @@ func TestCellArithmetic(t *testing.T) {
 	}
 }
 
-type fairLock struct{ fair bool }
-
-func (f fairLock) NewCtx() Ctx           { return nil }
-func (f fairLock) Acquire(p Proc, c Ctx) {}
-func (f fairLock) Release(p Proc, c Ctx) {}
-func (f fairLock) Fair() bool            { return f.fair }
-
-type plainLock struct{}
-
-func (plainLock) NewCtx() Ctx           { return nil }
-func (plainLock) Acquire(p Proc, c Ctx) {}
-func (plainLock) Release(p Proc, c Ctx) {}
-
-func TestFairHelper(t *testing.T) {
-	if !Fair(fairLock{fair: true}) {
-		t.Error("Fair() = false for a fair lock")
-	}
-	if Fair(fairLock{fair: false}) {
-		t.Error("Fair() = true for an unfair lock")
-	}
-	if Fair(plainLock{}) {
-		t.Error("Fair() = true for a lock without FairnessInfo")
-	}
-}
-
 func TestColocate(t *testing.T) {
 	var a, b, c, d Cell
 	if a.LineSlot() != a.LineSlot() {

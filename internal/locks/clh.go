@@ -83,11 +83,7 @@ func (l *CLH) HasWaiters(p lockapi.Proc, c lockapi.Ctx) bool {
 	return p.Load(&l.tail, lockapi.Relaxed) != c.(*clhCtx).node
 }
 
-// Fair implements lockapi.FairnessInfo: the implicit queue is FIFO.
-func (l *CLH) Fair() bool { return true }
-
 var (
 	_ lockapi.Lock           = (*CLH)(nil)
 	_ lockapi.WaiterDetector = (*CLH)(nil)
-	_ lockapi.FairnessInfo   = (*CLH)(nil)
 )

@@ -119,12 +119,3 @@ func TestHBOMutualExclusion(t *testing.T) {
 		t.Fatalf("counter = %d, want %d", counter, workers*iters)
 	}
 }
-
-func TestUnfairLocksDeclared(t *testing.T) {
-	if lockapi.Fair(NewQSpin()) {
-		t.Error("qspin must declare unfair (pending-slot bypass)")
-	}
-	if lockapi.Fair(NewHBO(topo.X86Server())) {
-		t.Error("HBO must declare unfair")
-	}
-}

@@ -63,11 +63,7 @@ func (l *HBO) Release(p lockapi.Proc, _ lockapi.Ctx) {
 	p.Store(&l.word, 0, lockapi.Release)
 }
 
-// Fair implements lockapi.FairnessInfo.
-func (l *HBO) Fair() bool { return false }
-
 var (
-	_ lockapi.Lock         = (*HBO)(nil)
-	_ lockapi.FairnessInfo = (*HBO)(nil)
-	_ lockapi.TryLocker    = (*HBO)(nil)
+	_ lockapi.Lock      = (*HBO)(nil)
+	_ lockapi.TryLocker = (*HBO)(nil)
 )

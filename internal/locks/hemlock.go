@@ -55,9 +55,6 @@ func NewHemlock(ctr bool) *Hemlock {
 	}
 }
 
-// CTR reports whether the coherence-traffic-reduction optimization is on.
-func (l *Hemlock) CTR() bool { return l.ctr }
-
 // NewCtx implements lockapi.Lock. Only safe during single-threaded setup.
 func (l *Hemlock) NewCtx() lockapi.Ctx {
 	l.nodes = append(l.nodes, &hemNode{})
@@ -134,12 +131,8 @@ func (l *Hemlock) HasWaiters(p lockapi.Proc, c lockapi.Ctx) bool {
 	return p.Load(&l.tail, lockapi.Relaxed) != c.(*hemCtx).id
 }
 
-// Fair implements lockapi.FairnessInfo: the implicit queue is FIFO.
-func (l *Hemlock) Fair() bool { return true }
-
 var (
 	_ lockapi.Lock           = (*Hemlock)(nil)
 	_ lockapi.WaiterDetector = (*Hemlock)(nil)
-	_ lockapi.FairnessInfo   = (*Hemlock)(nil)
 	_ lockapi.TryLocker      = (*Hemlock)(nil)
 )

@@ -21,8 +21,7 @@ import (
 )
 
 // Type describes a basic lock kind: its short name (used in composition
-// notation like "tkt-clh-tkt-tkt") and a constructor. Whether the lock is
-// starvation-free is the instance's own declaration (lockapi.Fair).
+// notation like "tkt-clh-tkt-tkt") and a constructor.
 type Type struct {
 	// Name is the abbreviation used throughout the paper's figures.
 	Name string

@@ -175,7 +175,7 @@ func TestCLHNodeRecycling(t *testing.T) {
 }
 
 func TestHemlockCTRFlag(t *testing.T) {
-	if NewHemlock(true).CTR() != true || NewHemlock(false).CTR() != false {
+	if !NewHemlock(true).ctr || NewHemlock(false).ctr {
 		t.Error("CTR flag not preserved")
 	}
 	if NewHemlock(false).id == 0 {
@@ -184,19 +184,13 @@ func TestHemlockCTRFlag(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	// Only the FIFO queue locks declare fairness.
-	fair := map[string]bool{"tkt": true, "mcs": true, "clh": true, "hem": true, "hem-ctr": true}
 	for _, name := range Names() {
 		typ, ok := ByName(name)
 		if !ok {
 			t.Fatalf("ByName(%q) failed for a registered name", name)
 		}
-		l := typ.New()
-		if l == nil {
+		if typ.New() == nil {
 			t.Fatalf("%s: New returned nil", name)
-		}
-		if lockapi.Fair(l) != fair[name] {
-			t.Errorf("%s: declares fairness %v, want %v", name, lockapi.Fair(l), fair[name])
 		}
 	}
 	if _, ok := ByName("qspinlock"); ok {
@@ -217,16 +211,11 @@ func TestBasicLocksPerArch(t *testing.T) {
 		}
 	}
 	// The hem entry must have CTR enabled on x86 and disabled on Armv8.
-	if !x86[3].New().(*Hemlock).CTR() {
+	if !x86[3].New().(*Hemlock).ctr {
 		t.Error("x86 hem must enable CTR")
 	}
-	if arm[3].New().(*Hemlock).CTR() {
+	if arm[3].New().(*Hemlock).ctr {
 		t.Error("armv8 hem must disable CTR")
-	}
-	for _, typ := range x86 {
-		if !lockapi.Fair(typ.New()) {
-			t.Errorf("basic lock %s must be fair (paper only composes fair locks)", typ.Name)
-		}
 	}
 }
 

@@ -102,12 +102,8 @@ func (l *MCS) HasWaiters(p lockapi.Proc, c lockapi.Ctx) bool {
 	return p.Load(&l.node(ctx.id).next, lockapi.Relaxed) != 0
 }
 
-// Fair implements lockapi.FairnessInfo: the queue is FIFO.
-func (l *MCS) Fair() bool { return true }
-
 var (
 	_ lockapi.Lock           = (*MCS)(nil)
 	_ lockapi.WaiterDetector = (*MCS)(nil)
-	_ lockapi.FairnessInfo   = (*MCS)(nil)
 	_ lockapi.TryLocker      = (*MCS)(nil)
 )

@@ -160,12 +160,7 @@ func (l *QSpin) Release(p lockapi.Proc, _ lockapi.Ctx) {
 	}
 }
 
-// Fair implements lockapi.FairnessInfo: the pending slot admits one bypass,
-// so strict FIFO does not hold (like the real qspinlock).
-func (l *QSpin) Fair() bool { return false }
-
 var (
-	_ lockapi.Lock         = (*QSpin)(nil)
-	_ lockapi.FairnessInfo = (*QSpin)(nil)
-	_ lockapi.TryLocker    = (*QSpin)(nil)
+	_ lockapi.Lock      = (*QSpin)(nil)
+	_ lockapi.TryLocker = (*QSpin)(nil)
 )

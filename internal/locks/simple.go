@@ -34,9 +34,6 @@ func (l *TAS) Release(p lockapi.Proc, _ lockapi.Ctx) {
 	p.Store(&l.word, 0, lockapi.Release)
 }
 
-// Fair implements lockapi.FairnessInfo: TAS admits in arbitrary order.
-func (l *TAS) Fair() bool { return false }
-
 // TTAS is the test-and-test-and-set spinlock: waiters spin with plain loads
 // (staying in shared state) and only attempt the CAS when the lock looks
 // free, which reduces — but does not eliminate — the release storm. Unfair.
@@ -72,9 +69,6 @@ func (l *TTAS) TryAcquire(p lockapi.Proc, _ lockapi.Ctx) bool {
 func (l *TTAS) Release(p lockapi.Proc, _ lockapi.Ctx) {
 	p.Store(&l.word, 0, lockapi.Release)
 }
-
-// Fair implements lockapi.FairnessInfo.
-func (l *TTAS) Fair() bool { return false }
 
 // Backoff is TTAS with bounded exponential backoff (Agarwal & Cherian [1]),
 // the "BO" lock that lock cohorting composes in C-BO-MCS. Backoff trades
@@ -115,17 +109,11 @@ func (l *Backoff) Release(p lockapi.Proc, _ lockapi.Ctx) {
 	p.Store(&l.word, 0, lockapi.Release)
 }
 
-// Fair implements lockapi.FairnessInfo.
-func (l *Backoff) Fair() bool { return false }
-
 var (
-	_ lockapi.Lock         = (*TAS)(nil)
-	_ lockapi.Lock         = (*TTAS)(nil)
-	_ lockapi.Lock         = (*Backoff)(nil)
-	_ lockapi.FairnessInfo = (*TAS)(nil)
-	_ lockapi.FairnessInfo = (*TTAS)(nil)
-	_ lockapi.FairnessInfo = (*Backoff)(nil)
-	_ lockapi.TryLocker    = (*TAS)(nil)
-	_ lockapi.TryLocker    = (*TTAS)(nil)
-	_ lockapi.TryLocker    = (*Backoff)(nil)
+	_ lockapi.Lock      = (*TAS)(nil)
+	_ lockapi.Lock      = (*TTAS)(nil)
+	_ lockapi.Lock      = (*Backoff)(nil)
+	_ lockapi.TryLocker = (*TAS)(nil)
+	_ lockapi.TryLocker = (*TTAS)(nil)
+	_ lockapi.TryLocker = (*Backoff)(nil)
 )

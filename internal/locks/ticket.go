@@ -67,19 +67,8 @@ func (l *Ticket) HasWaiters(p lockapi.Proc, _ lockapi.Ctx) bool {
 	return t > g+1
 }
 
-// Fair implements lockapi.FairnessInfo: tickets are FIFO.
-func (l *Ticket) Fair() bool { return true }
-
-// TryObserveUnlocked reports whether the lock currently looks free
-// (grant has caught up with ticket). Diagnostic only — the answer may be
-// stale the moment it returns; tests use it to observe lock-passing.
-func (l *Ticket) TryObserveUnlocked(p lockapi.Proc) bool {
-	return p.Load(&l.grant, lockapi.Relaxed) == p.Load(&l.ticket, lockapi.Relaxed)
-}
-
 var (
 	_ lockapi.Lock           = (*Ticket)(nil)
 	_ lockapi.WaiterDetector = (*Ticket)(nil)
-	_ lockapi.FairnessInfo   = (*Ticket)(nil)
 	_ lockapi.TryLocker      = (*Ticket)(nil)
 )

@@ -22,8 +22,6 @@ import (
 //     lock cannot roll back, nor hide one it has;
 //   - try behavior (when supported): uncontended success, failure while held
 //     from a near and a far CPU, and no residual state after failures;
-//   - fairness monotonicity: a wrapper must not declare Fair over an unfair
-//     inner lock (the converse is allowed — wrappers may forfeit fairness);
 //   - reader-path forwarding: if base serves shared acquisitions
 //     (lockapi.RWLocker), wrapped must too, and two shared holders must
 //     coexist without blocking; if base serves optimistic reads
@@ -35,9 +33,6 @@ func WrapperConformance(t testing.TB, mach *topo.Machine, wrapped, base lockapi.
 
 	if got, want := lockapi.SupportsTry(wrapped), lockapi.SupportsTry(base); got != want {
 		t.Errorf("SupportsTry(wrapped) = %v, want %v (capability not forwarded)", got, want)
-	}
-	if lockapi.Fair(wrapped) && !lockapi.Fair(base) {
-		t.Error("wrapper declares Fair over an unfair inner lock")
 	}
 
 	p0 := lockapi.NewNativeProc(0)

@@ -18,8 +18,8 @@ import (
 
 // TestCRWrapperConformance runs the wrapper-conformance harness for
 // cr.Restrict over every exclusive catalog lock: whatever trylock capability
-// (or its absence) and fairness declaration the inner lock has, the
-// restricted variant must forward it. This is the regression gate for
+// (or its absence) the inner lock has, the restricted variant must forward
+// it. This is the regression gate for
 // combinators narrowing the capability surface, which would silently change
 // which code paths chaos sweeps exercise. Restrict refuses the
 // reader-capable families (seq, rwlock) instead of forwarding their read
@@ -46,8 +46,8 @@ func TestCRWrapperConformance(t *testing.T) {
 }
 
 // TestSeqWrapperConformance runs the same harness for seqlock.Wrap over
-// every catalog lock: the version-bump wrapper must forward trylock,
-// fairness, the reader-writer path (rwlock family), and — being the seq:
+// every catalog lock: the version-bump wrapper must forward trylock, the
+// reader-writer path (rwlock family), and — being the seq:
 // family itself — serve a correct validated-read protocol.
 func TestSeqWrapperConformance(t *testing.T) {
 	m := topo.X86Server()

@@ -26,6 +26,31 @@ import "strings"
 // does not enforce this; too-small programs degrade toward
 // LivenessBoundedBypass, the conservative direction for a starvation
 // verdict).
+//
+// The monitor cannot yet decide a lock whose Acquire makes a step before
+// its doorway. BeginWait is buffered and takes effect with the thread's
+// first operation (drainMon), and the search includes the schedules in
+// which that thread then takes no further step, so every lock that
+// operates before it joins the queue is reported as starving. MCS, for one,
+// makes two node stores before its tail swap. CheckLiveness on
+// LockProgram(name, 2, 5, ...) under SC with MaxStates 1,000,000 and k = 2
+// on VerifyMachine gives:
+//
+//   - tkt: fair (351,303 states), its ticket fetch-and-add being the first
+//     operation;
+//   - ttas, and equally mcs, clh, cna, shfllock, hmcs<4> and
+//     clof:mcs-mcs-mcs-mcs: unbounded-bypass (MCS: 2,451 states at K,
+//     5,584 at 2K), which is right for TTAS and an artefact of the
+//     monitor for the queue locks;
+//   - hem, hem-ctr, c-tkt-tkt and clof:tkt-tkt-tkt-tkt: inconclusive at
+//     1,000,001 states.
+//
+// A 2-level tkt-tkt CLoF on VerifyMachine at 3 threads × 2 iterations with
+// WithThreshold(2) gives bounded-bypass at k = 3 (13,465 states at K,
+// 1,697,063 at 2K, 34 s on a 2-CPU host). Counting the wait from the
+// doorway is open work (ROADMAP.md); until it lands no test pins a verdict
+// beyond TestTicketLiveness and TestTTASUnboundedBypass (TestCRBoundedBypass
+// only requires that a budgeted search finds no bypass witness).
 
 // LivenessVerdict classifies a program's waiter-passover behavior.
 type LivenessVerdict int

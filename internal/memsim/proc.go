@@ -55,7 +55,6 @@ type Proc struct {
 	Ops      uint64
 	Parks    uint64
 	Spins    uint64
-	LLSCPens uint64
 	Preempts uint64
 }
 
@@ -187,7 +186,6 @@ func (p *Proc) llscCost(ln *line) int64 {
 	if n > p.m.lat.LLSCRetryCap {
 		n = p.m.lat.LLSCRetryCap
 	}
-	p.LLSCPens++
 	return int64(n) * p.m.lat.LLSCRetry
 }
 

@@ -25,10 +25,10 @@ import "github.com/clof-go/clof/internal/lockapi"
 
 // Lock is a seqlock wrapper around an inner lock. It implements
 // lockapi.SeqReader for optimistic readers and forwards the inner lock's
-// trylock (TryLocker, with TryInfo answering for the inner lock) and
-// fairness declaration. It has no HasWaiters: waiter detection is a
-// basic-lock capability (lockapi.WaiterDetector). Use Wrap to construct
-// one: Wrap picks the RW variant when the inner lock supports shared mode.
+// trylock (TryLocker, with TryInfo answering for the inner lock). It has
+// no HasWaiters: waiter detection is a basic-lock capability
+// (lockapi.WaiterDetector). Use Wrap to construct one: Wrap picks the RW
+// variant when the inner lock supports shared mode.
 type Lock struct {
 	inner lockapi.Lock
 	seq   lockapi.Cell
@@ -82,9 +82,6 @@ func (l *Lock) TryAcquire(p lockapi.Proc, c lockapi.Ctx) bool {
 // TrySupported implements lockapi.TryInfo: the wrapper supports trylock
 // exactly when the inner lock does.
 func (l *Lock) TrySupported() bool { return lockapi.SupportsTry(l.inner) }
-
-// Fair implements lockapi.FairnessInfo by delegation.
-func (l *Lock) Fair() bool { return lockapi.Fair(l.inner) }
 
 // ReadSeq implements lockapi.SeqReader: return an even version sample,
 // spinning past in-flight writers. The Acquire load orders the caller's

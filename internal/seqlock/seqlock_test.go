@@ -63,9 +63,6 @@ func TestTryAcquire(t *testing.T) {
 	if got := l.ReadSeq(p); got != s+2 {
 		t.Fatalf("try+release advanced version %d -> %d, want +2", s, got)
 	}
-	if !lockapi.Fair(locks.NewTicket()) || !l.Fair() {
-		t.Fatal("Fair not forwarded from the fair inner lock")
-	}
 }
 
 // TestWrapSelectsRWVariant: wrapping a shared-capable lock must preserve

@@ -218,12 +218,7 @@ func (l *Lock) Release(p lockapi.Proc, _ lockapi.Ctx) {
 	p.Store(&l.glock, 0, lockapi.Release)
 }
 
-// Fair implements lockapi.FairnessInfo: bounded bypass via the periodic
-// flush; stealing only on an empty queue.
-func (l *Lock) Fair() bool { return true }
-
 var (
-	_ lockapi.Lock         = (*Lock)(nil)
-	_ lockapi.FairnessInfo = (*Lock)(nil)
-	_ lockapi.TryLocker    = (*Lock)(nil)
+	_ lockapi.Lock      = (*Lock)(nil)
+	_ lockapi.TryLocker = (*Lock)(nil)
 )

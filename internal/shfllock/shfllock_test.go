@@ -90,9 +90,3 @@ func TestComparableToCNA(t *testing.T) {
 		t.Errorf("ShflLock (%d) not comparable to CNA (%d)", shfl.Total, cnaPkg.Total)
 	}
 }
-
-func TestFairnessDeclared(t *testing.T) {
-	if !lockapi.Fair(New(topo.X86Server())) {
-		t.Error("ShflLock must declare fairness")
-	}
-}

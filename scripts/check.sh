@@ -10,7 +10,8 @@
 #      memory-order policy; a waiver that suppresses no finding fails it
 #      too)
 #   4. make doccheck            (godoc discipline: package comments +
-#      doc comments on exported declarations; scripts/doccheck.sh)
+#      doc comments on exported declarations, no orphan docs, and every
+#      test the docs cite exists; scripts/doccheck.sh)
 #   5. go test ./...            (tier-1, includes the model-checker suites)
 #   6. go test -race            on every package except mcheck
 #      (mcheck is excluded from the race pass: its replay engine is

@@ -12,6 +12,11 @@
 #   3. no orphan docs: every markdown file under docs/ is linked (by file
 #      name) from README.md or from another file under docs/ — a doc
 #      nobody can reach from the front page is a doc nobody reads.
+#   4. no dangling test citations: every Test... identifier in DESIGN.md,
+#      EXPERIMENTS.md, README.md, docs/*.md and the verify skill's SKILL.md
+#      names a func Test... in some *_test.go of the repository.
+#      A name written as Name* or passed to -run need only be a prefix of
+#      one. ROADMAP.md and CHANGES.md (plans and history) are exempt.
 #
 # Column-0 matching is a deliberate approximation: declarations inside
 # var/const/type blocks are indented and therefore exempt, which matches
@@ -74,8 +79,51 @@ if [ -d docs ]; then
     done
 fi
 
+# Rule 4: cited tests exist.
+tests=$(find . -name '*_test.go' ! -path './.git/*' -exec \
+    awk '/^func Test[A-Za-z0-9_]*\(/ { sub(/^func /, ""); sub(/\(.*/, ""); print }' {} + | sort -u)
+citing=$(ls DESIGN.md EXPERIMENTS.md README.md docs/*.md .[!.]*/skills/verify/SKILL.md 2>/dev/null || true)
+if [ -n "$citing" ]; then
+    printf '%s\n' "$tests" | awk '
+        FNR == NR { if ($0 != "") defined[$0] = 1; next }
+        FNR == 1 { runarg = 0 }
+        {
+            # Test names inside a -run argument (which may start on the
+            # next line when -run ends one) are prefix citations.
+            split("", prefix)
+            for (i = 1; i <= NF; i++) {
+                arg = ""
+                if (runarg && i == 1) arg = $1
+                if ($i == "-run" && i < NF) arg = $(i + 1)
+                s = arg
+                while (match(s, /Test[A-Z0-9_][A-Za-z0-9_]*/)) {
+                    prefix[substr(s, RSTART, RLENGTH)] = 1
+                    s = substr(s, RSTART + RLENGTH)
+                }
+            }
+            runarg = ($NF == "-run")
+            s = $0
+            while (match(s, /(^|[^A-Za-z0-9_])Test[A-Z0-9_][A-Za-z0-9_]*/)) {
+                name = substr(s, RSTART, RLENGTH)
+                sub(/^[^T]/, "", name)
+                rest = substr(s, RSTART + RLENGTH)
+                s = rest
+                if (name in defined) continue
+                if (substr(rest, 1, 1) == "*" || name in prefix) {
+                    ok = 0
+                    for (d in defined) if (index(d, name) == 1) { ok = 1; break }
+                    if (ok) continue
+                }
+                printf "doccheck: %s:%d: cites %s, which no *_test.go defines\n", FILENAME, FNR, name
+                bad = 1
+            }
+        }
+        END { exit bad }
+    ' - $citing || status=1
+fi
+
 if [ "$status" != 0 ]; then
-    echo "doccheck: FAIL — every exported declaration needs a doc comment" >&2
+    echo "doccheck: FAIL — see the findings above" >&2
     exit 1
 fi
 echo "doccheck: OK"
